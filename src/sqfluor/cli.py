@@ -129,7 +129,7 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             )
             out_sq = rate_squeezed_cw(src, system, eta, area, coupling, opts)
             rate = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings)
-            src_cl = matched_classical_cw(src, area)
+            src_cl = matched_classical_cw(src, area, opts)
             out_cl = rate_classical_cw(src_cl, system, eta)
             fl_sq = fluorescence(out_sq, system, n_atoms)
             fl_cl = fluorescence(out_cl, system, n_atoms)

@@ -108,7 +108,7 @@ class RunConfig:
             max_doublings=self.numerics["max_doublings"],
         )
 
-    def beam(self, which: str = "I") -> BeamProfile:
+    def beam(self) -> BeamProfile:
         geo = self.geometry
         wavelength = geo["rayleigh_wavelength_m"]
         return BeamProfile(geo["w0"], wavelength=wavelength) if wavelength else BeamProfile(geo["w0"])

@@ -15,8 +15,10 @@ verbatim.  Outer integrals are plain domega.
 
 The two-scale integrals route through `peaked.quad_kernel_smooth`; the pulsed
 engine samples the outer frequency dependence on a lattice aligned with its
-inner grid and certifies the sampling by halving the stride until the final
-integrals settle.
+inner grid, so the inner integrals at every outer point are one FFT
+correlation (`lattice_correlate`), and certifies the sampling by halving the
+stride until the final integrals settle; each coarser rung is a subsample of
+that one pass.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
 from .geometry import EffectiveArea
@@ -82,6 +85,34 @@ def _simpson_vector(n_points: int, step: float) -> np.ndarray:
     w = np.ones(n_points)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return w * (step / 3.0)
+
+
+def lattice_correlate(weight: np.ndarray, n_out: int):
+    """Correlator `table -> C` on a uniform lattice, for a fixed weight.
+
+        C[..., j] = sum_k table[..., j + k] * weight[..., k],   0 <= j < n_out
+
+    By the convolution theorem (Cooley & Tukey, Math. Comp. 19, 297 (1965))
+    all n_out sums come from one rfft/irfft pair of length
+    next_fast_len(n_out + n_w - 1).  The weight spectrum is taken once and
+    reused for every table passed to the correlator.  `table` is real with at
+    least n_out + n_w - 1 points (later points are not read); `weight` is real
+    or complex; leading axes broadcast.
+    """
+    n_w = weight.shape[-1]
+    n_table = n_out + n_w - 1
+    size = next_fast_len(n_table, real=True)
+    flipped = weight[..., ::-1]
+    is_complex = np.iscomplexobj(weight)
+    parts = (flipped.real, flipped.imag) if is_complex else (flipped,)
+    spectra = [rfft(part, size) for part in parts]
+
+    def correlate(table: np.ndarray) -> np.ndarray:
+        spec_t = rfft(table[..., :n_table], size)
+        out = [irfft(spec_t * spec, size)[..., n_w - 1 : n_table] for spec in spectra]
+        return out[0] + 1j * out[1] if is_complex else out[0]
+
+    return correlate
 
 
 def lorentzian_sample_weights(
@@ -269,9 +300,8 @@ def p_classical_pulsed(
         _single_pair_decomposition(src), sys, eta, a_eff,
         PulsedEngineOptions(quad=opts),
     )
-    ladder = engine._stride_ladder(engine.sigma_like / engine.opts.incoherent_samples_per_sigma)
     value, rel = engine._converge_levels(
-        ladder, lambda stride: float(engine._incoherent_level(stride)[0, 0])
+        engine._incoherent_ladder(), lambda stride: float(engine._incoherent_level(stride)[0, 0])
     )
     prob = eta.eta * (src.n_photons_i / area) * (src.n_photons_ii / area) * value
     return ExcitationOutcome(
@@ -473,13 +503,16 @@ class PulsedExcitationEngine:
         V_n(w_j) = Int G_ba f_IIn(w_j - x) f_In(x) dbar-x     (coherent)
         T_nm     = Int L(w) |Int G_ba f_IIn f_Im dbar-x|^2 dw (incoherent)
 
-    on outer sample lattices aligned with the inner one (so the shifted mode
-    values are strided views, no per-point interpolation).  The outer
-    Lorentzian integral is a fixed linear functional of the outer samples
-    (Simpson weights plus an analytic Voigt core term when Gamma_c is
-    unresolved), so T_nm is a scalar per mode pair and a beta sweep only
-    re-weights the caches with s_n c_n / s_n s_m.  Sampling fidelity is
-    certified by halving the outer stride until the results settle.
+    on outer sample lattices aligned with the inner one.  On that alignment
+    the inner integral K_nm(w_j) is a lattice correlation of the band-II
+    table with the Green-weighted band-I table, so `lattice_correlate` gives
+    it at every stride-1 outer point in one FFT pass, and each outer stride
+    is a subsample of that pass.  The outer Lorentzian integral is a fixed
+    linear functional of the outer samples (Simpson weights plus an analytic
+    Voigt core term when Gamma_c is unresolved), so T_nm is a scalar per mode
+    pair and a beta sweep only re-weights the caches with s_n c_n / s_n s_m.
+    Sampling fidelity is certified by halving the outer stride until the
+    results settle.
     """
 
     def __init__(
@@ -497,7 +530,7 @@ class PulsedExcitationEngine:
         self.opts = opts
         self._build_lattice()
         self._build_green_weights()
-        self._coherent_cache: dict[int, np.ndarray] = {}
+        self._coherent_rows: np.ndarray | None = None
         self._incoherent_cache: dict[int, np.ndarray] = {}
         self._lorentz_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cache_lock = threading.Lock()
@@ -555,13 +588,6 @@ class PulsedExcitationEngine:
         self.dfii_lat = np.vstack(
             [np.interp(self.q_axis, pts_ii, row, left=0.0, right=0.0) for row in dii]
         )
-
-        # Per-mode band-I support ranges on the lattice (trims the inner dots).
-        self.support = []
-        for row in self.fi:
-            mask = np.abs(row) > opts.support_epsilon * np.max(np.abs(row))
-            idx = np.nonzero(mask)[0]
-            self.support.append((int(idx[0]), int(idx[-1]) + 1))
         self.sigma_like = _support_extent(pts_i, dec.f_i[:1], opts.support_epsilon) / 7.0
 
     def _build_green_weights(self):
@@ -592,27 +618,21 @@ class PulsedExcitationEngine:
         base = self.out_center - self.out_half
         return base + self.h * stride * np.arange(self._n_out(stride))
 
-    def _fii_strided(self, n: int, stride: int) -> np.ndarray:
-        """View F[j, k] = f_IIn(w_j - x_k) using the aligned lattice."""
-        row = self.fii_lat[n]
-        s = row.strides[0]
-        return np.lib.stride_tricks.as_strided(
-            row[self.n_in - 1 :],
-            shape=(self._n_out(stride), self.n_in),
-            strides=(stride * s, -s),
-            writeable=False,
-        )
+    def _core_terms(self):
+        """Core-extraction part of K_nm at the stride-1 outer points.
 
-    def _core_values(self, stride: int):
-        """f_IIn tables and derivatives at (w_j - w_ba) for all modes."""
-        arg = self._outer_points(stride) - self.sys.omega_ba
+        Returns (a, b, f_ii, df_ii) with the term a_m f_ii[n] + b_m df_ii[n],
+        where f_ii, df_ii are the f_IIn tables and derivatives at w_j - w_ba.
+        """
+        arg = self._outer_points(1) - self.sys.omega_ba
         f_ii = np.vstack([
             np.interp(arg, self.q_axis, row, left=0.0, right=0.0) for row in self.fii_lat
         ])
         df_ii = np.vstack([
             np.interp(arg, self.q_axis, row, left=0.0, right=0.0) for row in self.dfii_lat
         ])
-        return f_ii, df_ii
+        f_i0, df_i0 = self._fi_at_core()
+        return f_i0 * self.c_corr0 + df_i0 * self.c_corr1, -f_i0 * self.c_corr1, f_ii, df_ii
 
     def _fi_at_core(self) -> tuple[np.ndarray, np.ndarray]:
         if not hasattr(self, "_fi_core"):
@@ -621,33 +641,18 @@ class PulsedExcitationEngine:
             self._fi_core = (f0, d0)
         return self._fi_core
 
-    def _b_reversed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_in, n_modes) Green-weighted band-I tables, inner index reversed."""
-        if not hasattr(self, "_b_rev"):
-            b_mat = (self.cvec[:, None] * self.fi.T)[::-1, :]
-            self._b_rev = (np.ascontiguousarray(b_mat.real), np.ascontiguousarray(b_mat.imag))
-        return self._b_rev
+    def _kernel_correlator(self):
+        """fii_lat rows -> K_nm(w_j) = Int G_ba f_IIn(w_j - x) f_Im(x) dbar-x, all m.
 
-    def _kernel_row(self, n: int, m: int, stride: int) -> np.ndarray:
-        """K_nm(w_j) = Int G_ba f_IIn(w_j - x) f_Im(x) dbar-x on the outer lattice."""
-        k0, k1 = self.support[m]
-        view = self._fii_strided(n, stride)[:, k0:k1]
-        coeff = self.cvec[k0:k1] * self.fi[m, k0:k1]
-        out = view @ coeff.real + 1j * (view @ coeff.imag)
-        if self.extract:
-            f_iis, df_iis = self._core_values(stride)
-            f_i0, df_i0 = (arr[m] for arr in self._fi_at_core())
-            f_val = f_iis[n] * f_i0
-            f_der = -df_iis[n] * f_i0 + f_iis[n] * df_i0
-            out = out + f_val * self.c_corr0 + f_der * self.c_corr1
-        return out
+        On the aligned lattice K_nm(w_j) = sum_k fii_lat[n, j + k] B[m, k] with
+        B the Green-weighted band-I tables, inner index reversed; the result
+        covers every stride-1 outer point and excludes the core terms.
+        """
+        return lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
 
-    def _kernel_slab(self, j: int, stride: int) -> np.ndarray:
-        """K_nm at one outer point: contiguous R-slice times the reversed B tables."""
-        b_re, b_im = self._b_reversed()
-        start = j * stride
-        slab = self.fii_lat[:, start : start + self.n_in]
-        return slab @ b_re + 1j * (slab @ b_im)
+    def _rung(self, rows: np.ndarray, stride: int) -> np.ndarray:
+        """Stride-1 outer samples subsampled onto the outer lattice of `stride`."""
+        return rows[..., ::stride][..., : self._n_out(stride)]
 
     # -- outer Lorentzian functional ----------------------------------------
 
@@ -666,51 +671,50 @@ class PulsedExcitationEngine:
     def _coherent_level(self, stride: int) -> np.ndarray:
         """V_n(w_j) = K_nn on the outer lattice, one row per mode."""
         with self._cache_lock:
-            return self._coherent_level_locked(stride)
+            if self._coherent_rows is None:
+                v_rows = self._kernel_correlator()(self.fii_lat)
+                if self.extract:
+                    a, b, f_ii, df_ii = self._core_terms()
+                    v_rows += a[:, None] * f_ii + b[:, None] * df_ii
+                self._coherent_rows = v_rows
+            return self._rung(self._coherent_rows, stride)
 
-    def _coherent_level_locked(self, stride: int) -> np.ndarray:
-        if stride not in self._coherent_cache:
-            b_re, b_im = self._b_reversed()
-            n_out = self._n_out(stride)
-            n_modes = self.dec.n_modes
-            v_rows = np.empty((n_modes, n_out), dtype=complex)
-            for j in range(n_out):
-                start = j * stride
-                slab = self.fii_lat[:, start : start + self.n_in]
-                v_rows[:, j] = np.einsum("nk,kn->n", slab, b_re) + 1j * np.einsum(
-                    "nk,kn->n", slab, b_im
-                )
-            if self.extract:
-                f_iis, df_iis = self._core_values(stride)
-                f_i0, df_i0 = self._fi_at_core()
-                v_rows += (f_iis * f_i0[:, None]) * self.c_corr0
-                v_rows += (f_iis * df_i0[:, None] - df_iis * f_i0[:, None]) * self.c_corr1
-            self._coherent_cache[stride] = v_rows
-        return self._coherent_cache[stride]
+    def _incoherent_ladder(self) -> list[int]:
+        return self._stride_ladder(self.sigma_like / self.opts.incoherent_samples_per_sigma)
 
     def _incoherent_level(self, stride: int) -> np.ndarray:
-        """T_nm = Int L(w) |K_nm(w)|^2 dw for every mode pair at one level."""
-        with self._cache_lock:
-            return self._incoherent_level_locked(stride)
+        """T_nm = Int L(w) |K_nm(w)|^2 dw for every mode pair at one level.
 
-    def _incoherent_level_locked(self, stride: int) -> np.ndarray:
-        if stride not in self._incoherent_cache:
-            n_modes = self.dec.n_modes
-            lam, _ = self._lorentz_weights(stride)
-            t_mat = np.zeros((n_modes, n_modes))
+        The first call fills every rung of the incoherent ladder (and
+        `stride`) from one correlation pass.
+        """
+        with self._cache_lock:
+            if stride not in self._incoherent_cache:
+                strides = sorted(set(self._incoherent_ladder()) | {stride})
+                self._incoherent_cache.update(self._incoherent_pass(strides))
+            return self._incoherent_cache[stride]
+
+    def _incoherent_pass(self, strides: list[int]) -> dict[int, np.ndarray]:
+        """T_nm at each stride from one pass over n.
+
+        |K_nm|^2 is formed for one n at a time, never for all pairs.  Column r
+        of `lam` holds rung r's Lorentzian weights at its stride-1 positions,
+        so one product per n weights every rung.
+        """
+        lam = np.zeros((self.n_out_max, len(strides)))
+        for r, stride in enumerate(strides):
+            self._rung(lam[:, r], stride)[:] = self._lorentz_weights(stride)[0]
+        correlate = self._kernel_correlator()
+        if self.extract:
+            a, b, f_ii, df_ii = self._core_terms()
+        n_modes = self.dec.n_modes
+        t_all = np.empty((len(strides), n_modes, n_modes))
+        for n in range(n_modes):
+            k_rows = correlate(self.fii_lat[n])
             if self.extract:
-                f_iis, df_iis = self._core_values(stride)
-                f_i0, df_i0 = self._fi_at_core()
-            for j in range(self._n_out(stride)):
-                k_slab = self._kernel_slab(j, stride)
-                if self.extract:
-                    k_slab += np.outer(f_iis[:, j], f_i0) * self.c_corr0
-                    k_slab += (
-                        np.outer(f_iis[:, j], df_i0) - np.outer(df_iis[:, j], f_i0)
-                    ) * self.c_corr1
-                t_mat += lam[j] * (k_slab.real**2 + k_slab.imag**2)
-            self._incoherent_cache[stride] = t_mat
-        return self._incoherent_cache[stride]
+                k_rows += np.outer(a, f_ii[n]) + np.outer(b, df_ii[n])
+            t_all[:, n, :] = ((k_rows.real**2 + k_rows.imag**2) @ lam).T
+        return dict(zip(strides, t_all))
 
     def _stride_ladder(self, target_spacing: float) -> list[int]:
         stride = max(1, int(np.floor(target_spacing / self.h)))
@@ -771,8 +775,7 @@ class PulsedExcitationEngine:
         def evaluate(stride: int) -> float:
             return float(np.sum(weights * self._incoherent_level(stride)))
 
-        ladder = self._stride_ladder(self.sigma_like / self.opts.incoherent_samples_per_sigma)
-        value, rel = self._converge_levels(ladder, evaluate)
+        value, rel = self._converge_levels(self._incoherent_ladder(), evaluate)
         return self.eta.eta * value / self.area**2, rel
 
     # -- intermediate-state population (validity diagnostic) -----------------
@@ -990,18 +993,19 @@ def max_intermediate_population(
 # ---------------------------------------------------------------------------
 
 
-def matched_classical_cw(src: SqueezedCW, a_eff) -> ClassicalCW:
+def matched_classical_cw(
+    src: SqueezedCW, a_eff, opts: NumericsOptions = DEFAULT_NUMERICS
+) -> ClassicalCW:
     """Classical CW reference at the squeezed photon rate, same centers.
 
     The comparison protocol keeps each classical beam narrowband and on the
-    squeezed band center, with flux = (photons/s)/A_eff per band.
+    squeezed band center, with flux = (photons/s)/A_eff per band.  Both bands
+    carry the band-I rate: the band-II photon density is the same Gaussian
+    gain profile shifted to its own center, so its integral is the same.
     """
-    area = _a_eff_value(a_eff)
-    rate_i = photon_rate_cw(src, "I")
-    rate_ii = photon_rate_cw(src, "II")
+    flux = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings) / _a_eff_value(a_eff)
     return ClassicalCW(
-        flux_i=rate_i / area, flux_ii=rate_ii / area,
-        center_i=src.center_i, center_ii=src.center_ii,
+        flux_i=flux, flux_ii=flux, center_i=src.center_i, center_ii=src.center_ii,
     )
 
 

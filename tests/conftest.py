@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sqfluor.geometry import AtomCloud, BeamProfile, effective_area, fwhm_to_sigma, waist_fwhm_to_w0
 from sqfluor.system import cs_preset, eta_prefactor
+
+# Property tests repeat exactly (a fixed example sequence, so no example
+# database is kept) and are never failed for running slowly on a loaded host.
+settings.register_profile(
+    "sqfluor", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("sqfluor")
 
 # Shipped-config Cs rates: D1/D2 linewidths plus 7S partial rates scaled to
 # the reference width ratio (see configs/cs_mot.json provenance).

@@ -13,6 +13,10 @@ from sqfluor.config import (
     load_config,
     parse_quantity,
 )
+from sqfluor.excitation import rate_classical_cw
+from sqfluor.geometry import effective_area
+from sqfluor.sources import ClassicalCW
+from sqfluor.system import eta_prefactor
 
 REPO = Path(__file__).resolve().parent.parent
 CS_MOT = REPO / "configs" / "cs_mot.json"
@@ -143,6 +147,29 @@ class TestCwSweep:
         assert np.isnan(failed[0]["r_sq_total"])
         assert len(rows) == calls["n"]
 
+    def test_classical_reference_uses_configured_numerics(self, tmp_path):
+        # At beta_bar = sqrt(10) the photon rate at rel_tol 1e-9 differs from
+        # the one at the default tolerance by about 6e-9.
+        path = tiny_cw_config(
+            tmp_path, sigma_c_over_gamma_b=[0.01], beta_bar_min=1.0,
+            beta_bar_max=float(np.sqrt(10.0)), points_per_decade=4,
+        )
+        raw = json.loads(path.read_text())
+        raw["numerics"] = {"rel_tol": 1e-9, "max_doublings": 8}
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        system = cfg.system
+        eta = eta_prefactor(system, cfg.coupling)
+        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options())
+        rows = run_cw_sweep(cfg)
+        assert len(rows) == 3
+        for row in rows:
+            flux = row["photon_rate_per_s"] / area.a_eff
+            classical = rate_classical_cw(
+                ClassicalCW(flux, flux, system.omega_ba, system.omega_cb), system, eta
+            )
+            assert row["r_classical"] == classical.total
+
     def test_jobs_do_not_change_row_order(self, tmp_path):
         cfg = load_config(tiny_cw_config(tmp_path))
         serial = run_cw_sweep(cfg, jobs=1)
@@ -179,8 +206,8 @@ class TestPulsedSweep:
         assert len(serial) == len(threaded)
         for a, b in zip(serial, threaded):
             assert a["photons_per_pulse"] == b["photons_per_pulse"]
-            assert a["p_sq_coherent"] == pytest.approx(b["p_sq_coherent"], rel=1e-12)
-            assert a["p_sq_incoherent"] == pytest.approx(b["p_sq_incoherent"], rel=1e-12)
+            assert a["p_sq_coherent"] == pytest.approx(b["p_sq_coherent"], rel=1e-12, abs=0.0)
+            assert a["p_sq_incoherent"] == pytest.approx(b["p_sq_incoherent"], rel=1e-12, abs=0.0)
 
 
 class TestEmit:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqfluor.excitation import (
     PulsedExcitationEngine,
@@ -7,6 +9,7 @@ from sqfluor.excitation import (
     VALIDITY_THRESHOLD,
     energy_ledger,
     fluorescence,
+    lattice_correlate,
     matched_classical_cw,
     matched_classical_pulsed,
     max_intermediate_population,
@@ -27,6 +30,7 @@ from sqfluor.sources import (
     photon_number_pulsed,
     photon_rate_cw,
     schmidt_decompose,
+    schmidt_decompose_analytic,
 )
 from sqfluor.spectral import GaussianAmplitude, gaussian_amp, green, lorentzian
 from sqfluor.system import FourLevelSystem, cross_section
@@ -91,7 +95,7 @@ class TestClassicalPulsed:
         quadrupled = p_classical_pulsed(
             classical_pulse_pair(system, system.gamma_b, 2.0), system, cs_eta, mot_area
         ).total
-        assert quadrupled == pytest.approx(4.0 * base, rel=1e-9)
+        assert quadrupled == pytest.approx(4.0 * base, rel=1e-9, abs=0.0)
 
     def test_cw_limit_oracle(self, cs_system, cs_eta, mot_area):
         # Narrowband resonant pulses: p / T_eff must approach the analytic CW
@@ -252,6 +256,88 @@ def brute_force_pulsed(dec, system, eta, area):
     return eta.eta * coherent / area.a_eff**2, eta.eta * incoherent / area.a_eff**2
 
 
+def kernel_row(engine, n, m, stride):
+    """Brute-force K_nm(w_j) = Int G_ba f_IIn(w_j - x) f_Im(x) dbar-x on one outer lattice.
+
+    One dot product per outer point over the band-I support of mode m, with
+    f_IIn(w_j - x_k) read as a strided view of the aligned band-II table, plus
+    the core-extraction terms evaluated at this stride's own outer points.
+    """
+    fi_row = engine.fi[m]
+    live = np.nonzero(np.abs(fi_row) > engine.opts.support_epsilon * np.max(np.abs(fi_row)))[0]
+    k0, k1 = live[0], live[-1] + 1
+    row = engine.fii_lat[n]
+    step = row.strides[0]
+    view = np.lib.stride_tricks.as_strided(
+        row[engine.n_in - 1 :],
+        shape=(engine._n_out(stride), engine.n_in),
+        strides=(stride * step, -step),
+        writeable=False,
+    )[:, k0:k1]
+    coeff = engine.cvec[k0:k1] * fi_row[k0:k1]
+    out = view @ coeff.real + 1j * (view @ coeff.imag)
+    if engine.extract:
+        arg = engine._outer_points(stride) - engine.sys.omega_ba
+        f_ii = np.interp(arg, engine.q_axis, engine.fii_lat[n], left=0.0, right=0.0)
+        df_ii = np.interp(arg, engine.q_axis, engine.dfii_lat[n], left=0.0, right=0.0)
+        f_i0, df_i0 = (arr[m] for arr in engine._fi_at_core())
+        out = out + f_ii * f_i0 * engine.c_corr0 + (f_ii * df_i0 - df_ii * f_i0) * engine.c_corr1
+    return out
+
+
+@given(
+    n_out=st.integers(1, 48),
+    n_w=st.integers(1, 24),
+    n_rows=st.integers(1, 3),
+    n_modes=st.integers(1, 3),
+    stride=st.integers(1, 6),
+    extra=st.integers(0, 4),
+    complex_weight=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_correlate_matches_direct_sum(
+    n_out, n_w, n_rows, n_modes, stride, extra, complex_weight, seed
+):
+    # Entries share one magnitude scale (random sign, |x| in [0.5, 1.5]), so
+    # the FFT's norm-wise rounding error bounds every output sum; the bound is
+    # 1e-12 of that sum's absolute terms.
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.5, shape)
+
+    table = entries((n_rows, n_out + n_w - 1 + extra))
+    weight = entries((n_modes, n_w))
+    if complex_weight:
+        weight = weight + 1j * entries((n_modes, n_w))
+    got = lattice_correlate(weight, n_out)(table[:, None, :])
+    assert got.shape == (n_rows, n_modes, n_out)
+    for n in range(n_rows):
+        for m in range(n_modes):
+            for j in range(0, n_out, stride):
+                terms = table[n, j : j + n_w] * weight[m]
+                assert abs(got[n, m, j] - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+
+
+def assert_levels_match_oracle(engine):
+    """Coherent rows and T_nm at every incoherent ladder rung against kernel_row."""
+    n_modes = engine.dec.n_modes
+    for stride in engine._incoherent_ladder():
+        lam, _ = engine._lorentz_weights(stride)
+        rows = {
+            (n, m): kernel_row(engine, n, m, stride)
+            for n in range(n_modes)
+            for m in range(n_modes)
+        }
+        expected = np.array([
+            [lam @ np.abs(rows[n, m]) ** 2 for m in range(n_modes)] for n in range(n_modes)
+        ])
+        assert engine._incoherent_level(stride) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        v_rows = engine._coherent_level(stride)
+        diagonal = np.array([rows[n, n] for n in range(n_modes)])
+        assert np.allclose(v_rows, diagonal, rtol=0.0, atol=1e-13 * np.max(np.abs(diagonal)))
+
+
 class TestSqueezedPulsed:
     def test_vacuum(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -295,8 +381,8 @@ class TestSqueezedPulsed:
         dec = schmidt_decompose(src, trunc_tol=1e-8)
         out = p_squeezed_pulsed(dec, system, cs_eta, mot_area)
         coh_brute, incoh_brute = brute_force_pulsed(dec, system, cs_eta, mot_area)
-        assert out.coherent == pytest.approx(coh_brute, rel=1e-2)
-        assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2)
+        assert out.coherent == pytest.approx(coh_brute, rel=1e-2, abs=0.0)
+        assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2, abs=0.0)
 
     def test_diagonal_kernel_identity(self, cs_system, cs_eta, mot_area):
         # The incoherent n = m kernel rows are exactly the coherent mode rows.
@@ -308,9 +394,33 @@ class TestSqueezedPulsed:
         stride = engine._stride_ladder(engine.sigma_like / 8.0)[0]
         v_rows = engine._coherent_level(stride)
         for n in (0, 1, 3):
-            row = engine._kernel_row(n, n, stride)
+            row = kernel_row(engine, n, n, stride)
             scale = np.max(np.abs(row))
             assert np.allclose(row, v_rows[n], rtol=1e-10, atol=1e-11 * scale)
+
+    def test_levels_match_oracle_without_core_extraction(self, cs_system, cs_eta, mot_area):
+        system, _ = cs_system
+        gb = system.gamma_b
+        src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        assert not engine.extract
+        assert len(engine._incoherent_ladder()) > 1
+        assert_levels_match_oracle(engine)
+
+    def test_levels_match_oracle_with_core_extraction(self, cs_system, cs_eta, mot_area):
+        # Detuned bands: on resonance the derivative core term enters T_nm
+        # only through parity-cancelling cross terms.
+        system, _ = cs_system
+        gb, gc = system.gamma_b, system.gamma_c
+        center_i = system.omega_ba + 5.0 * gb
+        center_ii = (system.omega_ca + 2.0 * gc) - center_i
+        src = SqueezedPulsed(1.0, 10 * gb, 50 * gb, center_i, center_ii)
+        dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        assert engine.extract
+        assert len(engine._incoherent_ladder()) > 1
+        assert_levels_match_oracle(engine)
 
     def test_detuned_engine_matches_brute_force(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -321,8 +431,8 @@ class TestSqueezedPulsed:
         dec = schmidt_decompose(src, trunc_tol=1e-8)
         out = p_squeezed_pulsed(dec, system, cs_eta, mot_area)
         coh_brute, incoh_brute = brute_force_pulsed(dec, system, cs_eta, mot_area)
-        assert out.coherent == pytest.approx(coh_brute, rel=1e-2)
-        assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2)
+        assert out.coherent == pytest.approx(coh_brute, rel=1e-2, abs=0.0)
+        assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2, abs=0.0)
 
     def test_global_phase_invariance(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
