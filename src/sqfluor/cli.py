@@ -85,6 +85,25 @@ def _failed_row(columns, fixed: dict) -> dict:
     return row
 
 
+def _map_rows(compute, tasks: list[dict], columns: list[str], jobs: int) -> list[dict]:
+    """compute(task) for every task, in task order, on up to `jobs` threads.
+
+    A task holds the row's fixed columns.  A row whose computation raises
+    keeps those and is marked failed; the sweep goes on.
+    """
+
+    def row(task: dict) -> dict:
+        try:
+            return compute(task)
+        except Exception:
+            return _failed_row(columns, task)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(row, tasks))
+    return [row(t) for t in tasks]
+
+
 def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
     decades = np.log10(hi / lo)
     n = max(2, int(np.ceil(decades * points_per_decade)) + 1)
@@ -110,54 +129,46 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
 
     tasks = []
     for ratio in ratios:
-        sigma = ratio * system.gamma_b
         grid = base_grid
         if src_cfg.get("match_rate_windows") and ratio != ratios[0]:
             # photon rate ~ beta_bar^2 / T_c: matching the rate window across
             # columns scales the beta window by sqrt(sigma_ref / sigma).
             grid = base_grid * np.sqrt(ratios[0] / ratio)
         for beta_bar in grid:
-            tasks.append((ratio, sigma, float(beta_bar)))
+            tasks.append({"sigma_c_over_gamma_b": ratio, "beta_bar": float(beta_bar)})
 
     def compute(task):
-        ratio, sigma, beta_bar = task
-        fixed = {"sigma_c_over_gamma_b": ratio, "beta_bar": beta_bar}
-        try:
-            src = SqueezedCW(
-                beta_bar=beta_bar, sigma_c_bar=sigma,
-                center_i=system.omega_ba, center_ii=system.omega_cb,
-            )
-            out_sq = rate_squeezed_cw(src, system, eta, area, coupling, opts)
-            rate = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings)
-            src_cl = matched_classical_cw(src, area, opts)
-            out_cl = rate_classical_cw(src_cl, system, eta)
-            fl_sq = fluorescence(out_sq, system, n_atoms)
-            fl_cl = fluorescence(out_cl, system, n_atoms)
-            validity = out_sq.validity.passes if out_sq.validity else True
-            return {
-                "sigma_c_over_gamma_b": ratio,
-                "beta_bar": beta_bar,
-                "photon_rate_per_s": rate,
-                "r_classical": out_cl.total,
-                "r_sq_coherent": out_sq.coherent,
-                "r_sq_incoherent": out_sq.incoherent,
-                "r_sq_total": out_sq.total,
-                "R_fluor_classical": fl_cl.total,
-                "R_fluor_sq_total": fl_sq.total,
-                "ratio_sq_over_cl": out_sq.total / out_cl.total if out_cl.total else float("nan"),
-                "ratio_coh_over_incoh": (
-                    out_sq.coherent / out_sq.incoherent if out_sq.incoherent else float("nan")
-                ),
-                "crossover": beta_bar >= 1.0,
-                "validity": validity,
-            }
-        except Exception:
-            return _failed_row(CW_COLUMNS, fixed)
+        ratio, beta_bar = task["sigma_c_over_gamma_b"], task["beta_bar"]
+        src = SqueezedCW(
+            beta_bar=beta_bar, sigma_c_bar=ratio * system.gamma_b,
+            center_i=system.omega_ba, center_ii=system.omega_cb,
+        )
+        out_sq = rate_squeezed_cw(src, system, eta, area, coupling, opts)
+        rate = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings)
+        src_cl = matched_classical_cw(src, area, opts)
+        out_cl = rate_classical_cw(src_cl, system, eta)
+        fl_sq = fluorescence(out_sq, system, n_atoms)
+        fl_cl = fluorescence(out_cl, system, n_atoms)
+        validity = out_sq.validity.passes if out_sq.validity else True
+        return {
+            "sigma_c_over_gamma_b": ratio,
+            "beta_bar": beta_bar,
+            "photon_rate_per_s": rate,
+            "r_classical": out_cl.total,
+            "r_sq_coherent": out_sq.coherent,
+            "r_sq_incoherent": out_sq.incoherent,
+            "r_sq_total": out_sq.total,
+            "R_fluor_classical": fl_cl.total,
+            "R_fluor_sq_total": fl_sq.total,
+            "ratio_sq_over_cl": out_sq.total / out_cl.total if out_cl.total else float("nan"),
+            "ratio_coh_over_incoh": (
+                out_sq.coherent / out_sq.incoherent if out_sq.incoherent else float("nan")
+            ),
+            "crossover": beta_bar >= 1.0,
+            "validity": validity,
+        }
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(compute, tasks))
-    return [compute(t) for t in tasks]
+    return _map_rows(compute, tasks, CW_COLUMNS, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +241,35 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area, opts=engine_opts.quad)
             cl_unit = cl_ref.total / (src_cl_ref.n_photons_i * src_cl_ref.n_photons_ii)
 
-            def compute(n_photons, _engine=engine, _working=working, _src=src,
-                        _cl_unit=cl_unit, _sp=sp_ratio, _sc=sc_ratio):
-                fixed = {
-                    "sigma_p_over_gamma_b": _sp, "sigma_c_over_sigma_p": _sc,
+            def compute(task, _engine=engine, _working=working, _cl_unit=cl_unit):
+                n_photons = task["photons_per_pulse"]
+                beta = _beta_for_photons(_working.p, n_photons)
+                dec_b = _working.with_beta(beta)
+                out = _engine.outcome(dec_b)
+                pop = kappa * _engine.max_population_weighted(dec_b.s_n**2) / area.a_eff
+                p_cl = _cl_unit * n_photons**2
+                return {
+                    "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
+                    "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
+                    "beta": beta,
                     "photons_per_pulse": n_photons,
+                    "p_classical": p_cl,
+                    "p_sq_coherent": out.coherent,
+                    "p_sq_incoherent": out.incoherent,
+                    "n_fluor_classical": p_cl * branch * n_atoms,
+                    "n_fluor_sq_coherent": out.coherent * branch * n_atoms,
+                    "n_fluor_sq_incoherent": out.incoherent * branch * n_atoms,
+                    "n_fluor_sq_total": out.total * branch * n_atoms,
+                    "crossover": beta * np.sqrt(_working.p[0]) >= 1.0,
+                    "validity": pop < 0.1,
                 }
-                try:
-                    beta = _beta_for_photons(_working.p, n_photons)
-                    dec_b = _working.with_beta(beta)
-                    out = _engine.outcome(dec_b)
-                    pop = kappa * _engine.max_population_weighted(dec_b.s_n**2) / area.a_eff
-                    p_cl = _cl_unit * n_photons**2
-                    return {
-                        "sigma_p_over_gamma_b": _sp,
-                        "sigma_c_over_sigma_p": _sc,
-                        "beta": beta,
-                        "photons_per_pulse": n_photons,
-                        "p_classical": p_cl,
-                        "p_sq_coherent": out.coherent,
-                        "p_sq_incoherent": out.incoherent,
-                        "n_fluor_classical": p_cl * branch * n_atoms,
-                        "n_fluor_sq_coherent": out.coherent * branch * n_atoms,
-                        "n_fluor_sq_incoherent": out.incoherent * branch * n_atoms,
-                        "n_fluor_sq_total": out.total * branch * n_atoms,
-                        "crossover": beta * np.sqrt(_working.p[0]) >= 1.0,
-                        "validity": pop < 0.1,
-                    }
-                except Exception:
-                    return _failed_row(PULSED_COLUMNS, fixed)
 
-            panel_rows = [compute(float(photon_grid[0]))]  # warm caches serially
-            rest = [float(n) for n in photon_grid[1:]]
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    panel_rows.extend(pool.map(compute, rest))
-            else:
-                panel_rows.extend(compute(n) for n in rest)
-            rows.extend(panel_rows)
+            tasks = [
+                {"sigma_p_over_gamma_b": sp_ratio, "sigma_c_over_sigma_p": sc_ratio,
+                 "photons_per_pulse": float(n)}
+                for n in photon_grid
+            ]
+            rows.extend(_map_rows(compute, tasks, PULSED_COLUMNS, jobs))
     return rows
 
 

@@ -18,12 +18,13 @@ engine samples the outer frequency dependence on a lattice aligned with its
 inner grid, so the inner integrals at every outer point are one FFT
 correlation (`lattice_correlate`), and certifies the sampling by halving the
 stride until the final integrals settle; each coarser rung is a subsample of
-that one pass.
+that one pass.  The engine computes all of this when it is built and is only
+read afterwards, so sweep rows on several threads share one engine without a
+lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -50,7 +51,15 @@ from .sources import (
     photon_number_pulsed,
     photon_rate_cw,
 )
-from .spectral import GaussianAmplitude, SpectralGrid, gaussian_amp, green
+from .spectral import (
+    GaussianAmplitude,
+    LorentzianLineshape,
+    SpectralGrid,
+    gaussian_amp,
+    green,
+    lorentzian,
+    simpson_weights,
+)
 from .system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem, cross_section
 
 __all__ = [
@@ -78,13 +87,6 @@ __all__ = [
 VALIDITY_THRESHOLD = 0.1
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SPAN_SIGMAS_CW = 9.0
-
-
-def _simpson_vector(n_points: int, step: float) -> np.ndarray:
-    """Composite Simpson quadrature weights including the step factor."""
-    w = np.ones(n_points)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return w * (step / 3.0)
 
 
 def lattice_correlate(weight: np.ndarray, n_out: int):
@@ -116,7 +118,7 @@ def lattice_correlate(weight: np.ndarray, n_out: int):
 
 
 def lorentzian_sample_weights(
-    pts: np.ndarray, step: float, center: float, fwhm: float, window: float
+    pts: np.ndarray, step: float, shape: LorentzianLineshape, window: float
 ) -> np.ndarray:
     """Weights lam with Int L(w) Q(w) dw ~= lam . Q for Q sampled on `pts`.
 
@@ -125,8 +127,8 @@ def lorentzian_sample_weights(
     Gaussian-window moment and Q(center) enters through a cubic interpolation
     stencil, keeping the functional linear in the samples.
     """
-    l_vals = (fwhm / TWO_PI) / ((center - pts) ** 2 + 0.25 * fwhm**2)
-    lam = _simpson_vector(len(pts), step) * l_vals
+    center, fwhm = shape.center, shape.fwhm
+    lam = simpson_weights(len(pts), step) * lorentzian(pts, shape)
     core_inside = pts[0] + 2.0 * step < center < pts[-1] - 2.0 * step
     if not (core_inside and fwhm < 4.0 * step and len(pts) >= 7):
         return lam
@@ -287,22 +289,23 @@ def p_classical_pulsed(
     coupling: DipoleCoupling | None = None,
     opts: NumericsOptions = DEFAULT_NUMERICS,
 ) -> ExcitationOutcome:
-    """Per-atom two-photon excitation probability for two classical pulses."""
+    """Per-atom two-photon excitation probability for two classical pulses.
+
+    One engine over the pulse pair gives both the probability and, with a
+    coupling, the validity population.
+    """
     area = _a_eff_value(a_eff)
+    engine = PulsedExcitationEngine(
+        _single_pair_decomposition(src), sys, eta, area, PulsedEngineOptions(quad=opts)
+    )
     validity = None
     if coupling is not None:
-        pop = max_intermediate_population(src, sys, coupling, area, opts=opts)
+        pop = _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
         validity = ValidityReport.from_population(pop)
     if src.n_photons_i == 0.0 or src.n_photons_ii == 0.0:
         return ExcitationOutcome(0.0, 0.0, "pulsed_classical", "probability", validity)
 
-    engine = PulsedExcitationEngine(
-        _single_pair_decomposition(src), sys, eta, a_eff,
-        PulsedEngineOptions(quad=opts),
-    )
-    value, rel = engine._converge_levels(
-        engine._incoherent_ladder(), lambda stride: float(engine._incoherent_level(stride)[0, 0])
-    )
+    value, rel = engine.converged_incoherent(np.ones((1, 1)))
     prob = eta.eta * (src.n_photons_i / area) * (src.n_photons_ii / area) * value
     return ExcitationOutcome(
         prob, 0.0, "pulsed_classical", "probability", validity,
@@ -348,11 +351,7 @@ def rate_squeezed_cw(
         g_ba, coherent_smooth, smooth_center=src.center_i,
         smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
     )
-    lineshape = sys.lineshape_ca()
-    l_at_pump = float(
-        (lineshape.fwhm / TWO_PI)
-        / ((lineshape.center - src.pump_center) ** 2 + 0.25 * lineshape.fwhm**2)
-    )
+    l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
     coherent = eta.eta * l_at_pump * abs(coh_integral / TWO_PI) ** 2 / area**2
 
     incoh_value, incoh_rel = _cw_incoherent_integral(src, sys, scale, opts)
@@ -390,7 +389,7 @@ def _cw_incoherent_integral(
         n_w = int(np.ceil((hi - lo) / h)) + 1
         n_w = n_w if n_w % 2 == 1 else n_w + 1
         w_pts = lo + h * np.arange(n_w)
-        lam = lorentzian_sample_weights(w_pts, h, sys.omega_ca, sys.gamma_c, 0.5 * scale)
+        lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
 
         # u[m] = s_II^2 at (w_k - wI_j) = u_axis[m], m = k - j + n_i - 1.
         u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
@@ -454,19 +453,20 @@ def rate_squeezed_cw_broadband(
 
 @dataclass(frozen=True)
 class PulsedEngineOptions:
-    """Lattice and sampling controls for the pulsed Schmidt-mode engine."""
+    """Numerics of the pulsed Schmidt-mode engine that a run may set."""
 
     quad: NumericsOptions = DEFAULT_NUMERICS
-    points_per_feature: int = 12
-    coherent_samples_per_osc: float = 8.0
-    incoherent_samples_per_sigma: float = 8.0
     sample_rel_tol: float = 1e-3
-    max_sample_levels: int = 3
-    support_epsilon: float = 1e-12
     mode_weight_tail: float = 1e-4
 
 
 DEFAULT_PULSED_OPTIONS = PulsedEngineOptions()
+
+POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or Gamma_b)
+COHERENT_SAMPLES_PER_OSC = 8.0  # finest coherent outer sampling
+INCOHERENT_SAMPLES_PER_SIGMA = 8.0  # incoherent outer sampling per band-I width
+MAX_SAMPLE_LEVELS = 3  # rungs of the incoherent stride ladder
+SUPPORT_EPSILON = 1e-12  # table entries below this share of the peak lie outside the support
 
 
 def _oscillation_scale(grid_points: np.ndarray, table: np.ndarray) -> float:
@@ -486,19 +486,19 @@ def _oscillation_scale(grid_points: np.ndarray, table: np.ndarray) -> float:
     return extent / (crossings + 8.0)
 
 
-def _support_extent(grid_points: np.ndarray, table: np.ndarray, eps: float) -> float:
-    mask = np.abs(table[-1]) > eps * np.max(np.abs(table[-1]))
+def _support_extent(grid_points: np.ndarray, table: np.ndarray) -> float:
+    mask = np.abs(table[-1]) > SUPPORT_EPSILON * np.max(np.abs(table[-1]))
     idx = np.nonzero(mask)[0]
     center = 0.5 * (grid_points[0] + grid_points[-1])
     return max(abs(grid_points[idx[0]] - center), abs(grid_points[idx[-1]] - center))
 
 
 class PulsedExcitationEngine:
-    """Schmidt-mode quadrature engine with beta-independent kernel caches.
+    """Schmidt-mode quadrature engine over beta-independent kernel levels.
 
     Construction tabulates the modes on a uniform inner lattice whose step
     resolves the fastest mode oscillation (and Gamma_b too unless the Green
-    core is analytically extracted), then caches
+    core is analytically extracted), then computes
 
         V_n(w_j) = Int G_ba f_IIn(w_j - x) f_In(x) dbar-x     (coherent)
         T_nm     = Int L(w) |Int G_ba f_IIn f_Im dbar-x|^2 dw (incoherent)
@@ -510,9 +510,12 @@ class PulsedExcitationEngine:
     is a subsample of that pass.  The outer Lorentzian integral is a fixed
     linear functional of the outer samples (Simpson weights plus an analytic
     Voigt core term when Gamma_c is unresolved), so T_nm is a scalar per mode
-    pair and a beta sweep only re-weights the caches with s_n c_n / s_n s_m.
+    pair and a beta sweep only re-weights the levels with s_n c_n / s_n s_m.
     Sampling fidelity is certified by halving the outer stride until the
     results settle.
+
+    Everything the public methods read is computed in __init__ and never
+    changed afterwards, so one engine may serve many threads without a lock.
     """
 
     def __init__(
@@ -530,25 +533,35 @@ class PulsedExcitationEngine:
         self.opts = opts
         self._build_lattice()
         self._build_green_weights()
-        self._coherent_rows: np.ndarray | None = None
-        self._incoherent_cache: dict[int, np.ndarray] = {}
-        self._lorentz_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cache_lock = threading.Lock()
+        # Time profiles first: their temporaries are freed before the levels'.
+        self.time_profiles = self._mode_time_profiles()
+        core = self._core_terms() if self.extract else None
+        self.incoherent_ladder = self._stride_ladder(
+            self.sigma_like / INCOHERENT_SAMPLES_PER_SIGMA
+        )
+        self.coherent_ladder = self._coherent_ladder()
+        self.lorentz_weights = {
+            stride: self._lorentz_weights(stride)
+            for stride in sorted(set(self.incoherent_ladder) | set(self.coherent_ladder))
+        }
+        correlate = self._kernel_correlator()
+        self.coherent_rows = self._coherent_rows(correlate, core)
+        self.incoherent_levels = self._incoherent_pass(correlate, core)
 
     # -- lattice -----------------------------------------------------------
 
     def _build_lattice(self):
-        dec, sys, opts = self.dec, self.sys, self.opts
+        dec, sys = self.dec, self.sys
         pts_i = dec.grid_i.points
         self.osc = _oscillation_scale(pts_i, dec.f_i)
         self.extract = sys.gamma_b < self.osc / 4.0
-        h = self.osc / opts.points_per_feature
+        h = self.osc / POINTS_PER_FEATURE
         if not self.extract:
-            h = min(h, sys.gamma_b / opts.points_per_feature)
+            h = min(h, sys.gamma_b / POINTS_PER_FEATURE)
 
         # Inner lattice only needs the band-I mode support (plus the Green core
         # when it lies inside), not the full JSA grid span.
-        ext_i = _support_extent(pts_i, dec.f_i, opts.support_epsilon)
+        ext_i = _support_extent(pts_i, dec.f_i)
         half_i = min(dec.grid_i.half_span, ext_i + 4.0 * self.osc)
         ba_offset = abs(sys.omega_ba - dec.grid_i.center)
         if ba_offset < half_i and not self.extract:
@@ -562,8 +575,12 @@ class PulsedExcitationEngine:
         self.fi = dec.modes_at("I", self.x)
         di = np.gradient(dec.f_i, dec.grid_i.step, axis=1)
         self.dfi = np.vstack([np.interp(self.x, pts_i, row) for row in di])
+        self.fi_core = (
+            np.array([np.interp(sys.omega_ba, self.x, row) for row in self.fi]),
+            np.array([np.interp(sys.omega_ba, self.x, row) for row in self.dfi]),
+        )
 
-        ext_ii = _support_extent(dec.grid_ii.points, dec.f_ii, opts.support_epsilon)
+        ext_ii = _support_extent(dec.grid_ii.points, dec.f_ii)
         self.out_center = dec.grid_i.center + dec.grid_ii.center
         hard_cap = dec.grid_i.half_span + dec.grid_ii.half_span
         base = ext_i + ext_ii + 2.0 * self.osc
@@ -588,12 +605,12 @@ class PulsedExcitationEngine:
         self.dfii_lat = np.vstack(
             [np.interp(self.q_axis, pts_ii, row, left=0.0, right=0.0) for row in dii]
         )
-        self.sigma_like = _support_extent(pts_i, dec.f_i[:1], opts.support_epsilon) / 7.0
+        self.sigma_like = _support_extent(pts_i, dec.f_i[:1]) / 7.0
 
     def _build_green_weights(self):
         sys = self.sys
         g_vals = green(self.x, sys.green_ba())
-        self.cvec = _simpson_vector(self.n_in, self.h) * g_vals / SQRT_2PI
+        self.cvec = simpson_weights(self.n_in, self.h) * g_vals / SQRT_2PI
         if self.extract:
             window = 0.5 * self.osc
             delta = self.x - sys.omega_ba
@@ -608,15 +625,54 @@ class PulsedExcitationEngine:
             self.c_corr0 = 0.0 + 0.0j
             self.c_corr1 = 0.0 + 0.0j
 
-    # -- kernel integrals ----------------------------------------------------
+    # -- outer lattices --------------------------------------------------------
 
-    def _n_out(self, stride: int) -> int:
+    def n_out(self, stride: int) -> int:
+        """Number of outer samples at `stride` (odd, for Simpson)."""
         n = (self.n_out_max - 1) // stride + 1
         return n if n % 2 == 1 else n - 1
 
-    def _outer_points(self, stride: int) -> np.ndarray:
+    def outer_points(self, stride: int) -> np.ndarray:
         base = self.out_center - self.out_half
-        return base + self.h * stride * np.arange(self._n_out(stride))
+        return base + self.h * stride * np.arange(self.n_out(stride))
+
+    def _rung(self, rows: np.ndarray, stride: int) -> np.ndarray:
+        """Stride-1 outer samples subsampled onto the outer lattice of `stride`."""
+        return rows[..., ::stride][..., : self.n_out(stride)]
+
+    def _stride_ladder(self, target_spacing: float) -> list[int]:
+        stride = max(1, int(np.floor(target_spacing / self.h)))
+        while self.n_out(stride) < 33 and stride > 1:
+            stride //= 2
+        ladder = [stride]
+        while stride > 1 and len(ladder) < MAX_SAMPLE_LEVELS:
+            stride = max(1, stride // 2)
+            ladder.append(stride)
+        return ladder
+
+    def _coherent_ladder(self) -> list[int]:
+        """Strides for the coherent integral.
+
+        The mode-diagonal amplitude sum is usually much smoother than the
+        individual mode tables, so sampling starts at the incoherent stride
+        and is halved toward the per-oscillation target.
+        """
+        start = max(self.osc / COHERENT_SAMPLES_PER_OSC,
+                    self.sigma_like / INCOHERENT_SAMPLES_PER_SIGMA)
+        ladder = self._stride_ladder(start)
+        floor_stride = max(1, int(np.floor(self.osc / (COHERENT_SAMPLES_PER_OSC * self.h))))
+        while ladder[-1] > floor_stride and len(ladder) < MAX_SAMPLE_LEVELS + 2:
+            ladder.append(max(floor_stride, ladder[-1] // 2))
+        return ladder
+
+    def _lorentz_weights(self, stride: int) -> np.ndarray:
+        """Sample weights for the outer Int L(w) Q(w) dw at one stride level."""
+        return lorentzian_sample_weights(
+            self.outer_points(stride), self.h * stride, self.sys.lineshape_ca(),
+            0.5 * self.sigma_like,
+        )
+
+    # -- kernel levels -------------------------------------------------------
 
     def _core_terms(self):
         """Core-extraction part of K_nm at the stride-1 outer points.
@@ -624,22 +680,15 @@ class PulsedExcitationEngine:
         Returns (a, b, f_ii, df_ii) with the term a_m f_ii[n] + b_m df_ii[n],
         where f_ii, df_ii are the f_IIn tables and derivatives at w_j - w_ba.
         """
-        arg = self._outer_points(1) - self.sys.omega_ba
+        arg = self.outer_points(1) - self.sys.omega_ba
         f_ii = np.vstack([
             np.interp(arg, self.q_axis, row, left=0.0, right=0.0) for row in self.fii_lat
         ])
         df_ii = np.vstack([
             np.interp(arg, self.q_axis, row, left=0.0, right=0.0) for row in self.dfii_lat
         ])
-        f_i0, df_i0 = self._fi_at_core()
+        f_i0, df_i0 = self.fi_core
         return f_i0 * self.c_corr0 + df_i0 * self.c_corr1, -f_i0 * self.c_corr1, f_ii, df_ii
-
-    def _fi_at_core(self) -> tuple[np.ndarray, np.ndarray]:
-        if not hasattr(self, "_fi_core"):
-            f0 = np.array([np.interp(self.sys.omega_ba, self.x, row) for row in self.fi])
-            d0 = np.array([np.interp(self.sys.omega_ba, self.x, row) for row in self.dfi])
-            self._fi_core = (f0, d0)
-        return self._fi_core
 
     def _kernel_correlator(self):
         """fii_lat rows -> K_nm(w_j) = Int G_ba f_IIn(w_j - x) f_Im(x) dbar-x, all m.
@@ -650,81 +699,40 @@ class PulsedExcitationEngine:
         """
         return lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
 
-    def _rung(self, rows: np.ndarray, stride: int) -> np.ndarray:
-        """Stride-1 outer samples subsampled onto the outer lattice of `stride`."""
-        return rows[..., ::stride][..., : self._n_out(stride)]
+    def _coherent_rows(self, correlate, core) -> np.ndarray:
+        """V_n = K_nn at every stride-1 outer point, one row per mode."""
+        v_rows = correlate(self.fii_lat)
+        if core is not None:
+            a, b, f_ii, df_ii = core
+            v_rows += a[:, None] * f_ii + b[:, None] * df_ii
+        return v_rows
 
-    # -- outer Lorentzian functional ----------------------------------------
+    def coherent_level(self, stride: int) -> np.ndarray:
+        """V_n(w_j) on the outer lattice of `stride` (a view)."""
+        return self._rung(self.coherent_rows, stride)
 
-    def _lorentz_weights(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample weights for the outer Int L(w) Q(w) dw at one stride level."""
-        if stride in self._lorentz_cache:
-            return self._lorentz_cache[stride]
-        pts = self._outer_points(stride)
-        lineshape = self.sys.lineshape_ca()
-        lam = lorentzian_sample_weights(
-            pts, self.h * stride, lineshape.center, lineshape.fwhm, 0.5 * self.sigma_like
-        )
-        self._lorentz_cache[stride] = (lam, pts)
-        return self._lorentz_cache[stride]
-
-    def _coherent_level(self, stride: int) -> np.ndarray:
-        """V_n(w_j) = K_nn on the outer lattice, one row per mode."""
-        with self._cache_lock:
-            if self._coherent_rows is None:
-                v_rows = self._kernel_correlator()(self.fii_lat)
-                if self.extract:
-                    a, b, f_ii, df_ii = self._core_terms()
-                    v_rows += a[:, None] * f_ii + b[:, None] * df_ii
-                self._coherent_rows = v_rows
-            return self._rung(self._coherent_rows, stride)
-
-    def _incoherent_ladder(self) -> list[int]:
-        return self._stride_ladder(self.sigma_like / self.opts.incoherent_samples_per_sigma)
-
-    def _incoherent_level(self, stride: int) -> np.ndarray:
-        """T_nm = Int L(w) |K_nm(w)|^2 dw for every mode pair at one level.
-
-        The first call fills every rung of the incoherent ladder (and
-        `stride`) from one correlation pass.
-        """
-        with self._cache_lock:
-            if stride not in self._incoherent_cache:
-                strides = sorted(set(self._incoherent_ladder()) | {stride})
-                self._incoherent_cache.update(self._incoherent_pass(strides))
-            return self._incoherent_cache[stride]
-
-    def _incoherent_pass(self, strides: list[int]) -> dict[int, np.ndarray]:
-        """T_nm at each stride from one pass over n.
+    def _incoherent_pass(self, correlate, core) -> dict[int, np.ndarray]:
+        """T_nm = Int L(w) |K_nm(w)|^2 dw at each incoherent rung, from one pass over n.
 
         |K_nm|^2 is formed for one n at a time, never for all pairs.  Column r
         of `lam` holds rung r's Lorentzian weights at its stride-1 positions,
         so one product per n weights every rung.
         """
+        strides = self.incoherent_ladder
         lam = np.zeros((self.n_out_max, len(strides)))
         for r, stride in enumerate(strides):
-            self._rung(lam[:, r], stride)[:] = self._lorentz_weights(stride)[0]
-        correlate = self._kernel_correlator()
-        if self.extract:
-            a, b, f_ii, df_ii = self._core_terms()
+            self._rung(lam[:, r], stride)[:] = self.lorentz_weights[stride]
         n_modes = self.dec.n_modes
         t_all = np.empty((len(strides), n_modes, n_modes))
         for n in range(n_modes):
             k_rows = correlate(self.fii_lat[n])
-            if self.extract:
+            if core is not None:
+                a, b, f_ii, df_ii = core
                 k_rows += np.outer(a, f_ii[n]) + np.outer(b, df_ii[n])
             t_all[:, n, :] = ((k_rows.real**2 + k_rows.imag**2) @ lam).T
         return dict(zip(strides, t_all))
 
-    def _stride_ladder(self, target_spacing: float) -> list[int]:
-        stride = max(1, int(np.floor(target_spacing / self.h)))
-        while self._n_out(stride) < 33 and stride > 1:
-            stride //= 2
-        ladder = [stride]
-        while stride > 1 and len(ladder) < self.opts.max_sample_levels:
-            stride = max(1, stride // 2)
-            ladder.append(stride)
-        return ladder
+    # -- probabilities -------------------------------------------------------
 
     def _converge_levels(self, ladder: list[int], evaluate) -> tuple[float, float]:
         previous = None
@@ -739,69 +747,54 @@ class PulsedExcitationEngine:
             previous = value
         return value, rel
 
-    def coherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:
-        """(value, sampling_rel_err) of the coherent pulsed probability.
+    def converged_incoherent(self, weights: np.ndarray) -> tuple[float, float]:
+        """(sum_nm weights_nm T_nm, sampling_rel_err) over the incoherent ladder."""
 
-        The mode-diagonal amplitude sum is usually much smoother than the
-        individual mode tables, so sampling starts at the incoherent stride
-        and is halved (toward the per-oscillation target) until the outer
-        integral settles.
-        """
+        def evaluate(stride: int) -> float:
+            return float(np.sum(weights * self.incoherent_levels[stride]))
+
+        return self._converge_levels(self.incoherent_ladder, evaluate)
+
+    def coherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:
+        """(value, sampling_rel_err) of the coherent pulsed probability."""
         dec = dec or self.dec
         weights = dec.s_n * dec.c_n
 
         def evaluate(stride: int) -> float:
-            amp = weights @ self._coherent_level(stride)
-            lam, _ = self._lorentz_weights(stride)
-            return float(lam @ (amp.real**2 + amp.imag**2))
+            amp = weights @ self.coherent_level(stride)
+            return float(self.lorentz_weights[stride] @ (amp.real**2 + amp.imag**2))
 
-        start = max(self.osc / self.opts.coherent_samples_per_osc,
-                    self.sigma_like / self.opts.incoherent_samples_per_sigma)
-        ladder = self._stride_ladder(start)
-        floor_stride = max(
-            1, int(np.floor(self.osc / (self.opts.coherent_samples_per_osc * self.h)))
-        )
-        while ladder[-1] > floor_stride and len(ladder) < self.opts.max_sample_levels + 2:
-            ladder.append(max(floor_stride, ladder[-1] // 2))
-        value, rel = self._converge_levels(ladder, evaluate)
+        value, rel = self._converge_levels(self.coherent_ladder, evaluate)
         return self.eta.eta * value / self.area**2, rel
 
     def incoherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:
         """(value, sampling_rel_err) of the incoherent pulsed probability."""
         dec = dec or self.dec
         s = dec.s_n
-        weights = np.outer(s * s, s * s)
-
-        def evaluate(stride: int) -> float:
-            return float(np.sum(weights * self._incoherent_level(stride)))
-
-        value, rel = self._converge_levels(self._incoherent_ladder(), evaluate)
+        value, rel = self.converged_incoherent(np.outer(s * s, s * s))
         return self.eta.eta * value / self.area**2, rel
 
     # -- intermediate-state population (validity diagnostic) -----------------
 
     def _mode_time_profiles(self) -> np.ndarray:
         """|Int G_ba f_In(w) e^{-i w t} dbar-w|^2 on a +/-6-duration time grid."""
-        if not hasattr(self, "_time_profiles"):
-            duration = 1.0 / self.sigma_like
-            t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
-            phase = np.exp(-1j * np.outer(self.x - self.dec.grid_i.center, t_grid))
-            m_prof = (self.cvec[None, :] * self.fi) @ phase
-            if self.extract:
-                f_i0, df_i0 = self._fi_at_core()
-                carrier = np.exp(-1j * (self.sys.omega_ba - self.dec.grid_i.center) * t_grid)
-                m_prof += np.outer(f_i0, carrier) * self.c_corr0
-                m_prof += (
-                    np.outer(df_i0, carrier)
-                    - 1j * np.outer(f_i0, carrier) * t_grid[None, :]
-                ) * self.c_corr1
-            self._time_profiles = np.abs(m_prof) ** 2
-        return self._time_profiles
+        duration = 1.0 / self.sigma_like
+        t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
+        phase = np.exp(-1j * np.outer(self.x - self.dec.grid_i.center, t_grid))
+        m_prof = (self.cvec[None, :] * self.fi) @ phase
+        if self.extract:
+            f_i0, df_i0 = self.fi_core
+            carrier = np.exp(-1j * (self.sys.omega_ba - self.dec.grid_i.center) * t_grid)
+            m_prof += np.outer(f_i0, carrier) * self.c_corr0
+            m_prof += (
+                np.outer(df_i0, carrier)
+                - 1j * np.outer(f_i0, carrier) * t_grid[None, :]
+            ) * self.c_corr1
+        return np.abs(m_prof) ** 2
 
     def max_population_weighted(self, weights: np.ndarray) -> float:
         """max_t sum_n weights_n |M_n(t)|^2 (no coupling or area factors)."""
-        profiles = self._mode_time_profiles()
-        return float(np.max(weights @ profiles))
+        return float(np.max(weights @ self.time_profiles))
 
     def outcome(self, dec: SchmidtDecomposition | None = None) -> ExcitationOutcome:
         dec = dec or self.dec
@@ -831,15 +824,14 @@ def p_squeezed_pulsed(
     """Pulsed squeezed excitation probability from a Schmidt decomposition.
 
     Modes that carry a negligible share of the gain weights (relative tail
-    opts.mode_weight_tail) are dropped before the kernel caches are built.
+    opts.mode_weight_tail) are dropped before the engine is built.
     """
     working = dec.truncated(dec.weighted_mode_count(opts.mode_weight_tail))
     engine = PulsedExcitationEngine(working, sys, eta, a_eff, opts)
     outcome = engine.outcome()
     if coupling is None:
         return outcome
-    kappa = one_photon_coupling(working.grid_i.center, coupling.mu_sq_ba)
-    pop = kappa * engine.max_population_weighted(working.s_n**2) / _a_eff_value(a_eff)
+    pop = _pulsed_population(engine, working.s_n**2, coupling)
     return ExcitationOutcome(
         outcome.coherent, outcome.incoherent, outcome.regime, outcome.kind,
         ValidityReport.from_population(pop), outcome.diagnostics,
@@ -921,27 +913,16 @@ def population_integrals_from_probability(
 # ---------------------------------------------------------------------------
 
 
-def _pulsed_classical_population(
-    src: ClassicalPulsed, sys: FourLevelSystem, coupling: DipoleCoupling,
-    area: float, opts: NumericsOptions,
+def _pulsed_population(
+    engine: PulsedExcitationEngine, weights: np.ndarray, coupling: DipoleCoupling
 ) -> float:
-    kappa = one_photon_coupling(src.amp_i.center, coupling.mu_sq_ba)
-    dec = _single_pair_decomposition(src)
-    engine = PulsedExcitationEngine(dec, sys, _UNIT_ETA, 1.0, PulsedEngineOptions(quad=opts))
-    best = engine.max_population_weighted(np.ones(1))
-    return kappa * (src.n_photons_i / area) * best
+    """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
 
-
-def _pulsed_squeezed_population(
-    dec: SchmidtDecomposition, sys: FourLevelSystem, coupling: DipoleCoupling,
-    area: float, opts: NumericsOptions,
-) -> float:
-    """max_t of (kappa/A) sum_n s_n^2 |Int G f_In e^{-iwt} dbar-w|^2."""
-    kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
-    working = dec.truncated(dec.weighted_mode_count(1e-4))
-    engine = PulsedExcitationEngine(working, sys, _UNIT_ETA, 1.0, PulsedEngineOptions(quad=opts))
-    best = engine.max_population_weighted(working.s_n**2)
-    return kappa * best / area
+    The weights are s_n^2 for squeezed modes and the band-I photon number
+    for a classical pulse.
+    """
+    kappa = one_photon_coupling(engine.dec.grid_i.center, coupling.mu_sq_ba)
+    return kappa * engine.max_population_weighted(weights) / engine.area
 
 
 def max_intermediate_population(
@@ -980,11 +961,19 @@ def max_intermediate_population(
     if isinstance(src, ClassicalPulsed):
         if src.n_photons_i == 0.0:
             return 0.0
-        return _pulsed_classical_population(src, sys, coupling, _a_eff_value(a_eff), opts)
+        engine = PulsedExcitationEngine(
+            _single_pair_decomposition(src), sys, _UNIT_ETA, _a_eff_value(a_eff),
+            PulsedEngineOptions(quad=opts),
+        )
+        return _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
     if isinstance(src, SchmidtDecomposition):
         if src.beta_mag == 0.0:
             return 0.0
-        return _pulsed_squeezed_population(src, sys, coupling, _a_eff_value(a_eff), opts)
+        working = src.truncated(src.weighted_mode_count(DEFAULT_PULSED_OPTIONS.mode_weight_tail))
+        engine = PulsedExcitationEngine(
+            working, sys, _UNIT_ETA, _a_eff_value(a_eff), PulsedEngineOptions(quad=opts)
+        )
+        return _pulsed_population(engine, working.s_n**2, coupling)
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 

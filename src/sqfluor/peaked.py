@@ -19,7 +19,7 @@ used.  Both paths report an achieved error estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,8 @@ SPAN_SIGMAS = 9.0  # envelope support half-width, in units of its width
 KERNEL_TAIL = 30.0  # kernel tail coverage when the kernel is the wide feature
 POINTS_PER_FEATURE = 12  # base Simpson resolution per smallest feature
 EXTRACTION_RATIO = 4.0  # extract the core when kernel is this much narrower
+MIN_POINTS = 101  # smallest base Simpson grid
+MAX_POINTS = 4_000_001  # largest base Simpson grid before giving up
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,6 @@ class NumericsOptions:
 
     rel_tol: float = 1e-6
     max_doublings: int = 6
-    min_points: int = 101
-    max_points: int = 4_000_001
-
-    def with_tol(self, rel_tol: float) -> "NumericsOptions":
-        return replace(self, rel_tol=rel_tol)
 
 
 DEFAULT_NUMERICS = NumericsOptions()
@@ -114,12 +111,12 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _base_grid(lo: float, hi: float, resolution: float, opts: NumericsOptions) -> SpectralGrid:
+def _base_grid(lo: float, hi: float, resolution: float) -> SpectralGrid:
     n = int(np.ceil((hi - lo) / resolution)) + 1
-    n = _odd(max(n, opts.min_points))
-    if n > opts.max_points:
+    n = _odd(max(n, MIN_POINTS))
+    if n > MAX_POINTS:
         raise ValueError(
-            f"quadrature grid of {n} points exceeds the {opts.max_points} cap; "
+            f"quadrature grid of {n} points exceeds the {MAX_POINTS} cap; "
             "scales too disparate for a plain uniform grid"
         )
     return SpectralGrid(0.5 * (lo + hi), 0.5 * (hi - lo), n)
@@ -157,7 +154,7 @@ def quad_kernel_smooth(
             lo = min(lo, kernel.center - min(KERNEL_TAIL * kernel.gamma, SPAN_SIGMAS * w_span))
             hi = max(hi, kernel.center + min(KERNEL_TAIL * kernel.gamma, SPAN_SIGMAS * w_span))
             resolution = min(resolution, kernel.gamma / POINTS_PER_FEATURE)
-        grid = _base_grid(lo, hi, resolution, opts)
+        grid = _base_grid(lo, hi, resolution)
         value, _ = quad_converged(
             lambda w: kernel(w) * smooth(w), grid, opts.rel_tol, opts.max_doublings
         )
@@ -181,7 +178,7 @@ def quad_kernel_smooth(
 
     lo = min(lo, kernel.center - SPAN_SIGMAS * window)
     hi = max(hi, kernel.center + SPAN_SIGMAS * window)
-    grid = _base_grid(lo, hi, w_scale / POINTS_PER_FEATURE, opts)
+    grid = _base_grid(lo, hi, w_scale / POINTS_PER_FEATURE)
     rest = quad_1d(residual, grid)
     # Converge the residual against the magnitude of the full answer: near the
     # kernel core the residual has an O((gamma/scale)^2) kink that never

@@ -161,14 +161,14 @@ def gaussian_amp(omega, a: GaussianAmplitude):
     return (np.pi * a.width**2) ** (-0.25) * np.exp(-(delta * delta) / (2.0 * a.width**2))
 
 
-def simpson_weights(n_points: int) -> np.ndarray:
-    """Composite Simpson weights (excluding the step factor) for an odd point count."""
+def simpson_weights(n_points: int, step: float = 1.0) -> np.ndarray:
+    """Composite Simpson weights for an odd point count and sample spacing `step`."""
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"Simpson weights need an odd n >= 3, got {n_points}")
     w = np.ones(n_points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    return w * (step / 3.0)
 
 
 def _evaluate(f: Callable, grid: SpectralGrid) -> np.ndarray:

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sqfluor.excitation import (
+    SUPPORT_EPSILON,
     PulsedExcitationEngine,
     RegimeViolationError,
     VALIDITY_THRESHOLD,
@@ -86,6 +90,21 @@ class TestClassicalPulsed:
         out = p_classical_pulsed(src, system, cs_eta, mot_area, coupling)
         assert out.total == 0.0
         assert out.validity.passes
+
+    @pytest.mark.parametrize("n_i, n_ii", [(0.0, 0.0), (0.0, 2.0), (3.0, 0.0), (1.5, 2.0)])
+    def test_validity_is_the_intermediate_population(self, cs_system, cs_eta, mot_area, n_i, n_ii):
+        # p_classical_pulsed reads its validity from the engine it computes
+        # the probability with; it must equal the stand-alone population.
+        system, coupling = cs_system
+        src = ClassicalPulsed(
+            GaussianAmplitude(system.omega_ba, system.gamma_b),
+            GaussianAmplitude(system.omega_cb, system.gamma_b),
+            n_i, n_ii,
+        )
+        out = p_classical_pulsed(src, system, cs_eta, mot_area, coupling)
+        pop = max_intermediate_population(src, system, coupling, mot_area)
+        assert out.validity.max_population == pop
+        assert (pop > 0.0) == (n_i > 0.0)
 
     def test_bilinear_in_photon_numbers(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -264,23 +283,23 @@ def kernel_row(engine, n, m, stride):
     the core-extraction terms evaluated at this stride's own outer points.
     """
     fi_row = engine.fi[m]
-    live = np.nonzero(np.abs(fi_row) > engine.opts.support_epsilon * np.max(np.abs(fi_row)))[0]
+    live = np.nonzero(np.abs(fi_row) > SUPPORT_EPSILON * np.max(np.abs(fi_row)))[0]
     k0, k1 = live[0], live[-1] + 1
     row = engine.fii_lat[n]
     step = row.strides[0]
     view = np.lib.stride_tricks.as_strided(
         row[engine.n_in - 1 :],
-        shape=(engine._n_out(stride), engine.n_in),
+        shape=(engine.n_out(stride), engine.n_in),
         strides=(stride * step, -step),
         writeable=False,
     )[:, k0:k1]
     coeff = engine.cvec[k0:k1] * fi_row[k0:k1]
     out = view @ coeff.real + 1j * (view @ coeff.imag)
     if engine.extract:
-        arg = engine._outer_points(stride) - engine.sys.omega_ba
+        arg = engine.outer_points(stride) - engine.sys.omega_ba
         f_ii = np.interp(arg, engine.q_axis, engine.fii_lat[n], left=0.0, right=0.0)
         df_ii = np.interp(arg, engine.q_axis, engine.dfii_lat[n], left=0.0, right=0.0)
-        f_i0, df_i0 = (arr[m] for arr in engine._fi_at_core())
+        f_i0, df_i0 = (arr[m] for arr in engine.fi_core)
         out = out + f_ii * f_i0 * engine.c_corr0 + (f_ii * df_i0 - df_ii * f_i0) * engine.c_corr1
     return out
 
@@ -322,8 +341,8 @@ def test_lattice_correlate_matches_direct_sum(
 def assert_levels_match_oracle(engine):
     """Coherent rows and T_nm at every incoherent ladder rung against kernel_row."""
     n_modes = engine.dec.n_modes
-    for stride in engine._incoherent_ladder():
-        lam, _ = engine._lorentz_weights(stride)
+    for stride in engine.incoherent_ladder:
+        lam = engine.lorentz_weights[stride]
         rows = {
             (n, m): kernel_row(engine, n, m, stride)
             for n in range(n_modes)
@@ -332,8 +351,8 @@ def assert_levels_match_oracle(engine):
         expected = np.array([
             [lam @ np.abs(rows[n, m]) ** 2 for m in range(n_modes)] for n in range(n_modes)
         ])
-        assert engine._incoherent_level(stride) == pytest.approx(expected, rel=1e-12, abs=0.0)
-        v_rows = engine._coherent_level(stride)
+        assert engine.incoherent_levels[stride] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        v_rows = engine.coherent_level(stride)
         diagonal = np.array([rows[n, n] for n in range(n_modes)])
         assert np.allclose(v_rows, diagonal, rtol=0.0, atol=1e-13 * np.max(np.abs(diagonal)))
 
@@ -391,8 +410,8 @@ class TestSqueezedPulsed:
         src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        stride = engine._stride_ladder(engine.sigma_like / 8.0)[0]
-        v_rows = engine._coherent_level(stride)
+        stride = engine.incoherent_ladder[0]
+        v_rows = engine.coherent_level(stride)
         for n in (0, 1, 3):
             row = kernel_row(engine, n, n, stride)
             scale = np.max(np.abs(row))
@@ -405,7 +424,7 @@ class TestSqueezedPulsed:
         dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
         assert not engine.extract
-        assert len(engine._incoherent_ladder()) > 1
+        assert len(engine.incoherent_ladder) > 1
         assert_levels_match_oracle(engine)
 
     def test_levels_match_oracle_with_core_extraction(self, cs_system, cs_eta, mot_area):
@@ -419,7 +438,7 @@ class TestSqueezedPulsed:
         dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
         assert engine.extract
-        assert len(engine._incoherent_ladder()) > 1
+        assert len(engine.incoherent_ladder) > 1
         assert_levels_match_oracle(engine)
 
     def test_detuned_engine_matches_brute_force(self, cs_system, cs_eta, mot_area):
@@ -465,6 +484,74 @@ class TestSqueezedPulsed:
         factor = out.coherent / classical.total
         assert factor >= 10.0
         assert factor == pytest.approx(FIG6_TOP_MIDDLE_FACTOR, rel=2e-2)
+
+
+def _snapshot(value):
+    """Identity of every object reachable through dicts, lists and tuples, plus array bytes."""
+    if isinstance(value, np.ndarray):
+        return ("array", id(value), value.tobytes())
+    if isinstance(value, dict):
+        return {key: _snapshot(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, id(value), [_snapshot(item) for item in value])
+    return ("object", id(value))
+
+
+class TestEngineIsReadOnly:
+    @pytest.fixture
+    def few_mode(self, cs_system, cs_eta, mot_area):
+        system, _ = cs_system
+        gb = system.gamma_b
+        src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        return dec, PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+
+    def test_public_methods_leave_the_engine_unchanged(self, few_mode):
+        dec, engine = few_mode
+        before = _snapshot(vars(engine))
+        for beta in (0.3, 1.1):
+            dec_b = dec.with_beta(beta)
+            engine.outcome(dec_b)
+            engine.coherent_probability(dec_b)
+            engine.incoherent_probability(dec_b)
+            engine.max_population_weighted(dec_b.s_n**2)
+        assert _snapshot(vars(engine)) == before
+
+    def test_threads_sharing_one_engine_match_serial(self, few_mode):
+        dec, engine = few_mode
+        decs = [dec.with_beta(beta) for beta in np.linspace(0.1, 1.5, 12)]
+
+        def results(dec_b):
+            out = engine.outcome(dec_b)
+            pop = engine.max_population_weighted(dec_b.s_n**2)
+            return out.coherent, out.incoherent, out.diagnostics, pop
+
+        serial = [results(dec_b) for dec_b in decs]
+        n_threads = 8
+        got = [None] * n_threads
+        errors = []
+
+        def work(k):
+            try:
+                order = decs[k:] + decs[:k]
+                got[k] = [results(dec_b) for dec_b in order]
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        for k in range(n_threads):
+            assert got[k] == serial[k:] + serial[:k]
 
 
 class TestFluorescence:
