@@ -145,7 +145,7 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         )
         out_sq = rate_squeezed_cw(src, system, eta, area, coupling, opts)
         rate = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings)
-        src_cl = matched_classical_cw(src, area, opts)
+        src_cl = matched_classical_cw(src, area, rate)
         out_cl = rate_classical_cw(src_cl, system, eta)
         fl_sq = fluorescence(out_sq, system, n_atoms)
         fl_cl = fluorescence(out_cl, system, n_atoms)
@@ -211,7 +211,6 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         src_cfg["photons_min"], src_cfg["photons_max"], src_cfg["points_per_decade"]
     )
     engine_opts = PulsedEngineOptions(
-        quad=cfg.numerics_options(),
         sample_rel_tol=cfg.numerics["sample_rel_tol"],
         mode_weight_tail=cfg.numerics["mode_weight_tail"],
     )
@@ -238,7 +237,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             src_cl_ref = matched_classical_pulsed(
                 working.with_beta(_beta_for_photons(working.p, 1.0)), src
             )
-            cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area, opts=engine_opts.quad)
+            cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area)
             cl_unit = cl_ref.total / (src_cl_ref.n_photons_i * src_cl_ref.n_photons_ii)
 
             def compute(task, _engine=engine, _working=working, _cl_unit=cl_unit):

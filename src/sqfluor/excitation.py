@@ -16,11 +16,14 @@ verbatim.  Outer integrals are plain domega.
 The two-scale integrals route through `peaked.quad_kernel_smooth`; the pulsed
 engine samples the outer frequency dependence on a lattice aligned with its
 inner grid, so the inner integrals at every outer point are one FFT
-correlation (`lattice_correlate`), and certifies the sampling by halving the
-stride until the final integrals settle; each coarser rung is a subsample of
-that one pass.  The engine computes all of this when it is built and is only
-read afterwards, so sweep rows on several threads share one engine without a
-lock.
+correlation (`lattice_correlate`), and estimates the sampling error by
+halving the stride down a ladder of rungs, each coarser rung a subsample of
+that one pass.  The estimate is the change between the last two rungs: it
+is not a bound, it is NaN for a one-rung ladder, and a ladder that ends
+before two rungs agree to `sample_rel_tol` returns its last value with
+nothing but that estimate to show it.  The engine computes all of this when
+it is built and is only read afterwards, so sweep rows on several threads
+share one engine without a lock.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .sources import (
     SqueezedPulsed,
     gain_functions_cw,
     photon_number_pulsed,
-    photon_rate_cw,
+    photon_rate_cw,  # unused here; kept as a module name the layer tracer patches
 )
 from .spectral import (
     GaussianAmplitude,
@@ -287,17 +290,17 @@ def p_classical_pulsed(
     eta: CrossSectionPrefactor,
     a_eff,
     coupling: DipoleCoupling | None = None,
-    opts: NumericsOptions = DEFAULT_NUMERICS,
 ) -> ExcitationOutcome:
     """Per-atom two-photon excitation probability for two classical pulses.
 
     One engine over the pulse pair gives both the probability and, with a
-    coupling, the validity population.
+    coupling, the validity population.  The diagnostic
+    `outer_sampling_rel_err` is NaN when the engine's incoherent ladder has a
+    single stride, as it has for pulse widths of 0.1-100 Gamma_b: the
+    sampling error is then not estimated.
     """
     area = _a_eff_value(a_eff)
-    engine = PulsedExcitationEngine(
-        _single_pair_decomposition(src), sys, eta, area, PulsedEngineOptions(quad=opts)
-    )
+    engine = PulsedExcitationEngine(_single_pair_decomposition(src), sys, eta, area)
     validity = None
     if coupling is not None:
         pop = _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
@@ -362,45 +365,87 @@ def rate_squeezed_cw(
     )
 
 
+def cw_j_lattice(
+    src: SqueezedCW, sys: FourLevelSystem, scale: float, points_per_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w_i_pts, u_tab, lam) of the CW inner pass at step h = scale/points_per_scale.
+
+    The omega lattice w_k (n_w points, `lam` its Lorentzian sample weights)
+    covers the band-II support shifted by every band-I point wI_j and, when it
+    lies inside, the L core to +/-30 Gamma_c.  u_tab[m] = s_II^2 at
+    w_k - wI_j with m = k - j + n_i - 1, so it has n_w + n_i - 1 entries.
+    """
+    h = scale / points_per_scale
+    half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
+    n_i = 2 * int(np.ceil(half_u / h)) + 1
+    w_i_pts = src.center_i + h * (np.arange(n_i) - (n_i - 1) // 2)
+
+    lo = w_i_pts[0] + src.center_ii - half_u
+    hi = w_i_pts[-1] + src.center_ii + half_u
+    if lo < sys.omega_ca < hi:
+        lo = min(lo, sys.omega_ca - 30.0 * sys.gamma_c)
+        hi = max(hi, sys.omega_ca + 30.0 * sys.gamma_c)
+    n_w = int(np.ceil((hi - lo) / h)) + 1
+    n_w = n_w if n_w % 2 == 1 else n_w + 1
+    w_pts = lo + h * np.arange(n_w)
+    lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
+
+    u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
+    s_u, _, _ = gain_functions_cw(u_axis, src, "II")
+    return w_i_pts, s_u * s_u, lam
+
+
+def cw_j_window(u_tab: np.ndarray, n_i: int) -> slice | None:
+    """Columns k of the J pass that read a nonzero u_tab entry (None if none do).
+
+    Column k reads u_tab[k : k + n_i], so it can be nonzero only between
+    first_nonzero - (n_i - 1) and last_nonzero.
+    """
+    nonzero = np.flatnonzero(u_tab)
+    if nonzero.size == 0:
+        return None
+    n_w = len(u_tab) - n_i + 1
+    return slice(max(0, nonzero[0] - (n_i - 1)), min(n_w - 1, nonzero[-1]) + 1)
+
+
+def cw_j_pass(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
+    """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k], summed over `cw_j_window` only.
+
+    The product runs on a strided (n_i x window) view whose rows overlap in
+    memory, which BLAS cannot take, so numpy sums each row sequentially in
+    k.  Every dropped column reads only exact zeros, and adding a +/-0.0
+    product leaves a sequential partial sum unchanged, so J is bit-identical
+    to the product over the full lattice.  A contiguous copy, a BLAS call or
+    an FFT would change the summation order and the last bits of J.
+    """
+    window = cw_j_window(u_tab, n_i)
+    if window is None:
+        return np.zeros(n_i)
+    step = u_tab.strides[0]
+    u_view = np.lib.stride_tricks.as_strided(
+        u_tab[n_i - 1 + window.start :], shape=(n_i, window.stop - window.start),
+        strides=(-step, step), writeable=False,
+    )
+    return u_view @ lam[window]
+
+
 def _cw_incoherent_integral(
     src: SqueezedCW, sys: FourLevelSystem, scale: float, opts: NumericsOptions
-) -> float:
-    """IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI (plain measure).
+) -> tuple[float, float]:
+    """(IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI, rel) (plain measure).
 
     The inner pass J(wI) = Int L(w) s_II^2(w - wI) dw is a correlation of the
     fixed photon-density shape with L; on a shared uniform lattice it is one
-    strided matrix-vector product against Lorentzian sample weights.  The
-    outer pass integrates |G|^2 s_I^2 J with the usual kernel machinery.
-    The result is certified by halving the lattice step once.
+    strided matrix-vector product against Lorentzian sample weights
+    (`cw_j_pass`).  The outer pass integrates |G|^2 s_I^2 J with the usual
+    kernel machinery.  `rel` is the change between lattice steps scale/12
+    and scale/24: an estimate of the sampling error, not a bound, and no
+    tolerance is applied to it.
     """
 
     def evaluate(points_per_scale: float) -> float:
-        h = scale / points_per_scale
-        half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
-        n_i = 2 * int(np.ceil(half_u / h)) + 1
-        w_i_pts = src.center_i + h * (np.arange(n_i) - (n_i - 1) // 2)
-
-        # omega lattice covers (band-II support shifted by every wI) and L core.
-        lo = w_i_pts[0] + src.center_ii - half_u
-        hi = w_i_pts[-1] + src.center_ii + half_u
-        if lo < sys.omega_ca < hi:
-            lo = min(lo, sys.omega_ca - 30.0 * sys.gamma_c)
-            hi = max(hi, sys.omega_ca + 30.0 * sys.gamma_c)
-        n_w = int(np.ceil((hi - lo) / h)) + 1
-        n_w = n_w if n_w % 2 == 1 else n_w + 1
-        w_pts = lo + h * np.arange(n_w)
-        lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
-
-        # u[m] = s_II^2 at (w_k - wI_j) = u_axis[m], m = k - j + n_i - 1.
-        u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
-        s_u, _, _ = gain_functions_cw(u_axis, src, "II")
-        u_tab = s_u * s_u
-        stride_elem = u_tab.strides[0]
-        u_view = np.lib.stride_tricks.as_strided(
-            u_tab[n_i - 1 :], shape=(n_i, n_w), strides=(-stride_elem, stride_elem),
-            writeable=False,
-        )
-        j_vals = u_view @ lam
+        w_i_pts, u_tab, lam = cw_j_lattice(src, sys, scale, points_per_scale)
+        j_vals = cw_j_pass(u_tab, lam, len(w_i_pts))
 
         s_i, _, _ = gain_functions_cw(w_i_pts, src, "I")
         outer_samples = s_i * s_i * j_vals
@@ -455,7 +500,6 @@ def rate_squeezed_cw_broadband(
 class PulsedEngineOptions:
     """Numerics of the pulsed Schmidt-mode engine that a run may set."""
 
-    quad: NumericsOptions = DEFAULT_NUMERICS
     sample_rel_tol: float = 1e-3
     mode_weight_tail: float = 1e-4
 
@@ -735,9 +779,15 @@ class PulsedExcitationEngine:
     # -- probabilities -------------------------------------------------------
 
     def _converge_levels(self, ladder: list[int], evaluate) -> tuple[float, float]:
+        """(value, rel) down the ladder until two rungs agree to sample_rel_tol.
+
+        rel is the change between the last two rungs evaluated.  A one-rung
+        ladder has nothing to compare, so its rel is NaN ("not estimated"),
+        never 0.0.
+        """
         previous = None
         value = 0.0
-        rel = 0.0 if len(ladder) == 1 else np.inf
+        rel = np.nan if len(ladder) == 1 else np.inf
         for stride in ladder:
             value = evaluate(stride)
             if previous is not None:
@@ -797,6 +847,10 @@ class PulsedExcitationEngine:
         return float(np.max(weights @ self.time_profiles))
 
     def outcome(self, dec: SchmidtDecomposition | None = None) -> ExcitationOutcome:
+        """Coherent and incoherent probabilities with their diagnostics.
+
+        A sampling error is NaN where its ladder has a single stride.
+        """
         dec = dec or self.dec
         if dec.beta_mag == 0.0:
             return ExcitationOutcome(0.0, 0.0, "pulsed_squeezed", "probability")
@@ -935,8 +989,10 @@ def max_intermediate_population(
     """Peak second-order population of the intermediate state |b>.
 
     CW sources use the time-independent closed forms (classical flux or the
-    squeezed photon spectral density s_I^2); pulsed sources scan a time grid
-    spanning +/-6 pulse durations.
+    squeezed photon spectral density s_I^2); a classical pulse pair scans a
+    time grid spanning +/-6 pulse durations.  `opts` sets the squeezed CW
+    quadrature.  The squeezed pulsed population comes with its probability,
+    as the validity of `p_squeezed_pulsed(..., coupling)`.
     """
     if isinstance(src, ClassicalCW):
         kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
@@ -962,18 +1018,9 @@ def max_intermediate_population(
         if src.n_photons_i == 0.0:
             return 0.0
         engine = PulsedExcitationEngine(
-            _single_pair_decomposition(src), sys, _UNIT_ETA, _a_eff_value(a_eff),
-            PulsedEngineOptions(quad=opts),
+            _single_pair_decomposition(src), sys, _UNIT_ETA, _a_eff_value(a_eff)
         )
         return _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
-    if isinstance(src, SchmidtDecomposition):
-        if src.beta_mag == 0.0:
-            return 0.0
-        working = src.truncated(src.weighted_mode_count(DEFAULT_PULSED_OPTIONS.mode_weight_tail))
-        engine = PulsedExcitationEngine(
-            working, sys, _UNIT_ETA, _a_eff_value(a_eff), PulsedEngineOptions(quad=opts)
-        )
-        return _pulsed_population(engine, working.s_n**2, coupling)
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 
@@ -982,17 +1029,16 @@ def max_intermediate_population(
 # ---------------------------------------------------------------------------
 
 
-def matched_classical_cw(
-    src: SqueezedCW, a_eff, opts: NumericsOptions = DEFAULT_NUMERICS
-) -> ClassicalCW:
+def matched_classical_cw(src: SqueezedCW, a_eff, photon_rate: float) -> ClassicalCW:
     """Classical CW reference at the squeezed photon rate, same centers.
 
     The comparison protocol keeps each classical beam narrowband and on the
     squeezed band center, with flux = (photons/s)/A_eff per band.  Both bands
-    carry the band-I rate: the band-II photon density is the same Gaussian
-    gain profile shifted to its own center, so its integral is the same.
+    carry the band-I rate `photon_rate` (from `photon_rate_cw(src, "I", ...)`):
+    the band-II photon density is the same Gaussian gain profile shifted to
+    its own center, so its integral is the same.
     """
-    flux = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings) / _a_eff_value(a_eff)
+    flux = photon_rate / _a_eff_value(a_eff)
     return ClassicalCW(
         flux_i=flux, flux_ii=flux, center_i=src.center_i, center_ii=src.center_ii,
     )

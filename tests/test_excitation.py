@@ -11,6 +11,10 @@ from sqfluor.excitation import (
     PulsedExcitationEngine,
     RegimeViolationError,
     VALIDITY_THRESHOLD,
+    _cw_gain_scale,
+    cw_j_lattice,
+    cw_j_pass,
+    cw_j_window,
     energy_ledger,
     fluorescence,
     lattice_correlate,
@@ -116,6 +120,23 @@ class TestClassicalPulsed:
         ).total
         assert quadrupled == pytest.approx(4.0 * base, rel=1e-9, abs=0.0)
 
+    def test_one_rung_ladder_reports_no_sampling_error(self, cs_system, cs_eta, mot_area):
+        # A pulse pair at 1 Gamma_b gets the single stride [1]: there is no
+        # second rung to compare with, so the error is NaN, not 0.0.  A
+        # multi-rung squeezed panel still reports a finite estimate.
+        system, _ = cs_system
+        gb = system.gamma_b
+        out = p_classical_pulsed(classical_pulse_pair(system, gb, 1.0), system, cs_eta, mot_area)
+        assert out.total > 0.0
+        assert np.isnan(out.diagnostics["outer_sampling_rel_err"])
+
+        src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        assert len(engine.incoherent_ladder) > 1
+        rel = engine.outcome().diagnostics["incoherent_sampling_rel_err"]
+        assert np.isfinite(rel)
+
     def test_cw_limit_oracle(self, cs_system, cs_eta, mot_area):
         # Narrowband resonant pulses: p / T_eff must approach the analytic CW
         # rate with T_eff = sqrt(2 pi)/sigma from the pulse-overlap integral
@@ -182,7 +203,9 @@ class TestSqueezedCW:
         system, _ = cs_system
         src = SqueezedCW(12.0, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
         out = rate_squeezed_cw(src, system, cs_eta, mot_area)
-        classical = rate_classical_cw(matched_classical_cw(src, mot_area), system, cs_eta)
+        classical = rate_classical_cw(
+            matched_classical_cw(src, mot_area, photon_rate_cw(src)), system, cs_eta
+        )
         assert out.coherent / classical.total == pytest.approx(1.0, abs=5e-3)
         assert out.incoherent / classical.total == pytest.approx(1.0, abs=5e-3)
 
@@ -233,6 +256,56 @@ class TestSqueezedCW:
             total += wgt * si2 * gg * np.sum(w2 * lorentzian(w, shape) * s_ii**2)
         incoh_brute = cs_eta.eta * total / ((2.0 * np.pi) ** 2 * area**2)
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
+
+
+def full_lattice_j(u_tab, lam, n_i):
+    """The CW J pass over every lattice column: the strided product unwindowed."""
+    step = u_tab.strides[0]
+    u_view = np.lib.stride_tricks.as_strided(u_tab[n_i - 1 :], (n_i, len(lam)), (-step, step))
+    return u_view @ lam
+
+
+class TestCwJPass:
+    # The J pass skips the lattice columns whose u_tab entries are all exactly
+    # zero.  It must give the full product bit for bit, drop only zeros, and
+    # drop every column it can.  Column k reads u_tab[k : k + n_i].
+    @pytest.mark.parametrize(
+        "ratio, beta_bar", [(0.01, 0.01), (0.01, 1.0), (0.01, 10.0), (1.0, 1.0)]
+    )
+    def test_window_matches_full_lattice_bit_for_bit(self, cs_system, ratio, beta_bar):
+        system, _ = cs_system
+        src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
+        w_i_pts, u_tab, lam = cw_j_lattice(src, system, _cw_gain_scale(src), 24.0)
+        n_i, n_w = len(w_i_pts), len(lam)
+        assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_tab, lam, n_i))
+
+        window = cw_j_window(u_tab, n_i)
+        if ratio < 1.0:
+            # Narrowband: the lattice is stretched to hold the L core, and
+            # the band-II support covers only an inner stretch of it.
+            assert 0 < window.start and window.stop < n_w
+        if window.start > 0:
+            assert not np.any(u_tab[: window.start + n_i - 1])
+            assert np.any(u_tab[window.start : window.start + n_i])
+        if window.stop < n_w:
+            assert not np.any(u_tab[window.stop :])
+            assert np.any(u_tab[window.stop - 1 : window.stop - 1 + n_i])
+
+    def test_narrowband_window_is_a_small_share_of_the_lattice(self, cs_system):
+        system, _ = cs_system
+        src = SqueezedCW(10.0, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
+        w_i_pts, u_tab, lam = cw_j_lattice(src, system, _cw_gain_scale(src), 24.0)
+        window = cw_j_window(u_tab, len(w_i_pts))
+        assert window.stop - window.start < 0.05 * len(lam)
+
+    def test_all_zero_density(self):
+        n_i, n_w = 5, 17
+        u_tab = np.zeros(n_w + n_i - 1)
+        lam = np.random.default_rng(3).normal(size=n_w)
+        assert cw_j_window(u_tab, n_i) is None
+        j_vals = cw_j_pass(u_tab, lam, n_i)
+        assert j_vals.shape == (n_i,)
+        assert np.array_equal(j_vals, full_lattice_j(u_tab, lam, n_i))
 
 
 def brute_force_pulsed(dec, system, eta, area):
@@ -700,8 +773,8 @@ class TestEqualPhotonBudget:
     def test_cw_matched_flux(self, cs_system, mot_area):
         system, _ = cs_system
         src = SqueezedCW(1.4, 3 * system.gamma_b, system.omega_ba, system.omega_cb)
-        classical = matched_classical_cw(src, mot_area)
         rate = photon_rate_cw(src)
+        classical = matched_classical_cw(src, mot_area, rate)
         assert classical.flux_i * mot_area.a_eff == pytest.approx(rate, rel=1e-9)
         assert classical.center_i == system.omega_ba
         assert classical.center_ii == system.omega_cb
