@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -30,12 +31,13 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .constants import PI, TWO_PI
 from .excitation import (
+    VALIDITY_THRESHOLD,
     PulsedEngineOptions,
     PulsedExcitationEngine,
+    _pulsed_population,
     fluorescence,
     matched_classical_cw,
     matched_classical_pulsed,
-    one_photon_coupling,
     p_classical_pulsed,
     rate_classical_cw,
     rate_squeezed_cw,
@@ -51,7 +53,10 @@ from .sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
+from .spectral import NumericalError
 from .system import eta_prefactor
+
+logger = logging.getLogger(__name__)
 
 CW_COLUMNS = [
     "sigma_c_over_gamma_b", "beta_bar", "photon_rate_per_s", "r_classical",
@@ -88,14 +93,17 @@ def _failed_row(columns, fixed: dict) -> dict:
 def _map_rows(compute, tasks: list[dict], columns: list[str], jobs: int) -> list[dict]:
     """compute(task) for every task, in task order, on up to `jobs` threads.
 
-    A task holds the row's fixed columns.  A row whose computation raises
-    keeps those and is marked failed; the sweep goes on.
+    A task holds the row's fixed columns.  A row whose computation raises a
+    `NumericalError` keeps those and is marked failed, the error's type and
+    message are logged at WARNING, and the sweep goes on.  Any other
+    exception propagates.
     """
 
     def row(task: dict) -> dict:
         try:
             return compute(task)
-        except Exception:
+        except NumericalError as exc:
+            logger.warning("row %s failed: %s: %s", task, type(exc).__name__, exc)
             return _failed_row(columns, task)
 
     if jobs > 1:
@@ -176,6 +184,10 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+class PhotonInversionError(NumericalError, ValueError):
+    """No beta up to 1e6 reaches the requested photon number."""
+
+
 def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
     """Invert N = sum sinh^2(beta sqrt(p_n)) for beta (monotone)."""
     if n_photons <= 0.0:
@@ -188,7 +200,7 @@ def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
     while excess(hi) < 0.0:
         hi *= 2.0
         if hi > 1e6:
-            raise ValueError("photon-number inversion failed to bracket")
+            raise PhotonInversionError("photon-number inversion failed to bracket")
     return brentq(excess, 0.0, hi, rtol=1e-13, maxiter=200)
 
 
@@ -214,7 +226,6 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         sample_rel_tol=cfg.numerics["sample_rel_tol"],
         mode_weight_tail=cfg.numerics["mode_weight_tail"],
     )
-    kappa = one_photon_coupling(system.omega_ba, coupling.mu_sq_ba)
     branch = (system.gamma("cd") / system.gamma_c) * (system.gamma_r["da"] / system.gamma_d)
 
     rows: list[dict] = []
@@ -245,7 +256,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 beta = _beta_for_photons(_working.p, n_photons)
                 dec_b = _working.with_beta(beta)
                 out = _engine.outcome(dec_b)
-                pop = kappa * _engine.max_population_weighted(dec_b.s_n**2) / area.a_eff
+                pop = _pulsed_population(_engine, dec_b.s_n**2, coupling)
                 p_cl = _cl_unit * n_photons**2
                 return {
                     "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
@@ -260,7 +271,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     "n_fluor_sq_incoherent": out.incoherent * branch * n_atoms,
                     "n_fluor_sq_total": out.total * branch * n_atoms,
                     "crossover": beta * np.sqrt(_working.p[0]) >= 1.0,
-                    "validity": pop < 0.1,
+                    "validity": pop < VALIDITY_THRESHOLD,
                 }
 
             tasks = [
@@ -330,7 +341,17 @@ def _cmd_aeff(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _regime_mismatch(cfg: RunConfig, command: str, regime: str) -> bool:
+    """Print a one-line message if the config's source regime is not `regime`."""
+    if cfg.source["regime"] == regime:
+        return False
+    print(f"{command} requires source.regime = {regime}", file=_sys.stderr)
+    return True
+
+
 def _cmd_cw_sweep(cfg: RunConfig, args) -> int:
+    if _regime_mismatch(cfg, "cw-sweep", "squeezed_cw"):
+        return 2
     rows = run_cw_sweep(cfg, jobs=args.jobs)
     out = args.out or cfg.output["path"]
     emit(rows, CW_COLUMNS, cfg, out, reproducible=args.reproducible)
@@ -339,6 +360,8 @@ def _cmd_cw_sweep(cfg: RunConfig, args) -> int:
 
 
 def _cmd_pulsed_sweep(cfg: RunConfig, args) -> int:
+    if _regime_mismatch(cfg, "pulsed-sweep", "squeezed_pulsed"):
+        return 2
     rows = run_pulsed_sweep(cfg, jobs=args.jobs)
     out = args.out or cfg.output["path"]
     emit(rows, PULSED_COLUMNS, cfg, out, reproducible=args.reproducible)
@@ -347,10 +370,9 @@ def _cmd_pulsed_sweep(cfg: RunConfig, args) -> int:
 
 
 def _cmd_schmidt(cfg: RunConfig, args) -> int:
-    src_cfg = cfg.source
-    if cfg.source["regime"] != "squeezed_pulsed":
-        print("schmidt export requires source.regime = squeezed_pulsed", file=_sys.stderr)
+    if _regime_mismatch(cfg, "schmidt export", "squeezed_pulsed"):
         return 2
+    src_cfg = cfg.source
     sigma_p = src_cfg["sigma_p_over_gamma_b"][0] * cfg.system.gamma_b
     sigma_c = src_cfg["sigma_c_over_sigma_p"][0] * sigma_p
     src = SqueezedPulsed(

@@ -18,7 +18,7 @@ from .constants import TWO_PI
 from .geometry import AtomCloud, BeamProfile, fwhm_to_sigma, waist_fwhm_to_w0
 from .peaked import NumericsOptions
 from .system import CS_WAVELENGTH_BA, CS_WAVELENGTH_CB, CS_WAVELENGTH_CD, cs_preset
-from .system import DipoleCoupling, FourLevelSystem, TRANSITIONS, dipole_from_rate
+from .system import DipoleCoupling, FourLevelSystem, TRANSITIONS
 
 __all__ = [
     "RunConfig",
@@ -145,46 +145,21 @@ def _load_system(cfg: dict, log: list) -> tuple[FourLevelSystem, DipoleCoupling]
     else:
         log.append("system.gamma_nr defaulted to zero on all transitions (cold isolated MOT)")
 
-    if preset == "cs":
-        defaults = {
-            "wavelength_ba": CS_WAVELENGTH_BA,
-            "wavelength_cb": CS_WAVELENGTH_CB,
-            "wavelength_cd": CS_WAVELENGTH_CD,
-        }
-        wavelengths = {}
-        for key, default in defaults.items():
-            if key in section:
-                wavelengths[key] = parse_quantity(section[key], "length", f"system.{key}")
-            else:
-                wavelengths[key] = default
-                log.append(f"system.{key} defaulted to {default*1e9:.1f} nm (Cs preset)")
-        rates = {"gamma_r": gamma_r}
-        if gamma_nr is not None:
-            rates["gamma_nr"] = gamma_nr
-        return cs_preset(
-            rates,
-            wavelength_ba=wavelengths["wavelength_ba"],
-            wavelength_cb=wavelengths["wavelength_cb"],
-            wavelength_cd=wavelengths["wavelength_cd"],
-        )
-
-    from .constants import C_LIGHT
-
-    omegas = {}
-    for key in ("wavelength_ba", "wavelength_cb", "wavelength_cd"):
-        omegas[key] = TWO_PI * C_LIGHT / parse_quantity(
-            _get(section, key, "system"), "length", f"system.{key}"
-        )
-    omega_da = omegas["wavelength_ba"] + omegas["wavelength_cb"] - omegas["wavelength_cd"]
-    system = FourLevelSystem(
-        omegas["wavelength_ba"], omegas["wavelength_cb"], omegas["wavelength_cd"],
-        omega_da, gamma_r, gamma_nr or {t: 0.0 for t in TRANSITIONS},
-    )
-    coupling = DipoleCoupling(
-        dipole_from_rate(gamma_r["ba"], system.omega_ba),
-        dipole_from_rate(gamma_r["cb"], system.omega_cb),
-    )
-    return system, coupling
+    wavelengths = {}
+    for key, default in (
+        ("wavelength_ba", CS_WAVELENGTH_BA),
+        ("wavelength_cb", CS_WAVELENGTH_CB),
+        ("wavelength_cd", CS_WAVELENGTH_CD),
+    ):
+        if key in section or preset == "custom":
+            wavelengths[key] = parse_quantity(_get(section, key, "system"), "length", f"system.{key}")
+        else:
+            wavelengths[key] = default
+            log.append(f"system.{key} defaulted to {default*1e9:.1f} nm (Cs preset)")
+    rates = {"gamma_r": gamma_r}
+    if gamma_nr is not None:
+        rates["gamma_nr"] = gamma_nr
+    return cs_preset(rates, **wavelengths)
 
 
 def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
@@ -222,7 +197,7 @@ def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
     }
 
 
-_REGIMES = ("classical_cw", "classical_pulsed", "squeezed_cw", "squeezed_pulsed")
+_REGIMES = ("squeezed_cw", "squeezed_pulsed")
 
 
 def _load_source(cfg: dict, log: list) -> dict:
@@ -248,7 +223,7 @@ def _load_source(cfg: dict, log: list) -> dict:
                 out[key] = default
                 log.append(f"source.{key} defaulted to {default}")
         out["match_rate_windows"] = bool(section.get("match_rate_windows", False))
-    elif regime == "squeezed_pulsed":
+    else:
         out["sigma_p_over_gamma_b"] = [
             parse_quantity(v, "dimensionless", "source.sigma_p_over_gamma_b")
             for v in section.get("sigma_p_over_gamma_b", [0.1, 1.0, 10.0])
@@ -267,16 +242,6 @@ def _load_source(cfg: dict, log: list) -> dict:
             else:
                 out[key] = default
                 log.append(f"source.{key} defaulted to {default}")
-    elif regime == "classical_cw":
-        out["flux_i"] = parse_quantity(_get(section, "flux_i", "source"), "dimensionless", "source.flux_i")
-        out["flux_ii"] = parse_quantity(_get(section, "flux_ii", "source"), "dimensionless", "source.flux_ii")
-    else:  # classical_pulsed
-        out["sigma_over_gamma_b"] = parse_quantity(
-            _get(section, "sigma_over_gamma_b", "source"), "dimensionless", "source.sigma_over_gamma_b"
-        )
-        out["n_photons"] = parse_quantity(
-            _get(section, "n_photons", "source"), "dimensionless", "source.n_photons"
-        )
     return out
 
 

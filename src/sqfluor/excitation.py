@@ -52,7 +52,6 @@ from .sources import (
     SqueezedPulsed,
     gain_functions_cw,
     photon_number_pulsed,
-    photon_rate_cw,  # unused here; kept as a module name the layer tracer patches
 )
 from .spectral import (
     GaussianAmplitude,
@@ -295,7 +294,7 @@ def p_classical_pulsed(
 
     One engine over the pulse pair gives both the probability and, with a
     coupling, the validity population.  The diagnostic
-    `outer_sampling_rel_err` is NaN when the engine's incoherent ladder has a
+    `outer_sampling_rel_err` is NaN when the engine's stride ladder has a
     single stride, as it has for pulse widths of 0.1-100 Gamma_b: the
     sampling error is then not estimated.
     """
@@ -507,9 +506,8 @@ class PulsedEngineOptions:
 DEFAULT_PULSED_OPTIONS = PulsedEngineOptions()
 
 POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or Gamma_b)
-COHERENT_SAMPLES_PER_OSC = 8.0  # finest coherent outer sampling
-INCOHERENT_SAMPLES_PER_SIGMA = 8.0  # incoherent outer sampling per band-I width
-MAX_SAMPLE_LEVELS = 3  # rungs of the incoherent stride ladder
+SAMPLES_PER_SIGMA = 8.0  # coarsest outer sampling per band-I width
+MAX_SAMPLE_LEVELS = 3  # rungs of the stride ladder
 SUPPORT_EPSILON = 1e-12  # table entries below this share of the peak lie outside the support
 
 
@@ -550,13 +548,14 @@ class PulsedExcitationEngine:
     on outer sample lattices aligned with the inner one.  On that alignment
     the inner integral K_nm(w_j) is a lattice correlation of the band-II
     table with the Green-weighted band-I table, so `lattice_correlate` gives
-    it at every stride-1 outer point in one FFT pass, and each outer stride
-    is a subsample of that pass.  The outer Lorentzian integral is a fixed
-    linear functional of the outer samples (Simpson weights plus an analytic
-    Voigt core term when Gamma_c is unresolved), so T_nm is a scalar per mode
-    pair and a beta sweep only re-weights the levels with s_n c_n / s_n s_m.
-    Sampling fidelity is certified by halving the outer stride until the
-    results settle.
+    it for every m at every stride-1 outer point in one FFT pass per n, and
+    each outer stride is a subsample of that pass.  V_n is K_nn, row n of
+    mode n's pass.  The outer Lorentzian integral is a fixed linear
+    functional of the outer samples (Simpson weights plus an analytic Voigt
+    core term when Gamma_c is unresolved), so T_nm is a scalar per mode pair
+    and a beta sweep only re-weights the levels with s_n c_n / s_n s_m.  Both
+    levels are read down one stride ladder (`ladder`), halving the stride
+    until two rungs agree.
 
     Everything the public methods read is computed in __init__ and never
     changed afterwards, so one engine may serve many threads without a lock.
@@ -577,20 +576,13 @@ class PulsedExcitationEngine:
         self.opts = opts
         self._build_lattice()
         self._build_green_weights()
+        if self.extract:
+            self._build_core_tables()
         # Time profiles first: their temporaries are freed before the levels'.
         self.time_profiles = self._mode_time_profiles()
-        core = self._core_terms() if self.extract else None
-        self.incoherent_ladder = self._stride_ladder(
-            self.sigma_like / INCOHERENT_SAMPLES_PER_SIGMA
-        )
-        self.coherent_ladder = self._coherent_ladder()
-        self.lorentz_weights = {
-            stride: self._lorentz_weights(stride)
-            for stride in sorted(set(self.incoherent_ladder) | set(self.coherent_ladder))
-        }
-        correlate = self._kernel_correlator()
-        self.coherent_rows = self._coherent_rows(correlate, core)
-        self.incoherent_levels = self._incoherent_pass(correlate, core)
+        self.ladder = self._stride_ladder(self.sigma_like / SAMPLES_PER_SIGMA)
+        self.lorentz_weights = {stride: self._lorentz_weights(stride) for stride in self.ladder}
+        self.coherent_rows, self.incoherent_levels = self._kernel_pass()
 
     # -- lattice -----------------------------------------------------------
 
@@ -615,14 +607,7 @@ class PulsedExcitationEngine:
         self.h = 2.0 * half_i / (self.n_in - 1)
         self.x = dec.grid_i.center - half_i + self.h * np.arange(self.n_in)
 
-        # Mode tables (and derivatives for the core correction) on the lattice.
         self.fi = dec.modes_at("I", self.x)
-        di = np.gradient(dec.f_i, dec.grid_i.step, axis=1)
-        self.dfi = np.vstack([np.interp(self.x, pts_i, row) for row in di])
-        self.fi_core = (
-            np.array([np.interp(sys.omega_ba, self.x, row) for row in self.fi]),
-            np.array([np.interp(sys.omega_ba, self.x, row) for row in self.dfi]),
-        )
 
         ext_ii = _support_extent(dec.grid_ii.points, dec.f_ii)
         self.out_center = dec.grid_i.center + dec.grid_ii.center
@@ -645,11 +630,25 @@ class PulsedExcitationEngine:
         self.fii_lat = np.vstack(
             [np.interp(self.q_axis, pts_ii, row, left=0.0, right=0.0) for row in dec.f_ii]
         )
-        dii = np.gradient(dec.f_ii, dec.grid_ii.step, axis=1)
-        self.dfii_lat = np.vstack(
-            [np.interp(self.q_axis, pts_ii, row, left=0.0, right=0.0) for row in dii]
-        )
         self.sigma_like = _support_extent(pts_i, dec.f_i[:1]) / 7.0
+
+    def _build_core_tables(self):
+        """Mode values and derivatives the Green-core correction reads.
+
+        fi_core is (f_Im, f_Im') at omega_ba and dfii_lat is f_IIn' on the
+        band-II lattice; only an engine that extracts the core builds them.
+        """
+        dec, omega_ba = self.dec, self.sys.omega_ba
+        di = np.gradient(dec.f_i, dec.grid_i.step, axis=1)
+        dfi = np.vstack([np.interp(self.x, dec.grid_i.points, row) for row in di])
+        self.fi_core = (
+            np.array([np.interp(omega_ba, self.x, row) for row in self.fi]),
+            np.array([np.interp(omega_ba, self.x, row) for row in dfi]),
+        )
+        dii = np.gradient(dec.f_ii, dec.grid_ii.step, axis=1)
+        self.dfii_lat = np.vstack([
+            np.interp(self.q_axis, dec.grid_ii.points, row, left=0.0, right=0.0) for row in dii
+        ])
 
     def _build_green_weights(self):
         sys = self.sys
@@ -694,21 +693,6 @@ class PulsedExcitationEngine:
             ladder.append(stride)
         return ladder
 
-    def _coherent_ladder(self) -> list[int]:
-        """Strides for the coherent integral.
-
-        The mode-diagonal amplitude sum is usually much smoother than the
-        individual mode tables, so sampling starts at the incoherent stride
-        and is halved toward the per-oscillation target.
-        """
-        start = max(self.osc / COHERENT_SAMPLES_PER_OSC,
-                    self.sigma_like / INCOHERENT_SAMPLES_PER_SIGMA)
-        ladder = self._stride_ladder(start)
-        floor_stride = max(1, int(np.floor(self.osc / (COHERENT_SAMPLES_PER_OSC * self.h))))
-        while ladder[-1] > floor_stride and len(ladder) < MAX_SAMPLE_LEVELS + 2:
-            ladder.append(max(floor_stride, ladder[-1] // 2))
-        return ladder
-
     def _lorentz_weights(self, stride: int) -> np.ndarray:
         """Sample weights for the outer Int L(w) Q(w) dw at one stride level."""
         return lorentzian_sample_weights(
@@ -734,51 +718,41 @@ class PulsedExcitationEngine:
         f_i0, df_i0 = self.fi_core
         return f_i0 * self.c_corr0 + df_i0 * self.c_corr1, -f_i0 * self.c_corr1, f_ii, df_ii
 
-    def _kernel_correlator(self):
-        """fii_lat rows -> K_nm(w_j) = Int G_ba f_IIn(w_j - x) f_Im(x) dbar-x, all m.
+    def _kernel_pass(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """(V_n rows, {stride: T_nm}) from one correlator call per mode n.
 
         On the aligned lattice K_nm(w_j) = sum_k fii_lat[n, j + k] B[m, k] with
-        B the Green-weighted band-I tables, inner index reversed; the result
-        covers every stride-1 outer point and excludes the core terms.
+        B the Green-weighted band-I tables, inner index reversed, plus the core
+        terms.  Mode n's call gives K_nm for every m at every stride-1 outer
+        point; its row n is V_n.  |K_nm|^2 is formed for one n at a time,
+        never for all pairs.  Column r of `lam` holds rung r's Lorentzian
+        weights at its stride-1 positions, so one product per n weights every
+        rung.
         """
-        return lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
-
-    def _coherent_rows(self, correlate, core) -> np.ndarray:
-        """V_n = K_nn at every stride-1 outer point, one row per mode."""
-        v_rows = correlate(self.fii_lat)
-        if core is not None:
-            a, b, f_ii, df_ii = core
-            v_rows += a[:, None] * f_ii + b[:, None] * df_ii
-        return v_rows
-
-    def coherent_level(self, stride: int) -> np.ndarray:
-        """V_n(w_j) on the outer lattice of `stride` (a view)."""
-        return self._rung(self.coherent_rows, stride)
-
-    def _incoherent_pass(self, correlate, core) -> dict[int, np.ndarray]:
-        """T_nm = Int L(w) |K_nm(w)|^2 dw at each incoherent rung, from one pass over n.
-
-        |K_nm|^2 is formed for one n at a time, never for all pairs.  Column r
-        of `lam` holds rung r's Lorentzian weights at its stride-1 positions,
-        so one product per n weights every rung.
-        """
-        strides = self.incoherent_ladder
-        lam = np.zeros((self.n_out_max, len(strides)))
-        for r, stride in enumerate(strides):
+        correlate = lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
+        core = self._core_terms() if self.extract else None
+        lam = np.zeros((self.n_out_max, len(self.ladder)))
+        for r, stride in enumerate(self.ladder):
             self._rung(lam[:, r], stride)[:] = self.lorentz_weights[stride]
         n_modes = self.dec.n_modes
-        t_all = np.empty((len(strides), n_modes, n_modes))
+        v_rows = np.empty((n_modes, self.n_out_max), dtype=complex)
+        t_all = np.empty((len(self.ladder), n_modes, n_modes))
         for n in range(n_modes):
             k_rows = correlate(self.fii_lat[n])
             if core is not None:
                 a, b, f_ii, df_ii = core
                 k_rows += np.outer(a, f_ii[n]) + np.outer(b, df_ii[n])
+            v_rows[n] = k_rows[n]
             t_all[:, n, :] = ((k_rows.real**2 + k_rows.imag**2) @ lam).T
-        return dict(zip(strides, t_all))
+        return v_rows, dict(zip(self.ladder, t_all))
+
+    def coherent_level(self, stride: int) -> np.ndarray:
+        """V_n(w_j) on the outer lattice of `stride` (a view)."""
+        return self._rung(self.coherent_rows, stride)
 
     # -- probabilities -------------------------------------------------------
 
-    def _converge_levels(self, ladder: list[int], evaluate) -> tuple[float, float]:
+    def _converge_levels(self, evaluate) -> tuple[float, float]:
         """(value, rel) down the ladder until two rungs agree to sample_rel_tol.
 
         rel is the change between the last two rungs evaluated.  A one-rung
@@ -787,8 +761,8 @@ class PulsedExcitationEngine:
         """
         previous = None
         value = 0.0
-        rel = np.nan if len(ladder) == 1 else np.inf
-        for stride in ladder:
+        rel = np.nan if len(self.ladder) == 1 else np.inf
+        for stride in self.ladder:
             value = evaluate(stride)
             if previous is not None:
                 rel = abs(value - previous) / max(abs(value), 1e-300)
@@ -798,12 +772,12 @@ class PulsedExcitationEngine:
         return value, rel
 
     def converged_incoherent(self, weights: np.ndarray) -> tuple[float, float]:
-        """(sum_nm weights_nm T_nm, sampling_rel_err) over the incoherent ladder."""
+        """(sum_nm weights_nm T_nm, sampling_rel_err) down the stride ladder."""
 
         def evaluate(stride: int) -> float:
             return float(np.sum(weights * self.incoherent_levels[stride]))
 
-        return self._converge_levels(self.incoherent_ladder, evaluate)
+        return self._converge_levels(evaluate)
 
     def coherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:
         """(value, sampling_rel_err) of the coherent pulsed probability."""
@@ -814,7 +788,7 @@ class PulsedExcitationEngine:
             amp = weights @ self.coherent_level(stride)
             return float(self.lorentz_weights[stride] @ (amp.real**2 + amp.imag**2))
 
-        value, rel = self._converge_levels(self.coherent_ladder, evaluate)
+        value, rel = self._converge_levels(evaluate)
         return self.eta.eta * value / self.area**2, rel
 
     def incoherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import PI, TWO_PI
-from .spectral import GaussianAmplitude, SpectralGrid, quad_converged
+from .spectral import GaussianAmplitude, NumericalError, SpectralGrid, quad_converged
 
 __all__ = [
     "ClassicalPulsed",
@@ -61,7 +61,7 @@ JSA_GRID_SPAN_SIGMAS = 8.0  # half-span in units of sigma_c
 MODE_REFERENCE_FRACTION = 0.01  # threshold for picking a sign-reference point
 
 
-class GridTooCoarseError(ValueError):
+class GridTooCoarseError(NumericalError, ValueError):
     """JSA grid cannot represent the requested decomposition fidelity."""
 
 

@@ -29,13 +29,22 @@ __all__ = [
     "quad_1d",
     "quad_converged",
     "simpson_weights",
+    "NumericalError",
     "NonFiniteIntegrandError",
     "ConvergenceError",
     "DegenerateParametersError",
 ]
 
 
-class NonFiniteIntegrandError(ValueError):
+class NumericalError(Exception):
+    """A computation could not produce a trustworthy number for its inputs.
+
+    Sweeps turn a row that raises one of these into a failed row and go on;
+    any other exception is a programming error and propagates.
+    """
+
+
+class NonFiniteIntegrandError(NumericalError, ValueError):
     """Integrand returned NaN/inf; carries the first offending grid index."""
 
     def __init__(self, index: int, omega: float):
@@ -44,7 +53,7 @@ class NonFiniteIntegrandError(ValueError):
         super().__init__(f"non-finite integrand at grid index {index} (omega={omega!r})")
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError, RuntimeError):
     """Grid-doubling quadrature failed to reach tolerance; carries both estimates."""
 
     def __init__(self, last: complex, previous: complex, rel_err: float):
@@ -57,7 +66,7 @@ class ConvergenceError(RuntimeError):
         )
 
 
-class DegenerateParametersError(ValueError):
+class DegenerateParametersError(NumericalError, ValueError):
     """Green function evaluated on resonance with zero total width."""
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from sqfluor.config import (
 from sqfluor.excitation import rate_classical_cw
 from sqfluor.geometry import effective_area
 from sqfluor.sources import ClassicalCW
+from sqfluor.spectral import ConvergenceError, NumericalError
 from sqfluor.system import eta_prefactor
 
 REPO = Path(__file__).resolve().parent.parent
@@ -34,6 +36,13 @@ def tiny_cw_config(tmp_path, **source_overrides):
     cfg["source"].update(source_overrides)
     path = tmp_path / "cw.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def with_numerics(path, **numerics):
+    raw = json.loads(path.read_text())
+    raw["numerics"] = numerics
+    path.write_text(json.dumps(raw))
     return path
 
 
@@ -105,6 +114,43 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
 
+    def test_custom_system_with_cs_wavelengths_is_the_preset(self, tmp_path):
+        # The decimal strings parse to the same doubles as the preset's
+        # wavelength constants, so the two systems must be equal exactly.
+        raw = json.loads(CS_MOT.read_text())
+        for key in ("wavelength_ba", "wavelength_cb", "wavelength_cd"):
+            raw["system"].pop(key, None)
+        preset_path = tmp_path / "preset.json"
+        preset_path.write_text(json.dumps(raw))
+        raw["system"].update(
+            preset="custom", wavelength_ba="8.95e-7 m", wavelength_cb="1.36e-6 m",
+            wavelength_cd="1.469e-6 m",
+        )
+        custom_path = tmp_path / "custom.json"
+        custom_path.write_text(json.dumps(raw))
+        preset, custom = load_config(preset_path), load_config(custom_path)
+        assert custom.system == preset.system
+        assert custom.coupling == preset.coupling
+
+    def test_custom_system_requires_every_wavelength(self, tmp_path):
+        raw = json.loads(CS_MOT.read_text())
+        raw["system"].update(preset="custom", wavelength_ba="895 nm", wavelength_cb="1.36 um")
+        raw["system"].pop("wavelength_cd", None)
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(MissingKeyError, match="wavelength_cd"):
+            load_config(path)
+
+    @pytest.mark.parametrize("regime", ["classical_cw", "classical_pulsed"])
+    def test_classical_regimes_are_rejected(self, tmp_path, regime):
+        # No subcommand runs a classical source; the loader says so at once.
+        raw = json.loads(CS_MOT.read_text())
+        raw["source"] = {"regime": regime}
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="regime"):
+            load_config(path)
+
     def test_exactly_one_regime(self, tmp_path):
         raw = json.loads(CS_MOT.read_text())
         raw["source"]["regime"] = "both_at_once"
@@ -137,7 +183,7 @@ class TestCwSweep:
         def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("synthetic numerical failure")
+                raise ConvergenceError(1.0, 2.0, 0.5)  # a synthetic numerical failure
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "rate_squeezed_cw", flaky)
@@ -147,6 +193,36 @@ class TestCwSweep:
         assert np.isnan(failed[0]["r_sq_total"])
         assert len(rows) == calls["n"]
 
+    def test_failed_rows_log_their_cause(self, tmp_path, caplog):
+        # At rel_tol 1e-9 the quadrature doubling stalls just above the
+        # tolerance on three of the six rows and raises ConvergenceError.
+        cfg = load_config(with_numerics(tiny_cw_config(tmp_path), rel_tol=1e-9, max_doublings=8))
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            rows = run_cw_sweep(cfg)
+        failed = [r for r in rows if r["validity"] == "failed"]
+        assert failed
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == len(failed)
+        for record in warnings:
+            assert "ConvergenceError" in record.getMessage()
+            assert "did not converge" in record.getMessage()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch, jobs):
+        cfg = load_config(tiny_cw_config(tmp_path))
+        calls = {"n": 0}
+        original = cli.rate_squeezed_cw
+
+        def broken(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise TypeError("synthetic programming error")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rate_squeezed_cw", broken)
+        with pytest.raises(TypeError, match="synthetic"):
+            run_cw_sweep(cfg, jobs=jobs)
+
     def test_classical_reference_uses_configured_numerics(self, tmp_path):
         # At beta_bar = sqrt(10) the photon rate at rel_tol 1e-9 differs from
         # the one at the default tolerance by about 6e-9.
@@ -154,10 +230,7 @@ class TestCwSweep:
             tmp_path, sigma_c_over_gamma_b=[0.01], beta_bar_min=1.0,
             beta_bar_max=float(np.sqrt(10.0)), points_per_decade=4,
         )
-        raw = json.loads(path.read_text())
-        raw["numerics"] = {"rel_tol": 1e-9, "max_doublings": 8}
-        path.write_text(json.dumps(raw))
-        cfg = load_config(path)
+        cfg = load_config(with_numerics(path, rel_tol=1e-9, max_doublings=8))
         system = cfg.system
         eta = eta_prefactor(system, cfg.coupling)
         area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options())
@@ -176,6 +249,12 @@ class TestCwSweep:
         threaded = run_cw_sweep(cfg, jobs=4)
         assert [r["beta_bar"] for r in serial] == [r["beta_bar"] for r in threaded]
         assert serial[3]["r_sq_total"] == pytest.approx(threaded[3]["r_sq_total"], rel=1e-12)
+
+
+def test_photon_inversion_failure_is_a_numerical_error():
+    with pytest.raises(cli.PhotonInversionError, match="bracket") as info:
+        cli._beta_for_photons(np.array([1e-30]), 1e4)
+    assert isinstance(info.value, NumericalError)
 
 
 class TestPulsedSweep:
@@ -265,6 +344,22 @@ class TestMain:
         assert code == 0
         header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
         assert header == ",".join(CW_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "command, make_config, wanted",
+        [
+            ("cw-sweep", tiny_pulsed_config, "squeezed_cw"),
+            ("pulsed-sweep", tiny_cw_config, "squeezed_pulsed"),
+        ],
+    )
+    def test_sweep_rejects_the_other_regime(self, tmp_path, capsys, command, make_config, wanted):
+        out = tmp_path / "sweep.csv"
+        code = main([command, "--config", str(make_config(tmp_path)), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"{command} requires source.regime = {wanted}"
+        assert not any(line.startswith("Traceback") for line in err)
+        assert not out.exists()
 
     def test_schmidt_export(self, tmp_path):
         cfg_path = tiny_pulsed_config(tmp_path)

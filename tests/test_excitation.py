@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqfluor.excitation as excitation
 from sqfluor.excitation import (
     SUPPORT_EPSILON,
     PulsedExcitationEngine,
@@ -133,7 +134,7 @@ class TestClassicalPulsed:
         src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        assert len(engine.incoherent_ladder) > 1
+        assert len(engine.ladder) > 1
         rel = engine.outcome().diagnostics["incoherent_sampling_rel_err"]
         assert np.isfinite(rel)
 
@@ -412,9 +413,9 @@ def test_lattice_correlate_matches_direct_sum(
 
 
 def assert_levels_match_oracle(engine):
-    """Coherent rows and T_nm at every incoherent ladder rung against kernel_row."""
+    """Coherent rows and T_nm at every ladder rung against kernel_row."""
     n_modes = engine.dec.n_modes
-    for stride in engine.incoherent_ladder:
+    for stride in engine.ladder:
         lam = engine.lorentz_weights[stride]
         rows = {
             (n, m): kernel_row(engine, n, m, stride)
@@ -483,7 +484,7 @@ class TestSqueezedPulsed:
         src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        stride = engine.incoherent_ladder[0]
+        stride = engine.ladder[0]
         v_rows = engine.coherent_level(stride)
         for n in (0, 1, 3):
             row = kernel_row(engine, n, n, stride)
@@ -497,7 +498,7 @@ class TestSqueezedPulsed:
         dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
         assert not engine.extract
-        assert len(engine.incoherent_ladder) > 1
+        assert len(engine.ladder) > 1
         assert_levels_match_oracle(engine)
 
     def test_levels_match_oracle_with_core_extraction(self, cs_system, cs_eta, mot_area):
@@ -511,8 +512,41 @@ class TestSqueezedPulsed:
         dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
         assert engine.extract
-        assert len(engine.incoherent_ladder) > 1
+        assert len(engine.ladder) > 1
         assert_levels_match_oracle(engine)
+
+    @pytest.mark.parametrize("detuned", [False, True])
+    def test_one_correlator_call_per_mode(self, cs_system, cs_eta, mot_area, monkeypatch, detuned):
+        # Both levels come from one pass: mode n's call gives K_nm for every
+        # m, and its row n is the coherent row V_n.  Only an engine that
+        # extracts the Green core builds the derivative tables.
+        system, _ = cs_system
+        gb, gc = system.gamma_b, system.gamma_c
+        if detuned:
+            center_i = system.omega_ba + 5.0 * gb
+            src = SqueezedPulsed(
+                1.0, 10 * gb, 50 * gb, center_i, (system.omega_ca + 2.0 * gc) - center_i
+            )
+        else:
+            src = SqueezedPulsed(0.7, gb, 6 * gb, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(6)
+        tables = []
+
+        def counting_correlate(weight, n_out):
+            correlate = lattice_correlate(weight, n_out)
+
+            def counted(table):
+                tables.append(table.shape)
+                return correlate(table)
+
+            return counted
+
+        monkeypatch.setattr(excitation, "lattice_correlate", counting_correlate)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        assert engine.extract == detuned
+        assert tables == [engine.fii_lat[0].shape] * dec.n_modes
+        for name in ("dfii_lat", "fi_core"):
+            assert hasattr(engine, name) == detuned
 
     def test_detuned_engine_matches_brute_force(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system

@@ -58,8 +58,8 @@ class TestGainFunctions:
         w = CI + np.linspace(-5, 5, 41) * SIGMA
         s_i, _, th_i = gain_functions_cw(w, src, "I")
         s_ii, _, th_ii = gain_functions_cw(src.pump_center - w, src, "II")
-        assert np.allclose(s_ii, s_i, rtol=1e-12)
-        assert np.allclose(th_ii, th_i, rtol=1e-12)
+        assert np.allclose(s_ii, s_i, rtol=1e-12, atol=0.0)
+        assert np.allclose(th_ii, th_i, rtol=1e-12, atol=0.0)
 
     def test_user_phase_function(self):
         src = cw_source(1.0, phase_fn=lambda w: 0.3 * (w - CI) / SIGMA)
@@ -111,7 +111,7 @@ class TestJsa:
     def test_peak_value(self):
         src = pulsed_source(sigma_p=SIGMA, sigma_c=3 * SIGMA)
         assert jsa_eval(CI, CII, src) == pytest.approx(
-            (np.pi * src.sigma_p * src.sigma_c) ** -0.5, rel=1e-12
+            (np.pi * src.sigma_p * src.sigma_c) ** -0.5, rel=1e-12, abs=0.0
         )
 
     def test_antidiagonal_detuning_uses_only_sigma_c(self):
@@ -231,7 +231,7 @@ class TestSchmidt:
         dec = schmidt_decompose(pulsed_source(beta=0.5, sigma_p=SIGMA, sigma_c=10 * SIGMA))
         cut = dec.truncated(5)
         assert cut.n_modes == 5
-        assert cut.tail == pytest.approx(dec.tail + np.sum(dec.p[5:]), rel=1e-12)
+        assert cut.tail == pytest.approx(dec.tail + np.sum(dec.p[5:]), rel=1e-12, abs=0.0)
         assert cut.with_beta(2.0).beta_mag == 2.0
         assert cut.with_beta(2.0).p is cut.p
 
@@ -301,7 +301,7 @@ class TestG2Pulsed:
         f_ii = dec.modes_at("II", w - w_i)[0, 0]
         f_i = dec.modes_at("I", w_i)[0, 0]
         expected = f_ii * f_i * np.sinh(0.8) * np.cosh(0.8)
-        assert kernels.coherent(w, w_i) == pytest.approx(expected, rel=1e-12)
+        assert kernels.coherent(w, w_i) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_diagonal_incoherent_terms_match_coherent_with_c_to_s(self):
         dec = schmidt_decompose(pulsed_source(beta=1.1, sigma_p=SIGMA, sigma_c=6 * SIGMA))
@@ -313,7 +313,7 @@ class TestG2Pulsed:
         f_i = dec.modes_at("I", w_i)[:, 0]
         coherent_terms = f_ii * f_i * dec.s_n * dec.c_n
         swapped = coherent_terms * dec.s_n / dec.c_n
-        assert np.allclose(np.diag(family), swapped, rtol=1e-12)
+        assert np.allclose(np.diag(family), swapped, rtol=1e-12, atol=0.0)
 
     def test_broadband_high_gain_ratio_approaches_one(self):
         src = pulsed_source(beta=1.0, sigma_p=SIGMA, sigma_c=50 * SIGMA)

@@ -45,12 +45,14 @@ class TestLorentzian:
     shape = LorentzianLineshape(W0, GAMMA)
 
     def test_peak_value(self):
-        assert lorentzian(W0, self.shape) == pytest.approx(2.0 / (np.pi * GAMMA), rel=1e-12)
+        assert lorentzian(W0, self.shape) == pytest.approx(
+            2.0 / (np.pi * GAMMA), rel=1e-12, abs=0.0
+        )
 
     def test_half_maximum_points(self):
         for sign in (-1.0, 1.0):
             val = lorentzian(W0 + sign * GAMMA / 2.0, self.shape)
-            assert val == pytest.approx(1.0 / (np.pi * GAMMA), rel=1e-12)
+            assert val == pytest.approx(1.0 / (np.pi * GAMMA), rel=1e-12, abs=0.0)
 
     def test_area_over_50_widths(self):
         # Truncating the tails at +/-50 Gamma leaves exactly (2/pi) atan(100)
@@ -77,8 +79,8 @@ class TestGreen:
 
     def test_resonance_is_pure_imaginary(self):
         value = green(W0, self.params)
-        assert value == pytest.approx(2.0j / GAMMA, rel=1e-12)
-        assert abs(value) ** 2 == pytest.approx(4.0 / GAMMA**2, rel=1e-12)
+        assert value == pytest.approx(2.0j / GAMMA, rel=1e-12, abs=0.0)
+        assert abs(value) ** 2 == pytest.approx(4.0 / GAMMA**2, rel=1e-12, abs=0.0)
 
     def test_far_detuned_asymptote(self):
         detuning = 100 * GAMMA
@@ -100,7 +102,7 @@ class TestGreen:
 
     def test_total_width_sums_upper_and_lower(self):
         g = GreenFunctionParams(W0, GAMMA, GAMMA / 2)
-        assert green(W0, g) == pytest.approx(2.0j / (1.5 * GAMMA), rel=1e-12)
+        assert green(W0, g) == pytest.approx(2.0j / (1.5 * GAMMA), rel=1e-12, abs=0.0)
 
     def test_degenerate_on_resonance_raises(self):
         from sqfluor.spectral import DegenerateParametersError

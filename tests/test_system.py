@@ -77,14 +77,14 @@ class TestRadiativeRate:
     def test_dipole_hand_evaluation(self):
         # Independent arithmetic with literal constants: the projected matrix
         # element is one third of Gamma * 3 pi eps0 c^3 hbar / omega^3.
-        eps0 = 8.8541878128e-12
+        eps0 = 8.8541878188e-12  # CODATA 2022
         c = 2.99792458e8
-        hbar = 1.054571817e-34
+        hbar = 1.0545718176461565e-34  # CODATA 2022: h / 2 pi, h = 6.62607015e-34 exactly
         omega = 2.0 * np.pi * c / 895e-9
         gamma = CS_RATES["gamma_r"]["ba"]
         by_hand = gamma * 3.0 * np.pi * eps0 * c**3 * hbar / omega**3 / 3.0
-        assert dipole_from_rate(gamma, omega) == pytest.approx(by_hand, rel=1e-9)
-        assert by_hand == pytest.approx(CS_MU_SQ_BA_GOLDEN, rel=1e-9)
+        assert dipole_from_rate(gamma, omega) == pytest.approx(by_hand, rel=1e-9, abs=0.0)
+        assert by_hand == pytest.approx(CS_MU_SQ_BA_GOLDEN, rel=1e-9, abs=0.0)
 
 
 class TestEta:
@@ -100,14 +100,14 @@ class TestEta:
         system, coupling = cs_system
         base = eta_prefactor(system, coupling, 1.0e15, 2.0e15).eta
         assert eta_prefactor(system, coupling, 3.0e15, 2.0e15).eta == pytest.approx(
-            3.0 * base, rel=1e-12
+            3.0 * base, rel=1e-12, abs=0.0
         )
         assert eta_prefactor(system, coupling, 1.0e15, 5.0e15).eta == pytest.approx(
-            2.5 * base, rel=1e-12
+            2.5 * base, rel=1e-12, abs=0.0
         )
 
     def test_cs_golden_value(self, cs_eta):
-        assert cs_eta.eta == pytest.approx(CS_ETA_GOLDEN, rel=1e-9)
+        assert cs_eta.eta == pytest.approx(CS_ETA_GOLDEN, rel=1e-9, abs=0.0)
 
 
 class TestCrossSection:
@@ -115,7 +115,7 @@ class TestCrossSection:
         system, _ = cs_system
         peak = cross_section(system.omega_ba, system.omega_cb, system, cs_eta)
         expected = cs_eta.eta * (2.0 / (np.pi * system.gamma_c)) * (4.0 / system.gamma_b**2)
-        assert peak == pytest.approx(expected, rel=1e-12)
+        assert peak == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_lorentzian_falloff_at_fixed_sum(self, cs_system, cs_eta):
         system, _ = cs_system
@@ -135,7 +135,7 @@ class TestCrossSection:
         shape = LorentzianLineshape(system.omega_ca, system.gamma_c)
         g = GreenFunctionParams(system.omega_ba, system.gamma_b, 0.0)
         oracle = cs_eta.eta * lorentzian(w_i + w_ii, shape) * np.abs(green(w_i, g)) ** 2
-        assert np.allclose(direct, oracle, rtol=1e-12)
+        assert np.allclose(direct, oracle, rtol=1e-12, atol=0.0)
 
     def test_argmax_in_band_i_at_resonance(self, cs_system, cs_eta):
         system, _ = cs_system
