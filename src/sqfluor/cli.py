@@ -289,8 +289,12 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
 
 
 def emit(rows: list[dict], columns: list[str], cfg: RunConfig, path,
-         reproducible: bool = False, json_mirror: bool | None = None) -> None:
-    """CSV with a comment header recording config hash and settings."""
+         reproducible: bool = False) -> None:
+    """CSV with a comment header recording config hash and settings.
+
+    With `output.json_mirror` set in the config, the rows also go to
+    `<path>.json`.
+    """
     lines = [
         f"# sqfluor {__version__}",
         f"# config_hash: sha256:{cfg.config_hash}",
@@ -307,8 +311,7 @@ def emit(rows: list[dict], columns: list[str], cfg: RunConfig, path,
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
-    mirror = cfg.output["json_mirror"] if json_mirror is None else json_mirror
-    if mirror:
+    if cfg.output["json_mirror"]:
         payload = {
             "config_hash": cfg.config_hash,
             "columns": columns,

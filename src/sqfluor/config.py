@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -198,6 +199,8 @@ def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
 
 
 _REGIMES = ("squeezed_cw", "squeezed_pulsed")
+_FRACTION_KEYS = ("rel_tol", "trunc_tol", "mode_weight_tail", "sample_rel_tol")
+_INTEGER_MINIMA = {"max_doublings": 1, "jsa_points": 3}
 
 
 def _load_source(cfg: dict, log: list) -> dict:
@@ -267,9 +270,21 @@ def _load_numerics(cfg: dict, log: list) -> dict:
                 log.append(f"numerics.{key} defaulted to {default}")
     if out["decomposition"] not in ("auto", "svd", "analytic"):
         raise ConfigError("numerics.decomposition must be auto, svd, or analytic")
-    out["max_doublings"] = int(out["max_doublings"])
-    out["jsa_points"] = int(out["jsa_points"])
+    for key in _FRACTION_KEYS:
+        value = out[key]
+        if not (_is_finite_number(value) and 0.0 < value < 1.0):
+            raise ConfigError(f"numerics.{key} must be a number in (0, 1), got {value!r}")
+    for key, minimum in _INTEGER_MINIMA.items():
+        value = out[key]
+        if not (_is_finite_number(value) and value == int(value) and value >= minimum):
+            raise ConfigError(f"numerics.{key} must be an integer >= {minimum}, got {value!r}")
+        out[key] = int(value)
     return out
+
+
+def _is_finite_number(value) -> bool:
+    """A finite JSON number; booleans and strings are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _load_output(cfg: dict, log: list) -> dict:

@@ -157,9 +157,6 @@ class RegimeViolationError(ValueError):
     """A closed-form limit was requested outside its regime of validity."""
 
 
-_UNIT_ETA = CrossSectionPrefactor(1.0)
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Maximum second-order intermediate-state population and the 0.1-rule flag."""
@@ -279,7 +276,7 @@ def _single_pair_decomposition(src: ClassicalPulsed) -> SchmidtDecomposition:
     grid_ii, f_ii = table(src.amp_ii)
     return SchmidtDecomposition(
         p=np.ones(1), f_i=f_i, f_ii=f_ii, grid_i=grid_i, grid_ii=grid_ii,
-        beta_mag=0.0, theta=0.0, tail=0.0,
+        beta_mag=0.0, tail=0.0,
     )
 
 
@@ -963,10 +960,10 @@ def max_intermediate_population(
     """Peak second-order population of the intermediate state |b>.
 
     CW sources use the time-independent closed forms (classical flux or the
-    squeezed photon spectral density s_I^2); a classical pulse pair scans a
-    time grid spanning +/-6 pulse durations.  `opts` sets the squeezed CW
-    quadrature.  The squeezed pulsed population comes with its probability,
-    as the validity of `p_squeezed_pulsed(..., coupling)`.
+    squeezed photon spectral density s_I^2); `opts` sets the squeezed CW
+    quadrature.  Pulsed populations come with their probabilities, as the
+    validity of `p_classical_pulsed(..., coupling)` and
+    `p_squeezed_pulsed(..., coupling)`.
     """
     if isinstance(src, ClassicalCW):
         kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
@@ -988,13 +985,6 @@ def max_intermediate_population(
             smooth_width=src.sigma_c_bar, smooth_scale=_cw_gain_scale(src), opts=opts,
         )
         return float(kappa * np.real(integral) / (TWO_PI * area))
-    if isinstance(src, ClassicalPulsed):
-        if src.n_photons_i == 0.0:
-            return 0.0
-        engine = PulsedExcitationEngine(
-            _single_pair_decomposition(src), sys, _UNIT_ETA, _a_eff_value(a_eff)
-        )
-        return _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _SQRT_2LN2 = np.sqrt(2.0 * np.log(2.0))
+Z_SPAN_FACTOR = 10.0  # z half-span in units of the longest of l0 and the Rayleigh ranges
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,6 @@ class AtomCloud:
     def l0(self) -> float:
         return np.sqrt(2.0 * PI) * self.sigma
 
-    def density(self, x, y, z):
-        """Number density (atoms/m^3); integrates to n_atoms."""
-        norm = (2.0 * PI * self.sigma**2) ** 1.5
-        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2 + np.asarray(z) ** 2
-        return self.n_atoms * np.exp(-r2 / (2.0 * self.sigma**2)) / norm
-
 
 @dataclass(frozen=True)
 class EffectiveArea:
@@ -124,7 +119,6 @@ def effective_area(
     beam_ii: BeamProfile,
     cloud: AtomCloud,
     opts: NumericsOptions = DEFAULT_NUMERICS,
-    span_factor: float = 10.0,
     base_points: int = 8001,
 ) -> EffectiveArea:
     """Converged z-quadrature of the beam-overlap integral (beams may differ).
@@ -151,7 +145,7 @@ def effective_area(
     for beam in (beam_i, beam_ii):
         if beam.rayleigh_range is not None:
             spans.append(beam.rayleigh_range)
-    half_span = span_factor * max(spans)
+    half_span = Z_SPAN_FACTOR * max(spans)
     grid = SpectralGrid(0.0, half_span, base_points)
     inv_a2, rel_err = quad_converged(inv_a2_density, grid, opts.rel_tol, opts.max_doublings)
     if not inv_a2 > 0.0:

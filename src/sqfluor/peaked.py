@@ -25,7 +25,15 @@ from typing import Callable
 import numpy as np
 from scipy.special import voigt_profile, wofz
 
-from .spectral import SpectralGrid, quad_1d, quad_converged
+from .spectral import (
+    GreenFunctionParams,
+    LorentzianLineshape,
+    SpectralGrid,
+    green,
+    lorentzian,
+    quad_1d,
+    quad_converged,
+)
 
 __all__ = [
     "NumericsOptions",
@@ -74,11 +82,11 @@ class PeakedKernel:
             raise ValueError("kernel gamma must be positive")
 
     def __call__(self, omega):
-        delta = np.asarray(omega, dtype=float) - self.center
         if self.kind == "green":
-            return 1.0 / (-delta - 0.5j * self.gamma)
+            return green(omega, GreenFunctionParams(self.center, self.gamma))
         if self.kind == "lorentzian":
-            return (self.gamma / (2.0 * np.pi)) / (delta * delta + 0.25 * self.gamma**2)
+            return lorentzian(omega, LorentzianLineshape(self.center, self.gamma))
+        delta = np.asarray(omega, dtype=float) - self.center
         return 1.0 / (delta * delta + 0.25 * self.gamma**2)
 
     def gaussian_moments(self, window: float):

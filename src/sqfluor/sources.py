@@ -17,8 +17,9 @@ Pulsed squeezed light uses the double-Gaussian joint spectral amplitude
                      * exp(-((wI - wbarI) - (wII - wbarII))^2 / (4 sigma_c^2)),
 
 decomposed into Schmidt super-modes by SVD of the step-weighted grid matrix.
-The global pump phase theta lives on the squeezing parameter, never in the
-mode tables, so every observable is invariant under it.
+Each mode pair (f_In, f_IIn) is defined only up to a common sign, and no
+sign is fixed here: every observable reads the products f_In f_IIn or
+moduli of sums linear in one table.
 """
 
 from __future__ import annotations
@@ -41,16 +42,12 @@ __all__ = [
     "gain_functions_cw",
     "photon_rate_cw",
     "jsa_eval",
-    "marginal_sigma",
     "schmidt_decompose",
     "schmidt_decompose_analytic",
     "geometric_mode_ratio",
     "hermite_function_table",
     "default_jsa_grids",
     "photon_number_pulsed",
-    "g2_cw",
-    "G2PulsedKernels",
-    "g2_pulsed_kernels",
     "export_jsi_csv",
     "export_schmidt_csv",
     "GridTooCoarseError",
@@ -58,7 +55,7 @@ __all__ = [
 
 JSA_GRID_POINTS = 512  # default discretization per axis
 JSA_GRID_SPAN_SIGMAS = 8.0  # half-span in units of sigma_c
-MODE_REFERENCE_FRACTION = 0.01  # threshold for picking a sign-reference point
+MAX_ANALYTIC_MODES = 2000  # mode cap of the closed-form decomposition
 
 
 class GridTooCoarseError(NumericalError, ValueError):
@@ -138,7 +135,6 @@ class SqueezedPulsed:
     sigma_c: float
     center_i: float
     center_ii: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if self.beta < 0.0:
@@ -210,23 +206,11 @@ def jsa_eval(omega_i, omega_ii, src: SqueezedPulsed):
     )
 
 
-def marginal_sigma(src: SqueezedPulsed) -> float:
-    """Single-photon marginal amplitude width of the double Gaussian.
-
-    |gamma|^2 integrated over the partner frequency is Gaussian with intensity
-    width such that the amplitude sigma is sqrt((sigma_p^2 + sigma_c^2)/2);
-    equals sigma_c exactly in the separable case sigma_p = sigma_c.
-    """
-    return np.sqrt(0.5 * (src.sigma_p**2 + src.sigma_c**2))
-
-
 def default_jsa_grids(
-    src: SqueezedPulsed,
-    n_points: int = JSA_GRID_POINTS,
-    span_sigmas: float = JSA_GRID_SPAN_SIGMAS,
+    src: SqueezedPulsed, n_points: int = JSA_GRID_POINTS
 ) -> tuple[SpectralGrid, SpectralGrid]:
     n = n_points if n_points % 2 == 1 else n_points + 1
-    half = span_sigmas * src.sigma_c
+    half = JSA_GRID_SPAN_SIGMAS * src.sigma_c
     return (
         SpectralGrid(src.center_i, half, n),
         SpectralGrid(src.center_ii, half, n),
@@ -247,7 +231,6 @@ class SchmidtDecomposition:
     grid_i: SpectralGrid
     grid_ii: SpectralGrid
     beta_mag: float
-    theta: float
     tail: float
 
     @property
@@ -266,9 +249,9 @@ class SchmidtDecomposition:
     def c_n(self) -> np.ndarray:
         return np.cosh(self.beta_n)
 
-    def with_beta(self, beta_mag: float, theta: float | None = None) -> "SchmidtDecomposition":
+    def with_beta(self, beta_mag: float) -> "SchmidtDecomposition":
         """Same modes with a different squeezing strength (no new SVD)."""
-        return replace(self, beta_mag=float(beta_mag), theta=self.theta if theta is None else theta)
+        return replace(self, beta_mag=float(beta_mag))
 
     def truncated(self, n_keep: int) -> "SchmidtDecomposition":
         """Keep the first n_keep modes; the dropped weight moves to the tail."""
@@ -284,7 +267,7 @@ class SchmidtDecomposition:
             tail=self.tail + dropped,
         )
 
-    def weighted_mode_count(self, rel_tail: float = 1e-3) -> int:
+    def weighted_mode_count(self, rel_tail: float) -> int:
         """Modes needed so the dropped sinh^2 photon weight is below rel_tail.
 
         The excitation sums weight pairs by the gains, not by p_n alone, so a
@@ -308,28 +291,6 @@ class SchmidtDecomposition:
             raise ValueError(f"evaluation outside the band-{band} mode grid")
         omega_arr = np.clip(omega_arr, pts[0], pts[-1])
         return np.vstack([np.interp(omega_arr, pts, row) for row in table])
-
-
-def _fix_mode_signs(f_i: np.ndarray, f_ii: np.ndarray, grid_i: SpectralGrid) -> None:
-    """Make each band-I mode real-nonnegative at (or just above) its center.
-
-    Odd modes vanish at the exact center, so the reference is the first point
-    at/above center where the mode reaches 1% of its peak.  The compensating
-    sign goes on the band-II partner, keeping every f_In*f_IIn product fixed.
-    """
-    pts = grid_i.points
-    center_idx = int(np.argmin(np.abs(pts - grid_i.center)))
-    for n in range(f_i.shape[0]):
-        row = f_i[n]
-        threshold = MODE_REFERENCE_FRACTION * np.max(np.abs(row))
-        idx = center_idx
-        while idx < len(row) and abs(row[idx]) < threshold:
-            idx += 1
-        if idx == len(row):
-            idx = int(np.argmax(np.abs(row)))
-        if row[idx] < 0.0:
-            f_i[n] = -row
-            f_ii[n] = -f_ii[n]
 
 
 def schmidt_decompose(
@@ -378,7 +339,6 @@ def schmidt_decompose(
 
     f_i = (u_mat[:, :n_keep].T / np.sqrt(grid_i.step)).copy()
     f_ii = (vh_mat[:n_keep, :] / np.sqrt(grid_ii.step)).copy()
-    _fix_mode_signs(f_i, f_ii, grid_i)
 
     return SchmidtDecomposition(
         p=p_all[:n_keep].copy(),
@@ -387,7 +347,6 @@ def schmidt_decompose(
         grid_i=grid_i,
         grid_ii=grid_ii,
         beta_mag=src.beta,
-        theta=src.theta,
         tail=tail,
     )
 
@@ -419,16 +378,15 @@ def schmidt_decompose_analytic(
     trunc_tol: float = 1e-10,
     grid_i: SpectralGrid | None = None,
     grid_ii: SpectralGrid | None = None,
-    max_modes: int = 2000,
 ) -> SchmidtDecomposition:
     """Closed-form decomposition of the double-Gaussian JSA.
 
     Mehler's expansion gives geometric weights p_n = (1-mu) mu^n with
     mu = ((sigma_c - sigma_p)/(sigma_c + sigma_p))^2 and Hermite-function
     modes of width sigma_s = sqrt(sigma_p sigma_c); the band-II partner of
-    mode n is its mirror image times (-1)^n.  Same data layout and sign
-    convention as the SVD route, so the two are interchangeable; this one
-    stays exact at mode counts no affordable SVD grid can hold.
+    mode n is its mirror image times (-1)^n.  Same data layout as the SVD
+    route, so the two are interchangeable up to the sign of each mode pair;
+    this one stays exact at mode counts no affordable SVD grid can hold.
     """
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must be in (0, 1)")
@@ -437,7 +395,7 @@ def schmidt_decompose_analytic(
     if mu == 0.0:
         n_keep = 1
     else:
-        n_keep = min(int(np.ceil(np.log(trunc_tol) / np.log(mu))), max_modes)
+        n_keep = min(int(np.ceil(np.log(trunc_tol) / np.log(mu))), MAX_ANALYTIC_MODES)
     tail = 0.0 if mu == 0.0 else float(mu**n_keep)
 
     if grid_i is None or grid_ii is None:
@@ -455,7 +413,6 @@ def schmidt_decompose_analytic(
     f_i = hermite_function_table(n_keep, (grid_i.points - src.center_i) / sigma_s) / np.sqrt(sigma_s)
     f_ii = hermite_function_table(n_keep, (grid_ii.points - src.center_ii) / sigma_s) / np.sqrt(sigma_s)
     f_ii *= np.where(n % 2 == 0, 1.0, -1.0)[:, None]
-    _fix_mode_signs(f_i, f_ii, grid_i)
 
     return SchmidtDecomposition(
         p=p,
@@ -464,7 +421,6 @@ def schmidt_decompose_analytic(
         grid_i=grid_i,
         grid_ii=grid_ii,
         beta_mag=src.beta,
-        theta=src.theta,
         tail=tail,
     )
 
@@ -474,67 +430,6 @@ def photon_number_pulsed(dec: SchmidtDecomposition) -> float:
     if dec.beta_mag == 0.0:
         return 0.0
     return float(np.sum(dec.s_n**2))
-
-
-def g2_cw(omega_i, omega_ii, omega_i_prime, omega_ii_prime, src: SqueezedCW):
-    """Delta-limit CW correlation kernels at the given frequency arguments.
-
-    Returns (coherent, incoherent): the coherent kernel is the factorized
-    s c e^{i theta} product over unprimed/primed band-I arguments (meaningful
-    on the energy shell wI + wII = wI' + wII' = pump center); the incoherent
-    kernel is the diagonal photon-density product s_I^2(wI) s_II^2(wII).
-    """
-    s, c, theta = gain_functions_cw(omega_i, src, "I")
-    s_p, c_p, theta_p = gain_functions_cw(omega_i_prime, src, "I")
-    coherent = s * c * np.exp(1j * theta) * s_p * c_p * np.exp(-1j * theta_p)
-    s_i, _, _ = gain_functions_cw(omega_i, src, "I")
-    s_ii, _, _ = gain_functions_cw(omega_ii, src, "II")
-    incoherent = s_i**2 * s_ii**2
-    return coherent, incoherent
-
-
-class G2PulsedKernels:
-    """Pulsed correlation kernels assembled from a Schmidt decomposition.
-
-    Evaluators take the sum frequency w = wI + wII and wI, mirroring the
-    integrands of the excitation formulas; mode tables are interpolated
-    linearly and evaluation outside the tables raises.
-    """
-
-    def __init__(self, dec: SchmidtDecomposition):
-        self.dec = dec
-
-    def coherent(self, omega, omega_i):
-        f_ii = self.dec.modes_at("II", np.asarray(omega) - np.asarray(omega_i))
-        f_i = self.dec.modes_at("I", omega_i)
-        return np.squeeze(np.sum(self.dec.s_n[:, None] * self.dec.c_n[:, None] * f_ii * f_i, axis=0))
-
-    def incoherent_family(self, omega, omega_i):
-        """(n, m) matrix of f_IIn(w - wI) f_Im(wI) s_n s_m at scalar arguments."""
-        f_ii = self.dec.modes_at("II", float(omega) - float(omega_i))[:, 0]
-        f_i = self.dec.modes_at("I", float(omega_i))[:, 0]
-        s = self.dec.s_n
-        return np.outer(s * f_ii, s * f_i)
-
-    def g1_value(self, band: str, omega):
-        """Diagonal first-order correlation sum_n s_n^2 |f_n|^2."""
-        f = self.dec.modes_at(band, omega)
-        return np.squeeze(np.sum(self.dec.s_n[:, None] ** 2 * f * f, axis=0))
-
-    def g2_coherent_value(self, omega_i, omega_ii):
-        """|sum_n f_IIn(wII) f_In(wI) s_n c_n|^2 at equal primed/unprimed args."""
-        f_ii = self.dec.modes_at("II", omega_ii)
-        f_i = self.dec.modes_at("I", omega_i)
-        amp = np.sum(self.dec.s_n[:, None] * self.dec.c_n[:, None] * f_ii * f_i, axis=0)
-        return np.squeeze(np.abs(amp) ** 2)
-
-    def g2_incoherent_value(self, omega_i, omega_ii):
-        """G1_I(wI) G1_II(wII) at equal primed/unprimed args."""
-        return self.g1_value("I", omega_i) * self.g1_value("II", omega_ii)
-
-
-def g2_pulsed_kernels(dec: SchmidtDecomposition) -> G2PulsedKernels:
-    return G2PulsedKernels(dec)
 
 
 def export_jsi_csv(src: SqueezedPulsed, grid_i: SpectralGrid, grid_ii: SpectralGrid, path):

@@ -61,7 +61,7 @@ class ConvergenceError(NumericalError, RuntimeError):
         self.previous = previous
         self.rel_err = rel_err
         super().__init__(
-            f"quadrature did not converge: last={last!r}, previous={previous!r}, "
+            f"quadrature did not converge: last={last:.17g}, previous={previous:.17g}, "
             f"rel_err={rel_err:.3e}"
         )
 
@@ -202,15 +202,13 @@ def quad_converged(
     grid: SpectralGrid,
     rel_tol: float = 1e-6,
     max_doublings: int = 6,
-    strict: bool = True,
 ):
     """quad_1d with grid doubling until two estimates agree to rel_tol.
 
     Returns (value, achieved_rel_err).  The relative delta is measured against
-    the finer estimate; an exactly-zero pair converges immediately.  With
-    strict=True a ConvergenceError (carrying both last estimates) is raised
-    when the cap is hit; otherwise the last value is returned with its
-    achieved error so that a poor result is reported, never silent.
+    the larger of the two estimates; an exactly-zero pair converges
+    immediately.  A ConvergenceError carrying both last estimates is raised
+    when the cap is hit, so a poor result is never silent.
     """
     current = grid
     previous = quad_1d(f, current)
@@ -227,6 +225,4 @@ def quad_converged(
             return estimate, rel_err
         if level < max_doublings - 1:
             previous = estimate
-    if strict:
-        raise ConvergenceError(estimate, previous, rel_err)
-    return estimate, rel_err
+    raise ConvergenceError(estimate, previous, rel_err)

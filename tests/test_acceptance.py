@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import g2_pulsed_kernels
 
 from sqfluor.cli import CW_COLUMNS, emit, run_cw_sweep
 from sqfluor.config import load_config
@@ -28,7 +29,6 @@ from sqfluor.sources import (
     ClassicalCW,
     SqueezedCW,
     SqueezedPulsed,
-    g2_pulsed_kernels,
     geometric_mode_ratio,
     photon_rate_cw,
     schmidt_decompose,

@@ -159,6 +159,37 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="regime"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_doublings", 2.7),
+        ("max_doublings", 0),
+        ("max_doublings", "6"),
+        ("max_doublings", True),
+        ("jsa_points", 2),
+        ("jsa_points", 512.5),
+        ("rel_tol", -1.0),
+        ("rel_tol", 0.0),
+        ("rel_tol", 1.0),
+        ("rel_tol", "abc"),
+        ("rel_tol", True),
+        ("rel_tol", float("nan")),
+        ("trunc_tol", 2.0),
+        ("sample_rel_tol", "1e-3"),
+        ("mode_weight_tail", float("inf")),
+    ])
+    def test_numerics_are_type_checked(self, tmp_path, key, value):
+        path = with_numerics(tiny_cw_config(tmp_path), **{key: value})
+        with pytest.raises(ConfigError, match=f"numerics.{key}"):
+            load_config(path)
+
+    def test_integral_float_counts_are_stored_as_ints(self, tmp_path):
+        cfg = load_config(with_numerics(tiny_cw_config(tmp_path), max_doublings=6.0, jsa_points=513.0))
+        assert cfg.numerics["max_doublings"] == 6 and type(cfg.numerics["max_doublings"]) is int
+        assert cfg.numerics["jsa_points"] == 513 and type(cfg.numerics["jsa_points"]) is int
+        out = tmp_path / "header.csv"
+        emit([], CW_COLUMNS, cfg, out, reproducible=True)
+        header = out.read_text().splitlines()[2]
+        assert "jsa_points=513 " in header and "max_doublings=6 " in header
+
 
 class TestCwSweep:
     def test_row_count_and_invariants(self, tmp_path):
@@ -206,6 +237,7 @@ class TestCwSweep:
         for record in warnings:
             assert "ConvergenceError" in record.getMessage()
             assert "did not converge" in record.getMessage()
+            assert "np.float64" not in record.getMessage()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_programming_errors_propagate(self, tmp_path, monkeypatch, jobs):
@@ -307,10 +339,16 @@ class TestEmit:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_mirror(self, tmp_path):
-        cfg = load_config(tiny_cw_config(tmp_path))
-        rows = run_cw_sweep(cfg)[:2]
+        path = tiny_cw_config(tmp_path)
+        plain = load_config(path)
+        rows = run_cw_sweep(plain)[:2]
+        emit(rows, CW_COLUMNS, plain, tmp_path / "plain.csv", reproducible=True)
+        assert not (tmp_path / "plain.csv.json").exists()
+        raw = json.loads(path.read_text())
+        raw["output"] = {"path": "m.csv", "json_mirror": True}
+        path.write_text(json.dumps(raw))
         out = tmp_path / "m.csv"
-        emit(rows, CW_COLUMNS, cfg, out, reproducible=True, json_mirror=True)
+        emit(rows, CW_COLUMNS, load_config(path), out, reproducible=True)
         payload = json.loads((tmp_path / "m.csv.json").read_text())
         assert payload["columns"] == CW_COLUMNS
         assert len(payload["rows"]) == 2
@@ -324,6 +362,12 @@ class TestMain:
 
     def test_missing_config_file(self):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 2
+
+    def test_bad_numerics_is_a_config_error(self, tmp_path, capsys):
+        path = with_numerics(tiny_cw_config(tmp_path), max_doublings=2.7)
+        assert main(["cw-sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error: numerics.max_doublings" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_self_test(self, capsys):
         assert main(["self-test"]) == 0

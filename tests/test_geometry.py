@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import cloud_density
 
 from sqfluor.geometry import (
     AtomCloud,
@@ -38,7 +39,7 @@ def brute_force_inverse_area_sq(beam_i, beam_ii, cloud, n_xy=221, n_z=201):
             (2.0 / (np.pi * w2_i)) * (2.0 / (np.pi * w2_ii))
             * np.exp(-2.0 * (x[:, None] ** 2 + x[None, :] ** 2) * (1.0 / w2_i + 1.0 / w2_ii))
         )
-        rho = cloud.density(x[:, None], x[None, :], zi)
+        rho = cloud_density(cloud, x[:, None], x[None, :], zi)
         total += wzi * np.sum(profile * rho * wx[:, None] * wx[None, :])
     return total / cloud.n_atoms
 
@@ -70,7 +71,7 @@ class TestConversions:
         total = np.einsum(
             "i,j,k,ijk->",
             w, w, w,
-            cloud.density(x[:, None, None], x[None, :, None], x[None, None, :]),
+            cloud_density(cloud, x[:, None, None], x[None, :, None], x[None, None, :]),
         )
         assert total == pytest.approx(cloud.n_atoms, rel=1e-3)
 

@@ -91,3 +91,18 @@ def test_kernel_validation():
 
     with pytest.raises(ValueError):
         PeakedKernel("unknown", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("center, gamma", [(0.0, 0.7), (2.105e15, 3.0e7), (1.385e15, 2.9e7)])
+def test_kernels_evaluate_the_spectral_lineshapes_bit_for_bit(center, gamma):
+    # One formula per kernel: the green and lorentzian kinds are the
+    # spectral-module functions themselves, not copies of their formulas.
+    from sqfluor.spectral import GreenFunctionParams, LorentzianLineshape, green, lorentzian
+
+    w = center + np.linspace(-50.0, 50.0, 20_001) * gamma
+    assert np.array_equal(
+        green_kernel(center, gamma)(w), green(w, GreenFunctionParams(center, gamma))
+    )
+    assert np.array_equal(
+        lorentzian_kernel(center, gamma)(w), lorentzian(w, LorentzianLineshape(center, gamma))
+    )

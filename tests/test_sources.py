@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import g2_cw, g2_pulsed_kernels, marginal_sigma
 
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
@@ -9,13 +10,10 @@ from sqfluor.sources import (
     SqueezedCW,
     SqueezedPulsed,
     default_jsa_grids,
-    g2_cw,
-    g2_pulsed_kernels,
     gain_functions_cw,
     geometric_mode_ratio,
     hermite_function_table,
     jsa_eval,
-    marginal_sigma,
     photon_number_pulsed,
     photon_rate_cw,
     schmidt_decompose,

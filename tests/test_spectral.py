@@ -188,7 +188,13 @@ class TestQuadConverged:
         with pytest.raises(ConvergenceError) as info:
             quad_converged(step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3)
         assert info.value.last != info.value.previous
-        value, err = quad_converged(
-            step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3, strict=False
-        )
-        assert err > 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 0.5j])
+    def test_convergence_error_message_has_plain_numbers(self, scale):
+        step_fn = lambda x: scale * (x > 0.3333).astype(float)
+        with pytest.raises(ConvergenceError) as info:
+            quad_converged(step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3)
+        message = str(info.value)
+        assert "np." not in message
+        assert f"last={info.value.last:.17g}," in message
+        assert complex(message.split("last=")[1].split(",")[0]) == info.value.last
