@@ -10,7 +10,6 @@ from .excitation import (
     ExcitationOutcome,
     FluorescenceResult,
     PulsedExcitationEngine,
-    ValidityReport,
     energy_ledger,
     fluorescence,
     matched_classical_cw,

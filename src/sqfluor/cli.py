@@ -31,16 +31,15 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .constants import PI, TWO_PI
 from .excitation import (
-    VALIDITY_THRESHOLD,
-    PulsedEngineOptions,
+    ExcitationOutcome,
     PulsedExcitationEngine,
-    _pulsed_population,
     fluorescence,
     matched_classical_cw,
     matched_classical_pulsed,
     p_classical_pulsed,
     rate_classical_cw,
     rate_squeezed_cw,
+    within_validity,
 )
 from .geometry import effective_area
 from .sources import (
@@ -49,6 +48,7 @@ from .sources import (
     default_jsa_grids,
     export_jsi_csv,
     export_schmidt_csv,
+    photon_number_pulsed,
     photon_rate_cw,
     schmidt_decompose,
     schmidt_decompose_analytic,
@@ -126,7 +126,7 @@ def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
 def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
-    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options())
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
     opts = cfg.numerics_options()
     src_cfg = cfg.source
@@ -157,7 +157,6 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         out_cl = rate_classical_cw(src_cl, system, eta)
         fl_sq = fluorescence(out_sq, system, n_atoms)
         fl_cl = fluorescence(out_cl, system, n_atoms)
-        validity = out_sq.validity.passes if out_sq.validity else True
         return {
             "sigma_c_over_gamma_b": ratio,
             "beta_bar": beta_bar,
@@ -173,7 +172,7 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 out_sq.coherent / out_sq.incoherent if out_sq.incoherent else float("nan")
             ),
             "crossover": beta_bar >= 1.0,
-            "validity": validity,
+            "validity": within_validity(out_sq.max_population),
         }
 
     return _map_rows(compute, tasks, CW_COLUMNS, jobs)
@@ -189,12 +188,12 @@ class PhotonInversionError(NumericalError, ValueError):
 
 
 def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
-    """Invert N = sum sinh^2(beta sqrt(p_n)) for beta (monotone)."""
+    """Invert N = photon_number_pulsed(p, beta) for beta (monotone)."""
     if n_photons <= 0.0:
         return 0.0
 
     def excess(beta):
-        return float(np.sum(np.sinh(beta * np.sqrt(p_weights)) ** 2)) - n_photons
+        return photon_number_pulsed(p_weights, beta) - n_photons
 
     hi = 1.0
     while excess(hi) < 0.0:
@@ -216,48 +215,43 @@ def _decompose_for_panel(cfg: RunConfig, src: SqueezedPulsed):
 def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
-    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options())
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
     src_cfg = cfg.source
     photon_grid = _log_grid(
         src_cfg["photons_min"], src_cfg["photons_max"], src_cfg["points_per_decade"]
     )
-    engine_opts = PulsedEngineOptions(
-        sample_rel_tol=cfg.numerics["sample_rel_tol"],
-        mode_weight_tail=cfg.numerics["mode_weight_tail"],
-    )
-    branch = (system.gamma("cd") / system.gamma_c) * (system.gamma_r["da"] / system.gamma_d)
 
     rows: list[dict] = []
     for sp_ratio in src_cfg["sigma_p_over_gamma_b"]:
         for sc_ratio in src_cfg["sigma_c_over_sigma_p"]:
             sigma_p = sp_ratio * system.gamma_b
-            sigma_c = sc_ratio * sigma_p
             src = SqueezedPulsed(
-                beta=1.0, sigma_p=sigma_p, sigma_c=sigma_c,
+                sigma_p=sigma_p, sigma_c=sc_ratio * sigma_p,
                 center_i=system.omega_ba, center_ii=system.omega_cb,
             )
             dec = _decompose_for_panel(cfg, src)
             beta_max = _beta_for_photons(dec.p, photon_grid[-1])
-            working = dec.with_beta(beta_max)
-            working = working.truncated(
-                working.weighted_mode_count(engine_opts.mode_weight_tail)
+            working = dec.truncated(
+                dec.weighted_mode_count(beta_max, cfg.numerics["mode_weight_tail"])
             )
-            engine = PulsedExcitationEngine(working, system, eta, area, engine_opts)
+            engine = PulsedExcitationEngine(
+                working, system, eta, area, coupling, cfg.numerics["sample_rel_tol"]
+            )
             # Classical reference is exactly bilinear in the photon numbers.
             src_cl_ref = matched_classical_pulsed(
-                working.with_beta(_beta_for_photons(working.p, 1.0)), src
+                working, _beta_for_photons(working.p, 1.0), src
             )
             cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area)
             cl_unit = cl_ref.total / (src_cl_ref.n_photons_i * src_cl_ref.n_photons_ii)
 
-            def compute(task, _engine=engine, _working=working, _cl_unit=cl_unit):
+            def compute(task, _engine=engine, _p=working.p, _cl_unit=cl_unit):
                 n_photons = task["photons_per_pulse"]
-                beta = _beta_for_photons(_working.p, n_photons)
-                dec_b = _working.with_beta(beta)
-                out = _engine.outcome(dec_b)
-                pop = _pulsed_population(_engine, dec_b.s_n**2, coupling)
+                beta = _beta_for_photons(_p, n_photons)
+                out = _engine.outcome(beta)
                 p_cl = _cl_unit * n_photons**2
+                fl_sq = fluorescence(out, system, n_atoms)
+                fl_cl = fluorescence(ExcitationOutcome(p_cl, 0.0), system, n_atoms)
                 return {
                     "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
                     "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
@@ -266,12 +260,12 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     "p_classical": p_cl,
                     "p_sq_coherent": out.coherent,
                     "p_sq_incoherent": out.incoherent,
-                    "n_fluor_classical": p_cl * branch * n_atoms,
-                    "n_fluor_sq_coherent": out.coherent * branch * n_atoms,
-                    "n_fluor_sq_incoherent": out.incoherent * branch * n_atoms,
-                    "n_fluor_sq_total": out.total * branch * n_atoms,
-                    "crossover": beta * np.sqrt(_working.p[0]) >= 1.0,
-                    "validity": pop < VALIDITY_THRESHOLD,
+                    "n_fluor_classical": fl_cl.total,
+                    "n_fluor_sq_coherent": fl_sq.per_atom_coherent * n_atoms,
+                    "n_fluor_sq_incoherent": fl_sq.per_atom_incoherent * n_atoms,
+                    "n_fluor_sq_total": fl_sq.total,
+                    "crossover": beta * np.sqrt(_p[0]) >= 1.0,
+                    "validity": within_validity(out.max_population),
                 }
 
             tasks = [
@@ -379,7 +373,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> int:
     sigma_p = src_cfg["sigma_p_over_gamma_b"][0] * cfg.system.gamma_b
     sigma_c = src_cfg["sigma_c_over_sigma_p"][0] * sigma_p
     src = SqueezedPulsed(
-        beta=1.0, sigma_p=sigma_p, sigma_c=sigma_c,
+        sigma_p=sigma_p, sigma_c=sigma_c,
         center_i=cfg.system.omega_ba, center_ii=cfg.system.omega_cb,
     )
     dec = _decompose_for_panel(cfg, src)
@@ -428,15 +422,15 @@ def _self_test() -> int:
     gauss = quad_1d(lambda x: np.exp(-x * x), SpectralGrid(0.0, 8.0, 2001))
     checks.append(("Simpson Gaussian = sqrt(pi)", abs(gauss - np.sqrt(PI)) < 1e-8))
     src = SqueezedCW(beta_bar=0.7, sigma_c_bar=1e7, center_i=2e15, center_ii=1.4e15)
-    s, c, _ = gain_functions_cw(2e15 + np.linspace(-3e7, 3e7, 101), src, "I")
+    s, c = gain_functions_cw(2e15 + np.linspace(-3e7, 3e7, 101), src, "I")
     checks.append(("c^2 - s^2 = 1", float(np.max(np.abs(c * c - s * s - 1.0))) < 1e-12))
     rate = photon_rate_cw(SqueezedCW(0.01, 1e7, 2e15, 1.4e15))
     t_c = SqueezedCW(0.01, 1e7, 2e15, 1.4e15).t_c
     checks.append(("low-gain photon rate = beta^2/T_c", abs(rate * t_c / 1e-4 - 1) < 0.01))
-    sep = SqueezedPulsed(1.0, 1e7, 1e7, 2e15, 1.4e15)
+    sep = SqueezedPulsed(1e7, 1e7, 2e15, 1.4e15)
     dec = schmidt_decompose(sep)
     checks.append(("separable JSA has one mode", dec.n_modes == 1 and abs(dec.p[0] - 1) < 1e-6))
-    corr = SqueezedPulsed(1.0, 1e7, 1e8, 2e15, 1.4e15)
+    corr = SqueezedPulsed(1e7, 1e8, 2e15, 1.4e15)
     dec = schmidt_decompose(corr, trunc_tol=1e-8)
     mu = geometric_mode_ratio(corr)
     law = (1 - mu) * mu ** np.arange(10)

@@ -160,7 +160,10 @@ def _load_system(cfg: dict, log: list) -> tuple[FourLevelSystem, DipoleCoupling]
     rates = {"gamma_r": gamma_r}
     if gamma_nr is not None:
         rates["gamma_nr"] = gamma_nr
-    return cs_preset(rates, **wavelengths)
+    try:
+        return cs_preset(rates, **wavelengths)
+    except ValueError as exc:
+        raise ConfigError(f"system: {exc}") from exc
 
 
 def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
@@ -212,39 +215,51 @@ def _load_source(cfg: dict, log: list) -> dict:
         raise ConfigError(f"source.regime must be one of {_REGIMES}, got {regime!r}")
     out = {"regime": regime}
     if regime == "squeezed_cw":
-        out["sigma_c_over_gamma_b"] = [
-            parse_quantity(v, "dimensionless", "source.sigma_c_over_gamma_b")
-            for v in section.get("sigma_c_over_gamma_b", [0.01, 0.1, 1.0, 10.0, 100.0])
-        ]
+        out["sigma_c_over_gamma_b"] = _source_list(
+            section, "sigma_c_over_gamma_b", [0.01, 0.1, 1.0, 10.0, 100.0]
+        )
         if "sigma_c_over_gamma_b" not in section:
             log.append("source.sigma_c_over_gamma_b defaulted to [0.01, 0.1, 1, 10, 100]")
-        for key, default in (("beta_bar_min", 1e-3), ("beta_bar_max", 30.0),
-                             ("points_per_decade", 60)):
-            if key in section:
-                out[key] = parse_quantity(section[key], "dimensionless", f"source.{key}")
-            else:
-                out[key] = default
-                log.append(f"source.{key} defaulted to {default}")
+        axis = (("beta_bar_min", 1e-3), ("beta_bar_max", 30.0))
         out["match_rate_windows"] = bool(section.get("match_rate_windows", False))
     else:
-        out["sigma_p_over_gamma_b"] = [
-            parse_quantity(v, "dimensionless", "source.sigma_p_over_gamma_b")
-            for v in section.get("sigma_p_over_gamma_b", [0.1, 1.0, 10.0])
-        ]
-        out["sigma_c_over_sigma_p"] = [
-            parse_quantity(v, "dimensionless", "source.sigma_c_over_sigma_p")
-            for v in section.get("sigma_c_over_sigma_p", [1.0, 10.0, 100.0])
-        ]
+        out["sigma_p_over_gamma_b"] = _source_list(section, "sigma_p_over_gamma_b", [0.1, 1.0, 10.0])
+        out["sigma_c_over_sigma_p"] = _source_list(section, "sigma_c_over_sigma_p", [1.0, 10.0, 100.0])
+        if min(out["sigma_c_over_sigma_p"]) < 1.0:
+            raise ConfigError(
+                "source.sigma_c_over_sigma_p values must be >= 1 (anti-correlated regime), "
+                f"got {out['sigma_c_over_sigma_p']!r}"
+            )
         for key in ("sigma_p_over_gamma_b", "sigma_c_over_sigma_p"):
             if key not in section:
                 log.append(f"source.{key} defaulted to the three-panel grid")
-        for key, default in (("photons_min", 1e-2), ("photons_max", 1e4),
-                             ("points_per_decade", 60)):
-            if key in section:
-                out[key] = parse_quantity(section[key], "dimensionless", f"source.{key}")
-            else:
-                out[key] = default
-                log.append(f"source.{key} defaulted to {default}")
+        axis = (("photons_min", 1e-2), ("photons_max", 1e4))
+    for key, default in (*axis, ("points_per_decade", 60)):
+        if key in section:
+            out[key] = parse_quantity(section[key], "dimensionless", f"source.{key}")
+        else:
+            out[key] = default
+            log.append(f"source.{key} defaulted to {default}")
+        _require_positive(f"source.{key}", out[key])
+    (lo, _), (hi, _) = axis
+    if out[lo] > out[hi]:
+        raise ConfigError(f"source.{lo} ({out[lo]!r}) must not exceed source.{hi} ({out[hi]!r})")
+    return out
+
+
+def _require_positive(key: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+
+
+def _source_list(section: Mapping, key: str, default: list) -> list:
+    """A non-empty list of finite positive dimensionless values."""
+    values = section.get(key, default)
+    if not (isinstance(values, list) and values):
+        raise ConfigError(f"source.{key} must be a non-empty list, got {values!r}")
+    out = [parse_quantity(v, "dimensionless", f"source.{key}") for v in values]
+    for value in out:
+        _require_positive(f"source.{key}", value)
     return out
 
 

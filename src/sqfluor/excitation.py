@@ -8,7 +8,7 @@ verbatim.  Outer integrals are plain domega.
 
     p_cl_pulse   = eta (N_I/A)(N_II/A) Int L(w) |Int G_ba phi_I phi_II dbar|^2 dw
     r_cl_cw      = F_I F_II eta L(wI+wII) |G_ba(wI)|^2
-    r_sq_cw,c    = eta L(wp) |Int G_ba e^{i theta} s_I c_I dw/2pi|^2 / A^2
+    r_sq_cw,c    = eta L(wp) |Int G_ba s_I c_I dw/2pi|^2 / A^2
     r_sq_cw,ic   = eta IntInt L(w) |G_ba s_II(w - wI) s_I(wI)|^2 dw dwI/(2pi)^2 / A^2
     p_sq_pulse,c = eta Int L(w) |sum_n Int G_ba f_IIn f_In dbar s_n c_n|^2 dw / A^2
     p_sq_pulse,ic= eta Int L(w) sum_nm |Int G_ba f_IIn f_Im dbar s_n s_m|^2 dw / A^2
@@ -35,7 +35,6 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
-from .geometry import EffectiveArea
 from .peaked import (
     DEFAULT_NUMERICS,
     NumericsOptions,
@@ -51,6 +50,7 @@ from .sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
+    mode_squeezing,
     photon_number_pulsed,
 )
 from .spectral import (
@@ -69,7 +69,6 @@ __all__ = [
     "ExcitationOutcome",
     "FluorescenceResult",
     "EnergyLedger",
-    "ValidityReport",
     "RegimeViolationError",
     "p_classical_pulsed",
     "rate_classical_cw",
@@ -81,6 +80,7 @@ __all__ = [
     "energy_ledger",
     "population_integrals_from_probability",
     "max_intermediate_population",
+    "within_validity",
     "matched_classical_cw",
     "matched_classical_pulsed",
     "one_photon_coupling",
@@ -158,30 +158,18 @@ class RegimeViolationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ValidityReport:
-    """Maximum second-order intermediate-state population and the 0.1-rule flag."""
-
-    max_population: float
-    passes: bool
-
-    @classmethod
-    def from_population(cls, population: float) -> "ValidityReport":
-        return cls(max_population=population, passes=population < VALIDITY_THRESHOLD)
-
-
-@dataclass(frozen=True)
 class ExcitationOutcome:
     """Coherent/incoherent/total excitation, per atom.
 
-    `kind` is "probability" (pulsed) or "rate" (CW, per second); classical
-    regimes report incoherent = 0 by convention so one shape serves all.
+    A probability for pulses, a rate (per second) for CW beams; classical
+    light reports incoherent = 0 by convention so one shape serves all.
+    `max_population` is the peak intermediate-state population, present
+    when a dipole coupling was given (see `within_validity`).
     """
 
     coherent: float
     incoherent: float
-    regime: str  # {cw, pulsed} x {classical, squeezed}
-    kind: str
-    validity: ValidityReport | None = None
+    max_population: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -204,7 +192,6 @@ class FluorescenceResult:
     branching_cd_over_c: float
     branching_da_r_over_d: float
     n_atoms: float
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -234,12 +221,6 @@ def one_photon_coupling(omega: float, mu_sq: float) -> float:
     return omega * mu_sq / (2.0 * EPS0 * C_LIGHT * HBAR)
 
 
-def _a_eff_value(a_eff) -> float:
-    if isinstance(a_eff, EffectiveArea):
-        return a_eff.a_eff
-    return float(a_eff)
-
-
 # ---------------------------------------------------------------------------
 # classical light
 # ---------------------------------------------------------------------------
@@ -253,11 +234,8 @@ def rate_classical_cw(
 ) -> ExcitationOutcome:
     """Closed-form CW rate F_I F_II sigma(wI, wII); no quadrature involved."""
     rate = float(src.flux_i * src.flux_ii * cross_section(src.center_i, src.center_ii, sys, eta))
-    validity = None
-    if coupling is not None:
-        pop = max_intermediate_population(src, sys, coupling, a_eff=None)
-        validity = ValidityReport.from_population(pop)
-    return ExcitationOutcome(rate, 0.0, "cw_classical", "rate", validity)
+    pop = None if coupling is None else max_intermediate_population(src, sys, coupling)
+    return ExcitationOutcome(rate, 0.0, pop)
 
 
 def _single_pair_decomposition(src: ClassicalPulsed) -> SchmidtDecomposition:
@@ -275,8 +253,7 @@ def _single_pair_decomposition(src: ClassicalPulsed) -> SchmidtDecomposition:
     grid_i, f_i = table(src.amp_i)
     grid_ii, f_ii = table(src.amp_ii)
     return SchmidtDecomposition(
-        p=np.ones(1), f_i=f_i, f_ii=f_ii, grid_i=grid_i, grid_ii=grid_ii,
-        beta_mag=0.0, tail=0.0,
+        p=np.ones(1), f_i=f_i, f_ii=f_ii, grid_i=grid_i, grid_ii=grid_ii, tail=0.0,
     )
 
 
@@ -284,32 +261,25 @@ def p_classical_pulsed(
     src: ClassicalPulsed,
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
-    a_eff,
+    a_eff: float,
     coupling: DipoleCoupling | None = None,
 ) -> ExcitationOutcome:
     """Per-atom two-photon excitation probability for two classical pulses.
 
     One engine over the pulse pair gives both the probability and, with a
-    coupling, the validity population.  The diagnostic
+    coupling, the peak intermediate population.  The diagnostic
     `outer_sampling_rel_err` is NaN when the engine's stride ladder has a
     single stride, as it has for pulse widths of 0.1-100 Gamma_b: the
     sampling error is then not estimated.
     """
-    area = _a_eff_value(a_eff)
-    engine = PulsedExcitationEngine(_single_pair_decomposition(src), sys, eta, area)
-    validity = None
-    if coupling is not None:
-        pop = _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
-        validity = ValidityReport.from_population(pop)
+    engine = PulsedExcitationEngine(_single_pair_decomposition(src), sys, eta, a_eff, coupling)
+    pop = None if coupling is None else engine.population(np.array([src.n_photons_i]))
     if src.n_photons_i == 0.0 or src.n_photons_ii == 0.0:
-        return ExcitationOutcome(0.0, 0.0, "pulsed_classical", "probability", validity)
+        return ExcitationOutcome(0.0, 0.0, pop)
 
     value, rel = engine.converged_incoherent(np.ones((1, 1)))
-    prob = eta.eta * (src.n_photons_i / area) * (src.n_photons_ii / area) * value
-    return ExcitationOutcome(
-        prob, 0.0, "pulsed_classical", "probability", validity,
-        diagnostics={"outer_sampling_rel_err": rel},
-    )
+    prob = eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff) * value
+    return ExcitationOutcome(prob, 0.0, pop, diagnostics={"outer_sampling_rel_err": rel})
 
 
 # ---------------------------------------------------------------------------
@@ -326,38 +296,35 @@ def rate_squeezed_cw(
     src: SqueezedCW,
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
-    a_eff,
+    a_eff: float,
     coupling: DipoleCoupling | None = None,
     opts: NumericsOptions = DEFAULT_NUMERICS,
 ) -> ExcitationOutcome:
     """Coherent + incoherent CW squeezed excitation rates (converged quadrature)."""
-    area = _a_eff_value(a_eff)
-    validity = None
+    pop = None
     if coupling is not None:
-        pop = max_intermediate_population(src, sys, coupling, area, opts=opts)
-        validity = ValidityReport.from_population(pop)
+        pop = max_intermediate_population(src, sys, coupling, a_eff, opts=opts)
     if src.beta_bar == 0.0:
-        return ExcitationOutcome(0.0, 0.0, "cw_squeezed", "rate", validity)
+        return ExcitationOutcome(0.0, 0.0, pop)
 
     g_ba = green_kernel(sys.omega_ba, sys.gamma_b)
     scale = _cw_gain_scale(src)
 
     def coherent_smooth(w):
-        s, c, theta = gain_functions_cw(w, src, "I")
-        return s * c * np.exp(1j * theta)
+        s, c = gain_functions_cw(w, src, "I")
+        return s * c
 
     coh_integral = quad_kernel_smooth(
         g_ba, coherent_smooth, smooth_center=src.center_i,
         smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
     )
     l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
-    coherent = eta.eta * l_at_pump * abs(coh_integral / TWO_PI) ** 2 / area**2
+    coherent = eta.eta * l_at_pump * abs(coh_integral / TWO_PI) ** 2 / a_eff**2
 
     incoh_value, incoh_rel = _cw_incoherent_integral(src, sys, scale, opts)
-    incoherent = eta.eta * incoh_value / (TWO_PI**2 * area**2)
+    incoherent = eta.eta * incoh_value / (TWO_PI**2 * a_eff**2)
     return ExcitationOutcome(
-        coherent, incoherent, "cw_squeezed", "rate", validity,
-        diagnostics={"incoherent_sampling_rel_err": incoh_rel},
+        coherent, incoherent, pop, diagnostics={"incoherent_sampling_rel_err": incoh_rel}
     )
 
 
@@ -387,7 +354,7 @@ def cw_j_lattice(
     lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
 
     u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
-    s_u, _, _ = gain_functions_cw(u_axis, src, "II")
+    s_u, _ = gain_functions_cw(u_axis, src, "II")
     return w_i_pts, s_u * s_u, lam
 
 
@@ -443,7 +410,7 @@ def _cw_incoherent_integral(
         w_i_pts, u_tab, lam = cw_j_lattice(src, sys, scale, points_per_scale)
         j_vals = cw_j_pass(u_tab, lam, len(w_i_pts))
 
-        s_i, _, _ = gain_functions_cw(w_i_pts, src, "I")
+        s_i, _ = gain_functions_cw(w_i_pts, src, "I")
         outer_samples = s_i * s_i * j_vals
         abs2 = abs2_green_kernel(sys.omega_ba, sys.gamma_b)
 
@@ -467,7 +434,7 @@ def rate_squeezed_cw_broadband(
     src: SqueezedCW,
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
-    a_eff,
+    a_eff: float,
 ) -> ExcitationOutcome:
     """Broadband closed forms; guarded to sigma_c_bar >= 10 Gamma_b.
 
@@ -479,28 +446,17 @@ def rate_squeezed_cw_broadband(
             "broadband closed form requires sigma_c_bar >= 10 Gamma_b "
             f"(got ratio {src.sigma_c_bar / sys.gamma_b:.3g})"
         )
-    area = _a_eff_value(a_eff)
-    s, c, _ = gain_functions_cw(sys.omega_ba, src, "I")
+    s, c = gain_functions_cw(sys.omega_ba, src, "I")
     s, c = float(s), float(c)
-    coherent = eta.eta * s * s * c * c / (TWO_PI * sys.gamma_c * area**2)
-    incoherent = eta.eta * s**4 / (TWO_PI * sys.gamma_b * area**2)
-    return ExcitationOutcome(coherent, incoherent, "cw_squeezed_broadband", "rate")
+    coherent = eta.eta * s * s * c * c / (TWO_PI * sys.gamma_c * a_eff**2)
+    incoherent = eta.eta * s**4 / (TWO_PI * sys.gamma_b * a_eff**2)
+    return ExcitationOutcome(coherent, incoherent)
 
 
 # ---------------------------------------------------------------------------
 # squeezed light, pulsed
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class PulsedEngineOptions:
-    """Numerics of the pulsed Schmidt-mode engine that a run may set."""
-
-    sample_rel_tol: float = 1e-3
-    mode_weight_tail: float = 1e-4
-
-
-DEFAULT_PULSED_OPTIONS = PulsedEngineOptions()
 
 POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or Gamma_b)
 SAMPLES_PER_SIGMA = 8.0  # coarsest outer sampling per band-I width
@@ -552,7 +508,9 @@ class PulsedExcitationEngine:
     core term when Gamma_c is unresolved), so T_nm is a scalar per mode pair
     and a beta sweep only re-weights the levels with s_n c_n / s_n s_m.  Both
     levels are read down one stride ladder (`ladder`), halving the stride
-    until two rungs agree.
+    until two rungs agree to `sample_rel_tol`.  The readers take the pump
+    strength |beta| and weight the engine's own modes by the gains of
+    `mode_squeezing`.
 
     Everything the public methods read is computed in __init__ and never
     changed afterwards, so one engine may serve many threads without a lock.
@@ -563,14 +521,16 @@ class PulsedExcitationEngine:
         dec: SchmidtDecomposition,
         sys: FourLevelSystem,
         eta: CrossSectionPrefactor,
-        a_eff,
-        opts: PulsedEngineOptions = DEFAULT_PULSED_OPTIONS,
+        a_eff: float,
+        coupling: DipoleCoupling | None = None,
+        sample_rel_tol: float = 1e-3,
     ):
         self.dec = dec
         self.sys = sys
         self.eta = eta
-        self.area = _a_eff_value(a_eff)
-        self.opts = opts
+        self.area = a_eff
+        self.coupling = coupling
+        self.sample_rel_tol = sample_rel_tol
         self._build_lattice()
         self._build_green_weights()
         if self.extract:
@@ -763,7 +723,7 @@ class PulsedExcitationEngine:
             value = evaluate(stride)
             if previous is not None:
                 rel = abs(value - previous) / max(abs(value), 1e-300)
-                if rel <= self.opts.sample_rel_tol:
+                if rel <= self.sample_rel_tol:
                     break
             previous = value
         return value, rel
@@ -776,10 +736,10 @@ class PulsedExcitationEngine:
 
         return self._converge_levels(evaluate)
 
-    def coherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:
-        """(value, sampling_rel_err) of the coherent pulsed probability."""
-        dec = dec or self.dec
-        weights = dec.s_n * dec.c_n
+    def coherent_probability(self, beta: float) -> tuple[float, float]:
+        """(value, sampling_rel_err) of the coherent pulsed probability at |beta|."""
+        r = mode_squeezing(self.dec.p, beta)
+        weights = np.sinh(r) * np.cosh(r)
 
         def evaluate(stride: int) -> float:
             amp = weights @ self.coherent_level(stride)
@@ -788,10 +748,9 @@ class PulsedExcitationEngine:
         value, rel = self._converge_levels(evaluate)
         return self.eta.eta * value / self.area**2, rel
 
-    def incoherent_probability(self, dec: SchmidtDecomposition | None = None) -> tuple[float, float]:
-        """(value, sampling_rel_err) of the incoherent pulsed probability."""
-        dec = dec or self.dec
-        s = dec.s_n
+    def incoherent_probability(self, beta: float) -> tuple[float, float]:
+        """(value, sampling_rel_err) of the incoherent pulsed probability at |beta|."""
+        s = np.sinh(mode_squeezing(self.dec.p, beta))
         value, rel = self.converged_incoherent(np.outer(s * s, s * s))
         return self.eta.eta * value / self.area**2, rel
 
@@ -817,22 +776,35 @@ class PulsedExcitationEngine:
         """max_t sum_n weights_n |M_n(t)|^2 (no coupling or area factors)."""
         return float(np.max(weights @ self.time_profiles))
 
-    def outcome(self, dec: SchmidtDecomposition | None = None) -> ExcitationOutcome:
-        """Coherent and incoherent probabilities with their diagnostics.
+    def population(self, weights: np.ndarray) -> float:
+        """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
 
-        A sampling error is NaN where its ladder has a single stride.
+        The weights are s_n^2 for squeezed modes and the band-I photon number
+        for a classical pulse.  Needs the engine's coupling.
         """
-        dec = dec or self.dec
-        if dec.beta_mag == 0.0:
-            return ExcitationOutcome(0.0, 0.0, "pulsed_squeezed", "probability")
-        coherent, rel_c = self.coherent_probability(dec)
-        incoherent, rel_ic = self.incoherent_probability(dec)
+        kappa = one_photon_coupling(self.dec.grid_i.center, self.coupling.mu_sq_ba)
+        return kappa * self.max_population_weighted(weights) / self.area
+
+    def outcome(self, beta: float) -> ExcitationOutcome:
+        """Coherent and incoherent probabilities at |beta|, with their diagnostics.
+
+        With a coupling, the peak intermediate population comes too.  A
+        sampling error is NaN where its ladder has a single stride.
+        """
+        pop = None
+        if self.coupling is not None:
+            s = np.sinh(mode_squeezing(self.dec.p, beta))
+            pop = self.population(s * s)
+        if beta == 0.0:
+            return ExcitationOutcome(0.0, 0.0, pop)
+        coherent, rel_c = self.coherent_probability(beta)
+        incoherent, rel_ic = self.incoherent_probability(beta)
         return ExcitationOutcome(
-            coherent, incoherent, "pulsed_squeezed", "probability",
+            coherent, incoherent, pop,
             diagnostics={
                 "coherent_sampling_rel_err": rel_c,
                 "incoherent_sampling_rel_err": rel_ic,
-                "truncation_tail": dec.tail,
+                "truncation_tail": self.dec.tail,
                 "core_extraction": self.extract,
             },
         )
@@ -840,27 +812,23 @@ class PulsedExcitationEngine:
 
 def p_squeezed_pulsed(
     dec: SchmidtDecomposition,
+    beta: float,
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
-    a_eff,
+    a_eff: float,
     coupling: DipoleCoupling | None = None,
-    opts: PulsedEngineOptions = DEFAULT_PULSED_OPTIONS,
+    *,
+    mode_weight_tail: float = 1e-4,
+    sample_rel_tol: float = 1e-3,
 ) -> ExcitationOutcome:
-    """Pulsed squeezed excitation probability from a Schmidt decomposition.
+    """Pulsed squeezed excitation probability at pump strength |beta|.
 
-    Modes that carry a negligible share of the gain weights (relative tail
-    opts.mode_weight_tail) are dropped before the engine is built.
+    Modes that carry less than `mode_weight_tail` of the sinh^2 gain weight
+    at |beta| are dropped before the engine is built.
     """
-    working = dec.truncated(dec.weighted_mode_count(opts.mode_weight_tail))
-    engine = PulsedExcitationEngine(working, sys, eta, a_eff, opts)
-    outcome = engine.outcome()
-    if coupling is None:
-        return outcome
-    pop = _pulsed_population(engine, working.s_n**2, coupling)
-    return ExcitationOutcome(
-        outcome.coherent, outcome.incoherent, outcome.regime, outcome.kind,
-        ValidityReport.from_population(pop), outcome.diagnostics,
-    )
+    working = dec.truncated(dec.weighted_mode_count(beta, mode_weight_tail))
+    engine = PulsedExcitationEngine(working, sys, eta, a_eff, coupling, sample_rel_tol)
+    return engine.outcome(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +840,6 @@ def fluorescence(
     outcome: ExcitationOutcome, sys: FourLevelSystem, n_atoms: float
 ) -> FluorescenceResult:
     """n = p (Gamma_cd/Gamma_c)(Gamma_da^r/Gamma_d) N_atoms, split preserved."""
-    if not sys.gamma_d > 0.0:
-        raise ValueError("Gamma_d must be positive for fluorescence bookkeeping")
     branch_cd = sys.gamma("cd") / sys.gamma_c
     branch_da = sys.gamma_r["da"] / sys.gamma_d
     factor = branch_cd * branch_da
@@ -888,7 +854,6 @@ def fluorescence(
         branching_cd_over_c=branch_cd,
         branching_da_r_over_d=branch_da,
         n_atoms=n_atoms,
-        kind=outcome.kind,
     )
 
 
@@ -938,23 +903,16 @@ def population_integrals_from_probability(
 # ---------------------------------------------------------------------------
 
 
-def _pulsed_population(
-    engine: PulsedExcitationEngine, weights: np.ndarray, coupling: DipoleCoupling
-) -> float:
-    """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
-
-    The weights are s_n^2 for squeezed modes and the band-I photon number
-    for a classical pulse.
-    """
-    kappa = one_photon_coupling(engine.dec.grid_i.center, coupling.mu_sq_ba)
-    return kappa * engine.max_population_weighted(weights) / engine.area
+def within_validity(max_population: float) -> bool:
+    """The perturbative rule: peak intermediate population below VALIDITY_THRESHOLD."""
+    return max_population < VALIDITY_THRESHOLD
 
 
 def max_intermediate_population(
     src,
     sys: FourLevelSystem,
     coupling: DipoleCoupling,
-    a_eff=None,
+    a_eff: float | None = None,
     opts: NumericsOptions = DEFAULT_NUMERICS,
 ) -> float:
     """Peak second-order population of the intermediate state |b>.
@@ -962,7 +920,7 @@ def max_intermediate_population(
     CW sources use the time-independent closed forms (classical flux or the
     squeezed photon spectral density s_I^2); `opts` sets the squeezed CW
     quadrature.  Pulsed populations come with their probabilities, as the
-    validity of `p_classical_pulsed(..., coupling)` and
+    `max_population` of `p_classical_pulsed(..., coupling)` and
     `p_squeezed_pulsed(..., coupling)`.
     """
     if isinstance(src, ClassicalCW):
@@ -972,19 +930,18 @@ def max_intermediate_population(
     if isinstance(src, SqueezedCW):
         if src.beta_bar == 0.0:
             return 0.0
-        area = _a_eff_value(a_eff)
         kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
         abs2 = abs2_green_kernel(sys.omega_ba, sys.gamma_b)
 
         def smooth(w):
-            s, _, _ = gain_functions_cw(w, src, "I")
+            s, _ = gain_functions_cw(w, src, "I")
             return s * s
 
         integral = quad_kernel_smooth(
             abs2, smooth, smooth_center=src.center_i,
             smooth_width=src.sigma_c_bar, smooth_scale=_cw_gain_scale(src), opts=opts,
         )
-        return float(kappa * np.real(integral) / (TWO_PI * area))
+        return float(kappa * np.real(integral) / (TWO_PI * a_eff))
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 
@@ -993,7 +950,7 @@ def max_intermediate_population(
 # ---------------------------------------------------------------------------
 
 
-def matched_classical_cw(src: SqueezedCW, a_eff, photon_rate: float) -> ClassicalCW:
+def matched_classical_cw(src: SqueezedCW, a_eff: float, photon_rate: float) -> ClassicalCW:
     """Classical CW reference at the squeezed photon rate, same centers.
 
     The comparison protocol keeps each classical beam narrowband and on the
@@ -1002,15 +959,17 @@ def matched_classical_cw(src: SqueezedCW, a_eff, photon_rate: float) -> Classica
     the band-II photon density is the same Gaussian gain profile shifted to
     its own center, so its integral is the same.
     """
-    flux = photon_rate / _a_eff_value(a_eff)
+    flux = photon_rate / a_eff
     return ClassicalCW(
         flux_i=flux, flux_ii=flux, center_i=src.center_i, center_ii=src.center_ii,
     )
 
 
-def matched_classical_pulsed(dec: SchmidtDecomposition, src: SqueezedPulsed) -> ClassicalPulsed:
-    """Classical pulse pair at the squeezed photon number with sigma_I = sigma_II = sigma_c."""
-    n_photons = photon_number_pulsed(dec)
+def matched_classical_pulsed(
+    dec: SchmidtDecomposition, beta: float, src: SqueezedPulsed
+) -> ClassicalPulsed:
+    """Classical pulse pair at the squeezed photon number at |beta|, sigma_I = sigma_II = sigma_c."""
+    n_photons = photon_number_pulsed(dec.p, beta)
     return ClassicalPulsed(
         amp_i=GaussianAmplitude(src.center_i, src.sigma_c),
         amp_ii=GaussianAmplitude(src.center_ii, src.sigma_c),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -47,6 +46,7 @@ __all__ = [
     "geometric_mode_ratio",
     "hermite_function_table",
     "default_jsa_grids",
+    "mode_squeezing",
     "photon_number_pulsed",
     "export_jsi_csv",
     "export_schmidt_csv",
@@ -94,16 +94,13 @@ class ClassicalCW:
 class SqueezedCW:
     """CW squeezed light: normalized gain |beta_bar|, Gaussian PMF width sigma_c_bar.
 
-    phase_fn, when given, maps angular frequency (band I argument) to the JSA
-    phase theta_I(w); default is the flat pump phase theta.
+    A flat pump phase cancels in every |.|^2 the rates take, so none is kept.
     """
 
     beta_bar: float
     sigma_c_bar: float
     center_i: float
     center_ii: float
-    theta: float = 0.0
-    phase_fn: Callable | None = None
 
     def __post_init__(self):
         if self.beta_bar < 0.0:
@@ -128,17 +125,18 @@ class SqueezedCW:
 
 @dataclass(frozen=True)
 class SqueezedPulsed:
-    """Pulsed squeezed light with the double-Gaussian JSA (anti-correlated regime)."""
+    """Pulsed squeezed light with the double-Gaussian JSA (anti-correlated regime).
 
-    beta: float
+    The pump strength |beta| is not part of the source: the Schmidt modes do
+    not depend on it, and every quantity that does takes it as an argument.
+    """
+
     sigma_p: float
     sigma_c: float
     center_i: float
     center_ii: float
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError("beta is a magnitude and must be nonnegative")
         if not self.sigma_p > 0.0:
             raise ValueError("sigma_p must be positive")
         if self.sigma_c < self.sigma_p:
@@ -158,22 +156,15 @@ def _band_params(src: SqueezedCW, band: str):
 
 
 def gain_functions_cw(omega, src: SqueezedCW, band: str = "I"):
-    """(s, c, theta) at omega for one frequency band.
+    """(s, c) at omega for one frequency band.
 
     c^2 - s^2 = 1 pointwise; s peaks at the band center where r_J = 1.
     """
     center = _band_params(src, band)
     omega_arr = np.asarray(omega, dtype=float)
-    if band == "II" and src.phase_fn is not None:
-        # phi_II(w) = phi_I(wbar_p - w): evaluate the user phase on band I.
-        theta = np.asarray(src.phase_fn(src.pump_center - omega_arr), dtype=float)
-    elif src.phase_fn is not None:
-        theta = np.asarray(src.phase_fn(omega_arr), dtype=float)
-    else:
-        theta = np.full_like(omega_arr, src.theta, dtype=float)
     r = np.exp(-((omega_arr - center) ** 2) / (2.0 * src.sigma_c_bar**2))
     arg = src.beta_bar * r
-    return np.sinh(arg), np.cosh(arg), theta
+    return np.sinh(arg), np.cosh(arg)
 
 
 def photon_rate_cw(
@@ -189,7 +180,7 @@ def photon_rate_cw(
     grid = SpectralGrid(center, 9.0 * src.sigma_c_bar, 4001)
 
     def integrand(w):
-        s, _, _ = gain_functions_cw(w, src, band)
+        s, _ = gain_functions_cw(w, src, band)
         return s * s
 
     value, _ = quad_converged(integrand, grid, rel_tol, max_doublings)
@@ -197,7 +188,7 @@ def photon_rate_cw(
 
 
 def jsa_eval(omega_i, omega_ii, src: SqueezedPulsed):
-    """Double-Gaussian JSA amplitude (global pump phase carried by beta, not here)."""
+    """Double-Gaussian JSA amplitude (the global pump phase cancels in every observable)."""
     x = np.asarray(omega_i, dtype=float) - src.center_i
     y = np.asarray(omega_ii, dtype=float) - src.center_ii
     norm = 1.0 / np.sqrt(PI * src.sigma_p * src.sigma_c)
@@ -219,10 +210,12 @@ def default_jsa_grids(
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Schmidt modes of a JSA on a grid, with the per-mode squeezing gains.
+    """Schmidt modes of a JSA on a grid.
 
     Mode tables are continuum-normalized: sum f^2 * step = 1.  p sums to one
     over the full (untruncated) spectrum; `tail` is the truncated remainder.
+    The modes do not depend on the pump strength; `mode_squeezing(p, beta)`
+    gives the squeezing parameter of each mode at any |beta|.
     """
 
     p: np.ndarray
@@ -230,28 +223,11 @@ class SchmidtDecomposition:
     f_ii: np.ndarray
     grid_i: SpectralGrid
     grid_ii: SpectralGrid
-    beta_mag: float
     tail: float
 
     @property
     def n_modes(self) -> int:
         return len(self.p)
-
-    @property
-    def beta_n(self) -> np.ndarray:
-        return self.beta_mag * np.sqrt(self.p)
-
-    @property
-    def s_n(self) -> np.ndarray:
-        return np.sinh(self.beta_n)
-
-    @property
-    def c_n(self) -> np.ndarray:
-        return np.cosh(self.beta_n)
-
-    def with_beta(self, beta_mag: float) -> "SchmidtDecomposition":
-        """Same modes with a different squeezing strength (no new SVD)."""
-        return replace(self, beta_mag=float(beta_mag))
 
     def truncated(self, n_keep: int) -> "SchmidtDecomposition":
         """Keep the first n_keep modes; the dropped weight moves to the tail."""
@@ -267,13 +243,14 @@ class SchmidtDecomposition:
             tail=self.tail + dropped,
         )
 
-    def weighted_mode_count(self, rel_tail: float) -> int:
-        """Modes needed so the dropped sinh^2 photon weight is below rel_tail.
+    def weighted_mode_count(self, beta: float, rel_tail: float) -> int:
+        """Modes needed so the dropped sinh^2 photon weight at |beta| is below rel_tail.
 
         The excitation sums weight pairs by the gains, not by p_n alone, so a
         high-gain evaluation can discard many low-p modes harmlessly.
         """
-        weights = self.s_n**2 if self.beta_mag > 0.0 else self.p
+        s = np.sinh(mode_squeezing(self.p, beta))
+        weights = s * s if beta > 0.0 else self.p
         total = float(np.sum(weights))
         if total == 0.0:
             return self.n_modes
@@ -346,7 +323,6 @@ def schmidt_decompose(
         f_ii=f_ii,
         grid_i=grid_i,
         grid_ii=grid_ii,
-        beta_mag=src.beta,
         tail=tail,
     )
 
@@ -420,16 +396,24 @@ def schmidt_decompose_analytic(
         f_ii=f_ii,
         grid_i=grid_i,
         grid_ii=grid_ii,
-        beta_mag=src.beta,
         tail=tail,
     )
 
 
-def photon_number_pulsed(dec: SchmidtDecomposition) -> float:
+def mode_squeezing(p: np.ndarray, beta: float) -> np.ndarray:
+    """r_n = |beta| sqrt(p_n), the squeezing parameter of each Schmidt mode.
+
+    Its gains are s_n = sinh(r_n) and c_n = cosh(r_n).
+    """
+    if not beta >= 0.0:
+        raise ValueError(f"beta is a magnitude and must be nonnegative, got {beta!r}")
+    return beta * np.sqrt(p)
+
+
+def photon_number_pulsed(p: np.ndarray, beta: float) -> float:
     """Total photons per pulse per band: sum_n sinh^2(|beta| sqrt(p_n))."""
-    if dec.beta_mag == 0.0:
-        return 0.0
-    return float(np.sum(dec.s_n**2))
+    s = np.sinh(mode_squeezing(p, beta))
+    return float(np.sum(s * s))
 
 
 def export_jsi_csv(src: SqueezedPulsed, grid_i: SpectralGrid, grid_ii: SpectralGrid, path):

@@ -83,8 +83,8 @@ class FourLevelSystem:
                 "energy loop not closed: omega_ba + omega_cb != omega_cd + omega_da "
                 f"(mismatch {closure:.3e} rad/s)"
             )
-        if not self.gamma_b > 0.0 or not self.gamma_c > 0.0:
-            raise ValueError("Gamma_b and Gamma_c must be positive")
+        if not (self.gamma_b > 0.0 and self.gamma_c > 0.0 and self.gamma_d > 0.0):
+            raise ValueError("Gamma_b, Gamma_c and Gamma_d must be positive")
 
     @property
     def omega_ca(self) -> float:

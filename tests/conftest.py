@@ -47,4 +47,4 @@ def mot_area(cs_system):
     w0 = waist_fwhm_to_w0(MOT_BEAM_FWHM)
     beam = BeamProfile(w0, wavelength=895e-9)
     cloud = AtomCloud(fwhm_to_sigma(MOT_CLOUD_FWHM), MOT_ATOMS)
-    return effective_area(beam, beam, cloud)
+    return effective_area(beam, beam, cloud).a_eff

@@ -9,11 +9,7 @@ classical pulse pair computed on its own engine.
 
 import numpy as np
 
-from sqfluor.excitation import (
-    PulsedExcitationEngine,
-    _pulsed_population,
-    _single_pair_decomposition,
-)
+from sqfluor.excitation import PulsedExcitationEngine, _single_pair_decomposition
 from sqfluor.geometry import AtomCloud
 from sqfluor.sources import (
     ClassicalPulsed,
@@ -21,6 +17,7 @@ from sqfluor.sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
+    mode_squeezing,
 )
 from sqfluor.system import CrossSectionPrefactor
 
@@ -35,6 +32,12 @@ def marginal_sigma(src: SqueezedPulsed) -> float:
     return np.sqrt(0.5 * (src.sigma_p**2 + src.sigma_c**2))
 
 
+def geometric_weights(mu: float, tail: float = 1e-10) -> np.ndarray:
+    """Schmidt weights p_n = (1 - mu) mu^n of the double-Gaussian JSA, cut at `tail`."""
+    n_modes = 1 if mu == 0.0 else int(np.ceil(np.log(tail) / np.log(mu)))
+    return (1.0 - mu) * mu ** np.arange(n_modes)
+
+
 def cloud_density(cloud: AtomCloud, x, y, z):
     """Number density (atoms/m^3) of the isotropic Gaussian cloud; integrates to n_atoms."""
     norm = (2.0 * np.pi * cloud.sigma**2) ** 1.5
@@ -46,51 +49,53 @@ def g2_cw(omega_i, omega_ii, omega_i_prime, omega_ii_prime, src: SqueezedCW):
     """Delta-limit CW correlation kernels at the given frequency arguments.
 
     Returns (coherent, incoherent): the coherent kernel is the factorized
-    s c e^{i theta} product over unprimed/primed band-I arguments (meaningful
-    on the energy shell wI + wII = wI' + wII' = pump center); the incoherent
+    s c product over unprimed/primed band-I arguments (meaningful on the
+    energy shell wI + wII = wI' + wII' = pump center); the incoherent
     kernel is the diagonal photon-density product s_I^2(wI) s_II^2(wII).
     """
-    s, c, theta = gain_functions_cw(omega_i, src, "I")
-    s_p, c_p, theta_p = gain_functions_cw(omega_i_prime, src, "I")
-    coherent = s * c * np.exp(1j * theta) * s_p * c_p * np.exp(-1j * theta_p)
-    s_ii, _, _ = gain_functions_cw(omega_ii, src, "II")
+    s, c = gain_functions_cw(omega_i, src, "I")
+    s_p, c_p = gain_functions_cw(omega_i_prime, src, "I")
+    coherent = s * c * s_p * c_p
+    s_ii, _ = gain_functions_cw(omega_ii, src, "II")
     incoherent = s**2 * s_ii**2
     return coherent, incoherent
 
 
 class G2PulsedKernels:
-    """Pulsed correlation kernels assembled from a Schmidt decomposition.
+    """Pulsed correlation kernels of a Schmidt decomposition at pump strength |beta|.
 
     Evaluators take the sum frequency w = wI + wII and wI, mirroring the
     integrands of the excitation formulas; mode tables are interpolated
     linearly and evaluation outside the tables raises.
     """
 
-    def __init__(self, dec: SchmidtDecomposition):
+    def __init__(self, dec: SchmidtDecomposition, beta: float):
         self.dec = dec
+        r = mode_squeezing(dec.p, beta)[:, None]
+        self.s, self.c = np.sinh(r), np.cosh(r)
 
     def coherent(self, omega, omega_i):
         f_ii = self.dec.modes_at("II", np.asarray(omega) - np.asarray(omega_i))
         f_i = self.dec.modes_at("I", omega_i)
-        return np.squeeze(np.sum(self.dec.s_n[:, None] * self.dec.c_n[:, None] * f_ii * f_i, axis=0))
+        return np.squeeze(np.sum(self.s * self.c * f_ii * f_i, axis=0))
 
     def incoherent_family(self, omega, omega_i):
         """(n, m) matrix of f_IIn(w - wI) f_Im(wI) s_n s_m at scalar arguments."""
         f_ii = self.dec.modes_at("II", float(omega) - float(omega_i))[:, 0]
         f_i = self.dec.modes_at("I", float(omega_i))[:, 0]
-        s = self.dec.s_n
+        s = self.s[:, 0]
         return np.outer(s * f_ii, s * f_i)
 
     def g1_value(self, band: str, omega):
         """Diagonal first-order correlation sum_n s_n^2 |f_n|^2."""
         f = self.dec.modes_at(band, omega)
-        return np.squeeze(np.sum(self.dec.s_n[:, None] ** 2 * f * f, axis=0))
+        return np.squeeze(np.sum(self.s**2 * f * f, axis=0))
 
     def g2_coherent_value(self, omega_i, omega_ii):
         """|sum_n f_IIn(wII) f_In(wI) s_n c_n|^2 at equal primed/unprimed args."""
         f_ii = self.dec.modes_at("II", omega_ii)
         f_i = self.dec.modes_at("I", omega_i)
-        amp = np.sum(self.dec.s_n[:, None] * self.dec.c_n[:, None] * f_ii * f_i, axis=0)
+        amp = np.sum(self.s * self.c * f_ii * f_i, axis=0)
         return np.squeeze(np.abs(amp) ** 2)
 
     def g2_incoherent_value(self, omega_i, omega_ii):
@@ -98,8 +103,8 @@ class G2PulsedKernels:
         return self.g1_value("I", omega_i) * self.g1_value("II", omega_ii)
 
 
-def g2_pulsed_kernels(dec: SchmidtDecomposition) -> G2PulsedKernels:
-    return G2PulsedKernels(dec)
+def g2_pulsed_kernels(dec: SchmidtDecomposition, beta: float) -> G2PulsedKernels:
+    return G2PulsedKernels(dec, beta)
 
 
 def classical_pulsed_population(src: ClassicalPulsed, sys, coupling, a_eff) -> float:
@@ -111,6 +116,6 @@ def classical_pulsed_population(src: ClassicalPulsed, sys, coupling, a_eff) -> f
     if src.n_photons_i == 0.0:
         return 0.0
     engine = PulsedExcitationEngine(
-        _single_pair_decomposition(src), sys, CrossSectionPrefactor(1.0), a_eff
+        _single_pair_decomposition(src), sys, CrossSectionPrefactor(1.0), a_eff, coupling
     )
-    return _pulsed_population(engine, np.array([src.n_photons_i]), coupling)
+    return engine.population(np.array([src.n_photons_i]))

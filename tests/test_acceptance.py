@@ -186,12 +186,12 @@ def test_criterion_6_schmidt_spectrum_oracle(cs_system):
     system, _ = cs_system
     gb = system.gamma_b
     t0 = time.perf_counter()
-    sep = SqueezedPulsed(1.0, gb, gb, system.omega_ba, system.omega_cb)
+    sep = SqueezedPulsed(gb, gb, system.omega_ba, system.omega_cb)
     dec_sep = schmidt_decompose(sep)
     sep_ok = dec_sep.n_modes == 1 and abs(dec_sep.p[0] - 1.0) <= 1e-6
     worst = 0.0
     for ratio, n_grid in ((10.0, None), (100.0, 1025)):
-        src = SqueezedPulsed(1.0, gb / np.sqrt(ratio), gb * np.sqrt(ratio),
+        src = SqueezedPulsed(gb / np.sqrt(ratio), gb * np.sqrt(ratio),
                              system.omega_ba, system.omega_cb)
         grids = None
         if n_grid:
@@ -223,11 +223,11 @@ def test_criterion_7_pulsed_separable_identities(cs_system, cs_eta, mot_area):
     worst_ratio = worst_total = 0.0
     for n_photons in (0.1, 1.0, 10.0):
         beta = float(np.arcsinh(np.sqrt(n_photons)))
-        src = SqueezedPulsed(beta, gb, gb, system.omega_ba, system.omega_cb)
+        src = SqueezedPulsed(gb, gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src)
-        out = p_squeezed_pulsed(dec, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(dec, beta, system, cs_eta, mot_area)
         classical = p_classical_pulsed(
-            matched_classical_pulsed(dec, src), system, cs_eta, mot_area
+            matched_classical_pulsed(dec, beta, src), system, cs_eta, mot_area
         )
         worst_ratio = max(
             worst_ratio, abs(out.coherent / out.incoherent / (1.0 + 1.0 / n_photons) - 1.0)
@@ -260,16 +260,16 @@ def test_criterion_8_pulsed_broadband_convergence(cs_system, cs_eta, mot_area):
     full_ratios = {}
     for ratio in (10.0, 100.0):
         sigma_p = 10.0 * gb
-        src = SqueezedPulsed(1.0, sigma_p, ratio * sigma_p, system.omega_ba, system.omega_cb)
+        src = SqueezedPulsed(sigma_p, ratio * sigma_p, system.omega_ba, system.omega_cb)
         mu = geometric_mode_ratio(src)
         beta = 3.0 / np.sqrt(1.0 - mu)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-5).with_beta(beta)
-        kernels = g2_pulsed_kernels(dec.truncated(dec.weighted_mode_count(1e-6)))
+        dec = schmidt_decompose_analytic(src, trunc_tol=1e-5)
+        kernels = g2_pulsed_kernels(dec.truncated(dec.weighted_mode_count(beta, 1e-6)), beta)
         g2_ratios[ratio] = float(
             kernels.g2_coherent_value(system.omega_ba, system.omega_cb)
             / kernels.g2_incoherent_value(system.omega_ba, system.omega_cb)
         )
-        out = p_squeezed_pulsed(dec, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(dec, beta, system, cs_eta, mot_area)
         full_ratios[ratio] = out.coherent / out.incoherent
     passed = all(abs(r - 1.0) <= 0.05 for r in g2_ratios.values())
     detail = (
@@ -307,9 +307,7 @@ def test_criterion_9_energy_conservation(cs_system):
     from scipy.constants import hbar
 
     photons = ledger.scattered["da"] / (hbar * system.omega_da)
-    count = fluorescence(
-        ExcitationOutcome(p_exc, 0.0, "pulsed_classical", "probability"), system, 1.0
-    ).per_atom
+    count = fluorescence(ExcitationOutcome(p_exc, 0.0), system, 1.0).per_atom
     count_dev = abs(photons / count - 1.0)
     passed = worst == 0.0 and count_dev <= 1e-12
     detail = (
@@ -330,7 +328,7 @@ def test_criterion_10_oracle_equivalence_and_regression(cs_system, cs_eta, mot_a
     )
     prob = p_classical_pulsed(src, system, cs_eta, mot_area).total
     t_eff = np.sqrt(2.0 * np.pi) / sigma
-    flux = 1.0 / (mot_area.a_eff * t_eff)
+    flux = 1.0 / (mot_area * t_eff)
     cw = rate_classical_cw(
         ClassicalCW(flux, flux, system.omega_ba, system.omega_cb), system, cs_eta
     ).total

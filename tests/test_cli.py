@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import geometric_weights
 
 import sqfluor.cli as cli
 from sqfluor.cli import CW_COLUMNS, PULSED_COLUMNS, emit, main, run_cw_sweep, run_pulsed_sweep
@@ -16,7 +19,7 @@ from sqfluor.config import (
 )
 from sqfluor.excitation import rate_classical_cw
 from sqfluor.geometry import effective_area
-from sqfluor.sources import ClassicalCW
+from sqfluor.sources import ClassicalCW, photon_number_pulsed
 from sqfluor.spectral import ConvergenceError, NumericalError
 from sqfluor.system import eta_prefactor
 
@@ -46,7 +49,7 @@ def with_numerics(path, **numerics):
     return path
 
 
-def tiny_pulsed_config(tmp_path):
+def tiny_pulsed_config(tmp_path, **source_overrides):
     cfg = json.loads(CS_MOT.read_text())
     cfg["source"] = {
         "regime": "squeezed_pulsed",
@@ -56,6 +59,7 @@ def tiny_pulsed_config(tmp_path):
         "photons_max": 10.0,
         "points_per_decade": 1.0,
     }
+    cfg["source"].update(source_overrides)
     cfg["numerics"] = {"rel_tol": 1e-6, "max_doublings": 6, "trunc_tol": 1e-8}
     path = tmp_path / "pulsed.json"
     path.write_text(json.dumps(cfg))
@@ -86,7 +90,18 @@ class TestParseQuantity:
         assert parse_quantity("42", "dimensionless", "k") == 42.0
 
 
+def with_rates(path, **gamma_r):
+    raw = json.loads(path.read_text())
+    raw["system"]["gamma_r"].update(gamma_r)
+    path.write_text(json.dumps(raw))
+    return path
+
+
 class TestLoadConfig:
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        assert load_config(path).source["regime"] in ("squeezed_cw", "squeezed_pulsed")
+
     def test_shipped_cs_mot_width_ratio(self):
         cfg = load_config(CS_MOT)
         assert cfg.system.gamma_b / cfg.system.gamma_c == pytest.approx(2.11, abs=0.01)
@@ -289,6 +304,20 @@ def test_photon_inversion_failure_is_a_numerical_error():
     assert isinstance(info.value, NumericalError)
 
 
+@given(mu=st.floats(0.0, 0.95), log_photons=st.floats(-2.0, 4.0))
+def test_photon_inversion_round_trip(mu, log_photons):
+    # brentq stops once the root is bracketed to xtol + rtol * beta (scipy's
+    # default xtol = 2e-12 is absolute; rtol = 1e-13), so photon_number_pulsed
+    # at the returned beta is N to that width times dN/dbeta, plus rounding.
+    # Near N = 0.01, where beta ~ 0.1, that is up to ~1e-11 relative.
+    p = geometric_weights(mu)
+    n_photons = 10.0**log_photons
+    beta = cli._beta_for_photons(p, n_photons)
+    slope = float(np.sum(np.sqrt(p) * np.sinh(2.0 * beta * np.sqrt(p))))
+    bound = 1.01 * slope * (2e-12 + 1e-13 * beta) + 1e-13 * n_photons
+    assert abs(photon_number_pulsed(p, beta) - n_photons) <= bound
+
+
 class TestPulsedSweep:
     def test_separable_panel_identity(self, tmp_path):
         cfg = load_config(tiny_pulsed_config(tmp_path))
@@ -362,6 +391,31 @@ class TestMain:
 
     def test_missing_config_file(self):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("make_config", [
+        pytest.param(lambda t: tiny_cw_config(t, beta_bar_min=0), id="beta_bar_min_zero"),
+        pytest.param(lambda t: tiny_pulsed_config(t, photons_min=0), id="photons_min_zero"),
+        pytest.param(lambda t: tiny_cw_config(t, beta_bar_min=-1), id="beta_bar_min_negative"),
+        pytest.param(lambda t: tiny_cw_config(t, beta_bar_max="inf"), id="beta_bar_max_infinite"),
+        pytest.param(lambda t: tiny_cw_config(t, points_per_decade=0), id="points_per_decade_zero"),
+        pytest.param(lambda t: tiny_cw_config(t, sigma_c_over_gamma_b=[]), id="empty_axis"),
+        pytest.param(
+            lambda t: tiny_cw_config(t, beta_bar_min=10, beta_bar_max=0.1), id="reversed_range"
+        ),
+        pytest.param(
+            lambda t: tiny_pulsed_config(t, sigma_c_over_sigma_p=[0.5]), id="sigma_c_below_sigma_p"
+        ),
+        pytest.param(
+            lambda t: with_rates(tiny_cw_config(t), cb="0 rad/s", cd="0 rad/s"), id="gamma_c_zero"
+        ),
+        pytest.param(lambda t: with_rates(tiny_cw_config(t), da="0 MHz"), id="gamma_d_zero"),
+    ])
+    def test_unrunnable_config_is_a_config_error(self, tmp_path, capsys, make_config):
+        # Each of these once loaded and then failed in the sweep (a traceback
+        # or a NaN error) or silently wrote a wrong grid.
+        assert main(["validate-config", "--config", str(make_config(tmp_path))]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("config error: ")
 
     def test_bad_numerics_is_a_config_error(self, tmp_path, capsys):
         path = with_numerics(tiny_cw_config(tmp_path), max_doublings=2.7)

@@ -125,7 +125,7 @@ class TestEffectiveArea:
     def test_mot_case_study_regression(self, mot_area):
         # ~1.96e4 um^2: the closed form for these inputs, not the quoted
         # 220 um^2, which is below the lower bound (see DECISIONS.md).
-        assert mot_area.a_eff == pytest.approx(MOT_AEFF_COMPUTED, rel=1e-4)
+        assert mot_area == pytest.approx(MOT_AEFF_COMPUTED, rel=1e-4)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import g2_cw, g2_pulsed_kernels, marginal_sigma
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import g2_cw, g2_pulsed_kernels, geometric_weights, marginal_sigma
 
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
@@ -14,6 +16,7 @@ from sqfluor.sources import (
     geometric_mode_ratio,
     hermite_function_table,
     jsa_eval,
+    mode_squeezing,
     photon_number_pulsed,
     photon_rate_cw,
     schmidt_decompose,
@@ -29,42 +32,33 @@ def cw_source(beta_bar=1.0, sigma=SIGMA, **kw):
     return SqueezedCW(beta_bar=beta_bar, sigma_c_bar=sigma, center_i=CI, center_ii=CII, **kw)
 
 
-def pulsed_source(beta=1.0, sigma_p=SIGMA, sigma_c=SIGMA):
-    return SqueezedPulsed(beta=beta, sigma_p=sigma_p, sigma_c=sigma_c, center_i=CI, center_ii=CII)
+def pulsed_source(sigma_p=SIGMA, sigma_c=SIGMA):
+    return SqueezedPulsed(sigma_p=sigma_p, sigma_c=sigma_c, center_i=CI, center_ii=CII)
 
 
 class TestGainFunctions:
     def test_vacuum(self):
-        s, c, theta = gain_functions_cw(CI + np.linspace(-3, 3, 7) * SIGMA, cw_source(0.0), "I")
+        s, c = gain_functions_cw(CI + np.linspace(-3, 3, 7) * SIGMA, cw_source(0.0), "I")
         assert np.all(s == 0.0)
         assert np.all(c == 1.0)
-        assert np.all(theta == 0.0)
 
     def test_peak_at_band_center(self):
         src = cw_source(1.7)
-        s, _, _ = gain_functions_cw(CI, src, "I")
+        s, _ = gain_functions_cw(CI, src, "I")
         assert s == pytest.approx(np.sinh(1.7), rel=1e-12)
 
     def test_hyperbolic_identity_random_frequencies(self):
         rng = np.random.default_rng(3)
         w = CI + rng.uniform(-8, 8, 1000) * SIGMA
-        s, c, _ = gain_functions_cw(w, cw_source(2.3), "I")
+        s, c = gain_functions_cw(w, cw_source(2.3), "I")
         assert np.max(np.abs(c * c - s * s - 1.0)) < 1e-12
 
     def test_band_mirror_symmetry(self):
         src = cw_source(1.2)
         w = CI + np.linspace(-5, 5, 41) * SIGMA
-        s_i, _, th_i = gain_functions_cw(w, src, "I")
-        s_ii, _, th_ii = gain_functions_cw(src.pump_center - w, src, "II")
+        s_i, _ = gain_functions_cw(w, src, "I")
+        s_ii, _ = gain_functions_cw(src.pump_center - w, src, "II")
         assert np.allclose(s_ii, s_i, rtol=1e-12, atol=0.0)
-        assert np.allclose(th_ii, th_i, rtol=1e-12, atol=0.0)
-
-    def test_user_phase_function(self):
-        src = cw_source(1.0, phase_fn=lambda w: 0.3 * (w - CI) / SIGMA)
-        _, _, theta = gain_functions_cw(CI + 2 * SIGMA, src, "I")
-        assert theta == pytest.approx(0.6, rel=1e-12)
-        _, _, theta_ii = gain_functions_cw(src.pump_center - (CI + 2 * SIGMA), src, "II")
-        assert theta_ii == pytest.approx(0.6, rel=1e-12)
 
     def test_bandwidth_and_entanglement_time(self):
         src = cw_source()
@@ -225,13 +219,11 @@ class TestSchmidt:
         with pytest.raises(GridTooCoarseError):
             schmidt_decompose(src, *grids, trunc_tol=1e-10)
 
-    def test_truncated_and_with_beta(self):
-        dec = schmidt_decompose(pulsed_source(beta=0.5, sigma_p=SIGMA, sigma_c=10 * SIGMA))
+    def test_truncated(self):
+        dec = schmidt_decompose(pulsed_source(sigma_p=SIGMA, sigma_c=10 * SIGMA))
         cut = dec.truncated(5)
         assert cut.n_modes == 5
         assert cut.tail == pytest.approx(dec.tail + np.sum(dec.p[5:]), rel=1e-12, abs=0.0)
-        assert cut.with_beta(2.0).beta_mag == 2.0
-        assert cut.with_beta(2.0).p is cut.p
 
 
 class TestHermiteTable:
@@ -247,29 +239,42 @@ class TestHermiteTable:
 
 class TestPhotonNumberPulsed:
     def test_vacuum(self):
-        dec = schmidt_decompose(pulsed_source(beta=0.0))
-        assert photon_number_pulsed(dec) == 0.0
+        dec = schmidt_decompose(pulsed_source())
+        assert photon_number_pulsed(dec.p, 0.0) == 0.0
 
     def test_single_mode_sinh(self):
-        dec = schmidt_decompose(pulsed_source(beta=1.0))
-        assert photon_number_pulsed(dec) == pytest.approx(np.sinh(1.0) ** 2, rel=1e-9)
+        dec = schmidt_decompose(pulsed_source())
+        assert photon_number_pulsed(dec.p, 1.0) == pytest.approx(np.sinh(1.0) ** 2, rel=1e-9)
 
     def test_geometric_law_oracle_high_gain(self):
-        src = pulsed_source(beta=3.0, sigma_p=SIGMA / 10, sigma_c=10 * SIGMA)
+        src = pulsed_source(sigma_p=SIGMA / 10, sigma_c=10 * SIGMA)
         dec = schmidt_decompose_analytic(src, trunc_tol=1e-12)
         mu = geometric_mode_ratio(src)
         n = np.arange(dec.n_modes)
         oracle = np.sum(np.sinh(3.0 * np.sqrt((1 - mu) * mu**n)) ** 2)
-        assert photon_number_pulsed(dec) == pytest.approx(oracle, rel=1e-9)
+        assert photon_number_pulsed(dec.p, 3.0) == pytest.approx(oracle, rel=1e-9)
 
     def test_low_gain_equals_beta_squared(self):
-        dec = schmidt_decompose(pulsed_source(beta=0.05, sigma_p=SIGMA, sigma_c=5 * SIGMA))
-        assert photon_number_pulsed(dec) == pytest.approx(0.05**2, rel=1e-3)
+        dec = schmidt_decompose(pulsed_source(sigma_p=SIGMA, sigma_c=5 * SIGMA))
+        assert photon_number_pulsed(dec.p, 0.05) == pytest.approx(0.05**2, rel=1e-3)
+
+    def test_negative_beta_rejected(self):
+        dec = schmidt_decompose(pulsed_source())
+        with pytest.raises(ValueError, match="magnitude"):
+            photon_number_pulsed(dec.p, -0.5)
 
     def test_increasing_in_gain(self):
         dec = schmidt_decompose(pulsed_source(sigma_p=SIGMA, sigma_c=5 * SIGMA))
-        values = [photon_number_pulsed(dec.with_beta(b)) for b in (0.1, 0.5, 1.0, 2.0)]
+        values = [photon_number_pulsed(dec.p, b) for b in (0.1, 0.5, 1.0, 2.0)]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
+
+
+@given(mu=st.floats(0.0, 0.95), b1=st.floats(0.0, 20.0), b2=st.floats(0.0, 20.0))
+def test_photon_number_is_monotone_in_beta(mu, b1, b2):
+    # The photon-number inversion brackets its root on this property.
+    p = geometric_weights(mu)
+    lo, hi = sorted((b1, b2))
+    assert photon_number_pulsed(p, lo) <= photon_number_pulsed(p, hi)
 
 
 class TestG2CW:
@@ -280,11 +285,6 @@ class TestG2CW:
         assert abs(coh_big) / abs(coh_small) == pytest.approx((big / small) ** 2, rel=1e-4)
         assert incoh_big / incoh_small == pytest.approx((big / small) ** 4, rel=1e-4)
 
-    def test_constant_phase_cancels_in_modulus(self):
-        plain = g2_cw(CI, CII, CI + SIGMA, CII - SIGMA, cw_source(1.0, theta=0.0))[0]
-        rotated = g2_cw(CI, CII, CI + SIGMA, CII - SIGMA, cw_source(1.0, theta=1.1))[0]
-        assert abs(rotated) == pytest.approx(abs(plain), rel=1e-12)
-
     def test_center_value(self):
         coh, _ = g2_cw(CI, CII, CI, CII, cw_source(1.4))
         assert coh == pytest.approx(np.sinh(1.4) ** 2 * np.cosh(1.4) ** 2, rel=1e-12)
@@ -292,8 +292,8 @@ class TestG2CW:
 
 class TestG2Pulsed:
     def test_single_mode_kernels(self):
-        dec = schmidt_decompose(pulsed_source(beta=0.8))
-        kernels = g2_pulsed_kernels(dec)
+        dec = schmidt_decompose(pulsed_source())
+        kernels = g2_pulsed_kernels(dec, 0.8)
         w = CI + CII + 0.3 * SIGMA
         w_i = CI - 0.2 * SIGMA
         f_ii = dec.modes_at("II", w - w_i)[0, 0]
@@ -302,25 +302,27 @@ class TestG2Pulsed:
         assert kernels.coherent(w, w_i) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_diagonal_incoherent_terms_match_coherent_with_c_to_s(self):
-        dec = schmidt_decompose(pulsed_source(beta=1.1, sigma_p=SIGMA, sigma_c=6 * SIGMA))
-        kernels = g2_pulsed_kernels(dec)
+        dec = schmidt_decompose(pulsed_source(sigma_p=SIGMA, sigma_c=6 * SIGMA))
+        kernels = g2_pulsed_kernels(dec, 1.1)
         w = CI + CII + 0.5 * SIGMA
         w_i = CI + 0.4 * SIGMA
         family = kernels.incoherent_family(w, w_i)
         f_ii = dec.modes_at("II", w - w_i)[:, 0]
         f_i = dec.modes_at("I", w_i)[:, 0]
-        coherent_terms = f_ii * f_i * dec.s_n * dec.c_n
-        swapped = coherent_terms * dec.s_n / dec.c_n
+        r = mode_squeezing(dec.p, 1.1)
+        s, c = np.sinh(r), np.cosh(r)
+        coherent_terms = f_ii * f_i * s * c
+        swapped = coherent_terms * s / c
         assert np.allclose(np.diag(family), swapped, rtol=1e-12, atol=0.0)
 
     def test_broadband_high_gain_ratio_approaches_one(self):
-        src = pulsed_source(beta=1.0, sigma_p=SIGMA, sigma_c=50 * SIGMA)
+        src = pulsed_source(sigma_p=SIGMA, sigma_c=50 * SIGMA)
         mu = geometric_mode_ratio(src)
         dec = schmidt_decompose_analytic(src, trunc_tol=1e-8)
         ratios = []
         for mult in (1.0, 6.0):
             beta = mult / np.sqrt(1.0 - mu)
-            k = g2_pulsed_kernels(dec.with_beta(beta))
+            k = g2_pulsed_kernels(dec, beta)
             ratios.append(
                 float(k.g2_coherent_value(CI, CII) / k.g2_incoherent_value(CI, CII))
             )
@@ -329,7 +331,7 @@ class TestG2Pulsed:
 
     def test_out_of_grid_raises(self):
         dec = schmidt_decompose(pulsed_source())
-        kernels = g2_pulsed_kernels(dec)
+        kernels = g2_pulsed_kernels(dec, 1.0)
         with pytest.raises(ValueError, match="outside"):
             kernels.coherent(CI + CII + 100 * SIGMA, CI)
 
