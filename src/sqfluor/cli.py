@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -187,20 +188,48 @@ class PhotonInversionError(NumericalError, ValueError):
     """No beta up to 1e6 reaches the requested photon number."""
 
 
+_BETA_MAX = 1e6
+# Each end of a closed-form bracket wider than one point is moved outward by
+# this fraction.  That shifts the solved function by about 1e-12 y, far above
+# its rounding (a few ulp of y), so brentq sees the signs the bounds promise.
+_BRACKET_SLACK = 1e-12
+
+
 def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
-    """Invert N = photon_number_pulsed(p, beta) for beta (monotone)."""
+    """Invert N = photon_number_pulsed(p, beta) = sum_n sinh^2(beta sqrt(p_n)) for beta.
+
+    sinh^2(sqrt x) is a power series in x with nonnegative coefficients, so
+    it is superadditive, and
+    sinh^2(beta sqrt(p_max)) <= N(beta) <= sinh^2(beta sqrt(sum p)).
+    With y = asinh(sqrt N) the root therefore lies in
+    [y / sqrt(sum p), y / sqrt(p_max)].  For one mode the two ends meet and
+    are the answer, with no evaluation of N.  Otherwise Brent's method solves
+    asinh(sqrt(N(beta))) = y, close to linear in beta (exactly so for one
+    mode), to 1e-13 relative in beta.  Raises
+    `PhotonInversionError` when no beta up to 1e6 reaches N.
+    """
     if n_photons <= 0.0:
         return 0.0
+    y = math.asinh(math.sqrt(n_photons))
+    lo = y / math.sqrt(float(np.sum(p_weights)))
+    hi = y / math.sqrt(float(np.max(p_weights)))
 
     def excess(beta):
-        return photon_number_pulsed(p_weights, beta) - n_photons
+        return math.asinh(math.sqrt(photon_number_pulsed(p_weights, beta))) - y
 
-    hi = 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise PhotonInversionError("photon-number inversion failed to bracket")
-    return brentq(excess, 0.0, hi, rtol=1e-13, maxiter=200)
+    if lo != hi:
+        lo *= 1.0 - _BRACKET_SLACK
+        hi *= 1.0 + _BRACKET_SLACK
+    if hi > _BETA_MAX:
+        if lo > _BETA_MAX or excess(_BETA_MAX) < 0.0:
+            raise PhotonInversionError(
+                f"photon-number inversion failed to bracket N = {n_photons:.17g}: "
+                f"no beta up to {_BETA_MAX:g} reaches it"
+            )
+        hi = _BETA_MAX
+    if lo == hi:
+        return lo
+    return brentq(excess, lo, hi, xtol=1e-13 * lo, rtol=1e-13, maxiter=200)
 
 
 def _decompose_for_panel(cfg: RunConfig, src: SqueezedPulsed):

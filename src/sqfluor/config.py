@@ -173,10 +173,16 @@ def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
     cloud_fwhm = parse_quantity(_get(section, "cloud_fwhm", "geometry"), "length", "geometry.cloud_fwhm")
     beam_fwhm = parse_quantity(_get(section, "beam_fwhm", "geometry"), "length", "geometry.beam_fwhm")
     n_atoms = parse_quantity(_get(section, "n_atoms", "geometry"), "dimensionless", "geometry.n_atoms")
+    for key, value in (("cloud_fwhm", cloud_fwhm), ("beam_fwhm", beam_fwhm), ("n_atoms", n_atoms)):
+        _require_positive(f"geometry.{key}", value)
     convention = section.get("waist_convention")
     if convention is None:
         convention = "intensity"
         log.append("geometry.waist_convention defaulted to 'intensity' (FWHM of |l|^2)")
+    try:
+        w0 = waist_fwhm_to_w0(beam_fwhm, convention)
+    except ValueError as exc:
+        raise ConfigError(f"geometry.waist_convention: {exc}") from exc
     ray = section.get("rayleigh_wavelength")
     if ray is None:
         ray = "ba"
@@ -190,11 +196,12 @@ def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
         wavelength = TWO_PI * C_LIGHT / omega
     else:
         wavelength = parse_quantity(ray, "length", "geometry.rayleigh_wavelength")
+        _require_positive("geometry.rayleigh_wavelength", wavelength)
     return {
         "cloud_fwhm": cloud_fwhm,
         "beam_fwhm": beam_fwhm,
         "sigma": fwhm_to_sigma(cloud_fwhm),
-        "w0": waist_fwhm_to_w0(beam_fwhm, convention),
+        "w0": w0,
         "n_atoms": n_atoms,
         "waist_convention": convention,
         "rayleigh_wavelength_m": wavelength,
@@ -221,7 +228,7 @@ def _load_source(cfg: dict, log: list) -> dict:
         if "sigma_c_over_gamma_b" not in section:
             log.append("source.sigma_c_over_gamma_b defaulted to [0.01, 0.1, 1, 10, 100]")
         axis = (("beta_bar_min", 1e-3), ("beta_bar_max", 30.0))
-        out["match_rate_windows"] = bool(section.get("match_rate_windows", False))
+        out["match_rate_windows"] = _flag(section, "match_rate_windows", "source")
     else:
         out["sigma_p_over_gamma_b"] = _source_list(section, "sigma_p_over_gamma_b", [0.1, 1.0, 10.0])
         out["sigma_c_over_sigma_p"] = _source_list(section, "sigma_c_over_sigma_p", [1.0, 10.0, 100.0])
@@ -250,6 +257,14 @@ def _load_source(cfg: dict, log: list) -> dict:
 def _require_positive(key: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+
+
+def _flag(section: Mapping, key: str, section_name: str) -> bool:
+    """An optional JSON boolean, false when absent; a string such as "false" is rejected."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section_name}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _source_list(section: Mapping, key: str, default: list) -> list:
@@ -306,7 +321,7 @@ def _load_output(cfg: dict, log: list) -> dict:
     section = cfg.get("output", {})
     out = {
         "path": section.get("path", "sweep.csv"),
-        "json_mirror": bool(section.get("json_mirror", False)),
+        "json_mirror": _flag(section, "json_mirror", "output"),
     }
     if "path" not in section:
         log.append("output.path defaulted to sweep.csv")

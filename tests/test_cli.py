@@ -1,10 +1,11 @@
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import geometric_weights
 
@@ -93,6 +94,13 @@ class TestParseQuantity:
 def with_rates(path, **gamma_r):
     raw = json.loads(path.read_text())
     raw["system"]["gamma_r"].update(gamma_r)
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def with_section(path, section, **values):
+    raw = json.loads(path.read_text())
+    raw.setdefault(section, {}).update(values)
     path.write_text(json.dumps(raw))
     return path
 
@@ -302,20 +310,65 @@ def test_photon_inversion_failure_is_a_numerical_error():
     with pytest.raises(cli.PhotonInversionError, match="bracket") as info:
         cli._beta_for_photons(np.array([1e-30]), 1e4)
     assert isinstance(info.value, NumericalError)
+    # The limit is beta = 1e6 itself, for one mode (closed form) and for two
+    # (where the upper bound lies past the limit and N is read there).
+    for p in (np.array([1e-12]), np.array([1e-12, 1e-13])):
+        at_limit = photon_number_pulsed(p, 1e6)
+        assert 0.999e6 < cli._beta_for_photons(p, at_limit * (1.0 - 1e-9)) <= 1e6
+        with pytest.raises(cli.PhotonInversionError, match="bracket"):
+            cli._beta_for_photons(p, at_limit * (1.0 + 1e-9))
 
 
-@given(mu=st.floats(0.0, 0.95), log_photons=st.floats(-2.0, 4.0))
+@given(mu=st.floats(0.0, 0.95), log_photons=st.floats(-12.0, 6.0))
 def test_photon_inversion_round_trip(mu, log_photons):
-    # brentq stops once the root is bracketed to xtol + rtol * beta (scipy's
-    # default xtol = 2e-12 is absolute; rtol = 1e-13), so photon_number_pulsed
-    # at the returned beta is N to that width times dN/dbeta, plus rounding.
-    # Near N = 0.01, where beta ~ 0.1, that is up to ~1e-11 relative.
+    # brentq stops within 1e-13 relative in beta, and its last step in the
+    # near-linear variable asinh(sqrt N) lands closer still: the worst
+    # measured over this range is 7.2e-13 relative in N.
     p = geometric_weights(mu)
     n_photons = 10.0**log_photons
     beta = cli._beta_for_photons(p, n_photons)
-    slope = float(np.sum(np.sqrt(p) * np.sinh(2.0 * beta * np.sqrt(p))))
-    bound = 1.01 * slope * (2e-12 + 1e-13 * beta) + 1e-13 * n_photons
-    assert abs(photon_number_pulsed(p, beta) - n_photons) <= bound
+    assert photon_number_pulsed(p, beta) == pytest.approx(n_photons, rel=1e-12, abs=0.0)
+
+
+@given(
+    rest=st.lists(st.floats(0.0, 1.0), max_size=30),
+    log_scale=st.floats(-6.0, 0.0),
+    log_photons=st.floats(-12.0, 6.0),
+)
+@example(rest=[1e-15], log_scale=0.0, log_photons=-2.0)
+@example(rest=[1e-15], log_scale=0.0, log_photons=-9.5)
+@example(rest=[1e-300], log_scale=-3.0, log_photons=6.0)
+def test_photon_inversion_brackets_any_spectrum(rest, log_scale, log_photons):
+    # Near-degenerate spectra such as [1, 1e-15] put both bounds within
+    # rounding of the root; no endpoint may then show brentq the wrong sign.
+    p = 10.0**log_scale * np.array([1.0, *rest])
+    n_photons = 10.0**log_photons
+    beta = cli._beta_for_photons(p, n_photons)
+    assert photon_number_pulsed(p, beta) == pytest.approx(n_photons, rel=1e-12, abs=0.0)
+
+
+def test_photon_inversion_callbacks(monkeypatch):
+    calls = []
+    brentq = cli.brentq
+
+    def counting_brentq(f, *args, **kwargs):
+        return brentq(lambda x: calls.append(x) or f(x), *args, **kwargs)
+
+    monkeypatch.setattr(cli, "brentq", counting_brentq)
+    grid = cli._log_grid(0.01, 1e4, 60)
+    twelve = 0.5 * 0.5 ** np.arange(12)
+    per_inversion = []
+    for n_photons in grid:
+        before = len(calls)
+        cli._beta_for_photons(twelve, n_photons)
+        per_inversion.append(len(calls) - before)
+    assert max(per_inversion) <= 10
+    # One mode: the closed-form bracket is a single point, the answer.
+    for p in (np.array([1.0]), np.array([0.3]), np.array([1.0, 0.0])):
+        for n_photons in grid:
+            beta = cli._beta_for_photons(p, n_photons)
+            assert beta == math.asinh(math.sqrt(n_photons)) / math.sqrt(p[0])
+    assert len(calls) == sum(per_inversion)  # no callback for one mode
 
 
 class TestPulsedSweep:
@@ -409,6 +462,25 @@ class TestMain:
             lambda t: with_rates(tiny_cw_config(t), cb="0 rad/s", cd="0 rad/s"), id="gamma_c_zero"
         ),
         pytest.param(lambda t: with_rates(tiny_cw_config(t), da="0 MHz"), id="gamma_d_zero"),
+        pytest.param(lambda t: with_section(tiny_cw_config(t), "geometry", n_atoms=-1), id="n_atoms_negative"),
+        pytest.param(
+            lambda t: with_section(tiny_cw_config(t), "geometry", cloud_fwhm="0 mm"), id="cloud_fwhm_zero"
+        ),
+        pytest.param(
+            lambda t: with_section(tiny_cw_config(t), "geometry", beam_fwhm="0 mm"), id="beam_fwhm_zero"
+        ),
+        pytest.param(
+            lambda t: with_section(tiny_cw_config(t), "geometry", waist_convention="1/e"),
+            id="unknown_waist_convention",
+        ),
+        pytest.param(
+            lambda t: with_section(tiny_cw_config(t), "geometry", rayleigh_wavelength="0 nm"),
+            id="rayleigh_wavelength_zero",
+        ),
+        pytest.param(lambda t: tiny_cw_config(t, match_rate_windows="false"), id="match_rate_windows_string"),
+        pytest.param(
+            lambda t: with_section(tiny_cw_config(t), "output", json_mirror="false"), id="json_mirror_string"
+        ),
     ])
     def test_unrunnable_config_is_a_config_error(self, tmp_path, capsys, make_config):
         # Each of these once loaded and then failed in the sweep (a traceback

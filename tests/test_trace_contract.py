@@ -71,6 +71,9 @@ def test_pulsed_layers_are_traced(tmp_path):
     layers = result["layers"]
     assert result["rows"] == layers["cli.rows"] == 3
     assert layers["excitation.engine_builds"] == 1  # one per panel
+    # One inversion per row plus two per panel (beta_max and the classical
+    # reference), each at most 10 brentq callbacks.
+    assert layers["cli.beta_inversion_evals"] <= 10 * (result["rows"] + 2)
     for name in (
         "cli.beta_inversion_evals", "cli.beta_inversion_s", "sources.schmidt_decompose_s",
         "sources.modes_kept", "excitation.lattice_points", "excitation.levels_warm_s",
