@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
@@ -54,7 +53,7 @@ from .sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
-from .spectral import NumericalError
+from .spectral import NumericalError, brentq
 from .system import eta_prefactor
 
 logger = logging.getLogger(__name__)

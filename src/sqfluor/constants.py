@@ -1,9 +1,15 @@
-"""Physical constants (SI) used throughout the package."""
+"""Physical constants (SI) used throughout the package.
 
-from scipy.constants import c as C_LIGHT  # m/s
-from scipy.constants import epsilon_0 as EPS0  # F/m
-from scipy.constants import hbar as HBAR  # J s
-from scipy.constants import pi as PI
+The values are the CODATA 2022 floats that `scipy.constants` exports, written
+out so that importing the package does not load `scipy.constants`.
+"""
+
+import math
+
+C_LIGHT = 299792458.0  # m/s, exact
+EPS0 = 8.8541878188e-12  # F/m
+HBAR = 1.0545718176461565e-34  # J s, h/(2 pi) with h exact
+PI = math.pi
 
 TWO_PI = 2.0 * PI
 

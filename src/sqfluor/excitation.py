@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
 from .peaked import (
@@ -91,6 +91,26 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 SPAN_SIGMAS_CW = 9.0
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length pocketfft transforms fastest.
+
+    Equals `scipy.fft.next_fast_len(n, real=True)`.  For each odd 3^i 5^k
+    below the best length found so far, the smallest power-of-two multiple
+    that reaches n is a candidate.
+    """
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            candidate = f35 << ((n - 1) // f35).bit_length()
+            if candidate < best:
+                best = candidate
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def lattice_correlate(weight: np.ndarray, n_out: int):
     """Correlator `table -> C` on a uniform lattice, for a fixed weight.
 
@@ -98,14 +118,14 @@ def lattice_correlate(weight: np.ndarray, n_out: int):
 
     By the convolution theorem (Cooley & Tukey, Math. Comp. 19, 297 (1965))
     all n_out sums come from one rfft/irfft pair of length
-    next_fast_len(n_out + n_w - 1).  The weight spectrum is taken once and
+    _fast_len(n_out + n_w - 1).  The weight spectrum is taken once and
     reused for every table passed to the correlator.  `table` is real with at
     least n_out + n_w - 1 points (later points are not read); `weight` is real
     or complex; leading axes broadcast.
     """
     n_w = weight.shape[-1]
     n_table = n_out + n_w - 1
-    size = next_fast_len(n_table, real=True)
+    size = _fast_len(n_table)
     flipped = weight[..., ::-1]
     is_complex = np.iscomplexobj(weight)
     parts = (flipped.real, flipped.imag) if is_complex else (flipped,)

@@ -9,10 +9,15 @@ doubles the resolution until successive estimates agree.
 
 Grids are built from exact uniform offsets about the grid center so that
 detuning spacing is not polluted by the ~1e15 rad/s optical carrier.
+
+`brentq` is the one scalar root finder the package needs (Brent's method,
+Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +34,7 @@ __all__ = [
     "quad_1d",
     "quad_converged",
     "simpson_weights",
+    "brentq",
     "NumericalError",
     "NonFiniteIntegrandError",
     "ConvergenceError",
@@ -54,14 +60,18 @@ class NonFiniteIntegrandError(NumericalError, ValueError):
 
 
 class ConvergenceError(NumericalError, RuntimeError):
-    """Grid-doubling quadrature failed to reach tolerance; carries both estimates."""
+    """An iteration failed to reach tolerance; carries its last two estimates.
 
-    def __init__(self, last: complex, previous: complex, rel_err: float):
+    `what` names the iteration in the message: grid-doubling quadrature or
+    Brent's method.
+    """
+
+    def __init__(self, last: complex, previous: complex, rel_err: float, what: str = "quadrature"):
         self.last = last
         self.previous = previous
         self.rel_err = rel_err
         super().__init__(
-            f"quadrature did not converge: last={last:.17g}, previous={previous:.17g}, "
+            f"{what} did not converge: last={last:.17g}, previous={previous:.17g}, "
             f"rel_err={rel_err:.3e}"
         )
 
@@ -226,3 +236,94 @@ def quad_converged(
         if level < max_doublings - 1:
             previous = estimate
     raise ConvergenceError(estimate, previous, rel_err)
+
+
+_BRENT_RTOL_MIN = 4.0 * sys.float_info.epsilon
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = _BRENT_RTOL_MIN,
+    maxiter: int = 100,
+) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A statement-by-statement port of the netlib `zeroin` loop as SciPy's C
+    `brentq` runs it, so root and evaluation count equal
+    `scipy.optimize.brentq` bit for bit: two evaluations at the ends, then
+    one per iteration.  Each iteration keeps the root bracketed by
+    [x, x_blk] with |f(x)| <= |f(x_blk)|, returns x once f(x) == 0 or half
+    the bracket is below delta = (xtol + rtol |x|)/2, and otherwise steps by
+    inverse interpolation (secant or inverse quadratic) when that step is
+    short enough, by bisection when it is not, and by at least delta.
+    Raises ValueError for ends of the same sign or a NaN value of f, and
+    `ConvergenceError` when maxiter iterations do not reach the tolerance.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C division gives inf or NaN here, which fails the test below.
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    rel_err = abs(xcur - xpre) / max(abs(xcur), abs(xpre))
+    raise ConvergenceError(xcur, xpre, rel_err, what="Brent's method")

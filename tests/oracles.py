@@ -3,11 +3,13 @@
 Each one restates a quantity the library computes another way (or not at
 all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
-JSA, the Gaussian cloud density, and the validity population of a
-classical pulse pair computed on its own engine.
+JSA, the Gaussian cloud density, the validity population of a
+classical pulse pair computed on its own engine, and the lattice
+correlation on `scipy.fft`.
 """
 
 import numpy as np
+import scipy.fft
 
 from sqfluor.excitation import PulsedExcitationEngine, _single_pair_decomposition
 from sqfluor.geometry import AtomCloud
@@ -119,3 +121,21 @@ def classical_pulsed_population(src: ClassicalPulsed, sys, coupling, a_eff) -> f
         _single_pair_decomposition(src), sys, CrossSectionPrefactor(1.0), a_eff, coupling
     )
     return engine.population(np.array([src.n_photons_i]))
+
+
+def scipy_lattice_correlate(weight: np.ndarray, n_out: int):
+    """`excitation.lattice_correlate` on `scipy.fft`, as the library ran before numpy.fft."""
+    n_w = weight.shape[-1]
+    n_table = n_out + n_w - 1
+    size = scipy.fft.next_fast_len(n_table, real=True)
+    flipped = weight[..., ::-1]
+    is_complex = np.iscomplexobj(weight)
+    parts = (flipped.real, flipped.imag) if is_complex else (flipped,)
+    spectra = [scipy.fft.rfft(part, size) for part in parts]
+
+    def correlate(table: np.ndarray) -> np.ndarray:
+        spec_t = scipy.fft.rfft(table[..., :n_table], size)
+        out = [scipy.fft.irfft(spec_t * spec, size)[..., n_w - 1 : n_table] for spec in spectra]
+        return out[0] + 1j * out[1] if is_complex else out[0]
+
+    return correlate

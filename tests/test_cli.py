@@ -1,10 +1,14 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import geometric_weights
@@ -21,7 +25,7 @@ from sqfluor.config import (
 from sqfluor.excitation import rate_classical_cw
 from sqfluor.geometry import effective_area
 from sqfluor.sources import ClassicalCW, photon_number_pulsed
-from sqfluor.spectral import ConvergenceError, NumericalError
+from sqfluor.spectral import ConvergenceError, NumericalError, brentq
 from sqfluor.system import eta_prefactor
 
 REPO = Path(__file__).resolve().parent.parent
@@ -371,6 +375,24 @@ def test_photon_inversion_callbacks(monkeypatch):
     assert len(calls) == sum(per_inversion)  # no callback for one mode
 
 
+def test_photon_inversions_match_scipy_brentq(monkeypatch):
+    # The sweep's inversion at 301 photon numbers per geometric spectrum:
+    # the same beta after the same callbacks as with scipy's brentq.
+    def inversions(solver):
+        calls = []
+        monkeypatch.setattr(
+            cli, "brentq", lambda f, *a, **k: solver(lambda x: calls.append(x) or f(x), *a, **k)
+        )
+        betas = [cli._beta_for_photons(p, n) for p in spectra for n in photons]
+        return betas, calls
+
+    spectra = [geometric_weights(mu) for mu in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+    photons = np.logspace(-2.0, 4.0, 301)
+    ours = inversions(brentq)
+    assert ours == inversions(scipy.optimize.brentq)
+    assert len(ours[1]) > 7 * len(photons)  # only the one-mode spectrum skips the solver
+
+
 class TestPulsedSweep:
     def test_separable_panel_identity(self, tmp_path):
         cfg = load_config(tiny_pulsed_config(tmp_path))
@@ -537,3 +559,18 @@ class TestMain:
         assert main(["schmidt", "--config", str(cfg_path), "--out", str(base)]) == 0
         assert (tmp_path / "sch_jsi.csv").exists()
         assert (tmp_path / "sch_schmidt.csv").exists()
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # At run time sqfluor needs numpy and scipy.special only; each of these
+    # would add tens to hundreds of modules to the start of every process.
+    names = ("optimize", "fft", "constants", "linalg", "sparse", "spatial")
+    unwanted = tuple(f"scipy.{name}" for name in names)
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, sqfluor.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith(unwanted)] == []

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import classical_pulsed_population
+import scipy.fft
+from oracles import classical_pulsed_population, scipy_lattice_correlate
 
 import sqfluor.excitation as excitation
 from sqfluor.excitation import (
@@ -417,6 +418,41 @@ def test_lattice_correlate_matches_direct_sum(
             for j in range(0, n_out, stride):
                 terms = table[n, j : j + n_w] * weight[m]
                 assert abs(got[n, m, j] - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+
+
+def test_fast_len_matches_scipy():
+    lengths = range(1, 2**17 + 1)
+    assert [excitation._fast_len(n) for n in lengths] == [
+        scipy.fft.next_fast_len(n, real=True) for n in lengths
+    ]
+
+
+@pytest.mark.parametrize("complex_weight", [False, True])
+@pytest.mark.parametrize(
+    "n_out, n_w, weight_lead, table_lead",
+    [
+        (1, 1, (), ()),
+        (48, 17, (3,), (2, 1)),
+        (300, 257, (5,), ()),
+        (1200, 1025, (12,), ()),
+        (4096, 2049, (), (3,)),
+    ],
+)
+def test_lattice_correlate_matches_scipy_fft_bit_for_bit(
+    n_out, n_w, weight_lead, table_lead, complex_weight
+):
+    # numpy >= 2.0 and scipy.fft run the same pocketfft code, so the pulsed
+    # kernel levels keep their bytes.  The engine's call is a stack of mode
+    # weights against one table row, as in the (5,) and (12,) cases.
+    rng = np.random.default_rng(n_out + n_w)
+    weight = rng.standard_normal((*weight_lead, n_w))
+    if complex_weight:
+        weight = weight + 1j * rng.standard_normal(weight.shape)
+    table = rng.standard_normal((*table_lead, n_out + n_w + 3))
+    got = lattice_correlate(weight, n_out)(table)
+    expected = scipy_lattice_correlate(weight, n_out)(table)
+    assert got.shape == (*np.broadcast_shapes(weight_lead, table_lead), n_out)
+    assert np.array_equal(got, expected)
 
 
 def assert_levels_match_oracle(engine):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from sqfluor.spectral import (
     ConvergenceError,
@@ -8,6 +11,7 @@ from sqfluor.spectral import (
     LorentzianLineshape,
     NonFiniteIntegrandError,
     SpectralGrid,
+    brentq,
     gaussian_amp,
     green,
     lorentzian,
@@ -198,3 +202,60 @@ class TestQuadConverged:
         assert "np." not in message
         assert f"last={info.value.last:.17g}," in message
         assert complex(message.split("last=")[1].split(",")[0]) == info.value.last
+
+
+def solve_counted(solver, f, a, b, **kwargs):
+    """(root, number of calls of f) of one bracketed solve."""
+    calls = []
+    root = solver(lambda x: calls.append(x) or f(x), a, b, **kwargs)
+    return root, len(calls)
+
+
+class TestBrentq:
+    # Between them these reach every branch of the loop: the exponential
+    # takes interpolation, extrapolation, accepted and rejected steps,
+    # plain bisection and the minimum step of delta; the step function only
+    # bisects; the ninth power is so flat near its root that the
+    # extrapolation divides by zero, and runs out of iterations by default.
+    CASES = {
+        "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        "fixed point of cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+        "steep exponential": (lambda x: math.exp(x) - 1e6, 0.0, 100.0),
+        "twentieth power": (lambda x: x**20 - 1.0, 0.0, 1.5),
+        "step": (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),
+        "root near zero": (lambda x: x - 1e-300, -1.0, 1.0),
+        "root at an end": (lambda x: x, 0.0, 1.0),
+        "decreasing": (lambda x: 1.0 - x * x, 0.0, 3.0),
+        "ninth power": (lambda x: (x - 0.5) ** 9, 0.0, 1.3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("tols", [{}, {"xtol": 1e-15, "rtol": 1e-13, "maxiter": 10_000}])
+    def test_matches_scipy_bit_for_bit(self, name, tols):
+        f, a, b = self.CASES[name]
+        try:
+            expected = solve_counted(scipy.optimize.brentq, f, a, b, **tols)
+        except RuntimeError:
+            # Out of iterations in both, at the same last iterate.
+            expected = solve_counted(scipy.optimize.brentq, f, a, b, disp=False, **tols)
+            with pytest.raises(ConvergenceError) as info:
+                solve_counted(brentq, f, a, b, **tols)
+            assert info.value.last == expected[0]
+            return
+        root, n_calls = solve_counted(brentq, f, a, b, **tols)
+        assert type(root) is float
+        assert (root, n_calls) == expected
+
+    def test_same_sign_ends_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0)
+
+    def test_running_out_of_iterations_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="Brent's method did not converge") as info:
+            brentq(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=2)
+        assert isinstance(info.value, RuntimeError)
+        assert 0.0 < info.value.rel_err < 1.0

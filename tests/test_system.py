@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.constants
 
+from sqfluor import constants
 from sqfluor.spectral import GreenFunctionParams, LorentzianLineshape, green, lorentzian
 from sqfluor.system import (
     CrossSectionPrefactor,
@@ -169,3 +171,10 @@ class TestCsPreset:
         assert system.omega_ba + system.omega_cb == pytest.approx(
             system.omega_cd + system.omega_da, rel=1e-14
         )
+
+
+def test_constants_are_the_scipy_floats():
+    assert constants.C_LIGHT == scipy.constants.c
+    assert constants.EPS0 == scipy.constants.epsilon_0
+    assert constants.HBAR == scipy.constants.hbar
+    assert constants.PI == scipy.constants.pi
