@@ -44,6 +44,7 @@ from .peaked import (
     quad_kernel_smooth,
 )
 from .sources import (
+    CW_GAIN_SUPPORT_SIGMAS,
     ClassicalCW,
     ClassicalPulsed,
     SchmidtDecomposition,
@@ -139,6 +140,14 @@ def lattice_correlate(weight: np.ndarray, n_out: int):
     return correlate
 
 
+def _l_core_unresolved(
+    first: float, last: float, n_points: int, step: float, shape: LorentzianLineshape
+) -> bool:
+    """Whether `lorentzian_sample_weights` corrects the L core on these samples."""
+    core_inside = first + 2.0 * step < shape.center < last - 2.0 * step
+    return core_inside and shape.fwhm < 4.0 * step and n_points >= 7
+
+
 def lorentzian_sample_weights(
     pts: np.ndarray, step: float, shape: LorentzianLineshape, window: float
 ) -> np.ndarray:
@@ -151,8 +160,7 @@ def lorentzian_sample_weights(
     """
     center, fwhm = shape.center, shape.fwhm
     lam = simpson_weights(len(pts), step) * lorentzian(pts, shape)
-    core_inside = pts[0] + 2.0 * step < center < pts[-1] - 2.0 * step
-    if not (core_inside and fwhm < 4.0 * step and len(pts) >= 7):
+    if not _l_core_unresolved(pts[0], pts[-1], len(pts), step, shape):
         return lam
     window = max(window, 4.0 * step)
     kernel = lorentzian_kernel(center, fwhm)
@@ -353,10 +361,16 @@ def cw_j_lattice(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w_i_pts, u_tab, lam) of the CW inner pass at step h = scale/points_per_scale.
 
-    The omega lattice w_k (n_w points, `lam` its Lorentzian sample weights)
-    covers the band-II support shifted by every band-I point wI_j and, when it
-    lies inside, the L core to +/-30 Gamma_c.  u_tab[m] = s_II^2 at
-    w_k - wI_j with m = k - j + n_i - 1, so it has n_w + n_i - 1 entries.
+    The omega lattice w_k = lo + h k (n_w points, n_w odd) covers the band-II
+    support shifted by every band-I point wI_j and, when it lies inside, the
+    L core to +/-30 Gamma_c.  Column k of the J pass reads s_II^2 at
+    w_k - wI_j, which is exactly 0.0 farther than CW_GAIN_SUPPORT_SIGMAS
+    sigma_c_bar from the band-II centre, so only the window of columns that
+    read a nonzero value is built: `lam` holds their Lorentzian sample
+    weights, and u_tab[m] = s_II^2 at w_k - wI_j with m = k - k0 - j + n_i - 1
+    (k0 the first window column), so it has len(lam) + n_i - 1 entries.  Each
+    value is the one the whole lattice gives at that point; `lam` is empty
+    when s_II^2 is zero everywhere.
     """
     h = scale / points_per_scale
     half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
@@ -370,46 +384,55 @@ def cw_j_lattice(
         hi = max(hi, sys.omega_ca + 30.0 * sys.gamma_c)
     n_w = int(np.ceil((hi - lo) / h)) + 1
     n_w = n_w if n_w % 2 == 1 else n_w + 1
-    w_pts = lo + h * np.arange(n_w)
-    lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
 
-    u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
-    s_u, _ = gain_functions_cw(u_axis, src, "II")
-    return w_i_pts, s_u * s_u, lam
-
-
-def cw_j_window(u_tab: np.ndarray, n_i: int) -> slice | None:
-    """Columns k of the J pass that read a nonzero u_tab entry (None if none do).
-
-    Column k reads u_tab[k : k + n_i], so it can be nonzero only between
-    first_nonzero - (n_i - 1) and last_nonzero.
-    """
-    nonzero = np.flatnonzero(u_tab)
+    # u index m (0 <= m < n_w + n_i - 1) sits at u0 + h m; s_II is evaluated
+    # only where it can be nonzero.
+    u0 = lo - w_i_pts[-1]
+    reach = CW_GAIN_SUPPORT_SIGMAS * src.sigma_c_bar
+    m_lo = max(0, int(np.floor((src.center_ii - reach - u0) / h)))
+    m_hi = min(n_w + n_i - 1, int(np.ceil((src.center_ii + reach - u0) / h)) + 1)
+    s_u, _ = gain_functions_cw(u0 + h * np.arange(m_lo, m_hi), src, "II")
+    s2 = s_u * s_u
+    nonzero = np.flatnonzero(s2)
     if nonzero.size == 0:
-        return None
-    n_w = len(u_tab) - n_i + 1
-    return slice(max(0, nonzero[0] - (n_i - 1)), min(n_w - 1, nonzero[-1]) + 1)
+        return w_i_pts, np.zeros(n_i - 1), np.zeros(0)
+    first, last = m_lo + nonzero[0], m_lo + nonzero[-1]
+    # Column k reads u indices k .. k + n_i - 1.
+    cols = np.arange(max(0, first - (n_i - 1)), min(n_w - 1, last) + 1)
+    u_tab = np.zeros(len(cols) + n_i - 1)
+    u_tab[first - cols[0] : last + 1 - cols[0]] = s2[nonzero[0] : nonzero[-1] + 1]
+
+    shape = sys.lineshape_ca()
+    if _l_core_unresolved(lo, lo + h * (n_w - 1), n_w, h, shape):
+        # The core correction sums over the whole lattice.
+        lam = lorentzian_sample_weights(lo + h * np.arange(n_w), h, shape, 0.5 * scale)[cols]
+    else:
+        simpson = np.where(cols % 2 == 1, 4.0, 2.0)
+        simpson[(cols == 0) | (cols == n_w - 1)] = 1.0
+        lam = simpson * (h / 3.0) * lorentzian(lo + h * cols, shape)
+    return w_i_pts, u_tab, lam
 
 
 def cw_j_pass(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
-    """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k], summed over `cw_j_window` only.
+    """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k] over the window of `cw_j_lattice`.
 
     The product runs on a strided (n_i x window) view whose rows overlap in
     memory, which BLAS cannot take, so numpy sums each row sequentially in
-    k.  Every dropped column reads only exact zeros, and adding a +/-0.0
-    product leaves a sequential partial sum unchanged, so J is bit-identical
-    to the product over the full lattice.  A contiguous copy, a BLAS call or
-    an FFT would change the summation order and the last bits of J.
+    k.  Every lattice column outside the window reads only exact zeros, and
+    adding a +/-0.0 product leaves a sequential partial sum unchanged, so J
+    is bit-identical to the product over the full lattice.  Inside the window
+    the weights are the full lattice's bit for bit: the Simpson weight
+    follows from the index parity and the two ends, and the Lorentzian is
+    elementwise.  A contiguous copy, a BLAS call or an FFT would change the
+    summation order and the last bits of J.
     """
-    window = cw_j_window(u_tab, n_i)
-    if window is None:
+    if lam.size == 0:
         return np.zeros(n_i)
     step = u_tab.strides[0]
     u_view = np.lib.stride_tricks.as_strided(
-        u_tab[n_i - 1 + window.start :], shape=(n_i, window.stop - window.start),
-        strides=(-step, step), writeable=False,
+        u_tab[n_i - 1 :], shape=(n_i, len(lam)), strides=(-step, step), writeable=False,
     )
-    return u_view @ lam[window]
+    return u_view @ lam
 
 
 def _cw_incoherent_integral(

@@ -191,13 +191,14 @@ def simpson_weights(n_points: int, step: float = 1.0) -> np.ndarray:
 
 
 def _evaluate(f: Callable, grid: SpectralGrid) -> np.ndarray:
-    values = np.asarray(f(grid.points))
-    if values.shape != grid.points.shape:
-        values = np.broadcast_to(values, grid.points.shape)
+    points = grid.points
+    values = np.asarray(f(points))
+    if values.shape != points.shape:
+        values = np.broadcast_to(values, points.shape)
     bad = ~np.isfinite(values)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise NonFiniteIntegrandError(idx, float(grid.points[idx]))
+        raise NonFiniteIntegrandError(idx, float(points[idx]))
     return values
 
 

@@ -4,14 +4,19 @@ Each one restates a quantity the library computes another way (or not at
 all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
 JSA, the Gaussian cloud density, the validity population of a
-classical pulse pair computed on its own engine, and the lattice
-correlation on `scipy.fft`.
+classical pulse pair computed on its own engine, the lattice
+correlation on `scipy.fft`, and the CW J pass over the whole lattice.
 """
 
 import numpy as np
 import scipy.fft
 
-from sqfluor.excitation import PulsedExcitationEngine, _single_pair_decomposition
+from sqfluor.excitation import (
+    SPAN_SIGMAS_CW,
+    PulsedExcitationEngine,
+    _single_pair_decomposition,
+    lorentzian_sample_weights,
+)
 from sqfluor.geometry import AtomCloud
 from sqfluor.sources import (
     ClassicalPulsed,
@@ -139,3 +144,36 @@ def scipy_lattice_correlate(weight: np.ndarray, n_out: int):
         return out[0] + 1j * out[1] if is_complex else out[0]
 
     return correlate
+
+
+def full_cw_j_lattice(src: SqueezedCW, sys, scale: float, points_per_scale: float):
+    """`excitation.cw_j_lattice` over every lattice column, not just its window.
+
+    Returns (w_i_pts, w_pts, u_tab, lam): the n_w lattice points, n_w + n_i - 1
+    entries of s_II^2 and the n_w Lorentzian sample weights.
+    """
+    h = scale / points_per_scale
+    half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
+    n_i = 2 * int(np.ceil(half_u / h)) + 1
+    w_i_pts = src.center_i + h * (np.arange(n_i) - (n_i - 1) // 2)
+
+    lo = w_i_pts[0] + src.center_ii - half_u
+    hi = w_i_pts[-1] + src.center_ii + half_u
+    if lo < sys.omega_ca < hi:
+        lo = min(lo, sys.omega_ca - 30.0 * sys.gamma_c)
+        hi = max(hi, sys.omega_ca + 30.0 * sys.gamma_c)
+    n_w = int(np.ceil((hi - lo) / h)) + 1
+    n_w = n_w if n_w % 2 == 1 else n_w + 1
+    w_pts = lo + h * np.arange(n_w)
+    lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
+
+    u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
+    s_u, _ = gain_functions_cw(u_axis, src, "II")
+    return w_i_pts, w_pts, s_u * s_u, lam
+
+
+def full_lattice_j(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
+    """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k]: the strided product over every column."""
+    step = u_tab.strides[0]
+    u_view = np.lib.stride_tricks.as_strided(u_tab[n_i - 1 :], (n_i, len(lam)), (-step, step))
+    return u_view @ lam

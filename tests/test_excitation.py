@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 import scipy.fft
-from oracles import classical_pulsed_population, scipy_lattice_correlate
+from oracles import (
+    classical_pulsed_population,
+    full_cw_j_lattice,
+    full_lattice_j,
+    scipy_lattice_correlate,
+)
 
 import sqfluor.excitation as excitation
 from sqfluor.excitation import (
@@ -19,7 +24,6 @@ from sqfluor.excitation import (
     _cw_gain_scale,
     cw_j_lattice,
     cw_j_pass,
-    cw_j_window,
     energy_ledger,
     fluorescence,
     lattice_correlate,
@@ -47,7 +51,7 @@ from sqfluor.sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
-from sqfluor.spectral import GaussianAmplitude, gaussian_amp, green, lorentzian
+from sqfluor.spectral import GaussianAmplitude, gaussian_amp, green, lorentzian, simpson_weights
 from sqfluor.system import FourLevelSystem, cross_section
 
 # Regression anchor: coherent/classical for sigma_p = Gamma_b/10,
@@ -266,54 +270,91 @@ class TestSqueezedCW:
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
 
 
-def full_lattice_j(u_tab, lam, n_i):
-    """The CW J pass over every lattice column: the strided product unwindowed."""
-    step = u_tab.strides[0]
-    u_view = np.lib.stride_tricks.as_strided(u_tab[n_i - 1 :], (n_i, len(lam)), (-step, step))
-    return u_view @ lam
+def _cw_j_window(u_full, n_i):
+    """The lattice columns that read a nonzero u_tab entry: column k reads u_full[k : k + n_i]."""
+    nonzero = np.flatnonzero(u_full)
+    n_w = len(u_full) - n_i + 1
+    return slice(max(0, nonzero[0] - (n_i - 1)), min(n_w - 1, nonzero[-1]) + 1)
 
 
 class TestCwJPass:
-    # The J pass skips the lattice columns whose u_tab entries are all exactly
-    # zero.  It must give the full product bit for bit, drop only zeros, and
-    # drop every column it can.  Column k reads u_tab[k : k + n_i].
+    # `cw_j_lattice` builds only the columns of the J pass that read a nonzero
+    # s_II^2.  Against the whole lattice (`tests/oracles.py`) it must give the
+    # same weights and densities on exactly those columns and the same J bit
+    # for bit, on both passes (12 and 24 points per scale), with and without
+    # the Lorentzian core correction.
     @pytest.mark.parametrize(
-        "ratio, beta_bar", [(0.01, 0.01), (0.01, 1.0), (0.01, 10.0), (1.0, 1.0)]
+        "ratio, beta_bar",
+        [(r, b) for r in (0.01, 0.1, 1.0, 100.0) for b in (0.01, 1.0, 10.0)],
     )
     def test_window_matches_full_lattice_bit_for_bit(self, cs_system, ratio, beta_bar):
         system, _ = cs_system
         src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
-        w_i_pts, u_tab, lam = cw_j_lattice(src, system, _cw_gain_scale(src), 24.0)
-        n_i, n_w = len(w_i_pts), len(lam)
-        assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_tab, lam, n_i))
+        scale = _cw_gain_scale(src)
+        for points_per_scale in (12.0, 24.0):
+            w_i_pts, u_tab, lam = cw_j_lattice(src, system, scale, points_per_scale)
+            w_full, w_pts, u_full, lam_full = full_cw_j_lattice(src, system, scale, points_per_scale)
+            n_i, n_w = len(w_i_pts), len(lam_full)
+            assert np.array_equal(w_i_pts, w_full)
+            # At 100 Gamma_b the L core is narrower than the step, and its
+            # correction sums over the whole lattice.
+            h = scale / points_per_scale
+            plain = simpson_weights(n_w, h) * lorentzian(w_pts, system.lineshape_ca())
+            assert np.array_equal(lam_full, plain) == (ratio < 100.0)
+            window = _cw_j_window(u_full, n_i)
+            assert np.array_equal(lam, lam_full[window])
+            assert np.array_equal(u_tab, u_full[window.start : window.stop + n_i - 1])
+            assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_full, lam_full, n_i))
+            if ratio < 1.0:
+                # Narrowband: the lattice is stretched to hold the L core, and
+                # the band-II support covers only an inner stretch of it.
+                assert 0 < window.start and window.stop < n_w
+            else:
+                # The window holds both ends, so both Simpson end weights.
+                assert window == slice(0, n_w)
 
-        window = cw_j_window(u_tab, n_i)
-        if ratio < 1.0:
-            # Narrowband: the lattice is stretched to hold the L core, and
-            # the band-II support covers only an inner stretch of it.
-            assert 0 < window.start and window.stop < n_w
-        if window.start > 0:
-            assert not np.any(u_tab[: window.start + n_i - 1])
-            assert np.any(u_tab[window.start : window.start + n_i])
-        if window.stop < n_w:
-            assert not np.any(u_tab[window.stop :])
-            assert np.any(u_tab[window.stop - 1 : window.stop - 1 + n_i])
-
-    def test_narrowband_window_is_a_small_share_of_the_lattice(self, cs_system):
+    def test_narrowband_window_is_a_small_share_of_the_lattice(self, cs_system, monkeypatch):
+        # The lattice set-up must cost O(window), not O(n_w): count the points
+        # given to the two elementwise evaluators on the costliest CW pass.
         system, _ = cs_system
         src = SqueezedCW(10.0, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
-        w_i_pts, u_tab, lam = cw_j_lattice(src, system, _cw_gain_scale(src), 24.0)
-        window = cw_j_window(u_tab, len(w_i_pts))
-        assert window.stop - window.start < 0.05 * len(lam)
+        scale = _cw_gain_scale(src)
+        _, _, u_full, lam_full = full_cw_j_lattice(src, system, scale, 24.0)
+        points = {"gain_functions_cw": 0, "lorentzian": 0}
 
-    def test_all_zero_density(self):
+        def counted(name):
+            fn = getattr(excitation, name)
+
+            def wrapper(omega, *args):
+                points[name] += np.size(omega)
+                return fn(omega, *args)
+
+            return wrapper
+
+        for name in points:
+            monkeypatch.setattr(excitation, name, counted(name))
+        _, u_tab, lam = cw_j_lattice(src, system, scale, 24.0)
+        assert 0 < len(lam) < 0.05 * len(lam_full)
+        assert 0 < points["gain_functions_cw"] < 0.05 * len(u_full)
+        assert 0 < points["lorentzian"] < 0.05 * len(lam_full)
+
+    def test_all_zero_density(self, cs_system):
         n_i, n_w = 5, 17
-        u_tab = np.zeros(n_w + n_i - 1)
-        lam = np.random.default_rng(3).normal(size=n_w)
-        assert cw_j_window(u_tab, n_i) is None
-        j_vals = cw_j_pass(u_tab, lam, n_i)
+        u_full = np.zeros(n_w + n_i - 1)
+        lam_full = np.random.default_rng(3).normal(size=n_w)
+        j_vals = cw_j_pass(np.zeros(n_i - 1), np.zeros(0), n_i)
         assert j_vals.shape == (n_i,)
-        assert np.array_equal(j_vals, full_lattice_j(u_tab, lam, n_i))
+        assert np.array_equal(j_vals, full_lattice_j(u_full, lam_full, n_i))
+
+        # A gain whose square underflows everywhere leaves no window.
+        system, _ = cs_system
+        src = SqueezedCW(1e-200, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
+        scale = _cw_gain_scale(src)
+        w_i_pts, u_tab, lam = cw_j_lattice(src, system, scale, 12.0)
+        _, _, u_full, lam_full = full_cw_j_lattice(src, system, scale, 12.0)
+        n_i = len(w_i_pts)
+        assert not np.any(u_full) and lam.size == 0 and len(u_tab) == n_i - 1
+        assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_full, lam_full, n_i))
 
 
 def brute_force_pulsed(dec, beta, system, eta, area):

@@ -6,6 +6,7 @@ from oracles import g2_cw, g2_pulsed_kernels, geometric_weights, marginal_sigma
 
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
+    CW_GAIN_SUPPORT_SIGMAS,
     ClassicalCW,
     ClassicalPulsed,
     GridTooCoarseError,
@@ -59,6 +60,22 @@ class TestGainFunctions:
         s_i, _ = gain_functions_cw(w, src, "I")
         s_ii, _ = gain_functions_cw(src.pump_center - w, src, "II")
         assert np.allclose(s_ii, s_i, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("band, center", [("I", CI), ("II", CII)])
+    @pytest.mark.parametrize("sigma", [2.0e5, SIGMA, 2.0e9])
+    def test_exactly_zero_beyond_the_support_cut(self, band, center, sigma):
+        # cw_j_lattice evaluates s_II only within the cut; beyond it s must be
+        # exactly 0.0 at any gain (DECISIONS.md).
+        cut = CW_GAIN_SUPPORT_SIGMAS
+        x = np.concatenate([np.linspace(cut, cut + 20.0, 2001), np.geomspace(cut + 20.0, 1e6, 200)])
+        w = center + np.concatenate([x, -x]) * sigma
+        assert np.all(np.abs(w - center) >= cut * sigma * (1.0 - 1e-6))
+        for beta_bar in (1e-6, 1e-2, 1.0, 10.0, 1e3, 1e6):
+            s, c = gain_functions_cw(w, cw_source(beta_bar, sigma), band)
+            assert np.all(s == 0.0) and np.all(c == 1.0)
+        # The cut is not vacuous: at 38 sigma the largest gain is still nonzero.
+        s, _ = gain_functions_cw(center + 38.0 * sigma, cw_source(1e6, sigma), band)
+        assert s > 0.0
 
     def test_bandwidth_and_entanglement_time(self):
         src = cw_source()
