@@ -48,7 +48,6 @@ from .sources import (
     default_jsa_grids,
     export_jsi_csv,
     export_schmidt_csv,
-    photon_number_pulsed,
     photon_rate_cw,
     schmidt_decompose,
     schmidt_decompose_analytic,
@@ -213,8 +212,12 @@ def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
     lo = y / math.sqrt(float(np.sum(p_weights)))
     hi = y / math.sqrt(float(np.max(p_weights)))
 
+    sqrt_p = np.sqrt(p_weights)
+
     def excess(beta):
-        return math.asinh(math.sqrt(photon_number_pulsed(p_weights, beta))) - y
+        # photon_number_pulsed(p_weights, beta), with sqrt(p) taken once.
+        s = np.sinh(beta * sqrt_p)
+        return math.asinh(math.sqrt(float(np.sum(s * s)))) - y
 
     if lo != hi:
         lo *= 1.0 - _BRACKET_SLACK

@@ -297,8 +297,10 @@ def p_classical_pulsed(
     One engine over the pulse pair gives both the probability and, with a
     coupling, the peak intermediate population.  The diagnostic
     `outer_sampling_rel_err` is NaN when the engine's stride ladder has a
-    single stride, as it has for pulse widths of 0.1-100 Gamma_b: the
-    sampling error is then not estimated.
+    single stride, as it has for pulse widths up to 1.25 Gamma_b and from
+    3.5 Gamma_b on: the sampling error is then not estimated.  In between
+    the inner step follows Gamma_b, not the pulse, and the ladder has two
+    or three strides.
     """
     engine = PulsedExcitationEngine(_single_pair_decomposition(src), sys, eta, a_eff, coupling)
     pop = None if coupling is None else engine.population(np.array([src.n_photons_i]))
@@ -371,6 +373,12 @@ def cw_j_lattice(
     (k0 the first window column), so it has len(lam) + n_i - 1 entries.  Each
     value is the one the whole lattice gives at that point; `lam` is empty
     when s_II^2 is zero everywhere.
+
+    The +/-30 Gamma_c stretch adds no column that reads a nonzero s_II^2,
+    yet it is kept: it sets `lo`, hence where the lattice points fall, the
+    parity of their Simpson weights and the span the L core correction sums
+    over, and the CW golden CSV under tests/data freezes the bytes these
+    give.  The pulsed engine has no such stretch.
     """
     h = scale / points_per_scale
     half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
@@ -534,25 +542,31 @@ def _support_extent(grid_points: np.ndarray, table: np.ndarray) -> float:
 class PulsedExcitationEngine:
     """Schmidt-mode quadrature engine over beta-independent kernel levels.
 
-    Construction tabulates the modes on a uniform inner lattice whose step
-    resolves the fastest mode oscillation (and Gamma_b too unless the Green
-    core is analytically extracted), then computes
+    Construction tabulates the modes on a uniform inner lattice over the
+    band-I mode support, whose step resolves the fastest mode oscillation
+    (and Gamma_b too unless the Green core is analytically extracted), then
+    computes
 
         V_n(w_j) = Int G_ba f_IIn(w_j - x) f_In(x) dbar-x     (coherent)
         T_nm     = Int L(w) |Int G_ba f_IIn f_Im dbar-x|^2 dw (incoherent)
 
-    on outer sample lattices aligned with the inner one.  On that alignment
+    on outer sample lattices aligned with the inner one, over the sum of
+    the band-I and band-II supports.  Outside those supports the integrands
+    carry a mode table below SUPPORT_EPSILON of its peak, so no lattice
+    stretches towards the Green or Lorentzian poles.  On that alignment
     the inner integral K_nm(w_j) is a lattice correlation of the band-II
     table with the Green-weighted band-I table, so `lattice_correlate` gives
     it for every m at every stride-1 outer point in one FFT pass per n, and
     each outer stride is a subsample of that pass.  V_n is K_nn, row n of
     mode n's pass.  The outer Lorentzian integral is a fixed linear
-    functional of the outer samples (Simpson weights plus an analytic Voigt
-    core term when Gamma_c is unresolved), so T_nm is a scalar per mode pair
-    and a beta sweep only re-weights the levels with s_n c_n / s_n s_m.  Both
-    levels are read down one stride ladder (`ladder`), halving the stride
-    until two rungs agree to `sample_rel_tol`.  The readers take the pump
-    strength |beta| and weight the engine's own modes by the gains of
+    functional lam of the outer samples (Simpson weights plus an analytic
+    core term when Gamma_c is unresolved), so on every rung both levels are
+    real M x M matrices: T_nm and the coherent form
+    Q_nm = Re sum_j lam_j V_n(w_j) conj(V_m(w_j)).  A beta sweep reads only
+    w @ Q @ w with w_n = s_n c_n and sum_nm s_n^2 s_m^2 T_nm.  Both levels
+    are read down one stride ladder (`ladder`), halving the stride until two
+    rungs agree to `sample_rel_tol`.  The readers take the pump strength
+    |beta| and weight the engine's own modes by the gains of
     `mode_squeezing`.
 
     Everything the public methods read is computed in __init__ and never
@@ -583,6 +597,7 @@ class PulsedExcitationEngine:
         self.ladder = self._stride_ladder(self.sigma_like / SAMPLES_PER_SIGMA)
         self.lorentz_weights = {stride: self._lorentz_weights(stride) for stride in self.ladder}
         self.coherent_rows, self.incoherent_levels = self._kernel_pass()
+        self.coherent_forms = {stride: self._coherent_form(stride) for stride in self.ladder}
 
     # -- lattice -----------------------------------------------------------
 
@@ -595,13 +610,10 @@ class PulsedExcitationEngine:
         if not self.extract:
             h = min(h, sys.gamma_b / POINTS_PER_FEATURE)
 
-        # Inner lattice only needs the band-I mode support (plus the Green core
-        # when it lies inside), not the full JSA grid span.
+        # The inner integrand carries a factor f_Im, so the inner lattice only
+        # needs the band-I mode support, not the full JSA grid span.
         ext_i = _support_extent(pts_i, dec.f_i)
         half_i = min(dec.grid_i.half_span, ext_i + 4.0 * self.osc)
-        ba_offset = abs(sys.omega_ba - dec.grid_i.center)
-        if ba_offset < half_i and not self.extract:
-            half_i = min(dec.grid_i.half_span, max(half_i, ba_offset + 30.0 * sys.gamma_b))
         n_in = int(np.ceil(2.0 * half_i / h)) + 1
         self.n_in = n_in if n_in % 2 == 1 else n_in + 1
         self.h = 2.0 * half_i / (self.n_in - 1)
@@ -609,14 +621,13 @@ class PulsedExcitationEngine:
 
         self.fi = dec.modes_at("I", self.x)
 
+        # K_nm(w) vanishes once w - x leaves the band-II support for every x
+        # in the band-I support, so the outer lattice covers the sum of the
+        # two supports.
         ext_ii = _support_extent(dec.grid_ii.points, dec.f_ii)
         self.out_center = dec.grid_i.center + dec.grid_ii.center
         hard_cap = dec.grid_i.half_span + dec.grid_ii.half_span
-        base = ext_i + ext_ii + 2.0 * self.osc
-        ca_offset = abs(sys.omega_ca - self.out_center)
-        if ca_offset <= base:
-            base = max(base, ca_offset + 30.0 * sys.gamma_c)
-        self.out_half = min(hard_cap, base)
+        self.out_half = min(hard_cap, ext_i + ext_ii + 2.0 * self.osc)
 
         # Band-II tables on the shifted lattice: q_axis[m] is a band-II
         # frequency and q = (n_in - 1) + j*stride - k maps (w_j, x_k) pairs.
@@ -750,6 +761,12 @@ class PulsedExcitationEngine:
         """V_n(w_j) on the outer lattice of `stride` (a view)."""
         return self._rung(self.coherent_rows, stride)
 
+    def _coherent_form(self, stride: int) -> np.ndarray:
+        """Q = Re(V diag(lam) V^H) on one rung, so that w @ Q @ w = lam . |w @ V|^2 for real w."""
+        v = self.coherent_level(stride)
+        lam = self.lorentz_weights[stride]
+        return (v.real * lam) @ v.real.T + (v.imag * lam) @ v.imag.T
+
     # -- probabilities -------------------------------------------------------
 
     def _converge_levels(self, evaluate) -> tuple[float, float]:
@@ -785,8 +802,7 @@ class PulsedExcitationEngine:
         weights = np.sinh(r) * np.cosh(r)
 
         def evaluate(stride: int) -> float:
-            amp = weights @ self.coherent_level(stride)
-            return float(self.lorentz_weights[stride] @ (amp.real**2 + amp.imag**2))
+            return float(weights @ self.coherent_forms[stride] @ weights)
 
         value, rel = self._converge_levels(evaluate)
         return self.eta.eta * value / self.area**2, rel

@@ -357,19 +357,23 @@ class TestCwJPass:
         assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_full, lam_full, n_i))
 
 
-def brute_force_pulsed(dec, beta, system, eta, area):
-    """Dense nested-Simpson oracle for both pulsed squeezed contributions."""
+def brute_force_pulsed(dec, beta, system, eta, area, refine=1):
+    """Dense nested-Simpson oracle for both pulsed squeezed contributions.
+
+    It integrates over the whole JSA grid span, at inner step Gamma_b/10 and
+    outer step Gamma_c/5, both divided by `refine`.
+    """
     gb = system.gamma_b
     x_lo = dec.grid_i.center - dec.grid_i.half_span
     x_hi = dec.grid_i.center + dec.grid_i.half_span
-    n_x = int((x_hi - x_lo) / (gb / 10.0)) | 1
+    n_x = int((x_hi - x_lo) / (gb / (10.0 * refine))) | 1
     x = np.linspace(x_lo, x_hi, n_x)
     w_x = np.ones(n_x)
     w_x[1:-1:2], w_x[2:-1:2] = 4.0, 2.0
     w_x *= (x[1] - x[0]) / 3.0
     out_center = dec.grid_i.center + dec.grid_ii.center
     half_out = dec.grid_i.half_span + dec.grid_ii.half_span - 2 * dec.grid_i.half_span / n_x
-    n_w = int(2 * half_out / (system.gamma_c / 5.0)) | 1
+    n_w = int(2 * half_out / (system.gamma_c / (5.0 * refine))) | 1
     w_grid = np.linspace(out_center - half_out, out_center + half_out, n_w)
     w_w = np.ones(n_w)
     w_w[1:-1:2], w_w[2:-1:2] = 4.0, 2.0
@@ -570,6 +574,59 @@ class TestSqueezedPulsed:
         coh_brute, incoh_brute = brute_force_pulsed(dec, 1.0, system, cs_eta, mot_area)
         assert out.coherent == pytest.approx(coh_brute, rel=1e-2, abs=0.0)
         assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2, abs=0.0)
+
+    def test_padding_free_lattices_match_full_span_oracle(self, cs_system, cs_eta, mot_area):
+        # Resolved Green pole on resonance at sigma_p = 0.1 Gamma_b: the
+        # engine's lattices cover the mode supports only, narrower than the
+        # JSA grid, while the oracle integrates the whole grid span.  Its
+        # step-halving gap (refine 4 -> 8) is 7.5e-6 coherent and 1.06e-5
+        # incoherent; the tolerances are 3x those.
+        system, _ = cs_system
+        gb = system.gamma_b
+        src = SqueezedPulsed(0.1 * gb, 0.3 * gb, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose(src, trunc_tol=1e-8).truncated(3)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        assert not engine.extract
+        assert engine.x[-1] - dec.grid_i.center < dec.grid_i.half_span
+        assert engine.out_half < dec.grid_i.half_span + dec.grid_ii.half_span
+        out = engine.outcome(1.0)
+        coh_brute, incoh_brute = brute_force_pulsed(
+            dec, 1.0, system, cs_eta, mot_area, refine=4
+        )
+        assert out.coherent == pytest.approx(coh_brute, rel=2.3e-5, abs=0.0)
+        assert out.incoherent == pytest.approx(incoh_brute, rel=3.2e-5, abs=0.0)
+
+    @pytest.mark.parametrize("detuned", [False, True])
+    def test_coherent_form_is_the_lorentzian_read(
+        self, cs_system, cs_eta, mot_area, detuned
+    ):
+        # w @ Q @ w = lam . |w @ V|^2 on every rung.  The detuned panel
+        # extracts the Green core, and one of its rungs carries the L-core
+        # stencil, whose weights are negative.
+        system, _ = cs_system
+        gb, gc = system.gamma_b, system.gamma_c
+        if detuned:
+            center_i = system.omega_ba + 5.0 * gb
+            src = SqueezedPulsed(
+                10 * gb, 50 * gb, center_i, (system.omega_ca + 2.0 * gc) - center_i
+            )
+            dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
+        else:
+            src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
+            dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        assert engine.extract == detuned
+        assert any(np.any(engine.lorentz_weights[s] < 0.0) for s in engine.ladder) == detuned
+        for beta in (1e-4, 1e-3, 0.3, 1.5):
+            r = mode_squeezing(dec.p, beta)
+            w = np.sinh(r) * np.cosh(r)
+            for stride in engine.ladder:
+                form = w @ engine.coherent_forms[stride] @ w
+                amp = w @ engine.coherent_level(stride)
+                direct = engine.lorentz_weights[stride] @ np.abs(amp) ** 2
+                assert form >= 0.0
+                assert form == pytest.approx(direct, rel=1e-12, abs=0.0)
+            assert engine.coherent_probability(beta)[0] >= 0.0
 
     def test_diagonal_kernel_identity(self, cs_system, cs_eta, mot_area):
         # The incoherent n = m kernel rows are exactly the coherent mode rows.
