@@ -193,7 +193,16 @@ _BETA_MAX = 1e6
 _BRACKET_SLACK = 1e-12
 
 
-def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
+def _asinh(x):
+    """math.asinh, elementwise on an array: np.arcsinh can differ from it in the last bit."""
+    if np.ndim(x) == 0:
+        return math.asinh(x)
+    return np.array([math.asinh(v) for v in x.tolist()])
+
+
+def _beta_for_photons(
+    p_weights: np.ndarray, n_photons: float | np.ndarray
+) -> float | np.ndarray:
     """Invert N = photon_number_pulsed(p, beta) = sum_n sinh^2(beta sqrt(p_n)) for beta.
 
     sinh^2(sqrt x) is a power series in x with nonnegative coefficients, so
@@ -205,33 +214,54 @@ def _beta_for_photons(p_weights: np.ndarray, n_photons: float) -> float:
     asinh(sqrt(N(beta))) = y, close to linear in beta (exactly so for one
     mode), to 1e-13 relative in beta.  Raises
     `PhotonInversionError` when no beta up to 1e6 reaches N.
+
+    `n_photons` may also be an array, such as a panel's photon grid: each
+    element is bracketed as above and all are solved in one lock-step
+    `brentq`, each to the bits of its scalar call.  An element whose scalar
+    call would raise is NaN in the returned array; the scalar call on that N
+    alone raises its error.
     """
-    if n_photons <= 0.0:
-        return 0.0
-    y = math.asinh(math.sqrt(n_photons))
+    n = np.asarray(n_photons, dtype=float)
+    scalar = n.ndim == 0
+    y = _asinh(np.sqrt(np.where(n <= 0.0, 0.0, n)).reshape(-1))
     lo = y / math.sqrt(float(np.sum(p_weights)))
     hi = y / math.sqrt(float(np.max(p_weights)))
 
     sqrt_p = np.sqrt(p_weights)
 
-    def excess(beta):
-        # photon_number_pulsed(p_weights, beta), with sqrt(p) taken once.
-        s = np.sinh(beta * sqrt_p)
-        return math.asinh(math.sqrt(float(np.sum(s * s)))) - y
+    def excess(beta, y):
+        # photon_number_pulsed(p_weights, beta), with sqrt(p) taken once, per
+        # element of beta: its rows of s are summed as the 1-D sum would be.
+        s = np.sinh(np.multiply.outer(beta, sqrt_p))
+        return _asinh(np.sqrt(np.sum(s * s, axis=-1))) - y
 
-    if lo != hi:
-        lo *= 1.0 - _BRACKET_SLACK
-        hi *= 1.0 + _BRACKET_SLACK
-    if hi > _BETA_MAX:
-        if lo > _BETA_MAX or excess(_BETA_MAX) < 0.0:
+    wide = lo != hi
+    lo[wide] *= 1.0 - _BRACKET_SLACK
+    hi[wide] *= 1.0 + _BRACKET_SLACK
+    unreached = np.zeros(y.shape, dtype=bool)
+    capped = hi > _BETA_MAX
+    if capped.any():
+        unreached = capped & ((lo > _BETA_MAX) | (excess(_BETA_MAX, y) < 0.0))
+        if scalar and unreached[0]:
             raise PhotonInversionError(
-                f"photon-number inversion failed to bracket N = {n_photons:.17g}: "
+                f"photon-number inversion failed to bracket N = {float(n):.17g}: "
                 f"no beta up to {_BETA_MAX:g} reaches it"
             )
-        hi = _BETA_MAX
-    if lo == hi:
-        return lo
-    return brentq(excess, lo, hi, xtol=1e-13 * lo, rtol=1e-13, maxiter=200)
+        hi[capped] = _BETA_MAX
+    beta = lo.copy()
+    solve = (lo != hi) & ~unreached
+    if solve.any():
+        target, a, b = y[solve], lo[solve], hi[solve]
+        if scalar:
+            # A scalar N is solved on floats, as any scalar root finder takes them.
+            target, a, b = float(target[0]), float(a[0]), float(b[0])
+        beta[solve] = brentq(
+            lambda x: excess(x, target), a, b, xtol=1e-13 * a, rtol=1e-13, maxiter=200
+        )
+    if scalar:
+        return float(beta[0])
+    beta[unreached] = math.nan
+    return beta.reshape(n.shape)
 
 
 def _decompose_for_panel(cfg: RunConfig, src: SqueezedPulsed):
@@ -262,9 +292,18 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 center_i=system.omega_ba, center_ii=system.omega_cb,
             )
             dec = _decompose_for_panel(cfg, src)
-            beta_max = _beta_for_photons(dec.p, photon_grid[-1])
+            try:
+                beta_max = _beta_for_photons(dec.p, photon_grid[-1])
+            except PhotonInversionError:
+                # The rows out of reach fail on their own; the others keep
+                # the modes they need up to the limit.
+                beta_max = _BETA_MAX
             working = dec.truncated(
                 dec.weighted_mode_count(beta_max, cfg.numerics["mode_weight_tail"])
+            )
+            # Every row's beta in one inversion; NaN marks a row that fails.
+            betas = dict(
+                zip(photon_grid.tolist(), _beta_for_photons(working.p, photon_grid).tolist())
             )
             engine = PulsedExcitationEngine(
                 working, system, eta, area, coupling, cfg.numerics["sample_rel_tol"]
@@ -276,9 +315,13 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area)
             cl_unit = cl_ref.total / (src_cl_ref.n_photons_i * src_cl_ref.n_photons_ii)
 
-            def compute(task, _engine=engine, _p=working.p, _cl_unit=cl_unit):
+            def compute(task, _engine=engine, _p=working.p, _betas=betas,
+                        _sqrt_p0=np.sqrt(working.p[0]), _cl_unit=cl_unit):
                 n_photons = task["photons_per_pulse"]
-                beta = _beta_for_photons(_p, n_photons)
+                beta = _betas[n_photons]
+                if math.isnan(beta):
+                    # The scalar inversion raises this row's error.
+                    beta = _beta_for_photons(_p, n_photons)
                 out = _engine.outcome(beta)
                 p_cl = _cl_unit * n_photons**2
                 fl_sq = fluorescence(out, system, n_atoms)
@@ -295,7 +338,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     "n_fluor_sq_coherent": fl_sq.per_atom_coherent * n_atoms,
                     "n_fluor_sq_incoherent": fl_sq.per_atom_incoherent * n_atoms,
                     "n_fluor_sq_total": fl_sq.total,
-                    "crossover": beta * np.sqrt(_p[0]) >= 1.0,
+                    "crossover": beta * _sqrt_p0 >= 1.0,
                     "validity": within_validity(out.max_population),
                 }
 

@@ -587,6 +587,8 @@ class PulsedExcitationEngine:
         self.eta = eta
         self.area = a_eff
         self.coupling = coupling
+        if coupling is not None:
+            self.kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
         self.sample_rel_tol = sample_rel_tol
         self._build_lattice()
         self._build_green_weights()
@@ -810,7 +812,8 @@ class PulsedExcitationEngine:
     def incoherent_probability(self, beta: float) -> tuple[float, float]:
         """(value, sampling_rel_err) of the incoherent pulsed probability at |beta|."""
         s = np.sinh(mode_squeezing(self.dec.p, beta))
-        value, rel = self.converged_incoherent(np.outer(s * s, s * s))
+        s2 = s * s
+        value, rel = self.converged_incoherent(np.outer(s2, s2))
         return self.eta.eta * value / self.area**2, rel
 
     # -- intermediate-state population (validity diagnostic) -----------------
@@ -839,10 +842,10 @@ class PulsedExcitationEngine:
         """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
 
         The weights are s_n^2 for squeezed modes and the band-I photon number
-        for a classical pulse.  Needs the engine's coupling.
+        for a classical pulse.  Needs the engine's coupling, whose
+        single-photon coupling `kappa` is taken once at construction.
         """
-        kappa = one_photon_coupling(self.dec.grid_i.center, self.coupling.mu_sq_ba)
-        return kappa * self.max_population_weighted(weights) / self.area
+        return self.kappa * self.max_population_weighted(weights) / self.area
 
     def outcome(self, beta: float) -> ExcitationOutcome:
         """Coherent and incoherent probabilities at |beta|, with their diagnostics.

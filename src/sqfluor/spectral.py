@@ -10,13 +10,13 @@ doubles the resolution until successive estimates agree.
 Grids are built from exact uniform offsets about the grid center so that
 detuning spacing is not polluted by the ~1e15 rad/s optical carrier.
 
-`brentq` is the one scalar root finder the package needs (Brent's method,
-Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+`brentq` is the one root finder the package needs (Brent's method, Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 4); it solves
+one bracket or an array of brackets in lock step.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -243,13 +243,13 @@ _BRENT_RTOL_MIN = 4.0 * sys.float_info.epsilon
 
 
 def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 2e-12,
+    f: Callable,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
+    xtol: float | np.ndarray = 2e-12,
     rtol: float = _BRENT_RTOL_MIN,
     maxiter: int = 100,
-) -> float:
+) -> float | np.ndarray:
     """Root of f in the sign-changing bracket [a, b] by Brent's method.
 
     A statement-by-statement port of the netlib `zeroin` loop as SciPy's C
@@ -262,69 +262,98 @@ def brentq(
     short enough, by bisection when it is not, and by at least delta.
     Raises ValueError for ends of the same sign or a NaN value of f, and
     `ConvergenceError` when maxiter iterations do not reach the tolerance.
+
+    `a`, `b` and `xtol` may also be arrays, broadcast together; each element
+    is then its own bracket, and all are solved in lock step.  f takes the
+    array of current iterates and returns their values, so it is called
+    twice at the ends and then once per iteration, 2 + the largest iteration
+    count in all; an element that has finished stays at its root in that
+    array.  Every element takes exactly the steps of its scalar solve.  One
+    that runs out of iterations is NaN in the result, so the others keep
+    their roots; the ValueErrors concern the whole call.
     """
-    if xtol <= 0.0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if np.any(np.asarray(xtol) <= 0.0):
+        raise ValueError(f"xtol too small ({float(np.min(xtol)):g} <= 0)")
     if rtol < _BRENT_RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(xtol))
+    xpre, xcur, tol = (
+        np.broadcast_to(np.asarray(v, dtype=float), shape).flatten() for v in (a, b, xtol)
+    )
+    size = xcur.size
 
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x!r} is NaN")
+    def value(x, live):
+        # f on the current iterates x of every element, read at the live ones;
+        # a scalar bracket hands f a float.
+        fx = f(float(x[0])) if shape == () else f(x.reshape(shape))
+        fx = np.asarray(fx, dtype=float).reshape(size)[live]
+        nan = np.isnan(fx)
+        if nan.any():
+            raise ValueError(f"the function value at x={float(x[live][nan][0])!r} is NaN")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    live = np.arange(size)
+    fpre = value(xpre, live)
+    fcur = value(xcur, live)
+    found = (fpre == 0.0) | (fcur == 0.0)
+    root = np.where(found, np.where(fpre == 0.0, xpre, xcur), np.nan)
+    live = np.flatnonzero(~found)
+    xpre, xcur, fpre, fcur, tol = (v[live] for v in (xpre, xcur, fpre, fcur, tol))
+    if np.any(np.signbit(fpre) == np.signbit(fcur)):
         raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.zeros(live.size)
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
+        # Each line is a statement of the netlib loop, taken where its mask holds.
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (
+            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        )
+        fpre, fcur, fblk = (
+            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        )
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (tol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            # Finished elements keep their root and leave the state arrays.
+            root[live[done]] = xcur[done]
+            state = (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, tol, delta, sbis)
+            live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, tol, delta, sbis = (
+                v[~done] for v in state
+            )
+        if live.size == 0:
+            break
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C division gives inf or NaN here, which fails the test below.
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                # bisect
-                spre = scur = sbis
-        else:
-            # bisect
-            spre = scur = sbis
+        with np.errstate(all="ignore"):
+            # Division by zero gives inf or NaN, as in C, which fails the
+            # step test below and so bisects.
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        # good short step where this holds, bisect elsewhere
+        short = (
+            (np.abs(spre) > delta)
+            & (np.abs(fcur) < np.abs(fpre))
+            & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+        )
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
 
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    rel_err = abs(xcur - xpre) / max(abs(xcur), abs(xpre))
-    raise ConvergenceError(xcur, xpre, rel_err, what="Brent's method")
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        x = root.copy()
+        x[live] = xcur
+        fcur = value(x, live)
+    if shape != ():
+        return root.reshape(shape)
+    if live.size:
+        xcur, xpre = float(xcur[0]), float(xpre[0])
+        rel_err = abs(xcur - xpre) / max(abs(xcur), abs(xpre))
+        raise ConvergenceError(xcur, xpre, rel_err, what="Brent's method")
+    return float(root[0])

@@ -393,6 +393,77 @@ def test_photon_inversions_match_scipy_brentq(monkeypatch):
     assert len(ours[1]) > 7 * len(photons)  # only the one-mode spectrum skips the solver
 
 
+GEOMETRIC_SPECTRA = [geometric_weights(mu) for mu in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+
+
+def test_photon_inversion_of_a_grid_matches_scalar_calls(monkeypatch):
+    # One lock-step solve per spectrum gives each N the bits of its scalar
+    # call, with one array evaluation for each callback of the longest one.
+    photons = np.logspace(-2.0, 4.0, 301)
+    calls = []
+    brentq = cli.brentq
+    monkeypatch.setattr(
+        cli, "brentq", lambda f, *a, **k: brentq(lambda x: calls.append(x) or f(x), *a, **k)
+    )
+
+    def counted(p, n_photons):
+        before = len(calls)
+        return cli._beta_for_photons(p, n_photons), len(calls) - before
+
+    for p in GEOMETRIC_SPECTRA:
+        betas, grid_calls = counted(p, photons)
+        assert betas.dtype == float and betas.shape == photons.shape
+        scalar = [counted(p, n) for n in photons]
+        assert betas.tolist() == [beta for beta, _ in scalar]
+        assert grid_calls == max(n_calls for _, n_calls in scalar)
+
+
+@given(
+    rest=st.lists(st.floats(0.0, 1.0), max_size=30),
+    log_scale=st.floats(-6.0, 0.0),
+    log_photons=st.lists(st.floats(-12.0, 6.0), min_size=1, max_size=20),
+)
+@example(rest=[1e-15], log_scale=0.0, log_photons=[-2.0, -9.5])
+@example(rest=[1e-300], log_scale=-3.0, log_photons=[6.0])
+@example(rest=[], log_scale=-6.0, log_photons=[0.0])
+def test_photon_inversion_of_a_grid_any_spectrum(rest, log_scale, log_photons):
+    # With N <= 0 and unreachable N mixed in: each element is its scalar
+    # call, and NaN exactly where that call raises.
+    p = 10.0**log_scale * np.array([1.0, *rest])
+    photons = [10.0**v for v in log_photons] + [0.0, -1.0, math.inf]
+    with np.errstate(over="ignore", invalid="ignore"):  # N(beta) overflows near the limit
+        at_limit = photon_number_pulsed(p, 1e6)
+        if math.isfinite(at_limit):
+            photons.append(2.0 * at_limit)
+        betas = cli._beta_for_photons(p, np.array(photons))
+    for n_photons, beta in zip(photons, betas.tolist()):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = cli._beta_for_photons(p, n_photons)
+        except cli.PhotonInversionError:
+            assert math.isnan(beta) and n_photons > 0.0
+        else:
+            assert beta == expected
+
+
+def test_photon_inversion_out_of_iterations_spares_the_grid(monkeypatch):
+    brentq = cli.brentq
+    monkeypatch.setattr(cli, "brentq", lambda f, a, b, **k: brentq(f, a, b, **{**k, "maxiter": 4}))
+    p = geometric_weights(0.5)
+    photons = np.logspace(-2.0, 4.0, 61)
+    betas = cli._beta_for_photons(p, photons)
+    failed = 0
+    for n_photons, beta in zip(photons, betas.tolist()):
+        try:
+            expected = cli._beta_for_photons(p, n_photons)
+        except ConvergenceError:
+            failed += 1
+            assert math.isnan(beta)
+        else:
+            assert beta == expected
+    assert 0 < failed < len(photons)
+
+
 class TestPulsedSweep:
     def test_separable_panel_identity(self, tmp_path):
         cfg = load_config(tiny_pulsed_config(tmp_path))
@@ -423,6 +494,43 @@ class TestPulsedSweep:
             assert a["photons_per_pulse"] == b["photons_per_pulse"]
             assert a["p_sq_coherent"] == pytest.approx(b["p_sq_coherent"], rel=1e-12, abs=0.0)
             assert a["p_sq_incoherent"] == pytest.approx(b["p_sq_incoherent"], rel=1e-12, abs=0.0)
+
+    def test_an_unreachable_photon_number_fails_its_row_only(self, tmp_path, monkeypatch, caplog):
+        # Lower the beta limit just below the top row of the many-mode panel:
+        # that row's N is out of reach, and no other row may change.
+        cfg = load_config(tiny_pulsed_config(tmp_path))
+        undisturbed = run_pulsed_sweep(cfg)
+        top = undisturbed[-1]["beta"]
+        assert all(row["beta"] < 0.999 * top for row in undisturbed[:-1])
+        monkeypatch.setattr(cli, "_BETA_MAX", top * (1.0 - 1e-9))
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            rows = run_pulsed_sweep(cfg)
+        assert [row["validity"] for row in rows].count("failed") == 1
+        assert rows[-1]["validity"] == "failed" and math.isnan(rows[-1]["beta"])
+        assert rows[:-1] == undisturbed[:-1]
+        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "PhotonInversionError: photon-number inversion failed to bracket N = 10" in (
+            record.getMessage()
+        )
+
+    def test_a_row_out_of_iterations_fails_alone(self, tmp_path, monkeypatch, caplog):
+        # With Brent's method held to five iterations, the N = 3 row of the
+        # many-mode panel needs a sixth; the panel's other inversions do not.
+        cfg = load_config(tiny_pulsed_config(tmp_path, photons_min=0.3, photons_max=30.0))
+        undisturbed = run_pulsed_sweep(cfg)
+        brentq = cli.brentq
+        monkeypatch.setattr(
+            cli, "brentq", lambda f, a, b, **k: brentq(f, a, b, **{**k, "maxiter": 5})
+        )
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            rows = run_pulsed_sweep(cfg)
+        failed = [i for i, row in enumerate(rows) if row["validity"] == "failed"]
+        assert len(failed) == 1 and rows[failed[0]]["photons_per_pulse"] == pytest.approx(3.0)
+        assert [r for i, r in enumerate(rows) if i not in failed] == [
+            r for i, r in enumerate(undisturbed) if i not in failed
+        ]
+        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "ConvergenceError: Brent's method did not converge" in record.getMessage()
 
 
 class TestEmit:

@@ -259,3 +259,100 @@ class TestBrentq:
             brentq(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=2)
         assert isinstance(info.value, RuntimeError)
         assert 0.0 < info.value.rel_err < 1.0
+
+
+def lock_step_counted(f, a, b, **kwargs):
+    """(roots, iterate arrays f was called on) of one lock-step solve."""
+    calls = []
+    roots = brentq(lambda x: calls.append(x) or f(x), a, b, **kwargs)
+    return roots, calls
+
+
+class TestBrentqLockStep:
+    # Array families of TestBrentq.CASES: element i of each is a scalar
+    # problem of its own, which scipy solves one at a time on the same numpy
+    # expression (a 1-element array; numpy's power and the interpreter's may
+    # differ in the last bit, so the powers are products).
+    FAMILIES = {
+        "cubic over constants": (
+            lambda c: (lambda x: x * x * x - 2.0 * x - c),
+            np.linspace(1.0, 50.0, 9), np.zeros(9), 4.0, {"xtol": np.geomspace(1e-15, 1e-6, 9)},
+        ),
+        "steep exponential": (
+            lambda k: (lambda x: np.exp(x) - k),
+            10.0 ** np.arange(1.0, 40.0, 4.0), 0.0, np.full(10, 100.0), {},
+        ),
+        "root at an end": (
+            lambda r: (lambda x: x - r),
+            np.array([0.0, 0.3, 1.0, 0.7, 0.0]), np.zeros(5), 1.0, {},
+        ),
+        "step": (
+            lambda t: (lambda x: np.where(x < t, -1.0, 1.0)),
+            np.array([1.0 / 3.0, 0.1, 0.9, 0.5 + 1e-9]), np.zeros(4), 1.0, {},
+        ),
+        "ninth power": (
+            lambda c: (lambda x: (x - c) * ((x - c) * (x - c)) ** 4),
+            np.array([0.5, 0.2, 1.1, 0.65]), np.zeros(4), 1.3,
+            {"xtol": 1e-15, "rtol": 1e-13, "maxiter": 10_000},
+        ),
+    }
+
+    @staticmethod
+    def scalar_solves(family, params, a, b, tols):
+        """scipy's (root, callback list) for each element, with its own tolerances."""
+        a, b, xtol = np.broadcast_arrays(a, b, tols.get("xtol", 2e-12))
+        solves = []
+        for i, param in enumerate(params):
+            calls = []
+            f = family(param)
+            kwargs = dict(tols, xtol=float(xtol[i]))
+            root = scipy.optimize.brentq(
+                lambda x: calls.append(x) or float(f(np.array([x]))[0]),
+                float(a[i]), float(b[i]), **kwargs,
+            )
+            solves.append((root, calls))
+        return solves
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_each_element_takes_its_scalar_steps(self, name):
+        family, params, a, b, tols = self.FAMILIES[name]
+        expected = self.scalar_solves(family, params, a, b, tols)
+        roots, calls = lock_step_counted(family(params), a, b, **tols)
+        assert roots.dtype == float and roots.shape == params.shape
+        assert roots.tolist() == [root for root, _ in expected]
+        assert len(calls) == max(len(c) for _, c in expected)
+        for i, (root, scalar_calls) in enumerate(expected):
+            # Iterate i follows its scalar solve, then stays at its root.
+            iterates = [float(x[i]) for x in calls]
+            assert iterates == scalar_calls + [root] * (len(calls) - len(scalar_calls))
+
+    def test_a_scalar_bracket_is_solved_on_floats(self):
+        seen = []
+        root = brentq(lambda x: seen.append(type(x)) or x * x - 2.0, 0.0, 2.0)
+        assert type(root) is float and set(seen) == {float}
+        single = brentq(lambda x: x * x - 2.0, np.array([0.0]), 2.0)
+        assert single.shape == (1,) and single[0] == root
+
+    def test_same_sign_element_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x - np.array([2.0, -1.0]), np.zeros(2), 2.0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: np.where(x > 1.5, np.nan, x - np.array([1.0, 1.2])), np.zeros(2), 2.0)
+
+    def test_running_out_of_iterations_spares_the_others(self):
+        # maxiter=2 stops the fixed point of cos short; the root at an end and
+        # the linear root are found within two iterations.
+        shifts = np.array([0.0, 1.0, 0.25])
+
+        def f(x):
+            return np.where(shifts == 0.0, np.cos(x) - x, x - shifts)
+
+        roots = brentq(f, np.zeros(3), 1.0, maxiter=2)
+        with pytest.raises(RuntimeError):
+            scipy.optimize.brentq(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=2)
+        assert math.isnan(roots[0])
+        assert roots[1:].tolist() == [
+            scipy.optimize.brentq(lambda x: x - s, 0.0, 1.0, maxiter=2) for s in shifts[1:]
+        ]
