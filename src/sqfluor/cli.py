@@ -31,8 +31,8 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .constants import PI, TWO_PI
 from .excitation import (
-    ExcitationOutcome,
     PulsedExcitationEngine,
+    branching_factor,
     fluorescence,
     matched_classical_cw,
     matched_classical_pulsed,
@@ -52,7 +52,7 @@ from .sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
-from .spectral import NumericalError, brentq
+from .spectral import ConvergenceError, NumericalError, brentq
 from .system import eta_prefactor
 
 logger = logging.getLogger(__name__)
@@ -72,9 +72,21 @@ PULSED_COLUMNS = [
 ]
 
 
+def _fmt_bool(value) -> str:
+    return "true" if value else "false"
+
+
+# Cell formats by exact type, for the types sweep rows hold; the isinstance
+# chain of `_fmt` serves the rest (numpy scalars, subclasses) the same way.
+_FORMAT_BY_TYPE = {float: float.__repr__, str: str, bool: _fmt_bool}
+
+
 def _fmt(value) -> str:
+    fmt = _FORMAT_BY_TYPE.get(type(value))
+    if fmt is not None:
+        return fmt(value)
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return _fmt_bool(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -200,6 +212,11 @@ def _asinh(x):
     return np.array([math.asinh(v) for v in x.tolist()])
 
 
+def _beta_bounds(p_weights: np.ndarray, y):
+    """Closed-form bracket [y / sqrt(sum p), y / sqrt(p_max)] of the beta with asinh(sqrt N) = y."""
+    return y / math.sqrt(float(np.sum(p_weights))), y / math.sqrt(float(np.max(p_weights)))
+
+
 def _beta_for_photons(
     p_weights: np.ndarray, n_photons: float | np.ndarray
 ) -> float | np.ndarray:
@@ -224,8 +241,7 @@ def _beta_for_photons(
     n = np.asarray(n_photons, dtype=float)
     scalar = n.ndim == 0
     y = _asinh(np.sqrt(np.where(n <= 0.0, 0.0, n)).reshape(-1))
-    lo = y / math.sqrt(float(np.sum(p_weights)))
-    hi = y / math.sqrt(float(np.max(p_weights)))
+    lo, hi = _beta_bounds(p_weights, y)
 
     sqrt_p = np.sqrt(p_weights)
 
@@ -283,9 +299,15 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         src_cfg["photons_min"], src_cfg["photons_max"], src_cfg["points_per_decade"]
     )
 
+    factor = branching_factor(system)
     rows: list[dict] = []
     for sp_ratio in src_cfg["sigma_p_over_gamma_b"]:
         for sc_ratio in src_cfg["sigma_c_over_sigma_p"]:
+            tasks = [
+                {"sigma_p_over_gamma_b": sp_ratio, "sigma_c_over_sigma_p": sc_ratio,
+                 "photons_per_pulse": float(n)}
+                for n in photon_grid
+            ]
             sigma_p = sp_ratio * system.gamma_b
             src = SqueezedPulsed(
                 sigma_p=sigma_p, sigma_c=sc_ratio * sigma_p,
@@ -298,6 +320,11 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 # The rows out of reach fail on their own; the others keep
                 # the modes they need up to the limit.
                 beta_max = _BETA_MAX
+            except ConvergenceError:
+                # The root is at least the bracket's lower end, and the mode
+                # count only falls as beta rises: this keeps every mode the
+                # solved beta would.
+                beta_max, _ = _beta_bounds(dec.p, _asinh(math.sqrt(photon_grid[-1])))
             working = dec.truncated(
                 dec.weighted_mode_count(beta_max, cfg.numerics["mode_weight_tail"])
             )
@@ -309,14 +336,23 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 working, system, eta, area, coupling, cfg.numerics["sample_rel_tol"]
             )
             # Classical reference is exactly bilinear in the photon numbers.
-            src_cl_ref = matched_classical_pulsed(
-                working, _beta_for_photons(working.p, 1.0), src
-            )
-            cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area)
+            try:
+                src_cl_ref = matched_classical_pulsed(
+                    working, _beta_for_photons(working.p, 1.0), src
+                )
+                cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area)
+            except NumericalError as exc:
+                logger.warning(
+                    "panel sigma_p_over_gamma_b=%r, sigma_c_over_sigma_p=%r failed: "
+                    "classical reference at N = 1: %s: %s",
+                    sp_ratio, sc_ratio, type(exc).__name__, exc,
+                )
+                rows.extend(_failed_row(PULSED_COLUMNS, task) for task in tasks)
+                continue
             cl_unit = cl_ref.total / (src_cl_ref.n_photons_i * src_cl_ref.n_photons_ii)
 
             def compute(task, _engine=engine, _p=working.p, _betas=betas,
-                        _sqrt_p0=np.sqrt(working.p[0]), _cl_unit=cl_unit):
+                        _sqrt_p0=float(engine.sqrt_p[0]), _cl_unit=cl_unit):
                 n_photons = task["photons_per_pulse"]
                 beta = _betas[n_photons]
                 if math.isnan(beta):
@@ -324,8 +360,11 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     beta = _beta_for_photons(_p, n_photons)
                 out = _engine.outcome(beta)
                 p_cl = _cl_unit * n_photons**2
-                fl_sq = fluorescence(out, system, n_atoms)
-                fl_cl = fluorescence(ExcitationOutcome(p_cl, 0.0), system, n_atoms)
+                # The counts of fluorescence(out) and of fluorescence() on the
+                # classical (p_cl, 0.0), in its operation order; its + 0.0 *
+                # factor changes no bit of the nonnegative p_cl * factor.
+                per_coh = out.coherent * factor
+                per_ic = out.incoherent * factor
                 return {
                     "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
                     "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
@@ -334,19 +373,14 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     "p_classical": p_cl,
                     "p_sq_coherent": out.coherent,
                     "p_sq_incoherent": out.incoherent,
-                    "n_fluor_classical": fl_cl.total,
-                    "n_fluor_sq_coherent": fl_sq.per_atom_coherent * n_atoms,
-                    "n_fluor_sq_incoherent": fl_sq.per_atom_incoherent * n_atoms,
-                    "n_fluor_sq_total": fl_sq.total,
+                    "n_fluor_classical": p_cl * factor * n_atoms,
+                    "n_fluor_sq_coherent": per_coh * n_atoms,
+                    "n_fluor_sq_incoherent": per_ic * n_atoms,
+                    "n_fluor_sq_total": (per_coh + per_ic) * n_atoms,
                     "crossover": beta * _sqrt_p0 >= 1.0,
                     "validity": within_validity(out.max_population),
                 }
 
-            tasks = [
-                {"sigma_p_over_gamma_b": sp_ratio, "sigma_c_over_sigma_p": sc_ratio,
-                 "photons_per_pulse": float(n)}
-                for n in photon_grid
-            ]
             rows.extend(_map_rows(compute, tasks, PULSED_COLUMNS, jobs))
     return rows
 
@@ -377,8 +411,7 @@ def emit(rows: list[dict], columns: list[str], cfg: RunConfig, path,
             handle.write(line + "\n")
         writer = csv.writer(handle)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
     if cfg.output["json_mirror"]:
         payload = {
             "config_hash": cfg.config_hash,

@@ -51,8 +51,8 @@ from .sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
-    mode_squeezing,
     photon_number_pulsed,
+    squeezing_from_roots,
 )
 from .spectral import (
     GaussianAmplitude,
@@ -78,6 +78,7 @@ __all__ = [
     "p_squeezed_pulsed",
     "PulsedExcitationEngine",
     "fluorescence",
+    "branching_factor",
     "energy_ledger",
     "population_integrals_from_probability",
     "max_intermediate_population",
@@ -565,9 +566,11 @@ class PulsedExcitationEngine:
     Q_nm = Re sum_j lam_j V_n(w_j) conj(V_m(w_j)).  A beta sweep reads only
     w @ Q @ w with w_n = s_n c_n and sum_nm s_n^2 s_m^2 T_nm.  Both levels
     are read down one stride ladder (`ladder`), halving the stride until two
-    rungs agree to `sample_rel_tol`.  The readers take the pump strength
-    |beta| and weight the engine's own modes by the gains of
-    `mode_squeezing`.
+    rungs agree to `sample_rel_tol`; a one-rung ladder is read once.  The
+    readers take the pump strength |beta| and weight the engine's own modes
+    by the gains of `mode_squeezing`, formed from `sqrt_p`, the roots of the
+    mode weights taken once.  The time profiles the peak intermediate
+    population reads are built only with a coupling.
 
     Everything the public methods read is computed in __init__ and never
     changed afterwards, so one engine may serve many threads without a lock.
@@ -587,15 +590,17 @@ class PulsedExcitationEngine:
         self.eta = eta
         self.area = a_eff
         self.coupling = coupling
-        if coupling is not None:
-            self.kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
+        self.sqrt_p = np.sqrt(dec.p)
         self.sample_rel_tol = sample_rel_tol
         self._build_lattice()
         self._build_green_weights()
         if self.extract:
             self._build_core_tables()
-        # Time profiles first: their temporaries are freed before the levels'.
-        self.time_profiles = self._mode_time_profiles()
+        self.time_profiles = None
+        if coupling is not None:
+            self.kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
+            # Time profiles first: their temporaries are freed before the levels'.
+            self.time_profiles = self._mode_time_profiles()
         self.ladder = self._stride_ladder(self.sigma_like / SAMPLES_PER_SIGMA)
         self.lorentz_weights = {stride: self._lorentz_weights(stride) for stride in self.ladder}
         self.coherent_rows, self.incoherent_levels = self._kernel_pass()
@@ -778,9 +783,11 @@ class PulsedExcitationEngine:
         ladder has nothing to compare, so its rel is NaN ("not estimated"),
         never 0.0.
         """
+        if len(self.ladder) == 1:
+            return evaluate(self.ladder[0]), np.nan
         previous = None
         value = 0.0
-        rel = np.nan if len(self.ladder) == 1 else np.inf
+        rel = np.inf
         for stride in self.ladder:
             value = evaluate(stride)
             if previous is not None:
@@ -794,13 +801,13 @@ class PulsedExcitationEngine:
         """(sum_nm weights_nm T_nm, sampling_rel_err) down the stride ladder."""
 
         def evaluate(stride: int) -> float:
-            return float(np.sum(weights * self.incoherent_levels[stride]))
+            return float((weights * self.incoherent_levels[stride]).sum())
 
         return self._converge_levels(evaluate)
 
     def coherent_probability(self, beta: float) -> tuple[float, float]:
         """(value, sampling_rel_err) of the coherent pulsed probability at |beta|."""
-        r = mode_squeezing(self.dec.p, beta)
+        r = squeezing_from_roots(self.sqrt_p, beta)
         weights = np.sinh(r) * np.cosh(r)
 
         def evaluate(stride: int) -> float:
@@ -811,9 +818,9 @@ class PulsedExcitationEngine:
 
     def incoherent_probability(self, beta: float) -> tuple[float, float]:
         """(value, sampling_rel_err) of the incoherent pulsed probability at |beta|."""
-        s = np.sinh(mode_squeezing(self.dec.p, beta))
+        s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
         s2 = s * s
-        value, rel = self.converged_incoherent(np.outer(s2, s2))
+        value, rel = self.converged_incoherent(np.multiply.outer(s2, s2))
         return self.eta.eta * value / self.area**2, rel
 
     # -- intermediate-state population (validity diagnostic) -----------------
@@ -822,7 +829,9 @@ class PulsedExcitationEngine:
         """|Int G_ba f_In(w) e^{-i w t} dbar-w|^2 on a +/-6-duration time grid."""
         duration = 1.0 / self.sigma_like
         t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
-        phase = np.exp(-1j * np.outer(self.x - self.dec.grid_i.center, t_grid))
+        # In place: the n_in x 121 complex temporaries set the build's peak memory.
+        phase = -1j * np.outer(self.x - self.dec.grid_i.center, t_grid)
+        np.exp(phase, out=phase)
         m_prof = (self.cvec[None, :] * self.fi) @ phase
         if self.extract:
             f_i0, df_i0 = self.fi_core
@@ -836,15 +845,21 @@ class PulsedExcitationEngine:
 
     def max_population_weighted(self, weights: np.ndarray) -> float:
         """max_t sum_n weights_n |M_n(t)|^2 (no coupling or area factors)."""
-        return float(np.max(weights @ self.time_profiles))
+        return float((weights @ self.time_profiles).max())
 
     def population(self, weights: np.ndarray) -> float:
         """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
 
         The weights are s_n^2 for squeezed modes and the band-I photon number
         for a classical pulse.  Needs the engine's coupling, whose
-        single-photon coupling `kappa` is taken once at construction.
+        single-photon coupling `kappa` and time profiles are taken once at
+        construction; raises ValueError on an engine built without one.
         """
+        if self.coupling is None:
+            raise ValueError(
+                "the intermediate-state population needs a dipole coupling; "
+                "this engine was built with coupling=None"
+            )
         return self.kappa * self.max_population_weighted(weights) / self.area
 
     def outcome(self, beta: float) -> ExcitationOutcome:
@@ -855,7 +870,7 @@ class PulsedExcitationEngine:
         """
         pop = None
         if self.coupling is not None:
-            s = np.sinh(mode_squeezing(self.dec.p, beta))
+            s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
             pop = self.population(s * s)
         if beta == 0.0:
             return ExcitationOutcome(0.0, 0.0, pop)
@@ -898,13 +913,26 @@ def p_squeezed_pulsed(
 # ---------------------------------------------------------------------------
 
 
+def _branching_ratios(sys: FourLevelSystem) -> tuple[float, float]:
+    """(Gamma_cd/Gamma_c, Gamma_da^r/Gamma_d): c decays to d, then d radiates to a."""
+    return sys.gamma("cd") / sys.gamma_c, sys.gamma_r["da"] / sys.gamma_d
+
+
+def branching_factor(sys: FourLevelSystem) -> float:
+    """(Gamma_cd/Gamma_c)(Gamma_da^r/Gamma_d): d->a photons per excitation of |c>.
+
+    `fluorescence` multiplies by it; a sweep takes it once for all its rows.
+    """
+    branch_cd, branch_da = _branching_ratios(sys)
+    return branch_cd * branch_da
+
+
 def fluorescence(
     outcome: ExcitationOutcome, sys: FourLevelSystem, n_atoms: float
 ) -> FluorescenceResult:
     """n = p (Gamma_cd/Gamma_c)(Gamma_da^r/Gamma_d) N_atoms, split preserved."""
-    branch_cd = sys.gamma("cd") / sys.gamma_c
-    branch_da = sys.gamma_r["da"] / sys.gamma_d
-    factor = branch_cd * branch_da
+    branch_cd, branch_da = _branching_ratios(sys)
+    factor = branching_factor(sys)
     per_coh = outcome.coherent * factor
     per_ic = outcome.incoherent * factor
     per_atom = per_coh + per_ic

@@ -31,8 +31,8 @@ from .spectral import (
     SpectralGrid,
     green,
     lorentzian,
-    quad_1d,
     quad_converged,
+    simpson_doublings,
 )
 
 __all__ = [
@@ -142,7 +142,8 @@ def quad_kernel_smooth(
 
     smooth_width sets the envelope support (integration span ~ +/-9 widths);
     smooth_scale the smallest feature of `smooth` (defaults to smooth_width).
-    `smooth` must accept numpy arrays and decay at the span edges.
+    `smooth` must accept numpy arrays, act elementwise (each grid doubling
+    evaluates it at the new points only) and decay at the span edges.
     """
     w_span = float(smooth_width)
     w_scale = float(smooth_scale) if smooth_scale is not None else w_span
@@ -186,14 +187,13 @@ def quad_kernel_smooth(
 
     lo = min(lo, kernel.center - SPAN_SIGMAS * window)
     hi = max(hi, kernel.center + SPAN_SIGMAS * window)
-    grid = _base_grid(lo, hi, w_scale / POINTS_PER_FEATURE)
-    rest = quad_1d(residual, grid)
+    estimates = simpson_doublings(residual, _base_grid(lo, hi, w_scale / POINTS_PER_FEATURE))
+    rest = next(estimates)
     # Converge the residual against the magnitude of the full answer: near the
     # kernel core the residual has an O((gamma/scale)^2) kink that never
     # settles on its own scale but is negligible against the total.
     for _ in range(opts.max_doublings):
-        grid = grid.doubled()
-        new_rest = quad_1d(residual, grid)
+        new_rest = next(estimates)
         total = analytic + new_rest
         if abs(new_rest - rest) <= opts.rel_tol * max(abs(total), 1e-300):
             rest = new_rest

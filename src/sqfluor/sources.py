@@ -47,6 +47,7 @@ __all__ = [
     "hermite_function_table",
     "default_jsa_grids",
     "mode_squeezing",
+    "squeezing_from_roots",
     "photon_number_pulsed",
     "export_jsi_csv",
     "export_schmidt_csv",
@@ -409,9 +410,17 @@ def mode_squeezing(p: np.ndarray, beta: float) -> np.ndarray:
 
     Its gains are s_n = sinh(r_n) and c_n = cosh(r_n).
     """
+    return squeezing_from_roots(np.sqrt(p), beta)
+
+
+def squeezing_from_roots(sqrt_p: np.ndarray, beta: float) -> np.ndarray:
+    """`mode_squeezing` from the roots sqrt(p_n), for a caller that reads many betas.
+
+    The same product beta * sqrt(p_n), so the same bits.
+    """
     if not beta >= 0.0:
         raise ValueError(f"beta is a magnitude and must be nonnegative, got {beta!r}")
-    return beta * np.sqrt(p)
+    return beta * sqrt_p
 
 
 def photon_number_pulsed(p: np.ndarray, beta: float) -> float:

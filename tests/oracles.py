@@ -5,7 +5,10 @@ all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
 JSA, the Gaussian cloud density, the validity population of a
 classical pulse pair computed on its own engine, the lattice
-correlation on `scipy.fft`, and the CW J pass over the whole lattice.
+correlation on `scipy.fft`, the CW J pass over the whole lattice, a
+pulsed sweep row and a CSV cell as the library computed them before the
+per-row reads were trimmed, and Simpson doublings that evaluate every
+point of each grid.
 """
 
 import numpy as np
@@ -13,7 +16,10 @@ import scipy.fft
 
 from sqfluor.excitation import (
     SPAN_SIGMAS_CW,
+    ExcitationOutcome,
     PulsedExcitationEngine,
+    fluorescence,
+    within_validity,
     _single_pair_decomposition,
     lorentzian_sample_weights,
 )
@@ -26,6 +32,7 @@ from sqfluor.sources import (
     gain_functions_cw,
     mode_squeezing,
 )
+from sqfluor.spectral import quad_1d
 from sqfluor.system import CrossSectionPrefactor
 
 
@@ -177,3 +184,100 @@ def full_lattice_j(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
     step = u_tab.strides[0]
     u_view = np.lib.stride_tricks.as_strided(u_tab[n_i - 1 :], (n_i, len(lam)), (-step, step))
     return u_view @ lam
+
+
+def _old_converge(engine: PulsedExcitationEngine, evaluate):
+    previous = None
+    value = 0.0
+    rel = np.nan if len(engine.ladder) == 1 else np.inf
+    for stride in engine.ladder:
+        value = evaluate(stride)
+        if previous is not None:
+            rel = abs(value - previous) / max(abs(value), 1e-300)
+            if rel <= engine.sample_rel_tol:
+                break
+        previous = value
+    return value, rel
+
+
+def pulsed_row(engine: PulsedExcitationEngine, beta: float, n_photons: float,
+               cl_unit: float, sys, n_atoms: float) -> dict:
+    """The CSV cells of one pulsed sweep row, with the row arithmetic of before.
+
+    `mode_squeezing` on the mode weights for each of the three reads,
+    `np.outer` for the incoherent weights, the whole ladder loop even for
+    one rung, and `fluorescence()` of the squeezed outcome and of a
+    classical `ExcitationOutcome`.  The engine is only read: its levels,
+    forms, time profiles and coupling.
+    """
+    p = engine.dec.p
+    pop = None
+    if engine.coupling is not None:
+        s = np.sinh(mode_squeezing(p, beta))
+        pop = engine.kappa * float(np.max((s * s) @ engine.time_profiles)) / engine.area
+    coherent = incoherent = 0.0
+    if beta != 0.0:
+        r = mode_squeezing(p, beta)
+        w = np.sinh(r) * np.cosh(r)
+        value, _ = _old_converge(
+            engine, lambda stride: float(w @ engine.coherent_forms[stride] @ w)
+        )
+        coherent = engine.eta.eta * value / engine.area**2
+        s = np.sinh(mode_squeezing(p, beta))
+        s2 = s * s
+        weights = np.outer(s2, s2)
+        value, _ = _old_converge(
+            engine, lambda stride: float(np.sum(weights * engine.incoherent_levels[stride]))
+        )
+        incoherent = engine.eta.eta * value / engine.area**2
+    out = ExcitationOutcome(coherent, incoherent, pop)
+    p_cl = cl_unit * n_photons**2
+    fl_sq = fluorescence(out, sys, n_atoms)
+    fl_cl = fluorescence(ExcitationOutcome(p_cl, 0.0), sys, n_atoms)
+    return {
+        "beta": beta,
+        "photons_per_pulse": n_photons,
+        "p_classical": p_cl,
+        "p_sq_coherent": out.coherent,
+        "p_sq_incoherent": out.incoherent,
+        "n_fluor_classical": fl_cl.total,
+        "n_fluor_sq_coherent": fl_sq.per_atom_coherent * n_atoms,
+        "n_fluor_sq_incoherent": fl_sq.per_atom_incoherent * n_atoms,
+        "n_fluor_sq_total": fl_sq.total,
+        "crossover": beta * np.sqrt(p[0]) >= 1.0,
+        "validity": within_validity(out.max_population),
+    }
+
+
+def old_fmt(value) -> str:
+    """A CSV cell as `cli._fmt` wrote it before its lookup by exact type."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def reevaluating_doublings(f, grid):
+    """`spectral.simpson_doublings` as the quadrature ran before: every point of every grid."""
+    while True:
+        yield quad_1d(f, grid)
+        grid = grid.doubled()
+
+
+def mode_time_profiles(engine: PulsedExcitationEngine) -> np.ndarray:
+    """The engine's time profiles with out-of-place temporaries, as it built them before."""
+    duration = 1.0 / engine.sigma_like
+    t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
+    phase = np.exp(-1j * np.outer(engine.x - engine.dec.grid_i.center, t_grid))
+    m_prof = (engine.cvec[None, :] * engine.fi) @ phase
+    if engine.extract:
+        f_i0, df_i0 = engine.fi_core
+        carrier = np.exp(-1j * (engine.sys.omega_ba - engine.dec.grid_i.center) * t_grid)
+        m_prof += np.outer(f_i0, carrier) * engine.c_corr0
+        m_prof += (
+            np.outer(df_i0, carrier) - 1j * np.outer(f_i0, carrier) * t_grid[None, :]
+        ) * engine.c_corr1
+    return np.abs(m_prof) ** 2

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 import math
@@ -11,7 +13,7 @@ import pytest
 import scipy.optimize
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import geometric_weights
+from oracles import geometric_weights, old_fmt, pulsed_row
 
 import sqfluor.cli as cli
 from sqfluor.cli import CW_COLUMNS, PULSED_COLUMNS, emit, main, run_cw_sweep, run_pulsed_sweep
@@ -22,9 +24,9 @@ from sqfluor.config import (
     load_config,
     parse_quantity,
 )
-from sqfluor.excitation import rate_classical_cw
+from sqfluor.excitation import matched_classical_pulsed, p_classical_pulsed, rate_classical_cw
 from sqfluor.geometry import effective_area
-from sqfluor.sources import ClassicalCW, photon_number_pulsed
+from sqfluor.sources import ClassicalCW, SqueezedPulsed, photon_number_pulsed
 from sqfluor.spectral import ConvergenceError, NumericalError, brentq
 from sqfluor.system import eta_prefactor
 
@@ -533,6 +535,138 @@ class TestPulsedSweep:
         assert "ConvergenceError: Brent's method did not converge" in record.getMessage()
 
 
+    def test_rows_match_the_row_arithmetic_of_before(self, tmp_path, monkeypatch):
+        # Every cell of every row, bit for bit, against the per-row reads as
+        # they were: mode_squeezing per read, np.outer, fluorescence().
+        cfg = load_config(tiny_pulsed_config(
+            tmp_path, sigma_p_over_gamma_b=[0.1, 1.0, 10.0], sigma_c_over_sigma_p=[1.0, 10.0],
+            photons_min=0.01, photons_max=1e4, points_per_decade=2,
+        ))
+        engines = []
+
+        class Recording(cli.PulsedExcitationEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(cli, "PulsedExcitationEngine", Recording)
+        rows = run_pulsed_sweep(cfg)
+        shapes = {(engine.dec.n_modes, tuple(engine.ladder)) for engine in engines}
+        assert {(1, (1,)), (12, (1,)), (12, (5, 2, 1))} <= shapes
+        assert any(engine.extract for engine in engines)
+
+        system, n_atoms = cfg.system, cfg.geometry["n_atoms"]
+        eta = cli.eta_prefactor(system, cfg.coupling)
+        area = cli.effective_area(
+            cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()
+        ).a_eff
+
+        def bits(value):
+            if isinstance(value, (bool, np.bool_)):
+                return bool(value)
+            return float(value).hex()
+
+        per_panel = len(rows) // len(engines)
+        crossovers = set()
+        for k, engine in enumerate(engines):
+            panel = rows[k * per_panel : (k + 1) * per_panel]
+            sigma_p = panel[0]["sigma_p_over_gamma_b"] * system.gamma_b
+            src = SqueezedPulsed(
+                sigma_p, panel[0]["sigma_c_over_sigma_p"] * sigma_p,
+                system.omega_ba, system.omega_cb,
+            )
+            ref = matched_classical_pulsed(engine.dec, cli._beta_for_photons(engine.dec.p, 1.0), src)
+            cl_unit = p_classical_pulsed(ref, system, eta, area).total / (
+                ref.n_photons_i * ref.n_photons_ii
+            )
+            for row in panel:
+                assert row["validity"] != "failed"
+                expected = pulsed_row(
+                    engine, row["beta"], row["photons_per_pulse"], cl_unit, system, n_atoms
+                )
+                assert {c: bits(row[c]) for c in expected} == {
+                    c: bits(v) for c, v in expected.items()
+                }
+                assert [cli._fmt(row[c]) for c in expected] == [
+                    old_fmt(v) for v in expected.values()
+                ]
+                crossovers.add(bool(row["crossover"]))
+        assert crossovers == {True, False}
+
+    def test_a_panel_level_inversion_out_of_iterations_fails_only_its_panel(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # Brent's method held to 1-5 iterations: the many-mode panel's
+        # mode-count inversion and its N = 1 classical reference run out.
+        # That panel fails with a warning; the one-mode panel needs no
+        # Brent step and must not change, and the sweep goes on.
+        cfg = load_config(tiny_pulsed_config(tmp_path))
+        undisturbed = run_pulsed_sweep(cfg)
+        brentq = cli.brentq
+
+        def held_to(limit):
+            return lambda f, a, b, **k: brentq(f, a, b, **{**k, "maxiter": limit})
+
+        for limit in range(1, 6):
+            monkeypatch.setattr(cli, "brentq", held_to(limit))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+                rows = run_pulsed_sweep(cfg)
+            assert len(rows) == len(undisturbed) == 6
+            assert rows[:3] == undisturbed[:3]
+            assert [row["validity"] for row in rows[3:]] == ["failed"] * 3
+            assert all(math.isnan(row["p_sq_coherent"]) for row in rows[3:])
+            assert [
+                (row["sigma_c_over_sigma_p"], row["photons_per_pulse"]) for row in rows
+            ] == [(r["sigma_c_over_sigma_p"], r["photons_per_pulse"]) for r in undisturbed]
+            (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+            message = record.getMessage()
+            assert "sigma_c_over_sigma_p=4.0 failed" in message
+            assert "classical reference at N = 1: ConvergenceError: Brent's method" in message
+
+    def test_a_mode_count_inversion_out_of_iterations_keeps_more_modes(
+        self, tmp_path, monkeypatch
+    ):
+        # Only the first Brent solve, the mode-count inversion at N = 1e4 on
+        # the many-mode panel, runs out.  The panel then keeps the modes of
+        # the bracket's lower end, 6 where the solved beta keeps 4, and no
+        # row fails: its rows are those of a sweep that takes the mode count
+        # at that lower end.
+        cfg = load_config(tiny_pulsed_config(tmp_path, photons_max=1e4))
+        counts = []
+
+        class Recording(cli.PulsedExcitationEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                counts.append(self.dec.n_modes)
+
+        monkeypatch.setattr(cli, "PulsedExcitationEngine", Recording)
+        undisturbed = run_pulsed_sweep(cfg)
+        invert = cli._beta_for_photons
+
+        def lower_end_for_the_mode_count(p, n):
+            if np.ndim(n) == 0 and n == 1e4 and len(p) > counts[1]:
+                return cli._beta_bounds(p, math.asinh(math.sqrt(n)))[0]
+            return invert(p, n)
+
+        monkeypatch.setattr(cli, "_beta_for_photons", lower_end_for_the_mode_count)
+        expected = run_pulsed_sweep(cfg)
+        monkeypatch.setattr(cli, "_beta_for_photons", invert)
+        brentq = cli.brentq
+        calls = []
+
+        def held(f, a, b, **k):
+            calls.append(a)
+            return brentq(f, a, b, **({**k, "maxiter": 1} if len(calls) == 1 else k))
+
+        monkeypatch.setattr(cli, "brentq", held)
+        rows = run_pulsed_sweep(cfg)
+        assert counts == [1, 4, 1, 6, 1, 6]
+        assert "failed" not in [row["validity"] for row in rows]
+        assert rows[:6] == undisturbed[:6]
+        assert rows == expected
+
+
 class TestEmit:
     def test_empty_table_header_only(self, tmp_path):
         cfg = load_config(CS_MOT)
@@ -541,6 +675,31 @@ class TestEmit:
         lines = out.read_text().splitlines()
         assert lines[-1] == ",".join(CW_COLUMNS)
         assert all(line.startswith("#") for line in lines[:-1])
+
+    def test_cells_are_written_as_before(self, tmp_path):
+        # The exact-type lookup of _fmt against the isinstance chain it
+        # replaced, on every type a row may hold.
+        cfg = load_config(CS_MOT)
+        cells = [
+            0.1, 1.0 / 3.0, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+            float("inf"), float("-inf"), float("nan"),
+            np.float64(2.0 / 3.0), np.float64("nan"), np.float32(0.1),
+            True, False, np.True_, np.False_,
+            0, 7, -3, 2**70, np.int64(-12), np.int32(5),
+            "failed", "", "a,b", 'quo"te',
+        ]
+        columns = [f"c{k}" for k in range(len(cells))]
+        rows = [dict(zip(columns, cells)), dict(zip(columns, reversed(cells)))]
+        out = tmp_path / "cells.csv"
+        emit(rows, columns, cfg, out, reproducible=True)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([old_fmt(row[c]) for c in columns])
+        data = out.read_bytes()
+        body = data[data.index(b"\n" + columns[0].encode()) + 1 :]
+        assert body == expected.getvalue().encode()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = load_config(tiny_cw_config(tmp_path))

@@ -11,6 +11,7 @@ from oracles import (
     classical_pulsed_population,
     full_cw_j_lattice,
     full_lattice_j,
+    mode_time_profiles,
     scipy_lattice_correlate,
 )
 
@@ -780,6 +781,69 @@ def _snapshot(value):
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, id(value), [_snapshot(item) for item in value])
     return ("object", id(value))
+
+
+class TestEngineBuildsWhatItReads:
+    @pytest.fixture
+    def few_mode_dec(self, cs_system):
+        system, _ = cs_system
+        gb = system.gamma_b
+        src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
+        return schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+
+    def test_builds_no_time_profiles_and_names_the_coupling(
+        self, cs_system, cs_eta, mot_area, few_mode_dec
+    ):
+        system, coupling = cs_system
+        engine = PulsedExcitationEngine(few_mode_dec, system, cs_eta, mot_area)
+        assert engine.time_profiles is None
+        with pytest.raises(ValueError, match="coupling"):
+            engine.population(np.ones(few_mode_dec.n_modes))
+        coupled = PulsedExcitationEngine(few_mode_dec, system, cs_eta, mot_area, coupling)
+        assert coupled.time_profiles.shape == (few_mode_dec.n_modes, 121)
+        for beta in (0.0, 0.4, 1.3):
+            out, ref = engine.outcome(beta), coupled.outcome(beta)
+            assert out.max_population is None and ref.max_population >= 0.0
+            assert (out.coherent, out.incoherent) == (ref.coherent, ref.incoherent)
+
+    def test_classical_reference_engine_builds_no_time_profiles(
+        self, cs_system, cs_eta, mot_area, monkeypatch
+    ):
+        system, coupling = cs_system
+        built = []
+
+        class Recording(PulsedExcitationEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(excitation, "PulsedExcitationEngine", Recording)
+        src = classical_pulse_pair(system, system.gamma_b, 2.0)
+        plain = p_classical_pulsed(src, system, cs_eta, mot_area)
+        coupled = p_classical_pulsed(src, system, cs_eta, mot_area, coupling)
+        assert [engine.time_profiles is None for engine in built] == [True, False]
+        assert plain.total == coupled.total
+
+    @pytest.mark.parametrize("sigma_p_over_gamma_b", [1.0, 10.0])
+    def test_time_profiles_match_out_of_place_temporaries(
+        self, cs_system, cs_eta, mot_area, sigma_p_over_gamma_b
+    ):
+        # The phase matrix is exponentiated in place; the bits must not move,
+        # with and without core extraction.
+        system, coupling = cs_system
+        sigma_p = sigma_p_over_gamma_b * system.gamma_b
+        src = SqueezedPulsed(sigma_p, 6 * sigma_p, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area, coupling)
+        assert engine.extract == (sigma_p_over_gamma_b == 10.0)
+        assert engine.time_profiles.tobytes() == mode_time_profiles(engine).tobytes()
+
+    def test_reads_reject_a_negative_beta(self, cs_system, cs_eta, mot_area, few_mode_dec):
+        system, coupling = cs_system
+        engine = PulsedExcitationEngine(few_mode_dec, system, cs_eta, mot_area, coupling)
+        for read in (engine.outcome, engine.coherent_probability, engine.incoherent_probability):
+            with pytest.raises(ValueError, match="nonnegative"):
+                read(-0.5)
 
 
 class TestEngineIsReadOnly:

@@ -22,6 +22,7 @@ from sqfluor.sources import (
     photon_rate_cw,
     schmidt_decompose,
     schmidt_decompose_analytic,
+    squeezing_from_roots,
 )
 
 CI = 2.105e15
@@ -381,3 +382,20 @@ class TestExports(object):
         lines = spec.read_text().splitlines()
         assert lines[0] == "n,p_n"
         assert len(lines) == 1 + dec.n_modes
+
+
+@given(
+    mu=st.floats(0.0, 0.99),
+    beta=st.floats(0.0, 1e6, allow_nan=False),
+)
+def test_squeezing_from_roots_is_mode_squeezing_bit_for_bit(mu, beta):
+    p = geometric_weights(mu)
+    assert squeezing_from_roots(np.sqrt(p), beta).tobytes() == mode_squeezing(p, beta).tobytes()
+
+
+@pytest.mark.parametrize("beta", [-1e-300, -2.0, float("nan")])
+def test_squeezing_rejects_a_negative_or_nan_beta(beta):
+    p = geometric_weights(0.5)
+    for read in (lambda: mode_squeezing(p, beta), lambda: squeezing_from_roots(np.sqrt(p), beta)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            read()

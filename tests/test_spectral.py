@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import reevaluating_doublings
 
+import sqfluor.peaked as peaked
+import sqfluor.spectral as spectral
+from sqfluor.peaked import NumericsOptions, abs2_green_kernel, green_kernel, quad_kernel_smooth
 from sqfluor.spectral import (
     ConvergenceError,
     GaussianAmplitude,
@@ -17,6 +23,7 @@ from sqfluor.spectral import (
     lorentzian,
     quad_1d,
     quad_converged,
+    simpson_doublings,
 )
 
 W0 = 2.0e15
@@ -172,6 +179,107 @@ class TestQuadrature:
         with pytest.raises(NonFiniteIntegrandError) as info:
             quad_1d(bad, SpectralGrid(0.0, 1.0, 11))
         assert info.value.index == 3
+
+
+class TestSimpsonDoublings:
+    """Nested doublings evaluate only the new points and change no bit."""
+
+    @given(
+        center=st.floats(-1e16, 1e16, allow_nan=False),
+        half_span=st.floats(1e-12, 1e16, allow_nan=False, exclude_min=True),
+        half_n=st.integers(1, 50_000),
+    )
+    def test_even_points_of_a_doubling_are_the_parent_points(self, center, half_span, half_n):
+        grid = SpectralGrid(center, half_span, 2 * half_n + 1)
+        fine = grid.doubled()
+        assert fine.offsets[::2].tobytes() == grid.offsets.tobytes()
+        assert fine.points[::2].tobytes() == grid.points.tobytes()
+        assert (fine.center + fine.offsets[1::2]).tobytes() == fine.points[1::2].tobytes()
+
+    INTEGRANDS = {
+        "real": lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+        "complex": lambda x: np.exp(-x * x) / (x - 0.3 + 0.05j),
+        "lorentzian": lambda x: lorentzian(x, LorentzianLineshape(0.1, 0.02)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("n_points", [11, 101, 4001])
+    def test_estimates_equal_reevaluated_grids_bit_for_bit(self, name, n_points):
+        f = self.INTEGRANDS[name]
+        grid = SpectralGrid(0.01, 6.0, n_points)
+        nested, full = simpson_doublings(f, grid), reevaluating_doublings(f, grid)
+        for _ in range(6):
+            a, b = next(nested), next(full)
+            assert type(a) is type(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_evaluations_total_the_final_grid(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x)
+
+        grid = SpectralGrid(0.0, 4.0, 11)
+        estimates = simpson_doublings(f, grid)
+        next(estimates)
+        assert sizes == [11]
+        for _ in range(4):
+            next(estimates)
+            grid = grid.doubled()
+            assert sum(sizes) == grid.n_points
+        assert sizes == [11, 10, 20, 40, 80]
+
+    def test_quad_converged_evaluates_the_final_grid_once(self):
+        sizes = []
+        step_fn = lambda x: sizes.append(x.size) or (x > 0.3333).astype(float)
+        with pytest.raises(ConvergenceError):
+            quad_converged(step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3)
+        assert sum(sizes) == SpectralGrid(0.0, 1.0, 11).doubled().doubled().doubled().n_points
+
+    def test_quad_converged_matches_reevaluating_doublings(self, monkeypatch):
+        f = self.INTEGRANDS["complex"]
+        grid = SpectralGrid(0.0, 6.0, 41)
+        nested = quad_converged(f, grid, rel_tol=1e-10, max_doublings=8)
+        monkeypatch.setattr(spectral, "simpson_doublings", reevaluating_doublings)
+        full = quad_converged(f, grid, rel_tol=1e-10, max_doublings=8)
+        assert np.asarray(nested).tobytes() == np.asarray(full).tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel, smooth_scale",
+        [
+            (green_kernel(0.0, 1e-3), 1.0),  # complex, core extraction
+            (abs2_green_kernel(0.0, 1e-3), 1.0),  # real, core extraction
+            (green_kernel(0.0, 0.5), 1.0),  # complex, plain doubling
+            (abs2_green_kernel(0.2, 0.5), 0.7),  # real, plain doubling
+        ],
+    )
+    def test_quad_kernel_smooth_matches_reevaluating_doublings(
+        self, monkeypatch, kernel, smooth_scale
+    ):
+        def smooth(w):
+            return np.exp(-((w - 0.1) ** 2) / 2.0) * (1.0 + 0.2 * w)
+
+        opts = NumericsOptions(rel_tol=1e-9, max_doublings=6)
+        nested = quad_kernel_smooth(kernel, smooth, 0.0, 1.0, smooth_scale, opts)
+        monkeypatch.setattr(spectral, "simpson_doublings", reevaluating_doublings)
+        monkeypatch.setattr(peaked, "simpson_doublings", reevaluating_doublings)
+        full = quad_kernel_smooth(kernel, smooth, 0.0, 1.0, smooth_scale, opts)
+        assert np.asarray(nested).tobytes() == np.asarray(full).tobytes()
+
+    def test_non_finite_new_point_reports_its_index_on_the_fine_grid(self):
+        # 0.1 is a midpoint of the first doubling of an 11-point grid on [-1, 1].
+        grid = SpectralGrid(0.0, 1.0, 11)
+        target = grid.doubled().points[11]
+
+        def f(x):
+            return np.where(x == target, np.nan, 1.0)
+
+        estimates = simpson_doublings(f, grid)
+        next(estimates)
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            next(estimates)
+        assert info.value.index == 11 and info.value.omega == target
 
 
 class TestQuadConverged:
