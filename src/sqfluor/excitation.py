@@ -13,9 +13,10 @@ verbatim.  Outer integrals are plain domega.
     p_sq_pulse,c = eta Int L(w) |sum_n Int G_ba f_IIn f_In dbar s_n c_n|^2 dw / A^2
     p_sq_pulse,ic= eta Int L(w) sum_nm |Int G_ba f_IIn f_Im dbar s_n s_m|^2 dw / A^2
 
-The two-scale integrals route through `peaked.quad_kernel_smooth`; the pulsed
-engine samples the outer frequency dependence on a lattice aligned with its
-inner grid, so the inner integrals at every outer point are one FFT
+The CW two-scale integrals route through `peaked.quad_kernel_smooth`; the
+pulsed engine takes both lines by product integration (`pole_weights`),
+samples the outer frequency dependence on a lattice aligned with its inner
+grid, so the inner integrals at every outer point are one FFT
 correlation (`lattice_correlate`), and estimates the sampling error by
 halving the stride down a ladder of rungs, each coarser rung a subsample of
 that one pass.  The estimate is the change between the last two rungs: it
@@ -61,6 +62,7 @@ from .spectral import (
     gaussian_amp,
     green,
     lorentzian,
+    pole_weights,
     simpson_weights,
 )
 from .system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem, cross_section
@@ -275,8 +277,8 @@ def _single_pair_decomposition(src: ClassicalPulsed) -> SchmidtDecomposition:
     """
 
     def table(amp: GaussianAmplitude):
-        n = 257
-        grid = SpectralGrid(amp.center, 9.0 * amp.width, n)
+        # The engine interpolates the tables linearly: 257 points cost up to 1.5e-3.
+        grid = SpectralGrid(amp.center, 9.0 * amp.width, 4097)
         return grid, gaussian_amp(grid.points, amp)[None, :]
 
     grid_i, f_i = table(src.amp_i)
@@ -295,11 +297,13 @@ def p_classical_pulsed(
 ) -> ExcitationOutcome:
     """Per-atom two-photon excitation probability for two classical pulses.
 
-    One engine over the pulse pair gives both the probability and, with a
-    coupling, the peak intermediate population.  The diagnostic
+    One engine over the pulse pair, on 4097-point Gaussian tables, gives
+    both the probability and, with a coupling, the peak intermediate
+    population.  At pulse widths from 0.01 to 100 Gamma_b the probability
+    is within 3e-5 of the Faddeeva closed form.  The diagnostic
     `outer_sampling_rel_err` is NaN when the engine's stride ladder has a
     single stride, as it has for pulse widths up to 1.25 Gamma_b and from
-    3.5 Gamma_b on: the sampling error is then not estimated.  In between
+    3.05 Gamma_b on: the sampling error is then not estimated.  In between
     the inner step follows Gamma_b, not the pulse, and the ladder has two
     or three strides.
     """
@@ -510,7 +514,7 @@ def rate_squeezed_cw_broadband(
 # ---------------------------------------------------------------------------
 
 
-POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or Gamma_b)
+POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or per wide Gamma_b)
 SAMPLES_PER_SIGMA = 8.0  # coarsest outer sampling per band-I width
 MAX_SAMPLE_LEVELS = 3  # rungs of the stride ladder
 SUPPORT_EPSILON = 1e-12  # table entries below this share of the peak lie outside the support
@@ -545,8 +549,8 @@ class PulsedExcitationEngine:
 
     Construction tabulates the modes on a uniform inner lattice over the
     band-I mode support, whose step resolves the fastest mode oscillation
-    (and Gamma_b too unless the Green core is analytically extracted), then
-    computes
+    (and Gamma_b too when the Green line is at least a quarter of it wide),
+    then computes
 
         V_n(w_j) = Int G_ba f_IIn(w_j - x) f_In(x) dbar-x     (coherent)
         T_nm     = Int L(w) |Int G_ba f_IIn f_Im dbar-x|^2 dw (incoherent)
@@ -554,15 +558,18 @@ class PulsedExcitationEngine:
     on outer sample lattices aligned with the inner one, over the sum of
     the band-I and band-II supports.  Outside those supports the integrands
     carry a mode table below SUPPORT_EPSILON of its peak, so no lattice
-    stretches towards the Green or Lorentzian poles.  On that alignment
-    the inner integral K_nm(w_j) is a lattice correlation of the band-II
-    table with the Green-weighted band-I table, so `lattice_correlate` gives
-    it for every m at every stride-1 outer point in one FFT pass per n, and
-    each outer stride is a subsample of that pass.  V_n is K_nn, row n of
-    mode n's pass.  The outer Lorentzian integral is a fixed linear
-    functional lam of the outer samples (Simpson weights plus an analytic
-    core term when Gamma_c is unresolved), so on every rung both levels are
-    real M x M matrices: T_nm and the coherent form
+    stretches towards the Green or Lorentzian poles.  Both lines are poles,
+    G_ba(x) = -1/(x - z_b) and L(w) = Im[1/(w - z_c)]/pi, and both integrals
+    take one rule, however narrow the line is against the step:
+    product-integration weights (`spectral.pole_weights`), exact for a
+    mode product that is quadratic on each Simpson panel.  On the aligned
+    lattices the inner integral K_nm(w_j) is a lattice correlation of the
+    band-II table with the Green-weighted band-I table, so
+    `lattice_correlate` gives it for every m at every stride-1 outer point
+    in one FFT pass per n, and each outer stride is a subsample of that
+    pass.  V_n is K_nn, row n of mode n's pass.  The outer Lorentzian
+    integral is a fixed linear functional lam of the outer samples, so on
+    every rung both levels are real M x M matrices: T_nm and the coherent form
     Q_nm = Re sum_j lam_j V_n(w_j) conj(V_m(w_j)).  A beta sweep reads only
     w @ Q @ w with w_n = s_n c_n and sum_nm s_n^2 s_m^2 T_nm.  Both levels
     are read down one stride ladder (`ladder`), halving the stride until two
@@ -593,9 +600,9 @@ class PulsedExcitationEngine:
         self.sqrt_p = np.sqrt(dec.p)
         self.sample_rel_tol = sample_rel_tol
         self._build_lattice()
-        self._build_green_weights()
-        if self.extract:
-            self._build_core_tables()
+        # Int G_ba f dbar-x with G_ba(x) = -1/(x - z_b), z_b = omega_ba - i Gamma_b/2.
+        z_b = sys.omega_ba - 0.5j * sys.gamma_b
+        self.cvec = -pole_weights(self.x[0], self.h, self.n_in, z_b) / SQRT_2PI
         self.time_profiles = None
         if coupling is not None:
             self.kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
@@ -612,9 +619,9 @@ class PulsedExcitationEngine:
         dec, sys = self.dec, self.sys
         pts_i = dec.grid_i.points
         self.osc = _oscillation_scale(pts_i, dec.f_i)
-        self.extract = sys.gamma_b < self.osc / 4.0
         h = self.osc / POINTS_PER_FEATURE
-        if not self.extract:
+        if sys.gamma_b >= self.osc / 4.0:
+            # Without this floor such panels' ladders collapse to one rung (DECISIONS.md).
             h = min(h, sys.gamma_b / POINTS_PER_FEATURE)
 
         # The inner integrand carries a factor f_Im, so the inner lattice only
@@ -650,52 +657,12 @@ class PulsedExcitationEngine:
         )
         self.sigma_like = _support_extent(pts_i, dec.f_i[:1]) / 7.0
 
-    def _build_core_tables(self):
-        """Mode values and derivatives the Green-core correction reads.
-
-        fi_core is (f_Im, f_Im') at omega_ba and dfii_lat is f_IIn' on the
-        band-II lattice; only an engine that extracts the core builds them.
-        """
-        dec, omega_ba = self.dec, self.sys.omega_ba
-        di = np.gradient(dec.f_i, dec.grid_i.step, axis=1)
-        dfi = np.vstack([np.interp(self.x, dec.grid_i.points, row) for row in di])
-        self.fi_core = (
-            np.array([np.interp(omega_ba, self.x, row) for row in self.fi]),
-            np.array([np.interp(omega_ba, self.x, row) for row in dfi]),
-        )
-        dii = np.gradient(dec.f_ii, dec.grid_ii.step, axis=1)
-        self.dfii_lat = np.vstack([
-            np.interp(self.q_axis, dec.grid_ii.points, row, left=0.0, right=0.0) for row in dii
-        ])
-
-    def _build_green_weights(self):
-        sys = self.sys
-        g_vals = green(self.x, sys.green_ba())
-        self.cvec = simpson_weights(self.n_in, self.h) * g_vals / SQRT_2PI
-        if self.extract:
-            window = 0.5 * self.osc
-            delta = self.x - sys.omega_ba
-            g_w = np.exp(-(delta * delta) / (2.0 * window**2))
-            kernel = green_kernel(sys.omega_ba, sys.gamma_b)
-            m0, m1 = kernel.gaussian_moments(window)
-            s0 = np.sum(self.cvec * g_w)
-            s1 = np.sum(self.cvec * delta * g_w)
-            self.c_corr0 = m0 / SQRT_2PI - s0
-            self.c_corr1 = m1 / SQRT_2PI - s1
-        else:
-            self.c_corr0 = 0.0 + 0.0j
-            self.c_corr1 = 0.0 + 0.0j
-
     # -- outer lattices --------------------------------------------------------
 
     def n_out(self, stride: int) -> int:
         """Number of outer samples at `stride` (odd, for Simpson)."""
         n = (self.n_out_max - 1) // stride + 1
         return n if n % 2 == 1 else n - 1
-
-    def outer_points(self, stride: int) -> np.ndarray:
-        base = self.out_center - self.out_half
-        return base + self.h * stride * np.arange(self.n_out(stride))
 
     def _rung(self, rows: np.ndarray, stride: int) -> np.ndarray:
         """Stride-1 outer samples subsampled onto the outer lattice of `stride`."""
@@ -712,43 +679,27 @@ class PulsedExcitationEngine:
         return ladder
 
     def _lorentz_weights(self, stride: int) -> np.ndarray:
-        """Sample weights for the outer Int L(w) Q(w) dw at one stride level."""
-        return lorentzian_sample_weights(
-            self.outer_points(stride), self.h * stride, self.sys.lineshape_ca(),
-            0.5 * self.sigma_like,
+        """Weights lam with Int L(w) Q(w) dw ~= lam . Q for real Q on the lattice of `stride`."""
+        shape = self.sys.lineshape_ca()
+        weights = pole_weights(
+            self.out_center - self.out_half, self.h * stride, self.n_out(stride),
+            shape.center + 0.5j * shape.fwhm,
         )
+        return weights.imag / np.pi
 
     # -- kernel levels -------------------------------------------------------
-
-    def _core_terms(self):
-        """Core-extraction part of K_nm at the stride-1 outer points.
-
-        Returns (a, b, f_ii, df_ii) with the term a_m f_ii[n] + b_m df_ii[n],
-        where f_ii, df_ii are the f_IIn tables and derivatives at w_j - w_ba.
-        """
-        arg = self.outer_points(1) - self.sys.omega_ba
-        f_ii = np.vstack([
-            np.interp(arg, self.q_axis, row, left=0.0, right=0.0) for row in self.fii_lat
-        ])
-        df_ii = np.vstack([
-            np.interp(arg, self.q_axis, row, left=0.0, right=0.0) for row in self.dfii_lat
-        ])
-        f_i0, df_i0 = self.fi_core
-        return f_i0 * self.c_corr0 + df_i0 * self.c_corr1, -f_i0 * self.c_corr1, f_ii, df_ii
 
     def _kernel_pass(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """(V_n rows, {stride: T_nm}) from one correlator call per mode n.
 
         On the aligned lattice K_nm(w_j) = sum_k fii_lat[n, j + k] B[m, k] with
-        B the Green-weighted band-I tables, inner index reversed, plus the core
-        terms.  Mode n's call gives K_nm for every m at every stride-1 outer
-        point; its row n is V_n.  |K_nm|^2 is formed for one n at a time,
-        never for all pairs.  Column r of `lam` holds rung r's Lorentzian
-        weights at its stride-1 positions, so one product per n weights every
-        rung.
+        B the Green-weighted band-I tables, inner index reversed.  Mode n's
+        call gives K_nm for every m at every stride-1 outer point; its row n
+        is V_n.  |K_nm|^2 is formed for one n at a time, never for all pairs.
+        Column r of `lam` holds rung r's Lorentzian weights at its stride-1
+        positions, so one product per n weights every rung.
         """
         correlate = lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
-        core = self._core_terms() if self.extract else None
         lam = np.zeros((self.n_out_max, len(self.ladder)))
         for r, stride in enumerate(self.ladder):
             self._rung(lam[:, r], stride)[:] = self.lorentz_weights[stride]
@@ -757,9 +708,6 @@ class PulsedExcitationEngine:
         t_all = np.empty((len(self.ladder), n_modes, n_modes))
         for n in range(n_modes):
             k_rows = correlate(self.fii_lat[n])
-            if core is not None:
-                a, b, f_ii, df_ii = core
-                k_rows += np.outer(a, f_ii[n]) + np.outer(b, df_ii[n])
             v_rows[n] = k_rows[n]
             t_all[:, n, :] = ((k_rows.real**2 + k_rows.imag**2) @ lam).T
         return v_rows, dict(zip(self.ladder, t_all))
@@ -833,14 +781,6 @@ class PulsedExcitationEngine:
         phase = -1j * np.outer(self.x - self.dec.grid_i.center, t_grid)
         np.exp(phase, out=phase)
         m_prof = (self.cvec[None, :] * self.fi) @ phase
-        if self.extract:
-            f_i0, df_i0 = self.fi_core
-            carrier = np.exp(-1j * (self.sys.omega_ba - self.dec.grid_i.center) * t_grid)
-            m_prof += np.outer(f_i0, carrier) * self.c_corr0
-            m_prof += (
-                np.outer(df_i0, carrier)
-                - 1j * np.outer(f_i0, carrier) * t_grid[None, :]
-            ) * self.c_corr1
         return np.abs(m_prof) ** 2
 
     def max_population_weighted(self, weights: np.ndarray) -> float:
@@ -882,7 +822,6 @@ class PulsedExcitationEngine:
                 "coherent_sampling_rel_err": rel_c,
                 "incoherent_sampling_rel_err": rel_ic,
                 "truncation_tail": self.dec.tail,
-                "core_extraction": self.extract,
             },
         )
 

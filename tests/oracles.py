@@ -3,8 +3,9 @@
 Each one restates a quantity the library computes another way (or not at
 all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
-JSA, the Gaussian cloud density, the validity population of a
-classical pulse pair computed on its own engine, the lattice
+JSA, the Gaussian cloud density, the excitation probability of a
+classical pulse pair in closed form and its validity population computed
+on its own engine, the lattice
 correlation on `scipy.fft`, the CW J pass over the whole lattice, a
 pulsed sweep row and a CSV cell as the library computed them before the
 per-row reads were trimmed, and Simpson doublings that evaluate every
@@ -13,6 +14,8 @@ point of each grid.
 
 import numpy as np
 import scipy.fft
+from scipy.integrate import quad
+from scipy.special import wofz
 
 from sqfluor.excitation import (
     SPAN_SIGMAS_CW,
@@ -133,6 +136,43 @@ def classical_pulsed_population(src: ClassicalPulsed, sys, coupling, a_eff) -> f
         _single_pair_decomposition(src), sys, CrossSectionPrefactor(1.0), a_eff, coupling
     )
     return engine.population(np.array([src.n_photons_i]))
+
+
+def classical_pulse_pair_probability(src: ClassicalPulsed, sys, eta, a_eff) -> float:
+    """`p_classical_pulsed` from the Faddeeva form of its inner integral.
+
+    phi_I(x) phi_II(w - x) is A(w) exp(-(x - mu(w))^2 / (2 s^2)) with
+    1/s^2 = 1/sigma_I^2 + 1/sigma_II^2, so with G_ba(x) = 1/(z_b - x),
+    z_b = omega_ba - i Gamma_b/2, and zeta = (z_b - mu(w)) / (sqrt(2) s)
+    in the lower half plane,
+
+        K(w) = Int G_ba phi_I phi_II dbar-x = A(w) i pi conj(w(conj zeta)) / sqrt(2 pi)
+
+    with w the Faddeeva function (`scipy.special.wofz`; Weideman, SIAM J.
+    Numer. Anal. 31, 1497 (1994)).  The outer Int L(w) |K(w)|^2 dw is taken
+    by adaptive quadrature in the detuning d = w - c_I - c_II, split at the
+    L line and where mu(w) crosses omega_ba.
+    """
+    sig_i, sig_ii = src.amp_i.width, src.amp_ii.width
+    s2 = 1.0 / (1.0 / sig_i**2 + 1.0 / sig_ii**2)
+    var_sum = sig_i**2 + sig_ii**2
+    norm = (np.pi * sig_i**2) ** -0.25 * (np.pi * sig_ii**2) ** -0.25
+    delta_i = src.amp_i.center - sys.omega_ba
+    delta_l = src.amp_i.center + src.amp_ii.center - sys.omega_ca
+    gamma_b, gamma_c = sys.gamma_b, sys.gamma_c
+
+    def integrand(d):
+        # mu(w) - omega_ba = delta_i + s^2 d / sigma_II^2
+        zeta = (-(delta_i + s2 * d / sig_ii**2) - 0.5j * gamma_b) / np.sqrt(2.0 * s2)
+        k = norm * np.exp(-d * d / (2.0 * var_sum)) * 1j * np.pi * np.conj(wofz(np.conj(zeta)))
+        lorentz = (gamma_c / (2.0 * np.pi)) / ((d + delta_l) ** 2 + 0.25 * gamma_c**2)
+        return lorentz * abs(k) ** 2 / (2.0 * np.pi)
+
+    reach = 12.0 * np.sqrt(var_sum)
+    breaks = [b for b in (-delta_l, -delta_i * sig_ii**2 / s2) if -reach < b < reach]
+    value, _ = quad(integrand, -reach, reach, points=breaks or None,
+                    epsabs=0.0, epsrel=1e-12, limit=2000)
+    return eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff) * value
 
 
 def scipy_lattice_correlate(weight: np.ndarray, n_out: int):
@@ -273,11 +313,4 @@ def mode_time_profiles(engine: PulsedExcitationEngine) -> np.ndarray:
     t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
     phase = np.exp(-1j * np.outer(engine.x - engine.dec.grid_i.center, t_grid))
     m_prof = (engine.cvec[None, :] * engine.fi) @ phase
-    if engine.extract:
-        f_i0, df_i0 = engine.fi_core
-        carrier = np.exp(-1j * (engine.sys.omega_ba - engine.dec.grid_i.center) * t_grid)
-        m_prof += np.outer(f_i0, carrier) * engine.c_corr0
-        m_prof += (
-            np.outer(df_i0, carrier) - 1j * np.outer(f_i0, carrier) * t_grid[None, :]
-        ) * engine.c_corr1
     return np.abs(m_prof) ** 2

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 import scipy.fft
+from scipy.integrate import quad
 from oracles import (
+    classical_pulse_pair_probability,
     classical_pulsed_population,
     full_cw_j_lattice,
     full_lattice_j,
@@ -46,6 +48,7 @@ from sqfluor.sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
+    hermite_function_table,
     mode_squeezing,
     photon_number_pulsed,
     photon_rate_cw,
@@ -149,6 +152,54 @@ class TestClassicalPulsed:
         assert len(engine.ladder) > 1
         rel = engine.outcome(0.7).diagnostics["incoherent_sampling_rel_err"]
         assert np.isfinite(rel)
+
+    def test_closed_form_reference_matches_nested_quadrature(self, cs_system, cs_eta, mot_area):
+        # The Faddeeva reference against quad inside quad, once, at 1 Gamma_b:
+        # the inner Int G_ba phi_I phi_II dbar-x is taken over u = x - c_I,
+        # split at the Green line, and the outer over d = w - c_I - c_II.
+        system, _ = cs_system
+        sigma = system.gamma_b
+        src = classical_pulse_pair(system, sigma, 1.0)
+        norm = (np.pi * sigma**2) ** -0.5
+        delta_i = src.amp_i.center - system.omega_ba
+        delta_l = src.amp_i.center + src.amp_ii.center - system.omega_ca
+        gb, gc = system.gamma_b, system.gamma_c
+
+        def inner(d):
+            center, reach = 0.5 * d, 12.0 * sigma / np.sqrt(2.0)
+
+            def part(u, which):
+                pair = norm * np.exp(-(u * u + (d - u) ** 2) / (2.0 * sigma**2))
+                g = 1.0 / (-(delta_i + u) - 0.5j * gb)
+                return which(g * pair) / np.sqrt(2.0 * np.pi)
+
+            pole = -delta_i
+            points = [pole] if center - reach < pole < center + reach else None
+            re, im = (
+                quad(part, center - reach, center + reach, args=(which,), points=points,
+                     epsabs=1e-13 / gb, epsrel=1e-11, limit=200)[0]
+                for which in (np.real, np.imag)
+            )
+            lorentz = (gc / (2.0 * np.pi)) / ((d + delta_l) ** 2 + 0.25 * gc**2)
+            return lorentz * (re * re + im * im)
+
+        reach = 12.0 * np.sqrt(2.0) * sigma
+        value, _ = quad(inner, -reach, reach, points=[-delta_l],
+                        epsabs=0.0, epsrel=1e-10, limit=400)
+        nested = cs_eta.eta * value / mot_area**2
+        assert classical_pulse_pair_probability(
+            src, system, cs_eta, mot_area
+        ) == pytest.approx(nested, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("width_over_gamma_b", [0.01, 0.1, 1.0, 3.0, 10.0, 100.0])
+    def test_matches_the_closed_form(self, cs_system, cs_eta, mot_area, width_over_gamma_b):
+        # Fine Gaussian tables and product-integration weights bring the
+        # engine within 3e-5 of the Faddeeva form at every width.
+        system, _ = cs_system
+        src = classical_pulse_pair(system, width_over_gamma_b * system.gamma_b, 1.0)
+        got = p_classical_pulsed(src, system, cs_eta, mot_area).total
+        exact = classical_pulse_pair_probability(src, system, cs_eta, mot_area)
+        assert got == pytest.approx(exact, rel=1e-4, abs=0.0)
 
     def test_cw_limit_oracle(self, cs_system, cs_eta, mot_area):
         # Narrowband resonant pulses: p / T_eff must approach the analytic CW
@@ -403,12 +454,20 @@ def brute_force_pulsed(dec, beta, system, eta, area, refine=1):
     return eta.eta * coherent / area**2, eta.eta * incoherent / area**2
 
 
+def narrow_green_line(engine):
+    """Whether the Green line is narrower than a quarter mode oscillation.
+
+    Such an engine's step follows the modes alone; a wider line also bounds
+    the step by Gamma_b / POINTS_PER_FEATURE.
+    """
+    return engine.sys.gamma_b < engine.osc / 4.0
+
+
 def kernel_row(engine, n, m, stride):
     """Brute-force K_nm(w_j) = Int G_ba f_IIn(w_j - x) f_Im(x) dbar-x on one outer lattice.
 
     One dot product per outer point over the band-I support of mode m, with
-    f_IIn(w_j - x_k) read as a strided view of the aligned band-II table, plus
-    the core-extraction terms evaluated at this stride's own outer points.
+    f_IIn(w_j - x_k) read as a strided view of the aligned band-II table.
     """
     fi_row = engine.fi[m]
     live = np.nonzero(np.abs(fi_row) > SUPPORT_EPSILON * np.max(np.abs(fi_row)))[0]
@@ -422,14 +481,7 @@ def kernel_row(engine, n, m, stride):
         writeable=False,
     )[:, k0:k1]
     coeff = engine.cvec[k0:k1] * fi_row[k0:k1]
-    out = view @ coeff.real + 1j * (view @ coeff.imag)
-    if engine.extract:
-        arg = engine.outer_points(stride) - engine.sys.omega_ba
-        f_ii = np.interp(arg, engine.q_axis, engine.fii_lat[n], left=0.0, right=0.0)
-        df_ii = np.interp(arg, engine.q_axis, engine.dfii_lat[n], left=0.0, right=0.0)
-        f_i0, df_i0 = (arr[m] for arr in engine.fi_core)
-        out = out + f_ii * f_i0 * engine.c_corr0 + (f_ii * df_i0 - df_ii * f_i0) * engine.c_corr1
-    return out
+    return view @ coeff.real + 1j * (view @ coeff.imag)
 
 
 @given(
@@ -587,7 +639,7 @@ class TestSqueezedPulsed:
         src = SqueezedPulsed(0.1 * gb, 0.3 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-8).truncated(3)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        assert not engine.extract
+        assert not narrow_green_line(engine)
         assert engine.x[-1] - dec.grid_i.center < dec.grid_i.half_span
         assert engine.out_half < dec.grid_i.half_span + dec.grid_ii.half_span
         out = engine.outcome(1.0)
@@ -601,9 +653,10 @@ class TestSqueezedPulsed:
     def test_coherent_form_is_the_lorentzian_read(
         self, cs_system, cs_eta, mot_area, detuned
     ):
-        # w @ Q @ w = lam . |w @ V|^2 on every rung.  The detuned panel
-        # extracts the Green core, and one of its rungs carries the L-core
-        # stencil, whose weights are negative.
+        # w @ Q @ w = lam . |w @ V|^2 on every rung.  The detuned panel's
+        # Green line is narrower than a quarter mode oscillation, and its
+        # Lorentzian line narrower than its outer steps, so some of its
+        # product-integration weights are negative.
         system, _ = cs_system
         gb, gc = system.gamma_b, system.gamma_c
         if detuned:
@@ -616,7 +669,7 @@ class TestSqueezedPulsed:
             src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
             dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        assert engine.extract == detuned
+        assert narrow_green_line(engine) == detuned
         assert any(np.any(engine.lorentz_weights[s] < 0.0) for s in engine.ladder) == detuned
         for beta in (1e-4, 1e-3, 0.3, 1.5):
             r = mode_squeezing(dec.p, beta)
@@ -643,19 +696,18 @@ class TestSqueezedPulsed:
             scale = np.max(np.abs(row))
             assert np.allclose(row, v_rows[n], rtol=1e-10, atol=1e-11 * scale)
 
-    def test_levels_match_oracle_without_core_extraction(self, cs_system, cs_eta, mot_area):
+    def test_levels_match_oracle_with_resolved_green_line(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        assert not engine.extract
+        assert not narrow_green_line(engine)
         assert len(engine.ladder) > 1
         assert_levels_match_oracle(engine)
 
-    def test_levels_match_oracle_with_core_extraction(self, cs_system, cs_eta, mot_area):
-        # Detuned bands: on resonance the derivative core term enters T_nm
-        # only through parity-cancelling cross terms.
+    def test_levels_match_oracle_with_narrow_green_line(self, cs_system, cs_eta, mot_area):
+        # Detuned bands, so the line sits off the band centres.
         system, _ = cs_system
         gb, gc = system.gamma_b, system.gamma_c
         center_i = system.omega_ba + 5.0 * gb
@@ -663,15 +715,15 @@ class TestSqueezedPulsed:
         src = SqueezedPulsed(10 * gb, 50 * gb, center_i, center_ii)
         dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        assert engine.extract
+        assert narrow_green_line(engine)
         assert len(engine.ladder) > 1
         assert_levels_match_oracle(engine)
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_one_correlator_call_per_mode(self, cs_system, cs_eta, mot_area, monkeypatch, detuned):
         # Both levels come from one pass: mode n's call gives K_nm for every
-        # m, and its row n is the coherent row V_n.  Only an engine that
-        # extracts the Green core builds the derivative tables.
+        # m, and its row n is the coherent row V_n, whether or not the Green
+        # line also bounds the step.
         system, _ = cs_system
         gb, gc = system.gamma_b, system.gamma_c
         if detuned:
@@ -695,10 +747,8 @@ class TestSqueezedPulsed:
 
         monkeypatch.setattr(excitation, "lattice_correlate", counting_correlate)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
-        assert engine.extract == detuned
+        assert narrow_green_line(engine) == detuned
         assert tables == [engine.fii_lat[0].shape] * dec.n_modes
-        for name in ("dfii_lat", "fi_core"):
-            assert hasattr(engine, name) == detuned
 
     def test_detuned_engine_matches_brute_force(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -734,6 +784,64 @@ class TestSqueezedPulsed:
         assert factor == pytest.approx(FIG6_TOP_MIDDLE_FACTOR, rel=2e-2)
 
 
+class ExactModeEngine(PulsedExcitationEngine):
+    """An engine that puts exact Hermite functions on its lattices.
+
+    The library interpolates the mode tables of `schmidt_decompose_analytic`
+    linearly; these exact values take that table error out, so what is left
+    of a change in the step is the error of the quadrature weights.
+    """
+
+    def __init__(self, src, *args, **kwargs):
+        self.src = src
+        super().__init__(*args, **kwargs)
+
+    def _build_lattice(self):
+        super()._build_lattice()
+        src, n_modes = self.src, self.dec.n_modes
+        sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
+        self.fi = hermite_function_table(n_modes, (self.x - src.center_i) / sigma_s)
+        self.fi /= np.sqrt(sigma_s)
+        sign = np.where(np.arange(n_modes) % 2 == 0, 1.0, -1.0)[:, None]
+        self.fii_lat = hermite_function_table(n_modes, (self.q_axis - src.center_ii) / sigma_s)
+        self.fii_lat *= sign / np.sqrt(sigma_s)
+
+
+class TestStepScan:
+    """Values must not depend on where the lattice points fall against the lines.
+
+    Stepping POINTS_PER_FEATURE from 12.00 to 12.50 moves the step by 4% and
+    every node against the Green and Lorentzian poles.  Product-integration
+    weights spread the coherent value by 2.3e-5 on the first panel and
+    2.6e-7 on the second; the bounds reject Simpson weights with Green-core
+    extraction, which spread it by 2.0e-3 and 1.9e-4.
+    """
+
+    @pytest.mark.parametrize(
+        "sigma_p_over_gamma_b, sigma_c_over_sigma_p, coherent_spread, incoherent_spread",
+        [(10.0, 10.0, 1e-4, 2e-4), (1.0, 3.0, 1e-5, 1e-5)],
+    )
+    def test_spread_over_points_per_feature(
+        self, cs_system, cs_eta, mot_area, monkeypatch,
+        sigma_p_over_gamma_b, sigma_c_over_sigma_p, coherent_spread, incoherent_spread,
+    ):
+        system, _ = cs_system
+        sigma_p = sigma_p_over_gamma_b * system.gamma_b
+        src = SqueezedPulsed(
+            sigma_p, sigma_c_over_sigma_p * sigma_p, system.omega_ba, system.omega_cb
+        )
+        dec = schmidt_decompose_analytic(src, trunc_tol=1e-6)
+        values = []
+        for points in np.linspace(12.0, 12.5, 11):
+            monkeypatch.setattr(excitation, "POINTS_PER_FEATURE", points)
+            engine = ExactModeEngine(src, dec, system, cs_eta, mot_area)
+            out = engine.outcome(1.0)
+            values.append((out.coherent, out.incoherent))
+        coherent, incoherent = np.array(values).T
+        assert np.ptp(coherent) / np.median(coherent) <= coherent_spread
+        assert np.ptp(incoherent) / np.median(incoherent) <= incoherent_spread
+
+
 class TestModeSignsAreFree:
     """Each Schmidt pair (f_In, f_IIn) is defined up to a common sign.
 
@@ -761,7 +869,7 @@ class TestModeSignsAreFree:
         results = []
         for d in (dec, flipped):
             engine = PulsedExcitationEngine(d, system, cs_eta, mot_area, coupling)
-            assert engine.extract == detuned
+            assert narrow_green_line(engine) == detuned
             out = engine.outcome(0.8)
             results.append((
                 out.coherent, out.incoherent,
@@ -829,13 +937,14 @@ class TestEngineBuildsWhatItReads:
         self, cs_system, cs_eta, mot_area, sigma_p_over_gamma_b
     ):
         # The phase matrix is exponentiated in place; the bits must not move,
-        # with and without core extraction.
+        # with a Green line that bounds the step and with one narrower than
+        # a quarter mode oscillation.
         system, coupling = cs_system
         sigma_p = sigma_p_over_gamma_b * system.gamma_b
         src = SqueezedPulsed(sigma_p, 6 * sigma_p, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
         engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area, coupling)
-        assert engine.extract == (sigma_p_over_gamma_b == 10.0)
+        assert narrow_green_line(engine) == (sigma_p_over_gamma_b == 10.0)
         assert engine.time_profiles.tobytes() == mode_time_profiles(engine).tobytes()
 
     def test_reads_reject_a_negative_beta(self, cs_system, cs_eta, mot_area, few_mode_dec):

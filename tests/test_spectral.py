@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.special import wofz
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import reevaluating_doublings
@@ -21,9 +22,11 @@ from sqfluor.spectral import (
     gaussian_amp,
     green,
     lorentzian,
+    pole_weights,
     quad_1d,
     quad_converged,
     simpson_doublings,
+    simpson_weights,
 )
 
 W0 = 2.0e15
@@ -179,6 +182,92 @@ class TestQuadrature:
         with pytest.raises(NonFiniteIntegrandError) as info:
             quad_1d(bad, SpectralGrid(0.0, 1.0, 11))
         assert info.value.index == 3
+
+
+class TestPoleWeights:
+    """Product integration of f(x)/(x - pole): exact for quadratics, third order otherwise."""
+
+    FIRST, STEP, N = -3.0, 0.15, 41  # nodes x_k = -3 + 0.15 k, k < 41
+
+    @staticmethod
+    def exact_quadratic(coeffs, lo, hi, pole):
+        """Int_lo^hi (a + b x + c x^2)/(x - pole) dx at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, b, c = (mpmath.mpf(v) for v in coeffs)
+            z = mpmath.mpc(pole.real, pole.imag)
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            f_z, df_z = a + b * z + c * z * z, b + 2 * c * z
+            value = (
+                f_z * (mpmath.log(hi - z) - mpmath.log(lo - z))
+                + df_z * (hi - lo)
+                + c * ((hi - z) ** 2 - (lo - z) ** 2) / 2
+            )
+            return complex(value)
+
+    @pytest.mark.parametrize(
+        "offset, imag",
+        [
+            (8.0, 0.01),  # on a node, a panel boundary
+            (9.0, -0.3),  # on a panel midpoint
+            (12.37, 2.0),  # between nodes
+            (-5.5, 0.7),  # below the lattice
+            (47.0, -0.5),  # 7 steps beyond the last node: every panel in the series
+            (2e4, 1.0),  # far away: every panel in the series
+        ],
+    )
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.3, -1.2, 0.7)])
+    def test_quadratics_are_integrated_exactly(self, offset, imag, coeffs):
+        # offset and imag are in steps from the first node.
+        pole = complex(self.FIRST + offset * self.STEP, imag * self.STEP)
+        x = self.FIRST + self.STEP * np.arange(self.N)
+        a, b, c = coeffs
+        f = a + b * x + c * x * x
+        weights = pole_weights(self.FIRST, self.STEP, self.N, pole)
+        exact = self.exact_quadratic(coeffs, x[0], x[-1], pole)
+        assert abs(weights @ f - exact) <= 1e-14 * (np.abs(weights) @ np.abs(f))
+
+    def test_the_series_branch_serves_the_far_panels(self):
+        # Panel midpoints sit at odd nodes; the nearest one to a pole 7
+        # steps past the last node is 8 steps away.
+        pole = complex(self.FIRST + 47.0 * self.STEP, -0.5 * self.STEP)
+        mid = self.FIRST + self.STEP * np.arange(1, self.N, 2)
+        assert np.min(np.abs(pole - mid)) / self.STEP > spectral.POLE_SERIES_RADIUS
+
+    def test_weights_do_not_depend_on_the_units(self):
+        pole = complex(0.4, 0.02)
+        base = pole_weights(self.FIRST, self.STEP, self.N, pole)
+        scaled = pole_weights(1e7 * self.FIRST, 1e7 * self.STEP, self.N, 1e7 * pole)
+        assert np.allclose(scaled, base, rtol=1e-12, atol=0.0)
+
+    def test_third_order_on_a_smooth_function_past_a_narrow_line(self):
+        # Int exp(-x^2)/(x - z) dx = i pi w(z) for Im z > 0.  The line is
+        # 1e-4 wide and sits on a node at every step, so each halving of the
+        # step cuts the error by about 2^3.  Simpson on f/(x - z) does not
+        # resolve the line and is off by more than 100% at every step.
+        pole = 1.0 + 1e-4j
+        exact = 1j * np.pi * wofz(pole)
+        errors = []
+        for n_points in (65, 129, 257, 513, 1025):
+            step = 16.0 / (n_points - 1)
+            x = -8.0 + step * np.arange(n_points)
+            f = np.exp(-x * x)
+            got = pole_weights(-8.0, step, n_points, pole) @ f
+            errors.append(abs(got - exact) / abs(exact))
+            simpson = simpson_weights(n_points, step) @ (f / (x - pole))
+            assert abs(simpson - exact) / abs(exact) > 1.0
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 7.0) & (ratios < 9.0))
+        assert errors[-1] < 1e-6
+
+    @pytest.mark.parametrize("n_points", [1, 2, 4])
+    def test_rejects_an_even_or_short_lattice(self, n_points):
+        with pytest.raises(ValueError, match="odd"):
+            pole_weights(0.0, 1.0, n_points, 1.0 + 1.0j)
+
+    def test_rejects_a_pole_on_the_real_axis(self):
+        with pytest.raises(ValueError, match="real axis"):
+            pole_weights(0.0, 1.0, 5, 2.0)
 
 
 class TestSimpsonDoublings:
