@@ -45,7 +45,6 @@ from .peaked import (
     quad_kernel_smooth,
 )
 from .sources import (
-    CW_GAIN_SUPPORT_SIGMAS,
     ClassicalCW,
     ClassicalPulsed,
     SchmidtDecomposition,
@@ -93,6 +92,14 @@ __all__ = [
 VALIDITY_THRESHOLD = 0.1
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 SPAN_SIGMAS_CW = 9.0
+# The CW J pass leaves out s_II^2 below this share of its peak sinh^2(beta_bar):
+# on every case checked no bit of J moves (DECISIONS.md).
+CW_J_CUT = 2.0**-200
+# s_II = sinh(beta_bar r), r = exp(-x^2/2) at x sigma_c_bar from the band centre,
+# and sinh(beta_bar r) <= r sinh(beta_bar), so s_II^2 < CW_J_CUT sinh^2(beta_bar)
+# once r^2 < CW_J_CUT: beyond sqrt(-ln CW_J_CUT) = 11.8 sigma_c_bar for any beta_bar.
+CW_J_REACH_SIGMAS = float(np.sqrt(-np.log(CW_J_CUT)))
+CW_J_ROW_BLOCKS = 4  # row blocks of the J pass, each summed over its own band
 
 
 def _fast_len(n: int) -> int:
@@ -371,13 +378,17 @@ def cw_j_lattice(
     The omega lattice w_k = lo + h k (n_w points, n_w odd) covers the band-II
     support shifted by every band-I point wI_j and, when it lies inside, the
     L core to +/-30 Gamma_c.  Column k of the J pass reads s_II^2 at
-    w_k - wI_j, which is exactly 0.0 farther than CW_GAIN_SUPPORT_SIGMAS
-    sigma_c_bar from the band-II centre, so only the window of columns that
-    read a nonzero value is built: `lam` holds their Lorentzian sample
-    weights, and u_tab[m] = s_II^2 at w_k - wI_j with m = k - k0 - j + n_i - 1
-    (k0 the first window column), so it has len(lam) + n_i - 1 entries.  Each
-    value is the one the whole lattice gives at that point; `lam` is empty
-    when s_II^2 is zero everywhere.
+    w_k - wI_j.  Only the window of columns that read an s_II^2 of at least
+    CW_J_CUT sinh^2(beta_bar), its analytic peak, is built (and only a
+    nonzero one, for a gain whose square underflows everywhere): `lam` holds
+    their Lorentzian sample weights, and u_tab[m] = s_II^2 at w_k - wI_j with
+    m = k - k0 - j + n_i - 1 (k0 the first window column), zero outside the
+    cut, so it has len(lam) + n_i - 1 entries.  s_II is evaluated only out
+    to CW_J_REACH_SIGMAS sigma_c_bar plus a step.  Each value is the one
+    the whole lattice gives at that point; `lam` is empty when no value
+    passes the cut.  The values left out are below 2^-200 of the peak, and
+    on every case checked J is the whole lattice's bit for bit
+    (DECISIONS.md).
 
     The +/-30 Gamma_c stretch adds no column that reads a nonzero s_II^2,
     yet it is kept: it sets `lo`, hence where the lattice points fall, the
@@ -399,21 +410,21 @@ def cw_j_lattice(
     n_w = n_w if n_w % 2 == 1 else n_w + 1
 
     # u index m (0 <= m < n_w + n_i - 1) sits at u0 + h m; s_II is evaluated
-    # only where it can be nonzero.
+    # only where it can pass the cut.
     u0 = lo - w_i_pts[-1]
-    reach = CW_GAIN_SUPPORT_SIGMAS * src.sigma_c_bar
+    reach = CW_J_REACH_SIGMAS * src.sigma_c_bar + h
     m_lo = max(0, int(np.floor((src.center_ii - reach - u0) / h)))
     m_hi = min(n_w + n_i - 1, int(np.ceil((src.center_ii + reach - u0) / h)) + 1)
     s_u, _ = gain_functions_cw(u0 + h * np.arange(m_lo, m_hi), src, "II")
     s2 = s_u * s_u
-    nonzero = np.flatnonzero(s2)
-    if nonzero.size == 0:
+    kept = np.flatnonzero((s2 >= CW_J_CUT * np.sinh(src.beta_bar) ** 2) & (s2 > 0.0))
+    if kept.size == 0:
         return w_i_pts, np.zeros(n_i - 1), np.zeros(0)
-    first, last = m_lo + nonzero[0], m_lo + nonzero[-1]
+    first, last = m_lo + kept[0], m_lo + kept[-1]
     # Column k reads u indices k .. k + n_i - 1.
     cols = np.arange(max(0, first - (n_i - 1)), min(n_w - 1, last) + 1)
     u_tab = np.zeros(len(cols) + n_i - 1)
-    u_tab[first - cols[0] : last + 1 - cols[0]] = s2[nonzero[0] : nonzero[-1] + 1]
+    u_tab[first - cols[0] : last + 1 - cols[0]] = s2[kept[0] : kept[-1] + 1]
 
     shape = sys.lineshape_ca()
     if _l_core_unresolved(lo, lo + h * (n_w - 1), n_w, h, shape):
@@ -429,23 +440,41 @@ def cw_j_lattice(
 def cw_j_pass(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
     """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k] over the window of `cw_j_lattice`.
 
-    The product runs on a strided (n_i x window) view whose rows overlap in
-    memory, which BLAS cannot take, so numpy sums each row sequentially in
-    k.  Every lattice column outside the window reads only exact zeros, and
-    adding a +/-0.0 product leaves a sequential partial sum unchanged, so J
-    is bit-identical to the product over the full lattice.  Inside the window
-    the weights are the full lattice's bit for bit: the Simpson weight
-    follows from the index parity and the two ends, and the Lorentzian is
-    elementwise.  A contiguous copy, a BLAS call or an FFT would change the
-    summation order and the last bits of J.
+    Each row is summed sequentially in k, as numpy's matmul does on a
+    strided view whose rows overlap in memory (BLAS cannot take it).  The
+    rows run in CW_J_ROW_BLOCKS blocks, each over only the columns where
+    one of its rows reads a nonzero u_tab entry: the columns skipped add
+    +/-0.0 products before a row's first term or after its last, and adding
+    +/-0.0 to a partial sum that starts at +0.0 changes no bit, so J is the
+    product over every column bit for bit.  A block keeps at least two rows,
+    because numpy hands a one-row product to BLAS `dot`, whose summation
+    order depends on the span; a single row (n_i = 1) therefore runs over
+    every column.  Inside the window the weights are the full lattice's bit
+    for bit: the Simpson weight follows from the index parity and the two
+    ends, and the Lorentzian is elementwise.  A contiguous copy, a BLAS
+    call or an FFT would change the summation order and the last bits of J.
     """
-    if lam.size == 0:
-        return np.zeros(n_i)
+    j_vals = np.zeros(n_i)
+    nonzero = np.flatnonzero(u_tab)
+    if lam.size == 0 or nonzero.size == 0:
+        return j_vals
     step = u_tab.strides[0]
-    u_view = np.lib.stride_tricks.as_strided(
-        u_tab[n_i - 1 :], shape=(n_i, len(lam)), strides=(-step, step), writeable=False,
-    )
-    return u_view @ lam
+    n_blocks = max(1, min(CW_J_ROW_BLOCKS, n_i // 2))
+    bounds = [n_i * b // n_blocks for b in range(n_blocks + 1)]
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        # Row j reads a nonzero entry only at columns nonzero - (n_i - 1 - j).
+        c0, c1 = 0, len(lam)
+        if r1 - r0 > 1:
+            c0 = max(c0, nonzero[0] - (n_i - 1 - r0))
+            c1 = min(c1, nonzero[-1] - (n_i - 1 - (r1 - 1)) + 1)
+        if c0 >= c1:
+            continue
+        u_view = np.lib.stride_tricks.as_strided(
+            u_tab[n_i - 1 - r0 + c0 :], shape=(r1 - r0, c1 - c0), strides=(-step, step),
+            writeable=False,
+        )
+        j_vals[r0:r1] = u_view @ lam[c0:c1]
+    return j_vals
 
 
 def _cw_incoherent_integral(
@@ -454,10 +483,11 @@ def _cw_incoherent_integral(
     """(IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI, rel) (plain measure).
 
     The inner pass J(wI) = Int L(w) s_II^2(w - wI) dw is a correlation of the
-    fixed photon-density shape with L; on a shared uniform lattice it is one
-    strided matrix-vector product against Lorentzian sample weights
-    (`cw_j_pass`).  The outer pass integrates |G|^2 s_I^2 J with the usual
-    kernel machinery.  `rel` is the change between lattice steps scale/12
+    fixed photon-density shape with L; on a shared uniform lattice it is a
+    strided matrix-vector product against Lorentzian sample weights, summed
+    in row blocks over each block's band (`cw_j_pass`).  The outer pass
+    integrates |G|^2 s_I^2 J with the usual kernel machinery.  `rel` is the
+    change between lattice steps scale/12
     and scale/24: an estimate of the sampling error, not a bound, and no
     tolerance is applied to it.
     """

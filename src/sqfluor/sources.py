@@ -57,10 +57,6 @@ __all__ = [
 JSA_GRID_POINTS = 512  # default discretization per axis
 JSA_GRID_SPAN_SIGMAS = 8.0  # half-span in units of sigma_c
 MAX_ANALYTIC_MODES = 2000  # mode cap of the closed-form decomposition
-# gain_functions_cw gives exactly s = 0.0 this many sigma_c_bar or more from
-# its band centre, at any beta_bar: r = exp(-x^2/2) underflows to 0.0 once
-# x^2/2 > 745.13, and 40^2/2 = 800 (DECISIONS.md).
-CW_GAIN_SUPPORT_SIGMAS = 40.0
 
 
 class GridTooCoarseError(NumericalError, ValueError):

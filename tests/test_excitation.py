@@ -19,6 +19,7 @@ from oracles import (
 
 import sqfluor.excitation as excitation
 from sqfluor.excitation import (
+    CW_J_CUT,
     SUPPORT_EPSILON,
     PulsedExcitationEngine,
     RegimeViolationError,
@@ -322,41 +323,63 @@ class TestSqueezedCW:
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
 
 
-def _cw_j_window(u_full, n_i):
-    """The lattice columns that read a nonzero u_tab entry: column k reads u_full[k : k + n_i]."""
-    nonzero = np.flatnonzero(u_full)
+def _cw_j_window(u_full, n_i, keep):
+    """The lattice columns that read a kept u_full entry, and u_full zeroed outside the kept run.
+
+    Column k reads u_full[k : k + n_i].
+    """
+    kept = np.flatnonzero(keep)
     n_w = len(u_full) - n_i + 1
-    return slice(max(0, nonzero[0] - (n_i - 1)), min(n_w - 1, nonzero[-1]) + 1)
+    u_kept = np.zeros_like(u_full)
+    u_kept[kept[0] : kept[-1] + 1] = u_full[kept[0] : kept[-1] + 1]
+    return slice(max(0, kept[0] - (n_i - 1)), min(n_w - 1, kept[-1]) + 1), u_kept
 
 
 class TestCwJPass:
-    # `cw_j_lattice` builds only the columns of the J pass that read a nonzero
-    # s_II^2.  Against the whole lattice (`tests/oracles.py`) it must give the
-    # same weights and densities on exactly those columns and the same J bit
-    # for bit, on both passes (12 and 24 points per scale), with and without
-    # the Lorentzian core correction.
+    # `cw_j_lattice` builds only the columns of the J pass that read an
+    # s_II^2 of at least CW_J_CUT sinh^2(beta_bar).  Against the whole
+    # lattice (`tests/oracles.py`) it must give the same weights and
+    # densities on exactly those columns, zeros below the cut, and the same
+    # J bit for bit, on both passes (12 and 24 points per scale), with and
+    # without the Lorentzian core correction.
     @pytest.mark.parametrize(
         "ratio, beta_bar",
-        [(r, b) for r in (0.01, 0.1, 1.0, 100.0) for b in (0.01, 1.0, 10.0)],
+        [
+            (r, b)
+            for r in (0.003, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+            for b in (1e-3, 0.01, 0.3, 1.0, 3.0, 10.0, 30.0)
+        ],
     )
     def test_window_matches_full_lattice_bit_for_bit(self, cs_system, ratio, beta_bar):
         system, _ = cs_system
         src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
         scale = _cw_gain_scale(src)
+        shape = system.lineshape_ca()
         for points_per_scale in (12.0, 24.0):
             w_i_pts, u_tab, lam = cw_j_lattice(src, system, scale, points_per_scale)
             w_full, w_pts, u_full, lam_full = full_cw_j_lattice(src, system, scale, points_per_scale)
             n_i, n_w = len(w_i_pts), len(lam_full)
             assert np.array_equal(w_i_pts, w_full)
-            # At 100 Gamma_b the L core is narrower than the step, and its
-            # correction sums over the whole lattice.
+            # When the L core is narrower than 4 steps, its correction sums
+            # over the whole lattice.
             h = scale / points_per_scale
-            plain = simpson_weights(n_w, h) * lorentzian(w_pts, system.lineshape_ca())
-            assert np.array_equal(lam_full, plain) == (ratio < 100.0)
-            window = _cw_j_window(u_full, n_i)
+            plain = simpson_weights(n_w, h) * lorentzian(w_pts, shape)
+            assert np.array_equal(lam_full, plain) == (shape.fwhm >= 4.0 * h)
+            peak = np.sinh(beta_bar) ** 2
+            window, u_kept = _cw_j_window(u_full, n_i, u_full >= CW_J_CUT * peak)
             assert np.array_equal(lam, lam_full[window])
-            assert np.array_equal(u_tab, u_full[window.start : window.stop + n_i - 1])
-            assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_full, lam_full, n_i))
+            assert np.array_equal(u_tab, u_kept[window.start : window.stop + n_i - 1])
+            if ratio >= 0.01:
+                j_full = full_lattice_j(u_full, lam_full, n_i)
+            else:
+                # The narrowest lattice has 1.8 million columns: its reference
+                # leaves out the columns that read only exact zeros, which
+                # changes no bit (test_row_blocks_match_the_full_product).
+                nonzero, _ = _cw_j_window(u_full, n_i, u_full != 0.0)
+                j_full = full_lattice_j(
+                    u_full[nonzero.start : nonzero.stop + n_i - 1], lam_full[nonzero], n_i
+                )
+            assert cw_j_pass(u_tab, lam, n_i).tobytes() == j_full.tobytes()
             if ratio < 1.0:
                 # Narrowband: the lattice is stretched to hold the L core, and
                 # the band-II support covers only an inner stretch of it.
@@ -364,6 +387,27 @@ class TestCwJPass:
             else:
                 # The window holds both ends, so both Simpson end weights.
                 assert window == slice(0, n_w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_blocks_match_the_full_product(self, seed):
+        # `cw_j_pass` sums each block of rows only over the columns where
+        # one of its rows reads a nonzero entry.  On raw arrays with zero
+        # runs at both ends, zeros inside and weights of both signs, it must
+        # give the product over every column bit for bit, down to one row
+        # (which numpy hands to BLAS `dot`) and one column; the empty
+        # window is test_all_zero_density's.
+        rng = np.random.default_rng(seed)
+        for n_i in (1, 2, 3, 5, 16, 17, 217):
+            for n_w in (1, 2, 7, 40, 301):
+                u_tab = rng.normal(size=n_w + n_i - 1) ** 2
+                u_tab[rng.random(u_tab.size) < 0.1] = 0.0
+                lead, trail = rng.integers(0, u_tab.size + 1, size=2)
+                u_tab[:lead] = 0.0
+                u_tab[u_tab.size - trail :] = 0.0
+                lam = rng.normal(size=n_w)
+                j_vals = cw_j_pass(u_tab, lam, n_i)
+                assert j_vals.shape == (n_i,)
+                assert j_vals.tobytes() == full_lattice_j(u_tab, lam, n_i).tobytes()
 
     def test_narrowband_window_is_a_small_share_of_the_lattice(self, cs_system, monkeypatch):
         # The lattice set-up must cost O(window), not O(n_w): count the points

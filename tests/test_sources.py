@@ -6,7 +6,6 @@ from oracles import g2_cw, g2_pulsed_kernels, geometric_weights, marginal_sigma
 
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
-    CW_GAIN_SUPPORT_SIGMAS,
     ClassicalCW,
     ClassicalPulsed,
     GridTooCoarseError,
@@ -65,9 +64,10 @@ class TestGainFunctions:
     @pytest.mark.parametrize("band, center", [("I", CI), ("II", CII)])
     @pytest.mark.parametrize("sigma", [2.0e5, SIGMA, 2.0e9])
     def test_exactly_zero_beyond_the_support_cut(self, band, center, sigma):
-        # cw_j_lattice evaluates s_II only within the cut; beyond it s must be
-        # exactly 0.0 at any gain (DECISIONS.md).
-        cut = CW_GAIN_SUPPORT_SIGMAS
+        # s is exactly 0.0 at 40 sigma_c_bar or more from the band centre, at
+        # any gain: r = exp(-x^2/2) underflows to 0.0 once x^2/2 > 745.13, and
+        # 40^2/2 = 800 (DECISIONS.md).
+        cut = 40.0
         x = np.concatenate([np.linspace(cut, cut + 20.0, 2001), np.geomspace(cut + 20.0, 1e6, 200)])
         w = center + np.concatenate([x, -x]) * sigma
         assert np.all(np.abs(w - center) >= cut * sigma * (1.0 - 1e-6))
