@@ -19,7 +19,6 @@ from .excitation import (
     p_squeezed_pulsed,
     rate_classical_cw,
     rate_squeezed_cw,
-    rate_squeezed_cw_broadband,
 )
 from .geometry import AtomCloud, BeamProfile, EffectiveArea, effective_area
 from .sources import (

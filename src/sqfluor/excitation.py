@@ -13,13 +13,20 @@ verbatim.  Outer integrals are plain domega.
     p_sq_pulse,c = eta Int L(w) |sum_n Int G_ba f_IIn f_In dbar s_n c_n|^2 dw / A^2
     p_sq_pulse,ic= eta Int L(w) sum_nm |Int G_ba f_IIn f_Im dbar s_n s_m|^2 dw / A^2
 
-The CW two-scale integrals route through `peaked.quad_kernel_smooth`; the
-pulsed engine takes both lines by product integration (`pole_weights`),
+Two CW integrals route through `peaked.quad_kernel_smooth`: the coherent
+amplitude Int G_ba s_I c_I and the scale/24 outer pass of the incoherent
+rate (the photon rate is `sources.photon_rate_cw`'s Simpson doubling).  The
+CW by-products take no adaptive quadrature: the scale/12 pass behind the
+incoherent sampling estimate is integrated exactly by linear product
+integration (`pole_weights_linear`), and the intermediate population is a
+Voigt series (`max_intermediate_population`).
+
+The pulsed engine takes both lines by product integration (`pole_weights`),
 samples the outer frequency dependence on a lattice aligned with its inner
-grid, so the inner integrals at every outer point are one FFT
-correlation (`lattice_correlate`), and estimates the sampling error by
-halving the stride down a ladder of rungs, each coarser rung a subsample of
-that one pass.  The estimate is the change between the last two rungs: it
+grid, so the inner integrals at every outer point are one FFT correlation
+(`lattice_correlate`), and estimates the sampling error by halving the
+stride down a ladder of rungs, each coarser rung a subsample of that one
+pass.  The estimate is the change between the last two rungs: it
 is not a bound, it is NaN for a one-rung ladder, and a ladder that ends
 before two rungs agree to `sample_rel_tol` returns its last value with
 nothing but that estimate to show it.  The engine computes all of this when
@@ -34,6 +41,7 @@ from typing import Mapping
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from scipy.special import gammaln, wofz
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
 from .peaked import (
@@ -57,11 +65,13 @@ from .sources import (
 from .spectral import (
     GaussianAmplitude,
     LorentzianLineshape,
+    NumericalError,
     SpectralGrid,
     gaussian_amp,
     green,
     lorentzian,
     pole_weights,
+    pole_weights_linear,
     simpson_weights,
 )
 from .system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem, cross_section
@@ -71,11 +81,9 @@ __all__ = [
     "ExcitationOutcome",
     "FluorescenceResult",
     "EnergyLedger",
-    "RegimeViolationError",
     "p_classical_pulsed",
     "rate_classical_cw",
     "rate_squeezed_cw",
-    "rate_squeezed_cw_broadband",
     "p_squeezed_pulsed",
     "PulsedExcitationEngine",
     "fluorescence",
@@ -100,6 +108,10 @@ CW_J_CUT = 2.0**-200
 # once r^2 < CW_J_CUT: beyond sqrt(-ln CW_J_CUT) = 11.8 sigma_c_bar for any beta_bar.
 CW_J_REACH_SIGMAS = float(np.sqrt(-np.log(CW_J_CUT)))
 CW_J_ROW_BLOCKS = 4  # row blocks of the J pass, each summed over its own band
+# Table of the Gaussian series of sinh^2 (`_sinh2_series`): it runs out from
+# beta_bar = 353 on, below the 355.4 where sinh^2 overflows a double.
+CW_SERIES_TERMS = 480
+CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
 
 
 def _fast_len(n: int) -> int:
@@ -189,10 +201,6 @@ def lorentzian_sample_weights(
     lam = lam.copy()
     lam[j - 1 : j + 3] += (float(np.real(m0)) - s0) * stencil
     return lam
-
-
-class RegimeViolationError(ValueError):
-    """A closed-form limit was requested outside its regime of validity."""
 
 
 @dataclass(frozen=True)
@@ -342,10 +350,15 @@ def rate_squeezed_cw(
     coupling: DipoleCoupling | None = None,
     opts: NumericsOptions = DEFAULT_NUMERICS,
 ) -> ExcitationOutcome:
-    """Coherent + incoherent CW squeezed excitation rates (converged quadrature)."""
+    """Coherent + incoherent CW squeezed excitation rates (converged quadrature).
+
+    `opts` sets the quadrature of the coherent amplitude and of the scale/24
+    incoherent pass; the population and the scale/12 term of the sampling
+    estimate take none.
+    """
     pop = None
     if coupling is not None:
-        pop = max_intermediate_population(src, sys, coupling, a_eff, opts=opts)
+        pop = max_intermediate_population(src, sys, coupling, a_eff)
     if src.beta_bar == 0.0:
         return ExcitationOutcome(0.0, 0.0, pop)
 
@@ -477,6 +490,15 @@ def cw_j_pass(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
     return j_vals
 
 
+def _cw_outer_samples(
+    src: SqueezedCW, sys: FourLevelSystem, scale: float, points_per_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w_i_pts, s_I^2 J) on the band-I lattice of the J pass at step scale/points_per_scale."""
+    w_i_pts, u_tab, lam = cw_j_lattice(src, sys, scale, points_per_scale)
+    s_i, _ = gain_functions_cw(w_i_pts, src, "I")
+    return w_i_pts, s_i * s_i * cw_j_pass(u_tab, lam, len(w_i_pts))
+
+
 def _cw_incoherent_integral(
     src: SqueezedCW, sys: FourLevelSystem, scale: float, opts: NumericsOptions
 ) -> tuple[float, float]:
@@ -485,58 +507,40 @@ def _cw_incoherent_integral(
     The inner pass J(wI) = Int L(w) s_II^2(w - wI) dw is a correlation of the
     fixed photon-density shape with L; on a shared uniform lattice it is a
     strided matrix-vector product against Lorentzian sample weights, summed
-    in row blocks over each block's band (`cw_j_pass`).  The outer pass
-    integrates |G|^2 s_I^2 J with the usual kernel machinery.  `rel` is the
-    change between lattice steps scale/12
-    and scale/24: an estimate of the sampling error, not a bound, and no
-    tolerance is applied to it.
+    in row blocks over each block's band (`cw_j_pass`).  The value is the
+    lattice at step scale/24, whose outer samples s_I^2 J are interpolated
+    linearly and integrated against |G_ba|^2 by `quad_kernel_smooth`.  `rel`
+    compares it with the lattice at step scale/12, whose interpolant (zero
+    outside the lattice) is integrated exactly by linear product integration
+    (`pole_weights_linear` at omega_ba + i Gamma_b/2): an estimate of the
+    sampling error, not a bound, which also holds the adaptive quadrature
+    error of the scale/24 value, and no tolerance is applied to it.  The
+    weights take the lattice's nominal nodes, offsets h (k - (n - 1)/2) from
+    the band-I centre; the samples were taken at those offsets rounded to
+    absolute frequencies (by up to 0.125 rad/s, half an ulp near 2e15
+    rad/s), which moves the integral by up to 7e-7 at sigma_c_bar = 0.003
+    Gamma_b (DECISIONS.md).
     """
+    w_i_pts, samples = _cw_outer_samples(src, sys, scale, 12.0)
+    n_i, g = len(w_i_pts), 0.5 * sys.gamma_b
+    # In offsets from the band-I centre, the lattice's own coordinates.
+    h = scale / 12.0
+    weights = pole_weights_linear(
+        -h * ((n_i - 1) // 2), h, n_i, (sys.omega_ba - src.center_i) + 1j * g
+    )
+    coarse = float(weights.imag @ samples) / g
 
-    def evaluate(points_per_scale: float) -> float:
-        w_i_pts, u_tab, lam = cw_j_lattice(src, sys, scale, points_per_scale)
-        j_vals = cw_j_pass(u_tab, lam, len(w_i_pts))
+    w_i_pts, samples = _cw_outer_samples(src, sys, scale, 24.0)
 
-        s_i, _ = gain_functions_cw(w_i_pts, src, "I")
-        outer_samples = s_i * s_i * j_vals
-        abs2 = abs2_green_kernel(sys.omega_ba, sys.gamma_b)
+    def smooth(w):
+        return np.interp(np.asarray(w, dtype=float), w_i_pts, samples, left=0.0, right=0.0)
 
-        def smooth(w):
-            return np.interp(np.asarray(w, dtype=float), w_i_pts, outer_samples,
-                             left=0.0, right=0.0)
-
-        value = quad_kernel_smooth(
-            abs2, smooth, smooth_center=src.center_i,
-            smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
-        )
-        return float(np.real(value))
-
-    coarse = evaluate(12.0)
-    fine = evaluate(24.0)
+    fine = float(np.real(quad_kernel_smooth(
+        abs2_green_kernel(sys.omega_ba, sys.gamma_b), smooth, smooth_center=src.center_i,
+        smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
+    )))
     rel = abs(fine - coarse) / max(abs(fine), 1e-300)
     return fine, rel
-
-
-def rate_squeezed_cw_broadband(
-    src: SqueezedCW,
-    sys: FourLevelSystem,
-    eta: CrossSectionPrefactor,
-    a_eff: float,
-) -> ExcitationOutcome:
-    """Broadband closed forms; guarded to sigma_c_bar >= 10 Gamma_b.
-
-    coherent   -> (eta/Gamma_c) s_I^2(w_ba) c_I^2(w_ba) / (2 pi A^2)
-    incoherent -> (eta/Gamma_b) s_I^4(w_ba) / (2 pi A^2)
-    """
-    if src.sigma_c_bar < 10.0 * sys.gamma_b:
-        raise RegimeViolationError(
-            "broadband closed form requires sigma_c_bar >= 10 Gamma_b "
-            f"(got ratio {src.sigma_c_bar / sys.gamma_b:.3g})"
-        )
-    s, c = gain_functions_cw(sys.omega_ba, src, "I")
-    s, c = float(s), float(c)
-    coherent = eta.eta * s * s * c * c / (TWO_PI * sys.gamma_c * a_eff**2)
-    incoherent = eta.eta * s**4 / (TWO_PI * sys.gamma_b * a_eff**2)
-    return ExcitationOutcome(coherent, incoherent)
 
 
 # ---------------------------------------------------------------------------
@@ -967,19 +971,47 @@ def within_validity(max_population: float) -> bool:
     return max_population < VALIDITY_THRESHOLD
 
 
+def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, b_k) of sinh^2(beta_bar r) = sum_{k >= 1} b_k r^(2k).
+
+    b_k = (2 beta_bar)^(2k) / (2 (2k)!).  The coefficients are formed in log space, since at beta_bar = 30 the
+    largest is near e^60.  Terms below CW_SERIES_CUT of the largest are left
+    out; they are contiguous at both ends, because log b_k is concave in k.
+    Raises NumericalError rather than truncate when a kept term would lie
+    past the table of CW_SERIES_TERMS terms, so no series this returns sums
+    past the largest double.
+    """
+    k = np.arange(1, CW_SERIES_TERMS + 1)
+    log_b = 2.0 * k * np.log(2.0 * beta_bar) - np.log(2.0) - gammaln(2.0 * k + 1.0)
+    kept = np.flatnonzero(log_b >= log_b.max() + np.log(CW_SERIES_CUT))
+    if kept[-1] == CW_SERIES_TERMS - 1:
+        raise NumericalError(
+            f"the Gaussian series of sinh^2 at beta_bar = {beta_bar!r} needs more than "
+            f"{CW_SERIES_TERMS} terms"
+        )
+    return k[kept], np.exp(log_b[kept])
+
+
 def max_intermediate_population(
     src,
     sys: FourLevelSystem,
     coupling: DipoleCoupling,
     a_eff: float | None = None,
-    opts: NumericsOptions = DEFAULT_NUMERICS,
 ) -> float:
     """Peak second-order population of the intermediate state |b>.
 
-    CW sources use the time-independent closed forms (classical flux or the
-    squeezed photon spectral density s_I^2); `opts` sets the squeezed CW
-    quadrature.  Pulsed populations come with their probabilities, as the
-    `max_population` of `p_classical_pulsed(..., coupling)` and
+    CW sources use time-independent closed forms: kappa F_I |G_ba(c_I)|^2 for
+    a classical flux, and (kappa / 2 pi A) Int |G_ba|^2 s_I^2 dw for squeezed
+    light.  That integral takes no quadrature: sinh^2 is a Gaussian series
+    (`_sinh2_series`), and each Gaussian against |G_ba|^2 = 1/((w -
+    omega_ba)^2 + g^2), g = Gamma_b/2, is a Voigt value (Weideman, SIAM J.
+    Numer. Anal. 31, 1497 (1994)), so
+
+        Int |G_ba|^2 s_I^2 dw = (pi/g) sum_k b_k Re w(sqrt(k) (omega_ba - c_I + i g) / sigma_c_bar)
+
+    with w the Faddeeva function.  From beta_bar = 353 on it raises
+    NumericalError.  Pulsed populations come with their probabilities, as
+    the `max_population` of `p_classical_pulsed(..., coupling)` and
     `p_squeezed_pulsed(..., coupling)`.
     """
     if isinstance(src, ClassicalCW):
@@ -990,17 +1022,11 @@ def max_intermediate_population(
         if src.beta_bar == 0.0:
             return 0.0
         kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
-        abs2 = abs2_green_kernel(sys.omega_ba, sys.gamma_b)
-
-        def smooth(w):
-            s, _ = gain_functions_cw(w, src, "I")
-            return s * s
-
-        integral = quad_kernel_smooth(
-            abs2, smooth, smooth_center=src.center_i,
-            smooth_width=src.sigma_c_bar, smooth_scale=_cw_gain_scale(src), opts=opts,
-        )
-        return float(kappa * np.real(integral) / (TWO_PI * a_eff))
+        k, b_k = _sinh2_series(src.beta_bar)
+        g = 0.5 * sys.gamma_b
+        z = np.sqrt(k) * ((sys.omega_ba - src.center_i + 1j * g) / src.sigma_c_bar)
+        integral = (np.pi / g) * float(b_k @ wofz(z).real)
+        return float(kappa * integral / (TWO_PI * a_eff))
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 

@@ -15,6 +15,12 @@ residual vanishes at the kernel center and is integrable on the coarse
 envelope grid; the leftover error is O((kernel width / envelope scale)^2).
 When the scales do not separate, plain Simpson with convergence doubling is
 used.  Both paths report an achieved error estimate.
+
+Its users are the CW squeezed rate's coherent amplitude Int G_ba s_I c_I and
+the scale/24 outer pass of its incoherent rate, Int |G_ba|^2 s_I^2 J
+(`excitation.rate_squeezed_cw`).  The scale/12 pass of the incoherent
+sampling estimate and the CW intermediate population have exact forms and
+no longer come here; the pulsed engine never did.
 """
 
 from __future__ import annotations

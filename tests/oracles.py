@@ -5,8 +5,9 @@ all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
 JSA, the Gaussian cloud density, the excitation probability of a
 classical pulse pair in closed form and its validity population computed
-on its own engine, the lattice
-correlation on `scipy.fft`, the CW J pass over the whole lattice, a
+on its own engine, the broadband limit of the CW squeezed rates, the
+integral of a linear interpolant against |G_ba|^2 and the CW population
+integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over the whole lattice, a
 pulsed sweep row and a CSV cell as the library computed them before the
 per-row reads were trimmed, and Simpson doublings that evaluate every
 point of each grid.
@@ -37,6 +38,8 @@ from sqfluor.sources import (
 )
 from sqfluor.spectral import quad_1d
 from sqfluor.system import CrossSectionPrefactor
+
+TWO_PI = 2.0 * np.pi
 
 
 def marginal_sigma(src: SqueezedPulsed) -> float:
@@ -173,6 +176,75 @@ def classical_pulse_pair_probability(src: ClassicalPulsed, sys, eta, a_eff) -> f
     value, _ = quad(integrand, -reach, reach, points=breaks or None,
                     epsabs=0.0, epsrel=1e-12, limit=2000)
     return eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff) * value
+
+
+class RegimeViolationError(ValueError):
+    """A closed-form limit was requested outside its regime of validity."""
+
+
+def rate_squeezed_cw_broadband(src: SqueezedCW, sys, eta, a_eff: float) -> ExcitationOutcome:
+    """Broadband closed forms; guarded to sigma_c_bar >= 10 Gamma_b.
+
+    coherent   -> (eta/Gamma_c) s_I^2(w_ba) c_I^2(w_ba) / (2 pi A^2)
+    incoherent -> (eta/Gamma_b) s_I^4(w_ba) / (2 pi A^2)
+    """
+    if src.sigma_c_bar < 10.0 * sys.gamma_b:
+        raise RegimeViolationError(
+            "broadband closed form requires sigma_c_bar >= 10 Gamma_b "
+            f"(got ratio {src.sigma_c_bar / sys.gamma_b:.3g})"
+        )
+    s, c = gain_functions_cw(sys.omega_ba, src, "I")
+    s, c = float(s), float(c)
+    coherent = eta.eta * s * s * c * c / (TWO_PI * sys.gamma_c * a_eff**2)
+    incoherent = eta.eta * s**4 / (TWO_PI * sys.gamma_b * a_eff**2)
+    return ExcitationOutcome(coherent, incoherent)
+
+
+def linear_interpolant_line_integral(nodes, samples, a: float, g: float) -> float:
+    """Int f(x) / ((x - a)^2 + g^2) dx at 40 digits, f the linear interpolant of the samples.
+
+    f is zero outside the nodes; each interval's integral is taken in
+    closed form (atan and log), so the nodes may be any increasing sequence
+    of numbers `mpmath.mpf` takes exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, g = mpmath.mpf(a), mpmath.mpf(g)
+        total = mpmath.mpf(0)
+        for k in range(len(nodes) - 1):
+            lo, hi = mpmath.mpf(nodes[k]) - a, mpmath.mpf(nodes[k + 1]) - a
+            f0, f1 = mpmath.mpf(samples[k]), mpmath.mpf(samples[k + 1])
+            slope = (f1 - f0) / (hi - lo)
+            area = (mpmath.atan(hi / g) - mpmath.atan(lo / g)) / g
+            moment = (mpmath.log(hi * hi + g * g) - mpmath.log(lo * lo + g * g)) / 2
+            total += (f0 - slope * lo) * area + slope * moment
+        return float(total)
+
+
+def cw_population_integral(beta_bar: float, sigma: float, delta: float) -> float:
+    """Int sinh^2(beta_bar exp(-(u + delta)^2 / (2 sigma^2))) / (u^2 + 1) du by `mpmath.quad`.
+
+    This is g Int |G_ba|^2 s_I^2 dw in u = (w - omega_ba)/g, g = Gamma_b/2,
+    with sigma = sigma_c_bar/g and delta = (omega_ba - c_I)/g; 20 digits.
+    Beyond 12 sigma the integrand is below e^-70 of its peak.  The splits
+    are the Gaussian's centre, its gain-narrowed width and the Lorentzian's
+    core.
+    """
+    import mpmath
+
+    with mpmath.workdps(20):
+        beta_bar, sigma, delta = (mpmath.mpf(v) for v in (beta_bar, sigma, delta))
+
+        def f(u):
+            r = mpmath.exp(-((u + delta) ** 2) / (2 * sigma**2))
+            return mpmath.sinh(beta_bar * r) ** 2 / (u * u + 1)
+
+        narrow = sigma / mpmath.sqrt(1 + 2 * beta_bar)
+        edges = {-delta + side * narrow * m for m in (0, 2, 5) for side in (-1, 1)}
+        edges |= {-delta - 12 * sigma, -delta + 12 * sigma}
+        edges |= {mpmath.mpf(e) for e in (-1, 0, 1) if abs(e + delta) < 12 * sigma}
+        return float(mpmath.quad(f, sorted(edges)))
 
 
 def scipy_lattice_correlate(weight: np.ndarray, n_out: int):

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 import scipy.fft
 from scipy.integrate import quad
 from oracles import (
+    RegimeViolationError,
     classical_pulse_pair_probability,
     classical_pulsed_population,
+    cw_population_integral,
     full_cw_j_lattice,
     full_lattice_j,
+    linear_interpolant_line_integral,
     mode_time_profiles,
+    rate_squeezed_cw_broadband,
     scipy_lattice_correlate,
 )
 
@@ -22,10 +26,11 @@ from sqfluor.excitation import (
     CW_J_CUT,
     SUPPORT_EPSILON,
     PulsedExcitationEngine,
-    RegimeViolationError,
     VALIDITY_THRESHOLD,
     ExcitationOutcome,
     _cw_gain_scale,
+    _cw_incoherent_integral,
+    _cw_outer_samples,
     cw_j_lattice,
     cw_j_pass,
     energy_ledger,
@@ -40,7 +45,6 @@ from sqfluor.excitation import (
     population_integrals_from_probability,
     rate_classical_cw,
     rate_squeezed_cw,
-    rate_squeezed_cw_broadband,
     within_validity,
 )
 from sqfluor.sources import (
@@ -56,7 +60,10 @@ from sqfluor.sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
-from sqfluor.spectral import GaussianAmplitude, gaussian_amp, green, lorentzian, simpson_weights
+from sqfluor.peaked import DEFAULT_NUMERICS
+from sqfluor.spectral import (
+    GaussianAmplitude, NumericalError, green, lorentzian, simpson_weights,
+)
 from sqfluor.system import FourLevelSystem, cross_section
 
 # Regression anchor: coherent/classical for sigma_p = Gamma_b/10,
@@ -227,10 +234,23 @@ class TestSqueezedCW:
         assert out.max_population == 0.0
 
     def test_total_is_sum(self, cs_system, cs_eta, mot_area):
-        system, _ = cs_system
-        src = SqueezedCW(0.5, system.gamma_b, system.omega_ba, system.omega_cb)
-        out = rate_squeezed_cw(src, system, cs_eta, mot_area)
-        assert out.total == out.coherent + out.incoherent
+        # Every producer of an ExcitationOutcome, squeezed and classical.
+        system, coupling = cs_system
+        gb = system.gamma_b
+        src = SqueezedCW(0.5, gb, system.omega_ba, system.omega_cb)
+        gb_src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
+        dec = schmidt_decompose_analytic(gb_src, trunc_tol=1e-6).truncated(6)
+        outcomes = [
+            rate_squeezed_cw(src, system, cs_eta, mot_area, coupling),
+            rate_classical_cw(matched_classical_cw(src, mot_area, 1e9), system, cs_eta),
+            p_squeezed_pulsed(dec, 0.8, system, cs_eta, mot_area, coupling),
+            p_classical_pulsed(
+                matched_classical_pulsed(dec, 0.8, gb_src), system, cs_eta, mot_area
+            ),
+        ]
+        for out in outcomes:
+            assert out.total > 0.0
+            assert out.total == out.coherent + out.incoherent
 
     def test_broadband_closed_form_within_ten_percent(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -321,6 +341,37 @@ class TestSqueezedCW:
             total += wgt * si2 * gg * np.sum(w2 * lorentzian(w, shape) * s_ii**2)
         incoh_brute = cs_eta.eta * total / ((2.0 * np.pi) ** 2 * area**2)
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
+
+
+class TestCwIncoherentEstimate:
+    # The scale/12 term of `incoherent_sampling_rel_err` is the exact
+    # integral of |G_ba|^2 times the linear interpolant of its outer samples
+    # (zero outside the lattice), here summed interval by interval at 40
+    # digits in offsets from the band-I centre.
+    @pytest.mark.parametrize(
+        "ratio, beta_bar, detuning",
+        [
+            (0.01, 1e-3, 0.0), (1.0, 0.3, 0.0), (100.0, 1.0, 0.0), (1000.0, 0.01, 0.0),
+            (2.5, 1.3, 7.0),
+        ],
+    )
+    def test_coarse_term_is_the_exact_integral_of_its_interpolant(
+        self, cs_system, ratio, beta_bar, detuning
+    ):
+        system, _ = cs_system
+        gb = system.gamma_b
+        src = SqueezedCW(
+            beta_bar, ratio * gb, system.omega_ba + detuning * gb, system.omega_cb - detuning * gb
+        )
+        scale = _cw_gain_scale(src)
+        fine, rel = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
+        w_i_pts, samples = _cw_outer_samples(src, system, scale, 12.0)
+        h = scale / 12.0
+        offsets = h * (np.arange(len(w_i_pts)) - (len(w_i_pts) - 1) // 2)
+        coarse = linear_interpolant_line_integral(
+            offsets, samples, system.omega_ba - src.center_i, 0.5 * gb
+        )
+        assert abs(rel - abs(fine - coarse) / fine) <= 1e-13
 
 
 def _cw_j_window(u_full, n_i, keep):
@@ -1018,6 +1069,21 @@ class TestEngineIsReadOnly:
             engine.population(np.sinh(mode_squeezing(engine.dec.p, beta)) ** 2)
         assert _snapshot(vars(engine)) == before
 
+    def test_a_read_after_other_betas_equals_a_fresh_engines_first(self, few_mode):
+        engine = few_mode
+        fresh = PulsedExcitationEngine(
+            engine.dec, engine.sys, engine.eta, engine.area, engine.coupling
+        )
+
+        def bits(out):
+            diagnostics = sorted((k, np.float64(v).tobytes()) for k, v in out.diagnostics.items())
+            values = (out.coherent, out.incoherent, out.max_population)
+            return [np.float64(v).tobytes() for v in values], diagnostics
+
+        for beta in (0.05, 2.0, 0.0, 0.7):
+            engine.outcome(beta)
+        assert bits(engine.outcome(1.1)) == bits(fresh.outcome(1.1))
+
     def test_threads_sharing_one_engine_match_serial(self, few_mode):
         engine = few_mode
         betas = list(np.linspace(0.1, 1.5, 12))
@@ -1142,6 +1208,35 @@ class TestEnergyLedger:
 
 
 class TestValidity:
+    @pytest.mark.parametrize(
+        "ratio, beta_bar, detuning",
+        [(r, b, 0.0) for r in (0.01, 1.0, 100.0) for b in (0.01, 1.0, 10.0, 30.0)]
+        + [(1.0, 3.0, 0.7)],
+    )
+    def test_squeezed_cw_population_matches_quadrature(
+        self, cs_system, mot_area, ratio, beta_bar, detuning
+    ):
+        # Item 12's Voigt series against an independent 20-digit quadrature.
+        system, coupling = cs_system
+        gb, g = system.gamma_b, 0.5 * system.gamma_b
+        src = SqueezedCW(beta_bar, ratio * gb, system.omega_ba - detuning * gb, system.omega_cb)
+        got = max_intermediate_population(src, system, coupling, mot_area)
+        # The detuning the library sees: the difference of the two rounded frequencies.
+        delta = (system.omega_ba - src.center_i) / g
+        integral = cw_population_integral(beta_bar, ratio * gb / g, delta) / g
+        kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
+        expected = kappa * integral / (2.0 * np.pi * mot_area)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_the_series_raises_rather_than_truncate(self, cs_system, mot_area):
+        system, coupling = cs_system
+        gb = system.gamma_b
+        finite = SqueezedCW(352.0, gb, system.omega_ba, system.omega_cb)
+        assert np.isfinite(max_intermediate_population(finite, system, coupling, mot_area))
+        beyond = SqueezedCW(353.0, gb, system.omega_ba, system.omega_cb)
+        with pytest.raises(NumericalError, match="needs more than"):
+            max_intermediate_population(beyond, system, coupling, mot_area)
+
     def test_zero_field(self, cs_system, mot_area):
         system, coupling = cs_system
         src = ClassicalCW(0.0, 0.0, system.omega_ba, system.omega_cb)

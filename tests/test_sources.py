@@ -54,6 +54,15 @@ class TestGainFunctions:
         s, c = gain_functions_cw(w, cw_source(2.3), "I")
         assert np.max(np.abs(c * c - s * s - 1.0)) < 1e-12
 
+    def test_hyperbolic_identity_to_a_few_ulp_over_the_shipped_range(self):
+        # beta_bar from 1e-5 (the broadband columns of the rate-matched
+        # configs/cs_mot_cw_sweep.json) to 30, out to 12 widths.  c^2 - s^2
+        # cancels, so the bound is in ulps of c^2.
+        w = CI + np.linspace(-12.0, 12.0, 481) * SIGMA
+        for beta_bar in np.geomspace(1e-5, 30.0, 200):
+            s, c = gain_functions_cw(w, cw_source(beta_bar), "I")
+            assert np.all(np.abs(c * c - s * s - 1.0) <= 4.0 * np.spacing(c * c))
+
     def test_band_mirror_symmetry(self):
         src = cw_source(1.2)
         w = CI + np.linspace(-5, 5, 41) * SIGMA
