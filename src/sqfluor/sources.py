@@ -248,14 +248,16 @@ class SchmidtDecomposition:
         """Modes needed so the dropped sinh^2 photon weight at |beta| is below rel_tail.
 
         The excitation sums weight pairs by the gains, not by p_n alone, so a
-        high-gain evaluation can discard many low-p modes harmlessly.
+        high-gain evaluation can discard many low-p modes harmlessly.  No gain
+        overflows at any |beta|: the weights are sinh^2(r_n) / sinh^2(r_0), r_0 = max r_n.
         """
-        s = np.sinh(mode_squeezing(self.p, beta))
-        weights = s * s if beta > 0.0 else self.p
-        total = float(np.sum(weights))
-        if total == 0.0:
-            return self.n_modes
-        cumulative = np.cumsum(weights) / total
+        r = mode_squeezing(self.p, beta)
+        r_0 = float(np.max(r))
+        if r_0 > 0.0:
+            weights = np.exp(2.0 * (r - r_0)) * (np.expm1(-2.0 * r) / np.expm1(-2.0 * r_0)) ** 2
+        else:
+            weights = self.p
+        cumulative = np.cumsum(weights) / float(np.sum(weights))
         return int(np.searchsorted(cumulative, 1.0 - rel_tail)) + 1
 
     def modes_at(self, band: str, omega) -> np.ndarray:

@@ -4,8 +4,8 @@ Each one restates a quantity the library computes another way (or not at
 all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
 JSA, the Gaussian cloud density, the excitation probability of a
-classical pulse pair in closed form and its validity population computed
-on its own engine, the broadband limit of the CW squeezed rates, the
+classical pulse pair in closed form and its validity population by
+adaptive quadrature, the broadband limit of the CW squeezed rates, the
 integral of a linear interpolant against |G_ba|^2 and the CW population
 integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over the whole lattice, a
 pulsed sweep row and a CSV cell as the library computed them before the
@@ -24,8 +24,8 @@ from sqfluor.excitation import (
     PulsedExcitationEngine,
     fluorescence,
     within_validity,
-    _single_pair_decomposition,
     lorentzian_sample_weights,
+    one_photon_coupling,
 )
 from sqfluor.geometry import AtomCloud
 from sqfluor.sources import (
@@ -37,7 +37,6 @@ from sqfluor.sources import (
     mode_squeezing,
 )
 from sqfluor.spectral import quad_1d
-from sqfluor.system import CrossSectionPrefactor
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,17 +127,47 @@ def g2_pulsed_kernels(dec: SchmidtDecomposition, beta: float) -> G2PulsedKernels
 
 
 def classical_pulsed_population(src: ClassicalPulsed, sys, coupling, a_eff) -> float:
-    """Peak intermediate population of a classical pulse pair, on its own engine.
+    """Peak intermediate population of a classical pulse pair, by `quad` at each time.
 
-    Builds a unit-prefactor engine over the pulse pair, independently of the
-    one `p_classical_pulsed` computes the probability with.
+    max_t (kappa N_I / A) |M(t)|^2 with M(t) = Int G_ba phi_I e^{-i(w - c_I)t}
+    dbar-w, G_ba(w) = 1/(omega_ba - w - i Gamma_b/2), on the 121 times over
+    +/-6 durations 1/sigma_I that `p_classical_pulsed` reads.  Each M(t) is
+    taken in u = w - c_I over +/-12 sigma_I, real and imaginary parts
+    apart, split at the Green line and its shoulders.
     """
     if src.n_photons_i == 0.0:
         return 0.0
-    engine = PulsedExcitationEngine(
-        _single_pair_decomposition(src), sys, CrossSectionPrefactor(1.0), a_eff, coupling
+    sigma = src.amp_i.width
+    norm = (np.pi * sigma**2) ** -0.25
+    delta = sys.omega_ba - src.amp_i.center
+    half_gamma = 0.5 * sys.gamma_b
+    reach = 12.0 * sigma
+    # The Green line and its shoulders, out to 1000 half-widths.
+    points = sorted(
+        delta + side * half_gamma * k for k in (0.0, 10.0, 100.0, 1000.0) for side in (-1, 1)
     )
-    return engine.population(np.array([src.n_photons_i]))
+    points = [p for p in dict.fromkeys(points) if -reach < p < reach] or None
+    # About 1e-13 of |M(0)|, which is near norm sigma / |delta - i Gamma_b/2| when
+    # the pulse is narrower than the line and near norm when it is wider.
+    epsabs = 1e-13 * norm * sigma / np.hypot(np.hypot(delta, half_gamma), sigma)
+
+    def abs2_m(t):
+        def part(u, which):
+            g = 1.0 / (delta - u - 1j * half_gamma)
+            phase = np.exp(-0.5 * u * u / sigma**2 - 1j * u * t)
+            return which(g * norm * phase) / np.sqrt(2.0 * np.pi)
+
+        re, im = (
+            quad(part, -reach, reach, args=(which,), points=points,
+                 epsabs=epsabs, epsrel=1e-11, limit=2000)[0]
+            for which in (np.real, np.imag)
+        )
+        return re * re + im * im
+
+    times = np.linspace(-6.0 / sigma, 6.0 / sigma, 121)
+    peak = max(abs2_m(t) for t in times)
+    kappa = one_photon_coupling(src.amp_i.center, coupling.mu_sq_ba)
+    return kappa * src.n_photons_i * peak / a_eff
 
 
 def classical_pulse_pair_probability(src: ClassicalPulsed, sys, eta, a_eff) -> float:

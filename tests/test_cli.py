@@ -24,10 +24,10 @@ from sqfluor.config import (
     load_config,
     parse_quantity,
 )
-from sqfluor.excitation import matched_classical_pulsed, p_classical_pulsed, rate_classical_cw
+from sqfluor.excitation import p_classical_pulsed, rate_classical_cw
 from sqfluor.geometry import effective_area
-from sqfluor.sources import ClassicalCW, SqueezedPulsed, photon_number_pulsed
-from sqfluor.spectral import ConvergenceError, NumericalError, brentq
+from sqfluor.sources import ClassicalCW, ClassicalPulsed, SqueezedPulsed, photon_number_pulsed
+from sqfluor.spectral import ConvergenceError, GaussianAmplitude, NumericalError, brentq
 from sqfluor.system import eta_prefactor
 
 REPO = Path(__file__).resolve().parent.parent
@@ -575,10 +575,12 @@ class TestPulsedSweep:
                 sigma_p, panel[0]["sigma_c_over_sigma_p"] * sigma_p,
                 system.omega_ba, system.omega_cb,
             )
-            ref = matched_classical_pulsed(engine.dec, cli._beta_for_photons(engine.dec.p, 1.0), src)
-            cl_unit = p_classical_pulsed(ref, system, eta, area).total / (
-                ref.n_photons_i * ref.n_photons_ii
+            unit_pair = ClassicalPulsed(
+                GaussianAmplitude(src.center_i, src.sigma_c),
+                GaussianAmplitude(src.center_ii, src.sigma_c),
+                1.0, 1.0,
             )
+            cl_unit = p_classical_pulsed(unit_pair, system, eta, area).total
             for row in panel:
                 assert row["validity"] != "failed"
                 expected = pulsed_row(
@@ -593,13 +595,14 @@ class TestPulsedSweep:
                 crossovers.add(bool(row["crossover"]))
         assert crossovers == {True, False}
 
-    def test_a_panel_level_inversion_out_of_iterations_fails_only_its_panel(
+    def test_no_panel_fails_as_a_whole_when_inversions_run_out(
         self, tmp_path, monkeypatch, caplog
     ):
         # Brent's method held to 1-5 iterations: the many-mode panel's
-        # mode-count inversion and its N = 1 classical reference run out.
-        # That panel fails with a warning; the one-mode panel needs no
-        # Brent step and must not change, and the sweep goes on.
+        # mode-count inversion and some of its rows' solves run out.  Each
+        # row whose own solve runs out fails alone, with its own WARNING;
+        # the panel's other rows are computed as before, and the one-mode
+        # panel needs no Brent step and must not change.
         cfg = load_config(tiny_pulsed_config(tmp_path))
         undisturbed = run_pulsed_sweep(cfg)
         brentq = cli.brentq
@@ -607,6 +610,7 @@ class TestPulsedSweep:
         def held_to(limit):
             return lambda f, a, b, **k: brentq(f, a, b, **{**k, "maxiter": limit})
 
+        failures = []
         for limit in range(1, 6):
             monkeypatch.setattr(cli, "brentq", held_to(limit))
             caplog.clear()
@@ -614,15 +618,26 @@ class TestPulsedSweep:
                 rows = run_pulsed_sweep(cfg)
             assert len(rows) == len(undisturbed) == 6
             assert rows[:3] == undisturbed[:3]
-            assert [row["validity"] for row in rows[3:]] == ["failed"] * 3
-            assert all(math.isnan(row["p_sq_coherent"]) for row in rows[3:])
             assert [
                 (row["sigma_c_over_sigma_p"], row["photons_per_pulse"]) for row in rows
             ] == [(r["sigma_c_over_sigma_p"], r["photons_per_pulse"]) for r in undisturbed]
-            (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
-            message = record.getMessage()
-            assert "sigma_c_over_sigma_p=4.0 failed" in message
-            assert "classical reference at N = 1: ConvergenceError: Brent's method" in message
+            failed = [row for row in rows if row["validity"] == "failed"]
+            assert all(math.isnan(row["p_sq_coherent"]) for row in failed)
+            assert all(math.isnan(row["p_classical"]) for row in failed)
+            assert [row for row in rows if row["validity"] != "failed"] == [
+                u for row, u in zip(rows, undisturbed) if row["validity"] != "failed"
+            ]
+            messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert len(messages) == len(failed)
+            for row, message in zip(failed, messages):
+                assert message.startswith(f"row {{'sigma_p_over_gamma_b': 1.0, "
+                                          f"'sigma_c_over_sigma_p': 4.0, "
+                                          f"'photons_per_pulse': {row['photons_per_pulse']!r}}}")
+                assert "failed: ConvergenceError: Brent's method" in message
+            failures.append(len(failed))
+        # At four and five iterations the panel holds failed and computed
+        # rows together.
+        assert failures == [3, 3, 3, 2, 1]
 
     def test_a_mode_count_inversion_out_of_iterations_keeps_more_modes(
         self, tmp_path, monkeypatch

@@ -71,6 +71,16 @@ from sqfluor.system import FourLevelSystem, cross_section
 FIG6_TOP_MIDDLE_FACTOR = 356.54
 
 
+def pulse_pair(system, width_over_gamma_b, ratio_ii=1.0, detuning_over_gamma_b=0.0):
+    """One photon per band; sigma_II = ratio_ii sigma_I, band I detuned from omega_ba."""
+    sigma, gb = width_over_gamma_b * system.gamma_b, system.gamma_b
+    return ClassicalPulsed(
+        GaussianAmplitude(system.omega_ba + detuning_over_gamma_b * gb, sigma),
+        GaussianAmplitude(system.omega_cb, ratio_ii * sigma),
+        1.0, 1.0,
+    )
+
+
 def classical_pulse_pair(system, sigma, n_photons):
     return ClassicalPulsed(
         GaussianAmplitude(system.omega_ba, sigma),
@@ -120,9 +130,9 @@ class TestClassicalPulsed:
 
     @pytest.mark.parametrize("n_i, n_ii", [(0.0, 0.0), (0.0, 2.0), (3.0, 0.0), (1.5, 2.0)])
     def test_validity_is_the_intermediate_population(self, cs_system, cs_eta, mot_area, n_i, n_ii):
-        # p_classical_pulsed reads its peak population from the engine it
-        # computes the probability with; it must equal the population of a separate
-        # unit-prefactor engine over the same pulse pair.
+        # The peak population of band I alone, against adaptive quadrature
+        # of M(t) at each of the same 121 times; the coupling leaves the
+        # probability as it is.
         system, coupling = cs_system
         src = ClassicalPulsed(
             GaussianAmplitude(system.omega_ba, system.gamma_b),
@@ -131,8 +141,24 @@ class TestClassicalPulsed:
         )
         out = p_classical_pulsed(src, system, cs_eta, mot_area, coupling)
         pop = classical_pulsed_population(src, system, coupling, mot_area)
-        assert out.max_population == pop
+        assert out.max_population == pytest.approx(pop, rel=1e-6, abs=0.0)
         assert (pop > 0.0) == (n_i > 0.0)
+        assert out.total == p_classical_pulsed(src, system, cs_eta, mot_area).total
+
+    @pytest.mark.parametrize("width_over_gamma_b, ratio_ii, detuning_over_gamma_b", [
+        (1e-3, 3.0, 2.0), (1.0, 1.0, 0.0), (1e3, 1.0, 0.0), (1e3, 3.0, 2.0),
+    ])
+    def test_population_matches_quadrature(
+        self, cs_system, cs_eta, mot_area, width_over_gamma_b, ratio_ii, detuning_over_gamma_b
+    ):
+        # Each M(t) is a Faddeeva value; adaptive quadrature of the same
+        # integral on the same time grid, for pulses much narrower and much
+        # wider than the Green line and a band-I centre off resonance.
+        system, coupling = cs_system
+        src = pulse_pair(system, width_over_gamma_b, ratio_ii, detuning_over_gamma_b)
+        got = p_classical_pulsed(src, system, cs_eta, mot_area, coupling).max_population
+        ref = classical_pulsed_population(src, system, coupling, mot_area)
+        assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
 
     def test_bilinear_in_photon_numbers(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -145,14 +171,19 @@ class TestClassicalPulsed:
         assert quadrupled == pytest.approx(4.0 * base, rel=1e-9, abs=0.0)
 
     def test_one_rung_ladder_reports_no_sampling_error(self, cs_system, cs_eta, mot_area):
-        # A pulse pair at 1 Gamma_b gets the single stride [1]: there is no
-        # second rung to compare with, so the error is NaN, not 0.0.  A
-        # multi-rung squeezed panel still reports a finite estimate.
+        # A one-mode panel at 1 Gamma_b gets the single stride [1]: there is
+        # no second rung to compare with, so the error is NaN, not 0.0.  A
+        # multi-rung panel still reports a finite estimate.
         system, _ = cs_system
         gb = system.gamma_b
-        out = p_classical_pulsed(classical_pulse_pair(system, gb, 1.0), system, cs_eta, mot_area)
+        separable = SqueezedPulsed(gb, gb, system.omega_ba, system.omega_cb)
+        engine = PulsedExcitationEngine(
+            schmidt_decompose_analytic(separable), system, cs_eta, mot_area
+        )
+        assert engine.ladder == [1]
+        out = engine.outcome(0.7)
         assert out.total > 0.0
-        assert np.isnan(out.diagnostics["outer_sampling_rel_err"])
+        assert np.isnan(out.diagnostics["incoherent_sampling_rel_err"])
 
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
@@ -199,15 +230,20 @@ class TestClassicalPulsed:
             src, system, cs_eta, mot_area
         ) == pytest.approx(nested, rel=1e-8, abs=0.0)
 
-    @pytest.mark.parametrize("width_over_gamma_b", [0.01, 0.1, 1.0, 3.0, 10.0, 100.0])
-    def test_matches_the_closed_form(self, cs_system, cs_eta, mot_area, width_over_gamma_b):
-        # Fine Gaussian tables and product-integration weights bring the
-        # engine within 3e-5 of the Faddeeva form at every width.
+    @pytest.mark.parametrize("ratio_ii, detuning_over_gamma_b", [
+        (1.0, 0.0), (3.0, 0.0), (1.0, 2.0), (3.0, 2.0),
+    ])
+    @pytest.mark.parametrize("width_over_gamma_b", [1e-3, 0.01, 0.1, 1.0, 3.0, 10.0, 100.0, 1e3])
+    def test_matches_the_closed_form(
+        self, cs_system, cs_eta, mot_area, width_over_gamma_b, ratio_ii, detuning_over_gamma_b
+    ):
+        # Equal and unequal widths (sigma_II = 3 sigma_I), on resonance and
+        # with the band-I centre 2 Gamma_b off omega_ba.
         system, _ = cs_system
-        src = classical_pulse_pair(system, width_over_gamma_b * system.gamma_b, 1.0)
+        src = pulse_pair(system, width_over_gamma_b, ratio_ii, detuning_over_gamma_b)
         got = p_classical_pulsed(src, system, cs_eta, mot_area).total
         exact = classical_pulse_pair_probability(src, system, cs_eta, mot_area)
-        assert got == pytest.approx(exact, rel=1e-4, abs=0.0)
+        assert got == pytest.approx(exact, rel=1e-8, abs=0.0)
 
     def test_cw_limit_oracle(self, cs_system, cs_eta, mot_area):
         # Narrowband resonant pulses: p / T_eff must approach the analytic CW
@@ -1008,24 +1044,6 @@ class TestEngineBuildsWhatItReads:
             out, ref = engine.outcome(beta), coupled.outcome(beta)
             assert out.max_population is None and ref.max_population >= 0.0
             assert (out.coherent, out.incoherent) == (ref.coherent, ref.incoherent)
-
-    def test_classical_reference_engine_builds_no_time_profiles(
-        self, cs_system, cs_eta, mot_area, monkeypatch
-    ):
-        system, coupling = cs_system
-        built = []
-
-        class Recording(PulsedExcitationEngine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(excitation, "PulsedExcitationEngine", Recording)
-        src = classical_pulse_pair(system, system.gamma_b, 2.0)
-        plain = p_classical_pulsed(src, system, cs_eta, mot_area)
-        coupled = p_classical_pulsed(src, system, cs_eta, mot_area, coupling)
-        assert [engine.time_profiles is None for engine in built] == [True, False]
-        assert plain.total == coupled.total
 
     @pytest.mark.parametrize("sigma_p_over_gamma_b", [1.0, 10.0])
     def test_time_profiles_match_out_of_place_temporaries(

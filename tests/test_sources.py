@@ -9,6 +9,7 @@ from sqfluor.sources import (
     ClassicalCW,
     ClassicalPulsed,
     GridTooCoarseError,
+    SchmidtDecomposition,
     SqueezedCW,
     SqueezedPulsed,
     default_jsa_grids,
@@ -251,6 +252,48 @@ class TestSchmidt:
         cut = dec.truncated(5)
         assert cut.n_modes == 5
         assert cut.tail == pytest.approx(dec.tail + np.sum(dec.p[5:]), rel=1e-12, abs=0.0)
+
+
+def mpmath_mode_count(p: np.ndarray, beta: float, rel_tail: float) -> int:
+    """Modes whose sinh^2(beta sqrt(p_n)) weights reach 1 - rel_tail of their sum, at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        weights = [mpmath.sinh(mpmath.mpf(beta) * mpmath.sqrt(mpmath.mpf(v))) ** 2 for v in p]
+        total = mpmath.fsum(weights)
+        cumulative = mpmath.mpf(0)
+        for n, weight in enumerate(weights):
+            cumulative += weight
+            if cumulative / total >= 1 - mpmath.mpf(rel_tail):
+                return n + 1
+    return len(p)
+
+
+class TestWeightedModeCount:
+    @staticmethod
+    def spectrum(mu: float, n_modes: int = 200):
+        p = (1.0 - mu) * mu ** np.arange(n_modes)
+        grid = SpectralGrid(CI, SIGMA, 3)
+        table = np.zeros((n_modes, 3))
+        return SchmidtDecomposition(p, table, table, grid, grid, tail=0.0)
+
+    def test_no_overflow_at_the_inversion_limit(self):
+        # At beta = 1e6 every sinh(beta sqrt(p_n)) here overflows a double,
+        # yet ten or so modes carry the weight: r_0 - r_n is about n/2.
+        dec = self.spectrum(0.9999)
+        count = dec.weighted_mode_count(1e6, 1e-4)
+        assert count == mpmath_mode_count(dec.p, 1e6, 1e-4)
+        assert count > 1
+
+    @pytest.mark.parametrize("mu", [0.5, 0.99, 0.9999])
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 30.0, 1e3, 1e6])
+    def test_matches_high_precision_weights(self, mu, beta):
+        dec = self.spectrum(mu)
+        assert dec.weighted_mode_count(beta, 1e-4) == mpmath_mode_count(dec.p, beta, 1e-4)
+
+    def test_zero_beta_weighs_by_p(self):
+        dec = self.spectrum(0.5)
+        assert dec.weighted_mode_count(0.0, 1e-4) == mpmath_mode_count(dec.p, 1e-9, 1e-4)
 
 
 class TestHermiteTable:
