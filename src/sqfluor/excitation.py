@@ -16,10 +16,11 @@ verbatim.  Outer integrals are plain domega.
 Two CW integrals route through `peaked.quad_kernel_smooth`: the coherent
 amplitude Int G_ba s_I c_I and the scale/24 outer pass of the incoherent
 rate (the photon rate is `sources.photon_rate_cw`'s Simpson doubling).  The
-CW by-products take no adaptive quadrature: the scale/12 pass behind the
-incoherent sampling estimate is integrated exactly by linear product
-integration (`pole_weights_linear`), and the intermediate population is a
-Voigt series (`max_intermediate_population`).
+intermediate population is a Voigt series (`max_intermediate_population`).
+The incoherent rate's sampling estimate is not part of a rate:
+`cw_incoherent_sampling_rel_err` builds the scale/12 lattice on request and
+integrates its interpolant exactly by linear product integration
+(`pole_weights_linear`).
 
 A classical pulse pair is a closed form (`p_classical_pulsed`).  The
 pulsed engine takes both lines by product integration (`pole_weights`),
@@ -83,6 +84,7 @@ __all__ = [
     "p_classical_pulsed",
     "rate_classical_cw",
     "rate_squeezed_cw",
+    "cw_incoherent_sampling_rel_err",
     "p_squeezed_pulsed",
     "PulsedExcitationEngine",
     "fluorescence",
@@ -356,8 +358,9 @@ def rate_squeezed_cw(
     """Coherent + incoherent CW squeezed excitation rates (converged quadrature).
 
     `opts` sets the quadrature of the coherent amplitude and of the scale/24
-    incoherent pass; the population and the scale/12 term of the sampling
-    estimate take none.
+    incoherent pass; the population takes none.  `diagnostics` is empty: the
+    incoherent rate's sampling estimate is `cw_incoherent_sampling_rel_err`,
+    which needs a second lattice and which no sweep row reads.
     """
     pop = None
     if coupling is not None:
@@ -379,11 +382,9 @@ def rate_squeezed_cw(
     l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
     coherent = eta.eta * l_at_pump * abs(coh_integral / TWO_PI) ** 2 / a_eff**2
 
-    incoh_value, incoh_rel = _cw_incoherent_integral(src, sys, scale, opts)
+    incoh_value = _cw_incoherent_integral(src, sys, scale, opts)
     incoherent = eta.eta * incoh_value / (TWO_PI**2 * a_eff**2)
-    return ExcitationOutcome(
-        coherent, incoherent, pop, diagnostics={"incoherent_sampling_rel_err": incoh_rel}
-    )
+    return ExcitationOutcome(coherent, incoherent, pop)
 
 
 def cw_j_lattice(
@@ -504,26 +505,49 @@ def _cw_outer_samples(
 
 def _cw_incoherent_integral(
     src: SqueezedCW, sys: FourLevelSystem, scale: float, opts: NumericsOptions
-) -> tuple[float, float]:
-    """(IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI, rel) (plain measure).
+) -> float:
+    """IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI (plain measure).
 
     The inner pass J(wI) = Int L(w) s_II^2(w - wI) dw is a correlation of the
     fixed photon-density shape with L; on a shared uniform lattice it is a
     strided matrix-vector product against Lorentzian sample weights, summed
     in row blocks over each block's band (`cw_j_pass`).  The value is the
     lattice at step scale/24, whose outer samples s_I^2 J are interpolated
-    linearly and integrated against |G_ba|^2 by `quad_kernel_smooth`.  `rel`
-    compares it with the lattice at step scale/12, whose interpolant (zero
-    outside the lattice) is integrated exactly by linear product integration
-    (`pole_weights_linear` at omega_ba + i Gamma_b/2): an estimate of the
-    sampling error, not a bound, which also holds the adaptive quadrature
-    error of the scale/24 value, and no tolerance is applied to it.  The
-    weights take the lattice's nominal nodes, offsets h (k - (n - 1)/2) from
-    the band-I centre; the samples were taken at those offsets rounded to
-    absolute frequencies (by up to 0.125 rad/s, half an ulp near 2e15
-    rad/s), which moves the integral by up to 7e-7 at sigma_c_bar = 0.003
-    Gamma_b (DECISIONS.md).
+    linearly and integrated against |G_ba|^2 by `quad_kernel_smooth`.
     """
+    w_i_pts, samples = _cw_outer_samples(src, sys, scale, 24.0)
+
+    def smooth(w):
+        return np.interp(np.asarray(w, dtype=float), w_i_pts, samples, left=0.0, right=0.0)
+
+    return float(np.real(quad_kernel_smooth(
+        abs2_green_kernel(sys.omega_ba, sys.gamma_b), smooth, smooth_center=src.center_i,
+        smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
+    )))
+
+
+def cw_incoherent_sampling_rel_err(
+    src: SqueezedCW, sys: FourLevelSystem, fine: float
+) -> float:
+    """|fine - coarse| / |fine|: the sampling estimate of the CW incoherent rate.
+
+    `fine` is the scale/24 value the estimate is taken for, the double
+    integral `_cw_incoherent_integral` returns (plain measure, before the
+    rate's prefactor), with scale = `_cw_gain_scale(src)`.  `coarse` is the
+    same integral on the lattice at step scale/12, whose interpolant (zero
+    outside the lattice) is integrated exactly by linear product integration
+    (`pole_weights_linear` at omega_ba + i Gamma_b/2).  It is an estimate of
+    the sampling error, not a bound: it also holds the adaptive quadrature
+    error of `fine`, and at sigma_c_bar ~ Gamma_b it reads the scale/12
+    interpolation error rather than that of `fine` (ROADMAP item 3).  No
+    tolerance is applied to it and no sweep row computes it
+    (DECISIONS.md).  The weights take the lattice's nominal nodes, offsets
+    h (k - (n - 1)/2) from the band-I centre; the samples were taken at
+    those offsets rounded to absolute frequencies (by up to 0.125 rad/s,
+    half an ulp near 2e15 rad/s), which moves the integral by up to 7e-7 at
+    sigma_c_bar = 0.003 Gamma_b (DECISIONS.md).
+    """
+    scale = _cw_gain_scale(src)
     w_i_pts, samples = _cw_outer_samples(src, sys, scale, 12.0)
     n_i, g = len(w_i_pts), 0.5 * sys.gamma_b
     # In offsets from the band-I centre, the lattice's own coordinates.
@@ -532,18 +556,7 @@ def _cw_incoherent_integral(
         -h * ((n_i - 1) // 2), h, n_i, (sys.omega_ba - src.center_i) + 1j * g
     )
     coarse = float(weights.imag @ samples) / g
-
-    w_i_pts, samples = _cw_outer_samples(src, sys, scale, 24.0)
-
-    def smooth(w):
-        return np.interp(np.asarray(w, dtype=float), w_i_pts, samples, left=0.0, right=0.0)
-
-    fine = float(np.real(quad_kernel_smooth(
-        abs2_green_kernel(sys.omega_ba, sys.gamma_b), smooth, smooth_center=src.center_i,
-        smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
-    )))
-    rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-    return fine, rel
+    return abs(fine - coarse) / max(abs(fine), 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
     PYTHONPATH=src python tests/tables/cw_byproducts.py [--quick]
 
-Run from the repository root; takes a few minutes (`--quick` skips the
+Run from the repository root; takes about half a minute (`--quick` skips the
 49-cell grid).  Not a test: pytest does not collect this file.  It prints
 the Markdown tables of the DECISIONS.md entry "CW by-products without
 adaptive quadrature":
 
 1. On the grid sigma_c_bar/Gamma_b in {0.003, ..., 1000} x beta_bar in
-   {1e-3, ..., 30}: `incoherent_sampling_rel_err` as it was computed before
-   (the scale/12 interpolant of the outer samples through
-   `quad_kernel_smooth`, the code path this change replaced, rebuilt here
-   from the library's pieces) and as it is now (that interpolant
-   integrated exactly by `pole_weights_linear`), against 40-digit mpmath
+   {1e-3, ..., 30}: the incoherent sampling estimate as it was computed
+   before (the scale/12 interpolant of the outer samples through
+   `quad_kernel_smooth`, the code path that change replaced, rebuilt here
+   from the library's pieces) and as it is now
+   (`cw_incoherent_sampling_rel_err`: that interpolant integrated exactly
+   by `pole_weights_linear`), against 40-digit mpmath
    integrals of the scale/12 and scale/24 interpolants: how far apart the
    two lattices are, how far the shipped scale/24 value is from the exact
    integral of its own interpolant, and how much the rounding of the
@@ -34,8 +35,8 @@ The exact integrals are in offsets from the band-I centre.  They take the
 interpolants on the abscissae their samples were computed at, the rounded
 absolute frequencies w_i_pts as `np.interp` sees them, except the last
 column of table 1, which compares the scale/12 integral on those with the
-one on the nominal nodes h (k - (n - 1)/2) that `_cw_incoherent_integral`
-weights.
+one on the nominal nodes h (k - (n - 1)/2) that
+`cw_incoherent_sampling_rel_err` weights.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from sqfluor.excitation import (  # noqa: E402
     _cw_gain_scale,
     _cw_incoherent_integral,
     _cw_outer_samples,
+    cw_incoherent_sampling_rel_err,
     max_intermediate_population,
     one_photon_coupling,
 )
@@ -137,7 +139,8 @@ def grid_table(system) -> None:
         for beta_bar in BETAS:
             src = SqueezedCW(beta_bar, ratio * gb, system.omega_ba, system.omega_cb)
             scale = _cw_gain_scale(src)
-            fine, rel_now = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
+            fine = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
+            rel_now = cw_incoherent_sampling_rel_err(src, system, fine)
             try:
                 rel_before = abs(fine - replaced_coarse(src, system, scale)) / fine
             except ConvergenceError:
@@ -164,7 +167,7 @@ def grid_table(system) -> None:
 def quadratic_against_shipped(system, src) -> float:
     """Quadratic product integration of the scale/24 samples, relative to the shipped value."""
     scale = _cw_gain_scale(src)
-    fine, _ = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
+    fine = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
     w_i_pts, samples = _cw_outer_samples(src, system, scale, 24.0)
     n_i, h, g = len(w_i_pts), scale / 24.0, 0.5 * system.gamma_b
     pole = (system.omega_ba - src.center_i) + 1j * g
@@ -223,9 +226,9 @@ def config_tables(quick_reference: bool) -> None:
         rows = sweep_rows(cfg)
         moves, pops, margins_before, margins_now = [], [], [], []
         for src, out in rows:
-            fine_rel = out.diagnostics["incoherent_sampling_rel_err"]
             scale = _cw_gain_scale(src)
-            fine, _ = _cw_incoherent_integral(src, system, scale, opts)
+            fine = _cw_incoherent_integral(src, system, scale, opts)
+            fine_rel = cw_incoherent_sampling_rel_err(src, system, fine)
             try:
                 before = abs(fine - replaced_coarse(src, system, scale, opts)) / fine
                 moves.append(abs(fine_rel - before))

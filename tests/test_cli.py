@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import geometric_weights, old_fmt, pulsed_row
 
 import sqfluor.cli as cli
+import sqfluor.excitation as excitation
 from sqfluor.cli import CW_COLUMNS, PULSED_COLUMNS, emit, main, run_cw_sweep, run_pulsed_sweep
 from sqfluor.config import (
     ConfigError,
@@ -310,6 +311,23 @@ class TestCwSweep:
         threaded = run_cw_sweep(cfg, jobs=4)
         assert [r["beta_bar"] for r in serial] == [r["beta_bar"] for r in threaded]
         assert serial[3]["r_sq_total"] == pytest.approx(threaded[3]["r_sq_total"], rel=1e-12)
+
+    def test_rows_build_only_the_scale_24_lattice(self, tmp_path, monkeypatch):
+        # No CSV column reads the scale/12 sampling estimate, so a row builds
+        # the one J lattice its incoherent rate is taken on.
+        cfg = load_config(tiny_cw_config(tmp_path))
+        built = []
+        original = excitation.cw_j_lattice
+
+        def recording(src, sys, scale, points_per_scale):
+            built.append(points_per_scale)
+            return original(src, sys, scale, points_per_scale)
+
+        monkeypatch.setattr(excitation, "cw_j_lattice", recording)
+        rows = run_cw_sweep(cfg)
+        assert len(built) == len(rows) > 0
+        assert all(pps == 24.0 for pps in built)
+        assert all(row["validity"] != "failed" for row in rows)
 
 
 def test_photon_inversion_failure_is_a_numerical_error():

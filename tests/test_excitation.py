@@ -31,6 +31,7 @@ from sqfluor.excitation import (
     _cw_gain_scale,
     _cw_incoherent_integral,
     _cw_outer_samples,
+    cw_incoherent_sampling_rel_err,
     cw_j_lattice,
     cw_j_pass,
     energy_ledger,
@@ -379,20 +380,25 @@ class TestSqueezedCW:
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
 
 
+# (sigma_c_bar/Gamma_b, beta_bar, detuning/Gamma_b, the estimate as
+# `rate_squeezed_cw` reported it in `diagnostics` while it still computed it).
+CW_ESTIMATE_CASES = [
+    (0.01, 1e-3, 0.0, "0x1.0429817899e14p-13"),
+    (1.0, 0.3, 0.0, "0x1.522b2a9e4814dp-11"),
+    (100.0, 1.0, 0.0, "0x1.dffcf909fcc6ap-12"),
+    (1000.0, 0.01, 0.0, "0x1.d03d923479aa8p-13"),
+    (2.5, 1.3, 7.0, "0x1.5bf3ea2f5ce1ep-11"),
+]
+
+
 class TestCwIncoherentEstimate:
-    # The scale/12 term of `incoherent_sampling_rel_err` is the exact
+    # The scale/12 term of `cw_incoherent_sampling_rel_err` is the exact
     # integral of |G_ba|^2 times the linear interpolant of its outer samples
     # (zero outside the lattice), here summed interval by interval at 40
     # digits in offsets from the band-I centre.
-    @pytest.mark.parametrize(
-        "ratio, beta_bar, detuning",
-        [
-            (0.01, 1e-3, 0.0), (1.0, 0.3, 0.0), (100.0, 1.0, 0.0), (1000.0, 0.01, 0.0),
-            (2.5, 1.3, 7.0),
-        ],
-    )
+    @pytest.mark.parametrize("ratio, beta_bar, detuning, reported", CW_ESTIMATE_CASES)
     def test_coarse_term_is_the_exact_integral_of_its_interpolant(
-        self, cs_system, ratio, beta_bar, detuning
+        self, cs_system, ratio, beta_bar, detuning, reported
     ):
         system, _ = cs_system
         gb = system.gamma_b
@@ -400,7 +406,9 @@ class TestCwIncoherentEstimate:
             beta_bar, ratio * gb, system.omega_ba + detuning * gb, system.omega_cb - detuning * gb
         )
         scale = _cw_gain_scale(src)
-        fine, rel = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
+        fine = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
+        rel = cw_incoherent_sampling_rel_err(src, system, fine)
+        assert rel == float.fromhex(reported)
         w_i_pts, samples = _cw_outer_samples(src, system, scale, 12.0)
         h = scale / 12.0
         offsets = h * (np.arange(len(w_i_pts)) - (len(w_i_pts) - 1) // 2)
