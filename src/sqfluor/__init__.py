@@ -9,7 +9,6 @@ from .excitation import (
     EnergyLedger,
     ExcitationOutcome,
     FluorescenceResult,
-    PulsedExcitationEngine,
     energy_ledger,
     fluorescence,
     matched_classical_cw,

@@ -53,7 +53,7 @@ from .sources import (
     schmidt_decompose,
     schmidt_decompose_analytic,
 )
-from .spectral import ConvergenceError, GaussianAmplitude, NumericalError, brentq
+from .spectral import GaussianAmplitude, NumericalError, brentq
 from .system import eta_prefactor
 
 logger = logging.getLogger(__name__)
@@ -291,6 +291,15 @@ def _decompose_for_panel(cfg: RunConfig, src: SqueezedPulsed):
 
 
 def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
+    """Pulsed rows over the panel grid, one `PulsedExcitationEngine` per panel.
+
+    Each panel takes one analytic Schmidt decomposition, whose spectrum
+    (cut at `trunc_tol`) sets every row's beta in one lock-step inversion.
+    The engine's tables reach r0_max = asinh(sqrt(N_max)), the largest
+    first-mode squeezing any row of the panel can have (N >= sinh^2(r0)),
+    so they do not depend on any inversion.  A panel whose tables cannot
+    be built fails each of its rows with the build's error.
+    """
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
     area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
@@ -299,6 +308,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     photon_grid = _log_grid(
         src_cfg["photons_min"], src_cfg["photons_max"], src_cfg["points_per_decade"]
     )
+    r0_max = math.asinh(math.sqrt(float(photon_grid[-1])))
 
     factor = branching_factor(system)
     rows: list[dict] = []
@@ -314,28 +324,15 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 sigma_p=sigma_p, sigma_c=sc_ratio * sigma_p,
                 center_i=system.omega_ba, center_ii=system.omega_cb,
             )
-            dec = _decompose_for_panel(cfg, src)
-            try:
-                beta_max = _beta_for_photons(dec.p, photon_grid[-1])
-            except PhotonInversionError:
-                # The rows out of reach fail on their own; the others keep
-                # the modes they need up to the limit.
-                beta_max = _BETA_MAX
-            except ConvergenceError:
-                # The root is at least the bracket's lower end, and the mode
-                # count only falls as beta rises: this keeps every mode the
-                # solved beta would.
-                beta_max, _ = _beta_bounds(dec.p, _asinh(math.sqrt(photon_grid[-1])))
-            working = dec.truncated(
-                dec.weighted_mode_count(beta_max, cfg.numerics["mode_weight_tail"])
-            )
+            dec = schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
             # Every row's beta in one inversion; NaN marks a row that fails.
-            betas = dict(
-                zip(photon_grid.tolist(), _beta_for_photons(working.p, photon_grid).tolist())
-            )
-            engine = PulsedExcitationEngine(
-                working, system, eta, area, coupling, cfg.numerics["sample_rel_tol"]
-            )
+            betas = dict(zip(photon_grid.tolist(), _beta_for_photons(dec.p, photon_grid).tolist()))
+            try:
+                engine = PulsedExcitationEngine(
+                    src, system, eta, area, coupling, r0_max=r0_max, dec=dec
+                )
+            except NumericalError as exc:
+                engine = exc  # each row of the panel fails with the build's error
             # The classical reference is exactly bilinear in the photon
             # numbers: it is computed once, at one photon per band.
             cl_unit = p_classical_pulsed(
@@ -347,8 +344,10 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 system, eta, area,
             ).total
 
-            def compute(task, _engine=engine, _p=working.p, _betas=betas,
-                        _sqrt_p0=float(engine.sqrt_p[0]), _cl_unit=cl_unit):
+            def compute(task, _engine=engine, _p=dec.p, _betas=betas,
+                        _sqrt_p0=math.sqrt(dec.p[0]), _cl_unit=cl_unit):
+                if isinstance(_engine, NumericalError):
+                    raise _engine
                 n_photons = task["photons_per_pulse"]
                 beta = _betas[n_photons]
                 if math.isnan(beta):

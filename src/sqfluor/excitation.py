@@ -22,28 +22,27 @@ The incoherent rate's sampling estimate is not part of a rate:
 integrates its interpolant exactly by linear product integration
 (`pole_weights_linear`).
 
-A classical pulse pair is a closed form (`p_classical_pulsed`).  The
-pulsed engine takes both lines by product integration (`pole_weights`),
-samples the outer frequency dependence on a lattice aligned with its inner
-grid, so the inner integrals at every outer point are one FFT correlation
-(`lattice_correlate`), and estimates the sampling error by halving the
-stride down a ladder of rungs, each coarser rung a subsample of that one
-pass.  The estimate is the change between the last two rungs: it
-is not a bound, it is NaN for a one-rung ladder, and a ladder that ends
-before two rungs agree to `sample_rel_tol` returns its last value with
-nothing but that estimate to show it.  The engine computes all of this when
-it is built and is only read afterwards, so sweep rows on several threads
-share one engine without a lock.
+A classical pulse pair is a closed form (`p_classical_pulsed`).  Squeezed
+pulses of the double-Gaussian source are Gaussian series of their Schmidt
+gains: Mehler's formula sums the Hermite modes of each term, and every
+frequency integral left is Gaussian once the Green pole and the Lorentzian
+are written in time.  `PulsedExcitationEngine` tabulates the one half-line
+integral that remains per term pair (incoherent, coherent) or per term and
+time (intermediate population), doubling its Gauss-Legendre nodes until
+each table settles to 1e-13, and a row reads three small quadratic forms.
+Tables are built once and only read afterwards, so sweep rows on several
+threads share one engine without a lock.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from numpy.fft import irfft, rfft
-from scipy.special import gammaln, wofz
+from scipy.special import erf, erfcx, gammaln, wofz
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
 from .peaked import (
@@ -61,11 +60,13 @@ from .sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
+    geometric_mode_ratio,
     photon_number_pulsed,
     squeezing_from_roots,
 )
 from .spectral import (
     GaussianAmplitude,
+    ConvergenceError,
     LorentzianLineshape,
     NumericalError,
     green,
@@ -86,7 +87,6 @@ __all__ = [
     "rate_squeezed_cw",
     "cw_incoherent_sampling_rel_err",
     "p_squeezed_pulsed",
-    "PulsedExcitationEngine",
     "fluorescence",
     "branching_factor",
     "energy_ledger",
@@ -99,7 +99,6 @@ __all__ = [
 ]
 
 VALIDITY_THRESHOLD = 0.1
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 SPAN_SIGMAS_CW = 9.0
 # The CW J pass leaves out s_II^2 below this share of its peak sinh^2(beta_bar):
 # on every case checked no bit of J moves (DECISIONS.md).
@@ -114,54 +113,6 @@ CW_J_ROW_BLOCKS = 4  # row blocks of the J pass, each summed over its own band
 CW_SERIES_TERMS = 480
 CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
 CLASSICAL_OUTER_POINTS = 4097  # samples of a classical pulse pair's outer integral
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n: a length pocketfft transforms fastest.
-
-    Equals `scipy.fft.next_fast_len(n, real=True)`.  For each odd 3^i 5^k
-    below the best length found so far, the smallest power-of-two multiple
-    that reaches n is a candidate.
-    """
-    best = 1 << (n - 1).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            candidate = f35 << ((n - 1) // f35).bit_length()
-            if candidate < best:
-                best = candidate
-            f35 *= 3
-        f5 *= 5
-    return best
-
-
-def lattice_correlate(weight: np.ndarray, n_out: int):
-    """Correlator `table -> C` on a uniform lattice, for a fixed weight.
-
-        C[..., j] = sum_k table[..., j + k] * weight[..., k],   0 <= j < n_out
-
-    By the convolution theorem (Cooley & Tukey, Math. Comp. 19, 297 (1965))
-    all n_out sums come from one rfft/irfft pair of length
-    _fast_len(n_out + n_w - 1).  The weight spectrum is taken once and
-    reused for every table passed to the correlator.  `table` is real with at
-    least n_out + n_w - 1 points (later points are not read); `weight` is real
-    or complex; leading axes broadcast.
-    """
-    n_w = weight.shape[-1]
-    n_table = n_out + n_w - 1
-    size = _fast_len(n_table)
-    flipped = weight[..., ::-1]
-    is_complex = np.iscomplexobj(weight)
-    parts = (flipped.real, flipped.imag) if is_complex else (flipped,)
-    spectra = [rfft(part, size) for part in parts]
-
-    def correlate(table: np.ndarray) -> np.ndarray:
-        spec_t = rfft(table[..., :n_table], size)
-        out = [irfft(spec_t * spec, size)[..., n_w - 1 : n_table] for spec in spectra]
-        return out[0] + 1j * out[1] if is_complex else out[0]
-
-    return correlate
 
 
 def _l_core_unresolved(
@@ -564,332 +515,368 @@ def cw_incoherent_sampling_rel_err(
 # ---------------------------------------------------------------------------
 
 
-POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or per wide Gamma_b)
-SAMPLES_PER_SIGMA = 8.0  # coarsest outer sampling per band-I width
-MAX_SAMPLE_LEVELS = 3  # rungs of the stride ladder
-SUPPORT_EPSILON = 1e-12  # table entries below this share of the peak lie outside the support
+# Node doublings of a pulsed table stop once no entry moves by more than this
+# share of the table's largest entry; past MAX_TABLE_NODES they raise.
+TABLE_REL_TOL = 1e-13
+MAX_TABLE_NODES = 1024
+# A half-line integral stops where a bound on its integrand has fallen by
+# e^-TAIL_EXPONENT (2.9e-20) from its start.
+TAIL_EXPONENT = 45.0
 
 
-def _oscillation_scale(grid_points: np.ndarray, table: np.ndarray) -> float:
-    """Smallest variation scale of the highest mode.
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
 
-    extent/(crossings + 8): one lobe per zero crossing plus margin so that a
-    crossing-free Gaussian still reports a fraction of its own width.
+
+def _reach(quadratic, linear):
+    """The L > 0 with quadratic L^2 + linear L = TAIL_EXPONENT."""
+    root = np.sqrt(linear * linear + 4.0 * quadratic * TAIL_EXPONENT)
+    return 2.0 * TAIL_EXPONENT / (linear + root)
+
+
+def _exp_erfcx(expo, z, expo_joined, scale=None):
+    """e^expo erfcx(z); where z < 0, 2 e^expo_joined - e^expo erfcx(-z).
+
+    The caller gives expo_joined = expo + z^2 in closed form, so neither
+    factor of e^expo e^(z^2) overflows on its own, and may pass e^expo as
+    `scale` when it has it.
     """
-    row = table[-1]
-    live = np.abs(row) > 1e-6 * np.max(np.abs(row))
-    if not np.any(live):
-        return grid_points[-1] - grid_points[0]
-    idx = np.nonzero(live)[0]
-    segment = row[idx[0] : idx[-1] + 1]
-    crossings = int(np.sum(np.abs(np.diff(np.sign(segment))) > 0))
-    extent = grid_points[idx[-1]] - grid_points[idx[0]]
-    return extent / (crossings + 8.0)
+    out = (np.exp(expo) if scale is None else scale) * erfcx(np.abs(z))
+    neg = z < 0.0
+    if neg.any():
+        out[neg] = 2.0 * np.exp(expo_joined[neg]) - out[neg]
+    return out
 
 
-def _support_extent(grid_points: np.ndarray, table: np.ndarray) -> float:
-    mask = np.abs(table[-1]) > SUPPORT_EPSILON * np.max(np.abs(table[-1]))
-    idx = np.nonzero(mask)[0]
-    center = 0.5 * (grid_points[0] + grid_points[-1])
-    return max(abs(grid_points[idx[0]] - center), abs(grid_points[idx[-1]] - center))
+def _lorentz_gauss(kappa, lam, vc: float, gc: float):
+    """F = Int l(v) e^(-kappa v^2 + i lam v) dv for lam >= 0, real when vc = 0.
+
+    l is the unit-area Lorentzian at vc with half-width gc.  F is a Voigt
+    profile continued to a complex shift, two Faddeeva values (Weideman,
+    SIAM J. Numer. Anal. 31, 1497 (1994)):
+
+        F = e^(-lam^2/(4 kappa)) [w(z1) + w(z2)] / 2,
+        z1 = sqrt(kappa) (vc + i gc) - i lam / (2 sqrt(kappa)),
+        z2 = -sqrt(kappa) (vc - i gc) + i lam / (2 sqrt(kappa)).
+
+    Where Im z1 < 0, w(z1) = 2 e^(-z1^2) - w(-z1), its exponent joined with
+    the Gaussian's.  On resonance w(iy) = erfcx(y).
+    """
+    root = np.sqrt(kappa)
+    y1 = root * gc - lam / (2.0 * root)
+    gauss = -lam * lam / (4.0 * kappa)
+    if vc == 0.0:
+        scale = np.exp(gauss)
+        first = _exp_erfcx(gauss, y1, kappa * gc * gc - gc * lam, scale)
+        return 0.5 * (first + scale * erfcx(root * gc + lam / (2.0 * root)))
+    zc = vc + 1j * gc
+    neg = y1 < 0.0
+    z1 = root * zc - 1j * lam / (2.0 * root)
+    first = np.exp(gauss) * wofz(np.where(neg, -z1, z1))
+    first[neg] = 2.0 * np.exp((1j * lam * zc - kappa * zc * zc)[neg]) - first[neg]
+    second = np.exp(gauss) * wofz(-root * np.conj(zc) + 1j * lam / (2.0 * root))
+    return 0.5 * (first + second)
+
+
+def _real_with_phase(values, delta: float, t):
+    """Re[e^(i delta t) values]: delta is the Green line's offset from the band-I centre."""
+    if delta == 0.0:
+        return np.real(values)
+    return np.real(np.exp(1j * delta * t) * values)
+
+
+def _mehler(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A_rho, N_rho) = ((1 - rho)/(1 + rho), (pi (1 - rho^2))^(-1/2)) of Mehler's formula."""
+    return (1.0 - rho) / (1.0 + rho), 1.0 / np.sqrt(np.pi * (1.0 - rho * rho))
+
+
+def _incoherent_table(a, norm, g, gc, vc, delta, n_nodes):
+    """T_kl = (pi N_k N_l / sqrt(B P)) Int_0^inf e^(-t^2/(8B)) H(t) Re[e^(i delta t) F(t)] dt.
+
+    B = (A_k + A_l)/2, P = (1/A_k + 1/A_l)/2, H(t) = Int_t^inf e^(-s^2/(8P)
+    - g s) ds (one erfcx) and F = `_lorentz_gauss` at kappa = A_k A_l/(2B),
+    lam = A_k t/(2B).  The integrand falls at least as e^(-t^2 (1/(8B) +
+    1/(8P)) - g t); Gauss-Legendre panels [0, L/4] and [L/4, L] of n/2
+    nodes each take it to that reach L.
+    """
+    a_k, a_l = a[:, None, None], a[None, :, None]
+    b = 0.5 * (a_k + a_l)
+    p = 0.5 * (1.0 / a_k + 1.0 / a_l)
+    reach = _reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g)
+    x, w = _gauss_legendre(n_nodes // 2)
+    t = 0.25 * reach * np.concatenate([x, 1.0 + 3.0 * x], axis=-1)
+    weights = 0.25 * reach * np.concatenate([w, 3.0 * w], axis=-1)
+    # H's erfcx argument is positive (t, g >= 0), so e^expo erfcx(z) takes no join.
+    h = np.exp(-t * t * (1.0 / (8.0 * b) + 1.0 / (8.0 * p)) - g * t) * erfcx(
+        (t + 4.0 * p * g) / np.sqrt(8.0 * p)
+    )
+    f = _lorentz_gauss(a_k * a_l / (2.0 * b), a_k * t / (2.0 * b), vc, gc)
+    integral = np.sum(h * _real_with_phase(f, delta, t) * weights, axis=-1)
+    # H carries sqrt(2 pi P), so pi N_k N_l / sqrt(B P) becomes pi sqrt(2 pi) N_k N_l / sqrt(B).
+    return np.pi * np.sqrt(2.0 * np.pi) * np.outer(norm, norm) / np.sqrt(b[..., 0]) * integral
+
+
+def _coherent_table(a, norm, g, gc, vc, delta, n_nodes):
+    """Q_kl = (pi N_k N_l / (2 sqrt(A_k A_l))) (S_kl + S_lk).
+
+    S_kl = Int_0^inf e^(-P t^2/8) H(t; g + D t/8) Re[e^(i delta t) F(t)] dt
+    with P = (1/A_k + 1/A_l)/2, D = 1/A_k - 1/A_l, H(t; y) = Int_t^inf
+    e^(-P s^2/8 - y s) ds (one erfcx, y may be negative) and F =
+    `_lorentz_gauss` at kappa = P/2, lam = t/2.  S_kl's integrand falls at
+    least as e^(-t^2/(4 A_k) - g t), so row k takes its own reach.
+    """
+    a_k, a_l = a[:, None, None], a[None, :, None]
+    p = 0.5 * (1.0 / a_k + 1.0 / a_l)
+    x, w = _gauss_legendre(n_nodes)
+    reach = _reach(1.0 / (4.0 * a_k), g)
+    t = reach * x
+    rate = g + (1.0 / a_k - 1.0 / a_l) * t / 8.0
+    z = np.sqrt(p / 8.0) * t + rate * np.sqrt(2.0 / p)
+    h = _exp_erfcx(-p * t * t / 4.0 - rate * t, z, 2.0 * rate * rate / p - p * t * t / 8.0)
+    f = _real_with_phase(_lorentz_gauss(p / 2.0, t / 2.0, vc, gc), delta, t)
+    s = (h * f) @ w * reach[..., 0] / np.sqrt(p[..., 0])
+    scale = norm / np.sqrt(a)
+    # H carries sqrt(2 pi / P).
+    return 0.5 * np.pi * np.sqrt(2.0 * np.pi) * np.outer(scale, scale) * (s + s.T)
+
+
+def _population_table(a, norm, g, delta, tau, n_nodes):
+    """I_k(tau) = N_k Int_0^inf e^(-g s - A_k (s - 2 tau)^2/4) E_k(s) ds.
+
+    E_k(s) = Int_0^s e^(-x^2/(4 A_k)) cos(delta x) dx, sqrt(pi A_k) erf(s /
+    (2 sqrt(A_k))) on resonance and one Faddeeva value off it.  Past s0 =
+    min(2 sqrt(A_k TAIL_EXPONENT), TAIL_EXPONENT/g), E_k is its limit
+    sqrt(pi A_k) e^(-A_k delta^2) to e^-TAIL_EXPONENT (or the integrand has
+    fallen by that much), and that piece is one erfcx; Gauss-Legendre nodes
+    take [0, s0].
+    """
+    a_k = a[:, None]
+    root = np.sqrt(a_k)
+    cut = 2.0 * root * np.sqrt(TAIL_EXPONENT)
+    if g > 0.0:
+        cut = np.minimum(cut, TAIL_EXPONENT / g)
+    x, w = _gauss_legendre(n_nodes)
+    s = cut * x
+    u = s / (2.0 * root)
+    if delta == 0.0:
+        inner = np.sqrt(np.pi * a_k) * erf(u)
+    else:
+        y = root * delta
+        inner = np.sqrt(np.pi * a_k) * np.real(
+            wofz(y + 0j) - np.exp(2j * u * y - u * u) * wofz(y + 1j * u)
+        )
+    # e^(-g s - A (s - 2 tau)^2/4) = e^(-g s - A s^2/4) e^(A s tau) e^(-A tau^2).
+    weights = inner * w * cut * np.exp(-g * s - a_k * s * s / 4.0)
+    near = np.matmul(weights[:, None, :], np.exp((a_k * s)[..., None] * tau))[:, 0, :]
+    near *= np.exp(-a_k * tau * tau)
+    z = root * (cut - 2.0 * tau) / 2.0 + g / root
+    expo = -g * cut - a_k * (cut - 2.0 * tau) ** 2 / 4.0
+    far = np.sqrt(np.pi / a_k) * _exp_erfcx(expo, z, g * g / a_k - 2.0 * g * tau)
+    return norm[:, None] * (near + np.sqrt(np.pi * a_k) * np.exp(-a_k * delta * delta) * far)
+
+
+def _doubled(table, n_nodes: int, what: str) -> tuple[np.ndarray, int, float]:
+    """(table(n), n, rel) at the first n = n_nodes 2^j that moves by rel <= TABLE_REL_TOL.
+
+    rel is the largest change from table(n/2) over the largest |entry|.
+    Raises ConvergenceError where the next n would pass MAX_TABLE_NODES.
+    """
+    current, rel = table(n_nodes), math.inf
+    previous = current
+    while rel > TABLE_REL_TOL:
+        if 2 * n_nodes > MAX_TABLE_NODES:
+            raise ConvergenceError(
+                float(np.max(np.abs(current))), float(np.max(np.abs(previous))), rel, what
+            )
+        previous, n_nodes = current, 2 * n_nodes
+        current = table(n_nodes)
+        peak = float(np.max(np.abs(current)))
+        rel = float(np.max(np.abs(current - previous))) / peak if peak > 0.0 else 0.0
+    return current, n_nodes, rel
+
+
+def _on_resonance(offset: float, frequency: float) -> float:
+    """offset, or 0.0 when it is within the rounding of two sums near `frequency`.
+
+    omega_ca = omega_ba + omega_cb is itself rounded, so a source centred on
+    both lines can sit a few ulp off omega_ca; the tables are even in that
+    offset, so taking it as zero moves them at second order (below 1e-16).
+    """
+    return 0.0 if abs(offset) <= 2.0 * np.spacing(abs(frequency)) else offset
 
 
 class PulsedExcitationEngine:
-    """Schmidt-mode quadrature engine over beta-independent kernel levels.
+    """Pulsed squeezed excitation of the double-Gaussian source from three tables.
 
-    Construction tabulates the modes on a uniform inner lattice over the
-    band-I mode support, whose step resolves the fastest mode oscillation
-    (and Gamma_b too when the Green line is at least a quarter of it wide),
-    then computes
+    With mu = ((sigma_c - sigma_p)/(sigma_c + sigma_p))^2 the Schmidt gains
+    are s_n^2 = sum_k c_k mu^(nk) and s_n c_n = sum_k a_k mu^(n(k+1/2)),
 
-        V_n(w_j) = Int G_ba f_IIn(w_j - x) f_In(x) dbar-x     (coherent)
-        T_nm     = Int L(w) |Int G_ba f_IIn f_Im dbar-x|^2 dw (incoherent)
+        c_k = (2 r0)^(2k) / (2 (2k)!)  (k >= 1),
+        a_k = (2 r0)^(2k+1) / (2 (2k+1)!)  (k >= 0),
 
-    on outer sample lattices aligned with the inner one, over the sum of
-    the band-I and band-II supports.  Outside those supports the integrands
-    carry a mode table below SUPPORT_EPSILON of its peak, so no lattice
-    stretches towards the Green or Lorentzian poles.  Both lines are poles,
-    G_ba(x) = -1/(x - z_b) and L(w) = Im[1/(w - z_c)]/pi, and both integrals
-    take one rule, however narrow the line is against the step:
-    product-integration weights (`spectral.pole_weights`), exact for a
-    mode product that is quadratic on each Simpson panel.  On the aligned
-    lattices the inner integral K_nm(w_j) is a lattice correlation of the
-    band-II table with the Green-weighted band-I table, so
-    `lattice_correlate` gives it for every m at every stride-1 outer point
-    in one FFT pass per n, and each outer stride is a subsample of that
-    pass.  V_n is K_nn, row n of mode n's pass.  The outer Lorentzian
-    integral is a fixed linear functional lam of the outer samples, so on
-    every rung both levels are real M x M matrices: T_nm and the coherent form
-    Q_nm = Re sum_j lam_j V_n(w_j) conj(V_m(w_j)).  A beta sweep reads only
-    w @ Q @ w with w_n = s_n c_n and sum_nm s_n^2 s_m^2 T_nm.  Both levels
-    are read down one stride ladder (`ladder`), halving the stride until two
-    rungs agree to `sample_rel_tol`; a one-rung ladder is read once.  The
-    readers take the pump strength |beta| and weight the engine's own modes
-    by the gains of `mode_squeezing`, formed from `sqrt_p`, the roots of the
-    mode weights taken once.  The time profiles the peak intermediate
-    population reads are built only with a coupling.
+    r0 = |beta| sqrt(1 - mu) the squeezing of the first mode.  Mehler's
+    formula (J. Reine Angew. Math. 66, 161 (1866)) sums each power rho^n of
+    the Hermite modes in closed form, so every mode sum becomes one
+    Gaussian kernel per term, and with the Green pole and the Lorentzian
+    written in time every frequency integral is Gaussian.  What is left is
+    one smooth half-line integral per table entry (DECISIONS.md):
 
-    Everything the public methods read is computed in __init__ and never
-    changed afterwards, so one engine may serve many threads without a lock.
+        incoherent   = eta c^T T c / (2 pi sigma_s^2 A^2)     (K x K, rho = mu^k)
+        coherent     = eta a^T Q a / (2 pi sigma_s^2 A^2)     (K x K, rho = mu^(k+1/2))
+        population   = kappa max_tau (c @ I)(tau) / (sigma_s A)  (K x 121 times)
+
+    sigma_s = sqrt(sigma_p sigma_c) is the unit of frequency and tau =
+    sigma_s t, over +/-6 durations 1/sigma_s.  K is where the series at
+    `r0_max` drops below CW_SERIES_CUT of its largest term
+    (`_gain_series`); a read past r0_max raises ValueError.  Each table
+    doubles its Gauss-Legendre nodes until it moves by at most
+    TABLE_REL_TOL and raises ConvergenceError if it cannot.  Terms with
+    the same rho (all of them when mu = 0) share their entries.  Any source
+    centres are allowed: the Green line's offset from the band-I centre
+    enters as a phase and the Lorentzian's as a complex Faddeeva argument.
+
+    Rows read c^T T c, a^T Q a and max_tau (c @ I); `diagnostics` reports
+    `series_terms` (K) and `quadrature_rel_err` (the last node doubling's
+    change, largest of the tables).  The tables are built in __init__ and
+    only read afterwards, so threads may share one engine.  `dec` (the
+    Schmidt decomposition the caller solved beta on), `n_in` (nodes per
+    table entry) and `n_out_max` (table entries) are kept only for the
+    benchmark's layer tracer (sweepbench/trace_layers.py), which reads
+    them under those names.
     """
 
     def __init__(
         self,
-        dec: SchmidtDecomposition,
+        src: SqueezedPulsed,
         sys: FourLevelSystem,
         eta: CrossSectionPrefactor,
         a_eff: float,
         coupling: DipoleCoupling | None = None,
-        sample_rel_tol: float = 1e-3,
+        *,
+        r0_max: float,
+        dec: SchmidtDecomposition | None = None,
     ):
-        self.dec = dec
+        self.src = src
         self.sys = sys
         self.eta = eta
         self.area = a_eff
         self.coupling = coupling
-        self.sqrt_p = np.sqrt(dec.p)
-        self.sample_rel_tol = sample_rel_tol
-        self._build_lattice()
-        # Int G_ba f dbar-x with G_ba(x) = -1/(x - z_b), z_b = omega_ba - i Gamma_b/2.
-        z_b = sys.omega_ba - 0.5j * sys.gamma_b
-        self.cvec = -pole_weights(self.x[0], self.h, self.n_in, z_b) / SQRT_2PI
-        self.time_profiles = None
+        self.dec = dec
+        mu = geometric_mode_ratio(src)
+        self.sqrt_p0 = float(np.sqrt(1.0 - mu))
+        self.r0_max = float(r0_max)
+        sigma_s = float(np.sqrt(src.sigma_p * src.sigma_c))
+        g, gc = 0.5 * sys.gamma_b / sigma_s, 0.5 * sys.gamma_c / sigma_s
+        vc = _on_resonance((sys.omega_ca - src.center_i) - src.center_ii, sys.omega_ca) / sigma_s
+        delta = (src.center_i - sys.omega_ba) / sigma_s
+
+        # Orders m of the terms (2r0)^m / (2 m!): even for c_k, odd for a_k.
+        self.c_orders = _series_orders(self.r0_max, odd=False)
+        self.a_orders = _series_orders(self.r0_max, odd=True)
+        # Every order up to the last, and log(2 m!), so that a row's terms
+        # are one exp(m log(2 r0) - log(2 m!)).
+        self._orders = np.arange(1.0, max(self.c_orders[-1], self.a_orders[-1]) + 1.0)
+        self._logs = np.log(2.0) + gammaln(self._orders + 1.0)
+        nodes, errs = [], []
+
+        def table(build, orders, n_start, what):
+            # rho = mu^(m/2) for both series; equal rho share one entry.
+            rho, inverse = np.unique(mu ** (0.5 * orders), return_inverse=True)
+            a, norm = _mehler(rho)
+            values, n_nodes, rel = _doubled(lambda n: build(a, norm, n), n_start, what)
+            nodes.append(n_nodes)
+            errs.append(rel)
+            return values, inverse
+
+        incoh, inv = table(
+            lambda a, norm, n: _incoherent_table(a, norm, g, gc, vc, delta, n),
+            self.c_orders, 32, "incoherent table",
+        )
+        scale = eta.eta / (2.0 * np.pi * sigma_s**2 * a_eff**2)
+        self.incoherent_table = scale * incoh[np.ix_(inv, inv)]
+        coh, inv = table(
+            lambda a, norm, n: _coherent_table(a, norm, g, gc, vc, delta, n),
+            self.a_orders, 24, "coherent table",
+        )
+        self.coherent_table = scale * coh[np.ix_(inv, inv)]
+        self.population_table = None
         if coupling is not None:
-            self.kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
-            # Time profiles first: their temporaries are freed before the levels'.
-            self.time_profiles = self._mode_time_profiles()
-        self.ladder = self._stride_ladder(self.sigma_like / SAMPLES_PER_SIGMA)
-        self.lorentz_weights = {stride: self._lorentz_weights(stride) for stride in self.ladder}
-        self.coherent_rows, self.incoherent_levels = self._kernel_pass()
-        self.coherent_forms = {stride: self._coherent_form(stride) for stride in self.ladder}
+            tau = _time_grid(1.0)
+            pop, inv = table(
+                lambda a, norm, n: _population_table(a, norm, g, delta, tau, n),
+                self.c_orders, 32, "population table",
+            )
+            kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
+            self.population_table = (kappa / (sigma_s * a_eff)) * pop[inv]
+        self.diagnostics = {
+            "series_terms": max(len(self.c_orders), len(self.a_orders)),
+            "quadrature_rel_err": max(errs),
+        }
+        self.n_in = max(nodes)
+        self.n_out_max = self.incoherent_table.size + self.coherent_table.size
 
-    # -- lattice -----------------------------------------------------------
+    def series(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """(c, a): the terms c_k and a_k at r0 = |beta| sqrt(1 - mu), as the tables' rows are ordered."""
+        r0 = squeezing_from_roots(self.sqrt_p0, beta)
+        if r0 > self.r0_max * (1.0 + 1e-12):
+            raise ValueError(f"r0 = {r0!r} is past the tables' r0_max = {self.r0_max!r}")
+        if r0 == 0.0:
+            terms = np.zeros(len(self._orders))
+        else:
+            terms = np.exp(self._orders * math.log(2.0 * r0) - self._logs)
+        return terms[1 : 2 * len(self.c_orders) : 2], terms[0 : 2 * len(self.a_orders) : 2]
 
-    def _build_lattice(self):
-        dec, sys = self.dec, self.sys
-        pts_i = dec.grid_i.points
-        self.osc = _oscillation_scale(pts_i, dec.f_i)
-        h = self.osc / POINTS_PER_FEATURE
-        if sys.gamma_b >= self.osc / 4.0:
-            # Without this floor such panels' ladders collapse to one rung (DECISIONS.md).
-            h = min(h, sys.gamma_b / POINTS_PER_FEATURE)
+    def coherent_probability(self, a: np.ndarray) -> float:
+        """eta a^T Q a / (2 pi sigma_s^2 A^2) for the odd-order terms a of `series`."""
+        return float(a @ self.coherent_table @ a)
 
-        # The inner integrand carries a factor f_Im, so the inner lattice only
-        # needs the band-I mode support, not the full JSA grid span.
-        ext_i = _support_extent(pts_i, dec.f_i)
-        half_i = min(dec.grid_i.half_span, ext_i + 4.0 * self.osc)
-        n_in = int(np.ceil(2.0 * half_i / h)) + 1
-        self.n_in = n_in if n_in % 2 == 1 else n_in + 1
-        self.h = 2.0 * half_i / (self.n_in - 1)
-        self.x = dec.grid_i.center - half_i + self.h * np.arange(self.n_in)
+    def incoherent_probability(self, c: np.ndarray) -> float:
+        """eta c^T T c / (2 pi sigma_s^2 A^2) for the even-order terms c of `series`."""
+        return float(c @ self.incoherent_table @ c)
 
-        self.fi = dec.modes_at("I", self.x)
+    def max_population_weighted(self, c: np.ndarray) -> float:
+        """max over the times of c @ population_table, for the even-order terms c of `series`.
 
-        # K_nm(w) vanishes once w - x leaves the band-II support for every x
-        # in the band-I support, so the outer lattice covers the sum of the
-        # two supports.
-        ext_ii = _support_extent(dec.grid_ii.points, dec.f_ii)
-        self.out_center = dec.grid_i.center + dec.grid_ii.center
-        hard_cap = dec.grid_i.half_span + dec.grid_ii.half_span
-        self.out_half = min(hard_cap, ext_i + ext_ii + 2.0 * self.osc)
-
-        # Band-II tables on the shifted lattice: q_axis[m] is a band-II
-        # frequency and q = (n_in - 1) + j*stride - k maps (w_j, x_k) pairs.
-        n_out_max = int(np.ceil(2.0 * self.out_half / self.h)) + 2
-        if n_out_max % 2 == 0:
-            n_out_max += 1
-        self.n_out_max = n_out_max
-        out_lo = self.out_center - self.out_half
-        self.q_axis = (out_lo - self.x[-1]) + self.h * np.arange(n_out_max + self.n_in - 1)
-        pts_ii = dec.grid_ii.points
-        self.fii_lat = np.vstack(
-            [np.interp(self.q_axis, pts_ii, row, left=0.0, right=0.0) for row in dec.f_ii]
-        )
-        self.sigma_like = _support_extent(pts_i, dec.f_i[:1]) / 7.0
-
-    # -- outer lattices --------------------------------------------------------
-
-    def n_out(self, stride: int) -> int:
-        """Number of outer samples at `stride` (odd, for Simpson)."""
-        n = (self.n_out_max - 1) // stride + 1
-        return n if n % 2 == 1 else n - 1
-
-    def _rung(self, rows: np.ndarray, stride: int) -> np.ndarray:
-        """Stride-1 outer samples subsampled onto the outer lattice of `stride`."""
-        return rows[..., ::stride][..., : self.n_out(stride)]
-
-    def _stride_ladder(self, target_spacing: float) -> list[int]:
-        stride = max(1, int(np.floor(target_spacing / self.h)))
-        while self.n_out(stride) < 33 and stride > 1:
-            stride //= 2
-        ladder = [stride]
-        while stride > 1 and len(ladder) < MAX_SAMPLE_LEVELS:
-            stride = max(1, stride // 2)
-            ladder.append(stride)
-        return ladder
-
-    def _lorentz_weights(self, stride: int) -> np.ndarray:
-        """Weights lam with Int L(w) Q(w) dw ~= lam . Q for real Q on the lattice of `stride`."""
-        shape = self.sys.lineshape_ca()
-        weights = pole_weights(
-            self.out_center - self.out_half, self.h * stride, self.n_out(stride),
-            shape.center + 0.5j * shape.fwhm,
-        )
-        return weights.imag / np.pi
-
-    # -- kernel levels -------------------------------------------------------
-
-    def _kernel_pass(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """(V_n rows, {stride: T_nm}) from one correlator call per mode n.
-
-        On the aligned lattice K_nm(w_j) = sum_k fii_lat[n, j + k] B[m, k] with
-        B the Green-weighted band-I tables, inner index reversed.  Mode n's
-        call gives K_nm for every m at every stride-1 outer point; its row n
-        is V_n.  |K_nm|^2 is formed for one n at a time, never for all pairs.
-        Column r of `lam` holds rung r's Lorentzian weights at its stride-1
-        positions, so one product per n weights every rung.
+        The table holds the coupling and area factors; an engine built
+        without a coupling has none and raises ValueError.
         """
-        correlate = lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
-        lam = np.zeros((self.n_out_max, len(self.ladder)))
-        for r, stride in enumerate(self.ladder):
-            self._rung(lam[:, r], stride)[:] = self.lorentz_weights[stride]
-        n_modes = self.dec.n_modes
-        v_rows = np.empty((n_modes, self.n_out_max), dtype=complex)
-        t_all = np.empty((len(self.ladder), n_modes, n_modes))
-        for n in range(n_modes):
-            k_rows = correlate(self.fii_lat[n])
-            v_rows[n] = k_rows[n]
-            t_all[:, n, :] = ((k_rows.real**2 + k_rows.imag**2) @ lam).T
-        return v_rows, dict(zip(self.ladder, t_all))
-
-    def coherent_level(self, stride: int) -> np.ndarray:
-        """V_n(w_j) on the outer lattice of `stride` (a view)."""
-        return self._rung(self.coherent_rows, stride)
-
-    def _coherent_form(self, stride: int) -> np.ndarray:
-        """Q = Re(V diag(lam) V^H) on one rung, so that w @ Q @ w = lam . |w @ V|^2 for real w."""
-        v = self.coherent_level(stride)
-        lam = self.lorentz_weights[stride]
-        return (v.real * lam) @ v.real.T + (v.imag * lam) @ v.imag.T
-
-    # -- probabilities -------------------------------------------------------
-
-    def _converge_levels(self, evaluate) -> tuple[float, float]:
-        """(value, rel) down the ladder until two rungs agree to sample_rel_tol.
-
-        rel is the change between the last two rungs evaluated.  A one-rung
-        ladder has nothing to compare, so its rel is NaN ("not estimated"),
-        never 0.0.
-        """
-        if len(self.ladder) == 1:
-            return evaluate(self.ladder[0]), np.nan
-        previous = None
-        value = 0.0
-        rel = np.inf
-        for stride in self.ladder:
-            value = evaluate(stride)
-            if previous is not None:
-                rel = abs(value - previous) / max(abs(value), 1e-300)
-                if rel <= self.sample_rel_tol:
-                    break
-            previous = value
-        return value, rel
-
-    def coherent_probability(self, beta: float) -> tuple[float, float]:
-        """(value, sampling_rel_err) of the coherent pulsed probability at |beta|."""
-        r = squeezing_from_roots(self.sqrt_p, beta)
-        weights = np.sinh(r) * np.cosh(r)
-
-        def evaluate(stride: int) -> float:
-            return float(weights @ self.coherent_forms[stride] @ weights)
-
-        value, rel = self._converge_levels(evaluate)
-        return self.eta.eta * value / self.area**2, rel
-
-    def incoherent_probability(self, beta: float) -> tuple[float, float]:
-        """(value, sampling_rel_err) of the incoherent pulsed probability at |beta|."""
-        s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
-        s2 = s * s
-        weights = np.multiply.outer(s2, s2)
-
-        def evaluate(stride: int) -> float:
-            return float((weights * self.incoherent_levels[stride]).sum())
-
-        value, rel = self._converge_levels(evaluate)
-        return self.eta.eta * value / self.area**2, rel
-
-    # -- intermediate-state population (validity diagnostic) -----------------
-
-    def _mode_time_profiles(self) -> np.ndarray:
-        """|Int G_ba f_In(w) e^{-i w t} dbar-w|^2 on a +/-6-duration time grid."""
-        t_grid = _time_grid(1.0 / self.sigma_like)
-        # In place: the n_in x 121 complex temporaries set the build's peak memory.
-        phase = -1j * np.outer(self.x - self.dec.grid_i.center, t_grid)
-        np.exp(phase, out=phase)
-        m_prof = (self.cvec[None, :] * self.fi) @ phase
-        return np.abs(m_prof) ** 2
-
-    def max_population_weighted(self, weights: np.ndarray) -> float:
-        """max_t sum_n weights_n |M_n(t)|^2 (no coupling or area factors)."""
-        return float((weights @ self.time_profiles).max())
-
-    def population(self, weights: np.ndarray) -> float:
-        """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
-
-        The weights are the mode gains s_n^2.  Needs the engine's coupling, whose
-        single-photon coupling `kappa` and time profiles are taken once at
-        construction; raises ValueError on an engine built without one.
-        """
-        if self.coupling is None:
+        if self.population_table is None:
             raise ValueError(
                 "the intermediate-state population needs a dipole coupling; "
                 "this engine was built with coupling=None"
             )
-        return self.kappa * self.max_population_weighted(weights) / self.area
+        return float((c @ self.population_table).max())
 
     def outcome(self, beta: float) -> ExcitationOutcome:
-        """Coherent and incoherent probabilities at |beta|, with their diagnostics.
-
-        With a coupling, the peak intermediate population comes too.  A
-        sampling error is NaN where its ladder has a single stride.
-        """
-        pop = None
-        if self.coupling is not None:
-            s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
-            pop = self.population(s * s)
-        if beta == 0.0:
-            return ExcitationOutcome(0.0, 0.0, pop)
-        coherent, rel_c = self.coherent_probability(beta)
-        incoherent, rel_ic = self.incoherent_probability(beta)
+        """Coherent and incoherent probabilities at |beta|; with a coupling, the peak population."""
+        c, a = self.series(beta)
+        pop = None if self.coupling is None else self.max_population_weighted(c)
         return ExcitationOutcome(
-            coherent, incoherent, pop,
-            diagnostics={
-                "coherent_sampling_rel_err": rel_c,
-                "incoherent_sampling_rel_err": rel_ic,
-                "truncation_tail": self.dec.tail,
-            },
+            self.coherent_probability(a), self.incoherent_probability(c), pop,
+            diagnostics=dict(self.diagnostics),
         )
 
 
 def p_squeezed_pulsed(
-    dec: SchmidtDecomposition,
+    src: SqueezedPulsed,
     beta: float,
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
     a_eff: float,
     coupling: DipoleCoupling | None = None,
-    *,
-    mode_weight_tail: float = 1e-4,
-    sample_rel_tol: float = 1e-3,
 ) -> ExcitationOutcome:
     """Pulsed squeezed excitation probability at pump strength |beta|.
 
-    Modes that carry less than `mode_weight_tail` of the sinh^2 gain weight
-    at |beta| are dropped before the engine is built.
+    Builds a `PulsedExcitationEngine` for this one beta; a sweep over many
+    betas builds one engine at the largest and reads it per row.
     """
-    working = dec.truncated(dec.weighted_mode_count(beta, mode_weight_tail))
-    engine = PulsedExcitationEngine(working, sys, eta, a_eff, coupling, sample_rel_tol)
+    r0 = squeezing_from_roots(np.sqrt(1.0 - geometric_mode_ratio(src)), beta)
+    engine = PulsedExcitationEngine(src, sys, eta, a_eff, coupling, r0_max=r0)
     return engine.outcome(beta)
+
 
 
 # ---------------------------------------------------------------------------
@@ -982,25 +969,49 @@ def within_validity(max_population: float) -> bool:
     return max_population < VALIDITY_THRESHOLD
 
 
-def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """(k, b_k) of sinh^2(beta_bar r) = sum_{k >= 1} b_k r^(2k).
+def _series_logs(x: float, orders: np.ndarray) -> np.ndarray:
+    """log((2x)^m / (2 m!)) for each order m.
 
-    b_k = (2 beta_bar)^(2k) / (2 (2k)!).  The coefficients are formed in log space, since at beta_bar = 30 the
-    largest is near e^60.  Terms below CW_SERIES_CUT of the largest are left
-    out; they are contiguous at both ends, because log b_k is concave in k.
-    Raises NumericalError rather than truncate when a kept term would lie
-    past the table of CW_SERIES_TERMS terms, so no series this returns sums
-    past the largest double.
+    sinh^2(x r) sums these times r^m over the even m >= 2, and sinh(x r)
+    cosh(x r) over the odd m >= 1.
     """
-    k = np.arange(1, CW_SERIES_TERMS + 1)
-    log_b = 2.0 * k * np.log(2.0 * beta_bar) - np.log(2.0) - gammaln(2.0 * k + 1.0)
+    return orders * np.log(2.0 * x) - np.log(2.0) - gammaln(orders + 1.0)
+
+
+def _gain_series(x: float, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(m, b_m) of sinh^2(x r) (even orders m) or sinh(x r) cosh(x r) (odd), b_m from `_series_logs`.
+
+    The coefficients are formed in log space, since at x = 30 the largest is
+    near e^60.  Terms below CW_SERIES_CUT of the largest are left out; they
+    are contiguous at both ends, because log b_m is concave in m.  Raises
+    NumericalError rather than truncate when a kept term would lie past the
+    table of CW_SERIES_TERMS terms, so no series this returns sums past the
+    largest double.
+    """
+    orders = 2.0 * np.arange(1, CW_SERIES_TERMS + 1) - (1.0 if odd else 0.0)
+    log_b = _series_logs(x, orders)
     kept = np.flatnonzero(log_b >= log_b.max() + np.log(CW_SERIES_CUT))
     if kept[-1] == CW_SERIES_TERMS - 1:
         raise NumericalError(
-            f"the Gaussian series of sinh^2 at beta_bar = {beta_bar!r} needs more than "
-            f"{CW_SERIES_TERMS} terms"
+            f"the Gaussian series at {x!r} needs more than {CW_SERIES_TERMS} terms"
         )
-    return k[kept], np.exp(log_b[kept])
+    return orders[kept], np.exp(log_b[kept])
+
+
+def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, b_k) of sinh^2(beta_bar r) = sum_{k >= 1} b_k r^(2k): `_gain_series` in k = m/2.
+
+    b_k = (2 beta_bar)^(2k) / (2 (2k)!).  It runs out from beta_bar = 353 on.
+    """
+    orders, b_k = _gain_series(beta_bar)
+    return orders / 2.0, b_k
+
+
+def _series_orders(r0_max: float, odd: bool) -> np.ndarray:
+    """Every order from the first (1 or 2) to the last `_gain_series` keeps at r0_max."""
+    first = 1.0 if odd else 2.0
+    last = _gain_series(r0_max, odd)[0][-1] if r0_max > 0.0 else first
+    return np.arange(first, last + 1.0, 2.0)
 
 
 def max_intermediate_population(

@@ -25,7 +25,7 @@ moduli of sums linear in one table.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,7 +216,9 @@ class SchmidtDecomposition:
     Mode tables are continuum-normalized: sum f^2 * step = 1.  p sums to one
     over the full (untruncated) spectrum; `tail` is the truncated remainder.
     The modes do not depend on the pump strength; `mode_squeezing(p, beta)`
-    gives the squeezing parameter of each mode at any |beta|.
+    gives the squeezing parameter of each mode at any |beta|.  Pulsed sweeps
+    read only `p` (the Gaussian-series tables need no mode table); the
+    `schmidt` subcommand writes the spectrum.
     """
 
     p: np.ndarray
@@ -229,48 +231,6 @@ class SchmidtDecomposition:
     @property
     def n_modes(self) -> int:
         return len(self.p)
-
-    def truncated(self, n_keep: int) -> "SchmidtDecomposition":
-        """Keep the first n_keep modes; the dropped weight moves to the tail."""
-        n_keep = max(1, min(int(n_keep), self.n_modes))
-        if n_keep == self.n_modes:
-            return self
-        dropped = float(np.sum(self.p[n_keep:]))
-        return replace(
-            self,
-            p=self.p[:n_keep].copy(),
-            f_i=self.f_i[:n_keep].copy(),
-            f_ii=self.f_ii[:n_keep].copy(),
-            tail=self.tail + dropped,
-        )
-
-    def weighted_mode_count(self, beta: float, rel_tail: float) -> int:
-        """Modes needed so the dropped sinh^2 photon weight at |beta| is below rel_tail.
-
-        The excitation sums weight pairs by the gains, not by p_n alone, so a
-        high-gain evaluation can discard many low-p modes harmlessly.  No gain
-        overflows at any |beta|: the weights are sinh^2(r_n) / sinh^2(r_0), r_0 = max r_n.
-        """
-        r = mode_squeezing(self.p, beta)
-        r_0 = float(np.max(r))
-        if r_0 > 0.0:
-            weights = np.exp(2.0 * (r - r_0)) * (np.expm1(-2.0 * r) / np.expm1(-2.0 * r_0)) ** 2
-        else:
-            weights = self.p
-        cumulative = np.cumsum(weights) / float(np.sum(weights))
-        return int(np.searchsorted(cumulative, 1.0 - rel_tail)) + 1
-
-    def modes_at(self, band: str, omega) -> np.ndarray:
-        """Linear interpolation of all mode tables at `omega` (band 'I' or 'II')."""
-        grid = self.grid_i if band == "I" else self.grid_ii
-        table = self.f_i if band == "I" else self.f_ii
-        pts = grid.points
-        omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-        slack = max(1e-9 * (pts[-1] - pts[0]), 32.0 * np.finfo(float).eps * np.max(np.abs(pts)))
-        if np.any(omega_arr < pts[0] - slack) or np.any(omega_arr > pts[-1] + slack):
-            raise ValueError(f"evaluation outside the band-{band} mode grid")
-        omega_arr = np.clip(omega_arr, pts[0], pts[-1])
-        return np.vstack([np.interp(omega_arr, pts, row) for row in table])
 
 
 def schmidt_decompose(

@@ -7,21 +7,36 @@ JSA, the Gaussian cloud density, the excitation probability of a
 classical pulse pair in closed form and its validity population by
 adaptive quadrature, the broadband limit of the CW squeezed rates, the
 integral of a linear interpolant against |G_ba|^2 and the CW population
-integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over the whole lattice, a
-pulsed sweep row and a CSV cell as the library computed them before the
-per-row reads were trimmed, and Simpson doublings that evaluate every
-point of each grid.
+integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over the whole lattice, the
+Schmidt-mode helpers the lattice sweep used (`truncated`,
+`weighted_mode_count`, `modes_at`), a pulsed sweep row and a CSV cell as
+the library computes them with
+`fluorescence()` and as `cli._fmt` wrote them before, and Simpson doublings
+that evaluate every point of each grid.
+
+The pulsed squeezed references are here too.  `LatticePulsedEngine` is the
+Schmidt-mode lattice engine the library ran before its Gaussian-series
+tables, with its FFT lattice correlation; `ExactHermiteLatticeEngine` puts
+exact Hermite functions on its lattices.  `incoherent_kernel`,
+`coherent_kernel` and `population_kernel` restate the three table entries of
+`excitation.PulsedExcitationEngine` from their closed-form pieces and take
+the last integral by adaptive `quad` (the coherent one in frequency, the
+population with its two time integrals in the other order), and
+`photon_number_series` is N(beta) = sum_k c_k / (1 - mu^k).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.fft
+from numpy.fft import irfft, rfft
 from scipy.integrate import quad
-from scipy.special import wofz
+from scipy.special import erfcx, gammaln, wofz
 
 from sqfluor.excitation import (
     SPAN_SIGMAS_CW,
     ExcitationOutcome,
-    PulsedExcitationEngine,
+    _time_grid,
     fluorescence,
     within_validity,
     lorentzian_sample_weights,
@@ -34,11 +49,15 @@ from sqfluor.sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
+    hermite_function_table,
     mode_squeezing,
+    squeezing_from_roots,
 )
-from sqfluor.spectral import quad_1d
+from sqfluor.spectral import pole_weights, quad_1d
+from sqfluor.system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem
 
 TWO_PI = 2.0 * np.pi
+SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def marginal_sigma(src: SqueezedPulsed) -> float:
@@ -80,6 +99,50 @@ def g2_cw(omega_i, omega_ii, omega_i_prime, omega_ii_prime, src: SqueezedCW):
     return coherent, incoherent
 
 
+def truncated(dec: SchmidtDecomposition, n_keep: int) -> SchmidtDecomposition:
+    """The first n_keep modes of `dec`; the dropped weight moves to the tail."""
+    n_keep = max(1, min(int(n_keep), dec.n_modes))
+    if n_keep == dec.n_modes:
+        return dec
+    dropped = float(np.sum(dec.p[n_keep:]))
+    return replace(
+        dec,
+        p=dec.p[:n_keep].copy(),
+        f_i=dec.f_i[:n_keep].copy(),
+        f_ii=dec.f_ii[:n_keep].copy(),
+        tail=dec.tail + dropped,
+    )
+
+
+def weighted_mode_count(dec: SchmidtDecomposition, beta: float, rel_tail: float) -> int:
+    """Modes needed so the dropped sinh^2 photon weight at |beta| is below rel_tail.
+
+    The rule the lattice sweep kept its modes by.  No gain overflows at any
+    |beta|: the weights are sinh^2(r_n) / sinh^2(r_0), r_0 = max r_n.
+    """
+    r = mode_squeezing(dec.p, beta)
+    r_0 = float(np.max(r))
+    if r_0 > 0.0:
+        weights = np.exp(2.0 * (r - r_0)) * (np.expm1(-2.0 * r) / np.expm1(-2.0 * r_0)) ** 2
+    else:
+        weights = dec.p
+    cumulative = np.cumsum(weights) / float(np.sum(weights))
+    return int(np.searchsorted(cumulative, 1.0 - rel_tail)) + 1
+
+
+def modes_at(dec: SchmidtDecomposition, band: str, omega) -> np.ndarray:
+    """Linear interpolation of all mode tables of `dec` at `omega` (band 'I' or 'II')."""
+    grid = dec.grid_i if band == "I" else dec.grid_ii
+    table = dec.f_i if band == "I" else dec.f_ii
+    pts = grid.points
+    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
+    slack = max(1e-9 * (pts[-1] - pts[0]), 32.0 * np.finfo(float).eps * np.max(np.abs(pts)))
+    if np.any(omega_arr < pts[0] - slack) or np.any(omega_arr > pts[-1] + slack):
+        raise ValueError(f"evaluation outside the band-{band} mode grid")
+    omega_arr = np.clip(omega_arr, pts[0], pts[-1])
+    return np.vstack([np.interp(omega_arr, pts, row) for row in table])
+
+
 class G2PulsedKernels:
     """Pulsed correlation kernels of a Schmidt decomposition at pump strength |beta|.
 
@@ -94,26 +157,26 @@ class G2PulsedKernels:
         self.s, self.c = np.sinh(r), np.cosh(r)
 
     def coherent(self, omega, omega_i):
-        f_ii = self.dec.modes_at("II", np.asarray(omega) - np.asarray(omega_i))
-        f_i = self.dec.modes_at("I", omega_i)
+        f_ii = modes_at(self.dec, "II", np.asarray(omega) - np.asarray(omega_i))
+        f_i = modes_at(self.dec, "I", omega_i)
         return np.squeeze(np.sum(self.s * self.c * f_ii * f_i, axis=0))
 
     def incoherent_family(self, omega, omega_i):
         """(n, m) matrix of f_IIn(w - wI) f_Im(wI) s_n s_m at scalar arguments."""
-        f_ii = self.dec.modes_at("II", float(omega) - float(omega_i))[:, 0]
-        f_i = self.dec.modes_at("I", float(omega_i))[:, 0]
+        f_ii = modes_at(self.dec, "II", float(omega) - float(omega_i))[:, 0]
+        f_i = modes_at(self.dec, "I", float(omega_i))[:, 0]
         s = self.s[:, 0]
         return np.outer(s * f_ii, s * f_i)
 
     def g1_value(self, band: str, omega):
         """Diagonal first-order correlation sum_n s_n^2 |f_n|^2."""
-        f = self.dec.modes_at(band, omega)
+        f = modes_at(self.dec, band, omega)
         return np.squeeze(np.sum(self.s**2 * f * f, axis=0))
 
     def g2_coherent_value(self, omega_i, omega_ii):
         """|sum_n f_IIn(wII) f_In(wI) s_n c_n|^2 at equal primed/unprimed args."""
-        f_ii = self.dec.modes_at("II", omega_ii)
-        f_i = self.dec.modes_at("I", omega_i)
+        f_ii = modes_at(self.dec, "II", omega_ii)
+        f_i = modes_at(self.dec, "I", omega_i)
         amp = np.sum(self.s * self.c * f_ii * f_i, axis=0)
         return np.squeeze(np.abs(amp) ** 2)
 
@@ -327,51 +390,15 @@ def full_lattice_j(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
     return u_view @ lam
 
 
-def _old_converge(engine: PulsedExcitationEngine, evaluate):
-    previous = None
-    value = 0.0
-    rel = np.nan if len(engine.ladder) == 1 else np.inf
-    for stride in engine.ladder:
-        value = evaluate(stride)
-        if previous is not None:
-            rel = abs(value - previous) / max(abs(value), 1e-300)
-            if rel <= engine.sample_rel_tol:
-                break
-        previous = value
-    return value, rel
+def pulsed_row(engine, beta: float, n_photons: float, cl_unit: float, sys,
+               n_atoms: float) -> dict:
+    """The CSV cells of one pulsed sweep row, counted by `fluorescence()`.
 
-
-def pulsed_row(engine: PulsedExcitationEngine, beta: float, n_photons: float,
-               cl_unit: float, sys, n_atoms: float) -> dict:
-    """The CSV cells of one pulsed sweep row, with the row arithmetic of before.
-
-    `mode_squeezing` on the mode weights for each of the three reads,
-    `np.outer` for the incoherent weights, the whole ladder loop even for
-    one rung, and `fluorescence()` of the squeezed outcome and of a
-    classical `ExcitationOutcome`.  The engine is only read: its levels,
-    forms, time profiles and coupling.
+    The squeezed outcome is the engine's, read at beta; the classical count
+    is `fluorescence()` of a classical `ExcitationOutcome`.  The engine is
+    only read.
     """
-    p = engine.dec.p
-    pop = None
-    if engine.coupling is not None:
-        s = np.sinh(mode_squeezing(p, beta))
-        pop = engine.kappa * float(np.max((s * s) @ engine.time_profiles)) / engine.area
-    coherent = incoherent = 0.0
-    if beta != 0.0:
-        r = mode_squeezing(p, beta)
-        w = np.sinh(r) * np.cosh(r)
-        value, _ = _old_converge(
-            engine, lambda stride: float(w @ engine.coherent_forms[stride] @ w)
-        )
-        coherent = engine.eta.eta * value / engine.area**2
-        s = np.sinh(mode_squeezing(p, beta))
-        s2 = s * s
-        weights = np.outer(s2, s2)
-        value, _ = _old_converge(
-            engine, lambda stride: float(np.sum(weights * engine.incoherent_levels[stride]))
-        )
-        incoherent = engine.eta.eta * value / engine.area**2
-    out = ExcitationOutcome(coherent, incoherent, pop)
+    out = engine.outcome(beta)
     p_cl = cl_unit * n_photons**2
     fl_sq = fluorescence(out, sys, n_atoms)
     fl_cl = fluorescence(ExcitationOutcome(p_cl, 0.0), sys, n_atoms)
@@ -385,7 +412,7 @@ def pulsed_row(engine: PulsedExcitationEngine, beta: float, n_photons: float,
         "n_fluor_sq_coherent": fl_sq.per_atom_coherent * n_atoms,
         "n_fluor_sq_incoherent": fl_sq.per_atom_incoherent * n_atoms,
         "n_fluor_sq_total": fl_sq.total,
-        "crossover": beta * np.sqrt(p[0]) >= 1.0,
+        "crossover": beta * np.sqrt(engine.dec.p[0]) >= 1.0,
         "validity": within_validity(out.max_population),
     }
 
@@ -408,10 +435,531 @@ def reevaluating_doublings(f, grid):
         grid = grid.doubled()
 
 
-def mode_time_profiles(engine: PulsedExcitationEngine) -> np.ndarray:
+def mode_time_profiles(engine) -> np.ndarray:
     """The engine's time profiles with out-of-place temporaries, as it built them before."""
     duration = 1.0 / engine.sigma_like
     t_grid = np.linspace(-6.0 * duration, 6.0 * duration, 121)
     phase = np.exp(-1j * np.outer(engine.x - engine.dec.grid_i.center, t_grid))
     m_prof = (engine.cvec[None, :] * engine.fi) @ phase
     return np.abs(m_prof) ** 2
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length pocketfft transforms fastest.
+
+    Equals `scipy.fft.next_fast_len(n, real=True)`.  For each odd 3^i 5^k
+    below the best length found so far, the smallest power-of-two multiple
+    that reaches n is a candidate.
+    """
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            candidate = f35 << ((n - 1) // f35).bit_length()
+            if candidate < best:
+                best = candidate
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def lattice_correlate(weight: np.ndarray, n_out: int):
+    """Correlator `table -> C` on a uniform lattice, for a fixed weight.
+
+        C[..., j] = sum_k table[..., j + k] * weight[..., k],   0 <= j < n_out
+
+    By the convolution theorem (Cooley & Tukey, Math. Comp. 19, 297 (1965))
+    all n_out sums come from one rfft/irfft pair of length
+    _fast_len(n_out + n_w - 1).  The weight spectrum is taken once and
+    reused for every table passed to the correlator.  `table` is real with at
+    least n_out + n_w - 1 points (later points are not read); `weight` is real
+    or complex; leading axes broadcast.
+    """
+    n_w = weight.shape[-1]
+    n_table = n_out + n_w - 1
+    size = _fast_len(n_table)
+    flipped = weight[..., ::-1]
+    is_complex = np.iscomplexobj(weight)
+    parts = (flipped.real, flipped.imag) if is_complex else (flipped,)
+    spectra = [rfft(part, size) for part in parts]
+
+    def correlate(table: np.ndarray) -> np.ndarray:
+        spec_t = rfft(table[..., :n_table], size)
+        out = [irfft(spec_t * spec, size)[..., n_w - 1 : n_table] for spec in spectra]
+        return out[0] + 1j * out[1] if is_complex else out[0]
+
+    return correlate
+
+
+POINTS_PER_FEATURE = 12  # inner lattice points per mode oscillation (or per wide Gamma_b)
+SAMPLES_PER_SIGMA = 8.0  # coarsest outer sampling per band-I width
+MAX_SAMPLE_LEVELS = 3  # rungs of the stride ladder
+SUPPORT_EPSILON = 1e-12  # table entries below this share of the peak lie outside the support
+
+
+def _oscillation_scale(grid_points: np.ndarray, table: np.ndarray) -> float:
+    """Smallest variation scale of the highest mode.
+
+    extent/(crossings + 8): one lobe per zero crossing plus margin so that a
+    crossing-free Gaussian still reports a fraction of its own width.
+    """
+    row = table[-1]
+    live = np.abs(row) > 1e-6 * np.max(np.abs(row))
+    if not np.any(live):
+        return grid_points[-1] - grid_points[0]
+    idx = np.nonzero(live)[0]
+    segment = row[idx[0] : idx[-1] + 1]
+    crossings = int(np.sum(np.abs(np.diff(np.sign(segment))) > 0))
+    extent = grid_points[idx[-1]] - grid_points[idx[0]]
+    return extent / (crossings + 8.0)
+
+
+def _support_extent(grid_points: np.ndarray, table: np.ndarray) -> float:
+    mask = np.abs(table[-1]) > SUPPORT_EPSILON * np.max(np.abs(table[-1]))
+    idx = np.nonzero(mask)[0]
+    center = 0.5 * (grid_points[0] + grid_points[-1])
+    return max(abs(grid_points[idx[0]] - center), abs(grid_points[idx[-1]] - center))
+
+
+class LatticePulsedEngine:
+    """The Schmidt-mode lattice engine the library ran before its Gaussian-series tables.
+
+    Construction tabulates the modes on a uniform inner lattice over the
+    band-I mode support, whose step resolves the fastest mode oscillation
+    (and Gamma_b too when the Green line is at least a quarter of it wide),
+    then computes
+
+        V_n(w_j) = Int G_ba f_IIn(w_j - x) f_In(x) dbar-x     (coherent)
+        T_nm     = Int L(w) |Int G_ba f_IIn f_Im dbar-x|^2 dw (incoherent)
+
+    on outer sample lattices aligned with the inner one, over the sum of
+    the band-I and band-II supports.  Outside those supports the integrands
+    carry a mode table below SUPPORT_EPSILON of its peak, so no lattice
+    stretches towards the Green or Lorentzian poles.  Both lines are poles,
+    G_ba(x) = -1/(x - z_b) and L(w) = Im[1/(w - z_c)]/pi, and both integrals
+    take one rule, however narrow the line is against the step:
+    product-integration weights (`spectral.pole_weights`), exact for a
+    mode product that is quadratic on each Simpson panel.  On the aligned
+    lattices the inner integral K_nm(w_j) is a lattice correlation of the
+    band-II table with the Green-weighted band-I table, so
+    `lattice_correlate` gives it for every m at every stride-1 outer point
+    in one FFT pass per n, and each outer stride is a subsample of that
+    pass.  V_n is K_nn, row n of mode n's pass.  The outer Lorentzian
+    integral is a fixed linear functional lam of the outer samples, so on
+    every rung both levels are real M x M matrices: T_nm and the coherent form
+    Q_nm = Re sum_j lam_j V_n(w_j) conj(V_m(w_j)).  A beta sweep reads only
+    w @ Q @ w with w_n = s_n c_n and sum_nm s_n^2 s_m^2 T_nm.  Both levels
+    are read down one stride ladder (`ladder`), halving the stride until two
+    rungs agree to `sample_rel_tol`; a one-rung ladder is read once.  The
+    readers take the pump strength |beta| and weight the engine's own modes
+    by the gains of `mode_squeezing`, formed from `sqrt_p`, the roots of the
+    mode weights taken once.  The time profiles the peak intermediate
+    population reads are built only with a coupling.
+
+    Everything the public methods read is computed in __init__ and never
+    changed afterwards, so one engine may serve many threads without a lock.
+    """
+
+    def __init__(
+        self,
+        dec: SchmidtDecomposition,
+        sys: FourLevelSystem,
+        eta: CrossSectionPrefactor,
+        a_eff: float,
+        coupling: DipoleCoupling | None = None,
+        sample_rel_tol: float = 1e-3,
+    ):
+        self.dec = dec
+        self.sys = sys
+        self.eta = eta
+        self.area = a_eff
+        self.coupling = coupling
+        self.sqrt_p = np.sqrt(dec.p)
+        self.sample_rel_tol = sample_rel_tol
+        self._build_lattice()
+        # Int G_ba f dbar-x with G_ba(x) = -1/(x - z_b), z_b = omega_ba - i Gamma_b/2.
+        z_b = sys.omega_ba - 0.5j * sys.gamma_b
+        self.cvec = -pole_weights(self.x[0], self.h, self.n_in, z_b) / SQRT_2PI
+        self.time_profiles = None
+        if coupling is not None:
+            self.kappa = one_photon_coupling(dec.grid_i.center, coupling.mu_sq_ba)
+            # Time profiles first: their temporaries are freed before the levels'.
+            self.time_profiles = self._mode_time_profiles()
+        self.ladder = self._stride_ladder(self.sigma_like / SAMPLES_PER_SIGMA)
+        self.lorentz_weights = {stride: self._lorentz_weights(stride) for stride in self.ladder}
+        self.coherent_rows, self.incoherent_levels = self._kernel_pass()
+        self.coherent_forms = {stride: self._coherent_form(stride) for stride in self.ladder}
+
+    # -- lattice -----------------------------------------------------------
+
+    def _build_lattice(self):
+        dec, sys = self.dec, self.sys
+        pts_i = dec.grid_i.points
+        self.osc = _oscillation_scale(pts_i, dec.f_i)
+        h = self.osc / POINTS_PER_FEATURE
+        if sys.gamma_b >= self.osc / 4.0:
+            # Without this floor such panels' ladders collapse to one rung (DECISIONS.md).
+            h = min(h, sys.gamma_b / POINTS_PER_FEATURE)
+
+        # The inner integrand carries a factor f_Im, so the inner lattice only
+        # needs the band-I mode support, not the full JSA grid span.
+        ext_i = _support_extent(pts_i, dec.f_i)
+        half_i = min(dec.grid_i.half_span, ext_i + 4.0 * self.osc)
+        n_in = int(np.ceil(2.0 * half_i / h)) + 1
+        self.n_in = n_in if n_in % 2 == 1 else n_in + 1
+        self.h = 2.0 * half_i / (self.n_in - 1)
+        self.x = dec.grid_i.center - half_i + self.h * np.arange(self.n_in)
+
+        self.fi = modes_at(dec, "I", self.x)
+
+        # K_nm(w) vanishes once w - x leaves the band-II support for every x
+        # in the band-I support, so the outer lattice covers the sum of the
+        # two supports.
+        ext_ii = _support_extent(dec.grid_ii.points, dec.f_ii)
+        self.out_center = dec.grid_i.center + dec.grid_ii.center
+        hard_cap = dec.grid_i.half_span + dec.grid_ii.half_span
+        self.out_half = min(hard_cap, ext_i + ext_ii + 2.0 * self.osc)
+
+        # Band-II tables on the shifted lattice: q_axis[m] is a band-II
+        # frequency and q = (n_in - 1) + j*stride - k maps (w_j, x_k) pairs.
+        n_out_max = int(np.ceil(2.0 * self.out_half / self.h)) + 2
+        if n_out_max % 2 == 0:
+            n_out_max += 1
+        self.n_out_max = n_out_max
+        out_lo = self.out_center - self.out_half
+        self.q_axis = (out_lo - self.x[-1]) + self.h * np.arange(n_out_max + self.n_in - 1)
+        pts_ii = dec.grid_ii.points
+        self.fii_lat = np.vstack(
+            [np.interp(self.q_axis, pts_ii, row, left=0.0, right=0.0) for row in dec.f_ii]
+        )
+        self.sigma_like = _support_extent(pts_i, dec.f_i[:1]) / 7.0
+
+    # -- outer lattices --------------------------------------------------------
+
+    def n_out(self, stride: int) -> int:
+        """Number of outer samples at `stride` (odd, for Simpson)."""
+        n = (self.n_out_max - 1) // stride + 1
+        return n if n % 2 == 1 else n - 1
+
+    def _rung(self, rows: np.ndarray, stride: int) -> np.ndarray:
+        """Stride-1 outer samples subsampled onto the outer lattice of `stride`."""
+        return rows[..., ::stride][..., : self.n_out(stride)]
+
+    def _stride_ladder(self, target_spacing: float) -> list[int]:
+        stride = max(1, int(np.floor(target_spacing / self.h)))
+        while self.n_out(stride) < 33 and stride > 1:
+            stride //= 2
+        ladder = [stride]
+        while stride > 1 and len(ladder) < MAX_SAMPLE_LEVELS:
+            stride = max(1, stride // 2)
+            ladder.append(stride)
+        return ladder
+
+    def _lorentz_weights(self, stride: int) -> np.ndarray:
+        """Weights lam with Int L(w) Q(w) dw ~= lam . Q for real Q on the lattice of `stride`."""
+        shape = self.sys.lineshape_ca()
+        weights = pole_weights(
+            self.out_center - self.out_half, self.h * stride, self.n_out(stride),
+            shape.center + 0.5j * shape.fwhm,
+        )
+        return weights.imag / np.pi
+
+    # -- kernel levels -------------------------------------------------------
+
+    def _kernel_pass(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """(V_n rows, {stride: T_nm}) from one correlator call per mode n.
+
+        On the aligned lattice K_nm(w_j) = sum_k fii_lat[n, j + k] B[m, k] with
+        B the Green-weighted band-I tables, inner index reversed.  Mode n's
+        call gives K_nm for every m at every stride-1 outer point; its row n
+        is V_n.  |K_nm|^2 is formed for one n at a time, never for all pairs.
+        Column r of `lam` holds rung r's Lorentzian weights at its stride-1
+        positions, so one product per n weights every rung.
+        """
+        correlate = lattice_correlate((self.cvec[None, :] * self.fi)[:, ::-1], self.n_out_max)
+        lam = np.zeros((self.n_out_max, len(self.ladder)))
+        for r, stride in enumerate(self.ladder):
+            self._rung(lam[:, r], stride)[:] = self.lorentz_weights[stride]
+        n_modes = self.dec.n_modes
+        v_rows = np.empty((n_modes, self.n_out_max), dtype=complex)
+        t_all = np.empty((len(self.ladder), n_modes, n_modes))
+        for n in range(n_modes):
+            k_rows = correlate(self.fii_lat[n])
+            v_rows[n] = k_rows[n]
+            t_all[:, n, :] = ((k_rows.real**2 + k_rows.imag**2) @ lam).T
+        return v_rows, dict(zip(self.ladder, t_all))
+
+    def coherent_level(self, stride: int) -> np.ndarray:
+        """V_n(w_j) on the outer lattice of `stride` (a view)."""
+        return self._rung(self.coherent_rows, stride)
+
+    def _coherent_form(self, stride: int) -> np.ndarray:
+        """Q = Re(V diag(lam) V^H) on one rung, so that w @ Q @ w = lam . |w @ V|^2 for real w."""
+        v = self.coherent_level(stride)
+        lam = self.lorentz_weights[stride]
+        return (v.real * lam) @ v.real.T + (v.imag * lam) @ v.imag.T
+
+    # -- probabilities -------------------------------------------------------
+
+    def _converge_levels(self, evaluate) -> tuple[float, float]:
+        """(value, rel) down the ladder until two rungs agree to sample_rel_tol.
+
+        rel is the change between the last two rungs evaluated.  A one-rung
+        ladder has nothing to compare, so its rel is NaN ("not estimated"),
+        never 0.0.
+        """
+        if len(self.ladder) == 1:
+            return evaluate(self.ladder[0]), np.nan
+        previous = None
+        value = 0.0
+        rel = np.inf
+        for stride in self.ladder:
+            value = evaluate(stride)
+            if previous is not None:
+                rel = abs(value - previous) / max(abs(value), 1e-300)
+                if rel <= self.sample_rel_tol:
+                    break
+            previous = value
+        return value, rel
+
+    def coherent_probability(self, beta: float) -> tuple[float, float]:
+        """(value, sampling_rel_err) of the coherent pulsed probability at |beta|."""
+        r = squeezing_from_roots(self.sqrt_p, beta)
+        weights = np.sinh(r) * np.cosh(r)
+
+        def evaluate(stride: int) -> float:
+            return float(weights @ self.coherent_forms[stride] @ weights)
+
+        value, rel = self._converge_levels(evaluate)
+        return self.eta.eta * value / self.area**2, rel
+
+    def incoherent_probability(self, beta: float) -> tuple[float, float]:
+        """(value, sampling_rel_err) of the incoherent pulsed probability at |beta|."""
+        s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
+        s2 = s * s
+        weights = np.multiply.outer(s2, s2)
+
+        def evaluate(stride: int) -> float:
+            return float((weights * self.incoherent_levels[stride]).sum())
+
+        value, rel = self._converge_levels(evaluate)
+        return self.eta.eta * value / self.area**2, rel
+
+    # -- intermediate-state population (validity diagnostic) -----------------
+
+    def _mode_time_profiles(self) -> np.ndarray:
+        """|Int G_ba f_In(w) e^{-i w t} dbar-w|^2 on a +/-6-duration time grid."""
+        t_grid = _time_grid(1.0 / self.sigma_like)
+        # In place: the n_in x 121 complex temporaries set the build's peak memory.
+        phase = -1j * np.outer(self.x - self.dec.grid_i.center, t_grid)
+        np.exp(phase, out=phase)
+        m_prof = (self.cvec[None, :] * self.fi) @ phase
+        return np.abs(m_prof) ** 2
+
+    def max_population_weighted(self, weights: np.ndarray) -> float:
+        """max_t sum_n weights_n |M_n(t)|^2 (no coupling or area factors)."""
+        return float((weights @ self.time_profiles).max())
+
+    def population(self, weights: np.ndarray) -> float:
+        """max_t of (kappa/A) sum_n weights_n |Int G f_In e^{-iwt} dbar-w|^2.
+
+        The weights are the mode gains s_n^2.  Needs the engine's coupling, whose
+        single-photon coupling `kappa` and time profiles are taken once at
+        construction; raises ValueError on an engine built without one.
+        """
+        if self.coupling is None:
+            raise ValueError(
+                "the intermediate-state population needs a dipole coupling; "
+                "this engine was built with coupling=None"
+            )
+        return self.kappa * self.max_population_weighted(weights) / self.area
+
+    def outcome(self, beta: float) -> ExcitationOutcome:
+        """Coherent and incoherent probabilities at |beta|, with their diagnostics.
+
+        With a coupling, the peak intermediate population comes too.  A
+        sampling error is NaN where its ladder has a single stride.
+        """
+        pop = None
+        if self.coupling is not None:
+            s = np.sinh(squeezing_from_roots(self.sqrt_p, beta))
+            pop = self.population(s * s)
+        if beta == 0.0:
+            return ExcitationOutcome(0.0, 0.0, pop)
+        coherent, rel_c = self.coherent_probability(beta)
+        incoherent, rel_ic = self.incoherent_probability(beta)
+        return ExcitationOutcome(
+            coherent, incoherent, pop,
+            diagnostics={
+                "coherent_sampling_rel_err": rel_c,
+                "incoherent_sampling_rel_err": rel_ic,
+                "truncation_tail": self.dec.tail,
+            },
+        )
+
+
+class ExactHermiteLatticeEngine(LatticePulsedEngine):
+    """A `LatticePulsedEngine` with exact Hermite functions on its lattices.
+
+    The lattice engine interpolates the mode tables of
+    `schmidt_decompose_analytic` linearly; these exact values take that
+    table error out, so what is left is the error of its quadrature.
+    """
+
+    def __init__(self, src, *args, **kwargs):
+        self.src = src
+        super().__init__(*args, **kwargs)
+
+    def _build_lattice(self):
+        super()._build_lattice()
+        src, n_modes = self.src, self.dec.n_modes
+        sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
+        self.fi = hermite_function_table(n_modes, (self.x - src.center_i) / sigma_s)
+        self.fi /= np.sqrt(sigma_s)
+        sign = np.where(np.arange(n_modes) % 2 == 0, 1.0, -1.0)[:, None]
+        self.fii_lat = hermite_function_table(n_modes, (self.q_axis - src.center_ii) / sigma_s)
+        self.fii_lat *= sign / np.sqrt(sigma_s)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-series references for the pulsed squeezed tables
+# ---------------------------------------------------------------------------
+
+
+def pulsed_units(src: SqueezedPulsed, sys) -> dict:
+    """mu, sigma_s and the dimensionless g, gc, vc and delta of a pulsed panel.
+
+    Frequencies are in units of sigma_s = sqrt(sigma_p sigma_c): g and gc are
+    the half-widths of the Green line and the Lorentzian, vc the
+    Lorentzian's offset from c_I + c_II and delta the band-I centre's offset
+    from omega_ba.
+    """
+    mu = ((src.sigma_c - src.sigma_p) / (src.sigma_c + src.sigma_p)) ** 2
+    sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
+    return {
+        "mu": mu,
+        "sigma_s": sigma_s,
+        "g": 0.5 * sys.gamma_b / sigma_s,
+        "gc": 0.5 * sys.gamma_c / sigma_s,
+        "vc": (sys.omega_ca - src.center_i - src.center_ii) / sigma_s,
+        "delta": (src.center_i - sys.omega_ba) / sigma_s,
+    }
+
+
+def mehler_pair(rho: float) -> tuple[float, float]:
+    """(A, N) = ((1 - rho)/(1 + rho), (pi (1 - rho^2))^(-1/2))."""
+    return (1.0 - rho) / (1.0 + rho), 1.0 / np.sqrt(np.pi * (1.0 - rho * rho))
+
+
+def _faddeeva_shifted(z: complex, log_scale: complex) -> complex:
+    """e^log_scale w(z), with w(z) = 2 e^(-z^2) - w(-z) below the real axis."""
+    if z.imag >= 0.0:
+        return np.exp(log_scale) * wofz(z)
+    return 2.0 * np.exp(log_scale - z * z) - np.exp(log_scale) * wofz(-z)
+
+
+def lorentz_gauss(kappa: float, lam: float, vc: float, gc: float) -> complex:
+    """Int l(v) e^(-kappa v^2 + i lam v) dv as two Faddeeva values (l: unit area, at vc, half-width gc)."""
+    root = np.sqrt(kappa)
+    zc = vc + 1j * gc
+    z1 = root * zc - 1j * lam / (2.0 * root)
+    z2 = -root * np.conj(zc) + 1j * lam / (2.0 * root)
+    scale = -lam * lam / (4.0 * kappa)
+    return 0.5 * (_faddeeva_shifted(z1, scale) + _faddeeva_shifted(z2, scale))
+
+
+def _half_line(f, scale: float) -> float:
+    """Int_0^inf f by adaptive quad, split at a few multiples of `scale`."""
+    edges = [0.0] + [scale * m for m in (0.5, 2.0, 8.0, 32.0)] + [np.inf]
+    return sum(
+        quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+def incoherent_kernel(mu: float, k: int, l: int, u: dict) -> float:
+    """T_kl by adaptive quad over t of e^(-t^2/(8B)) H(t) Re[e^(i delta t) F(t)].
+
+    rho_k = mu^k, rho_l = mu^l; H(t) = Int_t^inf e^(-s^2/(8P) - g s) ds,
+    F = `lorentz_gauss` at kappa = A_k A_l/(A_k + A_l), lam = A_k t/(2B).
+    """
+    a_k, n_k = mehler_pair(mu**k)
+    a_l, n_l = mehler_pair(mu**l)
+    b, p = 0.5 * (a_k + a_l), 0.5 * (1.0 / a_k + 1.0 / a_l)
+    g = u["g"]
+
+    def f(t):
+        h = np.sqrt(2.0 * np.pi * p) * np.exp(-t * t / (8.0 * p) - g * t) * erfcx(
+            (t + 4.0 * p * g) / np.sqrt(8.0 * p)
+        )
+        lg = lorentz_gauss(a_k * a_l / (a_k + a_l), a_k * t / (2.0 * b), u["vc"], u["gc"])
+        return np.exp(-t * t / (8.0 * b)) * h * np.real(np.exp(1j * u["delta"] * t) * lg)
+
+    return np.pi * n_k * n_l / np.sqrt(b * p) * _half_line(f, min(np.sqrt(b), 1.0 / g))
+
+
+def coherent_kernel(mu: float, k: int, l: int, u: dict) -> float:
+    """Q_kl = Int l(v) N_k N_l e^(-v^2/(4A_k) - v^2/(4A_l)) Re[Phi_k conj(Phi_l)] dv by adaptive quad.
+
+    rho = mu^(k + 1/2); Phi(v) = i pi conj(w(conj zeta)), zeta = -sqrt(A) (v/2 +
+    delta + i g), is Int e^(-A (u - v/2)^2) (-1/(u + delta + i g)) du.
+    """
+    a_k, n_k = mehler_pair(mu ** (k + 0.5))
+    a_l, n_l = mehler_pair(mu ** (l + 0.5))
+    g, gc, vc, delta = u["g"], u["gc"], u["vc"], u["delta"]
+
+    def amp(a, v):
+        zeta = -np.sqrt(a) * (0.5 * v + delta + 1j * g)
+        return 1j * np.pi * np.conj(wofz(np.conj(zeta)))
+
+    def f(v):
+        lorentz = (gc / np.pi) / ((v - vc) ** 2 + gc * gc)
+        gauss = np.exp(-v * v * (0.25 / a_k + 0.25 / a_l))
+        return lorentz * n_k * n_l * gauss * np.real(amp(a_k, v) * np.conj(amp(a_l, v)))
+
+    reach = 2.0 * np.sqrt(45.0 * max(a_k, a_l))
+    points = sorted({vc, vc - 10.0 * gc, vc + 10.0 * gc, -2.0 * delta})
+    points = [x for x in points if -reach < x < reach]
+    return quad(f, -reach, reach, points=points or None, epsabs=0.0, epsrel=1e-13, limit=800)[0]
+
+
+def population_kernel(mu: float, k: int, tau: float, u: dict) -> float:
+    """N_k Int_0^inf e^(-x^2/(4A)) cos(delta x) Int_x^inf e^(-g s - A (s - 2 tau)^2/4) ds dx.
+
+    rho_k = mu^k.  The inner integral is one erfcx; the outer is adaptive
+    quad.  The population of a row is (kappa/(sigma_s A_eff)) max over tau
+    of sum_k c_k times this.
+    """
+    a, n = mehler_pair(mu**k)
+    g, root = u["g"], np.sqrt(a)
+
+    def inner(x):
+        z = root * (x - 2.0 * tau) / 2.0 + g / root
+        if z >= 0.0:
+            return np.sqrt(np.pi / a) * np.exp(-g * x - a * (x - 2.0 * tau) ** 2 / 4.0) * erfcx(z)
+        return np.sqrt(np.pi / a) * (
+            2.0 * np.exp(g * g / a - 2.0 * g * tau)
+            - np.exp(-g * x - a * (x - 2.0 * tau) ** 2 / 4.0) * erfcx(-z)
+        )
+
+    def f(x):
+        return np.exp(-x * x / (4.0 * a)) * np.cos(u["delta"] * x) * inner(x)
+
+    return n * _half_line(f, min(2.0 * root, 1.0 / g))
+
+
+def series_terms(r0: float, orders: np.ndarray) -> np.ndarray:
+    """(2 r0)^m / (2 m!) for each order m, in log space."""
+    return np.exp(orders * np.log(2.0 * r0) - np.log(2.0) - gammaln(orders + 1.0))
+
+
+def photon_number_series(mu: float, beta: float, n_terms: int = 200) -> float:
+    """N(beta) = sum_k c_k / (1 - mu^k), c_k = (2 r0)^(2k) / (2 (2k)!), r0 = beta sqrt(1 - mu).
+
+    sum_n sinh^2(r0 mu^(n/2)) with sinh^2 as its Gaussian series and the
+    geometric sum over n done first: every mode, no truncation.
+    """
+    k = np.arange(1, n_terms + 1)
+    c = series_terms(beta * np.sqrt(1.0 - mu), 2.0 * k)
+    return float(np.sum(c / (1.0 - mu**k)))

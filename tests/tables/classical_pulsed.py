@@ -15,8 +15,8 @@ tables of the DECISIONS.md entry "Classical pulse pairs in closed form":
 2. Per pulse width (equal widths, on resonance): how far the closed-form
    probability and peak population moved from the engine path they
    replaced (a one-mode Schmidt decomposition of 4097-point Gaussian
-   tables through `PulsedExcitationEngine`, rebuilt here from the
-   library's pieces), and the closed-form population against adaptive
+   tables through the lattice engine, `tests/oracles.py::LatticePulsedEngine`,
+   rebuilt here from the library's pieces), and the closed-form population against adaptive
    quadrature of M(t) on the same time grid
    (`tests/oracles.py::classical_pulsed_population`).
 3. On the classical reference of every panel of the shipped pulsed config
@@ -37,13 +37,14 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import run as bench  # noqa: E402  (sweepbench/run.py: the workload configs)
 from oracles import (  # noqa: E402
+    LatticePulsedEngine,
     classical_pulse_pair_probability,
     classical_pulsed_population,
 )
 
 import sqfluor.excitation as excitation  # noqa: E402
 from sqfluor.config import load_config  # noqa: E402
-from sqfluor.excitation import PulsedExcitationEngine, p_classical_pulsed  # noqa: E402
+from sqfluor.excitation import p_classical_pulsed  # noqa: E402
 from sqfluor.sources import ClassicalPulsed, SchmidtDecomposition  # noqa: E402
 from sqfluor.spectral import GaussianAmplitude, SpectralGrid, gaussian_amp  # noqa: E402
 from sqfluor.system import CrossSectionPrefactor, eta_prefactor  # noqa: E402
@@ -73,7 +74,7 @@ def replaced(src, system, eta, coupling=None) -> tuple[float, float | None]:
     grid_i, f_i = table(src.amp_i)
     grid_ii, f_ii = table(src.amp_ii)
     dec = SchmidtDecomposition(np.ones(1), f_i, f_ii, grid_i, grid_ii, tail=0.0)
-    engine = PulsedExcitationEngine(dec, system, CrossSectionPrefactor(1.0), AREA, coupling)
+    engine = LatticePulsedEngine(dec, system, CrossSectionPrefactor(1.0), AREA, coupling)
     pop = None if coupling is None else engine.population(np.array([src.n_photons_i]))
     value, _ = engine._converge_levels(lambda stride: float(engine.incoherent_levels[stride].sum()))
     prob = eta.eta * (src.n_photons_i / AREA) * (src.n_photons_ii / AREA) * value

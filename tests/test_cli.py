@@ -534,9 +534,9 @@ class TestPulsedSweep:
         )
 
     def test_a_row_out_of_iterations_fails_alone(self, tmp_path, monkeypatch, caplog):
-        # With Brent's method held to five iterations, the N = 3 row of the
+        # With Brent's method held to five iterations, the N = 1 row of the
         # many-mode panel needs a sixth; the panel's other inversions do not.
-        cfg = load_config(tiny_pulsed_config(tmp_path, photons_min=0.3, photons_max=30.0))
+        cfg = load_config(tiny_pulsed_config(tmp_path))
         undisturbed = run_pulsed_sweep(cfg)
         brentq = cli.brentq
         monkeypatch.setattr(
@@ -545,7 +545,7 @@ class TestPulsedSweep:
         with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
             rows = run_pulsed_sweep(cfg)
         failed = [i for i, row in enumerate(rows) if row["validity"] == "failed"]
-        assert len(failed) == 1 and rows[failed[0]]["photons_per_pulse"] == pytest.approx(3.0)
+        assert len(failed) == 1 and rows[failed[0]]["photons_per_pulse"] == pytest.approx(1.0)
         assert [r for i, r in enumerate(rows) if i not in failed] == [
             r for i, r in enumerate(undisturbed) if i not in failed
         ]
@@ -554,8 +554,9 @@ class TestPulsedSweep:
 
 
     def test_rows_match_the_row_arithmetic_of_before(self, tmp_path, monkeypatch):
-        # Every cell of every row, bit for bit, against the per-row reads as
-        # they were: mode_squeezing per read, np.outer, fluorescence().
+        # Every cell of every row, bit for bit, against the engine's outcome
+        # counted by fluorescence(), as the rows were counted before their
+        # arithmetic was inlined.
         cfg = load_config(tiny_pulsed_config(
             tmp_path, sigma_p_over_gamma_b=[0.1, 1.0, 10.0], sigma_c_over_sigma_p=[1.0, 10.0],
             photons_min=0.01, photons_max=1e4, points_per_decade=2,
@@ -569,9 +570,18 @@ class TestPulsedSweep:
 
         monkeypatch.setattr(cli, "PulsedExcitationEngine", Recording)
         rows = run_pulsed_sweep(cfg)
-        shapes = {(engine.dec.n_modes, tuple(engine.ladder)) for engine in engines}
-        assert {(1, (1,)), (12, (1,)), (12, (5, 2, 1))} <= shapes
-        assert any(cfg.system.gamma_b < engine.osc / 4.0 for engine in engines)
+        # Every panel's tables reach r0 = asinh(sqrt(1e4)): 26 series terms.
+        # A one-mode panel (mu = 0) has one distinct entry; the others
+        # keep every term.
+        r0_max = math.asinh(100.0)
+        assert {engine.r0_max for engine in engines} == {r0_max}
+        assert {engine.diagnostics["series_terms"] for engine in engines} == {26}
+        distinct = {
+            (engine.src.sigma_c / engine.src.sigma_p,
+             len(np.unique(engine.incoherent_table)) == 1)
+            for engine in engines
+        }
+        assert distinct == {(1.0, True), (10.0, False)}
 
         system, n_atoms = cfg.system, cfg.geometry["n_atoms"]
         eta = cli.eta_prefactor(system, cfg.coupling)
@@ -657,47 +667,40 @@ class TestPulsedSweep:
         # rows together.
         assert failures == [3, 3, 3, 2, 1]
 
-    def test_a_mode_count_inversion_out_of_iterations_keeps_more_modes(
+    def test_an_inversion_out_of_iterations_leaves_the_tables_unchanged(
         self, tmp_path, monkeypatch
     ):
-        # Only the first Brent solve, the mode-count inversion at N = 1e4 on
-        # the many-mode panel, runs out.  The panel then keeps the modes of
-        # the bracket's lower end, 6 where the solved beta keeps 4, and no
-        # row fails: its rows are those of a sweep that takes the mode count
-        # at that lower end.
+        # The tables reach r0 = asinh(sqrt(N_max)) whatever any inversion
+        # gives.  Only the first Brent solve, the many-mode panel's lock-step
+        # grid solve, runs out: its rows are then solved one by one, no row
+        # fails, and every table and row is that of an undisturbed sweep.
         cfg = load_config(tiny_pulsed_config(tmp_path, photons_max=1e4))
-        counts = []
+        tables = []
 
         class Recording(cli.PulsedExcitationEngine):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                counts.append(self.dec.n_modes)
+                tables.append((
+                    self.diagnostics["series_terms"], self.incoherent_table.tobytes(),
+                    self.coherent_table.tobytes(), self.population_table.tobytes(),
+                ))
 
         monkeypatch.setattr(cli, "PulsedExcitationEngine", Recording)
         undisturbed = run_pulsed_sweep(cfg)
-        invert = cli._beta_for_photons
-
-        def lower_end_for_the_mode_count(p, n):
-            if np.ndim(n) == 0 and n == 1e4 and len(p) > counts[1]:
-                return cli._beta_bounds(p, math.asinh(math.sqrt(n)))[0]
-            return invert(p, n)
-
-        monkeypatch.setattr(cli, "_beta_for_photons", lower_end_for_the_mode_count)
-        expected = run_pulsed_sweep(cfg)
-        monkeypatch.setattr(cli, "_beta_for_photons", invert)
         brentq = cli.brentq
         calls = []
 
         def held(f, a, b, **k):
-            calls.append(a)
+            calls.append(np.size(a))
             return brentq(f, a, b, **({**k, "maxiter": 1} if len(calls) == 1 else k))
 
         monkeypatch.setattr(cli, "brentq", held)
         rows = run_pulsed_sweep(cfg)
-        assert counts == [1, 4, 1, 6, 1, 6]
+        assert calls[0] == 6 and len(calls) == 7  # the grid solve, then one row at a time
+        assert [t[0] for t in tables] == [26, 26, 26, 26]
+        assert tables[2:] == tables[:2]
         assert "failed" not in [row["validity"] for row in rows]
-        assert rows[:6] == undisturbed[:6]
-        assert rows == expected
+        assert rows == undisturbed
 
 
 class TestEmit:

@@ -8,23 +8,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 import scipy.fft
 from scipy.integrate import quad
+import oracles
 from oracles import (
+    SUPPORT_EPSILON,
+    ExactHermiteLatticeEngine,
+    LatticePulsedEngine,
     RegimeViolationError,
     classical_pulse_pair_probability,
     classical_pulsed_population,
     cw_population_integral,
     full_cw_j_lattice,
     full_lattice_j,
+    lattice_correlate,
     linear_interpolant_line_integral,
     mode_time_profiles,
+    modes_at,
     rate_squeezed_cw_broadband,
     scipy_lattice_correlate,
+    truncated,
 )
 
 import sqfluor.excitation as excitation
 from sqfluor.excitation import (
     CW_J_CUT,
-    SUPPORT_EPSILON,
     PulsedExcitationEngine,
     VALIDITY_THRESHOLD,
     ExcitationOutcome,
@@ -36,7 +42,6 @@ from sqfluor.excitation import (
     cw_j_pass,
     energy_ledger,
     fluorescence,
-    lattice_correlate,
     matched_classical_cw,
     matched_classical_pulsed,
     max_intermediate_population,
@@ -178,7 +183,7 @@ class TestClassicalPulsed:
         system, _ = cs_system
         gb = system.gamma_b
         separable = SqueezedPulsed(gb, gb, system.omega_ba, system.omega_cb)
-        engine = PulsedExcitationEngine(
+        engine = LatticePulsedEngine(
             schmidt_decompose_analytic(separable), system, cs_eta, mot_area
         )
         assert engine.ladder == [1]
@@ -187,8 +192,8 @@ class TestClassicalPulsed:
         assert np.isnan(out.diagnostics["incoherent_sampling_rel_err"])
 
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        dec = truncated(schmidt_decompose(src, trunc_tol=1e-6), 6)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert len(engine.ladder) > 1
         rel = engine.outcome(0.7).diagnostics["incoherent_sampling_rel_err"]
         assert np.isfinite(rel)
@@ -276,11 +281,11 @@ class TestSqueezedCW:
         gb = system.gamma_b
         src = SqueezedCW(0.5, gb, system.omega_ba, system.omega_cb)
         gb_src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose_analytic(gb_src, trunc_tol=1e-6).truncated(6)
+        dec = truncated(schmidt_decompose_analytic(gb_src, trunc_tol=1e-6), 6)
         outcomes = [
             rate_squeezed_cw(src, system, cs_eta, mot_area, coupling),
             rate_classical_cw(matched_classical_cw(src, mot_area, 1e9), system, cs_eta),
-            p_squeezed_pulsed(dec, 0.8, system, cs_eta, mot_area, coupling),
+            p_squeezed_pulsed(gb_src, 0.8, system, cs_eta, mot_area, coupling),
             p_classical_pulsed(
                 matched_classical_pulsed(dec, 0.8, gb_src), system, cs_eta, mot_area
             ),
@@ -571,7 +576,7 @@ def brute_force_pulsed(dec, beta, system, eta, area, refine=1):
     w_w *= (w_grid[1] - w_grid[0]) / 3.0
 
     g_vals = green(x, system.green_ba())
-    f_i = dec.modes_at("I", x)
+    f_i = modes_at(dec, "I", x)
     b_mat = (w_x * g_vals)[None, :] * f_i / np.sqrt(2.0 * np.pi)
     shape = system.lineshape_ca()
     l_vals = lorentzian(w_grid, shape)
@@ -659,7 +664,7 @@ def test_lattice_correlate_matches_direct_sum(
 
 def test_fast_len_matches_scipy():
     lengths = range(1, 2**17 + 1)
-    assert [excitation._fast_len(n) for n in lengths] == [
+    assert [oracles._fast_len(n) for n in lengths] == [
         scipy.fft.next_fast_len(n, real=True) for n in lengths
     ]
 
@@ -715,20 +720,21 @@ class TestSqueezedPulsed:
     def test_vacuum(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
         src = SqueezedPulsed(system.gamma_b, system.gamma_b, system.omega_ba, system.omega_cb)
-        out = p_squeezed_pulsed(schmidt_decompose(src), 0.0, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(src, 0.0, system, cs_eta, mot_area)
         assert out.total == 0.0
 
     def test_zero_beta_is_exactly_zero(self, cs_system, cs_eta, mot_area):
-        # Both the outcome's shortcut and the ladder reads give exact zeros.
+        # At beta = 0 every series term is an exact zero, so every read is.
         system, coupling = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area, coupling)
+        engine = PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=1.0)
         out = engine.outcome(0.0)
         assert (out.coherent, out.incoherent, out.max_population) == (0.0, 0.0, 0.0)
-        assert engine.coherent_probability(0.0)[0] == 0.0
-        assert engine.incoherent_probability(0.0)[0] == 0.0
+        c, a = engine.series(0.0)
+        assert not c.any() and not a.any()
+        assert engine.coherent_probability(a) == 0.0
+        assert engine.incoherent_probability(c) == 0.0
 
     def test_separable_identities(self, cs_system, cs_eta, mot_area):
         system, _ = cs_system
@@ -736,11 +742,12 @@ class TestSqueezedPulsed:
         beta = float(np.arcsinh(np.sqrt(n_ph)))
         src = SqueezedPulsed(system.gamma_b, system.gamma_b, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src)
-        out = p_squeezed_pulsed(dec, beta, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(src, beta, system, cs_eta, mot_area)
         classical = p_classical_pulsed(
             matched_classical_pulsed(dec, beta, src), system, cs_eta, mot_area
         )
-        assert out.coherent / out.incoherent == pytest.approx(1.0 + 1.0 / n_ph, rel=1e-2)
+        # One mode (mu = 0): both tables are the classical kernel, exactly.
+        assert out.coherent / out.incoherent == pytest.approx(1.0 + 1.0 / n_ph, rel=1e-12)
         assert out.total / classical.total == pytest.approx(2.0 + 1.0 / n_ph, rel=1e-2)
 
     def test_pair_regime_gain_order(self, cs_system, cs_eta, mot_area):
@@ -749,10 +756,9 @@ class TestSqueezedPulsed:
         system, _ = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 4 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src)
         ratios = []
         for beta in (1e-3, 2e-3):
-            out = p_squeezed_pulsed(dec, beta, system, cs_eta, mot_area)
+            out = p_squeezed_pulsed(src, beta, system, cs_eta, mot_area)
             ratios.append(out.incoherent / out.coherent)
         assert ratios[1] / ratios[0] == pytest.approx(4.0, rel=5e-2)
         assert ratios[0] < 1e-4
@@ -762,7 +768,7 @@ class TestSqueezedPulsed:
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 5 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-8)
-        out = p_squeezed_pulsed(dec, 1.0, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(src, 1.0, system, cs_eta, mot_area)
         coh_brute, incoh_brute = brute_force_pulsed(dec, 1.0, system, cs_eta, mot_area)
         assert out.coherent == pytest.approx(coh_brute, rel=1e-2, abs=0.0)
         assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2, abs=0.0)
@@ -776,8 +782,8 @@ class TestSqueezedPulsed:
         system, _ = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(0.1 * gb, 0.3 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-8).truncated(3)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        dec = truncated(schmidt_decompose(src, trunc_tol=1e-8), 3)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert not narrow_green_line(engine)
         assert engine.x[-1] - dec.grid_i.center < dec.grid_i.half_span
         assert engine.out_half < dec.grid_i.half_span + dec.grid_ii.half_span
@@ -803,11 +809,11 @@ class TestSqueezedPulsed:
             src = SqueezedPulsed(
                 10 * gb, 50 * gb, center_i, (system.omega_ca + 2.0 * gc) - center_i
             )
-            dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
+            dec = truncated(schmidt_decompose_analytic(src, trunc_tol=1e-6), 12)
         else:
             src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-            dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+            dec = truncated(schmidt_decompose(src, trunc_tol=1e-6), 6)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert narrow_green_line(engine) == detuned
         assert any(np.any(engine.lorentz_weights[s] < 0.0) for s in engine.ladder) == detuned
         for beta in (1e-4, 1e-3, 0.3, 1.5):
@@ -827,7 +833,7 @@ class TestSqueezedPulsed:
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
         dec = schmidt_decompose(src, trunc_tol=1e-6)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         stride = engine.ladder[0]
         v_rows = engine.coherent_level(stride)
         for n in (0, 1, 3):
@@ -839,8 +845,8 @@ class TestSqueezedPulsed:
         system, _ = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        dec = truncated(schmidt_decompose(src, trunc_tol=1e-6), 6)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert not narrow_green_line(engine)
         assert len(engine.ladder) > 1
         assert_levels_match_oracle(engine)
@@ -852,8 +858,8 @@ class TestSqueezedPulsed:
         center_i = system.omega_ba + 5.0 * gb
         center_ii = (system.omega_ca + 2.0 * gc) - center_i
         src = SqueezedPulsed(10 * gb, 50 * gb, center_i, center_ii)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(12)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        dec = truncated(schmidt_decompose_analytic(src, trunc_tol=1e-6), 12)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert narrow_green_line(engine)
         assert len(engine.ladder) > 1
         assert_levels_match_oracle(engine)
@@ -872,7 +878,7 @@ class TestSqueezedPulsed:
             )
         else:
             src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-6).truncated(6)
+        dec = truncated(schmidt_decompose_analytic(src, trunc_tol=1e-6), 6)
         tables = []
 
         def counting_correlate(weight, n_out):
@@ -884,8 +890,8 @@ class TestSqueezedPulsed:
 
             return counted
 
-        monkeypatch.setattr(excitation, "lattice_correlate", counting_correlate)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area)
+        monkeypatch.setattr(oracles, "lattice_correlate", counting_correlate)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert narrow_green_line(engine) == detuned
         assert tables == [engine.fii_lat[0].shape] * dec.n_modes
 
@@ -896,7 +902,7 @@ class TestSqueezedPulsed:
         center_ii = (system.omega_ca + 2.0 * gc) - center_i
         src = SqueezedPulsed(gb, 4 * gb, center_i, center_ii)
         dec = schmidt_decompose(src, trunc_tol=1e-8)
-        out = p_squeezed_pulsed(dec, 0.9, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(src, 0.9, system, cs_eta, mot_area)
         coh_brute, incoh_brute = brute_force_pulsed(dec, 0.9, system, cs_eta, mot_area)
         assert out.coherent == pytest.approx(coh_brute, rel=1e-2, abs=0.0)
         assert out.incoherent == pytest.approx(incoh_brute, rel=1e-2, abs=0.0)
@@ -914,36 +920,13 @@ class TestSqueezedPulsed:
         beta = brentq(
             lambda b: np.sum(np.sinh(b * np.sqrt(dec.p)) ** 2) - 0.01, 0.0, 5.0, rtol=1e-13
         )
-        out = p_squeezed_pulsed(dec, beta, system, cs_eta, mot_area)
+        out = p_squeezed_pulsed(src, beta, system, cs_eta, mot_area)
         classical = p_classical_pulsed(
             matched_classical_pulsed(dec, beta, src), system, cs_eta, mot_area
         )
         factor = out.coherent / classical.total
         assert factor >= 10.0
         assert factor == pytest.approx(FIG6_TOP_MIDDLE_FACTOR, rel=2e-2)
-
-
-class ExactModeEngine(PulsedExcitationEngine):
-    """An engine that puts exact Hermite functions on its lattices.
-
-    The library interpolates the mode tables of `schmidt_decompose_analytic`
-    linearly; these exact values take that table error out, so what is left
-    of a change in the step is the error of the quadrature weights.
-    """
-
-    def __init__(self, src, *args, **kwargs):
-        self.src = src
-        super().__init__(*args, **kwargs)
-
-    def _build_lattice(self):
-        super()._build_lattice()
-        src, n_modes = self.src, self.dec.n_modes
-        sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
-        self.fi = hermite_function_table(n_modes, (self.x - src.center_i) / sigma_s)
-        self.fi /= np.sqrt(sigma_s)
-        sign = np.where(np.arange(n_modes) % 2 == 0, 1.0, -1.0)[:, None]
-        self.fii_lat = hermite_function_table(n_modes, (self.q_axis - src.center_ii) / sigma_s)
-        self.fii_lat *= sign / np.sqrt(sigma_s)
 
 
 class TestStepScan:
@@ -972,8 +955,8 @@ class TestStepScan:
         dec = schmidt_decompose_analytic(src, trunc_tol=1e-6)
         values = []
         for points in np.linspace(12.0, 12.5, 11):
-            monkeypatch.setattr(excitation, "POINTS_PER_FEATURE", points)
-            engine = ExactModeEngine(src, dec, system, cs_eta, mot_area)
+            monkeypatch.setattr(oracles, "POINTS_PER_FEATURE", points)
+            engine = ExactHermiteLatticeEngine(src, dec, system, cs_eta, mot_area)
             out = engine.outcome(1.0)
             values.append((out.coherent, out.incoherent))
         coherent, incoherent = np.array(values).T
@@ -999,7 +982,7 @@ class TestModeSignsAreFree:
             )
         else:
             src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        dec = truncated(schmidt_decompose(src, trunc_tol=1e-6), 6)
         sign = np.ones((dec.n_modes, 1))
         sign[[1, 4]] = -1.0
         flipped = replace(dec, f_i=sign * dec.f_i, f_ii=sign * dec.f_ii)
@@ -1007,7 +990,7 @@ class TestModeSignsAreFree:
 
         results = []
         for d in (dec, flipped):
-            engine = PulsedExcitationEngine(d, system, cs_eta, mot_area, coupling)
+            engine = LatticePulsedEngine(d, system, cs_eta, mot_area, coupling)
             assert narrow_green_line(engine) == detuned
             out = engine.outcome(0.8)
             results.append((
@@ -1032,22 +1015,23 @@ def _snapshot(value):
 
 class TestEngineBuildsWhatItReads:
     @pytest.fixture
-    def few_mode_dec(self, cs_system):
+    def few_mode_src(self, cs_system):
         system, _ = cs_system
         gb = system.gamma_b
-        src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        return schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
+        return SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
 
-    def test_builds_no_time_profiles_and_names_the_coupling(
-        self, cs_system, cs_eta, mot_area, few_mode_dec
+    def test_builds_no_population_table_and_names_the_coupling(
+        self, cs_system, cs_eta, mot_area, few_mode_src
     ):
         system, coupling = cs_system
-        engine = PulsedExcitationEngine(few_mode_dec, system, cs_eta, mot_area)
-        assert engine.time_profiles is None
+        engine = PulsedExcitationEngine(few_mode_src, system, cs_eta, mot_area, r0_max=1.3)
+        assert engine.population_table is None
         with pytest.raises(ValueError, match="coupling"):
-            engine.population(np.ones(few_mode_dec.n_modes))
-        coupled = PulsedExcitationEngine(few_mode_dec, system, cs_eta, mot_area, coupling)
-        assert coupled.time_profiles.shape == (few_mode_dec.n_modes, 121)
+            engine.max_population_weighted(np.ones(len(engine.c_orders)))
+        coupled = PulsedExcitationEngine(
+            few_mode_src, system, cs_eta, mot_area, coupling, r0_max=1.3
+        )
+        assert coupled.population_table.shape == (len(coupled.c_orders), 121)
         for beta in (0.0, 0.4, 1.3):
             out, ref = engine.outcome(beta), coupled.outcome(beta)
             assert out.max_population is None and ref.max_population >= 0.0
@@ -1057,23 +1041,32 @@ class TestEngineBuildsWhatItReads:
     def test_time_profiles_match_out_of_place_temporaries(
         self, cs_system, cs_eta, mot_area, sigma_p_over_gamma_b
     ):
-        # The phase matrix is exponentiated in place; the bits must not move,
-        # with a Green line that bounds the step and with one narrower than
-        # a quarter mode oscillation.
+        # The lattice oracle's phase matrix is exponentiated in place; the
+        # bits must not move, with a Green line that bounds the step and
+        # with one narrower than a quarter mode oscillation.
         system, coupling = cs_system
         sigma_p = sigma_p_over_gamma_b * system.gamma_b
         src = SqueezedPulsed(sigma_p, 6 * sigma_p, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
-        engine = PulsedExcitationEngine(dec, system, cs_eta, mot_area, coupling)
+        dec = truncated(schmidt_decompose(src, trunc_tol=1e-6), 6)
+        engine = LatticePulsedEngine(dec, system, cs_eta, mot_area, coupling)
         assert narrow_green_line(engine) == (sigma_p_over_gamma_b == 10.0)
         assert engine.time_profiles.tobytes() == mode_time_profiles(engine).tobytes()
 
-    def test_reads_reject_a_negative_beta(self, cs_system, cs_eta, mot_area, few_mode_dec):
+    def test_reads_reject_a_negative_beta_and_one_past_the_tables(
+        self, cs_system, cs_eta, mot_area, few_mode_src
+    ):
         system, coupling = cs_system
-        engine = PulsedExcitationEngine(few_mode_dec, system, cs_eta, mot_area, coupling)
-        for read in (engine.outcome, engine.coherent_probability, engine.incoherent_probability):
+        engine = PulsedExcitationEngine(
+            few_mode_src, system, cs_eta, mot_area, coupling, r0_max=1.3
+        )
+        reads = (engine.outcome, engine.series)
+        for read in reads:
             with pytest.raises(ValueError, match="nonnegative"):
                 read(-0.5)
+        past = 1.3 / engine.sqrt_p0 * (1.0 + 1e-9)
+        for read in reads:
+            with pytest.raises(ValueError, match="r0_max"):
+                read(past)
 
 
 class TestEngineIsReadOnly:
@@ -1082,23 +1075,24 @@ class TestEngineIsReadOnly:
         system, coupling = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src, trunc_tol=1e-6).truncated(6)
-        return PulsedExcitationEngine(dec, system, cs_eta, mot_area, coupling)
+        return PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=2.0)
 
     def test_public_methods_leave_the_engine_unchanged(self, few_mode):
         engine = few_mode
         before = _snapshot(vars(engine))
         for beta in (0.3, 1.1):
+            c, a = engine.series(beta)
             engine.outcome(beta)
-            engine.coherent_probability(beta)
-            engine.incoherent_probability(beta)
-            engine.population(np.sinh(mode_squeezing(engine.dec.p, beta)) ** 2)
+            engine.coherent_probability(a)
+            engine.incoherent_probability(c)
+            engine.max_population_weighted(c)
         assert _snapshot(vars(engine)) == before
 
     def test_a_read_after_other_betas_equals_a_fresh_engines_first(self, few_mode):
         engine = few_mode
         fresh = PulsedExcitationEngine(
-            engine.dec, engine.sys, engine.eta, engine.area, engine.coupling
+            engine.src, engine.sys, engine.eta, engine.area, engine.coupling,
+            r0_max=engine.r0_max,
         )
 
         def bits(out):
