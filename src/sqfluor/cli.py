@@ -17,10 +17,10 @@ concurrently up to --jobs but always assembled in deterministic order.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
+import re
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -93,6 +93,31 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+# The cells csv.writer's default dialect quotes, doubling each quote inside.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(value) -> str:
+    """`_fmt(value)` as one CSV cell, quoted as csv.writer quotes it."""
+    text = _fmt(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_cells(values: list) -> list[str]:
+    """The CSV cells of one column, formatted in one pass.
+
+    A column of floats (np.float64 among them, a float subclass) takes
+    `float.__repr__`, the bits `_fmt` writes for each; any other column
+    takes `_csv_cell` cell by cell.
+    """
+    try:
+        return list(map(float.__repr__, values))
+    except TypeError:  # a bool, str or integer cell
+        return [_csv_cell(v) for v in values]
 
 
 def _failed_row(columns, fixed: dict) -> dict:
@@ -389,6 +414,8 @@ def emit(rows: list[dict], columns: list[str], cfg: RunConfig, path,
          reproducible: bool = False) -> None:
     """CSV with a comment header recording config hash and settings.
 
+    The header row and the rows are written as csv.writer's default dialect
+    writes them (minimal quoting, `\r\n` line ends), column by column.
     With `output.json_mirror` set in the config, the rows also go to
     `<path>.json`.
     """
@@ -404,9 +431,9 @@ def emit(rows: list[dict], columns: list[str], cfg: RunConfig, path,
     with open(path, "w", newline="") as handle:
         for line in lines:
             handle.write(line + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        # Each column starts with its header cell, so the first record is the header.
+        cells = [[_csv_cell(c)] + _column_cells([row[c] for row in rows]) for c in columns]
+        handle.write("".join(",".join(record) + "\r\n" for record in zip(*cells)))
     if cfg.output["json_mirror"]:
         payload = {
             "config_hash": cfg.config_hash,
@@ -583,7 +610,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     for note in cfg.defaults_applied:
-        print(f"default: {note}", file=_sys.stderr)
+        logger.warning("default: %s", note)
     handlers = {
         "aeff": _cmd_aeff,
         "cw-sweep": _cmd_cw_sweep,

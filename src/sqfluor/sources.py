@@ -25,7 +25,9 @@ moduli of sums linear in one table.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -216,17 +218,43 @@ class SchmidtDecomposition:
     Mode tables are continuum-normalized: sum f^2 * step = 1.  p sums to one
     over the full (untruncated) spectrum; `tail` is the truncated remainder.
     The modes do not depend on the pump strength; `mode_squeezing(p, beta)`
-    gives the squeezing parameter of each mode at any |beta|.  Pulsed sweeps
-    read only `p` (the Gaussian-series tables need no mode table); the
-    `schmidt` subcommand writes the spectrum.
+    gives the squeezing parameter of each mode at any |beta|.
+
+    The SVD route passes its tables.  The analytic route passes None for
+    `f_i` and `f_ii` with a `mode_tables` callable, and the two tables are
+    built together on the first read of either, with the bits an eager
+    build gives.  Pulsed sweeps read only `p` (the Gaussian-series tables
+    need no mode table), so they never build them; the `schmidt` subcommand
+    writes the spectrum.
     """
 
     p: np.ndarray
-    f_i: np.ndarray
-    f_ii: np.ndarray
+    f_i: np.ndarray | None
+    f_ii: np.ndarray | None
     grid_i: SpectralGrid
     grid_ii: SpectralGrid
     tail: float
+    mode_tables: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.f_i is None and self.f_ii is None and self.mode_tables is not None:
+            # Left unset, so that the first read of either goes to __getattr__.
+            object.__delattr__(self, "f_i")
+            object.__delattr__(self, "f_ii")
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: here, a table not
+        # yet built.  Two threads reading at once may both build; the tables
+        # they keep have the same bits.
+        mode_tables = self.__dict__.get("mode_tables")
+        if name not in ("f_i", "f_ii") or mode_tables is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        f_i, f_ii = mode_tables()
+        object.__setattr__(self, "f_i", f_i)
+        object.__setattr__(self, "f_ii", f_ii)
+        return f_i if name == "f_i" else f_ii
 
     @property
     def n_modes(self) -> int:
@@ -326,6 +354,7 @@ def schmidt_decompose_analytic(
     mode n is its mirror image times (-1)^n.  Same data layout as the SVD
     route, so the two are interchangeable up to the sign of each mode pair;
     this one stays exact at mode counts no affordable SVD grid can hold.
+    Its mode tables are built on their first read.
     """
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must be in (0, 1)")
@@ -347,20 +376,28 @@ def schmidt_decompose_analytic(
         grid_i = grid_i or SpectralGrid(src.center_i, half, n_points)
         grid_ii = grid_ii or SpectralGrid(src.center_ii, half, n_points)
 
-    n = np.arange(n_keep)
-    p = (1.0 - mu) * mu**n if mu > 0.0 else np.ones(1)
-    f_i = hermite_function_table(n_keep, (grid_i.points - src.center_i) / sigma_s) / np.sqrt(sigma_s)
-    f_ii = hermite_function_table(n_keep, (grid_ii.points - src.center_ii) / sigma_s) / np.sqrt(sigma_s)
-    f_ii *= np.where(n % 2 == 0, 1.0, -1.0)[:, None]
-
+    p = (1.0 - mu) * mu ** np.arange(n_keep) if mu > 0.0 else np.ones(1)
     return SchmidtDecomposition(
         p=p,
-        f_i=f_i,
-        f_ii=f_ii,
+        f_i=None,
+        f_ii=None,
         grid_i=grid_i,
         grid_ii=grid_ii,
         tail=tail,
+        mode_tables=partial(_hermite_mode_tables, src, n_keep, grid_i, grid_ii),
     )
+
+
+def _hermite_mode_tables(
+    src: SqueezedPulsed, n_keep: int, grid_i: SpectralGrid, grid_ii: SpectralGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f_i, f_ii) of `schmidt_decompose_analytic`: the first n_keep Hermite modes on the grids."""
+    sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
+    n = np.arange(n_keep)
+    f_i = hermite_function_table(n_keep, (grid_i.points - src.center_i) / sigma_s) / np.sqrt(sigma_s)
+    f_ii = hermite_function_table(n_keep, (grid_ii.points - src.center_ii) / sigma_s) / np.sqrt(sigma_s)
+    f_ii *= np.where(n % 2 == 0, 1.0, -1.0)[:, None]
+    return f_i, f_ii
 
 
 def mode_squeezing(p: np.ndarray, beta: float) -> np.ndarray:

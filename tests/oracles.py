@@ -11,8 +11,10 @@ integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over
 Schmidt-mode helpers the lattice sweep used (`truncated`,
 `weighted_mode_count`, `modes_at`), a pulsed sweep row and a CSV cell as
 the library computes them with
-`fluorescence()` and as `cli._fmt` wrote them before, and Simpson doublings
-that evaluate every point of each grid.
+`fluorescence()` and as `cli._fmt` wrote them before, the CSV body as
+`csv.writer` wrote it before `cli.emit` formatted by column, the analytic
+Schmidt decomposition with its mode tables built up front, and Simpson
+doublings that evaluate every point of each grid.
 
 The pulsed squeezed references are here too.  `LatticePulsedEngine` is the
 Schmidt-mode lattice engine the library ran before its Gaussian-series
@@ -25,6 +27,8 @@ population with its two time integrals in the other order), and
 `photon_number_series` is N(beta) = sum_k c_k / (1 - mu^k).
 """
 
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +37,7 @@ from numpy.fft import irfft, rfft
 from scipy.integrate import quad
 from scipy.special import erfcx, gammaln, wofz
 
+from sqfluor.cli import _fmt
 from sqfluor.excitation import (
     SPAN_SIGMAS_CW,
     ExcitationOutcome,
@@ -44,16 +49,19 @@ from sqfluor.excitation import (
 )
 from sqfluor.geometry import AtomCloud
 from sqfluor.sources import (
+    JSA_GRID_SPAN_SIGMAS,
+    MAX_ANALYTIC_MODES,
     ClassicalPulsed,
     SchmidtDecomposition,
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
+    geometric_mode_ratio,
     hermite_function_table,
     mode_squeezing,
     squeezing_from_roots,
 )
-from sqfluor.spectral import pole_weights, quad_1d
+from sqfluor.spectral import SpectralGrid, pole_weights, quad_1d
 from sqfluor.system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem
 
 TWO_PI = 2.0 * np.pi
@@ -426,6 +434,47 @@ def old_fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def csv_writer_body(rows: list[dict], columns: list[str], fmt=_fmt) -> str:
+    """The header row and rows of a sweep CSV as `cli.emit` wrote them with `csv.writer`."""
+    body = io.StringIO(newline="")
+    writer = csv.writer(body)
+    writer.writerow(columns)
+    writer.writerows([fmt(row[c]) for c in columns] for row in rows)
+    return body.getvalue()
+
+
+def eager_schmidt_decompose_analytic(
+    src: SqueezedPulsed,
+    trunc_tol: float = 1e-10,
+    grid_i: SpectralGrid | None = None,
+    grid_ii: SpectralGrid | None = None,
+) -> SchmidtDecomposition:
+    """`sources.schmidt_decompose_analytic` as it ran before: both mode tables built up front."""
+    mu = geometric_mode_ratio(src)
+    sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
+    if mu == 0.0:
+        n_keep = 1
+    else:
+        n_keep = min(int(np.ceil(np.log(trunc_tol) / np.log(mu))), MAX_ANALYTIC_MODES)
+    tail = 0.0 if mu == 0.0 else float(mu**n_keep)
+
+    if grid_i is None or grid_ii is None:
+        osc = np.pi * sigma_s / np.sqrt(2.0 * n_keep + 1.0)
+        half = JSA_GRID_SPAN_SIGMAS * src.sigma_c
+        n_points = int(np.ceil(2.0 * half / (osc / 6.0))) + 1
+        n_points = max(n_points, 1001)
+        n_points = n_points if n_points % 2 == 1 else n_points + 1
+        grid_i = grid_i or SpectralGrid(src.center_i, half, n_points)
+        grid_ii = grid_ii or SpectralGrid(src.center_ii, half, n_points)
+
+    n = np.arange(n_keep)
+    p = (1.0 - mu) * mu**n if mu > 0.0 else np.ones(1)
+    f_i = hermite_function_table(n_keep, (grid_i.points - src.center_i) / sigma_s) / np.sqrt(sigma_s)
+    f_ii = hermite_function_table(n_keep, (grid_ii.points - src.center_ii) / sigma_s) / np.sqrt(sigma_s)
+    f_ii *= np.where(n % 2 == 0, 1.0, -1.0)[:, None]
+    return SchmidtDecomposition(p, f_i, f_ii, grid_i, grid_ii, tail)
 
 
 def reevaluating_doublings(f, grid):

@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import logging
 import math
@@ -13,10 +11,17 @@ import pytest
 import scipy.optimize
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import geometric_weights, old_fmt, pulsed_row
+from oracles import (
+    csv_writer_body,
+    eager_schmidt_decompose_analytic,
+    geometric_weights,
+    old_fmt,
+    pulsed_row,
+)
 
 import sqfluor.cli as cli
 import sqfluor.excitation as excitation
+import sqfluor.sources as sources
 from sqfluor.cli import CW_COLUMNS, PULSED_COLUMNS, emit, main, run_cw_sweep, run_pulsed_sweep
 from sqfluor.config import (
     ConfigError,
@@ -515,6 +520,34 @@ class TestPulsedSweep:
             assert a["p_sq_coherent"] == pytest.approx(b["p_sq_coherent"], rel=1e-12, abs=0.0)
             assert a["p_sq_incoherent"] == pytest.approx(b["p_sq_incoherent"], rel=1e-12, abs=0.0)
 
+    def test_sweep_builds_no_mode_table(self, tmp_path, monkeypatch):
+        # A 139-mode panel: its rows read the spectrum only, so no Hermite
+        # table is built, and the tables read afterwards are the eager ones.
+        calls, decs = [], []
+        hermite, decompose = sources.hermite_function_table, cli.schmidt_decompose_analytic
+
+        def counted(n_modes, x):
+            calls.append(n_modes)
+            return hermite(n_modes, x)
+
+        def recorded(src, **kwargs):
+            decs.append((src, kwargs, decompose(src, **kwargs)))
+            return decs[-1][-1]
+
+        monkeypatch.setattr(sources, "hermite_function_table", counted)
+        monkeypatch.setattr(cli, "schmidt_decompose_analytic", recorded)
+        cfg = load_config(
+            tiny_pulsed_config(tmp_path, sigma_p_over_gamma_b=[0.1], sigma_c_over_sigma_p=[30.0])
+        )
+        rows = run_pulsed_sweep(cfg)
+        assert calls == []
+        assert len(rows) == 3 and "failed" not in [r["validity"] for r in rows]
+        ((src, kwargs, dec),) = decs
+        assert dec.n_modes == 139
+        eager = eager_schmidt_decompose_analytic(src, **kwargs)
+        for lazy, built in ((dec.f_i, eager.f_i), (dec.f_ii, eager.f_ii)):
+            assert lazy.shape == built.shape and lazy.tobytes() == built.tobytes()
+
     def test_an_unreachable_photon_number_fails_its_row_only(self, tmp_path, monkeypatch, caplog):
         # Lower the beta limit just below the top row of the many-mode panel:
         # that row's N is out of reach, and no other row may change.
@@ -728,14 +761,67 @@ class TestEmit:
         rows = [dict(zip(columns, cells)), dict(zip(columns, reversed(cells)))]
         out = tmp_path / "cells.csv"
         emit(rows, columns, cfg, out, reproducible=True)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([old_fmt(row[c]) for c in columns])
         data = out.read_bytes()
         body = data[data.index(b"\n" + columns[0].encode()) + 1 :]
-        assert body == expected.getvalue().encode()
+        assert body == csv_writer_body(rows, columns, old_fmt).encode()
+
+    @pytest.fixture(scope="class")
+    def sweep_rows(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("rows")
+        return {
+            "cw": run_cw_sweep(load_config(tiny_cw_config(tmp))),
+            "pulsed": run_pulsed_sweep(load_config(tiny_pulsed_config(tmp))),
+        }
+
+    @staticmethod
+    def table(case: str, sweep_rows) -> tuple[list[dict], list[str]]:
+        if case == "cw":
+            return sweep_rows["cw"], CW_COLUMNS
+        if case == "pulsed":
+            return sweep_rows["pulsed"], PULSED_COLUMNS
+        if case == "failed":
+            # Failed rows keep their fixed cells and hold NaN elsewhere, so
+            # the bool column `crossover` also holds floats.
+            fixed = ("sigma_p_over_gamma_b", "sigma_c_over_sigma_p", "photons_per_pulse")
+            rows = [
+                cli._failed_row(PULSED_COLUMNS, {c: row[c] for c in fixed}) if k % 2 else row
+                for k, row in enumerate(sweep_rows["pulsed"])
+            ]
+            return rows, PULSED_COLUMNS
+        if case == "numpy":
+            columns = ["f64", "f32", "i64", "i32", "int", "np_bool", "bool", "mixed"]
+            rows = [
+                dict(zip(columns, (np.float64(1.0 / 3.0), np.float32(0.1), np.int64(-12),
+                                   np.int32(5), 2**70, np.True_, False, 0.5))),
+                dict(zip(columns, (np.float64("nan"), np.float32(-2.5), np.int64(7),
+                                   np.int32(0), -3, np.False_, True, np.int64(4)))),
+            ]
+            return rows, columns
+        columns = ["label", "a,b", "value"]
+        rows = [
+            {"label": 'say "hi", then go', "a,b": "plain", "value": 1.5},
+            {"label": "two\nlines", "a,b": "", "value": float("inf")},
+        ]
+        return rows, columns
+
+    @pytest.mark.parametrize("json_mirror", [False, True])
+    @pytest.mark.parametrize("reproducible", [True, False])
+    @pytest.mark.parametrize("case", ["cw", "pulsed", "failed", "numpy", "quoted"])
+    def test_body_is_the_csv_writer_body(
+        self, tmp_path, sweep_rows, case, reproducible, json_mirror
+    ):
+        rows, columns = self.table(case, sweep_rows)
+        raw = json.loads(CS_MOT.read_text())
+        raw["output"] = {"path": "out.csv", "json_mirror": json_mirror}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        emit(rows, columns, load_config(config), out, reproducible=reproducible)
+        lines = out.read_bytes().decode().splitlines(keepends=True)
+        n_comments = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        assert n_comments == (3 if reproducible else 4)
+        assert "".join(lines[n_comments:]) == csv_writer_body(rows, columns)
+        assert (tmp_path / "out.csv.json").exists() == json_mirror
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = load_config(tiny_cw_config(tmp_path))
@@ -766,6 +852,25 @@ class TestMain:
         assert main(["validate-config", "--config", str(CS_MOT)]) == 0
         out = capsys.readouterr().out
         assert "Gamma_b/Gamma_c" in out
+
+    def test_applied_defaults_are_logged(self, caplog):
+        notes = load_config(CS_MOT).defaults_applied
+        assert notes
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            assert main(["validate-config", "--config", str(CS_MOT)]) == 0
+        logged = [r.getMessage() for r in caplog.records if r.name == "sqfluor.cli"]
+        assert logged == [f"default: {note}" for note in notes]
+
+    def test_applied_defaults_show_on_stderr(self):
+        # With logging left unconfigured, the echo reads as it did when printed.
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqfluor.cli", "validate-config", "--config", str(CS_MOT)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        notes = load_config(CS_MOT).defaults_applied
+        assert proc.stderr.splitlines() == [f"default: {note}" for note in notes]
 
     def test_missing_config_file(self):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 2

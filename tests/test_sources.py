@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    eager_schmidt_decompose_analytic,
     g2_cw,
     g2_pulsed_kernels,
     geometric_weights,
@@ -12,6 +15,7 @@ from oracles import (
     weighted_mode_count,
 )
 
+import sqfluor.sources as sources
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
     ClassicalCW,
@@ -239,6 +243,30 @@ class TestSchmidt:
         recon = (np.sqrt(dec.p)[:, None, None] * f_i[:, :, None] * f_ii[:, None, :]).sum(0)
         direct = jsa_eval(w_i[:, None], w_ii[None, :], src)
         assert np.max(np.abs(recon - direct)) < 1e-4 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("explicit_grids", [False, True])
+    def test_analytic_tables_are_built_on_first_read(self, monkeypatch, explicit_grids):
+        calls = []
+        hermite = sources.hermite_function_table
+
+        def counted(n_modes, x):
+            calls.append(n_modes)
+            return hermite(n_modes, x)
+
+        monkeypatch.setattr(sources, "hermite_function_table", counted)
+        src = pulsed_source(sigma_p=SIGMA, sigma_c=6 * SIGMA)
+        grids = default_jsa_grids(src, n_points=601) if explicit_grids else (None, None)
+        dec = schmidt_decompose_analytic(src, 1e-10, *grids)
+        eager = eager_schmidt_decompose_analytic(src, 1e-10, *grids)
+        assert calls == []
+        f_ii, f_i = dec.f_ii, dec.f_i
+        assert calls == [dec.n_modes] * 2  # both tables, built once
+        for lazy, built in ((f_i, eager.f_i), (f_ii, eager.f_ii), (dec.p, eager.p)):
+            assert lazy.shape == built.shape and lazy.tobytes() == built.tobytes()
+        assert (dec.grid_i, dec.grid_ii, dec.tail) == (eager.grid_i, eager.grid_ii, eager.tail)
+        assert replace(dec, tail=0.0).f_i is f_i
+        with pytest.raises(AttributeError):
+            dec.f_iii
 
     def test_grid_preconditions(self):
         src = pulsed_source(sigma_p=SIGMA, sigma_c=4 * SIGMA)
