@@ -73,21 +73,9 @@ PULSED_COLUMNS = [
 ]
 
 
-def _fmt_bool(value) -> str:
-    return "true" if value else "false"
-
-
-# Cell formats by exact type, for the types sweep rows hold; the isinstance
-# chain of `_fmt` serves the rest (numpy scalars, subclasses) the same way.
-_FORMAT_BY_TYPE = {float: float.__repr__, str: str, bool: _fmt_bool}
-
-
 def _fmt(value) -> str:
-    fmt = _FORMAT_BY_TYPE.get(type(value))
-    if fmt is not None:
-        return fmt(value)
     if isinstance(value, (bool, np.bool_)):
-        return _fmt_bool(value)
+        return "true" if value else "false"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

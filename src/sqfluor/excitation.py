@@ -17,10 +17,8 @@ Two CW integrals route through `peaked.quad_kernel_smooth`: the coherent
 amplitude Int G_ba s_I c_I and the scale/24 outer pass of the incoherent
 rate (the photon rate is `sources.photon_rate_cw`'s Simpson doubling).  The
 intermediate population is a Voigt series (`max_intermediate_population`).
-The incoherent rate's sampling estimate is not part of a rate:
-`cw_incoherent_sampling_rel_err` builds the scale/12 lattice on request and
-integrates its interpolant exactly by linear product integration
-(`pole_weights_linear`).
+No CW rate carries an error estimate; the accuracy of the rates is checked
+against Gaussian-series references under tests/.
 
 A classical pulse pair is a closed form (`p_classical_pulsed`).  Squeezed
 pulses of the double-Gaussian source are Gaussian series of their Schmidt
@@ -72,7 +70,6 @@ from .spectral import (
     green,
     lorentzian,
     pole_weights,
-    pole_weights_linear,
     simpson_weights,
 )
 from .system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem, cross_section
@@ -85,7 +82,6 @@ __all__ = [
     "p_classical_pulsed",
     "rate_classical_cw",
     "rate_squeezed_cw",
-    "cw_incoherent_sampling_rel_err",
     "p_squeezed_pulsed",
     "fluorescence",
     "branching_factor",
@@ -309,9 +305,7 @@ def rate_squeezed_cw(
     """Coherent + incoherent CW squeezed excitation rates (converged quadrature).
 
     `opts` sets the quadrature of the coherent amplitude and of the scale/24
-    incoherent pass; the population takes none.  `diagnostics` is empty: the
-    incoherent rate's sampling estimate is `cw_incoherent_sampling_rel_err`,
-    which needs a second lattice and which no sweep row reads.
+    incoherent pass; the population takes none.  `diagnostics` is empty.
     """
     pop = None
     if coupling is not None:
@@ -475,39 +469,6 @@ def _cw_incoherent_integral(
         abs2_green_kernel(sys.omega_ba, sys.gamma_b), smooth, smooth_center=src.center_i,
         smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
     )))
-
-
-def cw_incoherent_sampling_rel_err(
-    src: SqueezedCW, sys: FourLevelSystem, fine: float
-) -> float:
-    """|fine - coarse| / |fine|: the sampling estimate of the CW incoherent rate.
-
-    `fine` is the scale/24 value the estimate is taken for, the double
-    integral `_cw_incoherent_integral` returns (plain measure, before the
-    rate's prefactor), with scale = `_cw_gain_scale(src)`.  `coarse` is the
-    same integral on the lattice at step scale/12, whose interpolant (zero
-    outside the lattice) is integrated exactly by linear product integration
-    (`pole_weights_linear` at omega_ba + i Gamma_b/2).  It is an estimate of
-    the sampling error, not a bound: it also holds the adaptive quadrature
-    error of `fine`, and at sigma_c_bar ~ Gamma_b it reads the scale/12
-    interpolation error rather than that of `fine` (ROADMAP item 3).  No
-    tolerance is applied to it and no sweep row computes it
-    (DECISIONS.md).  The weights take the lattice's nominal nodes, offsets
-    h (k - (n - 1)/2) from the band-I centre; the samples were taken at
-    those offsets rounded to absolute frequencies (by up to 0.125 rad/s,
-    half an ulp near 2e15 rad/s), which moves the integral by up to 7e-7 at
-    sigma_c_bar = 0.003 Gamma_b (DECISIONS.md).
-    """
-    scale = _cw_gain_scale(src)
-    w_i_pts, samples = _cw_outer_samples(src, sys, scale, 12.0)
-    n_i, g = len(w_i_pts), 0.5 * sys.gamma_b
-    # In offsets from the band-I centre, the lattice's own coordinates.
-    h = scale / 12.0
-    weights = pole_weights_linear(
-        -h * ((n_i - 1) // 2), h, n_i, (sys.omega_ba - src.center_i) + 1j * g
-    )
-    coarse = float(weights.imag @ samples) / g
-    return abs(fine - coarse) / max(abs(fine), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +996,8 @@ def max_intermediate_population(
     NumericalError.  Pulsed populations come with their probabilities, as
     the `max_population` of `p_classical_pulsed(..., coupling)`, a
     Faddeeva value per time point, and of `p_squeezed_pulsed(..., coupling)`,
-    read from the engine's mode time profiles.
+    read from the engine's population table
+    (`PulsedExcitationEngine.max_population_weighted`).
     """
     if isinstance(src, ClassicalCW):
         kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)

@@ -18,9 +18,8 @@ used.  Both paths report an achieved error estimate.
 
 Its users are the CW squeezed rate's coherent amplitude Int G_ba s_I c_I and
 the scale/24 outer pass of its incoherent rate, Int |G_ba|^2 s_I^2 J
-(`excitation.rate_squeezed_cw`).  The scale/12 pass of the incoherent
-sampling estimate and the CW intermediate population have exact forms and
-no longer come here; the pulsed engine never did.
+(`excitation.rate_squeezed_cw`).  The CW intermediate population is a Voigt
+series and pulsed rows read Gaussian-series tables; neither comes here.
 """
 
 from __future__ import annotations

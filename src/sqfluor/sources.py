@@ -16,18 +16,17 @@ Pulsed squeezed light uses the double-Gaussian joint spectral amplitude
                      * exp(-(wI + wII - wbar_p)^2 / (4 sigma_p^2))
                      * exp(-((wI - wbarI) - (wII - wbarII))^2 / (4 sigma_c^2)),
 
-decomposed into Schmidt super-modes by SVD of the step-weighted grid matrix.
-Each mode pair (f_In, f_IIn) is defined only up to a common sign, and no
-sign is fixed here: every observable reads the products f_In f_IIn or
-moduli of sums linear in one table.
+decomposed into Schmidt super-modes by SVD of the step-weighted grid matrix
+(`schmidt_decompose`) or in closed form (`schmidt_decompose_analytic`, whose
+Hermite modes are not tabulated).  Each mode pair (f_In, f_IIn) is defined
+only up to a common sign, and no sign is fixed here: every observable reads
+the products f_In f_IIn or moduli of sums linear in one table.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "schmidt_decompose",
     "schmidt_decompose_analytic",
     "geometric_mode_ratio",
-    "hermite_function_table",
     "default_jsa_grids",
     "mode_squeezing",
     "squeezing_from_roots",
@@ -213,48 +211,25 @@ def default_jsa_grids(
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Schmidt modes of a JSA on a grid.
+    """Schmidt spectrum of a JSA, with the mode tables where a grid holds them.
 
     Mode tables are continuum-normalized: sum f^2 * step = 1.  p sums to one
     over the full (untruncated) spectrum; `tail` is the truncated remainder.
     The modes do not depend on the pump strength; `mode_squeezing(p, beta)`
     gives the squeezing parameter of each mode at any |beta|.
 
-    The SVD route passes its tables.  The analytic route passes None for
-    `f_i` and `f_ii` with a `mode_tables` callable, and the two tables are
-    built together on the first read of either, with the bits an eager
-    build gives.  Pulsed sweeps read only `p` (the Gaussian-series tables
-    need no mode table), so they never build them; the `schmidt` subcommand
-    writes the spectrum.
+    The SVD route sets the tables and their grids.  The analytic route sets
+    them to None: its modes are Hermite functions in closed form, and no
+    command reads a table of them (pulsed rows read the Gaussian-series
+    tables, the `schmidt` subcommand the spectrum).
     """
 
     p: np.ndarray
     f_i: np.ndarray | None
     f_ii: np.ndarray | None
-    grid_i: SpectralGrid
-    grid_ii: SpectralGrid
+    grid_i: SpectralGrid | None
+    grid_ii: SpectralGrid | None
     tail: float
-    mode_tables: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if self.f_i is None and self.f_ii is None and self.mode_tables is not None:
-            # Left unset, so that the first read of either goes to __getattr__.
-            object.__delattr__(self, "f_i")
-            object.__delattr__(self, "f_ii")
-
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: here, a table not
-        # yet built.  Two threads reading at once may both build; the tables
-        # they keep have the same bits.
-        mode_tables = self.__dict__.get("mode_tables")
-        if name not in ("f_i", "f_ii") or mode_tables is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        f_i, f_ii = mode_tables()
-        object.__setattr__(self, "f_i", f_i)
-        object.__setattr__(self, "f_ii", f_ii)
-        return f_i if name == "f_i" else f_ii
 
     @property
     def n_modes(self) -> int:
@@ -318,86 +293,39 @@ def schmidt_decompose(
     )
 
 
-def hermite_function_table(n_modes: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions psi_0..psi_{n_modes-1} on x (unit weight).
-
-    Uses the normalized three-term recurrence, stable to high order:
-    psi_n = x sqrt(2/n) psi_{n-1} - sqrt((n-1)/n) psi_{n-2}.
-    """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    out = np.empty((n_modes, len(x)))
-    out[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
-    if n_modes > 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(2, n_modes):
-        out[n] = x * np.sqrt(2.0 / n) * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
-    return out
-
-
 def geometric_mode_ratio(src: SqueezedPulsed) -> float:
     """mu = ((sigma_c - sigma_p)/(sigma_c + sigma_p))^2: p_n = (1 - mu) mu^n."""
     return ((src.sigma_c - src.sigma_p) / (src.sigma_c + src.sigma_p)) ** 2
 
 
 def schmidt_decompose_analytic(
-    src: SqueezedPulsed,
-    trunc_tol: float = 1e-10,
-    grid_i: SpectralGrid | None = None,
-    grid_ii: SpectralGrid | None = None,
+    src: SqueezedPulsed, trunc_tol: float = 1e-10
 ) -> SchmidtDecomposition:
-    """Closed-form decomposition of the double-Gaussian JSA.
+    """Closed-form Schmidt spectrum of the double-Gaussian JSA.
 
     Mehler's expansion gives geometric weights p_n = (1-mu) mu^n with
-    mu = ((sigma_c - sigma_p)/(sigma_c + sigma_p))^2 and Hermite-function
-    modes of width sigma_s = sqrt(sigma_p sigma_c); the band-II partner of
-    mode n is its mirror image times (-1)^n.  Same data layout as the SVD
-    route, so the two are interchangeable up to the sign of each mode pair;
-    this one stays exact at mode counts no affordable SVD grid can hold.
-    Its mode tables are built on their first read.
+    mu = ((sigma_c - sigma_p)/(sigma_c + sigma_p))^2, kept until the tail
+    mu^n falls below trunc_tol (at most MAX_ANALYTIC_MODES).  The modes are
+    Hermite functions of width sigma_s = sqrt(sigma_p sigma_c),
+
+        f_In(w) = psi_n((w - c_I)/sigma_s) / sqrt(sigma_s),
+        f_IIn(w) = (-1)^n psi_n((w - c_II)/sigma_s) / sqrt(sigma_s),
+
+    with psi_n the orthonormal Hermite functions; they agree with the SVD
+    route's up to the sign of each mode pair, at mode counts no affordable
+    SVD grid can hold.  They are not tabulated: `f_i`, `f_ii`, `grid_i` and
+    `grid_ii` are None.
     """
     if not 0.0 < trunc_tol < 1.0:
         raise ValueError("trunc_tol must be in (0, 1)")
     mu = geometric_mode_ratio(src)
-    sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
     if mu == 0.0:
         n_keep = 1
     else:
         n_keep = min(int(np.ceil(np.log(trunc_tol) / np.log(mu))), MAX_ANALYTIC_MODES)
     tail = 0.0 if mu == 0.0 else float(mu**n_keep)
-
-    if grid_i is None or grid_ii is None:
-        # Resolve the fastest Hermite oscillation of the retained modes.
-        osc = np.pi * sigma_s / np.sqrt(2.0 * n_keep + 1.0)
-        half = JSA_GRID_SPAN_SIGMAS * src.sigma_c
-        n_points = int(np.ceil(2.0 * half / (osc / 6.0))) + 1
-        n_points = max(n_points, 1001)
-        n_points = n_points if n_points % 2 == 1 else n_points + 1
-        grid_i = grid_i or SpectralGrid(src.center_i, half, n_points)
-        grid_ii = grid_ii or SpectralGrid(src.center_ii, half, n_points)
-
     p = (1.0 - mu) * mu ** np.arange(n_keep) if mu > 0.0 else np.ones(1)
-    return SchmidtDecomposition(
-        p=p,
-        f_i=None,
-        f_ii=None,
-        grid_i=grid_i,
-        grid_ii=grid_ii,
-        tail=tail,
-        mode_tables=partial(_hermite_mode_tables, src, n_keep, grid_i, grid_ii),
-    )
-
-
-def _hermite_mode_tables(
-    src: SqueezedPulsed, n_keep: int, grid_i: SpectralGrid, grid_ii: SpectralGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f_i, f_ii) of `schmidt_decompose_analytic`: the first n_keep Hermite modes on the grids."""
-    sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
-    n = np.arange(n_keep)
-    f_i = hermite_function_table(n_keep, (grid_i.points - src.center_i) / sigma_s) / np.sqrt(sigma_s)
-    f_ii = hermite_function_table(n_keep, (grid_ii.points - src.center_ii) / sigma_s) / np.sqrt(sigma_s)
-    f_ii *= np.where(n % 2 == 0, 1.0, -1.0)[:, None]
-    return f_i, f_ii
+    return SchmidtDecomposition(p=p, f_i=None, f_ii=None, grid_i=None, grid_ii=None, tail=tail)
 
 
 def mode_squeezing(p: np.ndarray, beta: float) -> np.ndarray:

@@ -37,7 +37,6 @@ __all__ = [
     "simpson_doublings",
     "simpson_weights",
     "pole_weights",
-    "pole_weights_linear",
     "brentq",
     "NumericalError",
     "NonFiniteIntegrandError",
@@ -194,8 +193,7 @@ def simpson_weights(n_points: int, step: float = 1.0) -> np.ndarray:
     return w * (step / 3.0)
 
 
-# Panels (intervals for the linear rule) farther than this many of their
-# half-widths from the pole use the series.
+# Panels farther than this many of their half-widths from the pole use the series.
 POLE_SERIES_RADIUS = 4.0
 _POLE_SERIES_TERMS = 12  # |zeta| > 4: the first term left out is below 16**-12 / 9 of the leading one
 
@@ -260,61 +258,6 @@ def _pole_series(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         b = b * u + 1.0 / (2 * i + 3)
     j2 = -2.0 * b * inv
     return -2.0 * a * inv, j2 * inv, j2
-
-
-def pole_weights_linear(first: float, step: float, n_points: int, pole: complex) -> np.ndarray:
-    """Complex weights W with Int f(x)/(x - pole) dx = W . f(x_k) for f linear between nodes.
-
-    The sibling of `pole_weights` for the piecewise-linear interpolant of
-    the samples f(x_k), x_k = first + step k, taken as zero outside
-    [x_0, x_{n-1}]: the rule integrates that interpolant exactly.  On the
-    interval with midpoint m, x = m + (step/2) t and zeta = (pole - m)/(step/2)
-    = tau + i g; with J_k as in `pole_weights` its two weights are
-    (J0 - J1)/2 on the left node and (J0 + J1)/2 on the right one.  With
-    J1 = 2 + zeta J0, p = tau + 1 and q = tau - 1 (the pole's offsets from
-    the two nodes, in half-steps), intervals within POLE_SERIES_RADIUS
-    half-steps of the pole take them as ((-q - i g) J0 - 2)/2 and
-    ((p + i g) J0 + 2)/2, with
-
-        Re J0 = log((q^2 + g^2) / (p^2 + g^2)) / 2,   Im J0 = atan2(2 g, p q + g^2).
-
-    Their imaginary parts keep a few ulp however narrow the line is against
-    the step and however close it is to a node (a difference of two complex
-    logs, or J0 - J1 next to a node, does not).  Farther intervals take J0
-    and J1 from the series of `pole_weights` (`_pole_series`), since J1
-    cancels there.  The line Im[1/(x - pole)] / Im(pole) =
-    1/((x - Re pole)^2 + Im(pole)^2) takes the weights W.imag / pole.imag.
-    The pole must lie off the real axis.
-    """
-    if n_points < 2:
-        raise ValueError(f"linear pole weights need n >= 2, got {n_points}")
-    pole = complex(pole)
-    if pole.imag == 0.0:
-        raise ValueError("the pole must lie off the real axis")
-    # The pole's offset from each node, in half-steps, taken node by node.
-    offset = 2.0 * ((pole.real - first) - step * np.arange(n_points)) / step
-    p, q = offset[:-1], offset[1:]
-    g = 2.0 * pole.imag / step
-    zeta = (p - 1.0) + 1j * g
-    left, right = np.empty_like(zeta), np.empty_like(zeta)
-
-    near = np.abs(zeta) <= POLE_SERIES_RADIUS
-    p_near, q_near = p[near], q[near]
-    j0 = 0.5 * np.log((q_near * q_near + g * g) / (p_near * p_near + g * g)) + 1j * np.arctan2(
-        2.0 * g, p_near * q_near + g * g
-    )
-    left[near] = 0.5 * ((-q_near - 1j * g) * j0 - 2.0)
-    right[near] = 0.5 * ((p_near + 1j * g) * j0 + 2.0)
-
-    far = ~near
-    j0, j1, _ = _pole_series(zeta[far])
-    left[far] = 0.5 * (j0 - j1)
-    right[far] = 0.5 * (j0 + j1)
-
-    weights = np.zeros(n_points, dtype=complex)
-    weights[:-1] = left
-    weights[1:] += right
-    return weights
 
 
 def _evaluate(f: Callable, points: np.ndarray, first: int = 0, stride: int = 1) -> np.ndarray:

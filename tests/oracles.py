@@ -11,10 +11,11 @@ integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over
 Schmidt-mode helpers the lattice sweep used (`truncated`,
 `weighted_mode_count`, `modes_at`), a pulsed sweep row and a CSV cell as
 the library computes them with
-`fluorescence()` and as `cli._fmt` wrote them before, the CSV body as
+`fluorescence()` and as `cli._fmt` writes them, the CSV body as
 `csv.writer` wrote it before `cli.emit` formatted by column, the analytic
-Schmidt decomposition with its mode tables built up front, and Simpson
-doublings that evaluate every point of each grid.
+Schmidt decomposition with its Hermite mode tables (which the library
+does not tabulate), and Simpson doublings that evaluate every point of
+each grid.
 
 The pulsed squeezed references are here too.  `LatticePulsedEngine` is the
 Schmidt-mode lattice engine the library ran before its Gaussian-series
@@ -25,6 +26,13 @@ exact Hermite functions on its lattices.  `incoherent_kernel`,
 the last integral by adaptive `quad` (the coherent one in frequency, the
 population with its two time integrals in the other order), and
 `photon_number_series` is N(beta) = sum_k c_k / (1 - mu^k).
+
+The CW squeezed references are the same construction on the CW gains:
+`cw_incoherent_table` (the incoherent double integral's K x K kernel by
+Gauss-Legendre panels), `cw_incoherent_entry` (one entry of it in
+frequency, by adaptive `quad`), `cw_coherent_amplitude` and
+`cw_photon_rate` in closed form, and `cw_reference_columns`, the three
+rate columns of resonant CW sweep rows.
 """
 
 import csv
@@ -35,7 +43,7 @@ import numpy as np
 import scipy.fft
 from numpy.fft import irfft, rfft
 from scipy.integrate import quad
-from scipy.special import erfcx, gammaln, wofz
+from scipy.special import erfc, erfcx, gammaln, voigt_profile, wofz
 
 from sqfluor.cli import _fmt
 from sqfluor.excitation import (
@@ -57,7 +65,6 @@ from sqfluor.sources import (
     SqueezedPulsed,
     gain_functions_cw,
     geometric_mode_ratio,
-    hermite_function_table,
     mode_squeezing,
     squeezing_from_roots,
 )
@@ -426,7 +433,7 @@ def pulsed_row(engine, beta: float, n_photons: float, cl_unit: float, sys,
 
 
 def old_fmt(value) -> str:
-    """A CSV cell as `cli._fmt` wrote it before its lookup by exact type."""
+    """A CSV cell by the `isinstance` chain of `cli._fmt`, restated to check `cli.emit` against."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
@@ -445,13 +452,35 @@ def csv_writer_body(rows: list[dict], columns: list[str], fmt=_fmt) -> str:
     return body.getvalue()
 
 
+def hermite_function_table(n_modes: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal Hermite functions psi_0..psi_{n_modes-1} on x (unit weight).
+
+    Uses the normalized three-term recurrence, stable to high order:
+    psi_n = x sqrt(2/n) psi_{n-1} - sqrt((n-1)/n) psi_{n-2}.
+    """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    out = np.empty((n_modes, len(x)))
+    out[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    if n_modes > 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for n in range(2, n_modes):
+        out[n] = x * np.sqrt(2.0 / n) * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
+    return out
+
+
 def eager_schmidt_decompose_analytic(
     src: SqueezedPulsed,
     trunc_tol: float = 1e-10,
     grid_i: SpectralGrid | None = None,
     grid_ii: SpectralGrid | None = None,
 ) -> SchmidtDecomposition:
-    """`sources.schmidt_decompose_analytic` as it ran before: both mode tables built up front."""
+    """`sources.schmidt_decompose_analytic` with its Hermite mode tables on grids.
+
+    The spectrum is the library's bit for bit; the library tabulates no
+    mode.  Without grids, both span +/-JSA_GRID_SPAN_SIGMAS sigma_c with six
+    points per half-period of the fastest mode kept (at least 1001).
+    """
     mu = geometric_mode_ratio(src)
     sigma_s = np.sqrt(src.sigma_p * src.sigma_c)
     if mu == 0.0:
@@ -1012,3 +1041,140 @@ def photon_number_series(mu: float, beta: float, n_terms: int = 200) -> float:
     k = np.arange(1, n_terms + 1)
     c = series_terms(beta * np.sqrt(1.0 - mu), 2.0 * k)
     return float(np.sum(c / (1.0 - mu**k)))
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-series references for the CW squeezed rates (resonant rows)
+# ---------------------------------------------------------------------------
+#
+# Both CW sweeps run resonant rows: c_I = omega_ba and c_I + c_II = omega_ca.
+# In x = (w - c)/sigma, sigma = sigma_c_bar, sinh^2(beta_bar r) = sum_k b_k
+# e^(-k x^2) with b_k = (2 beta_bar)^(2k) / (2 (2k)!), and sinh cosh(beta_bar
+# r) = sum_k a_k e^(-(2k + 1) x^2 / 2) with a_k = (2 beta_bar)^(2k+1) /
+# (2 (2k+1)!).  g = Gamma_b/(2 sigma) and gc = Gamma_c/(2 sigma) are the
+# half-widths of |G_ba|^2 and of L in these units.  None of these reads the
+# library's numerics.
+
+CW_TAIL_EXPONENT = 46.0  # the half-line stops where the integrand's bound is below e^-46
+CW_SERIES_CUT = 2.0**-60  # series terms below this share of the largest are left out
+
+
+def cw_series_orders(beta_bar: float) -> np.ndarray:
+    """The orders k >= 1 of b_k that reach CW_SERIES_CUT of the largest."""
+    k = np.arange(1, 1000)
+    log_b = 2.0 * k * np.log(2.0 * beta_bar) - gammaln(2.0 * k + 1.0)
+    return k[: np.flatnonzero(log_b >= log_b.max() + np.log(CW_SERIES_CUT))[-1] + 1]
+
+
+def _cw_f(tau, l, g):
+    """F_l(tau) = sqrt(pi l) e^(-tau^2/(4l)) [erfcx(z1) + erfcx(z2)].
+
+    z1 = g sqrt(l) + tau/(2 sqrt(l)) and z2 = g sqrt(l) - tau/(2 sqrt(l)).
+    Where z2 < 0, e^(-tau^2/(4l)) erfcx(z2) is taken as e^(g^2 l - g tau)
+    erfc(z2), which carries the Gaussian factor.
+    """
+    root = np.sqrt(l)
+    gauss = np.exp(-tau * tau / (4.0 * l))
+    z2 = g * root - tau / (2.0 * root)
+    second = gauss * erfcx(np.abs(z2))
+    neg = z2 < 0.0
+    if np.any(neg):
+        # z2 < 0 means g^2 l - g tau < -g^2 l <= 0: the clip moves no value
+        # np.where keeps, and keeps the others from overflowing.
+        second = np.where(neg, np.exp(np.minimum(g * g * l - g * tau, 0.0)) * erfc(z2), second)
+    return np.sqrt(np.pi * l) * (gauss * erfcx(tau / (2.0 * root) + g * root) + second)
+
+
+def cw_incoherent_table(orders: np.ndarray, g: float, gc: float, nodes: int = 64,
+                        panels: int = 8) -> np.ndarray:
+    """R[k, l] = (1/(2 g sqrt(k l))) Int_0^inf e^(-gc tau - tau^2/(4k)) F_l(tau) dtau.
+
+    k is the order of the band-II term, l that of band I (the one under
+    |G_ba|^2): R_kl = IntInt l(v) e^(-k (v - x)^2) e^(-l x^2) / (x^2 + g^2)
+    dx dv, l(v) the unit-area Lorentzian of half-width gc.  Each entry is
+    `panels` Gauss-Legendre panels of `nodes` nodes on [0, tau_k], where
+    tau_k^2/(4k) + gc tau_k = CW_TAIL_EXPONENT (F_l is largest at 0).
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    wt = np.tile(0.5 * w, panels) / panels
+    k = np.asarray(orders, dtype=float)[:, None, None]
+    l = np.asarray(orders, dtype=float)[None, :, None]
+    top = 2.0 * CW_TAIL_EXPONENT / (gc + np.sqrt(gc * gc + CW_TAIL_EXPONENT / k))
+    tau = top * t
+    values = np.exp(-gc * tau - tau * tau / (4.0 * k)) * _cw_f(tau, l, g)
+    return (values @ wt) * top[:, :, 0] / (2.0 * g * np.sqrt(k[:, :, 0] * l[:, :, 0]))
+
+
+def cw_incoherent_entry(k: int, l: int, g: float, gc: float) -> float:
+    """R[k, l] of `cw_incoherent_table` in frequency, by adaptive quad.
+
+    Int e^(-l x^2) / (x^2 + g^2) J_k(x) dx, with J_k(x) = Int l(v) e^(-k (v -
+    x)^2) dv = sqrt(pi/k) V(x; 1/sqrt(2k), gc), V the Voigt profile.
+    """
+    def f(x):
+        voigt = voigt_profile(x, 1.0 / np.sqrt(2.0 * k), gc)
+        return np.exp(-l * x * x) / (x * x + g * g) * np.sqrt(np.pi / k) * voigt
+
+    reach = 12.0 / np.sqrt(l)
+    points = [p for p in (g, 3.0 * g, gc, 3.0 * gc) if p < reach] or None
+    return 2.0 * quad(f, 0.0, reach, points=points, epsabs=0.0, epsrel=1e-13, limit=800)[0]
+
+
+def cw_incoherent_integral(beta_bar: float, sigma: float, gamma_b: float, gamma_c: float,
+                           nodes: int = 64, panels: int = 8) -> float:
+    """IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI = sum_kl b_k b_l R_kl / sigma."""
+    orders = cw_series_orders(beta_bar)
+    b = series_terms(beta_bar, 2.0 * orders)
+    table = cw_incoherent_table(orders, 0.5 * gamma_b / sigma, 0.5 * gamma_c / sigma, nodes, panels)
+    return float(b @ table @ b) / sigma
+
+
+def cw_coherent_amplitude(beta_bar: float, sigma: float, gamma_b: float) -> complex:
+    """Int G_ba s_I c_I dw = i pi sum_k a_k erfcx(Gamma_b sqrt(2k + 1) / (2 sqrt(2) sigma)).
+
+    G_ba = 1/(omega_ba - w - i Gamma_b/2); each Gaussian term against it is
+    i pi w(i y) = i pi erfcx(y), w the Faddeeva function.
+    """
+    orders = 2.0 * np.arange(cw_series_orders(beta_bar)[-1] + 1) + 1.0
+    y = gamma_b * np.sqrt(orders) / (2.0 * np.sqrt(2.0) * sigma)
+    return 1j * np.pi * float(series_terms(beta_bar, orders) @ erfcx(y))
+
+
+def cw_photon_rate(beta_bar: float, sigma: float) -> float:
+    """Int sinh^2(beta_bar r(w)) dw / 2 pi = sum_k b_k sigma sqrt(pi/k) / 2 pi."""
+    orders = cw_series_orders(beta_bar)
+    b = series_terms(beta_bar, 2.0 * orders)
+    return float(b @ (sigma * np.sqrt(np.pi / orders))) / TWO_PI
+
+
+def cw_reference_columns(rows: list[dict], sys, eta, a_eff: float) -> list[dict]:
+    """photon_rate_per_s, r_sq_coherent and r_sq_incoherent of resonant CW sweep rows.
+
+    The rates take the sweep's prefactors: eta L(c_I + c_II) |amplitude/2pi|^2 /
+    A^2 and eta (incoherent integral) / ((2 pi)^2 A^2), with L the unit-area
+    Lorentzian of FWHM Gamma_c at omega_ca.  Each sigma_c_bar column
+    builds one R table, for the orders of its largest beta_bar.
+    """
+    detuning = sys.omega_ba + sys.omega_cb - sys.omega_ca
+    l_pump = (0.5 * sys.gamma_c / np.pi) / (detuning**2 + 0.25 * sys.gamma_c**2)
+    out = []
+    tables = {}
+    for row in rows:
+        ratio, beta_bar = row["sigma_c_over_gamma_b"], row["beta_bar"]
+        sigma = ratio * sys.gamma_b
+        if ratio not in tables:
+            top = max(r["beta_bar"] for r in rows if r["sigma_c_over_gamma_b"] == ratio)
+            orders = cw_series_orders(top)
+            tables[ratio] = orders, cw_incoherent_table(
+                orders, 0.5 * sys.gamma_b / sigma, 0.5 * sys.gamma_c / sigma
+            )
+        orders, table = tables[ratio]
+        b = series_terms(beta_bar, 2.0 * orders)
+        amplitude = cw_coherent_amplitude(beta_bar, sigma, sys.gamma_b)
+        out.append({
+            "photon_rate_per_s": cw_photon_rate(beta_bar, sigma),
+            "r_sq_coherent": eta.eta * l_pump * abs(amplitude / TWO_PI) ** 2 / a_eff**2,
+            "r_sq_incoherent": eta.eta * (float(b @ table @ b) / sigma) / (TWO_PI**2 * a_eff**2),
+        })
+    return out

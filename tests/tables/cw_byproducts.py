@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/tables/cw_byproducts.py [--quick]
 
-Run from the repository root; takes about half a minute (`--quick` skips the
+Run from the repository root; takes about a minute (`--quick` skips the
 49-cell grid).  Not a test: pytest does not collect this file.  It prints
 the Markdown tables of the DECISIONS.md entry "CW by-products without
 adaptive quadrature":
@@ -11,9 +11,11 @@ adaptive quadrature":
    {1e-3, ..., 30}: the incoherent sampling estimate as it was computed
    before (the scale/12 interpolant of the outer samples through
    `quad_kernel_smooth`, the code path that change replaced, rebuilt here
-   from the library's pieces) and as it is now
-   (`cw_incoherent_sampling_rel_err`: that interpolant integrated exactly
-   by `pole_weights_linear`), against 40-digit mpmath
+   from the library's pieces) and as that change computed it (that
+   interpolant integrated exactly on the nominal nodes, here by
+   `oracles.linear_interpolant_line_integral`, which the library's linear
+   product integration matched to 1e-13 until the estimate, read by no
+   row, was deleted), against 40-digit mpmath
    integrals of the scale/12 and scale/24 interpolants: how far apart the
    two lattices are, how far the shipped scale/24 value is from the exact
    integral of its own interpolant, and how much the rounding of the
@@ -35,8 +37,7 @@ The exact integrals are in offsets from the band-I centre.  They take the
 interpolants on the abscissae their samples were computed at, the rounded
 absolute frequencies w_i_pts as `np.interp` sees them, except the last
 column of table 1, which compares the scale/12 integral on those with the
-one on the nominal nodes h (k - (n - 1)/2) that
-`cw_incoherent_sampling_rel_err` weights.
+one on the nominal nodes h (k - (n - 1)/2) that the estimate weighted.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from sqfluor.excitation import (  # noqa: E402
     _cw_gain_scale,
     _cw_incoherent_integral,
     _cw_outer_samples,
-    cw_incoherent_sampling_rel_err,
     max_intermediate_population,
     one_photon_coupling,
 )
@@ -89,6 +89,17 @@ def rounded_nodes(w_i_pts: np.ndarray, center: float) -> list:
     """The abscissae w_i_pts - center, exactly (both are doubles)."""
     with mpmath.workdps(40):
         return [mpmath.mpf(w) - mpmath.mpf(center) for w in w_i_pts]
+
+
+def sampling_estimate(src, system, fine) -> float:
+    """|fine - coarse| / fine, coarse the exact integral of the scale/12 interpolant on the nominal nodes."""
+    scale = _cw_gain_scale(src)
+    w_i_pts, samples = _cw_outer_samples(src, system, scale, 12.0)
+    coarse = linear_interpolant_line_integral(
+        nominal_nodes(len(w_i_pts), scale / 12.0), samples,
+        system.omega_ba - src.center_i, 0.5 * system.gamma_b,
+    )
+    return abs(fine - coarse) / fine
 
 
 def replaced_coarse(src, system, scale, opts=DEFAULT_NUMERICS) -> float:
@@ -140,7 +151,6 @@ def grid_table(system) -> None:
             src = SqueezedCW(beta_bar, ratio * gb, system.omega_ba, system.omega_cb)
             scale = _cw_gain_scale(src)
             fine = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
-            rel_now = cw_incoherent_sampling_rel_err(src, system, fine)
             try:
                 rel_before = abs(fine - replaced_coarse(src, system, scale)) / fine
             except ConvergenceError:
@@ -156,6 +166,7 @@ def grid_table(system) -> None:
                     nominal = linear_interpolant_line_integral(
                         nominal_nodes(len(w_i_pts), scale / pps), samples, a, g
                     )
+            rel_now = abs(fine - nominal) / fine
             lattice = abs(exact[12.0] - exact[24.0]) / exact[24.0]
             shipped = (fine - exact[24.0]) / exact[24.0]
             nodes = nominal / exact[12.0] - 1.0
@@ -228,7 +239,7 @@ def config_tables(quick_reference: bool) -> None:
         for src, out in rows:
             scale = _cw_gain_scale(src)
             fine = _cw_incoherent_integral(src, system, scale, opts)
-            fine_rel = cw_incoherent_sampling_rel_err(src, system, fine)
+            fine_rel = sampling_estimate(src, system, fine)
             try:
                 before = abs(fine - replaced_coarse(src, system, scale, opts)) / fine
                 moves.append(abs(fine_rel - before))

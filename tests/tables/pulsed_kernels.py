@@ -37,13 +37,18 @@ sys.path.insert(0, str(ROOT / "sweepbench"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 import run as bench  # noqa: E402  (sweepbench/run.py: the workload configs)
-from oracles import LatticePulsedEngine, truncated, weighted_mode_count  # noqa: E402
+from oracles import (  # noqa: E402
+    LatticePulsedEngine,
+    eager_schmidt_decompose_analytic,
+    truncated,
+    weighted_mode_count,
+)
 
 import sqfluor.cli as cli  # noqa: E402
 from sqfluor.config import load_config  # noqa: E402
 from sqfluor.excitation import VALIDITY_THRESHOLD  # noqa: E402
 from sqfluor.geometry import effective_area  # noqa: E402
-from sqfluor.sources import SqueezedPulsed, schmidt_decompose_analytic  # noqa: E402
+from sqfluor.sources import SqueezedPulsed  # noqa: E402
 from sqfluor.spectral import ConvergenceError  # noqa: E402
 from sqfluor.system import eta_prefactor  # noqa: E402
 
@@ -55,7 +60,7 @@ def lattice_rows(cfg, sp_ratio, sc_ratio, photon_grid):
     area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
     sigma_p = sp_ratio * system.gamma_b
     src = SqueezedPulsed(sigma_p, sc_ratio * sigma_p, system.omega_ba, system.omega_cb)
-    dec = schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
+    dec = eager_schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
     try:
         beta_max = cli._beta_for_photons(dec.p, photon_grid[-1])
     except cli.PhotonInversionError:

@@ -10,7 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import g2_pulsed_kernels, truncated, weighted_mode_count
+from oracles import (
+    eager_schmidt_decompose_analytic,
+    g2_pulsed_kernels,
+    truncated,
+    weighted_mode_count,
+)
 
 from sqfluor.cli import CW_COLUMNS, emit, run_cw_sweep
 from sqfluor.config import load_config
@@ -32,7 +37,6 @@ from sqfluor.sources import (
     geometric_mode_ratio,
     photon_rate_cw,
     schmidt_decompose,
-    schmidt_decompose_analytic,
 )
 from sqfluor.spectral import GaussianAmplitude, SpectralGrid
 from sqfluor.sources import ClassicalPulsed
@@ -264,7 +268,7 @@ def test_criterion_8_pulsed_broadband_convergence(cs_system, cs_eta, mot_area):
         src = SqueezedPulsed(sigma_p, ratio * sigma_p, system.omega_ba, system.omega_cb)
         mu = geometric_mode_ratio(src)
         beta = 3.0 / np.sqrt(1.0 - mu)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-5)
+        dec = eager_schmidt_decompose_analytic(src, trunc_tol=1e-5)
         kernels = g2_pulsed_kernels(truncated(dec, weighted_mode_count(dec, beta, 1e-6)), beta)
         g2_ratios[ratio] = float(
             kernels.g2_coherent_value(system.omega_ba, system.omega_cb)

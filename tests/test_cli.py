@@ -13,7 +13,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
     csv_writer_body,
-    eager_schmidt_decompose_analytic,
     geometric_weights,
     old_fmt,
     pulsed_row,
@@ -21,7 +20,6 @@ from oracles import (
 
 import sqfluor.cli as cli
 import sqfluor.excitation as excitation
-import sqfluor.sources as sources
 from sqfluor.cli import CW_COLUMNS, PULSED_COLUMNS, emit, main, run_cw_sweep, run_pulsed_sweep
 from sqfluor.config import (
     ConfigError,
@@ -520,34 +518,6 @@ class TestPulsedSweep:
             assert a["p_sq_coherent"] == pytest.approx(b["p_sq_coherent"], rel=1e-12, abs=0.0)
             assert a["p_sq_incoherent"] == pytest.approx(b["p_sq_incoherent"], rel=1e-12, abs=0.0)
 
-    def test_sweep_builds_no_mode_table(self, tmp_path, monkeypatch):
-        # A 139-mode panel: its rows read the spectrum only, so no Hermite
-        # table is built, and the tables read afterwards are the eager ones.
-        calls, decs = [], []
-        hermite, decompose = sources.hermite_function_table, cli.schmidt_decompose_analytic
-
-        def counted(n_modes, x):
-            calls.append(n_modes)
-            return hermite(n_modes, x)
-
-        def recorded(src, **kwargs):
-            decs.append((src, kwargs, decompose(src, **kwargs)))
-            return decs[-1][-1]
-
-        monkeypatch.setattr(sources, "hermite_function_table", counted)
-        monkeypatch.setattr(cli, "schmidt_decompose_analytic", recorded)
-        cfg = load_config(
-            tiny_pulsed_config(tmp_path, sigma_p_over_gamma_b=[0.1], sigma_c_over_sigma_p=[30.0])
-        )
-        rows = run_pulsed_sweep(cfg)
-        assert calls == []
-        assert len(rows) == 3 and "failed" not in [r["validity"] for r in rows]
-        ((src, kwargs, dec),) = decs
-        assert dec.n_modes == 139
-        eager = eager_schmidt_decompose_analytic(src, **kwargs)
-        for lazy, built in ((dec.f_i, eager.f_i), (dec.f_ii, eager.f_ii)):
-            assert lazy.shape == built.shape and lazy.tobytes() == built.tobytes()
-
     def test_an_unreachable_photon_number_fails_its_row_only(self, tmp_path, monkeypatch, caplog):
         # Lower the beta limit just below the top row of the many-mode panel:
         # that row's N is out of reach, and no other row may change.
@@ -746,8 +716,8 @@ class TestEmit:
         assert all(line.startswith("#") for line in lines[:-1])
 
     def test_cells_are_written_as_before(self, tmp_path):
-        # The exact-type lookup of _fmt against the isinstance chain it
-        # replaced, on every type a row may hold.
+        # emit's column formatter against the isinstance chain of _fmt, on
+        # every type a row may hold.
         cfg = load_config(CS_MOT)
         cells = [
             0.1, 1.0 / 3.0, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308,
@@ -961,12 +931,40 @@ class TestMain:
         assert not any(line.startswith("Traceback") for line in err)
         assert not out.exists()
 
-    def test_schmidt_export(self, tmp_path):
-        cfg_path = tiny_pulsed_config(tmp_path)
+    @pytest.mark.parametrize("decomposition", ["analytic", "svd"])
+    @pytest.mark.parametrize("ratio", [1.0, 4.0])
+    def test_schmidt_export(self, tmp_path, capsys, decomposition, ratio):
+        cfg_path = tiny_pulsed_config(tmp_path, sigma_c_over_sigma_p=[ratio])
+        raw = json.loads(cfg_path.read_text())
+        raw["numerics"]["decomposition"] = decomposition
+        cfg_path.write_text(json.dumps(raw))
         base = tmp_path / "sch"
         assert main(["schmidt", "--config", str(cfg_path), "--out", str(base)]) == 0
-        assert (tmp_path / "sch_jsi.csv").exists()
-        assert (tmp_path / "sch_schmidt.csv").exists()
+        jsi = (tmp_path / "sch_jsi.csv").read_text().splitlines()
+        assert jsi[0] == "omega_I,omega_II,jsi" and len(jsi) == 1 + 129 * 129
+        header, *rows = (tmp_path / "sch_schmidt.csv").read_text().splitlines()
+        assert header == "n,p_n"
+        assert [row.split(",")[0] for row in rows] == [str(n) for n in range(len(rows))]
+        cells = [row.split(",")[1] for row in rows]
+
+        # The double-Gaussian spectrum p_n = (1 - mu) mu^n, kept until mu^n < trunc_tol.
+        sigma_p = load_config(cfg_path).system.gamma_b
+        sigma_c = ratio * sigma_p
+        mu = ((sigma_c - sigma_p) / (sigma_c + sigma_p)) ** 2
+        n_modes = 1 if mu == 0.0 else math.ceil(math.log(1e-8) / math.log(mu))
+        assert len(rows) == n_modes
+        law = (1.0 - mu) * mu ** np.arange(n_modes)
+        if decomposition == "analytic":
+            assert cells == [repr(float(v)) for v in law]
+            tail = 0.0 if mu == 0.0 else mu**n_modes
+        else:
+            p = np.array([float(cell) for cell in cells])
+            assert cells == [repr(v) for v in p.tolist()]
+            assert np.max(np.abs(p - law)) < 1e-6
+            tail = 1.0 - np.cumsum(p)[-1]
+        assert capsys.readouterr().out == (
+            f"wrote {base}_jsi.csv and {base}_schmidt.csv ({n_modes} modes, tail {tail:.2e})\n"
+        )
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():

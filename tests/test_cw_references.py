@@ -1,0 +1,158 @@
+"""The Gaussian-series CW references in `tests/oracles.py`, and the CW accuracy gate.
+
+Each reference is checked against adaptive quadrature of a form that does
+not use its series: the incoherent table entry by entry in frequency (a
+Voigt profile inside), and the coherent amplitude and the photon rate on
+their unexpanded integrands.  The gate then holds the rows of
+`tests/data/regression_cw.json` to the references, column by column.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from oracles import (
+    cw_coherent_amplitude,
+    cw_incoherent_entry,
+    cw_incoherent_table,
+    cw_photon_rate,
+    cw_reference_columns,
+    cw_series_orders,
+)
+
+from sqfluor.cli import run_cw_sweep
+from sqfluor.config import load_config
+from sqfluor.geometry import effective_area
+from sqfluor.system import eta_prefactor
+
+DATA = Path(__file__).parent / "data"
+
+# sigma_c_bar / Gamma_b of the three columns of regression_cw.json.
+COLUMNS = (0.01, 1.0, 100.0)
+
+
+def half_widths(system, ratio):
+    """(g, gc): the half-widths of |G_ba|^2 and L in units of sigma_c_bar."""
+    sigma = ratio * system.gamma_b
+    return 0.5 * system.gamma_b / sigma, 0.5 * system.gamma_c / sigma
+
+
+class TestIncoherentTable:
+    @pytest.mark.parametrize("ratio", COLUMNS)
+    def test_entries_match_adaptive_quad_in_frequency(self, cs_system, ratio):
+        # The corners and an inner pair, with k != l both ways round: the
+        # table's band-II and band-I orders are not interchangeable.
+        g, gc = half_widths(cs_system[0], ratio)
+        orders = cw_series_orders(10.0)
+        table = cw_incoherent_table(orders, g, gc)
+        top = len(orders)
+        for k, l in ((1, 1), (1, top), (top, 1), (5, 9), (9, 5), (top, top)):
+            exact = cw_incoherent_entry(k, l, g, gc)
+            assert table[k - 1, l - 1] == pytest.approx(exact, rel=1e-13, abs=0.0), (k, l)
+
+    @pytest.mark.parametrize("ratio", COLUMNS)
+    def test_two_node_sets_agree(self, cs_system, ratio):
+        g, gc = half_widths(cs_system[0], ratio)
+        orders = cw_series_orders(10.0)
+        coarse = cw_incoherent_table(orders, g, gc, nodes=64, panels=8)
+        fine = cw_incoherent_table(orders, g, gc, nodes=128, panels=16)
+        assert np.max(np.abs(fine / coarse - 1.0)) <= 1e-13
+
+
+def gain_integral(f, beta_bar):
+    """2 Int_0^inf f(x) dx for an even f carried by exp(-x^2/2), split at its gain-narrowed width."""
+    narrow = 1.0 / np.sqrt(1.0 + 2.0 * beta_bar)
+    edges = [0.0, narrow, 4.0 * narrow, 40.0]
+    return 2.0 * sum(
+        quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+@pytest.mark.parametrize("ratio", COLUMNS)
+@pytest.mark.parametrize("beta_bar", [0.1, 1.0, 10.0])
+def test_coherent_amplitude_matches_adaptive_quad(cs_system, ratio, beta_bar):
+    # In x = (w - omega_ba)/sigma, G_ba dw = -dx/(x + i g): the real part is
+    # odd in x and integrates to zero, the imaginary part is g/(x^2 + g^2).
+    g, _ = half_widths(cs_system[0], ratio)
+    sigma = ratio * cs_system[0].gamma_b
+
+    def f(x):
+        r = np.exp(-0.5 * x * x)
+        return np.sinh(beta_bar * r) * np.cosh(beta_bar * r) * g / (x * x + g * g)
+
+    amplitude = cw_coherent_amplitude(beta_bar, sigma, cs_system[0].gamma_b)
+    assert amplitude.real == 0.0
+    assert amplitude.imag == pytest.approx(gain_integral(f, beta_bar), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta_bar", [0.1, 1.0, 10.0, 30.0])
+def test_photon_rate_matches_adaptive_quad(beta_bar):
+    sigma = 2.9e7
+
+    def f(x):
+        return np.sinh(beta_bar * np.exp(-0.5 * x * x)) ** 2
+
+    direct = sigma * gain_integral(f, beta_bar) / (2.0 * np.pi)
+    assert cw_photon_rate(beta_bar, sigma) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+# The CW gate: relative tolerance of each rate column against
+# `cw_reference_columns`.  The largest gaps of the program were, when the
+# gate was added: photon rate 1.4e-8 (0.01 Gamma_b, beta_bar 10); coherent
+# 9.5e-6 (100 Gamma_b, beta_bar 1); incoherent +9.0e-5, +1.3e-5 and -3.3e-4
+# in the 0.01, 1 and 100 Gamma_b columns (DECISIONS.md, "The CW accuracy
+# gate").  r_sq_total is held to the sum of the two references.
+CW_GATE_REL_TOL = {
+    "photon_rate_per_s": 5e-8,
+    "r_sq_coherent": 2e-5,
+    "r_sq_incoherent": 4e-4,
+    "r_sq_total": 4e-4,
+}
+
+
+def gate_failures(rows: list[dict], refs: list[dict]) -> list[tuple[int, str, float]]:
+    """(row, column, relative gap) of every cell outside its CW_GATE_REL_TOL."""
+    failures = []
+    for n, (row, ref) in enumerate(zip(rows, refs, strict=True)):
+        expected = dict(ref, r_sq_total=ref["r_sq_coherent"] + ref["r_sq_incoherent"])
+        for column, tol in CW_GATE_REL_TOL.items():
+            gap = row[column] / expected[column] - 1.0
+            if not abs(gap) <= tol:
+                failures.append((n, column, gap))
+    return failures
+
+
+class TestCwGate:
+    @pytest.fixture(scope="class")
+    def regression(self):
+        cfg = load_config(DATA / "regression_cw.json")
+        rows = run_cw_sweep(cfg)
+        eta = eta_prefactor(cfg.system, cfg.coupling)
+        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
+        return rows, cw_reference_columns(rows, cfg.system, eta, area)
+
+    def test_every_cell_is_within_its_column_tolerance(self, regression):
+        rows, refs = regression
+        assert len(rows) == 15
+        assert sorted({row["sigma_c_over_gamma_b"] for row in rows}) == list(COLUMNS)
+        assert gate_failures(rows, refs) == []
+
+    def test_rejects_an_incoherent_column_scaled_by_one_percent(self, regression):
+        rows, refs = regression
+        scaled = [dict(row, r_sq_incoherent=1.01 * row["r_sq_incoherent"]) for row in rows]
+        failures = {(n, column) for n, column, _ in gate_failures(scaled, refs)}
+        assert {(n, "r_sq_incoherent") for n in range(len(rows))} <= failures
+        assert {column for _, column in failures} <= {"r_sq_incoherent", "r_sq_total"}
+
+    def test_rejects_swapped_coherent_and_incoherent_columns(self, regression):
+        rows, refs = regression
+        swapped = [
+            dict(row, r_sq_coherent=row["r_sq_incoherent"], r_sq_incoherent=row["r_sq_coherent"])
+            for row in rows
+        ]
+        failures = gate_failures(swapped, refs)
+        assert len({n for n, _, _ in failures}) == len(rows)
+        assert {column for _, column, _ in failures} == {"r_sq_coherent", "r_sq_incoherent"}

@@ -16,11 +16,11 @@ from oracles import (
     RegimeViolationError,
     classical_pulse_pair_probability,
     classical_pulsed_population,
+    eager_schmidt_decompose_analytic,
     cw_population_integral,
     full_cw_j_lattice,
     full_lattice_j,
     lattice_correlate,
-    linear_interpolant_line_integral,
     mode_time_profiles,
     modes_at,
     rate_squeezed_cw_broadband,
@@ -35,9 +35,6 @@ from sqfluor.excitation import (
     VALIDITY_THRESHOLD,
     ExcitationOutcome,
     _cw_gain_scale,
-    _cw_incoherent_integral,
-    _cw_outer_samples,
-    cw_incoherent_sampling_rel_err,
     cw_j_lattice,
     cw_j_pass,
     energy_ledger,
@@ -59,14 +56,11 @@ from sqfluor.sources import (
     SqueezedCW,
     SqueezedPulsed,
     gain_functions_cw,
-    hermite_function_table,
     mode_squeezing,
     photon_number_pulsed,
     photon_rate_cw,
     schmidt_decompose,
-    schmidt_decompose_analytic,
 )
-from sqfluor.peaked import DEFAULT_NUMERICS
 from sqfluor.spectral import (
     GaussianAmplitude, NumericalError, green, lorentzian, simpson_weights,
 )
@@ -184,7 +178,7 @@ class TestClassicalPulsed:
         gb = system.gamma_b
         separable = SqueezedPulsed(gb, gb, system.omega_ba, system.omega_cb)
         engine = LatticePulsedEngine(
-            schmidt_decompose_analytic(separable), system, cs_eta, mot_area
+            eager_schmidt_decompose_analytic(separable), system, cs_eta, mot_area
         )
         assert engine.ladder == [1]
         out = engine.outcome(0.7)
@@ -281,7 +275,7 @@ class TestSqueezedCW:
         gb = system.gamma_b
         src = SqueezedCW(0.5, gb, system.omega_ba, system.omega_cb)
         gb_src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = truncated(schmidt_decompose_analytic(gb_src, trunc_tol=1e-6), 6)
+        dec = truncated(eager_schmidt_decompose_analytic(gb_src, trunc_tol=1e-6), 6)
         outcomes = [
             rate_squeezed_cw(src, system, cs_eta, mot_area, coupling),
             rate_classical_cw(matched_classical_cw(src, mot_area, 1e9), system, cs_eta),
@@ -383,44 +377,6 @@ class TestSqueezedCW:
             total += wgt * si2 * gg * np.sum(w2 * lorentzian(w, shape) * s_ii**2)
         incoh_brute = cs_eta.eta * total / ((2.0 * np.pi) ** 2 * area**2)
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
-
-
-# (sigma_c_bar/Gamma_b, beta_bar, detuning/Gamma_b, the estimate as
-# `rate_squeezed_cw` reported it in `diagnostics` while it still computed it).
-CW_ESTIMATE_CASES = [
-    (0.01, 1e-3, 0.0, "0x1.0429817899e14p-13"),
-    (1.0, 0.3, 0.0, "0x1.522b2a9e4814dp-11"),
-    (100.0, 1.0, 0.0, "0x1.dffcf909fcc6ap-12"),
-    (1000.0, 0.01, 0.0, "0x1.d03d923479aa8p-13"),
-    (2.5, 1.3, 7.0, "0x1.5bf3ea2f5ce1ep-11"),
-]
-
-
-class TestCwIncoherentEstimate:
-    # The scale/12 term of `cw_incoherent_sampling_rel_err` is the exact
-    # integral of |G_ba|^2 times the linear interpolant of its outer samples
-    # (zero outside the lattice), here summed interval by interval at 40
-    # digits in offsets from the band-I centre.
-    @pytest.mark.parametrize("ratio, beta_bar, detuning, reported", CW_ESTIMATE_CASES)
-    def test_coarse_term_is_the_exact_integral_of_its_interpolant(
-        self, cs_system, ratio, beta_bar, detuning, reported
-    ):
-        system, _ = cs_system
-        gb = system.gamma_b
-        src = SqueezedCW(
-            beta_bar, ratio * gb, system.omega_ba + detuning * gb, system.omega_cb - detuning * gb
-        )
-        scale = _cw_gain_scale(src)
-        fine = _cw_incoherent_integral(src, system, scale, DEFAULT_NUMERICS)
-        rel = cw_incoherent_sampling_rel_err(src, system, fine)
-        assert rel == float.fromhex(reported)
-        w_i_pts, samples = _cw_outer_samples(src, system, scale, 12.0)
-        h = scale / 12.0
-        offsets = h * (np.arange(len(w_i_pts)) - (len(w_i_pts) - 1) // 2)
-        coarse = linear_interpolant_line_integral(
-            offsets, samples, system.omega_ba - src.center_i, 0.5 * gb
-        )
-        assert abs(rel - abs(fine - coarse) / fine) <= 1e-13
 
 
 def _cw_j_window(u_full, n_i, keep):
@@ -809,7 +765,7 @@ class TestSqueezedPulsed:
             src = SqueezedPulsed(
                 10 * gb, 50 * gb, center_i, (system.omega_ca + 2.0 * gc) - center_i
             )
-            dec = truncated(schmidt_decompose_analytic(src, trunc_tol=1e-6), 12)
+            dec = truncated(eager_schmidt_decompose_analytic(src, trunc_tol=1e-6), 12)
         else:
             src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
             dec = truncated(schmidt_decompose(src, trunc_tol=1e-6), 6)
@@ -858,7 +814,7 @@ class TestSqueezedPulsed:
         center_i = system.omega_ba + 5.0 * gb
         center_ii = (system.omega_ca + 2.0 * gc) - center_i
         src = SqueezedPulsed(10 * gb, 50 * gb, center_i, center_ii)
-        dec = truncated(schmidt_decompose_analytic(src, trunc_tol=1e-6), 12)
+        dec = truncated(eager_schmidt_decompose_analytic(src, trunc_tol=1e-6), 12)
         engine = LatticePulsedEngine(dec, system, cs_eta, mot_area)
         assert narrow_green_line(engine)
         assert len(engine.ladder) > 1
@@ -878,7 +834,7 @@ class TestSqueezedPulsed:
             )
         else:
             src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = truncated(schmidt_decompose_analytic(src, trunc_tol=1e-6), 6)
+        dec = truncated(eager_schmidt_decompose_analytic(src, trunc_tol=1e-6), 6)
         tables = []
 
         def counting_correlate(weight, n_out):
@@ -952,7 +908,7 @@ class TestStepScan:
         src = SqueezedPulsed(
             sigma_p, sigma_c_over_sigma_p * sigma_p, system.omega_ba, system.omega_cb
         )
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-6)
+        dec = eager_schmidt_decompose_analytic(src, trunc_tol=1e-6)
         values = []
         for points in np.linspace(12.0, 12.5, 11):
             monkeypatch.setattr(oracles, "POINTS_PER_FEATURE", points)

@@ -19,6 +19,7 @@ from oracles import (
     ExactHermiteLatticeEngine,
     classical_pulse_pair_probability,
     coherent_kernel,
+    eager_schmidt_decompose_analytic,
     incoherent_kernel,
     photon_number_series,
     population_kernel,
@@ -39,7 +40,6 @@ from sqfluor.sources import (
     ClassicalPulsed,
     SqueezedPulsed,
     photon_number_pulsed,
-    schmidt_decompose_analytic,
 )
 from sqfluor.spectral import ConvergenceError, GaussianAmplitude
 from test_cli import tiny_pulsed_config
@@ -138,7 +138,7 @@ def test_rows_match_the_exact_hermite_lattice_engine(
     # own time grid, so the tables' population is taken on that grid too.
     system, coupling = cs_system
     src = panel(system, sigma_p_over_gamma_b, sigma_c_over_sigma_p, detuned)
-    dec = schmidt_decompose_analytic(src, trunc_tol=1e-14)
+    dec = eager_schmidt_decompose_analytic(src, trunc_tol=1e-14)
     monkeypatch.setattr(oracles, "POINTS_PER_FEATURE", 24)
     monkeypatch.setattr(oracles, "SAMPLES_PER_SIGMA", 1e9)
     lattice = ExactHermiteLatticeEngine(src, dec, system, cs_eta, mot_area, coupling)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,13 +7,13 @@ from oracles import (
     g2_cw,
     g2_pulsed_kernels,
     geometric_weights,
+    hermite_function_table,
     marginal_sigma,
     modes_at,
     truncated,
     weighted_mode_count,
 )
 
-import sqfluor.sources as sources
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
     ClassicalCW,
@@ -27,7 +25,6 @@ from sqfluor.sources import (
     default_jsa_grids,
     gain_functions_cw,
     geometric_mode_ratio,
-    hermite_function_table,
     jsa_eval,
     mode_squeezing,
     photon_number_pulsed,
@@ -216,7 +213,7 @@ class TestSchmidt:
         src = pulsed_source(sigma_p=SIGMA, sigma_c=8 * SIGMA)
         grids = default_jsa_grids(src, n_points=769)
         svd = schmidt_decompose(src, *grids, trunc_tol=1e-8)
-        ana = schmidt_decompose_analytic(src, trunc_tol=1e-8, grid_i=grids[0], grid_ii=grids[1])
+        ana = eager_schmidt_decompose_analytic(src, trunc_tol=1e-8, grid_i=grids[0], grid_ii=grids[1])
         n = min(svd.n_modes, ana.n_modes, 12)
         assert np.max(np.abs(svd.p[:n] - ana.p[:n])) < 1e-8
         for k in range(n):
@@ -235,7 +232,7 @@ class TestSchmidt:
 
     def test_analytic_reconstructs_the_jsa(self):
         src = pulsed_source(sigma_p=SIGMA, sigma_c=6 * SIGMA)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-10)
+        dec = eager_schmidt_decompose_analytic(src, trunc_tol=1e-10)
         w_i = dec.grid_i.points[::16]
         w_ii = dec.grid_ii.points[::16]
         f_i = modes_at(dec, "I", w_i)
@@ -244,29 +241,14 @@ class TestSchmidt:
         direct = jsa_eval(w_i[:, None], w_ii[None, :], src)
         assert np.max(np.abs(recon - direct)) < 1e-4 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("explicit_grids", [False, True])
-    def test_analytic_tables_are_built_on_first_read(self, monkeypatch, explicit_grids):
-        calls = []
-        hermite = sources.hermite_function_table
-
-        def counted(n_modes, x):
-            calls.append(n_modes)
-            return hermite(n_modes, x)
-
-        monkeypatch.setattr(sources, "hermite_function_table", counted)
-        src = pulsed_source(sigma_p=SIGMA, sigma_c=6 * SIGMA)
-        grids = default_jsa_grids(src, n_points=601) if explicit_grids else (None, None)
-        dec = schmidt_decompose_analytic(src, 1e-10, *grids)
-        eager = eager_schmidt_decompose_analytic(src, 1e-10, *grids)
-        assert calls == []
-        f_ii, f_i = dec.f_ii, dec.f_i
-        assert calls == [dec.n_modes] * 2  # both tables, built once
-        for lazy, built in ((f_i, eager.f_i), (f_ii, eager.f_ii), (dec.p, eager.p)):
-            assert lazy.shape == built.shape and lazy.tobytes() == built.tobytes()
-        assert (dec.grid_i, dec.grid_ii, dec.tail) == (eager.grid_i, eager.grid_ii, eager.tail)
-        assert replace(dec, tail=0.0).f_i is f_i
-        with pytest.raises(AttributeError):
-            dec.f_iii
+    @pytest.mark.parametrize("ratio", [1.0, 6.0, 1000.0])
+    def test_analytic_route_returns_the_spectrum_only(self, ratio):
+        src = pulsed_source(sigma_p=SIGMA, sigma_c=ratio * SIGMA)
+        dec = schmidt_decompose_analytic(src, 1e-10)
+        tabulated = eager_schmidt_decompose_analytic(src, 1e-10)
+        assert (dec.f_i, dec.f_ii, dec.grid_i, dec.grid_ii) == (None, None, None, None)
+        assert dec.p.tobytes() == tabulated.p.tobytes()
+        assert (dec.n_modes, dec.tail) == (tabulated.n_modes, tabulated.tail)
 
     def test_grid_preconditions(self):
         src = pulsed_source(sigma_p=SIGMA, sigma_c=4 * SIGMA)
@@ -424,7 +406,7 @@ class TestG2Pulsed:
     def test_broadband_high_gain_ratio_approaches_one(self):
         src = pulsed_source(sigma_p=SIGMA, sigma_c=50 * SIGMA)
         mu = geometric_mode_ratio(src)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-8)
+        dec = eager_schmidt_decompose_analytic(src, trunc_tol=1e-8)
         ratios = []
         for mult in (1.0, 6.0):
             beta = mult / np.sqrt(1.0 - mu)

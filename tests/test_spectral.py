@@ -23,7 +23,6 @@ from sqfluor.spectral import (
     green,
     lorentzian,
     pole_weights,
-    pole_weights_linear,
     quad_1d,
     quad_converged,
     simpson_doublings,
@@ -269,84 +268,6 @@ class TestPoleWeights:
     def test_rejects_a_pole_on_the_real_axis(self):
         with pytest.raises(ValueError, match="real axis"):
             pole_weights(0.0, 1.0, 5, 2.0)
-
-
-class TestPoleWeightsLinear:
-    """Product integration of a piecewise-linear interpolant against 1/(x - pole)."""
-
-    @staticmethod
-    def exact_hats(x0, step, a, g):
-        """Int hat_k(x) g/((x - a)^2 + g^2) dx over [x0, x0 + step] at 40 digits.
-
-        hat_0 falls from 1 at x0 to 0 at x0 + step, hat_1 rises; these are the
-        two weights of the interval, times g, for the line |G|^2.
-        """
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            x0, step, a, g = (mpmath.mpf(v) for v in (x0, step, a, g))
-            lo, hi = x0 - a, x0 + step - a
-            area = mpmath.atan(hi / g) - mpmath.atan(lo / g)
-            moment = g * (mpmath.log(hi * hi + g * g) - mpmath.log(lo * lo + g * g)) / 2
-            rising = (moment - lo * area) / step
-            return area - rising, rising
-
-    @pytest.mark.parametrize("g_over_step", [1e-6, 1e-3, 0.05, 1.0, 30.0, 1e4])
-    def test_segments_match_40_digit_integrals(self, g_over_step):
-        # One interval at 1e-3 to 1e6 line half-widths g from the pole, on
-        # either side; near the pole, on the pole's node and past it.  Each
-        # node's weight is checked, not only their sum.
-        step, a = 0.37, 1.3
-        g = g_over_step * step
-        worst = 0.0
-        for distance in (1e-3, 0.1, 0.7, 1.0, 3.0, 30.0, 1e3, 1e6):
-            for x0 in (a + distance * g, a - distance * g - step):
-                got = pole_weights_linear(x0, step, 2, complex(a, g)).imag
-                for value, exact in zip(got, self.exact_hats(x0, step, a, g)):
-                    worst = max(worst, abs(value / float(exact) - 1.0))
-        assert worst <= 1e-13
-
-    @pytest.mark.parametrize(
-        "offset, imag",
-        [
-            (7.0, 1e-4),  # on a node, far narrower than the step
-            (7.5, -0.3),  # between nodes, below the axis
-            (-5.5, 0.7),  # below the lattice
-            (60.0, 2.0),  # beyond the last node: every interval in the series
-        ],
-    )
-    def test_linear_interpolants_are_integrated_exactly(self, offset, imag):
-        # Int f/(x - pole) over the nodes' span, f the interpolant of
-        # non-polynomial samples, summed interval by interval at 40 digits
-        # on the exact nodes first + step k.
-        mpmath = pytest.importorskip("mpmath")
-        first, step, n_points = -3.0, 0.15, 41
-        pole = complex(first + offset * step, imag * step)
-        x = first + step * np.arange(n_points)
-        f = np.cos(3.0 * x) + x * x
-        exact = mpmath.mpf(0)
-        with mpmath.workdps(40):
-            z = mpmath.mpc(pole.real, pole.imag)
-            for k in range(n_points - 1):
-                lo = mpmath.mpf(first) + k * mpmath.mpf(step)
-                hi = lo + mpmath.mpf(step)
-                slope = (mpmath.mpf(f[k + 1]) - mpmath.mpf(f[k])) / (hi - lo)
-                f_z = mpmath.mpf(f[k]) + slope * (z - lo)
-                exact += f_z * (mpmath.log(hi - z) - mpmath.log(lo - z)) + slope * (hi - lo)
-        got = pole_weights_linear(first, step, n_points, pole) @ f
-        weights = pole_weights_linear(first, step, n_points, pole)
-        assert abs(got - complex(exact)) <= 1e-14 * (np.abs(weights) @ np.abs(f))
-
-    def test_weights_do_not_depend_on_the_units(self):
-        pole = complex(0.4, 0.02)
-        base = pole_weights_linear(-3.0, 0.15, 41, pole)
-        scaled = pole_weights_linear(-3e7, 1.5e6, 41, 1e7 * pole)
-        assert np.allclose(scaled, base, rtol=1e-12, atol=0.0)
-
-    def test_rejects_a_single_node_and_a_pole_on_the_real_axis(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            pole_weights_linear(0.0, 1.0, 1, 1.0 + 1.0j)
-        with pytest.raises(ValueError, match="real axis"):
-            pole_weights_linear(0.0, 1.0, 5, 2.0)
 
 
 class TestSimpsonDoublings:
