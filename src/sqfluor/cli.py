@@ -153,7 +153,6 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     eta = eta_prefactor(system, coupling)
     area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
-    opts = cfg.numerics_options()
     src_cfg = cfg.source
     ratios = src_cfg["sigma_c_over_gamma_b"]
     base_grid = _log_grid(
@@ -176,8 +175,8 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             beta_bar=beta_bar, sigma_c_bar=ratio * system.gamma_b,
             center_i=system.omega_ba, center_ii=system.omega_cb,
         )
-        out_sq = rate_squeezed_cw(src, system, eta, area, coupling, opts)
-        rate = photon_rate_cw(src, "I", opts.rel_tol, opts.max_doublings)
+        out_sq = rate_squeezed_cw(src, system, eta, area, coupling)
+        rate = photon_rate_cw(src)
         src_cl = matched_classical_cw(src, area, rate)
         out_cl = rate_classical_cw(src_cl, system, eta)
         fl_sq = fluorescence(out_sq, system, n_atoms)

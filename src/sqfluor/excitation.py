@@ -13,12 +13,14 @@ verbatim.  Outer integrals are plain domega.
     p_sq_pulse,c = eta Int L(w) |sum_n Int G_ba f_IIn f_In dbar s_n c_n|^2 dw / A^2
     p_sq_pulse,ic= eta Int L(w) sum_nm |Int G_ba f_IIn f_Im dbar s_n s_m|^2 dw / A^2
 
-Two CW integrals route through `peaked.quad_kernel_smooth`: the coherent
-amplitude Int G_ba s_I c_I and the scale/24 outer pass of the incoherent
-rate (the photon rate is `sources.photon_rate_cw`'s Simpson doubling).  The
-intermediate population is a Voigt series (`max_intermediate_population`).
-No CW rate carries an error estimate; the accuracy of the rates is checked
-against Gaussian-series references under tests/.
+Squeezed light, CW and pulsed, is computed from Gaussian series of the
+gains (`sources._gain_series`), so every frequency integral is a Gaussian
+against a Lorentzian or a Green pole.  On CW rows the coherent amplitude
+Int G_ba s_I c_I is one Faddeeva value per term, the photon rate
+(`sources.photon_rate_cw`) and the intermediate population
+(`max_intermediate_population`) are closed sums too, and the incoherent
+double integral is a quadratic form of one K x K table of half-line
+integrals, built per call (`rate_squeezed_cw`).
 
 A classical pulse pair is a closed form (`p_classical_pulsed`).  Squeezed
 pulses of the double-Gaussian source are Gaussian series of their Schmidt
@@ -26,10 +28,15 @@ gains: Mehler's formula sums the Hermite modes of each term, and every
 frequency integral left is Gaussian once the Green pole and the Lorentzian
 are written in time.  `PulsedExcitationEngine` tabulates the one half-line
 integral that remains per term pair (incoherent, coherent) or per term and
-time (intermediate population), doubling its Gauss-Legendre nodes until
-each table settles to 1e-13, and a row reads three small quadratic forms.
-Tables are built once and only read afterwards, so sweep rows on several
-threads share one engine without a lock.
+time (intermediate population), and a row reads three small quadratic
+forms.  Tables are built once and only read afterwards, so sweep rows on
+several threads share one engine without a lock.
+
+Every table, CW or pulsed, doubles its Gauss-Legendre nodes until it
+settles to TABLE_REL_TOL = 1e-13 and raises ConvergenceError past
+MAX_TABLE_NODES; rows report `series_terms` and `quadrature_rel_err` in
+their `diagnostics`.  The accuracy of the CW rates is also checked against
+independent Gaussian-series references under tests/.
 """
 
 from __future__ import annotations
@@ -43,21 +50,16 @@ import numpy as np
 from scipy.special import erf, erfcx, gammaln, wofz
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
-from .peaked import (
-    DEFAULT_NUMERICS,
-    NumericsOptions,
-    abs2_green_kernel,
-    green_kernel,
-    lorentzian_kernel,
-    quad_kernel_smooth,
-)
+# Unused here: sweepbench's layer tracer wraps it on this module by name.
+from .peaked import quad_kernel_smooth
 from .sources import (
     ClassicalCW,
     ClassicalPulsed,
     SchmidtDecomposition,
     SqueezedCW,
     SqueezedPulsed,
-    gain_functions_cw,
+    _gain_series,
+    _sinh2_series,
     geometric_mode_ratio,
     photon_number_pulsed,
     squeezing_from_roots,
@@ -65,12 +67,9 @@ from .sources import (
 from .spectral import (
     GaussianAmplitude,
     ConvergenceError,
-    LorentzianLineshape,
-    NumericalError,
     green,
     lorentzian,
     pole_weights,
-    simpson_weights,
 )
 from .system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem, cross_section
 
@@ -95,61 +94,7 @@ __all__ = [
 ]
 
 VALIDITY_THRESHOLD = 0.1
-SPAN_SIGMAS_CW = 9.0
-# The CW J pass leaves out s_II^2 below this share of its peak sinh^2(beta_bar):
-# on every case checked no bit of J moves (DECISIONS.md).
-CW_J_CUT = 2.0**-200
-# s_II = sinh(beta_bar r), r = exp(-x^2/2) at x sigma_c_bar from the band centre,
-# and sinh(beta_bar r) <= r sinh(beta_bar), so s_II^2 < CW_J_CUT sinh^2(beta_bar)
-# once r^2 < CW_J_CUT: beyond sqrt(-ln CW_J_CUT) = 11.8 sigma_c_bar for any beta_bar.
-CW_J_REACH_SIGMAS = float(np.sqrt(-np.log(CW_J_CUT)))
-CW_J_ROW_BLOCKS = 4  # row blocks of the J pass, each summed over its own band
-# Table of the Gaussian series of sinh^2 (`_sinh2_series`): it runs out from
-# beta_bar = 353 on, below the 355.4 where sinh^2 overflows a double.
-CW_SERIES_TERMS = 480
-CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
 CLASSICAL_OUTER_POINTS = 4097  # samples of a classical pulse pair's outer integral
-
-
-def _l_core_unresolved(
-    first: float, last: float, n_points: int, step: float, shape: LorentzianLineshape
-) -> bool:
-    """Whether `lorentzian_sample_weights` corrects the L core on these samples."""
-    core_inside = first + 2.0 * step < shape.center < last - 2.0 * step
-    return core_inside and shape.fwhm < 4.0 * step and n_points >= 7
-
-
-def lorentzian_sample_weights(
-    pts: np.ndarray, step: float, shape: LorentzianLineshape, window: float
-) -> np.ndarray:
-    """Weights lam with Int L(w) Q(w) dw ~= lam . Q for Q sampled on `pts`.
-
-    Simpson-times-L when the samples resolve the Lorentzian; when its core is
-    narrower than the sampling, the core mass is replaced by the analytic
-    Gaussian-window moment and Q(center) enters through a cubic interpolation
-    stencil, keeping the functional linear in the samples.
-    """
-    center, fwhm = shape.center, shape.fwhm
-    lam = simpson_weights(len(pts), step) * lorentzian(pts, shape)
-    if not _l_core_unresolved(pts[0], pts[-1], len(pts), step, shape):
-        return lam
-    window = max(window, 4.0 * step)
-    kernel = lorentzian_kernel(center, fwhm)
-    m0, _ = kernel.gaussian_moments(window)
-    g_w = np.exp(-((pts - center) ** 2) / (2.0 * window**2))
-    s0 = np.sum(lam * g_w)
-    j = int(np.searchsorted(pts, center)) - 1
-    j = min(max(j, 1), len(pts) - 3)
-    t = (center - pts[j]) / step
-    stencil = np.array([
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -t * (t + 1.0) * (t - 2.0) / 2.0,
-        t * (t + 1.0) * (t - 1.0) / 6.0,
-    ])
-    lam = lam.copy()
-    lam[j - 1 : j + 3] += (float(np.real(m0)) - s0) * stencil
-    return lam
 
 
 @dataclass(frozen=True)
@@ -285,198 +230,11 @@ def p_classical_pulsed(
 
 
 # ---------------------------------------------------------------------------
-# squeezed light, CW
+# squeezed light: half-line tables of the Gaussian series
 # ---------------------------------------------------------------------------
 
 
-def _cw_gain_scale(src: SqueezedCW) -> float:
-    """Sharpest feature of the gain functions: the peak narrows as sqrt(gain)."""
-    return src.sigma_c_bar / np.sqrt(1.0 + 2.0 * src.beta_bar)
-
-
-def rate_squeezed_cw(
-    src: SqueezedCW,
-    sys: FourLevelSystem,
-    eta: CrossSectionPrefactor,
-    a_eff: float,
-    coupling: DipoleCoupling | None = None,
-    opts: NumericsOptions = DEFAULT_NUMERICS,
-) -> ExcitationOutcome:
-    """Coherent + incoherent CW squeezed excitation rates (converged quadrature).
-
-    `opts` sets the quadrature of the coherent amplitude and of the scale/24
-    incoherent pass; the population takes none.  `diagnostics` is empty.
-    """
-    pop = None
-    if coupling is not None:
-        pop = max_intermediate_population(src, sys, coupling, a_eff)
-    if src.beta_bar == 0.0:
-        return ExcitationOutcome(0.0, 0.0, pop)
-
-    g_ba = green_kernel(sys.omega_ba, sys.gamma_b)
-    scale = _cw_gain_scale(src)
-
-    def coherent_smooth(w):
-        s, c = gain_functions_cw(w, src, "I")
-        return s * c
-
-    coh_integral = quad_kernel_smooth(
-        g_ba, coherent_smooth, smooth_center=src.center_i,
-        smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
-    )
-    l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
-    coherent = eta.eta * l_at_pump * abs(coh_integral / TWO_PI) ** 2 / a_eff**2
-
-    incoh_value = _cw_incoherent_integral(src, sys, scale, opts)
-    incoherent = eta.eta * incoh_value / (TWO_PI**2 * a_eff**2)
-    return ExcitationOutcome(coherent, incoherent, pop)
-
-
-def cw_j_lattice(
-    src: SqueezedCW, sys: FourLevelSystem, scale: float, points_per_scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w_i_pts, u_tab, lam) of the CW inner pass at step h = scale/points_per_scale.
-
-    The omega lattice w_k = lo + h k (n_w points, n_w odd) covers the band-II
-    support shifted by every band-I point wI_j and, when it lies inside, the
-    L core to +/-30 Gamma_c.  Column k of the J pass reads s_II^2 at
-    w_k - wI_j.  Only the window of columns that read an s_II^2 of at least
-    CW_J_CUT sinh^2(beta_bar), its analytic peak, is built (and only a
-    nonzero one, for a gain whose square underflows everywhere): `lam` holds
-    their Lorentzian sample weights, and u_tab[m] = s_II^2 at w_k - wI_j with
-    m = k - k0 - j + n_i - 1 (k0 the first window column), zero outside the
-    cut, so it has len(lam) + n_i - 1 entries.  s_II is evaluated only out
-    to CW_J_REACH_SIGMAS sigma_c_bar plus a step.  Each value is the one
-    the whole lattice gives at that point; `lam` is empty when no value
-    passes the cut.  The values left out are below 2^-200 of the peak, and
-    on every case checked J is the whole lattice's bit for bit
-    (DECISIONS.md).
-
-    The +/-30 Gamma_c stretch adds no column that reads a nonzero s_II^2,
-    yet it is kept: it sets `lo`, hence where the lattice points fall, the
-    parity of their Simpson weights and the span the L core correction sums
-    over, and the CW golden CSV under tests/data freezes the bytes these
-    give.  The pulsed engine has no such stretch.
-    """
-    h = scale / points_per_scale
-    half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
-    n_i = 2 * int(np.ceil(half_u / h)) + 1
-    w_i_pts = src.center_i + h * (np.arange(n_i) - (n_i - 1) // 2)
-
-    lo = w_i_pts[0] + src.center_ii - half_u
-    hi = w_i_pts[-1] + src.center_ii + half_u
-    if lo < sys.omega_ca < hi:
-        lo = min(lo, sys.omega_ca - 30.0 * sys.gamma_c)
-        hi = max(hi, sys.omega_ca + 30.0 * sys.gamma_c)
-    n_w = int(np.ceil((hi - lo) / h)) + 1
-    n_w = n_w if n_w % 2 == 1 else n_w + 1
-
-    # u index m (0 <= m < n_w + n_i - 1) sits at u0 + h m; s_II is evaluated
-    # only where it can pass the cut.
-    u0 = lo - w_i_pts[-1]
-    reach = CW_J_REACH_SIGMAS * src.sigma_c_bar + h
-    m_lo = max(0, int(np.floor((src.center_ii - reach - u0) / h)))
-    m_hi = min(n_w + n_i - 1, int(np.ceil((src.center_ii + reach - u0) / h)) + 1)
-    s_u, _ = gain_functions_cw(u0 + h * np.arange(m_lo, m_hi), src, "II")
-    s2 = s_u * s_u
-    kept = np.flatnonzero((s2 >= CW_J_CUT * np.sinh(src.beta_bar) ** 2) & (s2 > 0.0))
-    if kept.size == 0:
-        return w_i_pts, np.zeros(n_i - 1), np.zeros(0)
-    first, last = m_lo + kept[0], m_lo + kept[-1]
-    # Column k reads u indices k .. k + n_i - 1.
-    cols = np.arange(max(0, first - (n_i - 1)), min(n_w - 1, last) + 1)
-    u_tab = np.zeros(len(cols) + n_i - 1)
-    u_tab[first - cols[0] : last + 1 - cols[0]] = s2[kept[0] : kept[-1] + 1]
-
-    shape = sys.lineshape_ca()
-    if _l_core_unresolved(lo, lo + h * (n_w - 1), n_w, h, shape):
-        # The core correction sums over the whole lattice.
-        lam = lorentzian_sample_weights(lo + h * np.arange(n_w), h, shape, 0.5 * scale)[cols]
-    else:
-        simpson = np.where(cols % 2 == 1, 4.0, 2.0)
-        simpson[(cols == 0) | (cols == n_w - 1)] = 1.0
-        lam = simpson * (h / 3.0) * lorentzian(lo + h * cols, shape)
-    return w_i_pts, u_tab, lam
-
-
-def cw_j_pass(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
-    """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k] over the window of `cw_j_lattice`.
-
-    Each row is summed sequentially in k, as numpy's matmul does on a
-    strided view whose rows overlap in memory (BLAS cannot take it).  The
-    rows run in CW_J_ROW_BLOCKS blocks, each over only the columns where
-    one of its rows reads a nonzero u_tab entry: the columns skipped add
-    +/-0.0 products before a row's first term or after its last, and adding
-    +/-0.0 to a partial sum that starts at +0.0 changes no bit, so J is the
-    product over every column bit for bit.  A block keeps at least two rows,
-    because numpy hands a one-row product to BLAS `dot`, whose summation
-    order depends on the span; a single row (n_i = 1) therefore runs over
-    every column.  Inside the window the weights are the full lattice's bit
-    for bit: the Simpson weight follows from the index parity and the two
-    ends, and the Lorentzian is elementwise.  A contiguous copy, a BLAS
-    call or an FFT would change the summation order and the last bits of J.
-    """
-    j_vals = np.zeros(n_i)
-    nonzero = np.flatnonzero(u_tab)
-    if lam.size == 0 or nonzero.size == 0:
-        return j_vals
-    step = u_tab.strides[0]
-    n_blocks = max(1, min(CW_J_ROW_BLOCKS, n_i // 2))
-    bounds = [n_i * b // n_blocks for b in range(n_blocks + 1)]
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        # Row j reads a nonzero entry only at columns nonzero - (n_i - 1 - j).
-        c0, c1 = 0, len(lam)
-        if r1 - r0 > 1:
-            c0 = max(c0, nonzero[0] - (n_i - 1 - r0))
-            c1 = min(c1, nonzero[-1] - (n_i - 1 - (r1 - 1)) + 1)
-        if c0 >= c1:
-            continue
-        u_view = np.lib.stride_tricks.as_strided(
-            u_tab[n_i - 1 - r0 + c0 :], shape=(r1 - r0, c1 - c0), strides=(-step, step),
-            writeable=False,
-        )
-        j_vals[r0:r1] = u_view @ lam[c0:c1]
-    return j_vals
-
-
-def _cw_outer_samples(
-    src: SqueezedCW, sys: FourLevelSystem, scale: float, points_per_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(w_i_pts, s_I^2 J) on the band-I lattice of the J pass at step scale/points_per_scale."""
-    w_i_pts, u_tab, lam = cw_j_lattice(src, sys, scale, points_per_scale)
-    s_i, _ = gain_functions_cw(w_i_pts, src, "I")
-    return w_i_pts, s_i * s_i * cw_j_pass(u_tab, lam, len(w_i_pts))
-
-
-def _cw_incoherent_integral(
-    src: SqueezedCW, sys: FourLevelSystem, scale: float, opts: NumericsOptions
-) -> float:
-    """IntInt L(w) |G_ba(wI)|^2 s_II^2(w - wI) s_I^2(wI) dw dwI (plain measure).
-
-    The inner pass J(wI) = Int L(w) s_II^2(w - wI) dw is a correlation of the
-    fixed photon-density shape with L; on a shared uniform lattice it is a
-    strided matrix-vector product against Lorentzian sample weights, summed
-    in row blocks over each block's band (`cw_j_pass`).  The value is the
-    lattice at step scale/24, whose outer samples s_I^2 J are interpolated
-    linearly and integrated against |G_ba|^2 by `quad_kernel_smooth`.
-    """
-    w_i_pts, samples = _cw_outer_samples(src, sys, scale, 24.0)
-
-    def smooth(w):
-        return np.interp(np.asarray(w, dtype=float), w_i_pts, samples, left=0.0, right=0.0)
-
-    return float(np.real(quad_kernel_smooth(
-        abs2_green_kernel(sys.omega_ba, sys.gamma_b), smooth, smooth_center=src.center_i,
-        smooth_width=src.sigma_c_bar, smooth_scale=scale, opts=opts,
-    )))
-
-
-# ---------------------------------------------------------------------------
-# squeezed light, pulsed
-# ---------------------------------------------------------------------------
-
-
-# Node doublings of a pulsed table stop once no entry moves by more than this
+# Node doublings of a table stop once no entry moves by more than this
 # share of the table's largest entry; past MAX_TABLE_NODES they raise.
 TABLE_REL_TOL = 1e-13
 MAX_TABLE_NODES = 1024
@@ -496,6 +254,17 @@ def _reach(quadratic, linear):
     """The L > 0 with quadratic L^2 + linear L = TAIL_EXPONENT."""
     root = np.sqrt(linear * linear + 4.0 * quadratic * TAIL_EXPONENT)
     return 2.0 * TAIL_EXPONENT / (linear + root)
+
+
+def _two_panels(reach, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, reach]: n_nodes/2 Gauss-Legendre nodes on each of two panels.
+
+    The panels are [0, reach/4] and [reach/4, reach]; reach may be an array
+    (one grid per entry, along a last axis).
+    """
+    x, w = _gauss_legendre(n_nodes // 2)
+    t = 0.25 * reach * np.concatenate([x, 1.0 + 3.0 * x])
+    return t, 0.25 * reach * np.concatenate([w, 3.0 * w])
 
 
 def _exp_erfcx(expo, z, expo_joined, scale=None):
@@ -543,10 +312,117 @@ def _lorentz_gauss(kappa, lam, vc: float, gc: float):
 
 
 def _real_with_phase(values, delta: float, t):
-    """Re[e^(i delta t) values]: delta is the Green line's offset from the band-I centre."""
+    """Re[e^(i delta t) values] for a real offset delta: a line's offset in units of the table."""
     if delta == 0.0:
         return np.real(values)
     return np.real(np.exp(1j * delta * t) * values)
+
+
+def _doubled(table, n_nodes: int, what: str) -> tuple[np.ndarray, int, float]:
+    """(table(n), n, rel) at the first n = n_nodes 2^j that moves by rel <= TABLE_REL_TOL.
+
+    rel is the largest change from table(n/2) over the largest |entry|.
+    Raises ConvergenceError where the next n would pass MAX_TABLE_NODES.
+    """
+    current, rel = table(n_nodes), math.inf
+    previous = current
+    while rel > TABLE_REL_TOL:
+        if 2 * n_nodes > MAX_TABLE_NODES:
+            raise ConvergenceError(
+                float(np.max(np.abs(current))), float(np.max(np.abs(previous))), rel, what
+            )
+        previous, n_nodes = current, 2 * n_nodes
+        current = table(n_nodes)
+        peak = float(np.max(np.abs(current)))
+        rel = float(np.max(np.abs(current - previous))) / peak if peak > 0.0 else 0.0
+    return current, n_nodes, rel
+
+
+def _on_resonance(offset: float, frequency: float) -> float:
+    """offset, or 0.0 when it is within the rounding of two sums near `frequency`.
+
+    omega_ca = omega_ba + omega_cb is itself rounded, so a source centred on
+    both lines can sit a few ulp off omega_ca; the tables are even in that
+    offset, so taking it as zero moves them at second order (below 1e-16).
+    """
+    return 0.0 if abs(offset) <= 2.0 * np.spacing(abs(frequency)) else offset
+
+
+# ---------------------------------------------------------------------------
+# squeezed light, CW
+# ---------------------------------------------------------------------------
+
+
+def _cw_incoherent_table(k, g, gc, vc, delta, n_nodes):
+    """R_kl = sqrt(pi/k)/g Int_0^inf e^(-gc t - t^2/(4k)) Re[e^(-i vc t) F_l(t)] dt.
+
+    k is the order of the band-II term, l that of band I (the one under
+    |G_ba|^2), and F_l = `_lorentz_gauss` at kappa = l, lam = t about the
+    Green line at delta with half-width g.  |F_l| <= 1, so the integrand
+    falls at least as fast as its band-II factor, and one grid of
+    `_two_panels` to the reach of the largest k serves every row.  The
+    K x n factors E and F are the largest arrays held.
+    """
+    t, weights = _two_panels(_reach(1.0 / (4.0 * k[-1]), gc), n_nodes)
+    e = np.exp(-gc * t - t * t / (4.0 * k[:, None])) * weights
+    f = _real_with_phase(_lorentz_gauss(k[:, None], t, delta, g), -vc, t)
+    return (np.sqrt(np.pi / k) / g)[:, None] * (e @ f.T)
+
+
+def rate_squeezed_cw(
+    src: SqueezedCW,
+    sys: FourLevelSystem,
+    eta: CrossSectionPrefactor,
+    a_eff: float,
+    coupling: DipoleCoupling | None = None,
+) -> ExcitationOutcome:
+    """Coherent + incoherent CW squeezed excitation rates from the Gaussian series of the gains.
+
+    In x = (w - c)/sigma, sigma = sigma_c_bar, sinh^2(beta_bar r) = sum_k b_k
+    e^(-k x^2) and sinh cosh(beta_bar r) = sum_m a_m e^(-m x^2/2) over odd
+    m (`sources._gain_series`), so every CW integral is Gaussian against a
+    Lorentzian.  The coherent amplitude is one Faddeeva value per term
+    (Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)),
+
+        Int G_ba s_I c_I dw = i pi sum_m a_m conj(w(sqrt(m/2) z)),
+        z = (omega_ba - c_I + i Gamma_b/2) / sigma,
+
+    erfcx on resonance.  The incoherent double integral is b^T R b / sigma,
+    with R the K x K table of `_cw_incoherent_table` at g = Gamma_b/(2
+    sigma), gc = Gamma_c/(2 sigma), delta = (omega_ba - c_I)/sigma and vc =
+    (omega_ca - c_I - c_II)/sigma; one table is built per call, doubling
+    its nodes until it settles to TABLE_REL_TOL (else ConvergenceError).
+    `diagnostics` reports `series_terms` and `quadrature_rel_err`, as the
+    pulsed engine does.
+    """
+    pop = None
+    if coupling is not None:
+        pop = max_intermediate_population(src, sys, coupling, a_eff)
+    if src.beta_bar == 0.0:
+        return ExcitationOutcome(0.0, 0.0, pop)
+
+    sigma = src.sigma_c_bar
+    m, a_m = _gain_series(src.beta_bar, odd=True)
+    z = np.sqrt(0.5 * m) * ((sys.omega_ba - src.center_i + 0.5j * sys.gamma_b) / sigma)
+    amplitude = 1j * np.pi * complex(a_m @ np.conj(wofz(z)))
+    l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
+    coherent = eta.eta * l_at_pump * abs(amplitude / TWO_PI) ** 2 / a_eff**2
+
+    k, b_k = _sinh2_series(src.beta_bar)
+    g, gc = 0.5 * sys.gamma_b / sigma, 0.5 * sys.gamma_c / sigma
+    delta = (sys.omega_ba - src.center_i) / sigma
+    vc = _on_resonance((sys.omega_ca - src.center_i) - src.center_ii, sys.omega_ca) / sigma
+    table, _, rel = _doubled(
+        lambda n: _cw_incoherent_table(k, g, gc, vc, delta, n), 32, "CW incoherent table"
+    )
+    incoherent = eta.eta * float(b_k @ table @ b_k) / (sigma * TWO_PI**2 * a_eff**2)
+    diagnostics = {"series_terms": max(len(k), len(m)), "quadrature_rel_err": rel}
+    return ExcitationOutcome(coherent, incoherent, pop, diagnostics=diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# squeezed light, pulsed
+# ---------------------------------------------------------------------------
 
 
 def _mehler(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,10 +442,7 @@ def _incoherent_table(a, norm, g, gc, vc, delta, n_nodes):
     a_k, a_l = a[:, None, None], a[None, :, None]
     b = 0.5 * (a_k + a_l)
     p = 0.5 * (1.0 / a_k + 1.0 / a_l)
-    reach = _reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g)
-    x, w = _gauss_legendre(n_nodes // 2)
-    t = 0.25 * reach * np.concatenate([x, 1.0 + 3.0 * x], axis=-1)
-    weights = 0.25 * reach * np.concatenate([w, 3.0 * w], axis=-1)
+    t, weights = _two_panels(_reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g), n_nodes)
     # H's erfcx argument is positive (t, g >= 0), so e^expo erfcx(z) takes no join.
     h = np.exp(-t * t * (1.0 / (8.0 * b) + 1.0 / (8.0 * p)) - g * t) * erfcx(
         (t + 4.0 * p * g) / np.sqrt(8.0 * p)
@@ -637,36 +510,6 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
     expo = -g * cut - a_k * (cut - 2.0 * tau) ** 2 / 4.0
     far = np.sqrt(np.pi / a_k) * _exp_erfcx(expo, z, g * g / a_k - 2.0 * g * tau)
     return norm[:, None] * (near + np.sqrt(np.pi * a_k) * np.exp(-a_k * delta * delta) * far)
-
-
-def _doubled(table, n_nodes: int, what: str) -> tuple[np.ndarray, int, float]:
-    """(table(n), n, rel) at the first n = n_nodes 2^j that moves by rel <= TABLE_REL_TOL.
-
-    rel is the largest change from table(n/2) over the largest |entry|.
-    Raises ConvergenceError where the next n would pass MAX_TABLE_NODES.
-    """
-    current, rel = table(n_nodes), math.inf
-    previous = current
-    while rel > TABLE_REL_TOL:
-        if 2 * n_nodes > MAX_TABLE_NODES:
-            raise ConvergenceError(
-                float(np.max(np.abs(current))), float(np.max(np.abs(previous))), rel, what
-            )
-        previous, n_nodes = current, 2 * n_nodes
-        current = table(n_nodes)
-        peak = float(np.max(np.abs(current)))
-        rel = float(np.max(np.abs(current - previous))) / peak if peak > 0.0 else 0.0
-    return current, n_nodes, rel
-
-
-def _on_resonance(offset: float, frequency: float) -> float:
-    """offset, or 0.0 when it is within the rounding of two sums near `frequency`.
-
-    omega_ca = omega_ba + omega_cb is itself rounded, so a source centred on
-    both lines can sit a few ulp off omega_ca; the tables are even in that
-    offset, so taking it as zero moves them at second order (below 1e-16).
-    """
-    return 0.0 if abs(offset) <= 2.0 * np.spacing(abs(frequency)) else offset
 
 
 class PulsedExcitationEngine:
@@ -930,44 +773,6 @@ def within_validity(max_population: float) -> bool:
     return max_population < VALIDITY_THRESHOLD
 
 
-def _series_logs(x: float, orders: np.ndarray) -> np.ndarray:
-    """log((2x)^m / (2 m!)) for each order m.
-
-    sinh^2(x r) sums these times r^m over the even m >= 2, and sinh(x r)
-    cosh(x r) over the odd m >= 1.
-    """
-    return orders * np.log(2.0 * x) - np.log(2.0) - gammaln(orders + 1.0)
-
-
-def _gain_series(x: float, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(m, b_m) of sinh^2(x r) (even orders m) or sinh(x r) cosh(x r) (odd), b_m from `_series_logs`.
-
-    The coefficients are formed in log space, since at x = 30 the largest is
-    near e^60.  Terms below CW_SERIES_CUT of the largest are left out; they
-    are contiguous at both ends, because log b_m is concave in m.  Raises
-    NumericalError rather than truncate when a kept term would lie past the
-    table of CW_SERIES_TERMS terms, so no series this returns sums past the
-    largest double.
-    """
-    orders = 2.0 * np.arange(1, CW_SERIES_TERMS + 1) - (1.0 if odd else 0.0)
-    log_b = _series_logs(x, orders)
-    kept = np.flatnonzero(log_b >= log_b.max() + np.log(CW_SERIES_CUT))
-    if kept[-1] == CW_SERIES_TERMS - 1:
-        raise NumericalError(
-            f"the Gaussian series at {x!r} needs more than {CW_SERIES_TERMS} terms"
-        )
-    return orders[kept], np.exp(log_b[kept])
-
-
-def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """(k, b_k) of sinh^2(beta_bar r) = sum_{k >= 1} b_k r^(2k): `_gain_series` in k = m/2.
-
-    b_k = (2 beta_bar)^(2k) / (2 (2k)!).  It runs out from beta_bar = 353 on.
-    """
-    orders, b_k = _gain_series(beta_bar)
-    return orders / 2.0, b_k
-
-
 def _series_orders(r0_max: float, odd: bool) -> np.ndarray:
     """Every order from the first (1 or 2) to the last `_gain_series` keeps at r0_max."""
     first = 1.0 if odd else 2.0
@@ -1025,7 +830,7 @@ def matched_classical_cw(src: SqueezedCW, a_eff: float, photon_rate: float) -> C
 
     The comparison protocol keeps each classical beam narrowband and on the
     squeezed band center, with flux = (photons/s)/A_eff per band.  Both bands
-    carry the band-I rate `photon_rate` (from `photon_rate_cw(src, "I", ...)`):
+    carry the rate `photon_rate` (from `photon_rate_cw(src)`):
     the band-II photon density is the same Gaussian gain profile shifted to
     its own center, so its integral is the same.
     """

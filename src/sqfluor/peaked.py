@@ -16,10 +16,12 @@ envelope grid; the leftover error is O((kernel width / envelope scale)^2).
 When the scales do not separate, plain Simpson with convergence doubling is
 used.  Both paths report an achieved error estimate.
 
-Its users are the CW squeezed rate's coherent amplitude Int G_ba s_I c_I and
-the scale/24 outer pass of its incoherent rate, Int |G_ba|^2 s_I^2 J
-(`excitation.rate_squeezed_cw`).  The CW intermediate population is a Voigt
-series and pulsed rows read Gaussian-series tables; neither comes here.
+No rate calls `quad_kernel_smooth` any more: the CW squeezed rates, the CW
+intermediate population and the pulsed rows are all Gaussian series
+(`excitation`).  It stays for its tests and because the benchmark's layer
+tracer (sweepbench/trace_layers.py) wraps `excitation.quad_kernel_smooth`
+by name.  `NumericsOptions` still sets the effective-area quadrature
+(`geometry.effective_area`).
 """
 
 from __future__ import annotations

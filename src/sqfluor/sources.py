@@ -29,9 +29,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .constants import PI, TWO_PI
-from .spectral import GaussianAmplitude, NumericalError, SpectralGrid, quad_converged
+from .spectral import GaussianAmplitude, NumericalError, SpectralGrid
 
 __all__ = [
     "ClassicalPulsed",
@@ -57,6 +58,10 @@ __all__ = [
 JSA_GRID_POINTS = 512  # default discretization per axis
 JSA_GRID_SPAN_SIGMAS = 8.0  # half-span in units of sigma_c
 MAX_ANALYTIC_MODES = 2000  # mode cap of the closed-form decomposition
+# Table of the Gaussian series of the gains (`_gain_series`): sinh^2 runs out
+# from beta_bar = 353 on, below the 355.4 where it overflows a double.
+CW_SERIES_TERMS = 480
+CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
 
 
 class GridTooCoarseError(NumericalError, ValueError):
@@ -168,24 +173,55 @@ def gain_functions_cw(omega, src: SqueezedCW, band: str = "I"):
     return np.sinh(arg), np.cosh(arg)
 
 
-def photon_rate_cw(
-    src: SqueezedCW,
-    band: str = "I",
-    rel_tol: float = 1e-6,
-    max_doublings: int = 6,
-) -> float:
-    """Photon rate N/T = Integral dw/2pi sinh^2(|beta_bar| r_J(w))."""
+def _series_logs(x: float, orders: np.ndarray) -> np.ndarray:
+    """log((2x)^m / (2 m!)) for each order m.
+
+    sinh^2(x r) sums these times r^m over the even m >= 2, and sinh(x r)
+    cosh(x r) over the odd m >= 1.
+    """
+    return orders * np.log(2.0 * x) - np.log(2.0) - gammaln(orders + 1.0)
+
+
+def _gain_series(x: float, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(m, b_m) of sinh^2(x r) (even orders m) or sinh(x r) cosh(x r) (odd), b_m from `_series_logs`.
+
+    The coefficients are formed in log space, since at x = 30 the largest is
+    near e^60.  Terms below CW_SERIES_CUT of the largest are left out; they
+    are contiguous at both ends, because log b_m is concave in m.  Raises
+    NumericalError rather than truncate when a kept term would lie past the
+    table of CW_SERIES_TERMS terms, so no series this returns sums past the
+    largest double.
+    """
+    orders = 2.0 * np.arange(1, CW_SERIES_TERMS + 1) - (1.0 if odd else 0.0)
+    log_b = _series_logs(x, orders)
+    kept = np.flatnonzero(log_b >= log_b.max() + np.log(CW_SERIES_CUT))
+    if kept[-1] == CW_SERIES_TERMS - 1:
+        raise NumericalError(
+            f"the Gaussian series at {x!r} needs more than {CW_SERIES_TERMS} terms"
+        )
+    return orders[kept], np.exp(log_b[kept])
+
+
+def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, b_k) of sinh^2(beta_bar r) = sum_{k >= 1} b_k r^(2k): `_gain_series` in k = m/2.
+
+    b_k = (2 beta_bar)^(2k) / (2 (2k)!).  With r = exp(-x^2/2) each term is
+    a Gaussian b_k e^(-k x^2).  It runs out from beta_bar = 353 on.
+    """
+    orders, b_k = _gain_series(beta_bar)
+    return orders / 2.0, b_k
+
+
+def photon_rate_cw(src: SqueezedCW) -> float:
+    """Photon rate N/T = Int dw/2pi sinh^2(|beta_bar| r_J(w)), the same for either band.
+
+    Each Gaussian term of `_sinh2_series` integrates in closed form:
+    N/T = sum_k b_k sigma_c_bar sqrt(pi/k) / 2 pi.
+    """
     if src.beta_bar == 0.0:
         return 0.0
-    center = _band_params(src, band)
-    grid = SpectralGrid(center, 9.0 * src.sigma_c_bar, 4001)
-
-    def integrand(w):
-        s, _ = gain_functions_cw(w, src, band)
-        return s * s
-
-    value, _ = quad_converged(integrand, grid, rel_tol, max_doublings)
-    return float(value) / TWO_PI
+    k, b_k = _sinh2_series(src.beta_bar)
+    return float(b_k @ np.sqrt(np.pi / k)) * src.sigma_c_bar / TWO_PI
 
 
 def jsa_eval(omega_i, omega_ii, src: SqueezedPulsed):

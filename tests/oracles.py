@@ -7,7 +7,7 @@ JSA, the Gaussian cloud density, the excitation probability of a
 classical pulse pair in closed form and its validity population by
 adaptive quadrature, the broadband limit of the CW squeezed rates, the
 integral of a linear interpolant against |G_ba|^2 and the CW population
-integral by `mpmath`, the lattice correlation on `scipy.fft`, the CW J pass over the whole lattice, the
+integral by `mpmath`, the lattice correlation on `scipy.fft`, the
 Schmidt-mode helpers the lattice sweep used (`truncated`,
 `weighted_mode_count`, `modes_at`), a pulsed sweep row and a CSV cell as
 the library computes them with
@@ -47,12 +47,10 @@ from scipy.special import erfc, erfcx, gammaln, voigt_profile, wofz
 
 from sqfluor.cli import _fmt
 from sqfluor.excitation import (
-    SPAN_SIGMAS_CW,
     ExcitationOutcome,
     _time_grid,
     fluorescence,
     within_validity,
-    lorentzian_sample_weights,
     one_photon_coupling,
 )
 from sqfluor.geometry import AtomCloud
@@ -370,39 +368,6 @@ def scipy_lattice_correlate(weight: np.ndarray, n_out: int):
         return out[0] + 1j * out[1] if is_complex else out[0]
 
     return correlate
-
-
-def full_cw_j_lattice(src: SqueezedCW, sys, scale: float, points_per_scale: float):
-    """`excitation.cw_j_lattice` over every lattice column, not just its window.
-
-    Returns (w_i_pts, w_pts, u_tab, lam): the n_w lattice points, n_w + n_i - 1
-    entries of s_II^2 and the n_w Lorentzian sample weights.
-    """
-    h = scale / points_per_scale
-    half_u = SPAN_SIGMAS_CW * src.sigma_c_bar
-    n_i = 2 * int(np.ceil(half_u / h)) + 1
-    w_i_pts = src.center_i + h * (np.arange(n_i) - (n_i - 1) // 2)
-
-    lo = w_i_pts[0] + src.center_ii - half_u
-    hi = w_i_pts[-1] + src.center_ii + half_u
-    if lo < sys.omega_ca < hi:
-        lo = min(lo, sys.omega_ca - 30.0 * sys.gamma_c)
-        hi = max(hi, sys.omega_ca + 30.0 * sys.gamma_c)
-    n_w = int(np.ceil((hi - lo) / h)) + 1
-    n_w = n_w if n_w % 2 == 1 else n_w + 1
-    w_pts = lo + h * np.arange(n_w)
-    lam = lorentzian_sample_weights(w_pts, h, sys.lineshape_ca(), 0.5 * scale)
-
-    u_axis = (w_pts[0] - w_i_pts[-1]) + h * np.arange(n_w + n_i - 1)
-    s_u, _ = gain_functions_cw(u_axis, src, "II")
-    return w_i_pts, w_pts, s_u * s_u, lam
-
-
-def full_lattice_j(u_tab: np.ndarray, lam: np.ndarray, n_i: int) -> np.ndarray:
-    """J[j] = sum_k u_tab[k - j + n_i - 1] lam[k]: the strided product over every column."""
-    step = u_tab.strides[0]
-    u_view = np.lib.stride_tricks.as_strided(u_tab[n_i - 1 :], (n_i, len(lam)), (-step, step))
-    return u_view @ lam
 
 
 def pulsed_row(engine, beta: float, n_photons: float, cl_unit: float, sys,

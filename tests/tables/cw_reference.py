@@ -3,8 +3,10 @@
     PYTHONPATH=src python tests/tables/cw_reference.py
 
 Run from the repository root; takes a few seconds.  Not a test: pytest does
-not collect this file.  It prints the Markdown table of the DECISIONS.md
-entry "The CW accuracy gate".  For each of the 15 rows: the photon rate,
+not collect this file.  It prints the Markdown tables of the DECISIONS.md
+entries "The CW accuracy gate" (against the golden file the J lattice
+wrote) and "CW rates from the Gaussian series" (against the one the series
+write).  For each of the 15 rows: the photon rate,
 r_sq_coherent and r_sq_incoherent from the Gaussian-series references
 (`oracles.cw_reference_columns`), how far `tests/data/golden_cw.csv` is from
 each (golden/reference - 1), and how far the incoherent double integral

@@ -257,20 +257,31 @@ class TestCwSweep:
         assert np.isnan(failed[0]["r_sq_total"])
         assert len(rows) == calls["n"]
 
-    def test_failed_rows_log_their_cause(self, tmp_path, caplog):
-        # At rel_tol 1e-9 the quadrature doubling stalls just above the
-        # tolerance on three of the six rows and raises ConvergenceError.
-        cfg = load_config(with_numerics(tiny_cw_config(tmp_path), rel_tol=1e-9, max_doublings=8))
+    def test_failed_rows_log_their_cause(self, tmp_path, monkeypatch, caplog):
+        # The second row's incoherent table drifts by 1e-9/n at n nodes, so
+        # its node doubling never settles and raises ConvergenceError past
+        # MAX_TABLE_NODES: that row fails alone, with its cause logged.
+        cfg = load_config(tiny_cw_config(tmp_path))
+        calls = {"n": 0}
+        original = excitation._doubled
+
+        def drifting(table, n_nodes, what):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                return original(lambda n: table(n) * (1.0 + 1e-9 / n), n_nodes, what)
+            return original(table, n_nodes, what)
+
+        monkeypatch.setattr(excitation, "_doubled", drifting)
         with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
             rows = run_cw_sweep(cfg)
-        failed = [r for r in rows if r["validity"] == "failed"]
-        assert failed
+        failed = [n for n, r in enumerate(rows) if r["validity"] == "failed"]
+        assert failed == [1] and calls["n"] == len(rows)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == len(failed)
-        for record in warnings:
-            assert "ConvergenceError" in record.getMessage()
-            assert "did not converge" in record.getMessage()
-            assert "np.float64" not in record.getMessage()
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "ConvergenceError" in message
+        assert "CW incoherent table did not converge" in message
+        assert "np.float64" not in message
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_programming_errors_propagate(self, tmp_path, monkeypatch, jobs):
@@ -289,8 +300,9 @@ class TestCwSweep:
             run_cw_sweep(cfg, jobs=jobs)
 
     def test_classical_reference_uses_configured_numerics(self, tmp_path):
-        # At beta_bar = sqrt(10) the photon rate at rel_tol 1e-9 differs from
-        # the one at the default tolerance by about 6e-9.
+        # CW rows take no quadrature tolerance: at rel_tol 1e-9 and 8
+        # doublings the classical reference still takes each row's own
+        # photon rate.
         path = tiny_cw_config(
             tmp_path, sigma_c_over_gamma_b=[0.01], beta_bar_min=1.0,
             beta_bar_max=float(np.sqrt(10.0)), points_per_decade=4,
@@ -310,27 +322,10 @@ class TestCwSweep:
 
     def test_jobs_do_not_change_row_order(self, tmp_path):
         cfg = load_config(tiny_cw_config(tmp_path))
-        serial = run_cw_sweep(cfg, jobs=1)
-        threaded = run_cw_sweep(cfg, jobs=4)
-        assert [r["beta_bar"] for r in serial] == [r["beta_bar"] for r in threaded]
-        assert serial[3]["r_sq_total"] == pytest.approx(threaded[3]["r_sq_total"], rel=1e-12)
-
-    def test_rows_build_only_the_scale_24_lattice(self, tmp_path, monkeypatch):
-        # No CSV column reads the scale/12 sampling estimate, so a row builds
-        # the one J lattice its incoherent rate is taken on.
-        cfg = load_config(tiny_cw_config(tmp_path))
-        built = []
-        original = excitation.cw_j_lattice
-
-        def recording(src, sys, scale, points_per_scale):
-            built.append(points_per_scale)
-            return original(src, sys, scale, points_per_scale)
-
-        monkeypatch.setattr(excitation, "cw_j_lattice", recording)
-        rows = run_cw_sweep(cfg)
-        assert len(built) == len(rows) > 0
-        assert all(pps == 24.0 for pps in built)
-        assert all(row["validity"] != "failed" for row in rows)
+        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+        emit(run_cw_sweep(cfg, jobs=1), CW_COLUMNS, cfg, serial, reproducible=True)
+        emit(run_cw_sweep(cfg, jobs=4), CW_COLUMNS, cfg, threaded, reproducible=True)
+        assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_photon_inversion_failure_is_a_numerical_error():

@@ -3,7 +3,8 @@
 Each reference is checked against adaptive quadrature of a form that does
 not use its series: the incoherent table entry by entry in frequency (a
 Voigt profile inside), and the coherent amplitude and the photon rate on
-their unexpanded integrands.  The gate then holds the rows of
+their unexpanded integrands.  The table `rate_squeezed_cw` builds is held
+to the reference table, and the gate holds the rows of
 `tests/data/regression_cw.json` to the references, column by column.
 """
 
@@ -22,12 +23,16 @@ from oracles import (
     cw_series_orders,
 )
 
+import sqfluor.excitation as excitation
 from sqfluor.cli import run_cw_sweep
 from sqfluor.config import load_config
+from sqfluor.excitation import rate_squeezed_cw
 from sqfluor.geometry import effective_area
+from sqfluor.sources import SqueezedCW
 from sqfluor.system import eta_prefactor
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # sigma_c_bar / Gamma_b of the three columns of regression_cw.json.
 COLUMNS = (0.01, 1.0, 100.0)
@@ -59,6 +64,33 @@ class TestIncoherentTable:
         coarse = cw_incoherent_table(orders, g, gc, nodes=64, panels=8)
         fine = cw_incoherent_table(orders, g, gc, nodes=128, panels=16)
         assert np.max(np.abs(fine / coarse - 1.0)) <= 1e-13
+
+
+SWEEP_WIDTHS = tuple(load_config(CONFIGS / "cs_mot_cw_sweep.json").source["sigma_c_over_gamma_b"])
+
+
+@pytest.mark.parametrize("ratio", SWEEP_WIDTHS)
+@pytest.mark.parametrize("beta_bar", [10.0, 30.0])
+def test_program_table_matches_the_reference_table(
+    cs_system, cs_eta, mot_area, monkeypatch, ratio, beta_bar
+):
+    # The R table `rate_squeezed_cw` settles on (the last one it builds)
+    # against the reference's 16 panels of 128 nodes, entry by entry.
+    system = cs_system[0]
+    built = []
+    original = excitation._cw_incoherent_table
+
+    def recording(k, *args):
+        built.append((k, original(k, *args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(excitation, "_cw_incoherent_table", recording)
+    src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
+    rate_squeezed_cw(src, system, cs_eta, mot_area)
+    orders, table = built[-1]
+    g, gc = half_widths(system, ratio)
+    reference = cw_incoherent_table(orders, g, gc, nodes=128, panels=16)
+    assert np.max(np.abs(table / reference - 1.0)) <= 1e-12
 
 
 def gain_integral(f, beta_bar):
@@ -100,17 +132,14 @@ def test_photon_rate_matches_adaptive_quad(beta_bar):
 
 
 # The CW gate: relative tolerance of each rate column against
-# `cw_reference_columns`.  The largest gaps of the program were, when the
-# gate was added: photon rate 1.4e-8 (0.01 Gamma_b, beta_bar 10); coherent
-# 9.5e-6 (100 Gamma_b, beta_bar 1); incoherent +9.0e-5, +1.3e-5 and -3.3e-4
-# in the 0.01, 1 and 100 Gamma_b columns (DECISIONS.md, "The CW accuracy
+# `cw_reference_columns`.  The rows compute the same Gaussian series as the
+# references, in time rather than on panels; the largest gaps are 6.4e-15
+# (DECISIONS.md, "CW rates from the Gaussian series").  While the rates came
+# from the J lattice the gate allowed 5e-8, 2e-5 and 4e-4 ("The CW accuracy
 # gate").  r_sq_total is held to the sum of the two references.
-CW_GATE_REL_TOL = {
-    "photon_rate_per_s": 5e-8,
-    "r_sq_coherent": 2e-5,
-    "r_sq_incoherent": 4e-4,
-    "r_sq_total": 4e-4,
-}
+CW_GATE_REL_TOL = dict.fromkeys(
+    ("photon_rate_per_s", "r_sq_coherent", "r_sq_incoherent", "r_sq_total"), 1e-12
+)
 
 
 def gate_failures(rows: list[dict], refs: list[dict]) -> list[tuple[int, str, float]]:

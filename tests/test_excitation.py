@@ -18,8 +18,6 @@ from oracles import (
     classical_pulsed_population,
     eager_schmidt_decompose_analytic,
     cw_population_integral,
-    full_cw_j_lattice,
-    full_lattice_j,
     lattice_correlate,
     mode_time_profiles,
     modes_at,
@@ -30,13 +28,9 @@ from oracles import (
 
 import sqfluor.excitation as excitation
 from sqfluor.excitation import (
-    CW_J_CUT,
     PulsedExcitationEngine,
     VALIDITY_THRESHOLD,
     ExcitationOutcome,
-    _cw_gain_scale,
-    cw_j_lattice,
-    cw_j_pass,
     energy_ledger,
     fluorescence,
     matched_classical_cw,
@@ -62,7 +56,7 @@ from sqfluor.sources import (
     schmidt_decompose,
 )
 from sqfluor.spectral import (
-    GaussianAmplitude, NumericalError, green, lorentzian, simpson_weights,
+    ConvergenceError, GaussianAmplitude, NumericalError, green, lorentzian,
 )
 from sqfluor.system import FourLevelSystem, cross_section
 
@@ -330,6 +324,83 @@ class TestSqueezedCW:
         assert out.coherent / classical.total == pytest.approx(1.0, abs=5e-3)
         assert out.incoherent / classical.total == pytest.approx(1.0, abs=5e-3)
 
+    @pytest.mark.parametrize(
+        "beta_bar, ratio, detuning_b, detuning_c",
+        [(1.3, 2.5, 7.0, 3.0), (1.3, 1.0, -2.0, 1.0), (3.0, 0.3, 0.5, -0.7)],
+    )
+    def test_detuned_rates_match_adaptive_quad(
+        self, cs_system, cs_eta, mot_area, beta_bar, ratio, detuning_b, detuning_c
+    ):
+        # Band I detuned_b Gamma_b off omega_ba and the pump detuning_c Gamma_c
+        # off omega_ca, so both the Green line's offset delta and L's offset
+        # vc are nonzero.  Reference: adaptive quad of the unexpanded
+        # integrands (no Gaussian series), in x = (w - c)/sigma_c_bar.
+        system, _ = cs_system
+        gb, gamma_c = system.gamma_b, system.gamma_c
+        sigma = ratio * gb
+        center_i = system.omega_ba + detuning_b * gb
+        center_ii = (system.omega_ca + detuning_c * gamma_c) - center_i
+        src = SqueezedCW(beta_bar, sigma, center_i, center_ii)
+        out = rate_squeezed_cw(src, system, cs_eta, mot_area)
+
+        delta = (system.omega_ba - center_i) / sigma
+        vc = ((system.omega_ca - center_i) - center_ii) / sigma
+        g, gc = 0.5 * gb / sigma, 0.5 * gamma_c / sigma
+        assert abs(delta) > 0.1 and abs(vc) > 0.1
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=800)
+
+        def gain(x):
+            return beta_bar * np.exp(-0.5 * x * x)
+
+        def sc_over_green(x, part):
+            # s_I c_I G_ba dw = s_I c_I dx / (delta - x - i g).
+            line = (delta - x) if part == "re" else g
+            return np.sinh(gain(x)) * np.cosh(gain(x)) * line / ((delta - x) ** 2 + g * g)
+
+        points = sorted({0.0, delta, delta - 10.0 * g, delta + 10.0 * g})
+        amplitude = complex(*(
+            quad(sc_over_green, -40.0, 40.0, args=(part,), points=points, **opts)[0]
+            for part in ("re", "im")
+        ))
+        l_pump = float(lorentzian(src.pump_center, system.lineshape_ca()))
+        coherent = cs_eta.eta * l_pump * abs(amplitude / (2.0 * np.pi)) ** 2 / mot_area**2
+        assert out.coherent == pytest.approx(coherent, rel=1e-12, abs=0.0)
+
+        def inner(x):
+            # Int L(w) s_II^2(w - wI) dw in v = (w - c_I - c_II)/sigma_c_bar.
+            def f(v):
+                return (gc / np.pi) / ((v - vc) ** 2 + gc * gc) * np.sinh(gain(v - x)) ** 2
+
+            kinks = sorted({q for q in (x, vc, vc - 10.0 * gc, vc + 10.0 * gc) if abs(q - x) < 14.0})
+            return quad(f, x - 14.0, x + 14.0, points=kinks, **opts)[0]
+
+        def outer(x):
+            return np.sinh(gain(x)) ** 2 / ((x - delta) ** 2 + g * g) * inner(x)
+
+        points = [q for q in points if abs(q) < 14.0]
+        integral = quad(outer, -14.0, 14.0, points=points, **opts)[0] / sigma
+        incoherent = cs_eta.eta * integral / ((2.0 * np.pi) ** 2 * mot_area**2)
+        assert out.incoherent == pytest.approx(incoherent, rel=1e-12, abs=0.0)
+
+    def test_diagnostics_report_the_series_and_the_table(self, cs_system, cs_eta, mot_area):
+        system, _ = cs_system
+        src = SqueezedCW(10.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        diagnostics = rate_squeezed_cw(src, system, cs_eta, mot_area).diagnostics
+        assert set(diagnostics) == {"series_terms", "quadrature_rel_err"}
+        # At beta_bar = 10 the odd series (sinh cosh) keeps 36 terms, as many as sinh^2.
+        assert diagnostics["series_terms"] == 36
+        assert 0.0 < diagnostics["quadrature_rel_err"] <= excitation.TABLE_REL_TOL
+
+    def test_table_raises_past_max_table_nodes(self, cs_system, cs_eta, mot_area, monkeypatch):
+        # At sigma_c_bar = Gamma_b the table settles only at 128 nodes.
+        system, _ = cs_system
+        src = SqueezedCW(1.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 64)
+        with pytest.raises(ConvergenceError, match="CW incoherent table did not converge"):
+            rate_squeezed_cw(src, system, cs_eta, mot_area)
+        monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 128)
+        assert rate_squeezed_cw(src, system, cs_eta, mot_area).incoherent > 0.0
+
     def test_detuned_pump_matches_brute_force(self, cs_system, cs_eta, mot_area):
         # Band-I center 7 Gamma_b above the intermediate resonance and the
         # pump 3 Gamma_c above the two-photon line: exercises the off-center
@@ -377,136 +448,6 @@ class TestSqueezedCW:
             total += wgt * si2 * gg * np.sum(w2 * lorentzian(w, shape) * s_ii**2)
         incoh_brute = cs_eta.eta * total / ((2.0 * np.pi) ** 2 * area**2)
         assert out.incoherent == pytest.approx(incoh_brute, rel=2e-3)
-
-
-def _cw_j_window(u_full, n_i, keep):
-    """The lattice columns that read a kept u_full entry, and u_full zeroed outside the kept run.
-
-    Column k reads u_full[k : k + n_i].
-    """
-    kept = np.flatnonzero(keep)
-    n_w = len(u_full) - n_i + 1
-    u_kept = np.zeros_like(u_full)
-    u_kept[kept[0] : kept[-1] + 1] = u_full[kept[0] : kept[-1] + 1]
-    return slice(max(0, kept[0] - (n_i - 1)), min(n_w - 1, kept[-1]) + 1), u_kept
-
-
-class TestCwJPass:
-    # `cw_j_lattice` builds only the columns of the J pass that read an
-    # s_II^2 of at least CW_J_CUT sinh^2(beta_bar).  Against the whole
-    # lattice (`tests/oracles.py`) it must give the same weights and
-    # densities on exactly those columns, zeros below the cut, and the same
-    # J bit for bit, on both passes (12 and 24 points per scale), with and
-    # without the Lorentzian core correction.
-    @pytest.mark.parametrize(
-        "ratio, beta_bar",
-        [
-            (r, b)
-            for r in (0.003, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
-            for b in (1e-3, 0.01, 0.3, 1.0, 3.0, 10.0, 30.0)
-        ],
-    )
-    def test_window_matches_full_lattice_bit_for_bit(self, cs_system, ratio, beta_bar):
-        system, _ = cs_system
-        src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
-        scale = _cw_gain_scale(src)
-        shape = system.lineshape_ca()
-        for points_per_scale in (12.0, 24.0):
-            w_i_pts, u_tab, lam = cw_j_lattice(src, system, scale, points_per_scale)
-            w_full, w_pts, u_full, lam_full = full_cw_j_lattice(src, system, scale, points_per_scale)
-            n_i, n_w = len(w_i_pts), len(lam_full)
-            assert np.array_equal(w_i_pts, w_full)
-            # When the L core is narrower than 4 steps, its correction sums
-            # over the whole lattice.
-            h = scale / points_per_scale
-            plain = simpson_weights(n_w, h) * lorentzian(w_pts, shape)
-            assert np.array_equal(lam_full, plain) == (shape.fwhm >= 4.0 * h)
-            peak = np.sinh(beta_bar) ** 2
-            window, u_kept = _cw_j_window(u_full, n_i, u_full >= CW_J_CUT * peak)
-            assert np.array_equal(lam, lam_full[window])
-            assert np.array_equal(u_tab, u_kept[window.start : window.stop + n_i - 1])
-            if ratio >= 0.01:
-                j_full = full_lattice_j(u_full, lam_full, n_i)
-            else:
-                # The narrowest lattice has 1.8 million columns: its reference
-                # leaves out the columns that read only exact zeros, which
-                # changes no bit (test_row_blocks_match_the_full_product).
-                nonzero, _ = _cw_j_window(u_full, n_i, u_full != 0.0)
-                j_full = full_lattice_j(
-                    u_full[nonzero.start : nonzero.stop + n_i - 1], lam_full[nonzero], n_i
-                )
-            assert cw_j_pass(u_tab, lam, n_i).tobytes() == j_full.tobytes()
-            if ratio < 1.0:
-                # Narrowband: the lattice is stretched to hold the L core, and
-                # the band-II support covers only an inner stretch of it.
-                assert 0 < window.start and window.stop < n_w
-            else:
-                # The window holds both ends, so both Simpson end weights.
-                assert window == slice(0, n_w)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_row_blocks_match_the_full_product(self, seed):
-        # `cw_j_pass` sums each block of rows only over the columns where
-        # one of its rows reads a nonzero entry.  On raw arrays with zero
-        # runs at both ends, zeros inside and weights of both signs, it must
-        # give the product over every column bit for bit, down to one row
-        # (which numpy hands to BLAS `dot`) and one column; the empty
-        # window is test_all_zero_density's.
-        rng = np.random.default_rng(seed)
-        for n_i in (1, 2, 3, 5, 16, 17, 217):
-            for n_w in (1, 2, 7, 40, 301):
-                u_tab = rng.normal(size=n_w + n_i - 1) ** 2
-                u_tab[rng.random(u_tab.size) < 0.1] = 0.0
-                lead, trail = rng.integers(0, u_tab.size + 1, size=2)
-                u_tab[:lead] = 0.0
-                u_tab[u_tab.size - trail :] = 0.0
-                lam = rng.normal(size=n_w)
-                j_vals = cw_j_pass(u_tab, lam, n_i)
-                assert j_vals.shape == (n_i,)
-                assert j_vals.tobytes() == full_lattice_j(u_tab, lam, n_i).tobytes()
-
-    def test_narrowband_window_is_a_small_share_of_the_lattice(self, cs_system, monkeypatch):
-        # The lattice set-up must cost O(window), not O(n_w): count the points
-        # given to the two elementwise evaluators on the costliest CW pass.
-        system, _ = cs_system
-        src = SqueezedCW(10.0, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
-        scale = _cw_gain_scale(src)
-        _, _, u_full, lam_full = full_cw_j_lattice(src, system, scale, 24.0)
-        points = {"gain_functions_cw": 0, "lorentzian": 0}
-
-        def counted(name):
-            fn = getattr(excitation, name)
-
-            def wrapper(omega, *args):
-                points[name] += np.size(omega)
-                return fn(omega, *args)
-
-            return wrapper
-
-        for name in points:
-            monkeypatch.setattr(excitation, name, counted(name))
-        _, u_tab, lam = cw_j_lattice(src, system, scale, 24.0)
-        assert 0 < len(lam) < 0.05 * len(lam_full)
-        assert 0 < points["gain_functions_cw"] < 0.05 * len(u_full)
-        assert 0 < points["lorentzian"] < 0.05 * len(lam_full)
-
-    def test_all_zero_density(self, cs_system):
-        n_i, n_w = 5, 17
-        u_full = np.zeros(n_w + n_i - 1)
-        lam_full = np.random.default_rng(3).normal(size=n_w)
-        j_vals = cw_j_pass(np.zeros(n_i - 1), np.zeros(0), n_i)
-        assert j_vals.shape == (n_i,)
-        assert np.array_equal(j_vals, full_lattice_j(u_full, lam_full, n_i))
-
-        # A gain whose square underflows everywhere leaves no window.
-        system, _ = cs_system
-        src = SqueezedCW(1e-200, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
-        scale = _cw_gain_scale(src)
-        w_i_pts, u_tab, lam = cw_j_lattice(src, system, scale, 12.0)
-        _, _, u_full, lam_full = full_cw_j_lattice(src, system, scale, 12.0)
-        n_i = len(w_i_pts)
-        assert not np.any(u_full) and lam.size == 0 and len(u_tab) == n_i - 1
-        assert np.array_equal(cw_j_pass(u_tab, lam, n_i), full_lattice_j(u_full, lam_full, n_i))
 
 
 def brute_force_pulsed(dec, beta, system, eta, area, refine=1):

@@ -132,8 +132,22 @@ class TestPhotonRateCW:
         assert photon_rate_cw(cw_source(1.0, sigma=2 * SIGMA)) > r1
 
     def test_band_ii_matches_band_i(self):
+        # The closed sum takes no band: it must equal the rate integrated
+        # directly from band II's gain function about its own center.
+        from scipy.integrate import quad
+
         src = cw_source(1.3)
-        assert photon_rate_cw(src, "II") == pytest.approx(photon_rate_cw(src, "I"), rel=1e-9)
+        half = 12.0 * src.sigma_c_bar
+        band_ii, _ = quad(
+            lambda w: gain_functions_cw(CII + w, src, "II")[0] ** 2,
+            -half,
+            half,
+            points=[0.0],
+            epsabs=0.0,
+            epsrel=1e-11,
+            limit=200,
+        )
+        assert photon_rate_cw(src) == pytest.approx(band_ii / (2.0 * np.pi), rel=1e-9)
 
 
 class TestJsa:

@@ -50,8 +50,10 @@ def test_cw_layers_are_traced(tmp_path):
     layers = result["layers"]
     assert result["rows"] == layers["cli.rows"] == 3
     assert layers["sources.photon_rate_cw_calls"] == 3  # one per row
+    # CW rows read Gaussian series: no lattice, no gain samples, no kernel quadrature.
+    assert layers["peaked.quad_kernel_smooth_calls"] == 0
+    assert layers["sources.gain_functions_cw_points"] == 0
     for name in (
-        "peaked.quad_kernel_smooth_calls", "sources.gain_functions_cw_points",
         "excitation.rate_squeezed_cw_s", "excitation.classical_cw_s",
         "geometry.effective_area_s",
     ):
