@@ -11,7 +11,7 @@ self-test        run the built-in oracle checks
 
 Determinism: identical configs produce byte-identical CSV bodies; the
 timestamp comment is suppressed under --reproducible.  Rows are computed
-concurrently up to --jobs but always assembled in deterministic order.
+one after another, in grid order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import logging
 import math
 import re
 import sys as _sys
+# Unused here: sweepbench's layer tracer subclasses it on this module.
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
@@ -33,7 +34,6 @@ from .constants import PI, TWO_PI
 from .excitation import (
     PulsedExcitationEngine,
     branching_factor,
-    fluorescence,
     matched_classical_cw,
     matched_classical_pulsed,  # unused here; sweepbench's layer tracer wraps it on this module
     p_classical_pulsed,
@@ -115,26 +115,33 @@ def _failed_row(columns, fixed: dict) -> dict:
     return row
 
 
-def _map_rows(compute, tasks: list[dict], columns: list[str], jobs: int) -> list[dict]:
-    """compute(task) for every task, in task order, on up to `jobs` threads.
+def _map_rows(compute, tasks: list[dict], columns: list[str]) -> list[dict]:
+    """compute(task) for every task, in task order.
 
     A task holds the row's fixed columns.  A row whose computation raises a
     `NumericalError` keeps those and is marked failed, the error's type and
     message are logged at WARNING, and the sweep goes on.  Any other
     exception propagates.
     """
-
-    def row(task: dict) -> dict:
+    rows = []
+    for task in tasks:
         try:
-            return compute(task)
+            rows.append(compute(task))
         except NumericalError as exc:
             logger.warning("row %s failed: %s: %s", task, type(exc).__name__, exc)
-            return _failed_row(columns, task)
+            rows.append(_failed_row(columns, task))
+    return rows
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(row, tasks))
-    return [row(t) for t in tasks]
+
+def _fluorescence_counts(coherent: float, incoherent: float, factor: float, n_atoms: float):
+    """(coherent, incoherent, total) d->a photon counts of `n_atoms` atoms.
+
+    `factor` is `branching_factor`, taken once per sweep; the counts are
+    those of `fluorescence`, in its operation order.
+    """
+    per_coh = coherent * factor
+    per_ic = incoherent * factor
+    return per_coh * n_atoms, per_ic * n_atoms, (per_coh + per_ic) * n_atoms
 
 
 def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
@@ -148,11 +155,13 @@ def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# `jobs` is unused; sweepbench's worker passes it.
 def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
     area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
+    factor = branching_factor(system)
     src_cfg = cfg.source
     ratios = src_cfg["sigma_c_over_gamma_b"]
     base_grid = _log_grid(
@@ -179,8 +188,8 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         rate = photon_rate_cw(src)
         src_cl = matched_classical_cw(src, area, rate)
         out_cl = rate_classical_cw(src_cl, system, eta)
-        fl_sq = fluorescence(out_sq, system, n_atoms)
-        fl_cl = fluorescence(out_cl, system, n_atoms)
+        *_, fl_sq = _fluorescence_counts(out_sq.coherent, out_sq.incoherent, factor, n_atoms)
+        *_, fl_cl = _fluorescence_counts(out_cl.coherent, out_cl.incoherent, factor, n_atoms)
         return {
             "sigma_c_over_gamma_b": ratio,
             "beta_bar": beta_bar,
@@ -189,8 +198,8 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             "r_sq_coherent": out_sq.coherent,
             "r_sq_incoherent": out_sq.incoherent,
             "r_sq_total": out_sq.total,
-            "R_fluor_classical": fl_cl.total,
-            "R_fluor_sq_total": fl_sq.total,
+            "R_fluor_classical": fl_cl,
+            "R_fluor_sq_total": fl_sq,
             "ratio_sq_over_cl": out_sq.total / out_cl.total if out_cl.total else float("nan"),
             "ratio_coh_over_incoh": (
                 out_sq.coherent / out_sq.incoherent if out_sq.incoherent else float("nan")
@@ -199,7 +208,7 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             "validity": within_validity(out_sq.max_population),
         }
 
-    return _map_rows(compute, tasks, CW_COLUMNS, jobs)
+    return _map_rows(compute, tasks, CW_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +302,7 @@ def _beta_for_photons(
     return beta.reshape(n.shape)
 
 
-def _decompose_for_panel(cfg: RunConfig, src: SqueezedPulsed):
-    method = cfg.numerics["decomposition"]
-    trunc = cfg.numerics["trunc_tol"]
-    if method == "svd":
-        grids = default_jsa_grids(src, cfg.numerics["jsa_points"])
-        return schmidt_decompose(src, *grids, trunc_tol=trunc)
-    return schmidt_decompose_analytic(src, trunc_tol=trunc)
-
-
+# `jobs` is unused; sweepbench's worker passes it.
 def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     """Pulsed rows over the panel grid, one `PulsedExcitationEngine` per panel.
 
@@ -367,11 +368,10 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     beta = _beta_for_photons(_p, n_photons)
                 out = _engine.outcome(beta)
                 p_cl = _cl_unit * n_photons**2
-                # The counts of fluorescence(out) and of fluorescence() on the
-                # classical (p_cl, 0.0), in its operation order; its + 0.0 *
-                # factor changes no bit of the nonnegative p_cl * factor.
-                per_coh = out.coherent * factor
-                per_ic = out.incoherent * factor
+                *_, fl_cl = _fluorescence_counts(p_cl, 0.0, factor, n_atoms)
+                fl_coh, fl_ic, fl_sq = _fluorescence_counts(
+                    out.coherent, out.incoherent, factor, n_atoms
+                )
                 return {
                     "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
                     "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
@@ -380,15 +380,15 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     "p_classical": p_cl,
                     "p_sq_coherent": out.coherent,
                     "p_sq_incoherent": out.incoherent,
-                    "n_fluor_classical": p_cl * factor * n_atoms,
-                    "n_fluor_sq_coherent": per_coh * n_atoms,
-                    "n_fluor_sq_incoherent": per_ic * n_atoms,
-                    "n_fluor_sq_total": (per_coh + per_ic) * n_atoms,
+                    "n_fluor_classical": fl_cl,
+                    "n_fluor_sq_coherent": fl_coh,
+                    "n_fluor_sq_incoherent": fl_ic,
+                    "n_fluor_sq_total": fl_sq,
                     "crossover": beta * _sqrt_p0 >= 1.0,
                     "validity": within_validity(out.max_population),
                 }
 
-            rows.extend(_map_rows(compute, tasks, PULSED_COLUMNS, jobs))
+            rows.extend(_map_rows(compute, tasks, PULSED_COLUMNS))
     return rows
 
 
@@ -465,7 +465,7 @@ def _regime_mismatch(cfg: RunConfig, command: str, regime: str) -> bool:
 def _cmd_cw_sweep(cfg: RunConfig, args) -> int:
     if _regime_mismatch(cfg, "cw-sweep", "squeezed_cw"):
         return 2
-    rows = run_cw_sweep(cfg, jobs=args.jobs)
+    rows = run_cw_sweep(cfg)
     out = args.out or cfg.output["path"]
     emit(rows, CW_COLUMNS, cfg, out, reproducible=args.reproducible)
     print(f"wrote {len(rows)} rows to {out}")
@@ -475,7 +475,7 @@ def _cmd_cw_sweep(cfg: RunConfig, args) -> int:
 def _cmd_pulsed_sweep(cfg: RunConfig, args) -> int:
     if _regime_mismatch(cfg, "pulsed-sweep", "squeezed_pulsed"):
         return 2
-    rows = run_pulsed_sweep(cfg, jobs=args.jobs)
+    rows = run_pulsed_sweep(cfg)
     out = args.out or cfg.output["path"]
     emit(rows, PULSED_COLUMNS, cfg, out, reproducible=args.reproducible)
     print(f"wrote {len(rows)} rows to {out}")
@@ -492,7 +492,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> int:
         sigma_p=sigma_p, sigma_c=sigma_c,
         center_i=cfg.system.omega_ba, center_ii=cfg.system.omega_cb,
     )
-    dec = _decompose_for_panel(cfg, src)
+    dec = schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
     base = args.out or "schmidt"
     grids = default_jsa_grids(src, n_points=129)
     export_jsi_csv(src, *grids, f"{base}_jsi.csv")
@@ -513,9 +513,7 @@ def _self_test() -> int:
         GreenFunctionParams, LorentzianLineshape, SpectralGrid,
         green, lorentzian, quad_1d,
     )
-    from .sources import (
-        gain_functions_cw, geometric_mode_ratio, schmidt_decompose,
-    )
+    from .sources import gain_functions_cw, geometric_mode_ratio
     from .excitation import energy_ledger, population_integrals_from_probability
     from .system import FourLevelSystem
 
@@ -577,16 +575,15 @@ def main(argv=None) -> int:
         description="Two-photon excitation and fluorescence sweeps for a four-level emitter",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("aeff", True), ("cw-sweep", True), ("pulsed-sweep", True),
-        ("schmidt", True), ("validate-config", True), ("self-test", False),
-    ):
+    # Each subcommand takes only the flags it reads.
+    for name in ("aeff", "cw-sweep", "pulsed-sweep", "schmidt", "validate-config"):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--reproducible", action="store_true")
+        p.add_argument("--config", required=True)
+        if name in ("cw-sweep", "pulsed-sweep", "schmidt"):
+            p.add_argument("--out", default=None)
+        if name in ("cw-sweep", "pulsed-sweep"):
+            p.add_argument("--reproducible", action="store_true")
+    sub.add_parser("self-test")
     args = parser.parse_args(argv)
 
     if args.command == "self-test":
@@ -598,6 +595,8 @@ def main(argv=None) -> int:
         return 2
     for note in cfg.defaults_applied:
         logger.warning("default: %s", note)
+    for key in cfg.ignored:
+        logger.warning("ignored: %s is read by no command", key)
     handlers = {
         "aeff": _cmd_aeff,
         "cw-sweep": _cmd_cw_sweep,

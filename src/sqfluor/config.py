@@ -4,7 +4,9 @@ Quantities are strings "value unit" (or bare numbers for dimensionless
 entries).  Lengths accept nm/um/mm/cm/m; frequencies and decay rates accept
 rad/s directly or (k/M/G/T)Hz, which are ordinary frequencies and are
 multiplied by 2 pi.  Every default applied during loading is echoed in the
-provenance log carried by the RunConfig.
+provenance log carried by the RunConfig.  A `numerics` key that no command
+reads is accepted, left out of `RunConfig.numerics` and listed in
+`RunConfig.ignored`.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def parse_quantity(value: Any, kind: str, key: str) -> float:
 
 @dataclass
 class RunConfig:
-    """Validated configuration plus the provenance of every applied default."""
+    """Validated configuration, the provenance of every applied default and the keys ignored."""
 
     raw: dict
     system: FourLevelSystem
@@ -97,6 +99,7 @@ class RunConfig:
     numerics: dict
     output: dict
     defaults_applied: list = field(default_factory=list)
+    ignored: list = field(default_factory=list)
 
     @property
     def config_hash(self) -> str:
@@ -209,8 +212,8 @@ def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
 
 
 _REGIMES = ("squeezed_cw", "squeezed_pulsed")
-_FRACTION_KEYS = ("rel_tol", "trunc_tol", "mode_weight_tail", "sample_rel_tol")
-_INTEGER_MINIMA = {"max_doublings": 1, "jsa_points": 3}
+_FRACTION_KEYS = ("rel_tol", "trunc_tol")
+_INTEGER_MINIMA = {"max_doublings": 1}
 
 
 def _load_source(cfg: dict, log: list) -> dict:
@@ -283,23 +286,13 @@ def _load_numerics(cfg: dict, log: list) -> dict:
     if "numerics" not in cfg:
         log.append("numerics section defaulted entirely")
     out = {}
-    for key, default in (
-        ("rel_tol", 1e-6),
-        ("max_doublings", 6),
-        ("jsa_points", 512),
-        ("trunc_tol", 1e-10),
-        ("mode_weight_tail", 1e-4),
-        ("sample_rel_tol", 1e-3),
-        ("decomposition", "auto"),
-    ):
+    for key, default in (("rel_tol", 1e-6), ("max_doublings", 6), ("trunc_tol", 1e-10)):
         if key in section:
             out[key] = section[key]
         else:
             out[key] = default
             if "numerics" in cfg:
                 log.append(f"numerics.{key} defaulted to {default}")
-    if out["decomposition"] not in ("auto", "svd", "analytic"):
-        raise ConfigError("numerics.decomposition must be auto, svd, or analytic")
     for key in _FRACTION_KEYS:
         value = out[key]
         if not (_is_finite_number(value) and 0.0 < value < 1.0):
@@ -346,4 +339,5 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         raw=raw, system=system, coupling=coupling, geometry=geometry,
         source=source, numerics=numerics, output=output, defaults_applied=log,
+        ignored=[f"numerics.{key}" for key in raw.get("numerics", {}) if key not in numerics],
     )

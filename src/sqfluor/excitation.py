@@ -29,8 +29,7 @@ frequency integral left is Gaussian once the Green pole and the Lorentzian
 are written in time.  `PulsedExcitationEngine` tabulates the one half-line
 integral that remains per term pair (incoherent, coherent) or per term and
 time (intermediate population), and a row reads three small quadratic
-forms.  Tables are built once and only read afterwards, so sweep rows on
-several threads share one engine without a lock.
+forms.  Tables are built once and only read afterwards.
 
 Every table, CW or pulsed, doubles its Gauss-Legendre nodes until it
 settles to TABLE_REL_TOL = 1e-13 and raises ConvergenceError past
@@ -545,11 +544,10 @@ class PulsedExcitationEngine:
     Rows read c^T T c, a^T Q a and max_tau (c @ I); `diagnostics` reports
     `series_terms` (K) and `quadrature_rel_err` (the last node doubling's
     change, largest of the tables).  The tables are built in __init__ and
-    only read afterwards, so threads may share one engine.  `dec` (the
-    Schmidt decomposition the caller solved beta on), `n_in` (nodes per
-    table entry) and `n_out_max` (table entries) are kept only for the
-    benchmark's layer tracer (sweepbench/trace_layers.py), which reads
-    them under those names.
+    only read afterwards.  `dec` (the Schmidt decomposition the caller
+    solved beta on), `n_in` (nodes per table entry) and `n_out_max` (table
+    entries) are kept only for the benchmark's layer tracer
+    (sweepbench/trace_layers.py), which reads them under those names.
     """
 
     def __init__(

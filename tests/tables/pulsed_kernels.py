@@ -52,6 +52,11 @@ from sqfluor.sources import SqueezedPulsed  # noqa: E402
 from sqfluor.spectral import ConvergenceError  # noqa: E402
 from sqfluor.system import eta_prefactor  # noqa: E402
 
+# The lattice engine's two settings, once the `numerics` keys of the same
+# names (their defaults, and the values sweepbench's pulsed workloads set).
+MODE_WEIGHT_TAIL = 1e-4
+SAMPLE_REL_TOL = 1e-3
+
 
 def lattice_rows(cfg, sp_ratio, sc_ratio, photon_grid):
     """[(beta, coherent, incoherent, population, crossover)] of one panel as the lattice sweep ran."""
@@ -67,11 +72,9 @@ def lattice_rows(cfg, sp_ratio, sc_ratio, photon_grid):
         beta_max = cli._BETA_MAX
     except ConvergenceError:
         beta_max, _ = cli._beta_bounds(dec.p, math.asinh(math.sqrt(photon_grid[-1])))
-    working = truncated(dec, weighted_mode_count(dec, beta_max, cfg.numerics["mode_weight_tail"]))
+    working = truncated(dec, weighted_mode_count(dec, beta_max, MODE_WEIGHT_TAIL))
     betas = cli._beta_for_photons(working.p, photon_grid)
-    engine = LatticePulsedEngine(
-        working, system, eta, area, coupling, cfg.numerics["sample_rel_tol"]
-    )
+    engine = LatticePulsedEngine(working, system, eta, area, coupling, SAMPLE_REL_TOL)
     rows = []
     for beta in betas:
         out = engine.outcome(beta)

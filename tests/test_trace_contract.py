@@ -74,11 +74,11 @@ def test_pulsed_layers_are_traced(tmp_path):
     assert result["rows"] == layers["cli.rows"] == 3
     assert layers["excitation.engine_builds"] == 1  # one per panel
     # A brentq callback is counted once per call, whatever the length of the
-    # array it takes.  A panel inverts twice: beta_max alone, then its whole
-    # photon grid in one lock-step solve; a row inverts on its own only when
-    # its grid entry failed, and the classical reference takes no inversion.
-    # The bound allows 10 callbacks a solve for two panel solves and one solve
-    # per row, so it holds with room to spare (13 callbacks here).
+    # array it takes.  A panel inverts once: its whole photon grid in one
+    # lock-step solve; a row inverts on its own only when its grid entry
+    # failed, and the classical reference takes no inversion.  The bound
+    # allows 10 callbacks a solve for two panel solves and one solve per row,
+    # so it holds with room to spare (7 callbacks here).
     assert layers["cli.beta_inversion_evals"] <= 10 * (result["rows"] + 2)
     for name in (
         "cli.beta_inversion_evals", "cli.beta_inversion_s", "sources.schmidt_decompose_s",
