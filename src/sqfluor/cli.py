@@ -310,8 +310,8 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     (cut at `trunc_tol`) sets every row's beta in one lock-step inversion.
     The engine's tables reach r0_max = asinh(sqrt(N_max)), the largest
     first-mode squeezing any row of the panel can have (N >= sinh^2(r0)),
-    so they do not depend on any inversion.  A panel whose tables cannot
-    be built fails each of its rows with the build's error.
+    so they do not depend on any inversion.  A panel whose tables or
+    classical reference fail fails each of its rows with that error.
     """
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
@@ -344,18 +344,18 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 engine = PulsedExcitationEngine(
                     src, system, eta, area, coupling, r0_max=r0_max, dec=dec
                 )
+                # The classical reference is exactly bilinear in the photon
+                # numbers: it is computed once, at one photon per band.
+                cl_unit = p_classical_pulsed(
+                    ClassicalPulsed(
+                        GaussianAmplitude(src.center_i, src.sigma_c),
+                        GaussianAmplitude(src.center_ii, src.sigma_c),
+                        1.0, 1.0,
+                    ),
+                    system, eta, area,
+                ).total
             except NumericalError as exc:
-                engine = exc  # each row of the panel fails with the build's error
-            # The classical reference is exactly bilinear in the photon
-            # numbers: it is computed once, at one photon per band.
-            cl_unit = p_classical_pulsed(
-                ClassicalPulsed(
-                    GaussianAmplitude(src.center_i, src.sigma_c),
-                    GaussianAmplitude(src.center_ii, src.sigma_c),
-                    1.0, 1.0,
-                ),
-                system, eta, area,
-            ).total
+                engine, cl_unit = exc, math.nan  # each row of the panel fails with the error
 
             def compute(task, _engine=engine, _p=dec.p, _betas=betas,
                         _sqrt_p0=math.sqrt(dec.p[0]), _cl_unit=cl_unit):
@@ -515,7 +515,7 @@ def _self_test() -> int:
     )
     from .sources import gain_functions_cw, geometric_mode_ratio
     from .excitation import energy_ledger, population_integrals_from_probability
-    from .system import FourLevelSystem
+    from .system import CrossSectionPrefactor, FourLevelSystem
 
     checks = []
     shape = LorentzianLineshape(2.0e15, 3.0e7)
@@ -557,6 +557,19 @@ def _self_test() -> int:
         {"ba": 2e7, "cb": 5e6, "cd": 9e6, "da": 3e7},
         {"ba": 1e6, "cb": 0.0, "cd": 2e6, "da": 0.0},
     )
+    # One Schmidt mode of N photons: coherent ~ N (N + 1), incoherent and classical ~ N^2.
+    sigma, beta, unit = sys4.gamma_b, 0.8, CrossSectionPrefactor(1.0)
+    n = math.sinh(beta) ** 2
+    sq = PulsedExcitationEngine(
+        SqueezedPulsed(sigma, sigma, sys4.omega_ba, sys4.omega_cb), sys4, unit, 1.0, r0_max=beta
+    ).outcome(beta)
+    amps = (GaussianAmplitude(sys4.omega_ba, sigma), GaussianAmplitude(sys4.omega_cb, sigma))
+    cl = p_classical_pulsed(ClassicalPulsed(*amps, n, n), sys4, unit, 1.0)
+    for name, ratio, law in (
+        ("coherent/incoherent = 1 + 1/N", sq.coherent / sq.incoherent, 1.0 + 1.0 / n),
+        ("squeezed/classical = 2 + 1/N", sq.total / cl.total, 2.0 + 1.0 / n),
+    ):
+        checks.append((f"separable pulse: {name}", abs(ratio / law - 1.0) < 1e-12))
     ledger = energy_ledger(population_integrals_from_probability(1e-6, sys4, 1e-9), sys4)
     conserved = ledger.extinction - (ledger.total_scattered + ledger.total_absorbed)
     checks.append(("energy ledger conserves exactly", conserved == 0.0))

@@ -22,20 +22,22 @@ Int G_ba s_I c_I is one Faddeeva value per term, the photon rate
 double integral is a quadratic form of one K x K table of half-line
 integrals, built per call (`rate_squeezed_cw`).
 
-A classical pulse pair is a closed form (`p_classical_pulsed`).  Squeezed
-pulses of the double-Gaussian source are Gaussian series of their Schmidt
-gains: Mehler's formula sums the Hermite modes of each term, and every
-frequency integral left is Gaussian once the Green pole and the Lorentzian
-are written in time.  `PulsedExcitationEngine` tabulates the one half-line
-integral that remains per term pair (incoherent, coherent) or per term and
-time (intermediate population), and a row reads three small quadratic
-forms.  Tables are built once and only read afterwards.
+A classical pulse pair's inner integral is one Faddeeva value and its outer
+one a half-line integral (`p_classical_pulsed`).  Squeezed pulses of the
+double-Gaussian source are Gaussian series of their Schmidt gains: Mehler's
+formula sums the Hermite modes of each term, and every frequency integral
+left is Gaussian once the Green pole and the Lorentzian are written in
+time.  `PulsedExcitationEngine` tabulates the one half-line integral that
+remains per term pair (incoherent, coherent) or per term and time
+(intermediate population), and a row reads three small quadratic forms.
+Tables are built once and only read afterwards.
 
-Every table, CW or pulsed, doubles its Gauss-Legendre nodes until it
-settles to TABLE_REL_TOL = 1e-13 and raises ConvergenceError past
-MAX_TABLE_NODES; rows report `series_terms` and `quadrature_rel_err` in
-their `diagnostics`.  The accuracy of the CW rates is also checked against
-independent Gaussian-series references under tests/.
+Every pulsed or CW integral, a table or the classical pulse pair's one,
+doubles its Gauss-Legendre nodes until it settles to TABLE_REL_TOL = 1e-13
+(`_doubled`) and raises ConvergenceError past MAX_TABLE_NODES; outcomes
+report `quadrature_rel_err` in their `diagnostics`.  The CW rates and the
+classical pulse pair are also checked against independent references
+under tests/.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from .spectral import (
     ConvergenceError,
     green,
     lorentzian,
-    pole_weights,
 )
 from .system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem, cross_section
 
@@ -93,7 +94,6 @@ __all__ = [
 ]
 
 VALIDITY_THRESHOLD = 0.1
-CLASSICAL_OUTER_POINTS = 4097  # samples of a classical pulse pair's outer integral
 
 
 @dataclass(frozen=True)
@@ -189,18 +189,24 @@ def p_classical_pulsed(
     a_eff: float,
     coupling: DipoleCoupling | None = None,
 ) -> ExcitationOutcome:
-    """Per-atom two-photon excitation probability for two classical pulses, in closed form.
+    """Per-atom two-photon excitation probability for two classical pulses.
 
-    phi_I(x) phi_II(w - x) is exp(-d^2/(2V)) times a Gaussian in x of width s
-    about c_I + s^2 d/sigma_II^2 (d = w - c_I - c_II, V = sigma_I^2 +
-    sigma_II^2, s^2 = sigma_I^2 sigma_II^2/V), so K(d) = Int G_ba phi_I phi_II
-    dbar-x is one Faddeeva value (Weideman, SIAM J. Numer. Anal. 31, 1497
-    (1994)).  The outer Int L |K|^2 dd takes the Lorentzian by `pole_weights`
-    on CLASSICAL_OUTER_POINTS samples over +/-12 sqrt(V).  With a coupling,
-    the peak population max_t (kappa N_I/A) |M(t)|^2 comes too, read on
-    `_time_grid` in durations 1/sigma_I: phi_I(w) e^{-i(w - c_I)t} is
-    e^{-sigma_I^2 t^2/2} times a Gaussian about c_I - i sigma_I^2 t, so
-    M(t) = Int G_ba phi_I e^{-i(w - c_I)t} dbar-w is one Faddeeva value too.
+    With d = w - c_I - c_II, V = sigma_I^2 + sigma_II^2 and s^2 = sigma_I^2
+    sigma_II^2/V, K(d) = Int G_ba phi_I phi_II dbar-x is one Faddeeva value
+    w(a (delta + s^2 d/sigma_II^2) + i b), a = 1/(sqrt(2) s), b = a Gamma_b/2,
+    delta = c_I - omega_ba (Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)).
+    With w in time, Int L |K|^2 dd is 1/(sqrt(2 pi) sigma_I sigma_II) times
+    one half-line integral (DECISIONS.md),
+
+        Int_0^inf e^(-rho^2/4 - b rho) erfcx((rho + 4b)/sqrt(8)) Re[e^(i a delta rho) F] drho,
+
+    F = `_lorentz_gauss` in units of sqrt(V) at lam = slope rho, slope =
+    sigma_I/(sqrt(2) sigma_II), on the tables' nodes (`_doubled`, against
+    Int |integrand|: off resonance it oscillates).  With a coupling, the
+    peak population max_t (kappa N_I/A) |M(t)|^2 comes too, on `_time_grid`
+    in durations 1/sigma_I: phi_I(w) e^{-i(w - c_I)t} is e^{-sigma_I^2
+    t^2/2} times a Gaussian about c_I - i sigma_I^2 t, so M(t) = Int G_ba
+    phi_I e^{-i(w - c_I)t} dbar-w is one Faddeeva value too.
     """
     sig_i, sig_ii = src.amp_i.width, src.amp_ii.width
     delta = src.amp_i.center - sys.omega_ba
@@ -214,18 +220,22 @@ def p_classical_pulsed(
     if src.n_photons_i == 0.0 or src.n_photons_ii == 0.0:
         return ExcitationOutcome(0.0, 0.0, pop)
 
-    var = sig_i * sig_i + sig_ii * sig_ii
-    s = sig_i * sig_ii / np.sqrt(var)
-    half = 12.0 * np.sqrt(var)
-    step = 2.0 * half / (CLASSICAL_OUTER_POINTS - 1)
-    d = -half + step * np.arange(CLASSICAL_OUTER_POINTS)
-    z = (delta + (s / sig_ii) ** 2 * d + 0.5j * sys.gamma_b) / (np.sqrt(2.0) * s)
-    k2 = np.exp(-d * d / var) * np.abs(wofz(z)) ** 2 / (2.0 * sig_i * sig_ii)
-    shape = sys.lineshape_ca()
-    pole = (shape.center - src.amp_i.center - src.amp_ii.center) + 0.5j * shape.fwhm
-    lam = pole_weights(-half, step, CLASSICAL_OUTER_POINTS, pole).imag / np.pi
-    prob = eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff) * float(lam @ k2)
-    return ExcitationOutcome(prob, 0.0, pop)
+    root_v = math.sqrt(sig_i * sig_i + sig_ii * sig_ii)
+    a = root_v / (math.sqrt(2.0) * sig_i * sig_ii)
+    b, slope = 0.5 * a * sys.gamma_b, sig_i / (math.sqrt(2.0) * sig_ii)
+    vc = _on_resonance((sys.omega_ca - src.amp_i.center) - src.amp_ii.center, sys.omega_ca)
+
+    def integral(n_nodes):
+        rho, weights = _two_panels(_reach(0.25, b), n_nodes)
+        h = np.exp(-rho * (0.25 * rho + b)) * erfcx((rho + 4.0 * b) / math.sqrt(8.0))
+        f = _lorentz_gauss(1.0, slope * rho, vc / root_v, 0.5 * sys.gamma_c / root_v)
+        g = h * _real_with_phase(f, a * delta, rho) * weights
+        return g.sum(), float(np.abs(g).sum())
+
+    value, n_nodes, rel = _doubled(integral, 32, "classical pulse pair")
+    photons = eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff)
+    prob = photons * float(value) / (math.sqrt(2.0 * np.pi) * sig_i * sig_ii)
+    return ExcitationOutcome(prob, 0.0, pop, {"quadrature_rel_err": rel, "quadrature_nodes": n_nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +328,18 @@ def _real_with_phase(values, delta: float, t):
 
 
 def _doubled(table, n_nodes: int, what: str) -> tuple[np.ndarray, int, float]:
-    """(table(n), n, rel) at the first n = n_nodes 2^j that moves by rel <= TABLE_REL_TOL.
+    """(values, n, rel) at the first n = n_nodes 2^j whose table(n) moves by rel <= TABLE_REL_TOL.
 
-    rel is the largest change from table(n/2) over the largest |entry|.
+    rel is the largest change from table(n/2) over the largest |entry|, or
+    over `scale` where table(n) returns (values, scale).
     Raises ConvergenceError where the next n would pass MAX_TABLE_NODES.
     """
-    current, rel = table(n_nodes), math.inf
+
+    def evaluate(n):
+        out = table(n)
+        return out if isinstance(out, tuple) else (out, float(np.max(np.abs(out))))
+
+    current, rel = evaluate(n_nodes)[0], math.inf
     previous = current
     while rel > TABLE_REL_TOL:
         if 2 * n_nodes > MAX_TABLE_NODES:
@@ -331,9 +347,8 @@ def _doubled(table, n_nodes: int, what: str) -> tuple[np.ndarray, int, float]:
                 float(np.max(np.abs(current))), float(np.max(np.abs(previous))), rel, what
             )
         previous, n_nodes = current, 2 * n_nodes
-        current = table(n_nodes)
-        peak = float(np.max(np.abs(current)))
-        rel = float(np.max(np.abs(current - previous))) / peak if peak > 0.0 else 0.0
+        current, scale = evaluate(n_nodes)
+        rel = float(np.max(np.abs(current - previous))) / scale if scale > 0.0 else 0.0
     return current, n_nodes, rel
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "quad_converged",
     "simpson_doublings",
     "simpson_weights",
-    "pole_weights",
     "brentq",
     "NumericalError",
     "NonFiniteIntegrandError",
@@ -191,73 +190,6 @@ def simpson_weights(n_points: int, step: float = 1.0) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (step / 3.0)
-
-
-# Panels farther than this many of their half-widths from the pole use the series.
-POLE_SERIES_RADIUS = 4.0
-_POLE_SERIES_TERMS = 12  # |zeta| > 4: the first term left out is below 16**-12 / 9 of the leading one
-
-
-def pole_weights(first: float, step: float, n_points: int, pole: complex) -> np.ndarray:
-    """Complex weights W with Int f(x)/(x - pole) dx ~= W . f(x_k), x_k = first + step k.
-
-    Product integration (Atkinson, *An Introduction to Numerical Analysis*,
-    2nd ed., 1989, sec. 5.6; Davis & Rabinowitz, *Methods of Numerical
-    Integration*, 2nd ed., 1984, sec. 2.5): on each Simpson panel f is
-    replaced by its quadratic interpolant and 1/(x - pole) is integrated
-    exactly, so the rule is exact for f quadratic on every panel however
-    narrow the line is against the step.  On the panel with midpoint m,
-    x = m + step t and zeta = (pole - m)/step; with J_k = Int_{-1}^{1}
-    t^k/(t - zeta) dt,
-
-        J0 = log(1 - zeta) - log(-1 - zeta),  J1 = 2 + zeta J0,  J2 = zeta J1,
-
-    and the panel's three weights are (J2 - J1)/2, J0 - J2 and (J2 + J1)/2.
-    J1 cancels as |zeta| grows, so panels more than POLE_SERIES_RADIUS steps
-    from the pole take all three from the expansion 1/(t - zeta) = -sum_k
-    t^k / zeta^(k+1) (`_pole_series`).  The pole must lie off the real axis;
-    the weights do not depend on the units of x.
-    """
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError(f"pole weights need an odd n >= 3, got {n_points}")
-    pole = complex(pole)
-    if pole.imag == 0.0:
-        raise ValueError("the pole must lie off the real axis")
-    mid = 2.0 * np.arange((n_points - 1) // 2) + 1.0
-    zeta = ((pole.real - first) / step - mid) + 1j * (pole.imag / step)
-    j0, j1, j2 = (np.empty_like(zeta) for _ in range(3))
-
-    near = np.abs(zeta) <= POLE_SERIES_RADIUS
-    z = zeta[near]
-    j0[near] = np.log(1.0 - z) - np.log(-1.0 - z)
-    j1[near] = 2.0 + z * j0[near]
-    j2[near] = z * j1[near]
-
-    far = ~near
-    j0[far], j1[far], j2[far] = _pole_series(zeta[far])
-
-    weights = np.zeros(n_points, dtype=complex)
-    weights[:-1:2] = 0.5 * (j2 - j1)
-    weights[1::2] = j0 - j2
-    weights[2::2] += 0.5 * (j2 + j1)
-    return weights
-
-
-def _pole_series(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J0, J1, J2), J_k = Int_{-1}^{1} t^k/(t - zeta) dt, for |zeta| > POLE_SERIES_RADIUS.
-
-    From 1/(t - zeta) = -sum_k t^k / zeta^(k+1): J0 = -2 a/zeta, J2 = -2 b/zeta
-    and J1 = J2/zeta, with a = sum_i u^i/(2i + 1), b = sum_i u^i/(2i + 3) and
-    u = 1/zeta^2.
-    """
-    inv = 1.0 / zeta
-    u = inv * inv
-    a = b = 0.0
-    for i in range(_POLE_SERIES_TERMS - 1, -1, -1):
-        a = a * u + 1.0 / (2 * i + 1)
-        b = b * u + 1.0 / (2 * i + 3)
-    j2 = -2.0 * b * inv
-    return -2.0 * a * inv, j2 * inv, j2
 
 
 def _evaluate(f: Callable, points: np.ndarray, first: int = 0, stride: int = 1) -> np.ndarray:

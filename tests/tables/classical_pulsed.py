@@ -1,17 +1,19 @@
-"""Tables of the classical pulse pair in closed form.
+"""Tables of the classical pulse pair.
 
     PYTHONPATH=src python tests/tables/classical_pulsed.py [--quick]
 
-Run from the repository root; takes about ten seconds (`--quick` skips the
+Run from the repository root; takes about five seconds (`--quick` skips the
 population's adaptive-quadrature reference, which takes most of them).
 Not a test: pytest does not collect this file.  It prints the Markdown
-tables of the DECISIONS.md entry "Classical pulse pairs in closed form":
+tables of two DECISIONS.md entries, "The classical pulse pair on the
+tables' rule" (tables 1 and 3) and "Classical pulse pairs in closed form"
+(table 2):
 
-1. `p_classical_pulsed` against the Faddeeva-plus-`quad` reference
-   (`tests/oracles.py::classical_pulse_pair_probability`) per pulse width
-   and outer lattice size, on equal widths, on sigma_II = 3 sigma_I and on
-   a band-I centre 2 Gamma_b off omega_ba: the largest relative deviation
-   over those three pairs.
+1. Per case (pulse width; sigma_II = sigma_I or 3 sigma_I; band-I centre
+   on omega_ba or 2 Gamma_b off it): the nodes `p_classical_pulsed` stopped
+   at, the `quadrature_rel_err` it reported, and its deviation from the
+   Faddeeva-plus-`quad` reference
+   (`tests/oracles.py::classical_pulse_pair_probability`).
 2. Per pulse width (equal widths, on resonance): how far the closed-form
    probability and peak population moved from the engine path they
    replaced (a one-mode Schmidt decomposition of 4097-point Gaussian
@@ -20,7 +22,9 @@ tables of the DECISIONS.md entry "Classical pulse pairs in closed form":
    quadrature of M(t) on the same time grid
    (`tests/oracles.py::classical_pulsed_population`).
 3. On the classical reference of every panel of the shipped pulsed config
-   and of sweepbench's pulsed workloads: how far `p_classical` moved.
+   and of sweepbench's pulsed workloads: nodes, reported error, deviation
+   from the reference now and under the sampled outer rule it replaced
+   (`sampled_outer_rule`), and how far `p_classical` moved.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import wofz
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "sweepbench"))
@@ -40,9 +45,9 @@ from oracles import (  # noqa: E402
     LatticePulsedEngine,
     classical_pulse_pair_probability,
     classical_pulsed_population,
+    pole_weights,
 )
 
-import sqfluor.excitation as excitation  # noqa: E402
 from sqfluor.config import load_config  # noqa: E402
 from sqfluor.excitation import p_classical_pulsed  # noqa: E402
 from sqfluor.sources import ClassicalPulsed, SchmidtDecomposition  # noqa: E402
@@ -50,7 +55,8 @@ from sqfluor.spectral import GaussianAmplitude, SpectralGrid, gaussian_amp  # no
 from sqfluor.system import CrossSectionPrefactor, eta_prefactor  # noqa: E402
 
 WIDTHS = (1e-3, 0.01, 0.1, 1.0, 3.0, 10.0, 100.0, 1e3)
-LATTICES = (1025, 2049, 4097, 8193)
+PAIRS = ((1.0, 0.0), (3.0, 0.0), (1.0, 2.0), (3.0, 2.0))  # (sigma_II/sigma_I, detuning/Gamma_b)
+SAMPLED_POINTS = 4097
 AREA = 1e-8
 
 
@@ -64,8 +70,29 @@ def pulse_pair(system, width, ratio_ii=1.0, detuning=0.0) -> ClassicalPulsed:
     )
 
 
+def sampled_outer_rule(src, system, eta) -> float:
+    """The probability as the sampled outer rule took it.
+
+    |K(d)|^2 on SAMPLED_POINTS samples over +/-12 sqrt(V), the Lorentzian
+    taken by product integration (`pole_weights`).
+    """
+    sig_i, sig_ii = src.amp_i.width, src.amp_ii.width
+    var = sig_i * sig_i + sig_ii * sig_ii
+    s = sig_i * sig_ii / np.sqrt(var)
+    half = 12.0 * np.sqrt(var)
+    step = 2.0 * half / (SAMPLED_POINTS - 1)
+    d = -half + step * np.arange(SAMPLED_POINTS)
+    delta = src.amp_i.center - system.omega_ba
+    z = (delta + (s / sig_ii) ** 2 * d + 0.5j * system.gamma_b) / (np.sqrt(2.0) * s)
+    k2 = np.exp(-d * d / var) * np.abs(wofz(z)) ** 2 / (2.0 * sig_i * sig_ii)
+    shape = system.lineshape_ca()
+    pole = (shape.center - src.amp_i.center - src.amp_ii.center) + 0.5j * shape.fwhm
+    lam = pole_weights(-half, step, SAMPLED_POINTS, pole).imag / np.pi
+    return eta.eta * (src.n_photons_i / AREA) * (src.n_photons_ii / AREA) * float(lam @ k2)
+
+
 def replaced(src, system, eta, coupling=None) -> tuple[float, float | None]:
-    """(probability, population) as computed before: one engine over 4097-point tables."""
+    """(probability, population) as the engine path computed them: one engine over 4097-point tables."""
 
     def table(amp):
         grid = SpectralGrid(amp.center, 9.0 * amp.width, 4097)
@@ -81,28 +108,19 @@ def replaced(src, system, eta, coupling=None) -> tuple[float, float | None]:
     return prob, pop
 
 
-def lattice_table(system, eta) -> None:
-    print("| width/Gamma_b | " + " | ".join(f"{n} points" for n in LATTICES) + " |")
-    print("|---|" + "---|" * len(LATTICES))
-    kept = excitation.CLASSICAL_OUTER_POINTS
-    try:
-        for width in WIDTHS:
-            pairs = [
-                pulse_pair(system, width, ratio, detuning)
-                for ratio, detuning in ((1.0, 0.0), (3.0, 0.0), (1.0, 2.0))
-            ]
-            exact = [classical_pulse_pair_probability(src, system, eta, AREA) for src in pairs]
-            cells = []
-            for n_points in LATTICES:
-                excitation.CLASSICAL_OUTER_POINTS = n_points
-                worst = max(
-                    abs(p_classical_pulsed(src, system, eta, AREA).total / ref - 1.0)
-                    for src, ref in zip(pairs, exact)
-                )
-                cells.append(f"{worst:.2g}")
-            print(f"| {width:g} | " + " | ".join(cells) + " |", flush=True)
-    finally:
-        excitation.CLASSICAL_OUTER_POINTS = kept
+def case_table(system, eta) -> None:
+    print("| width/Gamma_b | sigma_II/sigma_I | detuning/Gamma_b | nodes | "
+          "quadrature_rel_err | vs reference |")
+    print("|---|---|---|---|---|---|")
+    for width in WIDTHS:
+        for ratio, detuning in PAIRS:
+            src = pulse_pair(system, width, ratio, detuning)
+            out = p_classical_pulsed(src, system, eta, AREA)
+            exact = classical_pulse_pair_probability(src, system, eta, AREA)
+            print(f"| {width:g} | {ratio:g} | {detuning:g} | "
+                  f"{out.diagnostics['quadrature_nodes']} | "
+                  f"{out.diagnostics['quadrature_rel_err']:.1e} | "
+                  f"{out.total / exact - 1.0:+.1e} |", flush=True)
 
 
 def width_table(system, eta, coupling, quick: bool) -> None:
@@ -122,23 +140,26 @@ def width_table(system, eta, coupling, quick: bool) -> None:
 
 
 def panel_table(system, eta) -> None:
-    sources = {"configs/cs_mot_pulsed_sweep.json": load_config(
+    sources = {"shipped": load_config(
         ROOT / "configs" / "cs_mot_pulsed_sweep.json"
     ).source}
     for name in ("pulsed-broadband", "pulsed-fewmode"):
         sources[f"sweepbench {name}"] = bench.WORKLOADS[name]["source"]
-    print("| config | panels | largest p_classical now/before - 1 |")
-    print("|---|---|---|")
+    print("| config | sigma_p/Gamma_b | sigma_c/sigma_p | nodes | quadrature_rel_err | "
+          "vs reference | sampled rule vs reference | p_classical moved |")
+    print("|---|---|---|---|---|---|---|---|")
     for name, source in sources.items():
-        moves = []
         for sp in source["sigma_p_over_gamma_b"]:
             for sc in source["sigma_c_over_sigma_p"]:
                 # The reference pair has sigma_I = sigma_II = sigma_c = sc sp Gamma_b.
                 src = pulse_pair(system, sc * sp)
-                before, _ = replaced(src, system, eta)
-                moves.append(p_classical_pulsed(src, system, eta, AREA).total / before - 1.0)
-        worst = max(moves, key=abs)
-        print(f"| {name} | {len(moves)} | {worst:+.2e} |", flush=True)
+                out = p_classical_pulsed(src, system, eta, AREA)
+                before = sampled_outer_rule(src, system, eta)
+                exact = classical_pulse_pair_probability(src, system, eta, AREA)
+                print(f"| {name} | {sp:g} | {sc:g} | {out.diagnostics['quadrature_nodes']} | "
+                      f"{out.diagnostics['quadrature_rel_err']:.1e} | "
+                      f"{out.total / exact - 1.0:+.1e} | {before / exact - 1.0:+.1e} | "
+                      f"{out.total / before - 1.0:+.2e} |", flush=True)
 
 
 def main() -> None:
@@ -148,7 +169,7 @@ def main() -> None:
     cfg = load_config(ROOT / "configs" / "cs_mot.json")
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
-    lattice_table(system, eta)
+    case_table(system, eta)
     print()
     width_table(system, eta, coupling, args.quick)
     print()

@@ -511,7 +511,7 @@ class TestPulsedSweep:
         for row in separable:
             n = row["photons_per_pulse"]
             total = row["p_sq_coherent"] + row["p_sq_incoherent"]
-            assert total / row["p_classical"] == pytest.approx(2.0 + 1.0 / n, rel=1e-2)
+            assert total / row["p_classical"] == pytest.approx(2.0 + 1.0 / n, rel=1e-12)
 
     def test_crossover_marker(self, tmp_path):
         cfg = load_config(tiny_pulsed_config(tmp_path))
@@ -540,6 +540,36 @@ class TestPulsedSweep:
         assert "PhotonInversionError: photon-number inversion failed to bracket N = 10" in (
             record.getMessage()
         )
+
+    def test_a_failed_classical_reference_fails_its_panel_only(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # The classical reference of the sigma_c = 4 sigma_p panel cannot
+        # be computed: that panel's rows fail with its error, each with its
+        # own WARNING, and the other panel's rows are those of an
+        # undisturbed sweep.
+        cfg = load_config(tiny_pulsed_config(tmp_path))
+        undisturbed = run_pulsed_sweep(cfg)
+        gamma_b = cfg.system.gamma_b
+
+        def failing(src, *args, **kwargs):
+            if src.amp_i.width == 4.0 * gamma_b:
+                raise ConvergenceError(1.0, 2.0, 0.5, "classical pulse pair")
+            return p_classical_pulsed(src, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "p_classical_pulsed", failing)
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            rows = run_pulsed_sweep(cfg)
+        assert len(rows) == len(undisturbed) == 6
+        failed = [i for i, row in enumerate(rows) if row["validity"] == "failed"]
+        assert failed == [i for i, row in enumerate(undisturbed)
+                          if row["sigma_c_over_sigma_p"] == 4.0] == [3, 4, 5]
+        assert all(math.isnan(rows[i]["p_classical"]) for i in failed)
+        assert rows[:3] == undisturbed[:3]
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 3
+        assert all("failed: ConvergenceError:" in m and "classical pulse pair" in m
+                   for m in messages)
 
     def test_a_row_out_of_iterations_fails_alone(self, tmp_path, monkeypatch, caplog):
         # With Brent's method held to five iterations, the N = 1 row of the

@@ -237,7 +237,25 @@ class TestClassicalPulsed:
         src = pulse_pair(system, width_over_gamma_b, ratio_ii, detuning_over_gamma_b)
         got = p_classical_pulsed(src, system, cs_eta, mot_area).total
         exact = classical_pulse_pair_probability(src, system, cs_eta, mot_area)
-        assert got == pytest.approx(exact, rel=1e-8, abs=0.0)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("width_over_gamma_b, ratio_ii, detuning_over_gamma_b", [
+        (1e-3, 1.0, 0.0), (0.01, 1.0, 2.0), (1.0, 3.0, 2.0), (1e3, 1.0, 0.0),
+    ])
+    def test_reports_its_quadrature_error(
+        self, cs_system, cs_eta, mot_area, width_over_gamma_b, ratio_ii, detuning_over_gamma_b
+    ):
+        # The outer integral doubles its nodes as the squeezed tables do and
+        # reports the last doubling's change.  At 0.01 Gamma_b and 2 Gamma_b
+        # off omega_ba the integrand oscillates and Int |integrand| is about
+        # 11 times the value; measured against the value the change would
+        # stall above TABLE_REL_TOL and raise at MAX_TABLE_NODES.
+        system, _ = cs_system
+        src = pulse_pair(system, width_over_gamma_b, ratio_ii, detuning_over_gamma_b)
+        diagnostics = p_classical_pulsed(src, system, cs_eta, mot_area).diagnostics
+        assert np.isfinite(diagnostics["quadrature_rel_err"])
+        assert 0.0 <= diagnostics["quadrature_rel_err"] < 1e-12
+        assert 64 <= diagnostics["quadrature_nodes"] <= 256
 
     def test_cw_limit_oracle(self, cs_system, cs_eta, mot_area):
         # Narrowband resonant pulses: p / T_eff must approach the analytic CW

@@ -6,7 +6,7 @@ import scipy.optimize
 from scipy.special import wofz
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import reevaluating_doublings
+from oracles import POLE_SERIES_RADIUS, pole_weights, reevaluating_doublings
 
 import sqfluor.peaked as peaked
 import sqfluor.spectral as spectral
@@ -22,7 +22,6 @@ from sqfluor.spectral import (
     gaussian_amp,
     green,
     lorentzian,
-    pole_weights,
     quad_1d,
     quad_converged,
     simpson_doublings,
@@ -185,7 +184,10 @@ class TestQuadrature:
 
 
 class TestPoleWeights:
-    """Product integration of f(x)/(x - pole): exact for quadratics, third order otherwise."""
+    """Product integration of f(x)/(x - pole): exact for quadratics, third order otherwise.
+
+    `oracles.pole_weights` takes the poles of `oracles.LatticePulsedEngine`.
+    """
 
     FIRST, STEP, N = -3.0, 0.15, 41  # nodes x_k = -3 + 0.15 k, k < 41
 
@@ -232,7 +234,7 @@ class TestPoleWeights:
         # steps past the last node is 8 steps away.
         pole = complex(self.FIRST + 47.0 * self.STEP, -0.5 * self.STEP)
         mid = self.FIRST + self.STEP * np.arange(1, self.N, 2)
-        assert np.min(np.abs(pole - mid)) / self.STEP > spectral.POLE_SERIES_RADIUS
+        assert np.min(np.abs(pole - mid)) / self.STEP > POLE_SERIES_RADIUS
 
     def test_weights_do_not_depend_on_the_units(self):
         pole = complex(0.4, 0.02)
