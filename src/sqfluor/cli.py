@@ -41,7 +41,7 @@ from .excitation import (
     rate_squeezed_cw,
     within_validity,
 )
-from .geometry import effective_area
+from .geometry import AtomCloud, BeamProfile, effective_area
 from .sources import (
     ClassicalPulsed,
     SqueezedCW,
@@ -159,7 +159,7 @@ def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
 def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
-    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
     factor = branching_factor(system)
     src_cfg = cfg.source
@@ -315,7 +315,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     """
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
-    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
     src_cfg = cfg.source
     photon_grid = _log_grid(
@@ -438,18 +438,15 @@ def emit(rows: list[dict], columns: list[str], cfg: RunConfig, path,
 
 def _cmd_aeff(cfg: RunConfig, args) -> int:
     cloud = cfg.cloud()
-    opts = cfg.numerics_options()
     from .constants import C_LIGHT
-    from .geometry import BeamProfile
 
     for label, omega in (("ba", cfg.system.omega_ba), ("cb", cfg.system.omega_cb)):
         wavelength = TWO_PI * C_LIGHT / omega
         beam = BeamProfile(cfg.geometry["w0"], wavelength=wavelength)
-        res = effective_area(beam, beam, cloud, opts)
+        a_eff = effective_area(beam, beam, cloud).a_eff
         print(
             f"A_eff (z_R from {label} wavelength {wavelength*1e9:.1f} nm): "
-            f"{res.a_eff:.6e} m^2 = {res.a_eff*1e12:.2f} um^2 "
-            f"(rel_err {res.achieved_rel_err:.2e})"
+            f"{a_eff:.6e} m^2 = {a_eff*1e12:.2f} um^2"
         )
     return 0
 
@@ -535,6 +532,11 @@ def _self_test() -> int:
     checks.append(("2 Im G = 2 pi L identity", ident < 1e-20))
     gauss = quad_1d(lambda x: np.exp(-x * x), SpectralGrid(0.0, 8.0, 2001))
     checks.append(("Simpson Gaussian = sqrt(pi)", abs(gauss - np.sqrt(PI)) < 1e-8))
+    w0, sigma, beam = 5e-5, 3e-5, BeamProfile(5e-5)
+    a_eff = effective_area(beam, beam, AtomCloud(sigma, 1.0)).a_eff
+    closed = 0.5 * PI * w0 * math.sqrt(w0**2 + 8.0 * sigma**2)
+    name = "collimated A_eff = (pi/2) w0 sqrt(w0^2 + 8 sigma^2)"
+    checks.append((name, abs(a_eff / closed - 1.0) < 1e-14))
     src = SqueezedCW(beta_bar=0.7, sigma_c_bar=1e7, center_i=2e15, center_ii=1.4e15)
     s, c = gain_functions_cw(2e15 + np.linspace(-3e7, 3e7, 101), src, "I")
     checks.append(("c^2 - s^2 = 1", float(np.max(np.abs(c * c - s * s - 1.0))) < 1e-12))

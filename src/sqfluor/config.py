@@ -106,11 +106,9 @@ class RunConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    # Kept only because sweepbench's worker calls it; it returns the defaults.
     def numerics_options(self) -> NumericsOptions:
-        return NumericsOptions(
-            rel_tol=self.numerics["rel_tol"],
-            max_doublings=self.numerics["max_doublings"],
-        )
+        return NumericsOptions()
 
     def beam(self) -> BeamProfile:
         geo = self.geometry
@@ -212,8 +210,6 @@ def _load_geometry(cfg: dict, system: FourLevelSystem, log: list) -> dict:
 
 
 _REGIMES = ("squeezed_cw", "squeezed_pulsed")
-_FRACTION_KEYS = ("rel_tol", "trunc_tol")
-_INTEGER_MINIMA = {"max_doublings": 1}
 
 
 def _load_source(cfg: dict, log: list) -> dict:
@@ -285,24 +281,12 @@ def _load_numerics(cfg: dict, log: list) -> dict:
     section = cfg.get("numerics", {})
     if "numerics" not in cfg:
         log.append("numerics section defaulted entirely")
-    out = {}
-    for key, default in (("rel_tol", 1e-6), ("max_doublings", 6), ("trunc_tol", 1e-10)):
-        if key in section:
-            out[key] = section[key]
-        else:
-            out[key] = default
-            if "numerics" in cfg:
-                log.append(f"numerics.{key} defaulted to {default}")
-    for key in _FRACTION_KEYS:
-        value = out[key]
-        if not (_is_finite_number(value) and 0.0 < value < 1.0):
-            raise ConfigError(f"numerics.{key} must be a number in (0, 1), got {value!r}")
-    for key, minimum in _INTEGER_MINIMA.items():
-        value = out[key]
-        if not (_is_finite_number(value) and value == int(value) and value >= minimum):
-            raise ConfigError(f"numerics.{key} must be an integer >= {minimum}, got {value!r}")
-        out[key] = int(value)
-    return out
+    value = section.get("trunc_tol", 1e-10)
+    if "trunc_tol" not in section and "numerics" in cfg:
+        log.append("numerics.trunc_tol defaulted to 1e-10")
+    if not (_is_finite_number(value) and 0.0 < value < 1.0):
+        raise ConfigError(f"numerics.trunc_tol must be a number in (0, 1), got {value!r}")
+    return {"trunc_tol": value}
 
 
 def _is_finite_number(value) -> bool:

@@ -6,23 +6,18 @@ The per-atom spectral flux normalization uses
 
 with circular Gaussian beams |l_J|^2 = (2/pi w_J^2(z)) exp(-2 r^2/w_J^2(z))
 and an isotropic Gaussian cloud.  The transverse (x, y) integrals are
-Gaussian and are done analytically, leaving a single z quadrature; for equal
-beams this reduces to the closed 1D form
-
-    1/A_eff^2 = (1/l0) Integral dz/A0(z) * exp(-pi z^2/l0^2) / (2 l0^2 + A0(z))
-
-with l0 = sqrt(2 pi sigma^2) and A0(z) = pi w^2(z)/2.
+Gaussian, and the remaining z average has a closed form in erfcx.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 from .constants import PI
-from .peaked import DEFAULT_NUMERICS, NumericsOptions
-from .spectral import SpectralGrid, quad_converged
 
 __all__ = [
     "BeamProfile",
@@ -34,7 +29,6 @@ __all__ = [
 ]
 
 _SQRT_2LN2 = np.sqrt(2.0 * np.log(2.0))
-Z_SPAN_FACTOR = 10.0  # z half-span in units of the longest of l0 and the Rayleigh ranges
 
 
 @dataclass(frozen=True)
@@ -76,15 +70,10 @@ class AtomCloud:
         if not self.n_atoms > 0.0:
             raise ValueError("n_atoms must be positive")
 
-    @property
-    def l0(self) -> float:
-        return np.sqrt(2.0 * PI) * self.sigma
-
 
 @dataclass(frozen=True)
 class EffectiveArea:
     a_eff: float
-    achieved_rel_err: float
 
     def __post_init__(self):
         if not self.a_eff > 0.0:
@@ -114,40 +103,42 @@ def waist_fwhm_to_w0(fwhm: float, convention: str = "intensity") -> float:
     raise ValueError(f"unknown waist convention {convention!r}")
 
 
-def effective_area(
-    beam_i: BeamProfile,
-    beam_ii: BeamProfile,
-    cloud: AtomCloud,
-    opts: NumericsOptions = DEFAULT_NUMERICS,
-    base_points: int = 8001,
-) -> EffectiveArea:
-    """Converged z-quadrature of the beam-overlap integral (beams may differ).
+# `opts` is unused; sweepbench's worker passes it.
+def effective_area(beam_i: BeamProfile, beam_ii: BeamProfile, cloud: AtomCloud,
+                   opts=None) -> EffectiveArea:
+    """The beam-overlap integral in closed form; beams may differ (DECISIONS.md).
 
-    The x-y integrals against the Gaussian cloud are analytic per z slice,
-
-        1/A^2 = Integral dz g(z) * 4 / (pi^2 wI^2 wII^2) / (1 + 2 kappa sigma^2),
-
-    with kappa(z) = 2/wI^2 + 2/wII^2; equal beams reproduce the 1D closed form
-    quoted in the module docstring exactly.
+    Per z slice the x-y integrals are Gaussian: 1/A^2 = (4/pi^2) E[1/D(z^2)] over
+    z ~ N(0, sigma^2), with D(u) = W_I W_II + 4 sigma^2 (W_I + W_II) and
+    W_J(u) = w_J0^2 (1 + u/z_RJ^2).  D = alpha u^2 + beta u + gamma has negative
+    roots u1, u2, so E[1/D] = (m(-u1) - m(-u2)) / (alpha (u1 - u2)), where
+    m(a^2) = E[1/(z^2 + a^2)] = sqrt(pi/2) erfcx(a/(sqrt(2) sigma)) / (sigma a).
+    One collimated beam gives alpha = 0 and m(gamma/beta)/beta, two give 1/gamma.
+    With equal beams the roots are -z_R^2 and -z_R^2 (1 + 8 sigma^2/w0^2): for
+    8 sigma^2 << w0^2 the m values nearly cancel, and the relative error is
+    about eps w0^2 / (8 sigma^2), eps the double-precision epsilon.
     """
     sigma = cloud.sigma
-    l0 = cloud.l0
+    s = 4.0 * sigma**2
+    a_i, a_ii = beam_i.waist**2, beam_ii.waist**2
+    b_i, b_ii = (0.0 if b.rayleigh_range is None else (b.waist / b.rayleigh_range) ** 2
+                 for b in (beam_i, beam_ii))
+    alpha = b_i * b_ii
+    beta = a_i * b_ii + a_ii * b_i + s * (b_i + b_ii)
+    gamma = a_i * a_ii + s * (a_i + a_ii)
 
-    def inv_a2_density(z):
-        w2_i = beam_i.w_squared(z)
-        w2_ii = beam_ii.w_squared(z)
-        g_z = np.exp(-(z * z) / (2.0 * sigma**2)) / np.sqrt(2.0 * PI * sigma**2)
-        kappa = 2.0 / w2_i + 2.0 / w2_ii
-        transverse = (4.0 / (PI**2 * w2_i * w2_ii)) / (1.0 + 2.0 * kappa * sigma**2)
-        return g_z * transverse
+    def h(a2):  # m(a^2) = sqrt(pi) h(a^2) / (2 sigma^2)
+        x = math.sqrt(a2) / (math.sqrt(2.0) * sigma)
+        return float(erfcx(x)) / x
 
-    spans = [l0]
-    for beam in (beam_i, beam_ii):
-        if beam.rayleigh_range is not None:
-            spans.append(beam.rayleigh_range)
-    half_span = Z_SPAN_FACTOR * max(spans)
-    grid = SpectralGrid(0.0, half_span, base_points)
-    inv_a2, rel_err = quad_converged(inv_a2_density, grid, opts.rel_tol, opts.max_doublings)
-    if not inv_a2 > 0.0:
-        raise ValueError("overlap integral is not positive; check geometry inputs")
-    return EffectiveArea(a_eff=float(1.0 / np.sqrt(inv_a2)), achieved_rel_err=float(rel_err))
+    if alpha > 0.0:
+        # beta^2 - 4 alpha gamma as a sum of squares, and the stable quadratic formula.
+        disc = (a_i * b_ii - a_ii * b_i + s * (b_ii - b_i)) ** 2 + 4.0 * s * s * alpha
+        q = -0.5 * (beta + math.sqrt(disc))
+        u1, u2 = q / alpha, gamma / q
+        mean = (h(-u1) - h(-u2)) / (alpha * (u1 - u2)) * math.sqrt(PI) / (2.0 * sigma * sigma)
+    elif beta > 0.0:
+        mean = h(gamma / beta) / beta * math.sqrt(PI) / (2.0 * sigma * sigma)
+    else:
+        mean = 1.0 / gamma
+    return EffectiveArea(a_eff=1.0 / math.sqrt(4.0 / PI**2 * mean))

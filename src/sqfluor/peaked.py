@@ -20,8 +20,9 @@ No rate calls `quad_kernel_smooth` any more: the CW squeezed rates, the CW
 intermediate population and the pulsed rows are all Gaussian series
 (`excitation`).  It stays for its tests and because the benchmark's layer
 tracer (sweepbench/trace_layers.py) wraps `excitation.quad_kernel_smooth`
-by name.  `NumericsOptions` still sets the effective-area quadrature
-(`geometry.effective_area`).
+by name.  `NumericsOptions` sets its tolerance, and
+`config.RunConfig.numerics_options()` still returns its defaults for
+sweepbench's worker; no command reads it.
 """
 
 from __future__ import annotations

@@ -3,14 +3,14 @@
 Each one restates a quantity the library computes another way (or not at
 all at run time): correlation kernels straight from the mode tables or the
 CW gain functions, the single-photon marginal width of the double-Gaussian
-JSA, the Gaussian cloud density, the excitation probability of a
-classical pulse pair in closed form and its validity population by
-adaptive quadrature, the broadband limit of the CW squeezed rates, the
-integral of a linear interpolant against |G_ba|^2 and the CW population
-integral by `mpmath`, the lattice correlation on `scipy.fft`, the
-Schmidt-mode helpers the lattice sweep used (`truncated`,
-`weighted_mode_count`, `modes_at`), a pulsed sweep row and a CSV cell as
-the library computes them with
+JSA, the Gaussian cloud density, the beam-cloud overlap 1/A_eff^2 by
+`mpmath`, the excitation probability of a classical pulse pair in closed
+form and its validity population by adaptive quadrature, the broadband
+limit of the CW squeezed rates, the integral of a linear interpolant
+against |G_ba|^2 and the CW population integral by `mpmath`, the lattice
+correlation on `scipy.fft`, the Schmidt-mode helpers the lattice sweep
+used (`truncated`, `weighted_mode_count`, `modes_at`), a pulsed sweep row
+and a CSV cell as the library computes them with
 `fluorescence()` and as `cli._fmt` writes them, the CSV body as
 `csv.writer` wrote it before `cli.emit` formatted by column, the analytic
 Schmidt decomposition with its Hermite mode tables (which the library
@@ -97,6 +97,39 @@ def cloud_density(cloud: AtomCloud, x, y, z):
     norm = (2.0 * np.pi * cloud.sigma**2) ** 1.5
     r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2 + np.asarray(z) ** 2
     return cloud.n_atoms * np.exp(-r2 / (2.0 * cloud.sigma**2)) / norm
+
+
+def inverse_area_sq(beam_i, beam_ii, cloud: AtomCloud, dps: int = 30) -> float:
+    """1/A_eff^2 by `mpmath.quad` of the documented z integrand.
+
+    Per z slice the x-y integrals against the cloud give
+    g(z) 4 / (pi^2 W_I W_II (1 + 2 kappa sigma^2)), kappa = 2/W_I + 2/W_II,
+    with W_J = w_J^2(z) and g the cloud's z density.  The half line is cut at
+    12 sigma, past which the Gaussian leaves less than 1e-32 of the total,
+    and split at the Rayleigh ranges shorter than 3 sigma.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        sigma = mpmath.mpf(cloud.sigma)
+        beams = [
+            (mpmath.mpf(b.waist) ** 2, None if b.rayleigh_range is None else mpmath.mpf(b.rayleigh_range))
+            for b in (beam_i, beam_ii)
+        ]
+
+        def w2(beam, z):
+            w0_sq, z_r = beam
+            return w0_sq if z_r is None else w0_sq * (1 + (z / z_r) ** 2)
+
+        def f(z):
+            w2_i, w2_ii = w2(beams[0], z), w2(beams[1], z)
+            kappa = 2 / w2_i + 2 / w2_ii
+            g = mpmath.exp(-(z * z) / (2 * sigma**2)) / mpmath.sqrt(2 * mpmath.pi * sigma**2)
+            return 2 * g * 4 / (mpmath.pi**2 * w2_i * w2_ii * (1 + 2 * kappa * sigma**2))
+
+        edges = {mpmath.mpf(0), 12 * sigma}
+        edges |= {z_r for _, z_r in beams if z_r is not None and z_r < 3 * sigma}
+        return float(mpmath.quad(f, sorted(edges)))
 
 
 def g2_cw(omega_i, omega_ii, omega_i_prime, omega_ii_prime, src: SqueezedCW):

@@ -48,7 +48,7 @@ def main() -> None:
     cfg = load_config(DATA / "regression_cw.json")
     system = cfg.system
     eta = eta_prefactor(system, cfg.coupling)
-    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
     rows = golden_rows()
     refs = cw_reference_columns(rows, system, eta, area)
 

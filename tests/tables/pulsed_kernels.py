@@ -62,7 +62,7 @@ def lattice_rows(cfg, sp_ratio, sc_ratio, photon_grid):
     """[(beta, coherent, incoherent, population, crossover)] of one panel as the lattice sweep ran."""
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
-    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
     sigma_p = sp_ratio * system.gamma_b
     src = SqueezedPulsed(sigma_p, sc_ratio * sigma_p, system.omega_ba, system.omega_cb)
     dec = eager_schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])

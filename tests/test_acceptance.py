@@ -82,7 +82,7 @@ def test_criterion_1_effective_area(cs_system):
 
     checks = []
     for convention, closed in closed_forms.items():
-        checks.append(results[f"{convention}/collimated"] == pytest.approx(closed, rel=1e-9))
+        checks.append(results[f"{convention}/collimated"] == pytest.approx(closed, rel=1e-14))
         for label in ("895nm", "1360nm"):
             a_eff = results[f"{convention}/{label}"]
             checks.append(a_eff >= closed and a_eff == pytest.approx(closed, rel=1e-4))

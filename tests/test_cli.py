@@ -83,7 +83,7 @@ def tiny_pulsed_config(tmp_path, **source_overrides):
         "points_per_decade": 1.0,
     }
     cfg["source"].update(source_overrides)
-    cfg["numerics"] = {"rel_tol": 1e-6, "max_doublings": 6, "trunc_tol": 1e-8}
+    cfg["numerics"] = {"trunc_tol": 1e-8}
     path = tmp_path / "pulsed.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -218,23 +218,24 @@ class TestLoadConfig:
         ("trunc_tol", 2.0),
     ])
     def test_numerics_are_type_checked(self, tmp_path, key, value):
+        # trunc_tol is the one numerics key a command reads; rel_tol and
+        # max_doublings set the effective-area quadrature before its closed
+        # form and now load, whatever their value, as ignored keys.
         path = with_numerics(tiny_cw_config(tmp_path), **{key: value})
-        with pytest.raises(ConfigError, match=f"numerics.{key}"):
-            load_config(path)
-
-    def test_integral_float_counts_are_stored_as_ints(self, tmp_path):
-        cfg = load_config(with_numerics(tiny_cw_config(tmp_path), max_doublings=6.0))
-        assert cfg.numerics["max_doublings"] == 6 and type(cfg.numerics["max_doublings"]) is int
-        out = tmp_path / "header.csv"
-        emit([], CW_COLUMNS, cfg, out, reproducible=True)
-        header = out.read_text().splitlines()[2]
-        assert "max_doublings=6 " in header
+        if key == "trunc_tol":
+            with pytest.raises(ConfigError, match=f"numerics.{key}"):
+                load_config(path)
+        else:
+            cfg = load_config(path)
+            assert key not in cfg.numerics
+            assert cfg.ignored == [f"numerics.{key}"]
 
     def test_numerics_no_command_reads_are_named_and_left_out(self, tmp_path, caplog):
         # sweepbench's pulsed workloads still set keys of the Schmidt-mode
-        # lattice engine; the config loads, and each of them is named once.
+        # lattice engine and of the effective-area quadrature; the config
+        # loads, and each of them is named once.
         numerics = sweepbench_pulsed_numerics()
-        read = ["max_doublings", "rel_tol", "trunc_tol"]
+        read = ["trunc_tol"]
         ignored = sorted(set(numerics) - set(read))
         assert ignored
         path = with_numerics(tiny_pulsed_config(tmp_path), **numerics)
@@ -327,17 +328,16 @@ class TestCwSweep:
             run_cw_sweep(cfg)
 
     def test_classical_reference_uses_configured_numerics(self, tmp_path):
-        # CW rows take no quadrature tolerance: at rel_tol 1e-9 and 8
-        # doublings the classical reference still takes each row's own
-        # photon rate.
+        # CW rows read no numerics key: the classical reference takes each
+        # row's own photon rate.
         path = tiny_cw_config(
             tmp_path, sigma_c_over_gamma_b=[0.01], beta_bar_min=1.0,
             beta_bar_max=float(np.sqrt(10.0)), points_per_decade=4,
         )
-        cfg = load_config(with_numerics(path, rel_tol=1e-9, max_doublings=8))
+        cfg = load_config(path)
         system = cfg.system
         eta = eta_prefactor(system, cfg.coupling)
-        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options())
+        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud())
         rows = run_cw_sweep(cfg)
         assert len(rows) == 3
         for row in rows:
@@ -623,9 +623,7 @@ class TestPulsedSweep:
 
         system, n_atoms = cfg.system, cfg.geometry["n_atoms"]
         eta = cli.eta_prefactor(system, cfg.coupling)
-        area = cli.effective_area(
-            cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()
-        ).a_eff
+        area = cli.effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
 
         def bits(value):
             if isinstance(value, (bool, np.bool_)):
@@ -924,10 +922,26 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("config error: ")
 
+    @pytest.mark.parametrize("beam_fwhm, cloud_fwhm", [
+        ("1 mm", "0.1 mm"), ("0.2 mm", "0.03 mm"), ("0.3 mm", "0.03 mm"),
+    ])
+    @pytest.mark.parametrize("command", ["aeff", "cw-sweep", "pulsed-sweep"])
+    def test_wide_beam_on_a_short_cloud_runs(self, tmp_path, command, beam_fwhm, cloud_fwhm):
+        # A cloud far shorter than the Rayleigh range once stretched the
+        # effective area's z quadrature to 10 z_R, where it never converged:
+        # each command ended in ConvergenceError and wrote no row.
+        make = tiny_pulsed_config if command == "pulsed-sweep" else tiny_cw_config
+        path = with_section(make(tmp_path), "geometry", beam_fwhm=beam_fwhm, cloud_fwhm=cloud_fwhm)
+        out = tmp_path / "o.csv"
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command != "aeff" else [])
+        assert main(argv) == 0
+        if command != "aeff":
+            assert "failed" not in out.read_text()
+
     def test_bad_numerics_is_a_config_error(self, tmp_path, capsys):
-        path = with_numerics(tiny_cw_config(tmp_path), max_doublings=2.7)
+        path = with_numerics(tiny_cw_config(tmp_path), trunc_tol=2.0)
         assert main(["cw-sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-        assert "config error: numerics.max_doublings" in capsys.readouterr().err
+        assert "config error: numerics.trunc_tol" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -160,7 +160,7 @@ class TestCwGate:
         cfg = load_config(DATA / "regression_cw.json")
         rows = run_cw_sweep(cfg)
         eta = eta_prefactor(cfg.system, cfg.coupling)
-        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud(), cfg.numerics_options()).a_eff
+        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
         return rows, cw_reference_columns(rows, cfg.system, eta, area)
 
     def test_every_cell_is_within_its_column_tolerance(self, regression):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import cloud_density
+from oracles import cloud_density, inverse_area_sq
 
 from sqfluor.geometry import (
     AtomCloud,
@@ -10,11 +10,27 @@ from sqfluor.geometry import (
     waist_fwhm_to_w0,
 )
 
-# A_eff for the 0.1 mm FWHM MOT beam and cloud.  It sits 1.9e-6 above the
-# collimated closed form (pi/2) w0 sqrt(w0^2 + 8 sigma^2), as beam divergence
-# requires; the quoted 220 um^2 lies below the bound pi w0^2/2 (see
-# DECISIONS.md).  Frozen here as a regression anchor.
-MOT_AEFF_COMPUTED = 1.962573191173123e-8  # m^2, intensity-FWHM convention, z_R at 895 nm
+# A_eff for the 0.1 mm FWHM MOT beam and cloud, from the closed form.  It
+# sits 1.9e-6 above the collimated closed form (pi/2) w0 sqrt(w0^2 + 8 sigma^2),
+# as beam divergence requires; the quoted 220 um^2 lies below the bound
+# pi w0^2/2 (see DECISIONS.md).  Frozen here as a regression anchor.
+MOT_AEFF_COMPUTED = 1.9625731911731418e-8  # m^2, intensity-FWHM convention, z_R at 895 nm
+
+# The oracle grid: cloud widths and Rayleigh ranges in units of the waist
+# (None: collimated), each with equal beams, unequal beams (the second 1.6
+# times wider with 0.7 times the Rayleigh range) and the second collimated.
+GRID_W0 = 5.0e-5
+GRID_SIGMAS = (0.02, 0.1, 0.5, 1.0, 10.0, 100.0, 1000.0)
+GRID_RAYLEIGH = (1.0, 10.0, 1e2, 1e3, 1e4, None)
+
+
+def grid_beams(pair: str, z_r):
+    beam = BeamProfile(GRID_W0, z_r)
+    if pair == "equal":
+        return beam, beam
+    if pair == "unequal":
+        return beam, BeamProfile(1.6 * GRID_W0, None if z_r is None else 0.7 * z_r)
+    return beam, BeamProfile(GRID_W0)
 
 
 def brute_force_inverse_area_sq(beam_i, beam_ii, cloud, n_xy=221, n_z=201):
@@ -26,7 +42,7 @@ def brute_force_inverse_area_sq(beam_i, beam_ii, cloud, n_xy=221, n_z=201):
         return w / 3.0
 
     half_xy = 6.0 * max(beam_i.waist, beam_ii.waist, cloud.sigma)
-    half_z = 6.0 * cloud.l0
+    half_z = 6.0 * np.sqrt(2.0 * np.pi) * cloud.sigma
     x = np.linspace(-half_xy, half_xy, n_xy)
     z = np.linspace(-half_z, half_z, n_z)
     wx = simpson_w(n_xy) * (x[1] - x[0])
@@ -114,18 +130,22 @@ class TestEffectiveArea:
         a21 = effective_area(beam_ii, beam_i, cloud).a_eff
         assert a12 == pytest.approx(a21, rel=1e-12)
 
-    def test_self_convergence_wrt_z_step(self):
-        beam = BeamProfile(4.0e-5, wavelength=895e-9)
-        cloud = AtomCloud(3.0e-5, 1e5)
-        coarse = effective_area(beam, beam, cloud, base_points=8001)
-        fine = effective_area(beam, beam, cloud, base_points=16001)
-        assert abs(fine.a_eff - coarse.a_eff) / fine.a_eff < 1e-6
-        assert coarse.achieved_rel_err <= 1e-5
+    @pytest.mark.parametrize("pair", ["equal", "unequal", "collimated"])
+    @pytest.mark.parametrize("z_r", GRID_RAYLEIGH)
+    @pytest.mark.parametrize("sigma", GRID_SIGMAS)
+    def test_matches_mpmath_oracle(self, sigma, z_r, pair):
+        # Equal beams carry the closed form's cancellation, about
+        # eps w0^2 / (8 sigma^2): 7e-14 at sigma = 0.02 w0.
+        beam_i, beam_ii = grid_beams(pair, None if z_r is None else z_r * GRID_W0)
+        cloud = AtomCloud(sigma * GRID_W0, 1e6)
+        a_eff = effective_area(beam_i, beam_ii, cloud).a_eff
+        tol = 2e-13 if pair == "equal" else 1e-15
+        assert 1.0 / a_eff**2 == pytest.approx(inverse_area_sq(beam_i, beam_ii, cloud), rel=tol)
 
     def test_mot_case_study_regression(self, mot_area):
         # ~1.96e4 um^2: the closed form for these inputs, not the quoted
         # 220 um^2, which is below the lower bound (see DECISIONS.md).
-        assert mot_area == pytest.approx(MOT_AEFF_COMPUTED, rel=1e-4)
+        assert mot_area == pytest.approx(MOT_AEFF_COMPUTED, rel=1e-14)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
