@@ -25,6 +25,7 @@ import sys as _sys
 # Unused here: sweepbench's layer tracer subclasses it on this module.
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +33,10 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .constants import PI, TWO_PI
 from .excitation import (
+    CwExcitationEngine,
     PulsedExcitationEngine,
     branching_factor,
+    cw_column_beta_max,
     matched_classical_cw,
     matched_classical_pulsed,  # unused here; sweepbench's layer tracer wraps it on this module
     p_classical_pulsed,
@@ -157,6 +160,13 @@ def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
 
 # `jobs` is unused; sweepbench's worker passes it.
 def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
+    """CW rows over the (sigma_c_bar, beta_bar) grid, one `CwExcitationEngine` per column.
+
+    Each column's engine is built at the largest of its beta_bars whose
+    Gaussian series can be formed (`cw_column_beta_max`); a row past it
+    fails with the series' error.  A column whose table fails fails each of
+    its rows with that error.
+    """
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
     area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
@@ -168,23 +178,12 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         src_cfg["beta_bar_min"], src_cfg["beta_bar_max"], src_cfg["points_per_decade"]
     )
 
-    tasks = []
-    for ratio in ratios:
-        grid = base_grid
-        if src_cfg.get("match_rate_windows") and ratio != ratios[0]:
-            # photon rate ~ beta_bar^2 / T_c: matching the rate window across
-            # columns scales the beta window by sqrt(sigma_ref / sigma).
-            grid = base_grid * np.sqrt(ratios[0] / ratio)
-        for beta_bar in grid:
-            tasks.append({"sigma_c_over_gamma_b": ratio, "beta_bar": float(beta_bar)})
-
-    def compute(task):
+    def compute(task, engine, column):
+        if isinstance(engine, NumericalError):
+            raise engine
         ratio, beta_bar = task["sigma_c_over_gamma_b"], task["beta_bar"]
-        src = SqueezedCW(
-            beta_bar=beta_bar, sigma_c_bar=ratio * system.gamma_b,
-            center_i=system.omega_ba, center_ii=system.omega_cb,
-        )
-        out_sq = rate_squeezed_cw(src, system, eta, area, coupling)
+        src = SqueezedCW(beta_bar, column.sigma_c_bar, column.center_i, column.center_ii)
+        out_sq = rate_squeezed_cw(src, system, eta, area, coupling, engine=engine)
         rate = photon_rate_cw(src)
         src_cl = matched_classical_cw(src, area, rate)
         out_cl = rate_classical_cw(src_cl, system, eta)
@@ -208,7 +207,26 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             "validity": within_validity(out_sq.max_population),
         }
 
-    return _map_rows(compute, tasks, CW_COLUMNS)
+    rows: list[dict] = []
+    for ratio in ratios:
+        grid = base_grid
+        if src_cfg.get("match_rate_windows") and ratio != ratios[0]:
+            # photon rate ~ beta_bar^2 / T_c: matching the rate window across
+            # columns scales the beta window by sqrt(sigma_ref / sigma).
+            grid = base_grid * np.sqrt(ratios[0] / ratio)
+        tasks = [{"sigma_c_over_gamma_b": ratio, "beta_bar": float(b)} for b in grid]
+        column = SqueezedCW(
+            beta_bar=cw_column_beta_max(task["beta_bar"] for task in tasks),
+            sigma_c_bar=ratio * system.gamma_b,
+            center_i=system.omega_ba, center_ii=system.omega_cb,
+        )
+        try:
+            engine = CwExcitationEngine(column, system, eta, area, coupling)
+        except NumericalError as exc:
+            engine = exc  # each row of the column fails with the error
+        compute_row = partial(compute, engine=engine, column=column)
+        rows.extend(_map_rows(compute_row, tasks, CW_COLUMNS))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +590,14 @@ def _self_test() -> int:
         ("squeezed/classical = 2 + 1/N", sq.total / cl.total, 2.0 + 1.0 / n),
     ):
         checks.append((f"separable pulse: {name}", abs(ratio / law - 1.0) < 1e-12))
+    # The CW row path: a column's engine, read below the beta_bar it was built at.
+    column = SqueezedCW(10.0, sys4.gamma_b, sys4.omega_ba, sys4.omega_cb)
+    row = SqueezedCW(1.0, sys4.gamma_b, sys4.omega_ba, sys4.omega_cb)
+    engine = CwExcitationEngine(column, sys4, unit, 1.0)
+    read = rate_squeezed_cw(row, sys4, unit, 1.0, engine=engine)
+    alone = rate_squeezed_cw(row, sys4, unit, 1.0)
+    gap = max(abs(read.coherent / alone.coherent - 1.0), abs(read.incoherent / alone.incoherent - 1.0))
+    checks.append(("CW column engine read at beta_bar 1 = one-row rate", gap < 1e-12))
     ledger = energy_ledger(population_integrals_from_probability(1e-6, sys4, 1e-9), sys4)
     conserved = ledger.extinction - (ledger.total_scattered + ledger.total_absorbed)
     checks.append(("energy ledger conserves exactly", conserved == 0.0))

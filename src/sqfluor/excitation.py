@@ -20,7 +20,8 @@ Int G_ba s_I c_I is one Faddeeva value per term, the photon rate
 (`sources.photon_rate_cw`) and the intermediate population
 (`max_intermediate_population`) are closed sums too, and the incoherent
 double integral is a quadratic form of one K x K table of half-line
-integrals, built per call (`rate_squeezed_cw`).
+integrals.  `CwExcitationEngine` holds that table and the Faddeeva values
+of one sigma_c_bar column, and a row reads them (`rate_squeezed_cw`).
 
 A classical pulse pair's inner integral is one Faddeeva value and its outer
 one a half-line integral (`p_classical_pulsed`).  Squeezed pulses of the
@@ -48,7 +49,7 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.special import erf, erfcx, gammaln, wofz
+from scipy.special import erf, erfcx, wofz
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
 # Unused here: sweepbench's layer tracer wraps it on this module by name.
@@ -59,6 +60,7 @@ from .sources import (
     SchmidtDecomposition,
     SqueezedCW,
     SqueezedPulsed,
+    LOG_FACTORIALS,
     _gain_series,
     _sinh2_series,
     geometric_mode_ratio,
@@ -68,6 +70,7 @@ from .sources import (
 from .spectral import (
     GaussianAmplitude,
     ConvergenceError,
+    NumericalError,
     green,
     lorentzian,
 )
@@ -81,6 +84,8 @@ __all__ = [
     "p_classical_pulsed",
     "rate_classical_cw",
     "rate_squeezed_cw",
+    "CwExcitationEngine",
+    "cw_column_beta_max",
     "p_squeezed_pulsed",
     "fluorescence",
     "branching_factor",
@@ -374,7 +379,7 @@ def _cw_incoherent_table(k, g, gc, vc, delta, n_nodes):
     |G_ba|^2), and F_l = `_lorentz_gauss` at kappa = l, lam = t about the
     Green line at delta with half-width g.  |F_l| <= 1, so the integrand
     falls at least as fast as its band-II factor, and one grid of
-    `_two_panels` to the reach of the largest k serves every row.  The
+    `_two_panels` to the reach of the largest k serves every entry.  The
     K x n factors E and F are the largest arrays held.
     """
     t, weights = _two_panels(_reach(1.0 / (4.0 * k[-1]), gc), n_nodes)
@@ -383,12 +388,137 @@ def _cw_incoherent_table(k, g, gc, vc, delta, n_nodes):
     return (np.sqrt(np.pi / k) / g)[:, None] * (e @ f.T)
 
 
+def _cw_faddeeva(src: SqueezedCW, sys: FourLevelSystem, orders: np.ndarray) -> np.ndarray:
+    """w(sqrt(m/2) z) at each order m, z = (omega_ba - c_I + i Gamma_b/2) / sigma_c_bar."""
+    z = (sys.omega_ba - src.center_i + 0.5j * sys.gamma_b) / src.sigma_c_bar
+    return wofz(np.sqrt(0.5 * orders) * z)
+
+
+def _cw_population(src, sys, coupling, a_eff, b_k, re_w) -> float:
+    """(kappa / 2 pi A) (pi/g) sum_k b_k Re w_k, the peak population of squeezed CW light."""
+    kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
+    integral = (np.pi / (0.5 * sys.gamma_b)) * float(b_k @ re_w)
+    return float(kappa * integral / (TWO_PI * a_eff))
+
+
+def cw_column_beta_max(beta_bars) -> float:
+    """The largest of a column's beta_bars whose Gaussian series can be formed, else 0.0.
+
+    That is the beta_bar a column's `CwExcitationEngine` is built at: the
+    series run out from beta_bar = 353 on (`sources._gain_series`), and
+    only the rows past them fail.
+    """
+    for beta_bar in sorted(beta_bars, reverse=True):
+        try:
+            _series_orders(beta_bar, odd=False)
+            _series_orders(beta_bar, odd=True)
+        except NumericalError:
+            continue
+        return float(beta_bar)
+    return 0.0
+
+
+class CwExcitationEngine:
+    """CW squeezed excitation of one sigma_c_bar column, read at any beta_bar up to its own.
+
+    The tables depend on the column (sigma_c_bar, the source centres and the
+    system), not on beta_bar, which sets only the terms a row reads.  Built
+    at `src.beta_bar`, the engine holds, over every order m up to the last
+    `_gain_series` keeps there:
+    - log(2 m!), from `sources.LOG_FACTORIALS`;
+    - the Faddeeva values w(sqrt(m/2) z) of `_cw_faddeeva`: conj w at the
+      odd orders for the coherent amplitude, Re w at the even ones for the
+      intermediate population;
+    - R, the K x K table of `_cw_incoherent_table` over k = m/2 = 1..K,
+      its nodes doubled until it settles to TABLE_REL_TOL (else
+      ConvergenceError).
+
+    A row forms its terms b_k (sinh^2) and a_m (sinh cosh) once and reads
+    a . conj w, b^T R b and b . Re w (`rate_squeezed_cw` has the formulas).
+    `diagnostics` reports `series_terms` (K) and `quadrature_rel_err` (R's
+    last node doubling's change), as the pulsed engine does.
+    """
+
+    def __init__(
+        self,
+        src: SqueezedCW,
+        sys: FourLevelSystem,
+        eta: CrossSectionPrefactor,
+        a_eff: float,
+        coupling: DipoleCoupling | None = None,
+    ):
+        self.src = src
+        self.sys = sys
+        self.eta = eta
+        self.area = a_eff
+        self.coupling = coupling
+        self.beta_bar_max = src.beta_bar
+        # What a row's inputs must match, at any beta_bar (`rate_squeezed_cw`).
+        self.column = (src.sigma_c_bar, src.center_i, src.center_ii, sys, eta, a_eff, coupling)
+        sigma = src.sigma_c_bar
+        even = _series_orders(src.beta_bar, odd=False)
+        odd = _series_orders(src.beta_bar, odd=True)
+        self._n_even, self._n_odd = len(even), len(odd)
+        self._orders = np.arange(1.0, max(even[-1], odd[-1]) + 1.0)
+        self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self._orders) + 1]
+        faddeeva = _cw_faddeeva(src, sys, self._orders)
+        self._coherent_w = np.conj(faddeeva[0 : 2 * self._n_odd : 2])
+        self._population_w = faddeeva[1 : 2 * self._n_even : 2].real
+        self._l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
+
+        g, gc = 0.5 * sys.gamma_b / sigma, 0.5 * sys.gamma_c / sigma
+        delta = (sys.omega_ba - src.center_i) / sigma
+        vc = _on_resonance((sys.omega_ca - src.center_i) - src.center_ii, sys.omega_ca) / sigma
+        k = even / 2.0
+        self.incoherent_table, _, rel = _doubled(
+            lambda n: _cw_incoherent_table(k, g, gc, vc, delta, n), 32, "CW incoherent table"
+        )
+        self.diagnostics = {"series_terms": max(len(even), len(odd)), "quadrature_rel_err": rel}
+
+    def series(self, beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
+        """(b, a): the terms of sinh^2 (even orders) and sinh cosh (odd) at beta_bar.
+
+        Past the engine's beta_bar_max it raises NumericalError: the series'
+        own error where it cannot be formed at all.
+        """
+        if beta_bar > self.beta_bar_max:
+            _series_orders(beta_bar, odd=False)
+            _series_orders(beta_bar, odd=True)
+            raise NumericalError(
+                f"beta_bar = {beta_bar!r} is past the engine's beta_bar_max = {self.beta_bar_max!r}"
+            )
+        if beta_bar == 0.0:
+            terms = np.zeros(len(self._orders))
+        else:
+            terms = np.exp(self._orders * math.log(2.0 * beta_bar) - self._logs)
+        return terms[1 : 2 * self._n_even : 2], terms[0 : 2 * self._n_odd : 2]
+
+    def outcome(self, beta_bar: float) -> ExcitationOutcome:
+        """Coherent and incoherent rates at beta_bar; with a coupling, the peak population."""
+        b, a = self.series(beta_bar)
+        eta, area, sigma = self.eta.eta, self.area, self.src.sigma_c_bar
+        with np.errstate(over="ignore"):
+            amplitude = 1j * np.pi * (a @ self._coherent_w)
+            coherent = eta * self._l_at_pump * abs(amplitude / TWO_PI) ** 2 / area**2
+            incoherent = eta * (b @ self.incoherent_table @ b) / (sigma * TWO_PI**2 * area**2)
+        if not math.isfinite(coherent + incoherent):
+            # From about beta_bar = 178 on, as products of two gains.
+            raise NumericalError(f"the CW rates at beta_bar = {beta_bar!r} overflow a double")
+        pop = None
+        if self.coupling is not None:
+            pop = _cw_population(self.src, self.sys, self.coupling, area, b, self._population_w)
+        return ExcitationOutcome(
+            float(coherent), float(incoherent), pop, diagnostics=dict(self.diagnostics)
+        )
+
+
 def rate_squeezed_cw(
     src: SqueezedCW,
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
     a_eff: float,
     coupling: DipoleCoupling | None = None,
+    engine: CwExcitationEngine | None = None,
 ) -> ExcitationOutcome:
     """Coherent + incoherent CW squeezed excitation rates from the Gaussian series of the gains.
 
@@ -404,34 +534,19 @@ def rate_squeezed_cw(
     erfcx on resonance.  The incoherent double integral is b^T R b / sigma,
     with R the K x K table of `_cw_incoherent_table` at g = Gamma_b/(2
     sigma), gc = Gamma_c/(2 sigma), delta = (omega_ba - c_I)/sigma and vc =
-    (omega_ca - c_I - c_II)/sigma; one table is built per call, doubling
-    its nodes until it settles to TABLE_REL_TOL (else ConvergenceError).
-    `diagnostics` reports `series_terms` and `quadrature_rel_err`, as the
-    pulsed engine does.
+    (omega_ca - c_I - c_II)/sigma.  The terms, the Faddeeva values and R
+    come from `engine`, a `CwExcitationEngine` of src's column built at a
+    beta_bar of at least src's; a sweep builds one per sigma_c_bar column.
+    Without it, a one-row engine is built at src.beta_bar.  An engine of
+    another column raises ValueError; a beta_bar past the engine's,
+    NumericalError.  `diagnostics` reports `series_terms` and
+    `quadrature_rel_err`, as the pulsed engine does.
     """
-    pop = None
-    if coupling is not None:
-        pop = max_intermediate_population(src, sys, coupling, a_eff)
-    if src.beta_bar == 0.0:
-        return ExcitationOutcome(0.0, 0.0, pop)
-
-    sigma = src.sigma_c_bar
-    m, a_m = _gain_series(src.beta_bar, odd=True)
-    z = np.sqrt(0.5 * m) * ((sys.omega_ba - src.center_i + 0.5j * sys.gamma_b) / sigma)
-    amplitude = 1j * np.pi * complex(a_m @ np.conj(wofz(z)))
-    l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
-    coherent = eta.eta * l_at_pump * abs(amplitude / TWO_PI) ** 2 / a_eff**2
-
-    k, b_k = _sinh2_series(src.beta_bar)
-    g, gc = 0.5 * sys.gamma_b / sigma, 0.5 * sys.gamma_c / sigma
-    delta = (sys.omega_ba - src.center_i) / sigma
-    vc = _on_resonance((sys.omega_ca - src.center_i) - src.center_ii, sys.omega_ca) / sigma
-    table, _, rel = _doubled(
-        lambda n: _cw_incoherent_table(k, g, gc, vc, delta, n), 32, "CW incoherent table"
-    )
-    incoherent = eta.eta * float(b_k @ table @ b_k) / (sigma * TWO_PI**2 * a_eff**2)
-    diagnostics = {"series_terms": max(len(k), len(m)), "quadrature_rel_err": rel}
-    return ExcitationOutcome(coherent, incoherent, pop, diagnostics=diagnostics)
+    if engine is None:
+        engine = CwExcitationEngine(src, sys, eta, a_eff, coupling)
+    elif engine.column != (src.sigma_c_bar, src.center_i, src.center_ii, sys, eta, a_eff, coupling):
+        raise ValueError("the engine was built for another column or other inputs")
+    return engine.outcome(src.beta_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +711,7 @@ class PulsedExcitationEngine:
         # Every order up to the last, and log(2 m!), so that a row's terms
         # are one exp(m log(2 r0) - log(2 m!)).
         self._orders = np.arange(1.0, max(self.c_orders[-1], self.a_orders[-1]) + 1.0)
-        self._logs = np.log(2.0) + gammaln(self._orders + 1.0)
+        self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self._orders) + 1]
         nodes, errs = [], []
 
         def table(build, orders, n_start, what):
@@ -824,12 +939,8 @@ def max_intermediate_population(
     if isinstance(src, SqueezedCW):
         if src.beta_bar == 0.0:
             return 0.0
-        kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
         k, b_k = _sinh2_series(src.beta_bar)
-        g = 0.5 * sys.gamma_b
-        z = np.sqrt(k) * ((sys.omega_ba - src.center_i + 1j * g) / src.sigma_c_bar)
-        integral = (np.pi / g) * float(b_k @ wofz(z).real)
-        return float(kappa * integral / (TWO_PI * a_eff))
+        return _cw_population(src, sys, coupling, a_eff, b_k, _cw_faddeeva(src, sys, 2.0 * k).real)
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 

@@ -62,6 +62,8 @@ MAX_ANALYTIC_MODES = 2000  # mode cap of the closed-form decomposition
 # from beta_bar = 353 on, below the 355.4 where it overflows a double.
 CW_SERIES_TERMS = 480
 CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
+# log(m!) for every order m a series of the table can reach, taken once.
+LOG_FACTORIALS = gammaln(np.arange(2.0 * CW_SERIES_TERMS + 1.0) + 1.0)
 
 
 class GridTooCoarseError(NumericalError, ValueError):
@@ -179,7 +181,7 @@ def _series_logs(x: float, orders: np.ndarray) -> np.ndarray:
     sinh^2(x r) sums these times r^m over the even m >= 2, and sinh(x r)
     cosh(x r) over the odd m >= 1.
     """
-    return orders * np.log(2.0 * x) - np.log(2.0) - gammaln(orders + 1.0)
+    return orders * np.log(2.0 * x) - np.log(2.0) - LOG_FACTORIALS[orders.astype(int)]
 
 
 def _gain_series(x: float, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:

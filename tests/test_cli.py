@@ -31,7 +31,9 @@ from sqfluor.config import (
 )
 from sqfluor.excitation import p_classical_pulsed, rate_classical_cw
 from sqfluor.geometry import effective_area
-from sqfluor.sources import ClassicalCW, ClassicalPulsed, SqueezedPulsed, photon_number_pulsed
+from sqfluor.sources import (
+    ClassicalCW, ClassicalPulsed, SqueezedCW, SqueezedPulsed, photon_number_pulsed,
+)
 from sqfluor.spectral import ConvergenceError, GaussianAmplitude, NumericalError, brentq
 from sqfluor.system import eta_prefactor
 
@@ -287,9 +289,10 @@ class TestCwSweep:
         assert len(rows) == calls["n"]
 
     def test_failed_rows_log_their_cause(self, tmp_path, monkeypatch, caplog):
-        # The second row's incoherent table drifts by 1e-9/n at n nodes, so
-        # its node doubling never settles and raises ConvergenceError past
-        # MAX_TABLE_NODES: that row fails alone, with its cause logged.
+        # A table is built per sigma_c_bar column.  The second column's
+        # incoherent table drifts by 1e-9/n at n nodes, so its node doubling
+        # never settles and raises ConvergenceError past MAX_TABLE_NODES:
+        # that column's three rows fail alone, each with its cause logged.
         cfg = load_config(tiny_cw_config(tmp_path))
         calls = {"n": 0}
         original = excitation._doubled
@@ -304,13 +307,83 @@ class TestCwSweep:
         with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
             rows = run_cw_sweep(cfg)
         failed = [n for n, r in enumerate(rows) if r["validity"] == "failed"]
-        assert failed == [1] and calls["n"] == len(rows)
+        assert failed == [3, 4, 5] and calls["n"] == 2
+        assert {rows[n]["sigma_c_over_gamma_b"] for n in failed} == {1.0}
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 3
+        for record in warnings:
+            message = record.getMessage()
+            assert "ConvergenceError" in message
+            assert "CW incoherent table did not converge" in message
+            assert "np.float64" not in message
+
+    def test_one_incoherent_table_per_column(self, monkeypatch):
+        # The 15 rows of the three regression columns settle three R tables,
+        # one per sigma_c_bar column; tables built per row would count 15.
+        cfg = load_config(REPO / "tests" / "data" / "regression_cw.json")
+        settled = []
+        original = excitation._doubled
+
+        def counting(table, n_nodes, what):
+            settled.append(what)
+            return original(table, n_nodes, what)
+
+        monkeypatch.setattr(excitation, "_doubled", counting)
+        rows = run_cw_sweep(cfg)
+        assert len(rows) == 15 and len({r["sigma_c_over_gamma_b"] for r in rows}) == 3
+        assert settled == ["CW incoherent table"] * 3
+
+    def test_rows_past_the_gaussian_series_fail_alone(self, tmp_path, caplog):
+        # beta_bar 10 to 400: the Gaussian series run out from 353 on, so the
+        # column's engine is built at the largest beta_bar below that (159).
+        # The 400 row fails with the series' own error and the other rows are
+        # the one-row rates.
+        cfg = load_config(tiny_cw_config(
+            tmp_path, sigma_c_over_gamma_b=[1.0], beta_bar_min=10.0, beta_bar_max=400.0,
+        ))
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            rows = run_cw_sweep(cfg)
+        assert [r["beta_bar"] for r in rows][-1] == 400.0
+        assert [r["validity"] == "failed" for r in rows] == [False] * 4 + [True]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
-        message = warnings[0].getMessage()
-        assert "ConvergenceError" in message
-        assert "CW incoherent table did not converge" in message
-        assert "np.float64" not in message
+        assert "NumericalError: the Gaussian series at 400.0 needs more than 480 terms" in warnings[0]
+        system, coupling = cfg.system, cfg.coupling
+        eta = eta_prefactor(system, coupling)
+        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
+        for row in rows[:-1]:
+            src = SqueezedCW(row["beta_bar"], system.gamma_b, system.omega_ba, system.omega_cb)
+            alone = excitation.rate_squeezed_cw(src, system, eta, area, coupling)
+            assert row["r_sq_coherent"] == pytest.approx(alone.coherent, rel=1e-13, abs=0.0)
+            assert row["r_sq_incoherent"] == pytest.approx(alone.incoherent, rel=1e-13, abs=0.0)
+
+    def test_a_column_whose_table_fails_leaves_the_others_alone(self, monkeypatch, caplog):
+        # MAX_TABLE_NODES is 64 while the second column's table is built; at
+        # sigma_c_bar = Gamma_b it settles only at 128 nodes, so that column's
+        # five rows fail with ConvergenceError and the other ten rows are
+        # those of an undisturbed run.
+        cfg = load_config(REPO / "tests" / "data" / "regression_cw.json")
+        undisturbed = run_cw_sweep(cfg)
+        calls = {"n": 0}
+        original, nodes = excitation._doubled, excitation.MAX_TABLE_NODES
+
+        def capped(table, n_nodes, what):
+            calls["n"] += 1
+            monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 64 if calls["n"] == 2 else nodes)
+            return original(table, n_nodes, what)
+
+        monkeypatch.setattr(excitation, "_doubled", capped)
+        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+            rows = run_cw_sweep(cfg)
+        assert calls["n"] == 3 and len(rows) == len(undisturbed) == 15
+        for row, before in zip(rows, undisturbed):
+            if row["sigma_c_over_gamma_b"] == 1.0:
+                assert row["validity"] == "failed"
+            else:
+                assert row == before
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 5
+        assert all("ConvergenceError: CW incoherent table did not converge" in m for m in warnings)
 
     def test_programming_errors_propagate(self, tmp_path, monkeypatch):
         cfg = load_config(tiny_cw_config(tmp_path))

@@ -26,7 +26,7 @@ from oracles import (
 import sqfluor.excitation as excitation
 from sqfluor.cli import run_cw_sweep
 from sqfluor.config import load_config
-from sqfluor.excitation import rate_squeezed_cw
+from sqfluor.excitation import CwExcitationEngine, rate_squeezed_cw
 from sqfluor.geometry import effective_area
 from sqfluor.sources import SqueezedCW
 from sqfluor.system import eta_prefactor
@@ -91,6 +91,42 @@ def test_program_table_matches_the_reference_table(
     g, gc = half_widths(system, ratio)
     reference = cw_incoherent_table(orders, g, gc, nodes=128, panels=16)
     assert np.max(np.abs(table / reference - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "cs_mot.json", DATA / "regression_cw.json"])
+def test_column_engine_reads_match_one_row_engines(config):
+    # Every row of the config, read from its column's engine (built at the
+    # column's largest beta_bar, as the sweep builds it), against a one-row
+    # `rate_squeezed_cw`: the column's table has more orders and its own
+    # nodes, so the two agree to rounding, not bit for bit.
+    cfg = load_config(config)
+    system, coupling = cfg.system, cfg.coupling
+    eta = eta_prefactor(system, coupling)
+    area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
+    rows = run_cw_sweep(cfg)
+    columns = {}
+    for row in rows:
+        columns.setdefault(row["sigma_c_over_gamma_b"], []).append(row)
+    for ratio, column_rows in columns.items():
+        def source(beta_bar):
+            return SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
+
+        top = max(row["beta_bar"] for row in column_rows)
+        engine = CwExcitationEngine(source(top), system, eta, area, coupling)
+        for row in column_rows:
+            src = source(row["beta_bar"])
+            read = rate_squeezed_cw(src, system, eta, area, coupling, engine=engine)
+            alone = rate_squeezed_cw(src, system, eta, area, coupling)
+            assert (row["r_sq_coherent"], row["r_sq_incoherent"]) == (read.coherent, read.incoherent)
+            for name in ("coherent", "incoherent", "max_population"):
+                got, want = getattr(read, name), getattr(alone, name)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (ratio, row["beta_bar"], name)
+            assert set(read.diagnostics) == set(alone.diagnostics) == {
+                "series_terms", "quadrature_rel_err"
+            }
+            assert read.diagnostics == engine.diagnostics
+            assert alone.diagnostics["series_terms"] <= read.diagnostics["series_terms"]
+            assert 0.0 <= read.diagnostics["quadrature_rel_err"] <= excitation.TABLE_REL_TOL
 
 
 def gain_integral(f, beta_bar):

@@ -28,6 +28,7 @@ from oracles import (
 
 import sqfluor.excitation as excitation
 from sqfluor.excitation import (
+    CwExcitationEngine,
     PulsedExcitationEngine,
     VALIDITY_THRESHOLD,
     ExcitationOutcome,
@@ -418,6 +419,39 @@ class TestSqueezedCW:
             rate_squeezed_cw(src, system, cs_eta, mot_area)
         monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 128)
         assert rate_squeezed_cw(src, system, cs_eta, mot_area).incoherent > 0.0
+
+    def test_column_engine_rejects_rows_it_cannot_read(self, cs_system, cs_eta, mot_area):
+        system, coupling = cs_system
+        column = SqueezedCW(10.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        engine = CwExcitationEngine(column, system, cs_eta, mot_area, coupling)
+        # A row past the engine's beta_bar fails as a row, not as a programming error.
+        with pytest.raises(NumericalError, match="past the engine's beta_bar_max") as info:
+            rate_squeezed_cw(
+                replace(column, beta_bar=10.5), system, cs_eta, mot_area, coupling, engine
+            )
+        assert not isinstance(info.value, ValueError)
+        # An engine of another column, or of other inputs, is a programming error.
+        for src, area in (
+            (replace(column, sigma_c_bar=2.0 * system.gamma_b), mot_area),
+            (replace(column, center_i=system.omega_ba + system.gamma_b), mot_area),
+            (column, 2.0 * mot_area),
+        ):
+            with pytest.raises(ValueError, match="another column"):
+                rate_squeezed_cw(src, system, cs_eta, area, coupling, engine)
+
+    def test_overflowing_rates_raise_numerical_error(self, cs_system, cs_eta, mot_area):
+        # The rates are products of two gains, past the largest double from
+        # about beta_bar = 178 on, well before the series run out (353).
+        system, coupling = cs_system
+        assert rate_squeezed_cw(
+            SqueezedCW(170.0, system.gamma_b, system.omega_ba, system.omega_cb),
+            system, cs_eta, mot_area, coupling,
+        ).total < np.inf
+        with pytest.raises(NumericalError, match="overflow a double"):
+            rate_squeezed_cw(
+                SqueezedCW(200.0, system.gamma_b, system.omega_ba, system.omega_cb),
+                system, cs_eta, mot_area, coupling,
+            )
 
     def test_detuned_pump_matches_brute_force(self, cs_system, cs_eta, mot_area):
         # Band-I center 7 Gamma_b above the intermediate resonance and the
