@@ -57,7 +57,7 @@ from .sources import (
     schmidt_decompose_analytic,
 )
 from .spectral import GaussianAmplitude, NumericalError, brentq
-from .system import eta_prefactor
+from .system import cross_section, eta_prefactor
 
 logger = logging.getLogger(__name__)
 
@@ -162,6 +162,8 @@ def _log_grid(lo: float, hi: float, points_per_decade: float) -> np.ndarray:
 def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     """CW rows over the (sigma_c_bar, beta_bar) grid, one `CwExcitationEngine` per column.
 
+    A row reads its squeezed rates and its photon rate from its column's
+    engine; the classical pair's cross-section is taken once per sweep.
     Each column's engine is built at the largest of its beta_bars whose
     Gaussian series can be formed (`cw_column_beta_max`); a row past it
     fails with the series' error.  A column whose table fails fails each of
@@ -172,6 +174,8 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
     n_atoms = cfg.geometry["n_atoms"]
     factor = branching_factor(system)
+    # Every row's classical pair sits on the same centres, omega_ba and omega_cb.
+    sigma_classical = cross_section(system.omega_ba, system.omega_cb, system, eta)
     src_cfg = cfg.source
     ratios = src_cfg["sigma_c_over_gamma_b"]
     base_grid = _log_grid(
@@ -184,9 +188,9 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
         ratio, beta_bar = task["sigma_c_over_gamma_b"], task["beta_bar"]
         src = SqueezedCW(beta_bar, column.sigma_c_bar, column.center_i, column.center_ii)
         out_sq = rate_squeezed_cw(src, system, eta, area, coupling, engine=engine)
-        rate = photon_rate_cw(src)
+        rate = photon_rate_cw(src, engine)
         src_cl = matched_classical_cw(src, area, rate)
-        out_cl = rate_classical_cw(src_cl, system, eta)
+        out_cl = rate_classical_cw(src_cl, system, eta, sigma=sigma_classical)
         *_, fl_sq = _fluorescence_counts(out_sq.coherent, out_sq.incoherent, factor, n_atoms)
         *_, fl_cl = _fluorescence_counts(out_cl.coherent, out_cl.incoherent, factor, n_atoms)
         return {

@@ -21,7 +21,8 @@ Int G_ba s_I c_I is one Faddeeva value per term, the photon rate
 (`max_intermediate_population`) are closed sums too, and the incoherent
 double integral is a quadratic form of one K x K table of half-line
 integrals.  `CwExcitationEngine` holds that table and the Faddeeva values
-of one sigma_c_bar column, and a row reads them (`rate_squeezed_cw`).
+of one sigma_c_bar column, and a row reads them (`rate_squeezed_cw`) and
+its photon rate from the same terms (`photon_rate_cw(src, engine)`).
 
 A classical pulse pair's inner integral is one Faddeeva value and its outer
 one a half-line integral (`p_classical_pulsed`).  Squeezed pulses of the
@@ -175,9 +176,17 @@ def rate_classical_cw(
     sys: FourLevelSystem,
     eta: CrossSectionPrefactor,
     coupling: DipoleCoupling | None = None,
+    sigma: float | None = None,
 ) -> ExcitationOutcome:
-    """Closed-form CW rate F_I F_II sigma(wI, wII); no quadrature involved."""
-    rate = float(src.flux_i * src.flux_ii * cross_section(src.center_i, src.center_ii, sys, eta))
+    """Closed-form CW rate F_I F_II sigma(wI, wII); no quadrature involved.
+
+    `sigma` is the cross-section `system.cross_section` at src's centres,
+    for a caller that reads many fluxes at the same centres (a CW sweep
+    takes it once); without it, it is computed here.
+    """
+    if sigma is None:
+        sigma = cross_section(src.center_i, src.center_ii, sys, eta)
+    rate = float(src.flux_i * src.flux_ii * sigma)
     pop = None if coupling is None else max_intermediate_population(src, sys, coupling)
     return ExcitationOutcome(rate, 0.0, pop)
 
@@ -431,10 +440,12 @@ class CwExcitationEngine:
       intermediate population;
     - R, the K x K table of `_cw_incoherent_table` over k = m/2 = 1..K,
       its nodes doubled until it settles to TABLE_REL_TOL (else
-      ConvergenceError).
+      ConvergenceError);
+    - the photon-rate weights sqrt(pi/k) sigma_c_bar / 2 pi of the same k.
 
     A row forms its terms b_k (sinh^2) and a_m (sinh cosh) once and reads
-    a . conj w, b^T R b and b . Re w (`rate_squeezed_cw` has the formulas).
+    a . conj w, b^T R b and b . Re w (`rate_squeezed_cw` has the formulas),
+    and its photon rate as b . rate_weights (`sources.photon_rate_cw`).
     `diagnostics` reports `series_terms` (K) and `quadrature_rel_err` (R's
     last node doubling's change), as the pulsed engine does.
     """
@@ -453,7 +464,8 @@ class CwExcitationEngine:
         self.area = a_eff
         self.coupling = coupling
         self.beta_bar_max = src.beta_bar
-        # What a row's inputs must match, at any beta_bar (`rate_squeezed_cw`).
+        # What a row's inputs must match, at any beta_bar (`rate_squeezed_cw`);
+        # `sources.photon_rate_cw` checks the source's three.
         self.column = (src.sigma_c_bar, src.center_i, src.center_ii, sys, eta, a_eff, coupling)
         sigma = src.sigma_c_bar
         even = _series_orders(src.beta_bar, odd=False)
@@ -465,11 +477,15 @@ class CwExcitationEngine:
         self._coherent_w = np.conj(faddeeva[0 : 2 * self._n_odd : 2])
         self._population_w = faddeeva[1 : 2 * self._n_even : 2].real
         self._l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
+        # (beta_bar, terms) of the last `series` call, replaced as one tuple so
+        # that a reader never pairs one row's beta_bar with another's terms.
+        self._last_series = (None, None)
 
         g, gc = 0.5 * sys.gamma_b / sigma, 0.5 * sys.gamma_c / sigma
         delta = (sys.omega_ba - src.center_i) / sigma
         vc = _on_resonance((sys.omega_ca - src.center_i) - src.center_ii, sys.omega_ca) / sigma
         k = even / 2.0
+        self.rate_weights = np.sqrt(np.pi / k) * sigma / TWO_PI
         self.incoherent_table, _, rel = _doubled(
             lambda n: _cw_incoherent_table(k, g, gc, vc, delta, n), 32, "CW incoherent table"
         )
@@ -479,8 +495,13 @@ class CwExcitationEngine:
         """(b, a): the terms of sinh^2 (even orders) and sinh cosh (odd) at beta_bar.
 
         Past the engine's beta_bar_max it raises NumericalError: the series'
-        own error where it cannot be formed at all.
+        own error where it cannot be formed at all.  The last beta_bar's
+        terms are kept, so a row's rates and photon rate share one
+        evaluation; the arrays are shared, to be read and not written.
         """
+        last_beta_bar, last_terms = self._last_series
+        if beta_bar == last_beta_bar:
+            return last_terms
         if beta_bar > self.beta_bar_max:
             _series_orders(beta_bar, odd=False)
             _series_orders(beta_bar, odd=True)
@@ -491,7 +512,10 @@ class CwExcitationEngine:
             terms = np.zeros(len(self._orders))
         else:
             terms = np.exp(self._orders * math.log(2.0 * beta_bar) - self._logs)
-        return terms[1 : 2 * self._n_even : 2], terms[0 : 2 * self._n_odd : 2]
+        self._last_series = (
+            beta_bar, (terms[1 : 2 * self._n_even : 2], terms[0 : 2 * self._n_odd : 2])
+        )
+        return self._last_series[1]
 
     def outcome(self, beta_bar: float) -> ExcitationOutcome:
         """Coherent and incoherent rates at beta_bar; with a coupling, the peak population."""

@@ -214,12 +214,21 @@ def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
     return orders / 2.0, b_k
 
 
-def photon_rate_cw(src: SqueezedCW) -> float:
+def photon_rate_cw(src: SqueezedCW, engine=None) -> float:
     """Photon rate N/T = Int dw/2pi sinh^2(|beta_bar| r_J(w)), the same for either band.
 
     Each Gaussian term of `_sinh2_series` integrates in closed form:
-    N/T = sum_k b_k sigma_c_bar sqrt(pi/k) / 2 pi.
+    N/T = sum_k b_k sigma_c_bar sqrt(pi/k) / 2 pi.  With `engine`, an
+    `excitation.CwExcitationEngine` of src's column, the sum is one dot
+    product of the engine's terms b_k at src.beta_bar with its
+    `rate_weights`.  An engine of another column raises ValueError; a
+    beta_bar past the engine's, NumericalError.
     """
+    if engine is not None:
+        if engine.column[:3] != (src.sigma_c_bar, src.center_i, src.center_ii):
+            raise ValueError("the engine was built for another column")
+        b_k, _ = engine.series(src.beta_bar)
+        return float(b_k @ engine.rate_weights)
     if src.beta_bar == 0.0:
         return 0.0
     k, b_k = _sinh2_series(src.beta_bar)

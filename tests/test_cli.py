@@ -21,6 +21,8 @@ from oracles import (
 
 import sqfluor.cli as cli
 import sqfluor.excitation as excitation
+import sqfluor.sources as sources
+import sqfluor.system as system_module
 from sqfluor.cli import CW_COLUMNS, PULSED_COLUMNS, emit, main, run_cw_sweep, run_pulsed_sweep
 from sqfluor.config import (
     ConfigError,
@@ -29,10 +31,11 @@ from sqfluor.config import (
     load_config,
     parse_quantity,
 )
-from sqfluor.excitation import p_classical_pulsed, rate_classical_cw
+from sqfluor.excitation import matched_classical_cw, p_classical_pulsed, rate_classical_cw
 from sqfluor.geometry import effective_area
 from sqfluor.sources import (
     ClassicalCW, ClassicalPulsed, SqueezedCW, SqueezedPulsed, photon_number_pulsed,
+    photon_rate_cw,
 )
 from sqfluor.spectral import ConvergenceError, GaussianAmplitude, NumericalError, brentq
 from sqfluor.system import eta_prefactor
@@ -332,6 +335,60 @@ class TestCwSweep:
         rows = run_cw_sweep(cfg)
         assert len(rows) == 15 and len({r["sigma_c_over_gamma_b"] for r in rows}) == 3
         assert settled == ["CW incoherent table"] * 3
+
+    def test_rows_match_the_engine_free_photon_and_classical_rates(self):
+        # The paper's CW figure, every 10th of its 1350 rows.  A row's photon
+        # rate, read from its column's engine, is the engine-free closed sum
+        # to 1e-14; its classical rate, from the sweep's one cross-section,
+        # is `rate_classical_cw` at that photon rate, bit for bit.
+        cfg = load_config(REPO / "configs" / "cs_mot_cw_sweep.json")
+        system = cfg.system
+        eta = eta_prefactor(system, cfg.coupling)
+        area = effective_area(cfg.beam(), cfg.beam(), cfg.cloud()).a_eff
+        rows = run_cw_sweep(cfg)
+        assert len(rows) == 1350
+        for row in rows[::10]:
+            src = SqueezedCW(
+                row["beta_bar"], row["sigma_c_over_gamma_b"] * system.gamma_b,
+                system.omega_ba, system.omega_cb,
+            )
+            rate = row["photon_rate_per_s"]
+            assert rate == pytest.approx(photon_rate_cw(src), rel=1e-14, abs=0.0)
+            classical = rate_classical_cw(matched_classical_cw(src, area, rate), system, eta)
+            assert row["r_classical"] == classical.total
+
+    def test_column_constants_are_taken_per_column_not_per_row(self, tmp_path, monkeypatch):
+        # `configs/cs_mot.json` (39 rows in 3 columns) and the same columns
+        # at twice the points per decade (75 rows).  The Gaussian series are
+        # formed a fixed number of times per column (for its largest
+        # beta_bar and its engine), and the classical cross-section once per
+        # sweep: rows form neither.  Each function is counted under every
+        # module name bound to it.
+        counts = {}
+
+        def count(name, *modules):
+            original = getattr(modules[0], name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        count("_gain_series", sources, excitation)
+        count("cross_section", system_module, cli, excitation)
+        raw = json.loads(CS_MOT.read_text())
+        for points_per_decade, n_rows in ((4, 39), (8, 75)):
+            raw["source"]["points_per_decade"] = points_per_decade
+            path = tmp_path / f"cs_mot_{points_per_decade}.json"
+            path.write_text(json.dumps(raw))
+            counts.update(_gain_series=0, cross_section=0)
+            rows = run_cw_sweep(load_config(path))
+            assert len(rows) == n_rows and len({r["sigma_c_over_gamma_b"] for r in rows}) == 3
+            assert all(r["validity"] != "failed" for r in rows)
+            assert counts == {"_gain_series": 4 * 3, "cross_section": 1}
 
     def test_rows_past_the_gaussian_series_fail_alone(self, tmp_path, caplog):
         # beta_bar 10 to 400: the Gaussian series run out from 353 on, so the

@@ -114,6 +114,16 @@ class TestClassicalCW:
         ).total
         assert double == pytest.approx(6.0 * base, rel=1e-12)
 
+    def test_a_given_cross_section_gives_the_same_bits(self, cs_system, cs_eta):
+        system, _ = cs_system
+        sigma = cross_section(system.omega_ba, system.omega_cb, system, cs_eta)
+        for flux in (1e-3, 3.2e14, 7.1e22):
+            src = ClassicalCW(flux, flux, system.omega_ba, system.omega_cb)
+            assert (
+                rate_classical_cw(src, system, cs_eta, sigma=sigma).total
+                == rate_classical_cw(src, system, cs_eta).total
+            )
+
 
 class TestClassicalPulsed:
     def test_zero_photons(self, cs_system, cs_eta, mot_area):
@@ -438,6 +448,48 @@ class TestSqueezedCW:
         ):
             with pytest.raises(ValueError, match="another column"):
                 rate_squeezed_cw(src, system, cs_eta, area, coupling, engine)
+
+    def test_photon_rate_from_the_column_engine(self, cs_system, cs_eta, mot_area):
+        # One dot product of the engine's terms with its weights, against the
+        # closed sum of the row's own series.
+        system, coupling = cs_system
+        column = SqueezedCW(10.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        engine = CwExcitationEngine(column, system, cs_eta, mot_area, coupling)
+        for beta_bar in (0.01, 0.3, 1.0, 3.0, 9.9, 10.0):
+            src = replace(column, beta_bar=beta_bar)
+            assert photon_rate_cw(src, engine) == pytest.approx(
+                photon_rate_cw(src), rel=1e-14, abs=0.0
+            )
+
+    def test_photon_rate_rejects_an_engine_of_another_column(
+        self, cs_system, cs_eta, mot_area
+    ):
+        system, coupling = cs_system
+        column = SqueezedCW(10.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        engine = CwExcitationEngine(column, system, cs_eta, mot_area, coupling)
+        for src in (
+            replace(column, beta_bar=1.0, sigma_c_bar=2.0 * system.gamma_b),
+            replace(column, beta_bar=1.0, center_i=system.omega_ba + system.gamma_b),
+            replace(column, beta_bar=0.0, center_ii=system.omega_cb + system.gamma_b),
+        ):
+            with pytest.raises(ValueError, match="another column"):
+                photon_rate_cw(src, engine)
+
+    def test_photon_rate_past_the_engine_fails_as_a_row(self, cs_system, cs_eta, mot_area):
+        system, coupling = cs_system
+        column = SqueezedCW(10.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        engine = CwExcitationEngine(column, system, cs_eta, mot_area, coupling)
+        with pytest.raises(NumericalError, match="past the engine's beta_bar_max") as info:
+            photon_rate_cw(replace(column, beta_bar=10.5), engine)
+        assert not isinstance(info.value, ValueError)
+        with pytest.raises(NumericalError, match="needs more than 480 terms"):
+            photon_rate_cw(replace(column, beta_bar=400.0), engine)
+
+    def test_photon_rate_from_the_engine_at_zero_gain(self, cs_system, cs_eta, mot_area):
+        system, coupling = cs_system
+        column = SqueezedCW(10.0, system.gamma_b, system.omega_ba, system.omega_cb)
+        engine = CwExcitationEngine(column, system, cs_eta, mot_area, coupling)
+        assert photon_rate_cw(replace(column, beta_bar=0.0), engine) == 0.0
 
     def test_overflowing_rates_raise_numerical_error(self, cs_system, cs_eta, mot_area):
         # The rates are products of two gains, past the largest double from
