@@ -10,8 +10,9 @@ validate-config  load a config, echoing every applied default
 self-test        run the built-in oracle checks
 
 Determinism: identical configs produce byte-identical CSV bodies; the
-timestamp comment is suppressed under --reproducible.  Rows are computed
-one after another, in grid order.
+timestamp comment is suppressed under --reproducible.  CW rows are computed
+one after another, in grid order; a pulsed panel's rows are read from its
+engine in one call, each with the bits of a row computed alone.
 """
 
 from __future__ import annotations
@@ -118,29 +119,35 @@ def _failed_row(columns, fixed: dict) -> dict:
     return row
 
 
+def _row_failure(task: dict, exc: NumericalError, columns: list[str]) -> dict:
+    """The failed row of `task`, its error's type and message logged at WARNING."""
+    logger.warning("row %s failed: %s: %s", task, type(exc).__name__, exc)
+    return _failed_row(columns, task)
+
+
 def _map_rows(compute, tasks: list[dict], columns: list[str]) -> list[dict]:
     """compute(task) for every task, in task order.
 
     A task holds the row's fixed columns.  A row whose computation raises a
-    `NumericalError` keeps those and is marked failed, the error's type and
-    message are logged at WARNING, and the sweep goes on.  Any other
-    exception propagates.
+    `NumericalError` keeps those and is marked failed (`_row_failure`), and
+    the sweep goes on.  Any other exception propagates.
     """
     rows = []
     for task in tasks:
         try:
             rows.append(compute(task))
         except NumericalError as exc:
-            logger.warning("row %s failed: %s: %s", task, type(exc).__name__, exc)
-            rows.append(_failed_row(columns, task))
+            rows.append(_row_failure(task, exc, columns))
     return rows
 
 
-def _fluorescence_counts(coherent: float, incoherent: float, factor: float, n_atoms: float):
+def _fluorescence_counts(coherent, incoherent, factor: float, n_atoms: float):
     """(coherent, incoherent, total) d->a photon counts of `n_atoms` atoms.
 
     `factor` is `branching_factor`, taken once per sweep; the counts are
-    those of `fluorescence`, in its operation order.
+    those of `fluorescence`, in its operation order.  On arrays of
+    excitations (a pulsed panel) they are taken elementwise, with the same
+    bits.
     """
     per_coh = coherent * factor
     per_ic = incoherent * factor
@@ -219,13 +226,13 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             # columns scales the beta window by sqrt(sigma_ref / sigma).
             grid = base_grid * np.sqrt(ratios[0] / ratio)
         tasks = [{"sigma_c_over_gamma_b": ratio, "beta_bar": float(b)} for b in grid]
+        beta_bar_max, orders = cw_column_beta_max(task["beta_bar"] for task in tasks)
         column = SqueezedCW(
-            beta_bar=cw_column_beta_max(task["beta_bar"] for task in tasks),
-            sigma_c_bar=ratio * system.gamma_b,
+            beta_bar=beta_bar_max, sigma_c_bar=ratio * system.gamma_b,
             center_i=system.omega_ba, center_ii=system.omega_cb,
         )
         try:
-            engine = CwExcitationEngine(column, system, eta, area, coupling)
+            engine = CwExcitationEngine(column, system, eta, area, coupling, orders=orders)
         except NumericalError as exc:
             engine = exc  # each row of the column fails with the error
         compute_row = partial(compute, engine=engine, column=column)
@@ -324,13 +331,55 @@ def _beta_for_photons(
     return beta.reshape(n.shape)
 
 
+def _panel_rows(engine, tasks, p_weights, grid_betas, cl_unit, factor, n_atoms) -> list[dict]:
+    """The rows of one panel whose engine and classical reference were built, in task order.
+
+    A row whose entry of the panel's lock-step inversion (`grid_betas`) is
+    NaN is solved on its own; if that raises a `NumericalError` the row
+    fails alone (`_row_failure`).  Every other row's beta is read in one
+    `engine.outcome` call, and the counts, `crossover` and `validity` are
+    taken elementwise, each with the bits of a row computed alone.
+    """
+    solved, failed = {}, {}
+    for i, (task, beta) in enumerate(zip(tasks, grid_betas)):
+        if math.isnan(beta):
+            try:
+                beta = _beta_for_photons(p_weights, task["photons_per_pulse"])
+            except NumericalError as exc:
+                failed[i] = _row_failure(task, exc, PULSED_COLUMNS)
+                continue
+        solved[i] = beta
+    beta = np.array(list(solved.values()))
+    n_photons = [tasks[i]["photons_per_pulse"] for i in solved]
+    out = engine.outcome(beta)
+    # cl_unit * n**2 on floats, as a row alone takes it: Python's n**2 is
+    # pow(n, 2), numpy's is n * n, and the two may round apart.
+    p_cl = np.array([cl_unit * n**2 for n in n_photons])
+    *_, fl_cl = _fluorescence_counts(p_cl, 0.0, factor, n_atoms)
+    fl_coh, fl_ic, fl_sq = _fluorescence_counts(out.coherent, out.incoherent, factor, n_atoms)
+    columns = [
+        beta, n_photons, p_cl, out.coherent, out.incoherent, fl_cl, fl_coh, fl_ic, fl_sq,
+        beta * math.sqrt(p_weights[0]) >= 1.0, within_validity(out.max_population),
+    ]
+    computed = zip(*(np.asarray(column).tolist() for column in columns))
+    return [
+        failed[i] if i in failed else {
+            "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
+            "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
+            **dict(zip(PULSED_COLUMNS[2:], next(computed))),
+        }
+        for i, task in enumerate(tasks)
+    ]
+
+
 # `jobs` is unused; sweepbench's worker passes it.
 def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     """Pulsed rows over the panel grid, one `PulsedExcitationEngine` per panel.
 
     Each panel takes one analytic Schmidt decomposition, whose spectrum
-    (cut at `trunc_tol`) sets every row's beta in one lock-step inversion.
-    The engine's tables reach r0_max = asinh(sqrt(N_max)), the largest
+    (cut at `trunc_tol`) sets every row's beta in one lock-step inversion,
+    and one engine read at all those betas at once (`_panel_rows`).  The
+    engine's tables reach r0_max = asinh(sqrt(N_max)), the largest
     first-mode squeezing any row of the panel can have (N >= sinh^2(r0)),
     so they do not depend on any inversion.  A panel whose tables or
     classical reference fail fails each of its rows with that error.
@@ -361,7 +410,7 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             )
             dec = schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
             # Every row's beta in one inversion; NaN marks a row that fails.
-            betas = dict(zip(photon_grid.tolist(), _beta_for_photons(dec.p, photon_grid).tolist()))
+            grid_betas = _beta_for_photons(dec.p, photon_grid).tolist()
             try:
                 engine = PulsedExcitationEngine(
                     src, system, eta, area, coupling, r0_max=r0_max, dec=dec
@@ -377,40 +426,10 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                     system, eta, area,
                 ).total
             except NumericalError as exc:
-                engine, cl_unit = exc, math.nan  # each row of the panel fails with the error
-
-            def compute(task, _engine=engine, _p=dec.p, _betas=betas,
-                        _sqrt_p0=math.sqrt(dec.p[0]), _cl_unit=cl_unit):
-                if isinstance(_engine, NumericalError):
-                    raise _engine
-                n_photons = task["photons_per_pulse"]
-                beta = _betas[n_photons]
-                if math.isnan(beta):
-                    # The scalar inversion raises this row's error.
-                    beta = _beta_for_photons(_p, n_photons)
-                out = _engine.outcome(beta)
-                p_cl = _cl_unit * n_photons**2
-                *_, fl_cl = _fluorescence_counts(p_cl, 0.0, factor, n_atoms)
-                fl_coh, fl_ic, fl_sq = _fluorescence_counts(
-                    out.coherent, out.incoherent, factor, n_atoms
-                )
-                return {
-                    "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
-                    "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
-                    "beta": beta,
-                    "photons_per_pulse": n_photons,
-                    "p_classical": p_cl,
-                    "p_sq_coherent": out.coherent,
-                    "p_sq_incoherent": out.incoherent,
-                    "n_fluor_classical": fl_cl,
-                    "n_fluor_sq_coherent": fl_coh,
-                    "n_fluor_sq_incoherent": fl_ic,
-                    "n_fluor_sq_total": fl_sq,
-                    "crossover": beta * _sqrt_p0 >= 1.0,
-                    "validity": within_validity(out.max_population),
-                }
-
-            rows.extend(_map_rows(compute, tasks, PULSED_COLUMNS))
+                # Each row of the panel fails with the error.
+                rows.extend(_row_failure(task, exc, PULSED_COLUMNS) for task in tasks)
+                continue
+            rows.extend(_panel_rows(engine, tasks, dec.p, grid_betas, cl_unit, factor, n_atoms))
     return rows
 
 

@@ -31,8 +31,9 @@ formula sums the Hermite modes of each term, and every frequency integral
 left is Gaussian once the Green pole and the Lorentzian are written in
 time.  `PulsedExcitationEngine` tabulates the one half-line integral that
 remains per term pair (incoherent, coherent) or per term and time
-(intermediate population), and a row reads three small quadratic forms.
-Tables are built once and only read afterwards.
+(intermediate population); a panel's rows read three small quadratic
+forms, all betas in one call.  Tables are built once and only read
+afterwards.
 
 Every pulsed or CW integral, a table or the classical pulse pair's one,
 doubles its Gauss-Legendre nodes until it settles to TABLE_REL_TOL = 1e-13
@@ -109,20 +110,24 @@ class ExcitationOutcome:
     A probability for pulses, a rate (per second) for CW beams; classical
     light reports incoherent = 0 by convention so one shape serves all.
     `max_population` is the peak intermediate-state population, present
-    when a dipole coupling was given (see `within_validity`).
+    when a dipole coupling was given (see `within_validity`).  A pulsed
+    engine read at an array of betas gives arrays, one entry per beta,
+    and every entry must be nonnegative.
     """
 
-    coherent: float
-    incoherent: float
-    max_population: float | None = None
+    coherent: float | np.ndarray
+    incoherent: float | np.ndarray
+    max_population: float | np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.coherent < 0.0 or self.incoherent < 0.0:
+        negative = (self.coherent < 0.0) | (self.incoherent < 0.0)
+        # A row's floats give a bool, and skip numpy's any() on the hot CW path.
+        if negative if isinstance(negative, bool) else negative.any():
             raise ValueError("excitation contributions must be nonnegative")
 
     @property
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         return self.coherent + self.incoherent
 
 
@@ -410,21 +415,23 @@ def _cw_population(src, sys, coupling, a_eff, b_k, re_w) -> float:
     return float(kappa * integral / (TWO_PI * a_eff))
 
 
-def cw_column_beta_max(beta_bars) -> float:
-    """The largest of a column's beta_bars whose Gaussian series can be formed, else 0.0.
+def cw_column_beta_max(beta_bars) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """The largest of a column's beta_bars whose Gaussian series can be formed, and their orders.
 
-    That is the beta_bar a column's `CwExcitationEngine` is built at: the
-    series run out from beta_bar = 353 on (`sources._gain_series`), and
-    only the rows past them fail.
+    Returns that beta_bar (else 0.0) and the (even, odd) orders of
+    `_series_orders` there.  That is the beta_bar a column's
+    `CwExcitationEngine` is built at, and the orders are handed to it
+    (`orders=`), so the series are formed once per column: they run out
+    from beta_bar = 353 on (`sources._gain_series`), and only the rows past
+    them fail.
     """
     for beta_bar in sorted(beta_bars, reverse=True):
         try:
-            _series_orders(beta_bar, odd=False)
-            _series_orders(beta_bar, odd=True)
+            orders = _series_orders(beta_bar, odd=False), _series_orders(beta_bar, odd=True)
         except NumericalError:
             continue
-        return float(beta_bar)
-    return 0.0
+        return float(beta_bar), orders
+    return 0.0, (_series_orders(0.0, odd=False), _series_orders(0.0, odd=True))
 
 
 class CwExcitationEngine:
@@ -447,7 +454,9 @@ class CwExcitationEngine:
     a . conj w, b^T R b and b . Re w (`rate_squeezed_cw` has the formulas),
     and its photon rate as b . rate_weights (`sources.photon_rate_cw`).
     `diagnostics` reports `series_terms` (K) and `quadrature_rel_err` (R's
-    last node doubling's change), as the pulsed engine does.
+    last node doubling's change), as the pulsed engine does.  `orders`, the
+    (even, odd) orders of `_series_orders` at `src.beta_bar`, spares their
+    second forming when the caller has them (`cw_column_beta_max`).
     """
 
     def __init__(
@@ -457,6 +466,8 @@ class CwExcitationEngine:
         eta: CrossSectionPrefactor,
         a_eff: float,
         coupling: DipoleCoupling | None = None,
+        *,
+        orders: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.src = src
         self.sys = sys
@@ -468,8 +479,9 @@ class CwExcitationEngine:
         # `sources.photon_rate_cw` checks the source's three.
         self.column = (src.sigma_c_bar, src.center_i, src.center_ii, sys, eta, a_eff, coupling)
         sigma = src.sigma_c_bar
-        even = _series_orders(src.beta_bar, odd=False)
-        odd = _series_orders(src.beta_bar, odd=True)
+        if orders is None:
+            orders = _series_orders(src.beta_bar, odd=False), _series_orders(src.beta_bar, odd=True)
+        even, odd = orders
         self._n_even, self._n_odd = len(even), len(odd)
         self._orders = np.arange(1.0, max(even[-1], odd[-1]) + 1.0)
         self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self._orders) + 1]
@@ -665,6 +677,27 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
     return norm[:, None] * (near + np.sqrt(np.pi * a_k) * np.exp(-a_k * delta * delta) * far)
 
 
+def _rows_times(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """x @ table for each row of x, every entry summed over the terms in their order.
+
+    The sum is einsum's fixed-order loop, not BLAS: a one-row BLAS product
+    takes gemv and a many-row one gemm, whose last bits differ, so a row's
+    bits would depend on how many rows are read with it (DECISIONS.md,
+    "Pulsed panels read as arrays").
+    """
+    return np.einsum("...i,ij->...j", x, table)
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dot product of each row of x with the same row of y, in einsum's fixed order."""
+    return np.einsum("...j,...j->...", x, y)
+
+
+def _one_or_rows(values: np.ndarray) -> float | np.ndarray:
+    """A float for a one-beta read, the array of one entry per beta otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
 class PulsedExcitationEngine:
     """Pulsed squeezed excitation of the double-Gaussian source from three tables.
 
@@ -695,9 +728,15 @@ class PulsedExcitationEngine:
     centres are allowed: the Green line's offset from the band-I centre
     enters as a phase and the Lorentzian's as a complex Faddeeva argument.
 
-    Rows read c^T T c, a^T Q a and max_tau (c @ I); `diagnostics` reports
-    `series_terms` (K) and `quadrature_rel_err` (the last node doubling's
-    change, largest of the tables).  The tables are built in __init__ and
+    A read takes one beta or an array of betas.  A sweep reads all the
+    betas of a panel in one `outcome` call: the terms of every beta are one
+    exp, and c^T T c, a^T Q a and max_tau (c @ I) are taken row by row
+    (`_rows_times`), so that each entry has the bits of a read at its beta
+    alone, whatever other betas share the call.  A scalar read is the same
+    code with one beta and gives floats; an array read gives arrays, one
+    entry per beta.  `diagnostics` reports `series_terms` (K) and
+    `quadrature_rel_err` (the last node doubling's change, largest of the
+    tables), once for the whole read.  The tables are built in __init__ and
     only read afterwards.  `dec` (the Schmidt decomposition the caller
     solved beta on), `n_in` (nodes per table entry) and `n_out_max` (table
     entries) are kept only for the benchmark's layer tracer
@@ -774,27 +813,37 @@ class PulsedExcitationEngine:
         self.n_in = max(nodes)
         self.n_out_max = self.incoherent_table.size + self.coherent_table.size
 
-    def series(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """(c, a): the terms c_k and a_k at r0 = |beta| sqrt(1 - mu), as the tables' rows are ordered."""
-        r0 = squeezing_from_roots(self.sqrt_p0, beta)
-        if r0 > self.r0_max * (1.0 + 1e-12):
-            raise ValueError(f"r0 = {r0!r} is past the tables' r0_max = {self.r0_max!r}")
-        if r0 == 0.0:
-            terms = np.zeros(len(self._orders))
-        else:
-            terms = np.exp(self._orders * math.log(2.0 * r0) - self._logs)
-        return terms[1 : 2 * len(self.c_orders) : 2], terms[0 : 2 * len(self.a_orders) : 2]
+    def series(self, beta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, a): the terms c_k and a_k at r0 = |beta| sqrt(1 - mu), as the tables' rows are ordered.
 
-    def coherent_probability(self, a: np.ndarray) -> float:
-        """eta a^T Q a / (2 pi sigma_s^2 A^2) for the odd-order terms a of `series`."""
-        return float(a @ self.coherent_table @ a)
+        For an array of betas, c and a take a leading axis, one row per
+        beta.  A beta that is negative or NaN, or whose r0 is past r0_max,
+        raises ValueError.
+        """
+        r0 = squeezing_from_roots(self.sqrt_p0, np.asarray(beta, dtype=float))
+        past = r0[r0 > self.r0_max * (1.0 + 1e-12)]
+        if past.size:
+            raise ValueError(
+                f"r0 = {float(past[0])!r} is past the tables' r0_max = {self.r0_max!r}"
+            )
+        # math.log per beta, whose bits the terms keep (np.log can differ in
+        # the last bit); at r0 = 0 every term is exp(-inf) = 0.
+        log_2r0 = [math.log(2.0 * r) if r > 0.0 else -math.inf for r in r0.reshape(-1).tolist()]
+        terms = np.exp(np.multiply.outer(log_2r0, self._orders) - self._logs)
+        terms = terms.reshape(r0.shape + self._orders.shape)
+        n_c, n_a = len(self.c_orders), len(self.a_orders)
+        return terms[..., 1 : 2 * n_c : 2], terms[..., 0 : 2 * n_a : 2]
 
-    def incoherent_probability(self, c: np.ndarray) -> float:
-        """eta c^T T c / (2 pi sigma_s^2 A^2) for the even-order terms c of `series`."""
-        return float(c @ self.incoherent_table @ c)
+    def coherent_probability(self, a: np.ndarray) -> float | np.ndarray:
+        """eta a^T Q a / (2 pi sigma_s^2 A^2) for the odd-order terms a of `series`, row by row."""
+        return _one_or_rows(_row_dot(_rows_times(a, self.coherent_table), a))
 
-    def max_population_weighted(self, c: np.ndarray) -> float:
-        """max over the times of c @ population_table, for the even-order terms c of `series`.
+    def incoherent_probability(self, c: np.ndarray) -> float | np.ndarray:
+        """eta c^T T c / (2 pi sigma_s^2 A^2) for the even-order terms c of `series`, row by row."""
+        return _one_or_rows(_row_dot(_rows_times(c, self.incoherent_table), c))
+
+    def max_population_weighted(self, c: np.ndarray) -> float | np.ndarray:
+        """max over the times of c @ population_table, row by row, for the terms c of `series`.
 
         The table holds the coupling and area factors; an engine built
         without a coupling has none and raises ValueError.
@@ -804,10 +853,13 @@ class PulsedExcitationEngine:
                 "the intermediate-state population needs a dipole coupling; "
                 "this engine was built with coupling=None"
             )
-        return float((c @ self.population_table).max())
+        return _one_or_rows(_rows_times(c, self.population_table).max(axis=-1))
 
-    def outcome(self, beta: float) -> ExcitationOutcome:
-        """Coherent and incoherent probabilities at |beta|; with a coupling, the peak population."""
+    def outcome(self, beta: float | np.ndarray) -> ExcitationOutcome:
+        """Coherent and incoherent probabilities at |beta|; with a coupling, the peak population.
+
+        Floats for one beta; for an array of betas, arrays of one entry per beta.
+        """
         c, a = self.series(beta)
         pop = None if self.coupling is None else self.max_population_weighted(c)
         return ExcitationOutcome(
@@ -826,8 +878,10 @@ def p_squeezed_pulsed(
 ) -> ExcitationOutcome:
     """Pulsed squeezed excitation probability at pump strength |beta|.
 
-    Builds a `PulsedExcitationEngine` for this one beta; a sweep over many
-    betas builds one engine at the largest and reads it per row.
+    Builds a `PulsedExcitationEngine` for this one beta; a sweep builds one
+    engine per panel and reads all the panel's betas in one `outcome` call,
+    which takes an array of betas and gives each entry the bits of a read
+    at that beta alone.
     """
     r0 = squeezing_from_roots(np.sqrt(1.0 - geometric_mode_ratio(src)), beta)
     engine = PulsedExcitationEngine(src, sys, eta, a_eff, coupling, r0_max=r0)

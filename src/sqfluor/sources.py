@@ -383,13 +383,16 @@ def mode_squeezing(p: np.ndarray, beta: float) -> np.ndarray:
     return squeezing_from_roots(np.sqrt(p), beta)
 
 
-def squeezing_from_roots(sqrt_p: np.ndarray, beta: float) -> np.ndarray:
+def squeezing_from_roots(sqrt_p: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
     """`mode_squeezing` from the roots sqrt(p_n), for a caller that reads many betas.
 
-    The same product beta * sqrt(p_n), so the same bits.
+    The same product beta * sqrt(p_n), so the same bits.  `beta` may be an
+    array of betas against one root; a negative or NaN entry raises the
+    ValueError of a scalar beta, naming the first such entry.
     """
-    if not beta >= 0.0:
-        raise ValueError(f"beta is a magnitude and must be nonnegative, got {beta!r}")
+    bad = np.asarray(beta)[~(np.asarray(beta) >= 0.0)]
+    if bad.size:
+        raise ValueError(f"beta is a magnitude and must be nonnegative, got {float(bad[0])!r}")
     return beta * sqrt_p
 
 

@@ -31,6 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "sweepbench"))
@@ -88,12 +89,16 @@ def table_rows(path, sp_ratio, sc_ratio):
     raw = json.loads(Path(path).read_text())
     raw["source"]["sigma_p_over_gamma_b"] = [sp_ratio]
     raw["source"]["sigma_c_over_sigma_p"] = [sc_ratio]
-    populations = []
+    populations = {}
 
     class Recording(cli.PulsedExcitationEngine):
+        # The sweep reads a panel's betas in one call: each beta's peak
+        # population is recorded under that beta.
         def outcome(self, beta):
             out = super().outcome(beta)
-            populations.append(out.max_population)
+            populations.update(zip(
+                np.atleast_1d(beta).tolist(), np.atleast_1d(out.max_population).tolist()
+            ))
             return out
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,8 +110,9 @@ def table_rows(path, sp_ratio, sc_ratio):
         finally:
             cli.PulsedExcitationEngine = engine_class
     return [
-        (r["beta"], r["p_sq_coherent"], r["p_sq_incoherent"], pop, bool(r["crossover"]))
-        for r, pop in zip(rows, populations)
+        (r["beta"], r["p_sq_coherent"], r["p_sq_incoherent"],
+         populations.get(r["beta"], math.nan), bool(r["crossover"]))
+        for r in rows
     ]
 
 

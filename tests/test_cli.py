@@ -359,10 +359,10 @@ class TestCwSweep:
 
     def test_column_constants_are_taken_per_column_not_per_row(self, tmp_path, monkeypatch):
         # `configs/cs_mot.json` (39 rows in 3 columns) and the same columns
-        # at twice the points per decade (75 rows).  The Gaussian series are
-        # formed a fixed number of times per column (for its largest
-        # beta_bar and its engine), and the classical cross-section once per
-        # sweep: rows form neither.  Each function is counted under every
+        # at twice the points per decade (75 rows).  The two Gaussian series
+        # are formed once per column (for its largest beta_bar, and handed to
+        # its engine), and the classical cross-section once per sweep: rows
+        # form neither.  Each function is counted under every
         # module name bound to it.
         counts = {}
 
@@ -388,7 +388,7 @@ class TestCwSweep:
             rows = run_cw_sweep(load_config(path))
             assert len(rows) == n_rows and len({r["sigma_c_over_gamma_b"] for r in rows}) == 3
             assert all(r["validity"] != "failed" for r in rows)
-            assert counts == {"_gain_series": 4 * 3, "cross_section": 1}
+            assert counts == {"_gain_series": 2 * 3, "cross_section": 1}
 
     def test_rows_past_the_gaussian_series_fail_alone(self, tmp_path, caplog):
         # beta_bar 10 to 400: the Gaussian series run out from 353 on, so the

@@ -1081,7 +1081,7 @@ class TestEngineIsReadOnly:
     def test_public_methods_leave_the_engine_unchanged(self, few_mode):
         engine = few_mode
         before = _snapshot(vars(engine))
-        for beta in (0.3, 1.1):
+        for beta in (0.3, 1.1, np.array([0.0, 0.3, 1.1])):
             c, a = engine.series(beta)
             engine.outcome(beta)
             engine.coherent_probability(a)
@@ -1139,6 +1139,73 @@ class TestEngineIsReadOnly:
         assert not errors
         for k in range(n_threads):
             assert got[k] == serial[k:] + serial[:k]
+
+
+class TestEngineReadsArrays:
+    """An array of betas is read in one call, each entry with the bits of its scalar read."""
+
+    BETAS = np.array([0.0, 0.05, 0.3, 0.7, 1.1, 1.6, 2.0])
+
+    @pytest.fixture(params=[6.0, 1.0], ids=["few-mode", "one-mode"])
+    def engine(self, request, cs_system, cs_eta, mot_area):
+        system, coupling = cs_system
+        gb = system.gamma_b
+        src = SqueezedPulsed(gb, request.param * gb, system.omega_ba, system.omega_cb)
+        return PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=2.0)
+
+    @staticmethod
+    def entries(out):
+        return [
+            np.asarray(v, dtype=float).tobytes()
+            for v in (out.coherent, out.incoherent, out.max_population, out.total)
+        ]
+
+    def test_an_array_read_is_the_scalar_reads_bit_for_bit(self, engine):
+        out = engine.outcome(self.BETAS)
+        c, a = engine.series(self.BETAS)
+        assert out.coherent.shape == out.incoherent.shape == out.max_population.shape == (7,)
+        assert out.diagnostics == engine.diagnostics
+        for k, beta in enumerate(self.BETAS.tolist()):
+            one = engine.outcome(beta)
+            assert isinstance(one.coherent, float) and isinstance(one.max_population, float)
+            got = [np.float64(v[k]).tobytes()
+                   for v in (out.coherent, out.incoherent, out.max_population, out.total)]
+            assert got == self.entries(one)
+            c1, a1 = engine.series(beta)
+            assert (c[k].tobytes(), a[k].tobytes()) == (c1.tobytes(), a1.tobytes())
+        # beta = 0: every term is an exact zero, and so is every read.
+        assert not c[0].any() and not a[0].any()
+        assert (out.coherent[0], out.incoherent[0], out.max_population[0]) == (0.0, 0.0, 0.0)
+
+    def test_dropping_a_beta_leaves_the_other_entries_unchanged(self, engine):
+        full = engine.outcome(self.BETAS)
+        for k in range(len(self.BETAS)):
+            rest = engine.outcome(np.delete(self.BETAS, k))
+            assert self.entries(rest) == [
+                np.delete(np.asarray(v), k).tobytes()
+                for v in (full.coherent, full.incoherent, full.max_population, full.total)
+            ]
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), 3.5])
+    def test_a_bad_beta_in_an_array_raises_the_scalar_error(self, engine, bad):
+        # A negative or NaN beta, or one whose r0 passes r0_max (3.5 does on
+        # both engines), fails the whole read with the scalar read's error.
+        with pytest.raises(ValueError) as scalar:
+            engine.outcome(bad)
+        for betas in (np.array([0.3, bad, 1.1]), np.array([bad])):
+            with pytest.raises(ValueError) as batch:
+                engine.outcome(betas)
+            assert str(batch.value) == str(scalar.value)
+
+    def test_an_empty_array_reads_nothing(self, engine):
+        out = engine.outcome(np.array([]))
+        assert out.coherent.shape == out.incoherent.shape == out.max_population.shape == (0,)
+
+    def test_nonnegativity_is_checked_entry_by_entry(self):
+        ExcitationOutcome(np.array([0.0, 1e-30]), np.array([2.0, 0.0]))
+        for coherent, incoherent in (([1.0, -1e-300], [0.0, 0.0]), ([1.0, 1.0], [0.0, -2.0])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ExcitationOutcome(np.array(coherent), np.array(incoherent))
 
 
 class TestFluorescence:

@@ -80,10 +80,14 @@ def test_pulsed_layers_are_traced(tmp_path):
     # allows 10 callbacks a solve for two panel solves and one solve per row,
     # so it holds with room to spare (7 callbacks here).
     assert layers["cli.beta_inversion_evals"] <= 10 * (result["rows"] + 2)
+    # A panel reads its engine once, at all its betas: the tracer books the
+    # first `outcome` call of an engine as its warm read and any later one as
+    # a re-weighting, so there is none.
+    assert layers["excitation.reweight_s"] == 0
     for name in (
         "cli.beta_inversion_evals", "cli.beta_inversion_s", "sources.schmidt_decompose_s",
         "sources.modes_kept", "excitation.lattice_points", "excitation.levels_warm_s",
-        "excitation.reweight_s", "excitation.coherent_probability_s",
+        "excitation.coherent_probability_s",
         "excitation.incoherent_probability_s", "excitation.max_population_s",
         "excitation.classical_pulsed_s",
     ):
