@@ -47,6 +47,7 @@ from .excitation import (
 )
 from .geometry import AtomCloud, BeamProfile, effective_area
 from .sources import (
+    MAX_ANALYTIC_MODES,
     ClassicalPulsed,
     SqueezedCW,
     SqueezedPulsed,
@@ -245,93 +246,53 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-class PhotonInversionError(NumericalError, ValueError):
-    """No beta up to 1e6 reaches the requested photon number."""
-
-
-_BETA_MAX = 1e6
-# Each end of a closed-form bracket wider than one point is moved outward by
-# this fraction.  That shifts the solved function by about 1e-12 y, far above
-# its rounding (a few ulp of y), so brentq sees the signs the bounds promise.
+# Each end of a bracket wider than one point is moved outward by this
+# fraction.  That shifts the solved function by about 1e-12 y, far above its
+# rounding (a few ulp of y), so brentq sees the signs the bounds promise.
 _BRACKET_SLACK = 1e-12
 
 
-def _asinh(x):
-    """math.asinh, elementwise on an array: np.arcsinh can differ from it in the last bit."""
-    if np.ndim(x) == 0:
-        return math.asinh(x)
-    return np.array([math.asinh(v) for v in x.tolist()])
+def _beta_for_photons(engine, n_photons: float | np.ndarray) -> float | np.ndarray:
+    """Invert N = engine.photon_number(beta) for beta.
 
+    N(beta) = sum_n sinh^2(beta sqrt(p_n)) over the whole spectrum p_n =
+    (1 - mu) mu^n.  sinh^2(sqrt x) is a power series in x with nonnegative
+    coefficients, so it is superadditive, and with sum p = 1,
+    sinh^2(beta sqrt(1 - mu)) <= N(beta) <= sinh^2(beta).  With y =
+    asinh(sqrt N) the root therefore lies in [y, y / sqrt(1 - mu)].  For
+    one mode the two ends meet and are the answer, with no evaluation of N.
+    Otherwise Brent's method solves asinh(sqrt(N(beta))) = y, close to
+    linear in beta, to 1e-13 relative in beta.  The bracket's top is held
+    within the engine's reach (r0 up to r0_max (1 + 1e-12)), which any N
+    up to sinh^2(r0_max) needs.
 
-def _beta_bounds(p_weights: np.ndarray, y):
-    """Closed-form bracket [y / sqrt(sum p), y / sqrt(p_max)] of the beta with asinh(sqrt N) = y."""
-    return y / math.sqrt(float(np.sum(p_weights))), y / math.sqrt(float(np.max(p_weights)))
-
-
-def _beta_for_photons(
-    p_weights: np.ndarray, n_photons: float | np.ndarray
-) -> float | np.ndarray:
-    """Invert N = photon_number_pulsed(p, beta) = sum_n sinh^2(beta sqrt(p_n)) for beta.
-
-    sinh^2(sqrt x) is a power series in x with nonnegative coefficients, so
-    it is superadditive, and
-    sinh^2(beta sqrt(p_max)) <= N(beta) <= sinh^2(beta sqrt(sum p)).
-    With y = asinh(sqrt N) the root therefore lies in
-    [y / sqrt(sum p), y / sqrt(p_max)].  For one mode the two ends meet and
-    are the answer, with no evaluation of N.  Otherwise Brent's method solves
-    asinh(sqrt(N(beta))) = y, close to linear in beta (exactly so for one
-    mode), to 1e-13 relative in beta.  Raises
-    `PhotonInversionError` when no beta up to 1e6 reaches N.
-
-    `n_photons` may also be an array, such as a panel's photon grid: each
-    element is bracketed as above and all are solved in one lock-step
-    `brentq`, each to the bits of its scalar call.  An element whose scalar
-    call would raise is NaN in the returned array; the scalar call on that N
-    alone raises its error.
+    `n_photons` may also be an array, such as a panel's photon grid, solved
+    in one lock-step `brentq`, each element to the bits of its scalar call.
+    An element whose scalar call would raise `ConvergenceError` (out of
+    iterations) is NaN.
     """
     n = np.asarray(n_photons, dtype=float)
     scalar = n.ndim == 0
-    y = _asinh(np.sqrt(np.where(n <= 0.0, 0.0, n)).reshape(-1))
-    lo, hi = _beta_bounds(p_weights, y)
-
-    sqrt_p = np.sqrt(p_weights)
-
-    def excess(beta, y):
-        # photon_number_pulsed(p_weights, beta), with sqrt(p) taken once, per
-        # element of beta: its rows of s are summed as the 1-D sum would be.
-        s = np.sinh(np.multiply.outer(beta, sqrt_p))
-        return _asinh(np.sqrt(np.sum(s * s, axis=-1))) - y
-
+    y = np.arcsinh(np.sqrt(n)).reshape(-1)
+    lo, hi = y.copy(), y / engine.sqrt_p0
     wide = lo != hi
     lo[wide] *= 1.0 - _BRACKET_SLACK
-    hi[wide] *= 1.0 + _BRACKET_SLACK
-    unreached = np.zeros(y.shape, dtype=bool)
-    capped = hi > _BETA_MAX
-    if capped.any():
-        unreached = capped & ((lo > _BETA_MAX) | (excess(_BETA_MAX, y) < 0.0))
-        if scalar and unreached[0]:
-            raise PhotonInversionError(
-                f"photon-number inversion failed to bracket N = {float(n):.17g}: "
-                f"no beta up to {_BETA_MAX:g} reaches it"
-            )
-        hi[capped] = _BETA_MAX
-    beta = lo.copy()
-    solve = (lo != hi) & ~unreached
-    if solve.any():
-        target, a, b = y[solve], lo[solve], hi[solve]
+    top = engine.r0_max * (1.0 + 0.5 * _BRACKET_SLACK) / engine.sqrt_p0
+    hi[wide] = np.minimum(hi[wide] * (1.0 + _BRACKET_SLACK), top)
+    beta = lo
+    if wide.any():
+        target, a, b = y[wide], lo[wide], hi[wide]
         if scalar:
             # A scalar N is solved on floats, as any scalar root finder takes them.
             target, a, b = float(target[0]), float(a[0]), float(b[0])
-        beta[solve] = brentq(
-            lambda x: excess(x, target), a, b, xtol=1e-13 * a, rtol=1e-13, maxiter=200
+        beta[wide] = brentq(
+            lambda x: np.arcsinh(np.sqrt(engine.photon_number(x))) - target,
+            a, b, xtol=1e-13 * a, rtol=1e-13, maxiter=200,
         )
-    if scalar:
-        return float(beta[0])
-    beta[unreached] = math.nan
-    return beta.reshape(n.shape)
+    return float(beta[0]) if scalar else beta.reshape(n.shape)
 
 
-def _panel_rows(engine, tasks, p_weights, grid_betas, cl_unit, factor, n_atoms) -> list[dict]:
+def _panel_rows(engine, tasks, grid_betas, cl_unit, factor, n_atoms) -> list[dict]:
     """The rows of one panel whose engine and classical reference were built, in task order.
 
     A row whose entry of the panel's lock-step inversion (`grid_betas`) is
@@ -344,7 +305,7 @@ def _panel_rows(engine, tasks, p_weights, grid_betas, cl_unit, factor, n_atoms) 
     for i, (task, beta) in enumerate(zip(tasks, grid_betas)):
         if math.isnan(beta):
             try:
-                beta = _beta_for_photons(p_weights, task["photons_per_pulse"])
+                beta = _beta_for_photons(engine, task["photons_per_pulse"])
             except NumericalError as exc:
                 failed[i] = _row_failure(task, exc, PULSED_COLUMNS)
                 continue
@@ -359,7 +320,7 @@ def _panel_rows(engine, tasks, p_weights, grid_betas, cl_unit, factor, n_atoms) 
     fl_coh, fl_ic, fl_sq = _fluorescence_counts(out.coherent, out.incoherent, factor, n_atoms)
     columns = [
         beta, n_photons, p_cl, out.coherent, out.incoherent, fl_cl, fl_coh, fl_ic, fl_sq,
-        beta * math.sqrt(p_weights[0]) >= 1.0, within_validity(out.max_population),
+        beta * engine.sqrt_p0 >= 1.0, within_validity(out.max_population),
     ]
     computed = zip(*(np.asarray(column).tolist() for column in columns))
     return [
@@ -376,13 +337,13 @@ def _panel_rows(engine, tasks, p_weights, grid_betas, cl_unit, factor, n_atoms) 
 def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
     """Pulsed rows over the panel grid, one `PulsedExcitationEngine` per panel.
 
-    Each panel takes one analytic Schmidt decomposition, whose spectrum
-    (cut at `trunc_tol`) sets every row's beta in one lock-step inversion,
-    and one engine read at all those betas at once (`_panel_rows`).  The
-    engine's tables reach r0_max = asinh(sqrt(N_max)), the largest
-    first-mode squeezing any row of the panel can have (N >= sinh^2(r0)),
-    so they do not depend on any inversion.  A panel whose tables or
-    classical reference fail fails each of its rows with that error.
+    Each panel builds its engine first.  Its tables reach r0_max =
+    asinh(sqrt(N_max)), the largest first-mode squeezing any row of the
+    panel can have (N >= sinh^2(r0)), so they do not depend on any
+    inversion.  Every row's beta then comes from one lock-step inversion of
+    the engine's own photon number, which sums every mode, and one engine
+    read at all those betas at once (`_panel_rows`).  A panel whose tables
+    or classical reference fail fails each of its rows with that error.
     """
     system, coupling = cfg.system, cfg.coupling
     eta = eta_prefactor(system, coupling)
@@ -408,9 +369,8 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 sigma_p=sigma_p, sigma_c=sc_ratio * sigma_p,
                 center_i=system.omega_ba, center_ii=system.omega_cb,
             )
+            # Only sweepbench's layer tracer reads the spectrum (`dec`).
             dec = schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
-            # Every row's beta in one inversion; NaN marks a row that fails.
-            grid_betas = _beta_for_photons(dec.p, photon_grid).tolist()
             try:
                 engine = PulsedExcitationEngine(
                     src, system, eta, area, coupling, r0_max=r0_max, dec=dec
@@ -429,7 +389,9 @@ def run_pulsed_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
                 # Each row of the panel fails with the error.
                 rows.extend(_row_failure(task, exc, PULSED_COLUMNS) for task in tasks)
                 continue
-            rows.extend(_panel_rows(engine, tasks, dec.p, grid_betas, cl_unit, factor, n_atoms))
+            # Every row's beta in one inversion; NaN marks a row to solve alone.
+            grid_betas = _beta_for_photons(engine, photon_grid).tolist()
+            rows.extend(_panel_rows(engine, tasks, grid_betas, cl_unit, factor, n_atoms))
     return rows
 
 
@@ -530,7 +492,14 @@ def _cmd_schmidt(cfg: RunConfig, args) -> int:
         sigma_p=sigma_p, sigma_c=sigma_c,
         center_i=cfg.system.omega_ba, center_ii=cfg.system.omega_cb,
     )
-    dec = schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
+    trunc_tol = cfg.numerics["trunc_tol"]
+    dec = schmidt_decompose_analytic(src, trunc_tol=trunc_tol)
+    if dec.tail > trunc_tol:
+        logger.warning(
+            "the exported Schmidt spectrum stops at %d modes (at most %d are kept) "
+            "with a tail of %.2e, above trunc_tol = %g",
+            dec.n_modes, MAX_ANALYTIC_MODES, dec.tail, trunc_tol,
+        )
     base = args.out or "schmidt"
     grids = default_jsa_grids(src, n_points=129)
     export_jsi_csv(src, *grids, f"{base}_jsi.csv")

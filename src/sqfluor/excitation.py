@@ -395,11 +395,19 @@ def _cw_incoherent_table(k, g, gc, vc, delta, n_nodes):
     falls at least as fast as its band-II factor, and one grid of
     `_two_panels` to the reach of the largest k serves every entry.  The
     K x n factors E and F are the largest arrays held.
+
+    Returns (R, scale) for `_doubled`: scale is the largest entry of the
+    same table with |f| for f, the size of its integrals.  Off resonance f
+    oscillates and an entry can be far below that size; on resonance f > 0
+    and scale is the largest entry.
     """
     t, weights = _two_panels(_reach(1.0 / (4.0 * k[-1]), gc), n_nodes)
     e = np.exp(-gc * t - t * t / (4.0 * k[:, None])) * weights
     f = _real_with_phase(_lorentz_gauss(k[:, None], t, delta, g), -vc, t)
-    return (np.sqrt(np.pi / k) / g)[:, None] * (e @ f.T)
+    prefactor = (np.sqrt(np.pi / k) / g)[:, None]
+    table = prefactor * (e @ f.T)
+    size = prefactor * (e @ np.abs(f).T) if (f < 0.0).any() else np.abs(table)
+    return table, float(np.max(size))
 
 
 def _cw_faddeeva(src: SqueezedCW, sys: FourLevelSystem, orders: np.ndarray) -> np.ndarray:
@@ -737,10 +745,10 @@ class PulsedExcitationEngine:
     entry per beta.  `diagnostics` reports `series_terms` (K) and
     `quadrature_rel_err` (the last node doubling's change, largest of the
     tables), once for the whole read.  The tables are built in __init__ and
-    only read afterwards.  `dec` (the Schmidt decomposition the caller
-    solved beta on), `n_in` (nodes per table entry) and `n_out_max` (table
-    entries) are kept only for the benchmark's layer tracer
-    (sweepbench/trace_layers.py), which reads them under those names.
+    only read afterwards.  `dec` (a cut Schmidt spectrum no read uses),
+    `n_in` (nodes per table entry) and `n_out_max` (table entries) are kept
+    only for the benchmark's layer tracer (sweepbench/trace_layers.py),
+    which reads them under those names.
     """
 
     def __init__(
@@ -771,6 +779,9 @@ class PulsedExcitationEngine:
         # Orders m of the terms (2r0)^m / (2 m!): even for c_k, odd for a_k.
         self.c_orders = _series_orders(self.r0_max, odd=False)
         self.a_orders = _series_orders(self.r0_max, odd=True)
+        # sum_n mu^(nk) = 1/(1 - mu^k): the photon number's mode sum, done first.
+        k = self.c_orders / 2.0
+        self.photon_weights = 1.0 / -np.expm1(k * np.log(mu)) if mu > 0.0 else np.ones(len(k))
         # Every order up to the last, and log(2 m!), so that a row's terms
         # are one exp(m log(2 r0) - log(2 m!)).
         self._orders = np.arange(1.0, max(self.c_orders[-1], self.a_orders[-1]) + 1.0)
@@ -833,6 +844,16 @@ class PulsedExcitationEngine:
         terms = terms.reshape(r0.shape + self._orders.shape)
         n_c, n_a = len(self.c_orders), len(self.a_orders)
         return terms[..., 1 : 2 * n_c : 2], terms[..., 0 : 2 * n_a : 2]
+
+    def photon_number(self, beta: float | np.ndarray) -> float | np.ndarray:
+        """N(beta) = c . photon_weights, the photons per pulse in each band, row by row.
+
+        sum_n sinh^2(r0 mu^(n/2)) with the sum over the modes taken first:
+        sum_k c_k / (1 - mu^k), every mode and no cut but the series' own at
+        r0_max.  A sweep solves each row's beta on it.
+        """
+        c, _ = self.series(beta)
+        return _one_or_rows(_row_dot(c, self.photon_weights))
 
     def coherent_probability(self, a: np.ndarray) -> float | np.ndarray:
         """eta a^T Q a / (2 pi sigma_s^2 A^2) for the odd-order terms a of `series`, row by row."""

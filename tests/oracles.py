@@ -28,7 +28,9 @@ exact Hermite functions on its lattices.  `incoherent_kernel`,
 `excitation.PulsedExcitationEngine` from their closed-form pieces and take
 the last integral by adaptive `quad` (the coherent one in frequency, the
 population with its two time integrals in the other order), and
-`photon_number_series` is N(beta) = sum_k c_k / (1 - mu^k).
+`photon_number_series` is N(beta) = sum_k c_k / (1 - mu^k), in `mpmath`
+too (`photon_number_mpmath`).  `spectrum_beta_for_photons` solves for
+beta on a cut spectrum, as the sweep did before, for the lattice oracle.
 
 The CW squeezed references are the same construction on the CW gains:
 `cw_incoherent_table` (the incoherent double integral's K x K kernel by
@@ -42,8 +44,10 @@ import csv
 import io
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import scipy.fft
+import scipy.optimize
 from numpy.fft import irfft, rfft
 from scipy.integrate import quad
 from scipy.special import erfc, erfcx, gammaln, voigt_profile, wofz
@@ -108,7 +112,6 @@ def inverse_area_sq(beam_i, beam_ii, cloud: AtomCloud, dps: int = 30) -> float:
     12 sigma, past which the Gaussian leaves less than 1e-32 of the total,
     and split at the Rayleigh ranges shorter than 3 sigma.
     """
-    import mpmath
 
     with mpmath.workdps(dps):
         sigma = mpmath.mpf(cloud.sigma)
@@ -348,7 +351,6 @@ def linear_interpolant_line_integral(nodes, samples, a: float, g: float) -> floa
     closed form (atan and log), so the nodes may be any increasing sequence
     of numbers `mpmath.mpf` takes exactly.
     """
-    import mpmath
 
     with mpmath.workdps(40):
         a, g = mpmath.mpf(a), mpmath.mpf(g)
@@ -372,7 +374,6 @@ def cw_population_integral(beta_bar: float, sigma: float, delta: float) -> float
     are the Gaussian's centre, its gain-narrowed width and the Lorentzian's
     core.
     """
-    import mpmath
 
     with mpmath.workdps(20):
         beta_bar, sigma, delta = (mpmath.mpf(v) for v in (beta_bar, sigma, delta))
@@ -1109,6 +1110,48 @@ def photon_number_series(mu: float, beta: float, n_terms: int = 200) -> float:
     k = np.arange(1, n_terms + 1)
     c = series_terms(beta * np.sqrt(1.0 - mu), 2.0 * k)
     return float(np.sum(c / (1.0 - mu**k)))
+
+
+def photon_number_mpmath(mu: float, beta: float, dps: int = 40) -> float:
+    """N(beta) = sum_k c_k / (1 - mu^k) in `mpmath` at `dps` digits, to the last term that counts.
+
+    mu and beta are taken as the exact values of their doubles; no term of
+    the series is cut in advance.
+    """
+    with mpmath.workdps(dps):
+        mu, r0 = mpmath.mpf(mu), mpmath.mpf(beta) * mpmath.sqrt(1 - mpmath.mpf(mu))
+        total, k = mpmath.mpf(0), 1
+        while True:
+            term = (2 * r0) ** (2 * k) / (2 * mpmath.factorial(2 * k)) / (1 - mu**k)
+            total += term
+            if k > 2 * r0 and term < total * mpmath.mpf(10) ** (2 - dps):
+                return float(total)
+            k += 1
+
+
+def spectrum_beta_for_photons(p: np.ndarray, n_photons) -> np.ndarray:
+    """The beta with sum_n sinh^2(beta sqrt(p_n)) = N on a given (cut) spectrum, per photon number.
+
+    What the library's sweep solved on before its betas came from the
+    engine's whole-spectrum series, kept for the lattice oracle, which
+    reads a truncated spectrum.  `scipy.optimize.brentq` solves asinh(sqrt
+    N(beta)) = asinh(sqrt N) one N at a time on the superadditive bracket
+    [y / sqrt(sum p), y / sqrt(max p)], each end moved out by 1e-12 so
+    that rounding shows no wrong sign.
+    """
+    sqrt_p = np.sqrt(p)
+
+    def solve(n_photons):
+        y = np.arcsinh(np.sqrt(n_photons))
+        lo, hi = y / np.sqrt(np.sum(p)), y / sqrt_p.max()
+        if lo == hi:
+            return lo
+        return scipy.optimize.brentq(
+            lambda beta: np.arcsinh(np.sqrt(np.sum(np.sinh(beta * sqrt_p) ** 2))) - y,
+            lo * (1.0 - 1e-12), hi * (1.0 + 1e-12), xtol=1e-13 * lo, rtol=1e-13, maxiter=200,
+        )
+
+    return np.array([solve(n) for n in np.atleast_1d(n_photons)])
 
 
 # ---------------------------------------------------------------------------

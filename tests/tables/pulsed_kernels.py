@@ -11,8 +11,9 @@ twice and prints one Markdown table, the one in the DECISIONS.md entry
 - before: the sweep as it ran on the lattice engine
   (`tests/oracles.py::LatticePulsedEngine`): Schmidt modes kept by
   `weighted_mode_count` at the beta of the panel's largest N, every beta
-  solved on that truncated spectrum;
-- now: `sqfluor.cli.run_pulsed_sweep`, tables from the panel's source.
+  solved on that truncated spectrum (`spectrum_beta_for_photons`);
+- now: `sqfluor.cli.run_pulsed_sweep`, tables from the panel's source and
+  betas from its engine's photon number, every mode summed.
 
 Columns: modes the lattice kept, the largest relative change of beta, of
 each probability column and of the peak intermediate population over the
@@ -41,6 +42,7 @@ import run as bench  # noqa: E402  (sweepbench/run.py: the workload configs)
 from oracles import (  # noqa: E402
     LatticePulsedEngine,
     eager_schmidt_decompose_analytic,
+    spectrum_beta_for_photons,
     truncated,
     weighted_mode_count,
 )
@@ -50,7 +52,6 @@ from sqfluor.config import load_config  # noqa: E402
 from sqfluor.excitation import VALIDITY_THRESHOLD  # noqa: E402
 from sqfluor.geometry import effective_area  # noqa: E402
 from sqfluor.sources import SqueezedPulsed  # noqa: E402
-from sqfluor.spectral import ConvergenceError  # noqa: E402
 from sqfluor.system import eta_prefactor  # noqa: E402
 
 # The lattice engine's two settings, once the `numerics` keys of the same
@@ -67,14 +68,9 @@ def lattice_rows(cfg, sp_ratio, sc_ratio, photon_grid):
     sigma_p = sp_ratio * system.gamma_b
     src = SqueezedPulsed(sigma_p, sc_ratio * sigma_p, system.omega_ba, system.omega_cb)
     dec = eager_schmidt_decompose_analytic(src, trunc_tol=cfg.numerics["trunc_tol"])
-    try:
-        beta_max = cli._beta_for_photons(dec.p, photon_grid[-1])
-    except cli.PhotonInversionError:
-        beta_max = cli._BETA_MAX
-    except ConvergenceError:
-        beta_max, _ = cli._beta_bounds(dec.p, math.asinh(math.sqrt(photon_grid[-1])))
+    (beta_max,) = spectrum_beta_for_photons(dec.p, photon_grid[-1])
     working = truncated(dec, weighted_mode_count(dec, beta_max, MODE_WEIGHT_TAIL))
-    betas = cli._beta_for_photons(working.p, photon_grid)
+    betas = spectrum_beta_for_photons(working.p, photon_grid)
     engine = LatticePulsedEngine(working, system, eta, area, coupling, SAMPLE_REL_TOL)
     rows = []
     for beta in betas:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import logging
 import math
@@ -14,8 +15,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
     csv_writer_body,
-    geometric_weights,
     old_fmt,
+    photon_number_mpmath,
     pulsed_row,
 )
 
@@ -34,11 +35,11 @@ from sqfluor.config import (
 from sqfluor.excitation import matched_classical_cw, p_classical_pulsed, rate_classical_cw
 from sqfluor.geometry import effective_area
 from sqfluor.sources import (
-    ClassicalCW, ClassicalPulsed, SqueezedCW, SqueezedPulsed, photon_number_pulsed,
+    ClassicalCW, ClassicalPulsed, SqueezedCW, SqueezedPulsed, geometric_mode_ratio,
     photon_rate_cw,
 )
-from sqfluor.spectral import ConvergenceError, GaussianAmplitude, NumericalError, brentq
-from sqfluor.system import eta_prefactor
+from sqfluor.spectral import ConvergenceError, GaussianAmplitude, brentq
+from sqfluor.system import CrossSectionPrefactor, eta_prefactor
 
 REPO = Path(__file__).resolve().parent.parent
 CS_MOT = REPO / "configs" / "cs_mot.json"
@@ -302,9 +303,12 @@ class TestCwSweep:
 
         def drifting(table, n_nodes, what):
             calls["n"] += 1
-            if calls["n"] == 2:
-                return original(lambda n: table(n) * (1.0 + 1e-9 / n), n_nodes, what)
-            return original(table, n_nodes, what)
+
+            def drift(n):
+                values, scale = table(n)
+                return values * (1.0 + 1e-9 / n), scale
+
+            return original(drift if calls["n"] == 2 else table, n_nodes, what)
 
         monkeypatch.setattr(excitation, "_doubled", drifting)
         with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
@@ -478,45 +482,59 @@ class TestCwSweep:
             assert row["r_classical"] == classical.total
 
 
-def test_photon_inversion_failure_is_a_numerical_error():
-    with pytest.raises(cli.PhotonInversionError, match="bracket") as info:
-        cli._beta_for_photons(np.array([1e-30]), 1e4)
-    assert isinstance(info.value, NumericalError)
-    # The limit is beta = 1e6 itself, for one mode (closed form) and for two
-    # (where the upper bound lies past the limit and N is read there).
-    for p in (np.array([1e-12]), np.array([1e-12, 1e-13])):
-        at_limit = photon_number_pulsed(p, 1e6)
-        assert 0.999e6 < cli._beta_for_photons(p, at_limit * (1.0 - 1e-9)) <= 1e6
-        with pytest.raises(cli.PhotonInversionError, match="bracket"):
-            cli._beta_for_photons(p, at_limit * (1.0 + 1e-9))
+# Schmidt ratios mu of the inversion tests' engines, one mode (0) to about
+# 400 (0.99).
+INVERSION_MUS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 
 
-@given(mu=st.floats(0.0, 0.95), log_photons=st.floats(-12.0, 6.0))
+@functools.lru_cache(maxsize=None)
+def inversion_engine(mu: float) -> excitation.PulsedExcitationEngine:
+    """A pulsed engine of Schmidt ratio about mu, for every N up to 1e6 (r0_max = asinh(1e3)).
+
+    Built once per mu: the inversion reads only its photon number,
+    `sqrt_p0` and `r0_max`.
+    """
+    system = load_config(CS_MOT).system
+    ratio = (1.0 + math.sqrt(mu)) / (1.0 - math.sqrt(mu))
+    src = SqueezedPulsed(system.gamma_b, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
+    return excitation.PulsedExcitationEngine(
+        src, system, CrossSectionPrefactor(1.0), 1.0, r0_max=math.asinh(1e3)
+    )
+
+
+@given(mu=st.sampled_from(INVERSION_MUS), log_photons=st.floats(-12.0, 6.0))
+@example(mu=0.99, log_photons=6.0)  # the top of the engine's reach
 def test_photon_inversion_round_trip(mu, log_photons):
     # brentq stops within 1e-13 relative in beta, and its last step in the
-    # near-linear variable asinh(sqrt N) lands closer still: the worst
-    # measured over this range is 7.2e-13 relative in N.
-    p = geometric_weights(mu)
+    # near-linear variable asinh(sqrt N) lands closer still.
+    engine = inversion_engine(mu)
     n_photons = 10.0**log_photons
-    beta = cli._beta_for_photons(p, n_photons)
-    assert photon_number_pulsed(p, beta) == pytest.approx(n_photons, rel=1e-12, abs=0.0)
+    beta = cli._beta_for_photons(engine, n_photons)
+    assert engine.photon_number(beta) == pytest.approx(n_photons, rel=1e-12, abs=0.0)
 
 
-@given(
-    rest=st.lists(st.floats(0.0, 1.0), max_size=30),
-    log_scale=st.floats(-6.0, 0.0),
-    log_photons=st.floats(-12.0, 6.0),
-)
-@example(rest=[1e-15], log_scale=0.0, log_photons=-2.0)
-@example(rest=[1e-15], log_scale=0.0, log_photons=-9.5)
-@example(rest=[1e-300], log_scale=-3.0, log_photons=6.0)
-def test_photon_inversion_brackets_any_spectrum(rest, log_scale, log_photons):
-    # Near-degenerate spectra such as [1, 1e-15] put both bounds within
-    # rounding of the root; no endpoint may then show brentq the wrong sign.
-    p = 10.0**log_scale * np.array([1.0, *rest])
-    n_photons = 10.0**log_photons
-    beta = cli._beta_for_photons(p, n_photons)
-    assert photon_number_pulsed(p, beta) == pytest.approx(n_photons, rel=1e-12, abs=0.0)
+@pytest.mark.parametrize("mu", [1e-15, 1e-11, 1e-7])
+def test_photon_inversion_near_one_mode(mu):
+    # Both ends of the bracket lie within a few ulp of the root, and at
+    # N = 1e6 the top end is held at r0_max.  No end may show brentq the
+    # wrong sign, and no iterate may pass r0_max.
+    engine = inversion_engine(mu)
+    photons = np.logspace(-12.0, 6.0, 37)
+    betas = cli._beta_for_photons(engine, photons)
+    assert betas.tolist() == [cli._beta_for_photons(engine, n) for n in photons]
+    assert engine.photon_number(betas) == pytest.approx(photons, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.99])
+def test_photon_inversion_stays_within_the_reach(mu):
+    # Just past sinh^2(r0_max), N is still reached below r0_max (the other
+    # modes add to it), but y / sqrt(1 - mu) moved out by 1e-12 lies past
+    # the engine's reach; the bracket's top must be held inside it.
+    engine = inversion_engine(mu)
+    n_photons = math.sinh(engine.r0_max) ** 2 * (1.0 + 1e-9)
+    beta = cli._beta_for_photons(engine, n_photons)
+    assert beta * engine.sqrt_p0 < engine.r0_max
+    assert engine.photon_number(beta) == pytest.approx(n_photons, rel=1e-12, abs=0.0)
 
 
 def test_photon_inversion_callbacks(monkeypatch):
@@ -528,44 +546,39 @@ def test_photon_inversion_callbacks(monkeypatch):
 
     monkeypatch.setattr(cli, "brentq", counting_brentq)
     grid = cli._log_grid(0.01, 1e4, 60)
-    twelve = 0.5 * 0.5 ** np.arange(12)
     per_inversion = []
     for n_photons in grid:
         before = len(calls)
-        cli._beta_for_photons(twelve, n_photons)
+        cli._beta_for_photons(inversion_engine(0.5), n_photons)
         per_inversion.append(len(calls) - before)
     assert max(per_inversion) <= 10
     # One mode: the closed-form bracket is a single point, the answer.
-    for p in (np.array([1.0]), np.array([0.3]), np.array([1.0, 0.0])):
-        for n_photons in grid:
-            beta = cli._beta_for_photons(p, n_photons)
-            assert beta == math.asinh(math.sqrt(n_photons)) / math.sqrt(p[0])
+    for n_photons in grid:
+        beta = cli._beta_for_photons(inversion_engine(0.0), n_photons)
+        assert beta == np.arcsinh(np.sqrt(n_photons))
     assert len(calls) == sum(per_inversion)  # no callback for one mode
 
 
 def test_photon_inversions_match_scipy_brentq(monkeypatch):
-    # The sweep's inversion at 301 photon numbers per geometric spectrum:
-    # the same beta after the same callbacks as with scipy's brentq.
+    # The sweep's inversion at 301 photon numbers per engine: the same beta
+    # after the same callbacks as with scipy's brentq.
     def inversions(solver):
         calls = []
         monkeypatch.setattr(
             cli, "brentq", lambda f, *a, **k: solver(lambda x: calls.append(x) or f(x), *a, **k)
         )
-        betas = [cli._beta_for_photons(p, n) for p in spectra for n in photons]
+        betas = [cli._beta_for_photons(engine, n) for engine in engines for n in photons]
         return betas, calls
 
-    spectra = [geometric_weights(mu) for mu in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+    engines = [inversion_engine(mu) for mu in INVERSION_MUS]
     photons = np.logspace(-2.0, 4.0, 301)
     ours = inversions(brentq)
     assert ours == inversions(scipy.optimize.brentq)
-    assert len(ours[1]) > 7 * len(photons)  # only the one-mode spectrum skips the solver
-
-
-GEOMETRIC_SPECTRA = [geometric_weights(mu) for mu in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+    assert len(ours[1]) > 7 * len(photons)  # only the one-mode engine skips the solver
 
 
 def test_photon_inversion_of_a_grid_matches_scalar_calls(monkeypatch):
-    # One lock-step solve per spectrum gives each N the bits of its scalar
+    # One lock-step solve per engine gives each N the bits of its scalar
     # call, with one array evaluation for each callback of the longest one.
     photons = np.logspace(-2.0, 4.0, 301)
     calls = []
@@ -574,56 +587,29 @@ def test_photon_inversion_of_a_grid_matches_scalar_calls(monkeypatch):
         cli, "brentq", lambda f, *a, **k: brentq(lambda x: calls.append(x) or f(x), *a, **k)
     )
 
-    def counted(p, n_photons):
+    def counted(engine, n_photons):
         before = len(calls)
-        return cli._beta_for_photons(p, n_photons), len(calls) - before
+        return cli._beta_for_photons(engine, n_photons), len(calls) - before
 
-    for p in GEOMETRIC_SPECTRA:
-        betas, grid_calls = counted(p, photons)
+    for mu in INVERSION_MUS:
+        engine = inversion_engine(mu)
+        betas, grid_calls = counted(engine, photons)
         assert betas.dtype == float and betas.shape == photons.shape
-        scalar = [counted(p, n) for n in photons]
+        scalar = [counted(engine, n) for n in photons]
         assert betas.tolist() == [beta for beta, _ in scalar]
         assert grid_calls == max(n_calls for _, n_calls in scalar)
-
-
-@given(
-    rest=st.lists(st.floats(0.0, 1.0), max_size=30),
-    log_scale=st.floats(-6.0, 0.0),
-    log_photons=st.lists(st.floats(-12.0, 6.0), min_size=1, max_size=20),
-)
-@example(rest=[1e-15], log_scale=0.0, log_photons=[-2.0, -9.5])
-@example(rest=[1e-300], log_scale=-3.0, log_photons=[6.0])
-@example(rest=[], log_scale=-6.0, log_photons=[0.0])
-def test_photon_inversion_of_a_grid_any_spectrum(rest, log_scale, log_photons):
-    # With N <= 0 and unreachable N mixed in: each element is its scalar
-    # call, and NaN exactly where that call raises.
-    p = 10.0**log_scale * np.array([1.0, *rest])
-    photons = [10.0**v for v in log_photons] + [0.0, -1.0, math.inf]
-    with np.errstate(over="ignore", invalid="ignore"):  # N(beta) overflows near the limit
-        at_limit = photon_number_pulsed(p, 1e6)
-        if math.isfinite(at_limit):
-            photons.append(2.0 * at_limit)
-        betas = cli._beta_for_photons(p, np.array(photons))
-    for n_photons, beta in zip(photons, betas.tolist()):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                expected = cli._beta_for_photons(p, n_photons)
-        except cli.PhotonInversionError:
-            assert math.isnan(beta) and n_photons > 0.0
-        else:
-            assert beta == expected
 
 
 def test_photon_inversion_out_of_iterations_spares_the_grid(monkeypatch):
     brentq = cli.brentq
     monkeypatch.setattr(cli, "brentq", lambda f, a, b, **k: brentq(f, a, b, **{**k, "maxiter": 4}))
-    p = geometric_weights(0.5)
+    engine = inversion_engine(0.5)
     photons = np.logspace(-2.0, 4.0, 61)
-    betas = cli._beta_for_photons(p, photons)
+    betas = cli._beta_for_photons(engine, photons)
     failed = 0
     for n_photons, beta in zip(photons, betas.tolist()):
         try:
-            expected = cli._beta_for_photons(p, n_photons)
+            expected = cli._beta_for_photons(engine, n_photons)
         except ConvergenceError:
             failed += 1
             assert math.isnan(beta)
@@ -653,23 +639,26 @@ class TestPulsedSweep:
             flags = [bool(r["crossover"]) for r in rows if r["sigma_c_over_sigma_p"] == sc]
             assert flags == sorted(flags)
 
-    def test_an_unreachable_photon_number_fails_its_row_only(self, tmp_path, monkeypatch, caplog):
-        # Lower the beta limit just below the top row of the many-mode panel:
-        # that row's N is out of reach, and no other row may change.
-        cfg = load_config(tiny_pulsed_config(tmp_path))
-        undisturbed = run_pulsed_sweep(cfg)
-        top = undisturbed[-1]["beta"]
-        assert all(row["beta"] < 0.999 * top for row in undisturbed[:-1])
-        monkeypatch.setattr(cli, "_BETA_MAX", top * (1.0 - 1e-9))
-        with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
-            rows = run_pulsed_sweep(cfg)
-        assert [row["validity"] for row in rows].count("failed") == 1
-        assert rows[-1]["validity"] == "failed" and math.isnan(rows[-1]["beta"])
-        assert rows[:-1] == undisturbed[:-1]
-        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert "PhotonInversionError: photon-number inversion failed to bracket N = 10" in (
-            record.getMessage()
+    def test_photons_per_pulse_hold_past_the_mode_cap(self, tmp_path):
+        # At sigma_c/sigma_p = 1e4 the analytic spectrum stops at its
+        # 2000-mode cap with 45% of its weight left out.  Each row's beta
+        # must still give its printed N with every mode summed, by an
+        # independent mpmath sum.
+        cfg = load_config(tiny_pulsed_config(
+            tmp_path, sigma_p_over_gamma_b=[0.01], sigma_c_over_sigma_p=[1e4],
+            photons_min=0.01, photons_max=100.0, points_per_decade=2,
+        ))
+        rows = run_pulsed_sweep(cfg)
+        system = cfg.system
+        sigma_p = 0.01 * system.gamma_b
+        mu = geometric_mode_ratio(
+            SqueezedPulsed(sigma_p, 1e4 * sigma_p, system.omega_ba, system.omega_cb)
         )
+        assert len(rows) == 9 and "failed" not in [row["validity"] for row in rows]
+        for row in rows:
+            assert photon_number_mpmath(mu, row["beta"]) == pytest.approx(
+                row["photons_per_pulse"], rel=1e-12, abs=0.0
+            )
 
     def test_a_failed_classical_reference_fails_its_panel_only(
         self, tmp_path, monkeypatch, caplog
@@ -703,8 +692,8 @@ class TestPulsedSweep:
 
     def test_a_row_out_of_iterations_fails_alone(self, tmp_path, monkeypatch, caplog):
         # With Brent's method held to five iterations, the N = 1 row of the
-        # many-mode panel needs a sixth; the panel's other inversions do not.
-        cfg = load_config(tiny_pulsed_config(tmp_path))
+        # many-mode panel needs a sixth; the panel's N = 0.1 inversion does not.
+        cfg = load_config(tiny_pulsed_config(tmp_path, photons_max=1.0))
         undisturbed = run_pulsed_sweep(cfg)
         brentq = cli.brentq
         monkeypatch.setattr(
@@ -793,7 +782,7 @@ class TestPulsedSweep:
         self, tmp_path, monkeypatch, caplog
     ):
         # Brent's method held to 1-5 iterations: the many-mode panel's
-        # mode-count inversion and some of its rows' solves run out.  Each
+        # grid solve and some of its rows' own solves run out.  Each
         # row whose own solve runs out fails alone, with its own WARNING;
         # the panel's other rows are computed as before, and the one-mode
         # panel needs no Brent step and must not change.
@@ -831,7 +820,7 @@ class TestPulsedSweep:
             failures.append(len(failed))
         # At four and five iterations the panel holds failed and computed
         # rows together.
-        assert failures == [3, 3, 3, 2, 1]
+        assert failures == [3, 3, 3, 2, 2]
 
     def test_an_inversion_out_of_iterations_leaves_the_tables_unchanged(
         self, tmp_path, monkeypatch
@@ -1148,6 +1137,25 @@ class TestMain:
         assert capsys.readouterr().out == (
             f"wrote {base}_jsi.csv and {base}_schmidt.csv ({n_modes} modes, tail {tail:.2e})\n"
         )
+
+
+@pytest.mark.parametrize("ratio, warned", [(100.0, False), (1e4, True)])
+def test_schmidt_export_warns_at_the_mode_cap(tmp_path, caplog, ratio, warned):
+    # At sigma_c/sigma_p = 1e4 the 2000 modes kept leave mu^2000 = 0.45 of
+    # the weight out, far above trunc_tol = 1e-8; at 100, 461 modes reach it.
+    cfg_path = tiny_pulsed_config(tmp_path, sigma_c_over_sigma_p=[ratio])
+    with caplog.at_level(logging.WARNING, logger="sqfluor.cli"):
+        assert main(["schmidt", "--config", str(cfg_path), "--out", str(tmp_path / "sch")]) == 0
+    messages = [r.getMessage() for r in caplog.records if "Schmidt spectrum" in r.getMessage()]
+    n_modes = len((tmp_path / "sch_schmidt.csv").read_text().splitlines()) - 1
+    if warned:
+        assert n_modes == sources.MAX_ANALYTIC_MODES
+        assert messages == [
+            "the exported Schmidt spectrum stops at 2000 modes (at most 2000 are kept) "
+            "with a tail of 4.49e-01, above trunc_tol = 1e-08"
+        ]
+    else:
+        assert n_modes == 461 and messages == []
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():

@@ -81,8 +81,9 @@ def test_program_table_matches_the_reference_table(
     original = excitation._cw_incoherent_table
 
     def recording(k, *args):
-        built.append((k, original(k, *args)))
-        return built[-1][1]
+        table, scale = original(k, *args)
+        built.append((k, table))
+        return table, scale
 
     monkeypatch.setattr(excitation, "_cw_incoherent_table", recording)
     src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
@@ -91,6 +92,34 @@ def test_program_table_matches_the_reference_table(
     g, gc = half_widths(system, ratio)
     reference = cw_incoherent_table(orders, g, gc, nodes=128, panels=16)
     assert np.max(np.abs(table / reference - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("detuning", [2.0, -2.0, 10.0])
+@pytest.mark.parametrize("beta_bar", [1.0, 10.0, 30.0])
+def test_columns_off_two_photon_resonance_settle(cs_system, cs_eta, mot_area, detuning, beta_bar):
+    # Band II `detuning` Gamma_b off omega_cb at sigma_c_bar = Gamma_b: the
+    # table's integrand oscillates, and its change is measured against the
+    # size of its integrals, as the classical pulse pair's is.  Measured
+    # against its largest entry it could not settle at 2 Gamma_b from
+    # beta_bar 10 on, nor at 10 Gamma_b at all.  The table the engine
+    # settles on matches one at twice its nodes to 1e-12 of that size.
+    system = cs_system[0]
+    src = SqueezedCW(
+        beta_bar, system.gamma_b, system.omega_ba, system.omega_cb + detuning * system.gamma_b
+    )
+    engine = CwExcitationEngine(src, system, cs_eta, mot_area)
+    assert engine.diagnostics["quadrature_rel_err"] <= excitation.TABLE_REL_TOL
+    g, gc = half_widths(system, 1.0)
+    # The Lorentzian's offset as the engine forms it, from the rounded centres.
+    vc = ((system.omega_ca - src.center_i) - src.center_ii) / src.sigma_c_bar
+    k = excitation._series_orders(beta_bar, odd=False) / 2.0
+
+    def table(n_nodes):
+        return excitation._cw_incoherent_table(k, g, gc, vc, 0.0, n_nodes)
+
+    _, n_nodes, _ = excitation._doubled(table, 32, "CW incoherent table")
+    finer, scale = table(2 * n_nodes)
+    assert np.max(np.abs(finer - engine.incoherent_table)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("config", [CONFIGS / "cs_mot.json", DATA / "regression_cw.json"])

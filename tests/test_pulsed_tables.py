@@ -21,6 +21,7 @@ from oracles import (
     coherent_kernel,
     eager_schmidt_decompose_analytic,
     incoherent_kernel,
+    photon_number_mpmath,
     photon_number_series,
     population_kernel,
     pulsed_units,
@@ -39,6 +40,7 @@ from sqfluor.excitation import (
 from sqfluor.sources import (
     ClassicalPulsed,
     SqueezedPulsed,
+    geometric_mode_ratio,
     photon_number_pulsed,
 )
 from sqfluor.spectral import ConvergenceError, GaussianAmplitude
@@ -167,9 +169,25 @@ def test_photon_number_series_matches_the_analytic_spectrum(mu):
     p = (1.0 - mu) * mu ** np.arange(1 if mu == 0.0 else 2000)
     p = p[p >= 1e-16 * p[0]]
     for beta in (0.01, 0.5, 3.0, 20.0):
-        assert photon_number_series(mu, beta) == pytest.approx(
-            photon_number_pulsed(p, beta), rel=1e-13
-        )
+        mode_sum = photon_number_pulsed(p, beta)
+        assert photon_number_series(mu, beta) == pytest.approx(mode_sum, rel=1e-13)
+        assert photon_number_mpmath(mu, beta) == pytest.approx(mode_sum, rel=1e-13)
+
+
+@pytest.mark.parametrize("sigma_c_over_sigma_p", [10.0, 100.0, 1e3, 1e4])
+def test_engine_photon_number_matches_mpmath(cs_system, cs_eta, mot_area, sigma_c_over_sigma_p):
+    # N(beta) = c . photon_weights sums every mode, also far past the
+    # analytic spectrum's 2000-mode cap (from sigma_c/sigma_p of about 440).
+    system, _ = cs_system
+    src = panel(system, 0.01, sigma_c_over_sigma_p)
+    r0_max = math.asinh(100.0)
+    engine = PulsedExcitationEngine(src, system, cs_eta, mot_area, r0_max=r0_max)
+    betas = np.array([1e-3, 0.1, 1.0, 3.0, r0_max]) / engine.sqrt_p0
+    read = engine.photon_number(betas)
+    assert read.tolist() == [engine.photon_number(beta) for beta in betas.tolist()]
+    mu = geometric_mode_ratio(src)
+    for beta, n_photons in zip(betas.tolist(), read.tolist()):
+        assert n_photons == pytest.approx(photon_number_mpmath(mu, beta), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("sigma_p_over_gamma_b, sigma_c_over_sigma_p", SHIPPED_PANELS)
