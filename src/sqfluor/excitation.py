@@ -64,6 +64,7 @@ from .sources import (
     SqueezedPulsed,
     LOG_FACTORIALS,
     _gain_series,
+    _photon_weights,
     _sinh2_series,
     geometric_mode_ratio,
     photon_number_pulsed,
@@ -399,15 +400,13 @@ def _cw_incoherent_table(k, g, gc, vc, delta, n_nodes):
     Returns (R, scale) for `_doubled`: scale is the largest entry of the
     same table with |f| for f, the size of its integrals.  Off resonance f
     oscillates and an entry can be far below that size; on resonance f > 0
-    and scale is the largest entry.
+    and scale is the largest |entry|.
     """
     t, weights = _two_panels(_reach(1.0 / (4.0 * k[-1]), gc), n_nodes)
     e = np.exp(-gc * t - t * t / (4.0 * k[:, None])) * weights
     f = _real_with_phase(_lorentz_gauss(k[:, None], t, delta, g), -vc, t)
     prefactor = (np.sqrt(np.pi / k) / g)[:, None]
-    table = prefactor * (e @ f.T)
-    size = prefactor * (e @ np.abs(f).T) if (f < 0.0).any() else np.abs(table)
-    return table, float(np.max(size))
+    return prefactor * (e @ f.T), float(np.max(prefactor * (e @ np.abs(f).T)))
 
 
 def _cw_faddeeva(src: SqueezedCW, sys: FourLevelSystem, orders: np.ndarray) -> np.ndarray:
@@ -779,9 +778,7 @@ class PulsedExcitationEngine:
         # Orders m of the terms (2r0)^m / (2 m!): even for c_k, odd for a_k.
         self.c_orders = _series_orders(self.r0_max, odd=False)
         self.a_orders = _series_orders(self.r0_max, odd=True)
-        # sum_n mu^(nk) = 1/(1 - mu^k): the photon number's mode sum, done first.
-        k = self.c_orders / 2.0
-        self.photon_weights = 1.0 / -np.expm1(k * np.log(mu)) if mu > 0.0 else np.ones(len(k))
+        self.photon_weights = _photon_weights(mu, self.c_orders / 2.0)
         # Every order up to the last, and log(2 m!), so that a row's terms
         # are one exp(m log(2 r0) - log(2 m!)).
         self._orders = np.arange(1.0, max(self.c_orders[-1], self.a_orders[-1]) + 1.0)
@@ -850,7 +847,7 @@ class PulsedExcitationEngine:
 
         sum_n sinh^2(r0 mu^(n/2)) with the sum over the modes taken first:
         sum_k c_k / (1 - mu^k), every mode and no cut but the series' own at
-        r0_max.  A sweep solves each row's beta on it.
+        r0_max, as in `photon_number_pulsed`.  A sweep solves each row's beta on it.
         """
         c, _ = self.series(beta)
         return _one_or_rows(_row_dot(c, self.photon_weights))
@@ -1063,11 +1060,9 @@ def matched_classical_cw(src: SqueezedCW, a_eff: float, photon_rate: float) -> C
     )
 
 
-def matched_classical_pulsed(
-    dec: SchmidtDecomposition, beta: float, src: SqueezedPulsed
-) -> ClassicalPulsed:
-    """Classical pulse pair at the squeezed photon number at |beta|, sigma_I = sigma_II = sigma_c."""
-    n_photons = photon_number_pulsed(dec.p, beta)
+def matched_classical_pulsed(src: SqueezedPulsed, beta: float) -> ClassicalPulsed:
+    """Classical pulse pair at `photon_number_pulsed(src, beta)`, sigma_I = sigma_II = sigma_c."""
+    n_photons = photon_number_pulsed(src, beta)
     return ClassicalPulsed(
         amp_i=GaussianAmplitude(src.center_i, src.sigma_c),
         amp_ii=GaussianAmplitude(src.center_ii, src.sigma_c),

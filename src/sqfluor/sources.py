@@ -396,10 +396,23 @@ def squeezing_from_roots(sqrt_p: np.ndarray, beta: float | np.ndarray) -> np.nda
     return beta * sqrt_p
 
 
-def photon_number_pulsed(p: np.ndarray, beta: float) -> float:
-    """Total photons per pulse per band: sum_n sinh^2(|beta| sqrt(p_n))."""
-    s = np.sinh(mode_squeezing(p, beta))
-    return float(np.sum(s * s))
+def _photon_weights(mu: float, k: np.ndarray) -> np.ndarray:
+    """sum_n mu^(nk) = 1/(1 - mu^k) at each order k, the mode sum of the pulsed photon number."""
+    return 1.0 / -np.expm1(k * np.log(mu)) if mu > 0.0 else np.ones(len(k))
+
+
+def photon_number_pulsed(src: SqueezedPulsed, beta: float) -> float:
+    """Photons per pulse per band at |beta|, sum_n sinh^2(r0 mu^(n/2)) over every Schmidt mode.
+
+    r0 = |beta| sqrt(1 - mu); with the mode sum taken first, N = sum_k b_k /
+    (1 - mu^k), b_k the terms of `_sinh2_series(r0)`.  No mode is cut.
+    """
+    mu = geometric_mode_ratio(src)
+    r0 = float(squeezing_from_roots(np.sqrt(1.0 - mu), beta))
+    if r0 == 0.0:
+        return 0.0
+    k, b_k = _sinh2_series(r0)
+    return float(b_k @ _photon_weights(mu, k))
 
 
 def export_jsi_csv(src: SqueezedPulsed, grid_i: SpectralGrid, grid_ii: SpectralGrid, path):

@@ -487,12 +487,12 @@ class TestCwSweep:
 INVERSION_MUS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def inversion_engine(mu: float) -> excitation.PulsedExcitationEngine:
     """A pulsed engine of Schmidt ratio about mu, for every N up to 1e6 (r0_max = asinh(1e3)).
 
-    Built once per mu: the inversion reads only its photon number,
-    `sqrt_p0` and `r0_max`.
+    Kept for the tests that read the same mu again: the inversion reads
+    only its photon number, `sqrt_p0` and `r0_max`.
     """
     system = load_config(CS_MOT).system
     ratio = (1.0 + math.sqrt(mu)) / (1.0 - math.sqrt(mu))
@@ -502,8 +502,8 @@ def inversion_engine(mu: float) -> excitation.PulsedExcitationEngine:
     )
 
 
-@given(mu=st.sampled_from(INVERSION_MUS), log_photons=st.floats(-12.0, 6.0))
-@example(mu=0.99, log_photons=6.0)  # the top of the engine's reach
+@given(mu=st.floats(0.0, 0.999), log_photons=st.floats(-12.0, 6.0))
+@example(mu=0.999, log_photons=6.0)  # the top of the engine's reach
 def test_photon_inversion_round_trip(mu, log_photons):
     # brentq stops within 1e-13 relative in beta, and its last step in the
     # near-linear variable asinh(sqrt N) lands closer still.
@@ -651,12 +651,16 @@ class TestPulsedSweep:
         rows = run_pulsed_sweep(cfg)
         system = cfg.system
         sigma_p = 0.01 * system.gamma_b
-        mu = geometric_mode_ratio(
-            SqueezedPulsed(sigma_p, 1e4 * sigma_p, system.omega_ba, system.omega_cb)
-        )
+        src = SqueezedPulsed(sigma_p, 1e4 * sigma_p, system.omega_ba, system.omega_cb)
+        mu = geometric_mode_ratio(src)
         assert len(rows) == 9 and "failed" not in [row["validity"] for row in rows]
         for row in rows:
             assert photon_number_mpmath(mu, row["beta"]) == pytest.approx(
+                row["photons_per_pulse"], rel=1e-12, abs=0.0
+            )
+            # The library's classical reference at a row's beta is at its N.
+            classical = excitation.matched_classical_pulsed(src, row["beta"])
+            assert classical.n_photons_i == pytest.approx(
                 row["photons_per_pulse"], rel=1e-12, abs=0.0
             )
 

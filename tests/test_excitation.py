@@ -298,13 +298,12 @@ class TestSqueezedCW:
         gb = system.gamma_b
         src = SqueezedCW(0.5, gb, system.omega_ba, system.omega_cb)
         gb_src = SqueezedPulsed(gb, 6 * gb, system.omega_ba, system.omega_cb)
-        dec = truncated(eager_schmidt_decompose_analytic(gb_src, trunc_tol=1e-6), 6)
         outcomes = [
             rate_squeezed_cw(src, system, cs_eta, mot_area, coupling),
             rate_classical_cw(matched_classical_cw(src, mot_area, 1e9), system, cs_eta),
             p_squeezed_pulsed(gb_src, 0.8, system, cs_eta, mot_area, coupling),
             p_classical_pulsed(
-                matched_classical_pulsed(dec, 0.8, gb_src), system, cs_eta, mot_area
+                matched_classical_pulsed(gb_src, 0.8), system, cs_eta, mot_area
             ),
         ]
         for out in outcomes:
@@ -742,10 +741,9 @@ class TestSqueezedPulsed:
         n_ph = 1.0
         beta = float(np.arcsinh(np.sqrt(n_ph)))
         src = SqueezedPulsed(system.gamma_b, system.gamma_b, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src)
         out = p_squeezed_pulsed(src, beta, system, cs_eta, mot_area)
         classical = p_classical_pulsed(
-            matched_classical_pulsed(dec, beta, src), system, cs_eta, mot_area
+            matched_classical_pulsed(src, beta), system, cs_eta, mot_area
         )
         # One mode (mu = 0): both tables are the classical kernel, exactly.
         assert out.coherent / out.incoherent == pytest.approx(1.0 + 1.0 / n_ph, rel=1e-12)
@@ -923,7 +921,7 @@ class TestSqueezedPulsed:
         )
         out = p_squeezed_pulsed(src, beta, system, cs_eta, mot_area)
         classical = p_classical_pulsed(
-            matched_classical_pulsed(dec, beta, src), system, cs_eta, mot_area
+            matched_classical_pulsed(src, beta), system, cs_eta, mot_area
         )
         factor = out.coherent / classical.total
         assert factor >= 10.0
@@ -1382,9 +1380,7 @@ class TestEqualPhotonBudget:
         system, _ = cs_system
         gb = system.gamma_b
         src = SqueezedPulsed(gb, 5 * gb, system.omega_ba, system.omega_cb)
-        dec = schmidt_decompose(src)
-        classical = matched_classical_pulsed(dec, 1.2, src)
-        n_sq = photon_number_pulsed(dec.p, 1.2)
-        assert abs(classical.n_photons_i - n_sq) <= 1e-9 * n_sq
+        classical = matched_classical_pulsed(src, 1.2)
+        assert classical.n_photons_i == classical.n_photons_ii == photon_number_pulsed(src, 1.2)
         assert classical.amp_i.width == src.sigma_c
         assert classical.amp_ii.width == src.sigma_c

@@ -339,44 +339,48 @@ class TestHermiteTable:
         assert abs(cross) < 1e-8
 
 
+def source_of_mode_ratio(mu):
+    """A pulsed source whose Schmidt weights are p_n = (1 - mu) mu^n."""
+    root = np.sqrt(mu)
+    return pulsed_source(sigma_p=SIGMA, sigma_c=SIGMA * (1.0 + root) / (1.0 - root))
+
+
 class TestPhotonNumberPulsed:
     def test_vacuum(self):
-        dec = schmidt_decompose(pulsed_source())
-        assert photon_number_pulsed(dec.p, 0.0) == 0.0
+        assert photon_number_pulsed(pulsed_source(), 0.0) == 0.0
 
     def test_single_mode_sinh(self):
-        dec = schmidt_decompose(pulsed_source())
-        assert photon_number_pulsed(dec.p, 1.0) == pytest.approx(np.sinh(1.0) ** 2, rel=1e-9)
+        assert photon_number_pulsed(pulsed_source(), 1.0) == pytest.approx(
+            np.sinh(1.0) ** 2, rel=1e-15
+        )
 
     def test_geometric_law_oracle_high_gain(self):
+        # Every mode: the spectrum's sum to where mu^n underflows.
         src = pulsed_source(sigma_p=SIGMA / 10, sigma_c=10 * SIGMA)
-        dec = schmidt_decompose_analytic(src, trunc_tol=1e-12)
         mu = geometric_mode_ratio(src)
-        n = np.arange(dec.n_modes)
+        n = np.arange(20000)
         oracle = np.sum(np.sinh(3.0 * np.sqrt((1 - mu) * mu**n)) ** 2)
-        assert photon_number_pulsed(dec.p, 3.0) == pytest.approx(oracle, rel=1e-9)
+        assert photon_number_pulsed(src, 3.0) == pytest.approx(oracle, rel=1e-13)
 
     def test_low_gain_equals_beta_squared(self):
-        dec = schmidt_decompose(pulsed_source(sigma_p=SIGMA, sigma_c=5 * SIGMA))
-        assert photon_number_pulsed(dec.p, 0.05) == pytest.approx(0.05**2, rel=1e-3)
+        src = pulsed_source(sigma_p=SIGMA, sigma_c=5 * SIGMA)
+        assert photon_number_pulsed(src, 0.05) == pytest.approx(0.05**2, rel=1e-3)
 
     def test_negative_beta_rejected(self):
-        dec = schmidt_decompose(pulsed_source())
         with pytest.raises(ValueError, match="magnitude"):
-            photon_number_pulsed(dec.p, -0.5)
+            photon_number_pulsed(pulsed_source(), -0.5)
 
     def test_increasing_in_gain(self):
-        dec = schmidt_decompose(pulsed_source(sigma_p=SIGMA, sigma_c=5 * SIGMA))
-        values = [photon_number_pulsed(dec.p, b) for b in (0.1, 0.5, 1.0, 2.0)]
+        src = pulsed_source(sigma_p=SIGMA, sigma_c=5 * SIGMA)
+        values = [photon_number_pulsed(src, b) for b in (0.1, 0.5, 1.0, 2.0)]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 
 
-@given(mu=st.floats(0.0, 0.95), b1=st.floats(0.0, 20.0), b2=st.floats(0.0, 20.0))
+@given(mu=st.floats(0.0, 0.999), b1=st.floats(0.0, 20.0), b2=st.floats(0.0, 20.0))
 def test_photon_number_is_monotone_in_beta(mu, b1, b2):
-    # The photon-number inversion brackets its root on this property.
-    p = geometric_weights(mu)
+    src = source_of_mode_ratio(mu)
     lo, hi = sorted((b1, b2))
-    assert photon_number_pulsed(p, lo) <= photon_number_pulsed(p, hi)
+    assert photon_number_pulsed(src, lo) <= photon_number_pulsed(src, hi)
 
 
 class TestG2CW:
