@@ -36,9 +36,12 @@ forms, all betas in one call.  Tables are built once and only read
 afterwards.
 
 Every pulsed or CW integral, a table or the classical pulse pair's one,
-doubles its Gauss-Legendre nodes until it settles to TABLE_REL_TOL = 1e-13
-(`_doubled`) and raises ConvergenceError past MAX_TABLE_NODES; outcomes
-report `quadrature_rel_err` in their `diagnostics`.  The CW rates and the
+is taken on a Gauss-Kronrod pair (`_gauss_kronrod`): one set of integrand
+samples gives the Kronrod table and the Gauss one, and the Gauss nodes
+double only while the two differ by more than TABLE_REL_TOL = 1e-13 of
+the size of the integrals (`_doubled`); past MAX_TABLE_NODES it raises
+ConvergenceError.  Outcomes report that difference as
+`quadrature_rel_err` in their `diagnostics`.  The CW rates and the
 classical pulse pair are also checked against independent references
 under tests/.
 """
@@ -221,8 +224,9 @@ def p_classical_pulsed(
         Int_0^inf e^(-rho^2/4 - b rho) erfcx((rho + 4b)/sqrt(8)) Re[e^(i a delta rho) F] drho,
 
     F = `_lorentz_gauss` in units of sqrt(V) at lam = slope rho, slope =
-    sigma_I/(sqrt(2) sigma_II), on the tables' nodes (`_doubled`, against
-    Int |integrand|: off resonance it oscillates).  With a coupling, the
+    sigma_I/(sqrt(2) sigma_II), on the tables' Gauss-Kronrod pair
+    (`_doubled`, against Int |integrand|: off resonance it oscillates);
+    `quadrature_nodes` counts the integrand's evaluations.  With a coupling, the
     peak population max_t (kappa N_I/A) |M(t)|^2 comes too, on `_time_grid`
     in durations 1/sigma_I: phi_I(w) e^{-i(w - c_I)t} is e^{-sigma_I^2
     t^2/2} times a Gaussian about c_I - i sigma_I^2 t, so M(t) = Int G_ba
@@ -245,17 +249,21 @@ def p_classical_pulsed(
     b, slope = 0.5 * a * sys.gamma_b, sig_i / (math.sqrt(2.0) * sig_ii)
     vc = _on_resonance((sys.omega_ca - src.amp_i.center) - src.amp_ii.center, sys.omega_ca)
 
+    reach = _reach(0.25, b)
+
     def integral(n_nodes):
-        rho, weights = _two_panels(_reach(0.25, b), n_nodes)
+        x, weights = _two_panels(n_nodes)
+        rho = reach * x
         h = np.exp(-rho * (0.25 * rho + b)) * erfcx((rho + 4.0 * b) / math.sqrt(8.0))
         f = _lorentz_gauss(1.0, slope * rho, vc / root_v, 0.5 * sys.gamma_c / root_v)
-        g = h * _real_with_phase(f, a * delta, rho) * weights
-        return g.sum(), float(np.abs(g).sum())
+        pair, size = _rule_sums(h * _real_with_phase(f, a * delta, rho), weights)
+        return reach * pair, reach * size
 
     value, n_nodes, rel = _doubled(integral, 32, "classical pulse pair")
     photons = eta.eta * (src.n_photons_i / a_eff) * (src.n_photons_ii / a_eff)
     prob = photons * float(value) / (math.sqrt(2.0 * np.pi) * sig_i * sig_ii)
-    return ExcitationOutcome(prob, 0.0, pop, {"quadrature_rel_err": rel, "quadrature_nodes": n_nodes})
+    diagnostics = {"quadrature_rel_err": rel, "quadrature_nodes": _evaluations(32, n_nodes, 2)}
+    return ExcitationOutcome(prob, 0.0, pop, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +271,9 @@ def p_classical_pulsed(
 # ---------------------------------------------------------------------------
 
 
-# Node doublings of a table stop once no entry moves by more than this
-# share of the table's largest entry; past MAX_TABLE_NODES they raise.
+# A table settles once its Kronrod and Gauss values differ by at most this
+# share of the size of its integrals; its Gauss nodes double until then,
+# and past MAX_TABLE_NODES it raises.
 TABLE_REL_TOL = 1e-13
 MAX_TABLE_NODES = 1024
 # A half-line integral stops where a bound on its integrand has fallen by
@@ -272,28 +281,114 @@ MAX_TABLE_NODES = 1024
 TAIL_EXPONENT = 45.0
 
 
+def _kronrod_recurrence(n: int) -> list[float]:
+    """b_0..b_2n of the Jacobi-Kronrod matrix that extends n-point Gauss-Legendre.
+
+    Laurie's algorithm (Math. Comp. 66, 1133 (1997)) on Python floats,
+    written for an even weight: every a_k is 0, so only its b_k updates
+    are kept.  The first ceil(3n/2) + 1 are Legendre's b_0 = 2, b_k =
+    k^2/(4k^2 - 1); the rest follow from the mixed moments s and t.
+    """
+    known = (3 * n + 1) // 2 + 1
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, known)] + [0.0] * (2 * n + 1 - known)
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
 @lru_cache(maxsize=None)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2n+1)-point Gauss-Kronrod rule on [0, 1]: nodes x and weights of shape (2, 2n+1).
+
+    Row 0 holds the Kronrod weights, exact to degree 3n+1; row 1 the n-point
+    Gauss-Legendre weights, at the odd positions x[1::2] and zero at the
+    Kronrod nodes between them.  For n = 10 it is QUADPACK's GK21
+    (Piessens et al., 1983).  The nodes are the zeros of p_(2n+1), the last
+    orthonormal polynomial of the Jacobi-Kronrod recurrence
+    (`_kronrod_recurrence`), by Newton's method; each weight is a
+    Christoffel number 1/sum_k p_k(x)^2 of the same recurrence, over k <=
+    2n for the Kronrod row and k < n for the Gauss row (up to there the
+    recurrence is Legendre's).  Built on first use, in 0.3-1 ms at the
+    tables' n, with no LAPACK call: an eigensolver's first call raised a
+    sweep's peak memory (DECISIONS.md, "Tables settle on a Gauss-Kronrod
+    pair").
+    """
+    b = _kronrod_recurrence(n)
+    size = 2 * n + 1
+    # Start from the cosine estimates of Legendre zeros: the n Gauss nodes
+    # at the odd positions, the Kronrod nodes midway between them in angle.
+    theta = np.pi * (4.0 * np.arange(1, n + 1) - 1.0) / (4.0 * n + 2.0)
+    angles = np.empty(size)
+    angles[1::2] = theta
+    angles[2:-1:2] = 0.5 * (theta[:-1] + theta[1:])
+    angles[0], angles[-1] = 0.5 * theta[0], np.pi - 0.5 * theta[0]
+    x = -np.cos(angles)
+    # Newton on q = 2^(2n+1) times the monic p_(2n+1), q_(k+1) = 2x q_k -
+    # 4 b_k q_(k-1), with q' from the complex step q(x + ih) = q(x) + ih
+    # q'(x) (exact to O(h^2) = 1e-60).  A step of 1e-12 leaves an error of
+    # order its square, so the iteration stops there.
+    four_b = [4.0 * value for value in b]
+    for _ in range(20):
+        z = 2.0 * x + 2e-30j
+        previous, q = np.zeros(size), np.ones(size)
+        for k in range(size):
+            previous, q = q, z * q - four_b[k] * previous
+        step = 1e-30 * q.real / q.imag
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-12:
+            break
+    x = 0.5 * (x - x[::-1])
+    root_b = [math.sqrt(value) for value in b]
+    previous, p = 0.0, 1.0 / root_b[0]
+    total = p * p
+    for k in range(2 * n):
+        if k == n - 1:
+            gauss = total[1::2]
+        previous, p = p, (x * p - root_b[k] * previous) / root_b[k + 1]
+        total = total + p * p
+    weights = np.zeros((2, size))
+    weights[0] = 1.0 / total
+    weights[1, 1::2] = 1.0 / gauss
+    weights = 0.25 * (weights + weights[:, ::-1])
+    return 0.5 * (x + 1.0), weights
+
+
+@lru_cache(maxsize=None)
+def _two_panels(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_gauss_kronrod(n_nodes // 2)` on each of the panels [0, 1/4] and [1/4, 1]: 2 n_nodes + 2 nodes."""
+    x, w = _gauss_kronrod(n_nodes // 2)
+    return 0.25 * np.concatenate([x, 1.0 + 3.0 * x]), 0.25 * np.concatenate([w, 3.0 * w], axis=1)
+
+
+def _rule_sums(y, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, size): y summed along its last axis under both weight rows, |y| under the Kronrod row.
+
+    pair[0] is the Kronrod sum, pair[1] the Gauss one; einsum's own loop
+    takes them, not a BLAS product.
+    """
+    return np.einsum("...m,jm->j...", y, weights), np.einsum("...m,m->...", np.abs(y), weights[0])
 
 
 def _reach(quadratic, linear):
     """The L > 0 with quadratic L^2 + linear L = TAIL_EXPONENT."""
     root = np.sqrt(linear * linear + 4.0 * quadratic * TAIL_EXPONENT)
     return 2.0 * TAIL_EXPONENT / (linear + root)
-
-
-def _two_panels(reach, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, reach]: n_nodes/2 Gauss-Legendre nodes on each of two panels.
-
-    The panels are [0, reach/4] and [reach/4, reach]; reach may be an array
-    (one grid per entry, along a last axis).
-    """
-    x, w = _gauss_legendre(n_nodes // 2)
-    t = 0.25 * reach * np.concatenate([x, 1.0 + 3.0 * x])
-    return t, 0.25 * reach * np.concatenate([w, 3.0 * w])
 
 
 def _exp_erfcx(expo, z, expo_joined, scale=None):
@@ -348,28 +443,34 @@ def _real_with_phase(values, delta: float, t):
 
 
 def _doubled(table, n_nodes: int, what: str) -> tuple[np.ndarray, int, float]:
-    """(values, n, rel) at the first n = n_nodes 2^j whose table(n) moves by rel <= TABLE_REL_TOL.
+    """(values, n, rel) at the first n = n_nodes 2^j whose Gauss-Kronrod pair agrees to rel <= TABLE_REL_TOL.
 
-    rel is the largest change from table(n/2) over the largest |entry|, or
-    over `scale` where table(n) returns (values, scale).
-    Raises ConvergenceError where the next n would pass MAX_TABLE_NODES.
+    table(n) returns (pair, size) from one set of integrand samples:
+    pair[0] the table under the Kronrod weights of n Gauss nodes, pair[1]
+    under the n Gauss weights alone, and size the Kronrod table of
+    |integrand|, the size of its integrals (an oscillating integrand can
+    leave an entry far below it).  rel = max |K - G| / max size estimates
+    the Gauss table's error, so it overstates the Kronrod values' error;
+    the Kronrod values are returned.  Raises ConvergenceError where the
+    next n would pass MAX_TABLE_NODES.
     """
-
-    def evaluate(n):
-        out = table(n)
-        return out if isinstance(out, tuple) else (out, float(np.max(np.abs(out))))
-
-    current, rel = evaluate(n_nodes)[0], math.inf
-    previous = current
-    while rel > TABLE_REL_TOL:
+    while True:
+        pair, size = table(n_nodes)
+        scale = float(np.max(size))
+        rel = float(np.max(np.abs(pair[0] - pair[1]))) / scale if scale > 0.0 else 0.0
+        if rel <= TABLE_REL_TOL:
+            return pair[0], n_nodes, rel
         if 2 * n_nodes > MAX_TABLE_NODES:
             raise ConvergenceError(
-                float(np.max(np.abs(current))), float(np.max(np.abs(previous))), rel, what
+                float(np.max(np.abs(pair[0]))), float(np.max(np.abs(pair[1]))), rel, what
             )
-        previous, n_nodes = current, 2 * n_nodes
-        current, scale = evaluate(n_nodes)
-        rel = float(np.max(np.abs(current - previous))) / scale if scale > 0.0 else 0.0
-    return current, n_nodes, rel
+        n_nodes *= 2
+
+
+def _evaluations(n_start: int, n_final: int, panels: int) -> int:
+    """Integrand samples per entry of a table settled at n_final: 2n + panels at each level from n_start."""
+    levels = (n_final // n_start).bit_length()
+    return 2 * n_start * (2**levels - 1) + panels * levels
 
 
 def _on_resonance(offset: float, frequency: float) -> float:
@@ -397,16 +498,20 @@ def _cw_incoherent_table(k, g, gc, vc, delta, n_nodes):
     `_two_panels` to the reach of the largest k serves every entry.  The
     K x n factors E and F are the largest arrays held.
 
-    Returns (R, scale) for `_doubled`: scale is the largest entry of the
-    same table with |f| for f, the size of its integrals.  Off resonance f
-    oscillates and an entry can be far below that size; on resonance f > 0
-    and scale is the largest |entry|.
+    Returns (pair, size) for `_doubled`: R under the Kronrod and the Gauss
+    weights, and R under the Kronrod weights with |f| for f, the size of
+    its integrals.  Off resonance f oscillates and an entry can be far
+    below that size; on resonance f > 0 and size is R.
     """
-    t, weights = _two_panels(_reach(1.0 / (4.0 * k[-1]), gc), n_nodes)
-    e = np.exp(-gc * t - t * t / (4.0 * k[:, None])) * weights
+    reach = _reach(1.0 / (4.0 * k[-1]), gc)
+    x, weights = _two_panels(n_nodes)
+    t = reach * x
+    e = np.exp(-gc * t - t * t / (4.0 * k[:, None]))
     f = _real_with_phase(_lorentz_gauss(k[:, None], t, delta, g), -vc, t)
-    prefactor = (np.sqrt(np.pi / k) / g)[:, None]
-    return prefactor * (e @ f.T), float(np.max(prefactor * (e @ np.abs(f).T)))
+    prefactor = reach * (np.sqrt(np.pi / k) / g)[:, None]
+    kronrod = e * weights[0]
+    pair = np.stack([kronrod @ f.T, (e * weights[1]) @ f.T])
+    return prefactor * pair, prefactor * (kronrod @ np.abs(f).T)
 
 
 def _cw_faddeeva(src: SqueezedCW, sys: FourLevelSystem, orders: np.ndarray) -> np.ndarray:
@@ -453,7 +558,7 @@ class CwExcitationEngine:
       odd orders for the coherent amplitude, Re w at the even ones for the
       intermediate population;
     - R, the K x K table of `_cw_incoherent_table` over k = m/2 = 1..K,
-      its nodes doubled until it settles to TABLE_REL_TOL (else
+      settled on its Gauss-Kronrod pair to TABLE_REL_TOL (`_doubled`, else
       ConvergenceError);
     - the photon-rate weights sqrt(pi/k) sigma_c_bar / 2 pi of the same k.
 
@@ -461,7 +566,7 @@ class CwExcitationEngine:
     a . conj w, b^T R b and b . Re w (`rate_squeezed_cw` has the formulas),
     and its photon rate as b . rate_weights (`sources.photon_rate_cw`).
     `diagnostics` reports `series_terms` (K) and `quadrature_rel_err` (R's
-    last node doubling's change), as the pulsed engine does.  `orders`, the
+    Gauss-Kronrod difference), as the pulsed engine does.  `orders`, the
     (even, odd) orders of `_series_orders` at `src.beta_bar`, spares their
     second forming when the caller has them (`cw_column_beta_max`).
     """
@@ -608,21 +713,25 @@ def _incoherent_table(a, norm, g, gc, vc, delta, n_nodes):
     B = (A_k + A_l)/2, P = (1/A_k + 1/A_l)/2, H(t) = Int_t^inf e^(-s^2/(8P)
     - g s) ds (one erfcx) and F = `_lorentz_gauss` at kappa = A_k A_l/(2B),
     lam = A_k t/(2B).  The integrand falls at least as e^(-t^2 (1/(8B) +
-    1/(8P)) - g t); Gauss-Legendre panels [0, L/4] and [L/4, L] of n/2
-    nodes each take it to that reach L.
+    1/(8P)) - g t); Gauss-Kronrod panels [0, L/4] and [L/4, L] of n/2
+    Gauss nodes each take it to that reach L.  Returns (pair, size) for
+    `_doubled`, as `_cw_incoherent_table` does.
     """
     a_k, a_l = a[:, None, None], a[None, :, None]
     b = 0.5 * (a_k + a_l)
     p = 0.5 * (1.0 / a_k + 1.0 / a_l)
-    t, weights = _two_panels(_reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g), n_nodes)
+    reach = _reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g)
+    x, weights = _two_panels(n_nodes)
+    t = reach * x
     # H's erfcx argument is positive (t, g >= 0), so e^expo erfcx(z) takes no join.
     h = np.exp(-t * t * (1.0 / (8.0 * b) + 1.0 / (8.0 * p)) - g * t) * erfcx(
         (t + 4.0 * p * g) / np.sqrt(8.0 * p)
     )
     f = _lorentz_gauss(a_k * a_l / (2.0 * b), a_k * t / (2.0 * b), vc, gc)
-    integral = np.sum(h * _real_with_phase(f, delta, t) * weights, axis=-1)
+    pair, size = _rule_sums(h * _real_with_phase(f, delta, t), weights)
     # H carries sqrt(2 pi P), so pi N_k N_l / sqrt(B P) becomes pi sqrt(2 pi) N_k N_l / sqrt(B).
-    return np.pi * np.sqrt(2.0 * np.pi) * np.outer(norm, norm) / np.sqrt(b[..., 0]) * integral
+    prefactor = np.pi * np.sqrt(2.0 * np.pi) * np.outer(norm, norm) / np.sqrt(b[..., 0]) * reach[..., 0]
+    return prefactor * pair, prefactor * size
 
 
 def _coherent_table(a, norm, g, gc, vc, delta, n_nodes):
@@ -632,21 +741,26 @@ def _coherent_table(a, norm, g, gc, vc, delta, n_nodes):
     with P = (1/A_k + 1/A_l)/2, D = 1/A_k - 1/A_l, H(t; y) = Int_t^inf
     e^(-P s^2/8 - y s) ds (one erfcx, y may be negative) and F =
     `_lorentz_gauss` at kappa = P/2, lam = t/2.  S_kl's integrand falls at
-    least as e^(-t^2/(4 A_k) - g t), so row k takes its own reach.
+    least as e^(-t^2/(4 A_k) - g t), so row k takes its own reach, on one
+    Gauss-Kronrod panel of n Gauss nodes.  Returns (pair, size) for
+    `_doubled`, size from |S_kl| + |S_lk|.
     """
     a_k, a_l = a[:, None, None], a[None, :, None]
     p = 0.5 * (1.0 / a_k + 1.0 / a_l)
-    x, w = _gauss_legendre(n_nodes)
+    x, weights = _gauss_kronrod(n_nodes)
     reach = _reach(1.0 / (4.0 * a_k), g)
     t = reach * x
     rate = g + (1.0 / a_k - 1.0 / a_l) * t / 8.0
     z = np.sqrt(p / 8.0) * t + rate * np.sqrt(2.0 / p)
     h = _exp_erfcx(-p * t * t / 4.0 - rate * t, z, 2.0 * rate * rate / p - p * t * t / 8.0)
     f = _real_with_phase(_lorentz_gauss(p / 2.0, t / 2.0, vc, gc), delta, t)
-    s = (h * f) @ w * reach[..., 0] / np.sqrt(p[..., 0])
+    pair, size = _rule_sums(h * f, weights)
+    to_s = reach[..., 0] / np.sqrt(p[..., 0])
+    pair, size = pair * to_s, size * to_s
     scale = norm / np.sqrt(a)
     # H carries sqrt(2 pi / P).
-    return 0.5 * np.pi * np.sqrt(2.0 * np.pi) * np.outer(scale, scale) * (s + s.T)
+    prefactor = 0.5 * np.pi * np.sqrt(2.0 * np.pi) * np.outer(scale, scale)
+    return prefactor * (pair + pair.swapaxes(1, 2)), prefactor * (size + size.T)
 
 
 def _population_table(a, norm, g, delta, tau, n_nodes):
@@ -656,15 +770,16 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
     (2 sqrt(A_k))) on resonance and one Faddeeva value off it.  Past s0 =
     min(2 sqrt(A_k TAIL_EXPONENT), TAIL_EXPONENT/g), E_k is its limit
     sqrt(pi A_k) e^(-A_k delta^2) to e^-TAIL_EXPONENT (or the integrand has
-    fallen by that much), and that piece is one erfcx; Gauss-Legendre nodes
-    take [0, s0].
+    fallen by that much), and that piece is one erfcx; one Gauss-Kronrod
+    panel of n Gauss nodes takes [0, s0].  Returns (pair, size) for
+    `_doubled`, size with |E_k| for E_k.
     """
     a_k = a[:, None]
     root = np.sqrt(a_k)
     cut = 2.0 * root * np.sqrt(TAIL_EXPONENT)
     if g > 0.0:
         cut = np.minimum(cut, TAIL_EXPONENT / g)
-    x, w = _gauss_legendre(n_nodes)
+    x, w = _gauss_kronrod(n_nodes)
     s = cut * x
     u = s / (2.0 * root)
     if delta == 0.0:
@@ -674,14 +789,17 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
         inner = np.sqrt(np.pi * a_k) * np.real(
             wofz(y + 0j) - np.exp(2j * u * y - u * u) * wofz(y + 1j * u)
         )
-    # e^(-g s - A (s - 2 tau)^2/4) = e^(-g s - A s^2/4) e^(A s tau) e^(-A tau^2).
-    weights = inner * w * cut * np.exp(-g * s - a_k * s * s / 4.0)
-    near = np.matmul(weights[:, None, :], np.exp((a_k * s)[..., None] * tau))[:, 0, :]
-    near *= np.exp(-a_k * tau * tau)
+    # e^(-g s - A (s - 2 tau)^2/4) = e^(-g s - A s^2/4) e^(A s tau) e^(-A tau^2):
+    # rows Kronrod, Gauss and Kronrod of |E_k| of one product per term.
+    y = inner * cut * np.exp(-g * s - a_k * s * s / 4.0)
+    weights = np.stack([y * w[0], y * w[1], np.abs(y) * w[0]], axis=1)
+    near = np.matmul(weights, np.exp((a_k * s)[..., None] * tau))
+    near *= np.exp(-a_k * tau * tau)[:, None, :]
     z = root * (cut - 2.0 * tau) / 2.0 + g / root
     expo = -g * cut - a_k * (cut - 2.0 * tau) ** 2 / 4.0
     far = np.sqrt(np.pi / a_k) * _exp_erfcx(expo, z, g * g / a_k - 2.0 * g * tau)
-    return norm[:, None] * (near + np.sqrt(np.pi * a_k) * np.exp(-a_k * delta * delta) * far)
+    out = norm[:, None, None] * (near + (np.sqrt(np.pi * a_k) * np.exp(-a_k * delta * delta) * far)[:, None])
+    return out[:, :2].swapaxes(0, 1), out[:, 2]
 
 
 def _rows_times(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -729,8 +847,10 @@ class PulsedExcitationEngine:
     sigma_s t, over +/-6 durations 1/sigma_s.  K is where the series at
     `r0_max` drops below CW_SERIES_CUT of its largest term
     (`_gain_series`); a read past r0_max raises ValueError.  Each table
-    doubles its Gauss-Legendre nodes until it moves by at most
-    TABLE_REL_TOL and raises ConvergenceError if it cannot.  Terms with
+    settles on a Gauss-Kronrod pair (`_doubled`): its Gauss nodes double
+    until its Kronrod and Gauss values differ by at most TABLE_REL_TOL of
+    its Kronrod table of |integrand|, and it raises ConvergenceError if
+    they cannot.  Terms with
     the same rho (all of them when mu = 0) share their entries.  Any source
     centres are allowed: the Green line's offset from the band-I centre
     enters as a phase and the Lorentzian's as a complex Faddeeva argument.
@@ -742,10 +862,11 @@ class PulsedExcitationEngine:
     alone, whatever other betas share the call.  A scalar read is the same
     code with one beta and gives floats; an array read gives arrays, one
     entry per beta.  `diagnostics` reports `series_terms` (K) and
-    `quadrature_rel_err` (the last node doubling's change, largest of the
+    `quadrature_rel_err` (the Gauss-Kronrod difference, largest of the
     tables), once for the whole read.  The tables are built in __init__ and
     only read afterwards.  `dec` (a cut Schmidt spectrum no read uses),
-    `n_in` (nodes per table entry) and `n_out_max` (table entries) are kept
+    `n_in` (integrand evaluations per entry of the costliest table, every
+    level counted) and `n_out_max` (table entries) are kept
     only for the benchmark's layer tracer (sweepbench/trace_layers.py),
     which reads them under those names.
     """
@@ -783,26 +904,26 @@ class PulsedExcitationEngine:
         # are one exp(m log(2 r0) - log(2 m!)).
         self._orders = np.arange(1.0, max(self.c_orders[-1], self.a_orders[-1]) + 1.0)
         self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self._orders) + 1]
-        nodes, errs = [], []
+        evaluations, errs = [], []
 
-        def table(build, orders, n_start, what):
+        def table(build, orders, n_start, panels, what):
             # rho = mu^(m/2) for both series; equal rho share one entry.
             rho, inverse = np.unique(mu ** (0.5 * orders), return_inverse=True)
             a, norm = _mehler(rho)
             values, n_nodes, rel = _doubled(lambda n: build(a, norm, n), n_start, what)
-            nodes.append(n_nodes)
+            evaluations.append(_evaluations(n_start, n_nodes, panels))
             errs.append(rel)
             return values, inverse
 
         incoh, inv = table(
             lambda a, norm, n: _incoherent_table(a, norm, g, gc, vc, delta, n),
-            self.c_orders, 32, "incoherent table",
+            self.c_orders, 32, 2, "incoherent table",
         )
         scale = eta.eta / (2.0 * np.pi * sigma_s**2 * a_eff**2)
         self.incoherent_table = scale * incoh[np.ix_(inv, inv)]
         coh, inv = table(
             lambda a, norm, n: _coherent_table(a, norm, g, gc, vc, delta, n),
-            self.a_orders, 24, "coherent table",
+            self.a_orders, 24, 1, "coherent table",
         )
         self.coherent_table = scale * coh[np.ix_(inv, inv)]
         self.population_table = None
@@ -810,7 +931,7 @@ class PulsedExcitationEngine:
             tau = _time_grid(1.0)
             pop, inv = table(
                 lambda a, norm, n: _population_table(a, norm, g, delta, tau, n),
-                self.c_orders, 32, "population table",
+                self.c_orders, 32, 1, "population table",
             )
             kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
             self.population_table = (kappa / (sigma_s * a_eff)) * pop[inv]
@@ -818,7 +939,7 @@ class PulsedExcitationEngine:
             "series_terms": max(len(self.c_orders), len(self.a_orders)),
             "quadrature_rel_err": max(errs),
         }
-        self.n_in = max(nodes)
+        self.n_in = max(evaluations)
         self.n_out_max = self.incoherent_table.size + self.coherent_table.size
 
     def series(self, beta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

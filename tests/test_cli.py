@@ -294,9 +294,10 @@ class TestCwSweep:
 
     def test_failed_rows_log_their_cause(self, tmp_path, monkeypatch, caplog):
         # A table is built per sigma_c_bar column.  The second column's
-        # incoherent table drifts by 1e-9/n at n nodes, so its node doubling
-        # never settles and raises ConvergenceError past MAX_TABLE_NODES:
-        # that column's three rows fail alone, each with its cause logged.
+        # incoherent table has its Kronrod values drift from its Gauss ones
+        # by 1e-9/n at n nodes, so its node doubling never settles and
+        # raises ConvergenceError past MAX_TABLE_NODES: that column's three
+        # rows fail alone, each with its cause logged.
         cfg = load_config(tiny_cw_config(tmp_path))
         calls = {"n": 0}
         original = excitation._doubled
@@ -305,8 +306,8 @@ class TestCwSweep:
             calls["n"] += 1
 
             def drift(n):
-                values, scale = table(n)
-                return values * (1.0 + 1e-9 / n), scale
+                pair, size = table(n)
+                return pair * np.array([1.0 + 1e-9 / n, 1.0])[:, None, None], size
 
             return original(drift if calls["n"] == 2 else table, n_nodes, what)
 
@@ -419,8 +420,8 @@ class TestCwSweep:
             assert row["r_sq_incoherent"] == pytest.approx(alone.incoherent, rel=1e-13, abs=0.0)
 
     def test_a_column_whose_table_fails_leaves_the_others_alone(self, monkeypatch, caplog):
-        # MAX_TABLE_NODES is 64 while the second column's table is built; at
-        # sigma_c_bar = Gamma_b it settles only at 128 nodes, so that column's
+        # MAX_TABLE_NODES is 32 while the second column's table is built; at
+        # sigma_c_bar = Gamma_b it settles only at 64 nodes, so that column's
         # five rows fail with ConvergenceError and the other ten rows are
         # those of an undisturbed run.
         cfg = load_config(REPO / "tests" / "data" / "regression_cw.json")
@@ -430,7 +431,7 @@ class TestCwSweep:
 
         def capped(table, n_nodes, what):
             calls["n"] += 1
-            monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 64 if calls["n"] == 2 else nodes)
+            monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 32 if calls["n"] == 2 else nodes)
             return original(table, n_nodes, what)
 
         monkeypatch.setattr(excitation, "_doubled", capped)

@@ -74,16 +74,17 @@ SWEEP_WIDTHS = tuple(load_config(CONFIGS / "cs_mot_cw_sweep.json").source["sigma
 def test_program_table_matches_the_reference_table(
     cs_system, cs_eta, mot_area, monkeypatch, ratio, beta_bar
 ):
-    # The R table `rate_squeezed_cw` settles on (the last one it builds)
-    # against the reference's 16 panels of 128 nodes, entry by entry.
+    # The R table `rate_squeezed_cw` settles on (the Kronrod row of the last
+    # pair it builds) against the reference's 16 panels of 128 nodes, entry
+    # by entry.
     system = cs_system[0]
     built = []
     original = excitation._cw_incoherent_table
 
     def recording(k, *args):
-        table, scale = original(k, *args)
-        built.append((k, table))
-        return table, scale
+        pair, size = original(k, *args)
+        built.append((k, pair[0]))
+        return pair, size
 
     monkeypatch.setattr(excitation, "_cw_incoherent_table", recording)
     src = SqueezedCW(beta_bar, ratio * system.gamma_b, system.omega_ba, system.omega_cb)
@@ -98,11 +99,12 @@ def test_program_table_matches_the_reference_table(
 @pytest.mark.parametrize("beta_bar", [1.0, 10.0, 30.0])
 def test_columns_off_two_photon_resonance_settle(cs_system, cs_eta, mot_area, detuning, beta_bar):
     # Band II `detuning` Gamma_b off omega_cb at sigma_c_bar = Gamma_b: the
-    # table's integrand oscillates, and its change is measured against the
-    # size of its integrals, as the classical pulse pair's is.  Measured
-    # against its largest entry it could not settle at 2 Gamma_b from
-    # beta_bar 10 on, nor at 10 Gamma_b at all.  The table the engine
-    # settles on matches one at twice its nodes to 1e-12 of that size.
+    # table's integrand oscillates, and its Gauss-Kronrod difference is
+    # measured against the size of its integrals, as the classical pulse
+    # pair's is.  Measured against its largest entry, node doubling could
+    # not settle at 2 Gamma_b from beta_bar 10 on, nor at 10 Gamma_b at
+    # all.  The table the engine settles on matches the Kronrod table at
+    # twice its nodes to 1e-12 of that size.
     system = cs_system[0]
     src = SqueezedCW(
         beta_bar, system.gamma_b, system.omega_ba, system.omega_cb + detuning * system.gamma_b
@@ -118,8 +120,8 @@ def test_columns_off_two_photon_resonance_settle(cs_system, cs_eta, mot_area, de
         return excitation._cw_incoherent_table(k, g, gc, vc, 0.0, n_nodes)
 
     _, n_nodes, _ = excitation._doubled(table, 32, "CW incoherent table")
-    finer, scale = table(2 * n_nodes)
-    assert np.max(np.abs(finer - engine.incoherent_table)) <= 1e-12 * scale
+    finer, size = table(2 * n_nodes)
+    assert np.max(np.abs(finer[0] - engine.incoherent_table)) <= 1e-12 * np.max(size)
 
 
 @pytest.mark.parametrize("config", [CONFIGS / "cs_mot.json", DATA / "regression_cw.json"])

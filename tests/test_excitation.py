@@ -1,3 +1,5 @@
+import ast
+import inspect
 import sys
 import threading
 from dataclasses import replace
@@ -18,6 +20,7 @@ from oracles import (
     classical_pulsed_population,
     eager_schmidt_decompose_analytic,
     cw_population_integral,
+    gauss_legendre_mpmath,
     lattice_correlate,
     mode_time_profiles,
     modes_at,
@@ -83,6 +86,79 @@ def classical_pulse_pair(system, sigma, n_photons):
         n_photons,
         n_photons,
     )
+
+
+GAUSS_SIZES = [10, 12, 16, 24, 32, 64, 512]
+
+
+class TestGaussKronrod:
+    """`excitation._gauss_kronrod(n)`, the rule every table settles on."""
+
+    @pytest.mark.parametrize("n", GAUSS_SIZES)
+    def test_rows_integrate_legendre_polynomials(self, n):
+        # Int_0^1 P_d(2x - 1) dx is 1 at d = 0 and 0 above: the Kronrod row
+        # is exact to d = 3n + 1, the Gauss row to d = 2n - 1.
+        x, weights = excitation._gauss_kronrod(n)
+        assert x.shape == (2 * n + 1,) and weights.shape == (2, 2 * n + 1)
+        t = 2.0 * x - 1.0
+        previous, p = np.zeros_like(t), np.ones_like(t)
+        for d in range(3 * n + 2):
+            exact = 1.0 if d == 0 else 0.0
+            assert abs(float(weights[0] @ p) - exact) <= 1e-14, ("Kronrod", d)
+            if d <= 2 * n - 1:
+                assert abs(float(weights[1] @ p) - exact) <= 1e-14, ("Gauss", d)
+            previous, p = p, ((2 * d + 1) * t * p - d * previous) / (d + 1)
+
+    @pytest.mark.parametrize("n", GAUSS_SIZES)
+    def test_gauss_row_is_gauss_legendre(self, n):
+        # The odd-position nodes and the Gauss row are `leggauss(n)` on [0,
+        # 1].  leggauss's own weights are off a 30-digit rule by up to
+        # 1.2e-15 at n = 64 and 2.6e-15 at n = 512, so the weights are held
+        # to that rule at 1e-15 (n <= 64; mpmath takes 2.6 s at 512) and to
+        # leggauss at 3e-15.
+        x, weights = excitation._gauss_kronrod(n)
+        nodes, gauss = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x[1::2] - 0.5 * (nodes + 1.0))) <= 1e-15
+        assert np.all(weights[1, ::2] == 0.0)
+        assert np.max(np.abs(weights[1, 1::2] - 0.5 * gauss)) <= 3e-15
+        if n <= 64:
+            exact_nodes, exact_weights = gauss_legendre_mpmath(n)
+            assert np.max(np.abs(x[1::2] - exact_nodes)) <= 1e-15
+            assert np.max(np.abs(weights[1, 1::2] - exact_weights)) <= 1e-15
+
+    def test_n10_is_quadpack_gk21(self):
+        # QUADPACK's GK21 constants as scipy writes them (nodes from +1 down
+        # to -1; 10 Gauss weights at the odd positions, 21 Kronrod weights).
+        from scipy.integrate import _quad_vec
+
+        tree = ast.parse(inspect.getsource(_quad_vec._quadrature_gk21))
+        constants = {
+            node.targets[0].id: np.array(ast.literal_eval(node.value), dtype=float)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        x, weights = excitation._gauss_kronrod(10)
+        assert np.max(np.abs(x - 0.5 * (1.0 - constants["x"]))) <= 1e-15
+        assert np.max(np.abs(weights[0] - 0.5 * constants["v"])) <= 1e-15
+        assert np.max(np.abs(weights[1, 1::2] - 0.5 * constants["w"])) <= 1e-15
+
+    def test_doubled_measures_the_difference_against_the_size_of_the_integrals(self):
+        # A table whose Kronrod and Gauss values differ by 1e-12 of its
+        # largest entry but 1e-14 of the size of its integrals (an
+        # oscillating integrand) settles at its first level, with rel
+        # from the size; one that never comes within TABLE_REL_TOL raises.
+        calls = []
+
+        def table(n):
+            calls.append(n)
+            values = np.array([1.0, -0.5])
+            return np.stack([values, values * (1.0 + 1e-12)]), np.array([100.0, 50.0])
+
+        values, n_nodes, rel = excitation._doubled(table, 32, "synthetic table")
+        assert calls == [32] and n_nodes == 32 and values.tolist() == [1.0, -0.5]
+        assert rel == pytest.approx(1e-14, rel=1e-3)
+        with pytest.raises(ConvergenceError, match="synthetic table did not converge"):
+            excitation._doubled(lambda n: (np.array([[1.0], [1.1]]), np.array([1.0])), 32, "synthetic table")
 
 
 class TestClassicalCW:
@@ -257,16 +333,19 @@ class TestClassicalPulsed:
         self, cs_system, cs_eta, mot_area, width_over_gamma_b, ratio_ii, detuning_over_gamma_b
     ):
         # The outer integral doubles its nodes as the squeezed tables do and
-        # reports the last doubling's change.  At 0.01 Gamma_b and 2 Gamma_b
-        # off omega_ba the integrand oscillates and Int |integrand| is about
-        # 11 times the value; measured against the value the change would
-        # stall above TABLE_REL_TOL and raise at MAX_TABLE_NODES.
+        # reports its last Gauss-Kronrod pair's difference.  At 0.01 Gamma_b
+        # and 2 Gamma_b off omega_ba the integrand oscillates and Int
+        # |integrand| is about 11 times the value; measured against the
+        # value the difference would stall above TABLE_REL_TOL and raise at
+        # MAX_TABLE_NODES.  `quadrature_nodes` counts the integrand's
+        # evaluations, 2n + 2 per level of n Gauss nodes on two panels: the
+        # integral settles within three levels (32, 64 and 128 nodes).
         system, _ = cs_system
         src = pulse_pair(system, width_over_gamma_b, ratio_ii, detuning_over_gamma_b)
         diagnostics = p_classical_pulsed(src, system, cs_eta, mot_area).diagnostics
         assert np.isfinite(diagnostics["quadrature_rel_err"])
         assert 0.0 <= diagnostics["quadrature_rel_err"] < 1e-12
-        assert 64 <= diagnostics["quadrature_nodes"] <= 256
+        assert diagnostics["quadrature_nodes"] in (66, 66 + 130, 66 + 130 + 258)
 
     def test_cw_limit_oracle(self, cs_system, cs_eta, mot_area):
         # Narrowband resonant pulses: p / T_eff must approach the analytic CW
@@ -420,13 +499,13 @@ class TestSqueezedCW:
         assert 0.0 < diagnostics["quadrature_rel_err"] <= excitation.TABLE_REL_TOL
 
     def test_table_raises_past_max_table_nodes(self, cs_system, cs_eta, mot_area, monkeypatch):
-        # At sigma_c_bar = Gamma_b the table settles only at 128 nodes.
+        # At sigma_c_bar = Gamma_b the table settles only at 64 nodes.
         system, _ = cs_system
         src = SqueezedCW(1.0, system.gamma_b, system.omega_ba, system.omega_cb)
-        monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 64)
+        monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 32)
         with pytest.raises(ConvergenceError, match="CW incoherent table did not converge"):
             rate_squeezed_cw(src, system, cs_eta, mot_area)
-        monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 128)
+        monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 64)
         assert rate_squeezed_cw(src, system, cs_eta, mot_area).incoherent > 0.0
 
     def test_column_engine_rejects_rows_it_cannot_read(self, cs_system, cs_eta, mot_area):

@@ -8,8 +8,10 @@ engine with exact Hermite tables, and every row against tables built at
 twice the nodes and ten more series terms.
 """
 
+import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from oracles import (
 
 import sqfluor.cli as cli
 import sqfluor.excitation as excitation
-from sqfluor.cli import run_pulsed_sweep
+from sqfluor.cli import run_cw_sweep, run_pulsed_sweep
 from sqfluor.config import load_config
 from sqfluor.excitation import (
     PulsedExcitationEngine,
@@ -45,6 +47,8 @@ from sqfluor.sources import (
 )
 from sqfluor.spectral import ConvergenceError, GaussianAmplitude
 from test_cli import tiny_pulsed_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # (sigma_p / Gamma_b, sigma_c / sigma_p) of the shipped pulsed config and of
 # sweepbench's two pulsed workloads (pulsed-fewmode's six are among the nine).
@@ -65,7 +69,7 @@ def panel(system, sigma_p_over_gamma_b, sigma_c_over_sigma_p, detuned=False):
 
 
 def raw_tables(src, system, n_terms, n_nodes=128):
-    """T, Q and the population table at tau = -1, 0, 0.7, 3 (no prefactors)."""
+    """T, Q and the population table at tau = -1, 0, 0.7, 3 (no prefactors), under the Kronrod weights."""
     u = pulsed_units(src, system)
     vc = excitation._on_resonance(u["vc"] * u["sigma_s"], system.omega_ca) / u["sigma_s"]
     mu = u["mu"]
@@ -73,9 +77,9 @@ def raw_tables(src, system, n_terms, n_nodes=128):
     a_a, n_a = excitation._mehler(mu ** (np.arange(n_terms) + 0.5))
     tau = np.array([-1.0, 0.0, 0.7, 3.0])
     return (
-        excitation._incoherent_table(a_c, n_c, u["g"], u["gc"], vc, u["delta"], n_nodes),
-        excitation._coherent_table(a_a, n_a, u["g"], u["gc"], vc, u["delta"], n_nodes),
-        excitation._population_table(a_c, n_c, u["g"], u["delta"], tau, n_nodes),
+        excitation._incoherent_table(a_c, n_c, u["g"], u["gc"], vc, u["delta"], n_nodes)[0][0],
+        excitation._coherent_table(a_a, n_a, u["g"], u["gc"], vc, u["delta"], n_nodes)[0][0],
+        excitation._population_table(a_c, n_c, u["g"], u["delta"], tau, n_nodes)[0][0],
         tau,
         dict(u, vc=vc),
     )
@@ -151,7 +155,7 @@ def test_rows_match_the_exact_hermite_lattice_engine(
     u = pulsed_units(src, system)
     tau = u["sigma_s"] * excitation._time_grid(1.0 / lattice.sigma_like)
     a_c, n_c = excitation._mehler(u["mu"] ** (0.5 * engine.c_orders))
-    pop_table = excitation._population_table(a_c, n_c, u["g"], u["delta"], tau, 128)
+    pop_table = excitation._population_table(a_c, n_c, u["g"], u["delta"], tau, 128)[0][0]
     kappa = one_photon_coupling(src.center_i, coupling.mu_sq_ba)
     for beta in betas:
         out, ref = engine.outcome(beta), lattice.outcome(beta)
@@ -205,7 +209,7 @@ def test_rows_equal_tables_at_twice_the_nodes_and_ten_more_terms(
 
     def twice_the_nodes(table, n_nodes, what):
         _, n_final, rel = doubled(table, n_nodes, what)
-        return table(2 * n_final), 2 * n_final, rel
+        return table(2 * n_final)[0][0], 2 * n_final, rel
 
     def ten_more_terms(r0, odd):
         kept = orders(r0, odd)
@@ -224,12 +228,117 @@ def test_rows_equal_tables_at_twice_the_nodes_and_ten_more_terms(
         assert out.diagnostics["quadrature_rel_err"] <= excitation.TABLE_REL_TOL
 
 
-def test_a_table_that_cannot_converge_raises(cs_system, cs_eta, mot_area, monkeypatch):
+@pytest.mark.parametrize("detuning_over_gamma_b", [0.0, 2.0])
+@pytest.mark.parametrize("sigma_c_over_sigma_p", [1.0, 3.0, 4.0, 10.0, 30.0])
+@pytest.mark.parametrize("sigma_p_over_gamma_b", [0.1, 1.0, 10.0])
+def test_tables_off_two_photon_resonance_settle(
+    cs_system, cs_eta, mot_area, monkeypatch,
+    sigma_p_over_gamma_b, sigma_c_over_sigma_p, detuning_over_gamma_b,
+):
+    # Band I on omega_ba or 2 Gamma_b off it (band II on omega_cb, so the
+    # pair is off two-photon resonance too), r0_max = 5.  Off resonance the
+    # integrands oscillate, and each table's Gauss-Kronrod difference is
+    # measured against its Kronrod table of |integrand|.  Measured against
+    # its largest entry, node doubling raised ConvergenceError on four
+    # detuned engines at sigma_p = 0.1 Gamma_b (sigma_c/sigma_p = 1, 3, 4
+    # and 10).  Every engine builds, and each detuned table matches the
+    # Kronrod table at twice its nodes to 1e-12 of that size.
     system, coupling = cs_system
-    src = panel(system, 1.0, 10.0)
+    gb = system.gamma_b
+    sigma_p = sigma_p_over_gamma_b * gb
+    src = SqueezedPulsed(
+        sigma_p, sigma_c_over_sigma_p * sigma_p,
+        system.omega_ba + detuning_over_gamma_b * gb, system.omega_cb,
+    )
+    settled = []
+    doubled = excitation._doubled
+
+    def recording(table, n_nodes, what):
+        values, n_final, rel = doubled(table, n_nodes, what)
+        settled.append((table, values, n_final, what))
+        return values, n_final, rel
+
+    monkeypatch.setattr(excitation, "_doubled", recording)
+    engine = PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=5.0)
+    assert engine.diagnostics["quadrature_rel_err"] <= excitation.TABLE_REL_TOL
+    assert [what for *_, what in settled] == [
+        "incoherent table", "coherent table", "population table"
+    ]
+    if detuning_over_gamma_b:
+        for table, values, n_final, what in settled:
+            finer, size = table(2 * n_final)
+            assert np.max(np.abs(finer[0] - values)) <= 1e-12 * np.max(size), what
+
+
+def test_tables_settle_at_their_first_level_on_the_shipped_panels(tmp_path, monkeypatch):
+    # Every table of the shipped pulsed and CW sweeps, and of sweepbench's
+    # pulsed panels (the shipped grid with sigma_c/sigma_p = 30 added),
+    # counted by its builder's calls.  The Gauss-Kronrod pair settles each
+    # pulsed table and each classical pulse pair at its first level (32
+    # nodes, 24 for the coherent table), except the incoherent tables at
+    # sigma_c/sigma_p = 100 and sigma_p <= Gamma_b, at their second.  Node
+    # doubling took one level more on every one of them: a first level
+    # that only fed its error estimate.  The CW columns, sigma_c_bar = 0.01
+    # to 100 Gamma_b, settle at levels 1, 1, 2, 2, 2, where doubling took
+    # 2, 2, 3, 3, 3.  A panel's `n_in` counts the integrand evaluations per
+    # entry of its costliest table: 66 for one level of two 16-node
+    # panels, 66 + 130 for two levels.
+    settled, n_in, panel = [], {}, [None]
+    doubled = excitation._doubled
+
+    def counting(table, n_nodes, what):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return table(n)
+
+        out = doubled(counted, n_nodes, what)
+        settled.append((panel[0], what, len(calls)))
+        return out
+
+    class Recording(cli.PulsedExcitationEngine):
+        def __init__(self, src, *args, **kwargs):
+            panel[0] = (src.sigma_p, src.sigma_c)
+            super().__init__(src, *args, **kwargs)
+            n_in[panel[0]] = self.n_in
+
+    monkeypatch.setattr(excitation, "_doubled", counting)
+    monkeypatch.setattr(cli, "PulsedExcitationEngine", Recording)
+    raw = json.loads((CONFIGS / "cs_mot_pulsed_sweep.json").read_text())
+    raw["source"]["sigma_c_over_sigma_p"] = [1.0, 10.0, 30.0, 100.0]
+    path = tmp_path / "panels.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    gb = cfg.system.gamma_b
+    rows = run_pulsed_sweep(cfg)
+    assert all(row["validity"] != "failed" for row in rows)
+    assert len(n_in) == 12
+    pairs = [levels for _, what, levels in settled if what == "classical pulse pair"]
+    assert len(pairs) == 12 and set(pairs) == {1}
+    for key in n_in:
+        sigma_p, sigma_c = key
+        hard = sigma_c == 100.0 * sigma_p and sigma_p <= 1.001 * gb
+        tables = {what: levels for at, what, levels in settled if at == key and "pair" not in what}
+        assert tables == {
+            "incoherent table": 2 if hard else 1, "coherent table": 1, "population table": 1,
+        }, key
+        assert n_in[key] == (66 + 130 if hard else 66), key
+
+    settled.clear()
+    rows = run_cw_sweep(load_config(CONFIGS / "cs_mot_cw_sweep.json"))
+    assert [r["sigma_c_over_gamma_b"] for r in rows[::270]] == [0.01, 0.1, 1.0, 10.0, 100.0]
+    assert [levels for _, _, levels in settled] == [1, 1, 2, 2, 2]
+
+
+def test_a_table_that_cannot_converge_raises(cs_system, cs_eta, mot_area, monkeypatch):
+    # At sigma_c/sigma_p = 100 and r0_max = 3 the incoherent table settles
+    # only at 64 nodes.
+    system, coupling = cs_system
+    src = panel(system, 0.1, 100.0)
     monkeypatch.setattr(excitation, "MAX_TABLE_NODES", 32)
     with pytest.raises(ConvergenceError, match="incoherent table did not converge"):
-        PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=1.0)
+        PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=3.0)
 
 
 def test_a_panel_whose_tables_fail_fails_its_rows_only(tmp_path, monkeypatch, caplog):
