@@ -54,7 +54,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.special import erf, erfcx, wofz
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
 # Unused here: sweepbench's layer tracer wraps it on this module by name.
@@ -73,6 +72,7 @@ from .sources import (
     photon_number_pulsed,
     squeezing_from_roots,
 )
+from .special import erf, erfcx, wofz
 from .spectral import (
     GaussianAmplitude,
     ConvergenceError,
@@ -281,37 +281,6 @@ MAX_TABLE_NODES = 1024
 TAIL_EXPONENT = 45.0
 
 
-def _kronrod_recurrence(n: int) -> list[float]:
-    """b_0..b_2n of the Jacobi-Kronrod matrix that extends n-point Gauss-Legendre.
-
-    Laurie's algorithm (Math. Comp. 66, 1133 (1997)) on Python floats,
-    written for an even weight: every a_k is 0, so only its b_k updates
-    are kept.  The first ceil(3n/2) + 1 are Legendre's b_0 = 2, b_k =
-    k^2/(4k^2 - 1); the rest follow from the mixed moments s and t.
-    """
-    known = (3 * n + 1) // 2 + 1
-    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, known)] + [0.0] * (2 * n + 1 - known)
-    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        u = 0.0
-        for k in range((m + 1) // 2, -1, -1):
-            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
-            s[k + 1] = u
-        s, t = t, s
-    s[1:] = s[:-1]
-    for m in range(n - 1, 2 * n - 2):
-        u = 0.0
-        for k in range(m + 1 - n, (m - 1) // 2 + 1):
-            j = n - 1 - m + k
-            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
-            s[j + 1] = u
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    return b
-
-
 @lru_cache(maxsize=None)
 def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (2n+1)-point Gauss-Kronrod rule on [0, 1]: nodes x and weights of shape (2, 2n+1).
@@ -319,53 +288,85 @@ def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
     Row 0 holds the Kronrod weights, exact to degree 3n+1; row 1 the n-point
     Gauss-Legendre weights, at the odd positions x[1::2] and zero at the
     Kronrod nodes between them.  For n = 10 it is QUADPACK's GK21
-    (Piessens et al., 1983).  The nodes are the zeros of p_(2n+1), the last
-    orthonormal polynomial of the Jacobi-Kronrod recurrence
-    (`_kronrod_recurrence`), by Newton's method; each weight is a
-    Christoffel number 1/sum_k p_k(x)^2 of the same recurrence, over k <=
-    2n for the Kronrod row and k < n for the Gauss row (up to there the
-    recurrence is Legendre's).  Built on first use, in 0.3-1 ms at the
-    tables' n, with no LAPACK call: an eigensolver's first call raised a
-    sweep's peak memory (DECISIONS.md, "Tables settle on a Gauss-Kronrod
-    pair").
+    (Piessens et al., 1983).  On [-1, 1], at x = cos t, the Gauss nodes are
+    the zeros of Legendre's P_n and the Kronrod nodes those of the
+    Stieltjes polynomial E_(n+1), and both are cosine sums in t:
+
+        P_n(cos t) = sum_i g_i g_(n-i) cos((n - 2i) t),   g_i = binom(2i, i) / 4^i,
+        E_(n+1)(cos t) = sum_k a_k cos((n + 1 - 2k) t),   a_0 = 1.
+
+    Int P_n E_(n+1) T_m dx = 0 for odd m <= n fixes the a_k (Piessens &
+    Branders, Math. Comp. 28, 135 (1974)): with I_j = Int P_n T_j dx, which
+    vanishes for j < n, they are the power-series coefficients of (1 -
+    s) / R(s), R(s) = sum_d (I_(n+2d) / I_n) s^d.  Newton's method in t
+    takes the zeros on t <= pi/2 at once (the rule is symmetric), from
+    Tricomi's estimates of the Legendre zeros and midway in angle between
+    them; each m t is split at 2^-40 of t, so that its rounding does not
+    grow with m.  With P' and E' the derivatives in t and c = -2 sin t /
+    ((2n + 1) g_n), the weights on [-1, 1] are closed forms in the same
+    sums (Monegato, SIAM Rev. 24, 137 (1982)): 2 / P_n'^2 for Gauss; for
+    Kronrod, that plus c / (P_n' E_(n+1)) at the Gauss nodes and c /
+    (P_n E_(n+1)') at the others.  Built on first use, in 0.3-0.5 ms at
+    the tables' n in a fresh process, with no LAPACK call: an eigensolver's
+    first call raised a sweep's peak memory (DECISIONS.md, "Tables settle
+    on a Gauss-Kronrod pair").
     """
-    b = _kronrod_recurrence(n)
-    size = 2 * n + 1
-    # Start from the cosine estimates of Legendre zeros: the n Gauss nodes
-    # at the odd positions, the Kronrod nodes midway between them in angle.
+    g = np.cumprod([1.0] + [(2.0 * i - 1.0) / (2.0 * i) for i in range(1, n + 1)])
+    legendre = g * g[::-1]
+    half = (n + 1) // 2
+    # I_(n+2d) from P_n's cosine sum: Int_0^pi cos(N t) sin t dt = 2/(1 - N^2) at even N.
+    j = n + 2.0 * np.arange(half + 1)
+    m = n - 2.0 * np.arange(n + 1)
+    moments = np.einsum(
+        "dm,m->d", 1.0 / (1.0 - np.add.outer(j, m) ** 2) + 1.0 / (1.0 - np.subtract.outer(j, m) ** 2),
+        legendre,
+    )
+    r = moments / moments[0]
+    a = np.zeros(half + 1)
+    a[0] = 1.0
+    for k in range(1, half + 1):
+        a[k] = (-1.0 if k == 1 else 0.0) - np.dot(a[:k], r[k:0:-1])
+    # The rule is symmetric about x = 0 (t = pi/2), so Newton runs on the
+    # first n + 1 positions, t <= pi/2, and the rest are their mirror images.
+    rows = n + 1
+    orders = np.arange(n + 2.0)
+    p_row, e_row = np.zeros(n + 2), np.zeros(n + 2)
+    np.add.at(p_row, np.abs(n - 2 * np.arange(n + 1)), legendre)
+    e_row[n + 1 - 2 * np.arange(half + 1)] = a
+    gauss = np.arange(rows) % 2 == 1
+    own = np.where(gauss[:, None], p_row, e_row)
+    other = np.where(gauss[:, None], e_row, p_row)
+    slope = -orders * own
     theta = np.pi * (4.0 * np.arange(1, n + 1) - 1.0) / (4.0 * n + 2.0)
-    angles = np.empty(size)
-    angles[1::2] = theta
-    angles[2:-1:2] = 0.5 * (theta[:-1] + theta[1:])
-    angles[0], angles[-1] = 0.5 * theta[0], np.pi - 0.5 * theta[0]
-    x = -np.cos(angles)
-    # Newton on q = 2^(2n+1) times the monic p_(2n+1), q_(k+1) = 2x q_k -
-    # 4 b_k q_(k-1), with q' from the complex step q(x + ih) = q(x) + ih
-    # q'(x) (exact to O(h^2) = 1e-60).  A step of 1e-12 leaves an error of
-    # order its square, so the iteration stops there.
-    four_b = [4.0 * value for value in b]
+    theta = np.arccos((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n**3)) * np.cos(theta))
+    t = np.empty(2 * n + 1)
+    t[1::2] = theta
+    t[2:-1:2] = 0.5 * (theta[:-1] + theta[1:])
+    t[0] = 0.4073 * theta[0]  # the first Kronrod angle's ratio to the first Gauss one, n = 10 to 512
+    t = t[:rows]
+    t[-1] = 0.5 * np.pi
     for _ in range(20):
-        z = 2.0 * x + 2e-30j
-        previous, q = np.zeros(size), np.ones(size)
-        for k in range(size):
-            previous, q = q, z * q - four_b[k] * previous
-        step = 1e-30 * q.real / q.imag
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-12:
+        hi = np.round(t * 2.0**40) * 2.0**-40
+        arg = np.multiply.outer(hi, orders)
+        lo = np.multiply.outer(t - hi, orders)
+        cos_hi, sin_hi = np.cos(arg), np.sin(arg)
+        # cos and sin of m t to first order in m (t - hi) < 3e-10, whose square is below 1e-19.
+        cosines, sines = cos_hi - sin_hi * lo, sin_hi + cos_hi * lo
+        value = np.einsum("ij,ij->i", cosines, own)
+        derivative = np.einsum("ij,ij->i", sines, slope)
+        step = value / derivative
+        if np.max(np.abs(step)) <= 1e-14:
             break
-    x = 0.5 * (x - x[::-1])
-    root_b = [math.sqrt(value) for value in b]
-    previous, p = 0.0, 1.0 / root_b[0]
-    total = p * p
-    for k in range(2 * n):
-        if k == n - 1:
-            gauss = total[1::2]
-        previous, p = p, (x * p - root_b[k] * previous) / root_b[k + 1]
-        total = total + p * p
-    weights = np.zeros((2, size))
-    weights[0] = 1.0 / total
-    weights[1, 1::2] = 1.0 / gauss
-    weights = 0.25 * (weights + weights[:, ::-1])
+        t = t - step
+    c = -2.0 * sines[:, 1] / ((2 * n + 1) * g[n])
+    at_other = np.einsum("ij,ij->i", cosines, other)
+    weights = np.zeros((2, rows))
+    weights[1, gauss] = 2.0 / derivative[gauss] ** 2
+    weights[0] = weights[1] + c / (derivative * at_other)
+    weights = 0.5 * np.concatenate([weights, weights[:, -2::-1]], axis=1)
+    x = -cosines[:, 1]
+    x[-1] = 0.0
+    x = np.concatenate([x, -x[-2::-1]])
     return 0.5 * (x + 1.0), weights
 
 
@@ -723,10 +724,16 @@ def _incoherent_table(a, norm, g, gc, vc, delta, n_nodes):
     reach = _reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g)
     x, weights = _two_panels(n_nodes)
     t = reach * x
-    # H's erfcx argument is positive (t, g >= 0), so e^expo erfcx(z) takes no join.
-    h = np.exp(-t * t * (1.0 / (8.0 * b) + 1.0 / (8.0 * p)) - g * t) * erfcx(
-        (t + 4.0 * p * g) / np.sqrt(8.0 * p)
+    # H is symmetric in k and l bit for bit (b and p are commutative sums),
+    # so it is taken for k <= l and mirrored.  Its erfcx argument is
+    # positive (t, g >= 0), so e^expo erfcx(z) takes no join.
+    upper = np.triu_indices(len(a))
+    tu, bu, pu = t[upper], b[upper], p[upper]
+    h = np.empty_like(t)
+    h[upper] = np.exp(-tu * tu * (1.0 / (8.0 * bu) + 1.0 / (8.0 * pu)) - g * tu) * erfcx(
+        (tu + 4.0 * pu * g) / np.sqrt(8.0 * pu)
     )
+    h.swapaxes(0, 1)[upper] = h[upper]
     f = _lorentz_gauss(a_k * a_l / (2.0 * b), a_k * t / (2.0 * b), vc, gc)
     pair, size = _rule_sums(h * _real_with_phase(f, delta, t), weights)
     # H carries sqrt(2 pi P), so pi N_k N_l / sqrt(B P) becomes pi sqrt(2 pi) N_k N_l / sqrt(B).

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .constants import PI
+from .special import erfcx
 
 __all__ = [
     "BeamProfile",

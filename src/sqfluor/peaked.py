@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import voigt_profile, wofz
 
+from .special import erfcx
 from .spectral import (
     GreenFunctionParams,
     LorentzianLineshape,
@@ -99,16 +99,17 @@ class PeakedKernel:
 
     def gaussian_moments(self, window: float):
         """(M0, M1) of kernel(w)*{1, (w-center)}*exp(-(w-center)^2/(2 window^2)) dw."""
+        # w(ia) = exp(a^2) erfc(a); the Voigt profile at its centre,
+        # sqrt(2 pi) window V(0; window, gamma/2), is the same value.
         a = self.gamma / (2.0 * np.sqrt(2.0) * window)
+        wa = float(erfcx(a))
         if self.kind == "green":
-            wa = float(np.real(wofz(1j * a)))  # exp(a^2) erfc(a)
             m0 = 1j * np.pi * wa
             m1 = -np.sqrt(2.0) * window * (np.sqrt(np.pi) - np.pi * a * wa)
             return m0, m1
-        v0 = np.sqrt(2.0 * np.pi) * window * voigt_profile(0.0, window, 0.5 * self.gamma)
         if self.kind == "lorentzian":
-            return v0, 0.0
-        return (2.0 * np.pi / self.gamma) * v0, 0.0
+            return wa, 0.0
+        return (2.0 * np.pi / self.gamma) * wa, 0.0
 
 
 def green_kernel(transition_frequency: float, gamma_total: float) -> PeakedKernel:

@@ -18,7 +18,10 @@ N(beta) is the pulsed engine's own photon number and the CW side reads
 one `CwExcitationEngine` along the envelope.  The time integrals take a
 Gauss-Hermite rule in u = sigma_p t.  Each gap pulsed/CW - 1 is second
 order in sigma_p: from sigma_c/sigma_p = 1e3 to 1e5 it must fall by at
-least 50x per decade, or be below 1e-9.
+least 50x per decade, or be below 1e-9.  At sigma_c = 0.3 and 10 Gamma_b
+the gaps at 1e3 reach 4.6e-6 and 4.3e-3, so there only their fall is
+held; these bandwidths take the error-function kernels
+(`sqfluor.special`) over wider arguments than the shipped panels do.
 """
 
 import math
@@ -33,6 +36,7 @@ from sqfluor.excitation import CwExcitationEngine, PulsedExcitationEngine
 from sqfluor.sources import SqueezedCW, SqueezedPulsed, photon_rate_cw
 
 RATIOS = (1e3, 1e4, 1e5)  # sigma_c / sigma_p
+BANDWIDTHS = (0.3, 10.0)  # sigma_c / Gamma_b besides 1
 PHOTONS = (0.1, 10.0, 1000.0)
 R0_MAX = math.asinh(math.sqrt(max(PHOTONS)))
 
@@ -49,21 +53,29 @@ def over_the_pulse(read, beta_bar0: float, sigma_p: float) -> float:
     return float(RULE @ [read(beta_bar0 * e) for e in ENVELOPE]) / sigma_p
 
 
-@pytest.fixture(scope="module")
-def engines(cs_system, cs_eta, mot_area):
-    """The CW column engine at sigma_c_bar = Gamma_b / sqrt(2), and one pulsed engine per ratio."""
-    system = cs_system[0]
-    sigma_c = system.gamma_b
+def column_and_pulses(system, eta, area, sigma_c):
+    """The CW column engine at sigma_c_bar = sigma_c / sqrt(2), and one pulsed engine per ratio."""
     column = SqueezedCW(5.0, sigma_c / math.sqrt(2.0), system.omega_ba, system.omega_cb)
-    cw = CwExcitationEngine(column, system, cs_eta, mot_area)
+    cw = CwExcitationEngine(column, system, eta, area)
     pulsed = {
         ratio: PulsedExcitationEngine(
             SqueezedPulsed(sigma_c / ratio, sigma_c, system.omega_ba, system.omega_cb),
-            system, cs_eta, mot_area, r0_max=R0_MAX,
+            system, eta, area, r0_max=R0_MAX,
         )
         for ratio in RATIOS
     }
     return cw, pulsed
+
+
+@pytest.fixture(scope="module")
+def engines(cs_system, cs_eta, mot_area):
+    return column_and_pulses(cs_system[0], cs_eta, mot_area, cs_system[0].gamma_b)
+
+
+@pytest.fixture(scope="module", params=BANDWIDTHS)
+def other_engines(request, cs_system, cs_eta, mot_area):
+    system = cs_system[0]
+    return column_and_pulses(system, cs_eta, mot_area, request.param * system.gamma_b)
 
 
 def gaps(cw, engine, n_photons):
@@ -87,14 +99,26 @@ def gaps(cw, engine, n_photons):
     return out.coherent / coherent - 1.0, out.incoherent / incoherent - 1.0, beta_bar0 / r0 - 1.0
 
 
-@pytest.mark.parametrize("n_photons", PHOTONS)
-def test_pulsed_rates_tend_to_the_cw_rates_over_the_envelope(engines, n_photons):
-    cw, pulsed = engines
-    measured = [gaps(cw, pulsed[ratio], n_photons) for ratio in RATIOS]
+def assert_second_order(measured):
+    """Each gap falls by at least 50x per decade of sigma_c/sigma_p, or ends below 1e-9."""
     for ratio, (_, _, pump) in zip(RATIOS, measured):
         assert abs(pump) <= 2.0 / ratio
     for name, column in (("coherent", 0), ("incoherent", 1)):
         gap = [abs(m[column]) for m in measured]
-        assert gap[0] < 1e-4, (name, gap)
         for longer, shorter in zip(gap[1:], gap):
             assert longer <= shorter / 50.0 or longer < 1e-9, (name, gap)
+
+
+@pytest.mark.parametrize("n_photons", PHOTONS)
+def test_pulsed_rates_tend_to_the_cw_rates_over_the_envelope(engines, n_photons):
+    cw, pulsed = engines
+    measured = [gaps(cw, pulsed[ratio], n_photons) for ratio in RATIOS]
+    assert_second_order(measured)
+    for name, column in (("coherent", 0), ("incoherent", 1)):
+        assert abs(measured[0][column]) < 1e-4, (name, measured)
+
+
+@pytest.mark.parametrize("n_photons", PHOTONS)
+def test_other_bandwidths_tend_to_the_cw_rates_over_the_envelope(other_engines, n_photons):
+    cw, pulsed = other_engines
+    assert_second_order([gaps(cw, pulsed[ratio], n_photons) for ratio in RATIOS])

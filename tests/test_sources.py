@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from oracles import (
 
 from sqfluor.spectral import SpectralGrid, quad_1d
 from sqfluor.sources import (
+    LOG_FACTORIALS,
     ClassicalCW,
     ClassicalPulsed,
     GridTooCoarseError,
@@ -343,6 +345,19 @@ def source_of_mode_ratio(mu):
     """A pulsed source whose Schmidt weights are p_n = (1 - mu) mu^n."""
     root = np.sqrt(mu)
     return pulsed_source(sigma_p=SIGMA, sigma_c=SIGMA * (1.0 + root) / (1.0 - root))
+
+
+def test_log_factorials_are_within_one_ulp_of_30_digit_values():
+    # Every Gaussian-series term is exp(m log(2 r0) - log(2 m!)), so each
+    # entry's last bit reaches the rows (and, through the photon-number
+    # inversion, which rows a held-back Brent solve leaves failed).
+    # scipy's gammaln is more than an ulp off at 91 of the 961 entries and
+    # math.lgamma at 64 (3 ulp at log 2).
+    assert len(LOG_FACTORIALS) == 961 and LOG_FACTORIALS[0] == LOG_FACTORIALS[1] == 0.0
+    with mpmath.workdps(30):
+        for m in range(2, len(LOG_FACTORIALS)):
+            exact = mpmath.loggamma(m + 1)
+            assert abs(mpmath.mpf(LOG_FACTORIALS[m]) - exact) <= np.spacing(float(exact)), m
 
 
 class TestPhotonNumberPulsed:
