@@ -227,13 +227,13 @@ def run_cw_sweep(cfg: RunConfig, jobs: int = 1) -> list[dict]:
             # columns scales the beta window by sqrt(sigma_ref / sigma).
             grid = base_grid * np.sqrt(ratios[0] / ratio)
         tasks = [{"sigma_c_over_gamma_b": ratio, "beta_bar": float(b)} for b in grid]
-        beta_bar_max, orders = cw_column_beta_max(task["beta_bar"] for task in tasks)
+        beta_bar_max, series = cw_column_beta_max(task["beta_bar"] for task in tasks)
         column = SqueezedCW(
             beta_bar=beta_bar_max, sigma_c_bar=ratio * system.gamma_b,
             center_i=system.omega_ba, center_ii=system.omega_cb,
         )
         try:
-            engine = CwExcitationEngine(column, system, eta, area, coupling, orders=orders)
+            engine = CwExcitationEngine(column, system, eta, area, coupling, series=series)
         except NumericalError as exc:
             engine = exc  # each row of the column fails with the error
         compute_row = partial(compute, engine=engine, column=column)

@@ -14,7 +14,7 @@ verbatim.  Outer integrals are plain domega.
     p_sq_pulse,ic= eta Int L(w) sum_nm |Int G_ba f_IIn f_Im dbar s_n s_m|^2 dw / A^2
 
 Squeezed light, CW and pulsed, is computed from Gaussian series of the
-gains (`sources._gain_series`), so every frequency integral is a Gaussian
+gains (`sources.GainSeries`), so every frequency integral is a Gaussian
 against a Lorentzian or a Green pole.  On CW rows the coherent amplitude
 Int G_ba s_I c_I is one Faddeeva value per term, the photon rate
 (`sources.photon_rate_cw`) and the intermediate population
@@ -64,10 +64,9 @@ from .sources import (
     SchmidtDecomposition,
     SqueezedCW,
     SqueezedPulsed,
-    LOG_FACTORIALS,
-    _gain_series,
+    GainSeries,
     _photon_weights,
-    _sinh2_series,
+    _rate_weights,
     geometric_mode_ratio,
     photon_number_pulsed,
     squeezing_from_roots,
@@ -528,23 +527,20 @@ def _cw_population(src, sys, coupling, a_eff, b_k, re_w) -> float:
     return float(kappa * integral / (TWO_PI * a_eff))
 
 
-def cw_column_beta_max(beta_bars) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """The largest of a column's beta_bars whose Gaussian series can be formed, and their orders.
+def cw_column_beta_max(beta_bars) -> tuple[float, GainSeries]:
+    """The largest of a column's beta_bars whose Gaussian series can be formed, and that series.
 
-    Returns that beta_bar (else 0.0) and the (even, odd) orders of
-    `_series_orders` there.  That is the beta_bar a column's
-    `CwExcitationEngine` is built at, and the orders are handed to it
-    (`orders=`), so the series are formed once per column: they run out
-    from beta_bar = 353 on (`sources._gain_series`), and only the rows past
-    them fail.
+    Returns that beta_bar (else 0.0) and its `GainSeries`.  That is the
+    beta_bar a column's `CwExcitationEngine` is built at, and the series
+    is handed to it (`series=`), so it is formed once per column: it runs
+    out from beta_bar = 353 on, and only the rows past it fail.
     """
     for beta_bar in sorted(beta_bars, reverse=True):
         try:
-            orders = _series_orders(beta_bar, odd=False), _series_orders(beta_bar, odd=True)
+            return float(beta_bar), GainSeries(beta_bar)
         except NumericalError:
             continue
-        return float(beta_bar), orders
-    return 0.0, (_series_orders(0.0, odd=False), _series_orders(0.0, odd=True))
+    return 0.0, GainSeries(0.0)
 
 
 class CwExcitationEngine:
@@ -552,9 +548,8 @@ class CwExcitationEngine:
 
     The tables depend on the column (sigma_c_bar, the source centres and the
     system), not on beta_bar, which sets only the terms a row reads.  Built
-    at `src.beta_bar`, the engine holds, over every order m up to the last
-    `_gain_series` keeps there:
-    - log(2 m!), from `sources.LOG_FACTORIALS`;
+    at `src.beta_bar`, the engine holds, over every order m of the
+    `sources.GainSeries` there (`gain_series`):
     - the Faddeeva values w(sqrt(m/2) z) of `_cw_faddeeva`: conj w at the
       odd orders for the coherent amplitude, Re w at the even ones for the
       intermediate population;
@@ -567,9 +562,9 @@ class CwExcitationEngine:
     a . conj w, b^T R b and b . Re w (`rate_squeezed_cw` has the formulas),
     and its photon rate as b . rate_weights (`sources.photon_rate_cw`).
     `diagnostics` reports `series_terms` (K) and `quadrature_rel_err` (R's
-    Gauss-Kronrod difference), as the pulsed engine does.  `orders`, the
-    (even, odd) orders of `_series_orders` at `src.beta_bar`, spares their
-    second forming when the caller has them (`cw_column_beta_max`).
+    Gauss-Kronrod difference), as the pulsed engine does.  `series`, the
+    `GainSeries` at `src.beta_bar`, spares its second forming when the
+    caller has it (`cw_column_beta_max`).
     """
 
     def __init__(
@@ -580,7 +575,7 @@ class CwExcitationEngine:
         a_eff: float,
         coupling: DipoleCoupling | None = None,
         *,
-        orders: tuple[np.ndarray, np.ndarray] | None = None,
+        series: GainSeries | None = None,
     ):
         self.src = src
         self.sys = sys
@@ -592,15 +587,11 @@ class CwExcitationEngine:
         # `sources.photon_rate_cw` checks the source's three.
         self.column = (src.sigma_c_bar, src.center_i, src.center_ii, sys, eta, a_eff, coupling)
         sigma = src.sigma_c_bar
-        if orders is None:
-            orders = _series_orders(src.beta_bar, odd=False), _series_orders(src.beta_bar, odd=True)
-        even, odd = orders
-        self._n_even, self._n_odd = len(even), len(odd)
-        self._orders = np.arange(1.0, max(even[-1], odd[-1]) + 1.0)
-        self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self._orders) + 1]
-        faddeeva = _cw_faddeeva(src, sys, self._orders)
-        self._coherent_w = np.conj(faddeeva[0 : 2 * self._n_odd : 2])
-        self._population_w = faddeeva[1 : 2 * self._n_even : 2].real
+        if series is None:
+            series = GainSeries(src.beta_bar)
+        self.gain_series = series
+        population_w, coherent_w = series.split(_cw_faddeeva(src, sys, series.orders))
+        self._coherent_w, self._population_w = np.conj(coherent_w), population_w.real
         self._l_at_pump = float(lorentzian(src.pump_center, sys.lineshape_ca()))
         # (beta_bar, terms) of the last `series` call, replaced as one tuple so
         # that a reader never pairs one row's beta_bar with another's terms.
@@ -609,12 +600,12 @@ class CwExcitationEngine:
         g, gc = 0.5 * sys.gamma_b / sigma, 0.5 * sys.gamma_c / sigma
         delta = (sys.omega_ba - src.center_i) / sigma
         vc = _on_resonance((sys.omega_ca - src.center_i) - src.center_ii, sys.omega_ca) / sigma
-        k = even / 2.0
-        self.rate_weights = np.sqrt(np.pi / k) * sigma / TWO_PI
+        k = series.even / 2.0
+        self.rate_weights = _rate_weights(series, sigma)
         self.incoherent_table, _, rel = _doubled(
             lambda n: _cw_incoherent_table(k, g, gc, vc, delta, n), 32, "CW incoherent table"
         )
-        self.diagnostics = {"series_terms": max(len(even), len(odd)), "quadrature_rel_err": rel}
+        self.diagnostics = {"series_terms": max(len(series.even), len(series.odd)), "quadrature_rel_err": rel}
 
     def series(self, beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
         """(b, a): the terms of sinh^2 (even orders) and sinh cosh (odd) at beta_bar.
@@ -628,18 +619,11 @@ class CwExcitationEngine:
         if beta_bar == last_beta_bar:
             return last_terms
         if beta_bar > self.beta_bar_max:
-            _series_orders(beta_bar, odd=False)
-            _series_orders(beta_bar, odd=True)
+            GainSeries(beta_bar)
             raise NumericalError(
                 f"beta_bar = {beta_bar!r} is past the engine's beta_bar_max = {self.beta_bar_max!r}"
             )
-        if beta_bar == 0.0:
-            terms = np.zeros(len(self._orders))
-        else:
-            terms = np.exp(self._orders * math.log(2.0 * beta_bar) - self._logs)
-        self._last_series = (
-            beta_bar, (terms[1 : 2 * self._n_even : 2], terms[0 : 2 * self._n_odd : 2])
-        )
+        self._last_series = (beta_bar, self.gain_series.terms(beta_bar))
         return self._last_series[1]
 
     def outcome(self, beta_bar: float) -> ExcitationOutcome:
@@ -673,7 +657,7 @@ def rate_squeezed_cw(
 
     In x = (w - c)/sigma, sigma = sigma_c_bar, sinh^2(beta_bar r) = sum_k b_k
     e^(-k x^2) and sinh cosh(beta_bar r) = sum_m a_m e^(-m x^2/2) over odd
-    m (`sources._gain_series`), so every CW integral is Gaussian against a
+    m (`sources.GainSeries`), so every CW integral is Gaussian against a
     Lorentzian.  The coherent amplitude is one Faddeeva value per term
     (Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)),
 
@@ -853,7 +837,7 @@ class PulsedExcitationEngine:
     sigma_s = sqrt(sigma_p sigma_c) is the unit of frequency and tau =
     sigma_s t, over +/-6 durations 1/sigma_s.  K is where the series at
     `r0_max` drops below CW_SERIES_CUT of its largest term
-    (`_gain_series`); a read past r0_max raises ValueError.  Each table
+    (`sources.GainSeries`); a read past r0_max raises ValueError.  Each table
     settles on a Gauss-Kronrod pair (`_doubled`): its Gauss nodes double
     until its Kronrod and Gauss values differ by at most TABLE_REL_TOL of
     its Kronrod table of |integrand|, and it raises ConvergenceError if
@@ -904,13 +888,9 @@ class PulsedExcitationEngine:
         delta = (src.center_i - sys.omega_ba) / sigma_s
 
         # Orders m of the terms (2r0)^m / (2 m!): even for c_k, odd for a_k.
-        self.c_orders = _series_orders(self.r0_max, odd=False)
-        self.a_orders = _series_orders(self.r0_max, odd=True)
+        self.gain_series = GainSeries(self.r0_max)
+        self.c_orders, self.a_orders = self.gain_series.even, self.gain_series.odd
         self.photon_weights = _photon_weights(mu, self.c_orders / 2.0)
-        # Every order up to the last, and log(2 m!), so that a row's terms
-        # are one exp(m log(2 r0) - log(2 m!)).
-        self._orders = np.arange(1.0, max(self.c_orders[-1], self.a_orders[-1]) + 1.0)
-        self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self._orders) + 1]
         evaluations, errs = [], []
 
         def table(build, orders, n_start, panels, what):
@@ -962,13 +942,7 @@ class PulsedExcitationEngine:
             raise ValueError(
                 f"r0 = {float(past[0])!r} is past the tables' r0_max = {self.r0_max!r}"
             )
-        # math.log per beta, whose bits the terms keep (np.log can differ in
-        # the last bit); at r0 = 0 every term is exp(-inf) = 0.
-        log_2r0 = [math.log(2.0 * r) if r > 0.0 else -math.inf for r in r0.reshape(-1).tolist()]
-        terms = np.exp(np.multiply.outer(log_2r0, self._orders) - self._logs)
-        terms = terms.reshape(r0.shape + self._orders.shape)
-        n_c, n_a = len(self.c_orders), len(self.a_orders)
-        return terms[..., 1 : 2 * n_c : 2], terms[..., 0 : 2 * n_a : 2]
+        return self.gain_series.terms(r0)
 
     def photon_number(self, beta: float | np.ndarray) -> float | np.ndarray:
         """N(beta) = c . photon_weights, the photons per pulse in each band, row by row.
@@ -1125,13 +1099,6 @@ def within_validity(max_population: float) -> bool:
     return max_population < VALIDITY_THRESHOLD
 
 
-def _series_orders(r0_max: float, odd: bool) -> np.ndarray:
-    """Every order from the first (1 or 2) to the last `_gain_series` keeps at r0_max."""
-    first = 1.0 if odd else 2.0
-    last = _gain_series(r0_max, odd)[0][-1] if r0_max > 0.0 else first
-    return np.arange(first, last + 1.0, 2.0)
-
-
 def max_intermediate_population(
     src,
     sys: FourLevelSystem,
@@ -1143,7 +1110,7 @@ def max_intermediate_population(
     CW sources use time-independent closed forms: kappa F_I |G_ba(c_I)|^2 for
     a classical flux, and (kappa / 2 pi A) Int |G_ba|^2 s_I^2 dw for squeezed
     light.  That integral takes no quadrature: sinh^2 is a Gaussian series
-    (`_sinh2_series`), and each Gaussian against |G_ba|^2 = 1/((w -
+    (`sources.GainSeries`), and each Gaussian against |G_ba|^2 = 1/((w -
     omega_ba)^2 + g^2), g = Gamma_b/2, is a Voigt value (Weideman, SIAM J.
     Numer. Anal. 31, 1497 (1994)), so
 
@@ -1161,10 +1128,9 @@ def max_intermediate_population(
         g_val = green(src.center_i, sys.green_ba())
         return float(src.flux_i * kappa * abs(g_val) ** 2)
     if isinstance(src, SqueezedCW):
-        if src.beta_bar == 0.0:
-            return 0.0
-        k, b_k = _sinh2_series(src.beta_bar)
-        return _cw_population(src, sys, coupling, a_eff, b_k, _cw_faddeeva(src, sys, 2.0 * k).real)
+        series = GainSeries(src.beta_bar)
+        b, _ = series.terms(src.beta_bar)
+        return _cw_population(src, sys, coupling, a_eff, b, _cw_faddeeva(src, sys, series.even).real)
     raise TypeError(f"unsupported source type {type(src).__name__}")
 
 

@@ -51,11 +51,6 @@ class BeamProfile:
         if self.rayleigh_range is not None and not self.rayleigh_range > 0.0:
             raise ValueError("rayleigh_range must be positive")
 
-    def w_squared(self, z):
-        if self.rayleigh_range is None:
-            return np.full_like(np.asarray(z, dtype=float), self.waist**2)
-        return self.waist**2 * (1.0 + (np.asarray(z, dtype=float) / self.rayleigh_range) ** 2)
-
 
 @dataclass(frozen=True)
 class AtomCloud:

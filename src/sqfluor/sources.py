@@ -42,6 +42,7 @@ __all__ = [
     "SchmidtDecomposition",
     "gain_functions_cw",
     "photon_rate_cw",
+    "GainSeries",
     "jsa_eval",
     "schmidt_decompose",
     "schmidt_decompose_analytic",
@@ -58,7 +59,7 @@ __all__ = [
 JSA_GRID_POINTS = 512  # default discretization per axis
 JSA_GRID_SPAN_SIGMAS = 8.0  # half-span in units of sigma_c
 MAX_ANALYTIC_MODES = 2000  # mode cap of the closed-form decomposition
-# Table of the Gaussian series of the gains (`_gain_series`): sinh^2 runs out
+# Table of the Gaussian series of the gains (`GainSeries`): sinh^2 runs out
 # from beta_bar = 353 on, below the 355.4 where it overflows a double.
 CW_SERIES_TERMS = 480
 CW_SERIES_CUT = 2.0**-60  # terms below this share of the largest are left out
@@ -195,64 +196,90 @@ def gain_functions_cw(omega, src: SqueezedCW, band: str = "I"):
     return np.sinh(arg), np.cosh(arg)
 
 
-def _series_logs(x: float, orders: np.ndarray) -> np.ndarray:
-    """log((2x)^m / (2 m!)) for each order m.
+def _last_kept_order(x: float, odd: bool) -> float:
+    """The last order m of the Gaussian series at x whose term reaches CW_SERIES_CUT of the largest.
 
-    sinh^2(x r) sums these times r^m over the even m >= 2, and sinh(x r)
-    cosh(x r) over the odd m >= 1.
+    The terms are compared in log space, since at x = 30 the largest is
+    near e^60; log b_m is concave in m, so every later term is below the
+    cut.  Raises NumericalError rather than truncate when that order would
+    lie past the table of CW_SERIES_TERMS terms, so no series sums past the
+    largest double.  At x = 0 every term is zero and the first order is kept.
     """
-    return orders * np.log(2.0 * x) - np.log(2.0) - LOG_FACTORIALS[orders.astype(int)]
-
-
-def _gain_series(x: float, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(m, b_m) of sinh^2(x r) (even orders m) or sinh(x r) cosh(x r) (odd), b_m from `_series_logs`.
-
-    The coefficients are formed in log space, since at x = 30 the largest is
-    near e^60.  Terms below CW_SERIES_CUT of the largest are left out; they
-    are contiguous at both ends, because log b_m is concave in m.  Raises
-    NumericalError rather than truncate when a kept term would lie past the
-    table of CW_SERIES_TERMS terms, so no series this returns sums past the
-    largest double.
-    """
-    orders = 2.0 * np.arange(1, CW_SERIES_TERMS + 1) - (1.0 if odd else 0.0)
-    log_b = _series_logs(x, orders)
+    first = 1.0 if odd else 2.0
+    if x == 0.0:
+        return first
+    orders = np.arange(first, 2.0 * CW_SERIES_TERMS + 1.0, 2.0)
+    log_b = orders * np.log(2.0 * x) - np.log(2.0) - LOG_FACTORIALS[orders.astype(int)]
     kept = np.flatnonzero(log_b >= log_b.max() + np.log(CW_SERIES_CUT))
     if kept[-1] == CW_SERIES_TERMS - 1:
         raise NumericalError(
             f"the Gaussian series at {x!r} needs more than {CW_SERIES_TERMS} terms"
         )
-    return orders[kept], np.exp(log_b[kept])
+    return orders[kept[-1]]
 
 
-def _sinh2_series(beta_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """(k, b_k) of sinh^2(beta_bar r) = sum_{k >= 1} b_k r^(2k): `_gain_series` in k = m/2.
+class GainSeries:
+    """The Gaussian series of the gains, every order up to the last the cut keeps at x_max.
 
-    b_k = (2 beta_bar)^(2k) / (2 (2k)!).  With r = exp(-x^2/2) each term is
-    a Gaussian b_k e^(-k x^2).  It runs out from beta_bar = 353 on.
+    sinh^2(x r) = sum_k c_k r^(2k) over the `even` orders m = 2k and
+    sinh(x r) cosh(x r) = sum_k a_k r^(2k+1) over the `odd` orders m = 2k +
+    1, each term (2x)^m / (2 m!); with r a Gaussian, each term is one too.
+    The orders run from the first (2 and 1) to the last `_last_kept_order`
+    keeps at x_max, and `orders` holds all of them, 1..M.  From x_max =
+    353 on the series cannot be formed, and building it raises NumericalError.
     """
-    orders, b_k = _gain_series(beta_bar)
-    return orders / 2.0, b_k
+
+    def __init__(self, x_max: float):
+        self.x_max = x_max
+        self.even = np.arange(2.0, _last_kept_order(x_max, odd=False) + 1.0, 2.0)
+        self.odd = np.arange(1.0, _last_kept_order(x_max, odd=True) + 1.0, 2.0)
+        self.orders = np.arange(1.0, max(self.even[-1], self.odd[-1]) + 1.0)
+        self._logs = np.log(2.0) + LOG_FACTORIALS[1 : len(self.orders) + 1]
+
+    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(even, odd): the entries of values, over `orders` on its last axis, at each parity."""
+        return values[..., 1 : 2 * len(self.even) : 2], values[..., 0 : 2 * len(self.odd) : 2]
+
+    def terms(self, x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, a): the terms c_k (even orders) and a_k (odd) at x, one exp(m log 2x - log 2 m!).
+
+        log 2x is math.log's per x, whose bits every read keeps (np.log can
+        differ in the last bit); at x = 0 every term is exp(-inf) = 0.  For
+        an array of x, c and a take its shape as leading axes, and each row
+        has the bits of a read at its x alone.  A read past x_max drops the
+        terms past the last order kept there: its caller checks the range.
+        """
+        if isinstance(x, float):
+            log_2x = math.log(2.0 * x) if x > 0.0 else -math.inf
+            return self.split(np.exp(self.orders * log_2x - self._logs))
+        x = np.asarray(x, dtype=float)
+        log_2x = [math.log(2.0 * v) if v > 0.0 else -math.inf for v in x.reshape(-1).tolist()]
+        terms = np.exp(np.multiply.outer(log_2x, self.orders) - self._logs)
+        return self.split(terms.reshape(x.shape + self.orders.shape))
+
+
+def _rate_weights(series: GainSeries, sigma_c_bar: float) -> np.ndarray:
+    """sqrt(pi/k) sigma_c_bar / 2 pi at each even order 2k: the CW photon rate is c . these."""
+    return np.sqrt(np.pi / (series.even / 2.0)) * sigma_c_bar / TWO_PI
 
 
 def photon_rate_cw(src: SqueezedCW, engine=None) -> float:
     """Photon rate N/T = Int dw/2pi sinh^2(|beta_bar| r_J(w)), the same for either band.
 
-    Each Gaussian term of `_sinh2_series` integrates in closed form:
-    N/T = sum_k b_k sigma_c_bar sqrt(pi/k) / 2 pi.  With `engine`, an
-    `excitation.CwExcitationEngine` of src's column, the sum is one dot
-    product of the engine's terms b_k at src.beta_bar with its
-    `rate_weights`.  An engine of another column raises ValueError; a
-    beta_bar past the engine's, NumericalError.
+    Each Gaussian term c_k of the `GainSeries` at src.beta_bar integrates in
+    closed form: N/T = sum_k c_k sigma_c_bar sqrt(pi/k) / 2 pi.  With
+    `engine`, an `excitation.CwExcitationEngine` of src's column, the terms
+    and weights are the engine's (the same bits at its own beta_bar).  An
+    engine of another column raises ValueError; a beta_bar past the engine's, NumericalError.
     """
     if engine is not None:
         if engine.column[:3] != (src.sigma_c_bar, src.center_i, src.center_ii):
             raise ValueError("the engine was built for another column")
-        b_k, _ = engine.series(src.beta_bar)
-        return float(b_k @ engine.rate_weights)
-    if src.beta_bar == 0.0:
-        return 0.0
-    k, b_k = _sinh2_series(src.beta_bar)
-    return float(b_k @ np.sqrt(np.pi / k)) * src.sigma_c_bar / TWO_PI
+        c, _ = engine.series(src.beta_bar)
+        return float(c @ engine.rate_weights)
+    series = GainSeries(src.beta_bar)
+    c, _ = series.terms(src.beta_bar)
+    return float(c @ _rate_weights(series, src.sigma_c_bar))
 
 
 def jsa_eval(omega_i, omega_ii, src: SqueezedPulsed):
@@ -424,15 +451,16 @@ def _photon_weights(mu: float, k: np.ndarray) -> np.ndarray:
 def photon_number_pulsed(src: SqueezedPulsed, beta: float) -> float:
     """Photons per pulse per band at |beta|, sum_n sinh^2(r0 mu^(n/2)) over every Schmidt mode.
 
-    r0 = |beta| sqrt(1 - mu); with the mode sum taken first, N = sum_k b_k /
-    (1 - mu^k), b_k the terms of `_sinh2_series(r0)`.  No mode is cut.
+    r0 = |beta| sqrt(1 - mu); with the mode sum taken first, N = sum_k c_k /
+    (1 - mu^k), c_k the even-order terms of the `GainSeries` at r0.  No
+    mode is cut.
     """
     mu = geometric_mode_ratio(src)
     r0 = float(squeezing_from_roots(np.sqrt(1.0 - mu), beta))
-    if r0 == 0.0:
-        return 0.0
-    k, b_k = _sinh2_series(r0)
-    return float(b_k @ _photon_weights(mu, k))
+    series = GainSeries(r0)
+    c, _ = series.terms(r0)
+    # einsum's fixed-order sum, as `PulsedExcitationEngine.photon_number` takes it.
+    return float(np.einsum("j,j->", c, _photon_weights(mu, series.even / 2.0)))
 
 
 def export_jsi_csv(src: SqueezedPulsed, grid_i: SpectralGrid, grid_ii: SpectralGrid, path):

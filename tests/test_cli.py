@@ -364,11 +364,11 @@ class TestCwSweep:
 
     def test_column_constants_are_taken_per_column_not_per_row(self, tmp_path, monkeypatch):
         # `configs/cs_mot.json` (39 rows in 3 columns) and the same columns
-        # at twice the points per decade (75 rows).  The two Gaussian series
-        # are formed once per column (for its largest beta_bar, and handed to
-        # its engine), and the classical cross-section once per sweep: rows
-        # form neither.  Each function is counted under every
-        # module name bound to it.
+        # at twice the points per decade (75 rows).  The Gaussian series is
+        # formed once per column (for its largest beta_bar, and handed to its
+        # engine), its cut taken once for each parity, and the classical
+        # cross-section once per sweep: rows form neither.  Each function is
+        # counted under every module name bound to it.
         counts = {}
 
         def count(name, *modules):
@@ -382,18 +382,18 @@ class TestCwSweep:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
 
-        count("_gain_series", sources, excitation)
+        count("_last_kept_order", sources)
         count("cross_section", system_module, cli, excitation)
         raw = json.loads(CS_MOT.read_text())
         for points_per_decade, n_rows in ((4, 39), (8, 75)):
             raw["source"]["points_per_decade"] = points_per_decade
             path = tmp_path / f"cs_mot_{points_per_decade}.json"
             path.write_text(json.dumps(raw))
-            counts.update(_gain_series=0, cross_section=0)
+            counts.update(_last_kept_order=0, cross_section=0)
             rows = run_cw_sweep(load_config(path))
             assert len(rows) == n_rows and len({r["sigma_c_over_gamma_b"] for r in rows}) == 3
             assert all(r["validity"] != "failed" for r in rows)
-            assert counts == {"_gain_series": 2 * 3, "cross_section": 1}
+            assert counts == {"_last_kept_order": 2 * 3, "cross_section": 1}
 
     def test_rows_past_the_gaussian_series_fail_alone(self, tmp_path, caplog):
         # beta_bar 10 to 400: the Gaussian series run out from 353 on, so the

@@ -28,7 +28,7 @@ from sqfluor.cli import run_cw_sweep
 from sqfluor.config import load_config
 from sqfluor.excitation import CwExcitationEngine, rate_squeezed_cw
 from sqfluor.geometry import effective_area
-from sqfluor.sources import SqueezedCW
+from sqfluor.sources import GainSeries, SqueezedCW
 from sqfluor.system import eta_prefactor
 
 DATA = Path(__file__).parent / "data"
@@ -114,7 +114,7 @@ def test_columns_off_two_photon_resonance_settle(cs_system, cs_eta, mot_area, de
     g, gc = half_widths(system, 1.0)
     # The Lorentzian's offset as the engine forms it, from the rounded centres.
     vc = ((system.omega_ca - src.center_i) - src.center_ii) / src.sigma_c_bar
-    k = excitation._series_orders(beta_bar, odd=False) / 2.0
+    k = GainSeries(beta_bar).even / 2.0
 
     def table(n_nodes):
         return excitation._cw_incoherent_table(k, g, gc, vc, 0.0, n_nodes)

@@ -33,6 +33,13 @@ def grid_beams(pair: str, z_r):
     return beam, BeamProfile(GRID_W0)
 
 
+def w_squared(beam, z: float) -> float:
+    """w^2(z) = w0^2 (1 + (z/z_R)^2), w0^2 for a collimated beam."""
+    if beam.rayleigh_range is None:
+        return beam.waist**2
+    return beam.waist**2 * (1.0 + (z / beam.rayleigh_range) ** 2)
+
+
 def brute_force_inverse_area_sq(beam_i, beam_ii, cloud, n_xy=221, n_z=201):
     """Direct 3D Simpson of |l_I|^2 |l_II|^2 rho / N (independent oracle)."""
 
@@ -49,8 +56,8 @@ def brute_force_inverse_area_sq(beam_i, beam_ii, cloud, n_xy=221, n_z=201):
     wz = simpson_w(n_z) * (z[1] - z[0])
     total = 0.0
     for zi, wzi in zip(z, wz):
-        w2_i = float(beam_i.w_squared(zi))
-        w2_ii = float(beam_ii.w_squared(zi))
+        w2_i = w_squared(beam_i, float(zi))
+        w2_ii = w_squared(beam_ii, float(zi))
         profile = (
             (2.0 / (np.pi * w2_i)) * (2.0 / (np.pi * w2_ii))
             * np.exp(-2.0 * (x[:, None] ** 2 + x[None, :] ** 2) * (1.0 / w2_i + 1.0 / w2_ii))

@@ -31,6 +31,7 @@ from oracles import (
 
 import sqfluor.cli as cli
 import sqfluor.excitation as excitation
+import sqfluor.sources as sources
 from sqfluor.cli import run_cw_sweep, run_pulsed_sweep
 from sqfluor.config import load_config
 from sqfluor.excitation import (
@@ -205,18 +206,17 @@ def test_rows_equal_tables_at_twice_the_nodes_and_ten_more_terms(
     r0_max = math.asinh(100.0)  # the sweeps' largest photon number, 1e4
     engine = PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=r0_max)
 
-    doubled, orders = excitation._doubled, excitation._series_orders
+    doubled, last_kept_order = excitation._doubled, sources._last_kept_order
 
     def twice_the_nodes(table, n_nodes, what):
         _, n_final, rel = doubled(table, n_nodes, what)
         return table(2 * n_final)[0][0], 2 * n_final, rel
 
     def ten_more_terms(r0, odd):
-        kept = orders(r0, odd)
-        return np.append(kept, kept[-1] + 2.0 * np.arange(1, 11))
+        return last_kept_order(r0, odd) + 2.0 * 10
 
     monkeypatch.setattr(excitation, "_doubled", twice_the_nodes)
-    monkeypatch.setattr(excitation, "_series_orders", ten_more_terms)
+    monkeypatch.setattr(sources, "_last_kept_order", ten_more_terms)
     ref = PulsedExcitationEngine(src, system, cs_eta, mot_area, coupling, r0_max=r0_max)
     assert len(ref.c_orders) == len(engine.c_orders) + 10
     for r0 in (1e-3, 0.1, 1.0, 3.0, r0_max):

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,11 +17,18 @@ from oracles import (
     weighted_mode_count,
 )
 
-from sqfluor.spectral import SpectralGrid, quad_1d
+from sqfluor.excitation import (
+    CwExcitationEngine,
+    PulsedExcitationEngine,
+    max_intermediate_population,
+)
+from sqfluor.spectral import NumericalError, SpectralGrid, quad_1d
 from sqfluor.sources import (
+    CW_SERIES_CUT,
     LOG_FACTORIALS,
     ClassicalCW,
     ClassicalPulsed,
+    GainSeries,
     GridTooCoarseError,
     SchmidtDecomposition,
     SqueezedCW,
@@ -358,6 +367,94 @@ def test_log_factorials_are_within_one_ulp_of_30_digit_values():
         for m in range(2, len(LOG_FACTORIALS)):
             exact = mpmath.loggamma(m + 1)
             assert abs(mpmath.mpf(LOG_FACTORIALS[m]) - exact) <= np.spacing(float(exact)), m
+
+
+class TestGainSeries:
+    XS = (1e-3, 0.07, 0.5, 0.8, 1.0, 3.3, 10.0, 29.0, 100.0, 352.0)
+
+    def test_array_reads_equal_scalar_reads_bit_for_bit(self):
+        series = GainSeries(30.0)
+        x = np.array([[0.0, 1e-3, 0.37], [0.8, 17.0, 30.0]])
+        c, a = series.terms(x)
+        assert c.shape == x.shape + series.even.shape and a.shape == x.shape + series.odd.shape
+        for index in np.ndindex(x.shape):
+            c_one, a_one = series.terms(float(x[index]))
+            assert np.array_equal(c[index], c_one) and np.array_equal(a[index], a_one)
+
+    def test_terms_take_math_log_of_2x_per_x(self):
+        # A term is exp(m log(2x) - log(2 m!)) with math.log's log(2x), the
+        # bits the engines' reads have always had.  numpy's log differs from
+        # it in the last bit for a few arguments near 1 to 2; the grid below
+        # holds some of them.
+        series = GainSeries(2.0)
+        logs = np.log(2.0) + LOG_FACTORIALS[series.orders.astype(int)]
+        x = np.linspace(0.5, 1.1, 4001)
+        c, a = series.terms(x)
+        for row, value in enumerate(x.tolist()):
+            terms = np.exp(series.orders * math.log(2.0 * value) - logs)
+            assert np.array_equal(c[row], terms[1::2]) and np.array_equal(a[row], terms[0::2])
+
+    def test_zero_gives_zero_terms(self):
+        at_zero = GainSeries(0.0)
+        assert at_zero.even.tolist() == [2.0] and at_zero.odd.tolist() == [1.0]
+        for series in (at_zero, GainSeries(5.0)):
+            c, a = series.terms(0.0)
+            assert not c.any() and not a.any()
+            c, a = series.terms(np.zeros(3))
+            assert not c.any() and not a.any()
+
+    @pytest.mark.parametrize("x", XS)
+    def test_orders_run_from_the_first_to_the_last_the_cut_keeps(self, x):
+        series = GainSeries(x)
+        assert np.array_equal(series.even, np.arange(2.0, series.even[-1] + 1.0, 2.0))
+        assert np.array_equal(series.odd, np.arange(1.0, series.odd[-1] + 1.0, 2.0))
+        assert np.array_equal(series.orders, np.arange(1.0, len(series.orders) + 1.0))
+        assert len(series.orders) == max(series.even[-1], series.odd[-1])
+        # log b_m = m log(2x) - log(2 m!) to 30 digits: the last kept order
+        # reaches the cut, the next one does not.
+        with mpmath.workdps(30):
+            cut = mpmath.log(CW_SERIES_CUT)
+
+            def log_b(m):
+                return m * mpmath.log(2 * mpmath.mpf(x)) - mpmath.log(2) - mpmath.loggamma(m + 1)
+
+            for orders in (series.even, series.odd):
+                first, last = int(orders[0]), int(orders[-1])
+                largest = max(log_b(m) for m in range(first, last + 1, 2))
+                assert log_b(last) >= largest + cut
+                assert log_b(last + 2) < largest + cut
+
+    @pytest.mark.parametrize("x", [353.0, 400.0, 1e4])
+    def test_series_past_353_raise(self, x):
+        with pytest.raises(NumericalError, match="needs more than 480 terms"):
+            GainSeries(x)
+
+    @pytest.mark.parametrize("sigma_over_gamma_b", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("beta_bar", [0.0, 0.01, 0.8, 3.0, 30.0, 150.0])
+    def test_one_shot_cw_reads_equal_the_engine_bit_for_bit(
+        self, cs_system, cs_eta, mot_area, sigma_over_gamma_b, beta_bar
+    ):
+        system, coupling = cs_system
+        src = SqueezedCW(
+            beta_bar, sigma_over_gamma_b * system.gamma_b, system.omega_ba, system.omega_cb
+        )
+        engine = CwExcitationEngine(src, system, cs_eta, mot_area, coupling)
+        assert photon_rate_cw(src) == photon_rate_cw(src, engine)
+        population = max_intermediate_population(src, system, coupling, mot_area)
+        assert population == engine.outcome(beta_bar).max_population
+
+    @pytest.mark.parametrize("sigma_c_over_sigma_p", [1.0, 3.0, 30.0, 1000.0])
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.9, 5.0, 60.0])
+    def test_one_shot_photon_number_equals_the_engine_bit_for_bit(
+        self, cs_system, cs_eta, mot_area, sigma_c_over_sigma_p, beta
+    ):
+        system = cs_system[0]
+        src = SqueezedPulsed(
+            system.gamma_b, sigma_c_over_sigma_p * system.gamma_b, system.omega_ba, system.omega_cb
+        )
+        r0 = float(squeezing_from_roots(np.sqrt(1.0 - geometric_mode_ratio(src)), beta))
+        engine = PulsedExcitationEngine(src, system, cs_eta, mot_area, r0_max=r0)
+        assert photon_number_pulsed(src, beta) == engine.photon_number(beta)
 
 
 class TestPhotonNumberPulsed:
