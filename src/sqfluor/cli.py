@@ -324,11 +324,9 @@ def _panel_rows(engine, tasks, grid_betas, cl_unit, factor, n_atoms) -> list[dic
     ]
     computed = zip(*(np.asarray(column).tolist() for column in columns))
     return [
-        failed[i] if i in failed else {
-            "sigma_p_over_gamma_b": task["sigma_p_over_gamma_b"],
-            "sigma_c_over_sigma_p": task["sigma_c_over_sigma_p"],
-            **dict(zip(PULSED_COLUMNS[2:], next(computed))),
-        }
+        failed[i] if i in failed else dict(zip(PULSED_COLUMNS, (
+            task["sigma_p_over_gamma_b"], task["sigma_c_over_sigma_p"], *next(computed)
+        )))
         for i, task in enumerate(tasks)
     ]
 

@@ -41,9 +41,11 @@ samples gives the Kronrod table and the Gauss one, and the Gauss nodes
 double only while the two differ by more than TABLE_REL_TOL = 1e-13 of
 the size of the integrals (`_doubled`); past MAX_TABLE_NODES it raises
 ConvergenceError.  Outcomes report that difference as
-`quadrature_rel_err` in their `diagnostics`.  The CW rates and the
-classical pulse pair are also checked against independent references
-under tests/.
+`quadrature_rel_err` in their `diagnostics`.  A pulsed table evaluates
+its integrand in chunks of at most TABLE_CHUNK_SIZE values, so that its
+memory does not grow with its size (DECISIONS.md, "Pulsed tables in
+bounded chunks").  The CW rates and the classical pulse pair are also
+checked against independent references under tests/.
 """
 
 from __future__ import annotations
@@ -275,6 +277,12 @@ def p_classical_pulsed(
 # and past MAX_TABLE_NODES it raises.
 TABLE_REL_TOL = 1e-13
 MAX_TABLE_NODES = 1024
+# A pulsed table's integrand is evaluated in chunks of at most this many
+# values (entries x nodes, x times for the population table's exponential),
+# or of one entry (one term) where that alone holds more (`_spans`).  A
+# chunk's complex temporaries take 128 KiB each; the order of the sums,
+# and so every bit of a table, does not depend on it.
+TABLE_CHUNK_SIZE = 8192
 # A half-line integral stops where a bound on its integrand has fallen by
 # e^-TAIL_EXPONENT (2.9e-20) from its start.
 TAIL_EXPONENT = 45.0
@@ -305,10 +313,13 @@ def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
     ((2n + 1) g_n), the weights on [-1, 1] are closed forms in the same
     sums (Monegato, SIAM Rev. 24, 137 (1982)): 2 / P_n'^2 for Gauss; for
     Kronrod, that plus c / (P_n' E_(n+1)) at the Gauss nodes and c /
-    (P_n E_(n+1)') at the others.  Built on first use, in 0.3-0.5 ms at
-    the tables' n in a fresh process, with no LAPACK call: an eigensolver's
-    first call raised a sweep's peak memory (DECISIONS.md, "Tables settle
-    on a Gauss-Kronrod pair").
+    (P_n E_(n+1)') at the others.  Built on first use and cached, with no
+    LAPACK call: an eigensolver's first call raised a sweep's peak memory
+    (DECISIONS.md, "Tables settle on a Gauss-Kronrod pair").  Newton's
+    arrays are (n + 1) x (n + 2), so a build takes 0.3-0.4 ms up to n =
+    32, the tables' first levels, and 1.0 / 3.8 / 13 / 54 ms at n = 64 /
+    128 / 256 / 512 (165 ms and 88 MiB of traced peak at n = 1024; a
+    shared 2-vCPU Xeon host, numpy 2.4).
     """
     g = np.cumprod([1.0] + [(2.0 * i - 1.0) / (2.0 * i) for i in range(1, n + 1)])
     legendre = g * g[::-1]
@@ -385,23 +396,41 @@ def _rule_sums(y, weights) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("...m,jm->j...", y, weights), np.einsum("...m,m->...", np.abs(y), weights[0])
 
 
+def _spans(count: int, cost: int) -> list[slice]:
+    """Consecutive slices of `count` items of `cost` values each: as many items as TABLE_CHUNK_SIZE values hold, at least one."""
+    step = max(1, TABLE_CHUNK_SIZE // cost)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _tiles(n_rows: int, n_cols: int, size: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) slices tiling an n_rows x n_cols table of `size` values per entry, as `_spans` cuts.
+
+    Tiles are whole rows where one row fits TABLE_CHUNK_SIZE, else pieces
+    of one row.
+    """
+    cols = _spans(n_cols, size)
+    if len(cols) > 1:
+        return [(slice(k, k + 1), piece) for k in range(n_rows) for piece in cols]
+    return [(rows, slice(0, n_cols)) for rows in _spans(n_rows, n_cols * size)]
+
+
 def _reach(quadratic, linear):
     """The L > 0 with quadratic L^2 + linear L = TAIL_EXPONENT."""
     root = np.sqrt(linear * linear + 4.0 * quadratic * TAIL_EXPONENT)
     return 2.0 * TAIL_EXPONENT / (linear + root)
 
 
-def _exp_erfcx(expo, z, expo_joined, scale=None):
-    """e^expo erfcx(z); where z < 0, 2 e^expo_joined - e^expo erfcx(-z).
+def _exp_erfcx(expo, z, joined, scale=None):
+    """e^expo erfcx(z); where z < 0, 2 e^joined() - e^expo erfcx(-z).
 
-    The caller gives expo_joined = expo + z^2 in closed form, so neither
-    factor of e^expo e^(z^2) overflows on its own, and may pass e^expo as
-    `scale` when it has it.
+    The caller's joined() gives expo + z^2 in closed form, so neither
+    factor of e^expo e^(z^2) overflows on its own; it is formed only where
+    some z < 0.  The caller may pass e^expo as `scale` when it has it.
     """
     out = (np.exp(expo) if scale is None else scale) * erfcx(np.abs(z))
     neg = z < 0.0
     if neg.any():
-        out[neg] = 2.0 * np.exp(expo_joined[neg]) - out[neg]
+        out[neg] = 2.0 * np.exp(joined()[neg]) - out[neg]
     return out
 
 
@@ -424,14 +453,15 @@ def _lorentz_gauss(kappa, lam, vc: float, gc: float):
     gauss = -lam * lam / (4.0 * kappa)
     if vc == 0.0:
         scale = np.exp(gauss)
-        first = _exp_erfcx(gauss, y1, kappa * gc * gc - gc * lam, scale)
+        first = _exp_erfcx(gauss, y1, lambda: kappa * gc * gc - gc * lam, scale)
         return 0.5 * (first + scale * erfcx(root * gc + lam / (2.0 * root)))
     zc = vc + 1j * gc
     neg = y1 < 0.0
     z1 = root * zc - 1j * lam / (2.0 * root)
-    first = np.exp(gauss) * wofz(np.where(neg, -z1, z1))
+    scale = np.exp(gauss)
+    first = scale * wofz(np.where(neg, -z1, z1))
     first[neg] = 2.0 * np.exp((1j * lam * zc - kappa * zc * zc)[neg]) - first[neg]
-    second = np.exp(gauss) * wofz(-root * np.conj(zc) + 1j * lam / (2.0 * root))
+    second = scale * wofz(-root * np.conj(zc) + 1j * lam / (2.0 * root))
     return 0.5 * (first + second)
 
 
@@ -699,29 +729,37 @@ def _incoherent_table(a, norm, g, gc, vc, delta, n_nodes):
     - g s) ds (one erfcx) and F = `_lorentz_gauss` at kappa = A_k A_l/(2B),
     lam = A_k t/(2B).  The integrand falls at least as e^(-t^2 (1/(8B) +
     1/(8P)) - g t); Gauss-Kronrod panels [0, L/4] and [L/4, L] of n/2
-    Gauss nodes each take it to that reach L.  Returns (pair, size) for
-    `_doubled`, as `_cw_incoherent_table` does.
+    Gauss nodes each take it to that reach L.  The pairs k <= l are taken
+    in chunks (`_spans`, a pair counted as its two entries), T_kl and T_lk
+    of a pair in the same chunk.
+    Returns (pair, size) for `_doubled`, as `_cw_incoherent_table` does.
     """
-    a_k, a_l = a[:, None, None], a[None, :, None]
+    a_k, a_l = a[:, None], a[None, :]
     b = 0.5 * (a_k + a_l)
     p = 0.5 * (1.0 / a_k + 1.0 / a_l)
     reach = _reach(1.0 / (8.0 * b) + 1.0 / (8.0 * p), g)
     x, weights = _two_panels(n_nodes)
-    t = reach * x
+    pair, size = np.empty((2,) + b.shape), np.empty(b.shape)
     # H is symmetric in k and l bit for bit (b and p are commutative sums),
-    # so it is taken for k <= l and mirrored.  Its erfcx argument is
-    # positive (t, g >= 0), so e^expo erfcx(z) takes no join.
-    upper = np.triu_indices(len(a))
-    tu, bu, pu = t[upper], b[upper], p[upper]
-    h = np.empty_like(t)
-    h[upper] = np.exp(-tu * tu * (1.0 / (8.0 * bu) + 1.0 / (8.0 * pu)) - g * tu) * erfcx(
-        (tu + 4.0 * pu * g) / np.sqrt(8.0 * pu)
-    )
-    h.swapaxes(0, 1)[upper] = h[upper]
-    f = _lorentz_gauss(a_k * a_l / (2.0 * b), a_k * t / (2.0 * b), vc, gc)
-    pair, size = _rule_sums(h * _real_with_phase(f, delta, t), weights)
+    # so a chunk of pairs k <= l takes it once per pair, for T_kl and T_lk.
+    # Its erfcx argument is positive (t, g >= 0), so e^expo erfcx(z) takes
+    # no join.
+    upper_k, upper_l = np.triu_indices(len(a))
+    for span in _spans(len(upper_k), 2 * len(x)):
+        k, l = upper_k[span], upper_l[span]
+        bu, pu = b[k, l, None], p[k, l, None]
+        t = reach[k, l, None] * x
+        h = np.exp(-t * t * (1.0 / (8.0 * bu) + 1.0 / (8.0 * pu)) - g * t) * erfcx(
+            (t + 4.0 * pu * g) / np.sqrt(8.0 * pu)
+        )
+        mirror = np.flatnonzero(k != l)
+        both = np.concatenate([np.arange(len(k)), mirror])
+        k, l = np.concatenate([k, l[mirror]]), np.concatenate([l, k[mirror]])
+        t, h, bu = t[both], h[both], bu[both]
+        f = _lorentz_gauss(a[k, None] * a[l, None] / (2.0 * bu), a[k, None] * t / (2.0 * bu), vc, gc)
+        pair[:, k, l], size[k, l] = _rule_sums(h * _real_with_phase(f, delta, t), weights)
     # H carries sqrt(2 pi P), so pi N_k N_l / sqrt(B P) becomes pi sqrt(2 pi) N_k N_l / sqrt(B).
-    prefactor = np.pi * np.sqrt(2.0 * np.pi) * np.outer(norm, norm) / np.sqrt(b[..., 0]) * reach[..., 0]
+    prefactor = np.pi * np.sqrt(2.0 * np.pi) * np.outer(norm, norm) / np.sqrt(b) * reach
     return prefactor * pair, prefactor * size
 
 
@@ -733,20 +771,29 @@ def _coherent_table(a, norm, g, gc, vc, delta, n_nodes):
     e^(-P s^2/8 - y s) ds (one erfcx, y may be negative) and F =
     `_lorentz_gauss` at kappa = P/2, lam = t/2.  S_kl's integrand falls at
     least as e^(-t^2/(4 A_k) - g t), so row k takes its own reach, on one
-    Gauss-Kronrod panel of n Gauss nodes.  Returns (pair, size) for
-    `_doubled`, size from |S_kl| + |S_lk|.
+    Gauss-Kronrod panel of n Gauss nodes, in tiles of whole rows or of
+    pieces of one row (`_tiles`).  Returns (pair, size) for `_doubled`,
+    size from |S_kl| + |S_lk|.
     """
-    a_k, a_l = a[:, None, None], a[None, :, None]
+    a_k, a_l = a[:, None], a[None, :]
     p = 0.5 * (1.0 / a_k + 1.0 / a_l)
     x, weights = _gauss_kronrod(n_nodes)
     reach = _reach(1.0 / (4.0 * a_k), g)
-    t = reach * x
-    rate = g + (1.0 / a_k - 1.0 / a_l) * t / 8.0
-    z = np.sqrt(p / 8.0) * t + rate * np.sqrt(2.0 / p)
-    h = _exp_erfcx(-p * t * t / 4.0 - rate * t, z, 2.0 * rate * rate / p - p * t * t / 8.0)
-    f = _real_with_phase(_lorentz_gauss(p / 2.0, t / 2.0, vc, gc), delta, t)
-    pair, size = _rule_sums(h * f, weights)
-    to_s = reach[..., 0] / np.sqrt(p[..., 0])
+    # The factors of each entry, K x K x 1, are taken once for all tiles.
+    entry = p[..., None]
+    slope = (1.0 / a_k - 1.0 / a_l)[..., None]
+    z_t, z_rate, kappa = np.sqrt(entry / 8.0), np.sqrt(2.0 / entry), entry / 2.0
+    pair, size = np.empty((2,) + p.shape), np.empty(p.shape)
+    for rows, cols in _tiles(len(a), len(a), len(x)):
+        pk = entry[rows, cols]
+        t = reach[rows, :, None] * x
+        rate = g + slope[rows, cols] * t / 8.0
+        z = z_t[rows, cols] * t + rate * z_rate[rows, cols]
+        # z >= g sqrt(2/P) > 0 in exact arithmetic (its slope in t is 1/(A_k sqrt(8P))).
+        h = _exp_erfcx(-pk * t * t / 4.0 - rate * t, z, lambda: 2.0 * rate * rate / pk - pk * t * t / 8.0)
+        f = _real_with_phase(_lorentz_gauss(kappa[rows, cols], t / 2.0, vc, gc), delta, t)
+        pair[:, rows, cols], size[rows, cols] = _rule_sums(h * f, weights)
+    to_s = reach / np.sqrt(p)
     pair, size = pair * to_s, size * to_s
     scale = norm / np.sqrt(a)
     # H carries sqrt(2 pi / P).
@@ -762,8 +809,9 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
     min(2 sqrt(A_k TAIL_EXPONENT), TAIL_EXPONENT/g), E_k is its limit
     sqrt(pi A_k) e^(-A_k delta^2) to e^-TAIL_EXPONENT (or the integrand has
     fallen by that much), and that piece is one erfcx; one Gauss-Kronrod
-    panel of n Gauss nodes takes [0, s0].  Returns (pair, size) for
-    `_doubled`, size with |E_k| for E_k.
+    panel of n Gauss nodes takes [0, s0].  The K x n integrand is taken in
+    chunks of whole terms, and within each the K x n x times exponential.
+    Returns (pair, size) for `_doubled`, size with |E_k| for E_k.
     """
     a_k = a[:, None]
     root = np.sqrt(a_k)
@@ -771,24 +819,34 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
     if g > 0.0:
         cut = np.minimum(cut, TAIL_EXPONENT / g)
     x, w = _gauss_kronrod(n_nodes)
-    s = cut * x
-    u = s / (2.0 * root)
-    if delta == 0.0:
-        inner = np.sqrt(np.pi * a_k) * erf(u)
-    else:
-        y = root * delta
-        inner = np.sqrt(np.pi * a_k) * np.real(
-            wofz(y + 0j) - np.exp(2j * u * y - u * u) * wofz(y + 1j * u)
-        )
-    # e^(-g s - A (s - 2 tau)^2/4) = e^(-g s - A s^2/4) e^(A s tau) e^(-A tau^2):
-    # rows Kronrod, Gauss and Kronrod of |E_k| of one product per term.
-    y = inner * cut * np.exp(-g * s - a_k * s * s / 4.0)
-    weights = np.stack([y * w[0], y * w[1], np.abs(y) * w[0]], axis=1)
-    near = np.matmul(weights, np.exp((a_k * s)[..., None] * tau))
+    near = np.empty((len(a), 3, len(tau)))
+    # e^(A_k s tau) holds n x times values per term: one buffer, as many
+    # terms long as one chunk of it takes, serves every term in turn.
+    per_term = len(x) * len(tau)
+    buffer = np.empty((len(a[_spans(len(a), per_term)[0]]), len(x), len(tau)))
+    for rows in _spans(len(a), len(x)):
+        ak, rk, ck = a_k[rows], root[rows], cut[rows]
+        s = ck * x
+        u = s / (2.0 * rk)
+        if delta == 0.0:
+            inner = np.sqrt(np.pi * ak) * erf(u)
+        else:
+            y = rk * delta
+            inner = np.sqrt(np.pi * ak) * np.real(
+                wofz(y + 0j) - np.exp(2j * u * y - u * u) * wofz(y + 1j * u)
+            )
+        # e^(-g s - A (s - 2 tau)^2/4) = e^(-g s - A s^2/4) e^(A s tau) e^(-A tau^2):
+        # rows Kronrod, Gauss and Kronrod of |E_k| of one product per term.
+        y = inner * ck * np.exp(-g * s - ak * s * s / 4.0)
+        weights = np.stack([y * w[0], y * w[1], np.abs(y) * w[0]], axis=1)
+        a_s, chunk = ak * s, near[rows]
+        for part in _spans(len(a_s), per_term):
+            exponent = np.multiply(a_s[part, :, None], tau, out=buffer[: len(a_s[part])])
+            np.matmul(weights[part], np.exp(exponent, out=exponent), out=chunk[part])
     near *= np.exp(-a_k * tau * tau)[:, None, :]
     z = root * (cut - 2.0 * tau) / 2.0 + g / root
     expo = -g * cut - a_k * (cut - 2.0 * tau) ** 2 / 4.0
-    far = np.sqrt(np.pi / a_k) * _exp_erfcx(expo, z, g * g / a_k - 2.0 * g * tau)
+    far = np.sqrt(np.pi / a_k) * _exp_erfcx(expo, z, lambda: g * g / a_k - 2.0 * g * tau)
     out = norm[:, None, None] * (near + (np.sqrt(np.pi * a_k) * np.exp(-a_k * delta * delta) * far)[:, None])
     return out[:, :2].swapaxes(0, 1), out[:, 2]
 

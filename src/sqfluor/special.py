@@ -81,8 +81,13 @@ def _series(z: np.ndarray) -> np.ndarray:
     lz = SERIES_SCALE - 1j * z
     zz = (SERIES_SCALE + 1j * z) / lz
     p = np.full(z.shape, _COEFFICIENTS[0], dtype=complex)
+    # p = p * zz + a without two fresh arrays per coefficient.  Not p *= zz:
+    # numpy's in-place complex product takes another loop, whose last bits
+    # differ; into a second buffer it keeps the bits of p * zz.
+    product = np.empty_like(p)
     for a in _COEFFICIENTS[1:]:
-        p = p * zz + a
+        np.multiply(p, zz, out=product)
+        np.add(product, a, out=p)
     return (2.0 * p / lz + 1.0 / SQRT_PI) / lz
 
 
@@ -184,8 +189,12 @@ def erf(x) -> np.ndarray:
     shape = x.shape
     x = x.reshape(-1)
     a = np.abs(x)
-    out = 1.0 - np.exp(-a * a) * erfcx(a)
+    out = np.empty_like(a)
     small = a < ERF_SERIES_BELOW
+    large = ~small  # NaN too
+    if large.any():
+        xl = a[large]
+        out[large] = 1.0 - np.exp(-xl * xl) * erfcx(xl)
     if small.any():
         xs = a[small]
         u = xs * xs
@@ -208,12 +217,15 @@ def wofz(z) -> np.ndarray:
     if axis.all():
         out = erfcx(upper.imag).astype(complex)
     else:
-        out = np.empty(z.shape, dtype=complex)
-        out[axis] = erfcx(upper.imag[axis])
         far = ~axis & (np.abs(upper) > CONTINUED_FRACTION_FROM)
         near = ~axis & ~far
-        out[near] = _series(upper[near])
-        out[far] = _continued_fraction(upper[far])
+        if near.all():
+            out = _series(upper)
+        else:
+            out = np.empty(z.shape, dtype=complex)
+            out[axis] = erfcx(upper.imag[axis])
+            out[near] = _series(upper[near])
+            out[far] = _continued_fraction(upper[far])
     if lower.any():
         zl = z[lower]
         out[lower] = 2.0 * np.exp(-zl * zl) - out[lower]

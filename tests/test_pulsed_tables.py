@@ -5,12 +5,15 @@ checked here against `tests/oracles.py`: the entries against adaptive
 quadrature of their closed-form pieces, the one-mode limit against the
 classical pulse pair, the many-mode panels against the Schmidt-mode lattice
 engine with exact Hermite tables, and every row against tables built at
-twice the nodes and ten more series terms.
+twice the nodes and ten more series terms.  Each table is also built in
+chunks of other sizes, bit for bit the same, and its memory is held to a
+bound that does not grow with its nodes.
 """
 
 import json
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +271,104 @@ def test_tables_off_two_photon_resonance_settle(
         for table, values, n_final, what in settled:
             finer, size = table(2 * n_final)
             assert np.max(np.abs(finer[0] - values)) <= 1e-12 * np.max(size), what
+
+
+def settled_tables(monkeypatch, src, system, eta, area, coupling, r0_max):
+    """[(what, build, n)]: each table of an engine, its builder at the engine's arguments and its settled level."""
+    settled = []
+    doubled = excitation._doubled
+
+    def recording(table, n_nodes, what):
+        values, n_final, rel = doubled(table, n_nodes, what)
+        settled.append((what, table, n_final))
+        return values, n_final, rel
+
+    with monkeypatch.context() as patch:
+        patch.setattr(excitation, "_doubled", recording)
+        PulsedExcitationEngine(src, system, eta, area, coupling, r0_max=r0_max)
+    assert [what for what, *_ in settled] == ["incoherent table", "coherent table", "population table"]
+    return settled
+
+
+@pytest.mark.parametrize("chunk", [1, 39, 40, 119, 120, 10**9])
+def test_chunks_take_every_entry_once_and_a_table_that_fits_whole(monkeypatch, chunk):
+    # 3 x 4 entries of 10 values each: 120 values fit one chunk, 40 a row.
+    monkeypatch.setattr(excitation, "TABLE_CHUNK_SIZE", chunk)
+    taken = np.zeros((3, 4), dtype=int)
+    tiles = excitation._tiles(3, 4, 10)
+    for rows, cols in tiles:
+        taken[rows, cols] += 1
+        assert taken[rows, cols].size * 10 <= chunk or taken[rows, cols].size == 1
+    assert np.all(taken == 1)
+    assert len(tiles) == {1: 12, 39: 6, 40: 3, 119: 2, 120: 1, 10**9: 1}[chunk]
+    # Seven items of 20 values each (the incoherent table counts a pair k <= l
+    # as two entries).
+    spans = excitation._spans(7, 20)
+    assert [range(7)[span] for span in spans] == {
+        1: [range(k, k + 1) for k in range(7)],
+        39: [range(k, k + 1) for k in range(7)],
+        40: [range(0, 2), range(2, 4), range(4, 6), range(6, 7)],
+        119: [range(0, 5), range(5, 7)],
+        120: [range(0, 6), range(6, 7)],
+        10**9: [range(0, 7)],
+    }[chunk]
+
+
+@pytest.mark.parametrize("detuning_over_gamma_b", [0.0, 2.0])
+@pytest.mark.parametrize("sigma_c_over_sigma_p", [1.0, 3.0, 4.0, 10.0, 30.0])
+@pytest.mark.parametrize("sigma_p_over_gamma_b", [0.1, 1.0, 10.0])
+def test_tables_do_not_depend_on_their_chunks(
+    cs_system, cs_eta, mot_area, monkeypatch,
+    sigma_p_over_gamma_b, sigma_c_over_sigma_p, detuning_over_gamma_b,
+):
+    # The engines of test_tables_off_two_photon_resonance_settle (K = 25
+    # terms where sigma_c > sigma_p, and many chunks at the default size).
+    # Each table, rebuilt at its settled level in chunks of one entry (one
+    # term for the population table, the smallest chunks there are) and in
+    # one chunk, equals its default build bit for bit: a chunk changes the
+    # order in which the integrand is evaluated, not the order of any sum.
+    system, coupling = cs_system
+    gb = system.gamma_b
+    sigma_p = sigma_p_over_gamma_b * gb
+    src = SqueezedPulsed(
+        sigma_p, sigma_c_over_sigma_p * sigma_p,
+        system.omega_ba + detuning_over_gamma_b * gb, system.omega_cb,
+    )
+    for what, build, n_nodes in settled_tables(
+        monkeypatch, src, system, cs_eta, mot_area, coupling, 5.0
+    ):
+        pair, size = build(n_nodes)
+        for chunk in (1, 10**9):
+            with monkeypatch.context() as patch:
+                patch.setattr(excitation, "TABLE_CHUNK_SIZE", chunk)
+                chunked_pair, chunked_size = build(n_nodes)
+            assert np.array_equal(chunked_pair, pair), (what, chunk)
+            assert np.array_equal(chunked_size, size), (what, chunk)
+
+
+def test_table_memory_does_not_grow_with_the_nodes(cs_system, cs_eta, mot_area, monkeypatch):
+    # sweepbench's pulsed-broadband panel, K = 25 terms at the sweeps'
+    # r0_max.  At 1024 Gauss nodes, built whole, its tables' traced peaks
+    # were 133, 140 and 97 MiB (`tests/tables/table_memory.py`).  In chunks
+    # each stays under 4 MiB, most of it the population table's exponential
+    # of one term, 2049 x 121 values.  The Gauss-Kronrod rules, built once
+    # and cached, are built before the tables.
+    system, coupling = cs_system
+    settled = settled_tables(
+        monkeypatch, panel(system, 0.1, 30.0), system, cs_eta, mot_area, coupling,
+        math.asinh(100.0),
+    )
+    excitation._gauss_kronrod(1024), excitation._two_panels(1024)
+    for what, build, _ in settled:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build(1024)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (what, peak / 2**20)
 
 
 def test_tables_settle_at_their_first_level_on_the_shipped_panels(tmp_path, monkeypatch):
