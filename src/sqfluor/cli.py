@@ -7,7 +7,6 @@ cw-sweep         squeezed-vs-classical CW rates over (sigma_c_bar, beta_bar)
 pulsed-sweep     squeezed-vs-classical pulsed counts over the 3x3 panel grid
 schmidt          export the JSI grid and Schmidt spectrum of the pulsed source
 validate-config  load a config, echoing every applied default
-self-test        run the built-in oracle checks
 
 Determinism: identical configs produce byte-identical CSV bodies; the
 timestamp comment is suppressed under --reproducible.  CW rows are computed
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .constants import PI, TWO_PI
+from .constants import TWO_PI
 from .excitation import (
     CwExcitationEngine,
     PulsedExcitationEngine,
@@ -45,7 +44,7 @@ from .excitation import (
     rate_squeezed_cw,
     within_validity,
 )
-from .geometry import AtomCloud, BeamProfile, effective_area
+from .geometry import BeamProfile, effective_area
 from .sources import (
     MAX_ANALYTIC_MODES,
     ClassicalPulsed,
@@ -55,7 +54,7 @@ from .sources import (
     export_jsi_csv,
     export_schmidt_csv,
     photon_rate_cw,
-    schmidt_decompose,
+    schmidt_decompose,  # unused here; sweepbench's layer tracer wraps it on this module
     schmidt_decompose_analytic,
 )
 from .spectral import GaussianAmplitude, NumericalError, brentq
@@ -512,94 +511,6 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _self_test() -> int:
-    """Small oracle suite: closed-form identities the numerics must reproduce."""
-    from .spectral import (
-        GreenFunctionParams, LorentzianLineshape, SpectralGrid,
-        green, lorentzian, quad_1d,
-    )
-    from .sources import gain_functions_cw, geometric_mode_ratio
-    from .excitation import energy_ledger, population_integrals_from_probability
-    from .system import CrossSectionPrefactor, FourLevelSystem
-
-    checks = []
-    shape = LorentzianLineshape(2.0e15, 3.0e7)
-    checks.append((
-        "lorentzian peak = 2/(pi Gamma)",
-        abs(float(lorentzian(shape.center, shape)) * np.pi * shape.fwhm - 2.0) < 1e-12,
-    ))
-    grid = SpectralGrid(shape.center, 50 * shape.fwhm, 4001)
-    area = quad_1d(lambda w: lorentzian(w, shape), grid)
-    checks.append((
-        "lorentzian area matches (2/pi) atan(100)",
-        abs(area - 2.0 / np.pi * np.arctan(100.0)) < 1e-6,
-    ))
-    g = GreenFunctionParams(shape.center, shape.fwhm, 0.0)
-    w_test = shape.center + np.linspace(-5, 5, 11) * shape.fwhm
-    ident = np.max(np.abs(2 * np.imag(green(w_test, g)) - TWO_PI * lorentzian(w_test, shape)))
-    checks.append(("2 Im G = 2 pi L identity", ident < 1e-20))
-    gauss = quad_1d(lambda x: np.exp(-x * x), SpectralGrid(0.0, 8.0, 2001))
-    checks.append(("Simpson Gaussian = sqrt(pi)", abs(gauss - np.sqrt(PI)) < 1e-8))
-    w0, sigma, beam = 5e-5, 3e-5, BeamProfile(5e-5)
-    a_eff = effective_area(beam, beam, AtomCloud(sigma, 1.0)).a_eff
-    closed = 0.5 * PI * w0 * math.sqrt(w0**2 + 8.0 * sigma**2)
-    name = "collimated A_eff = (pi/2) w0 sqrt(w0^2 + 8 sigma^2)"
-    checks.append((name, abs(a_eff / closed - 1.0) < 1e-14))
-    src = SqueezedCW(beta_bar=0.7, sigma_c_bar=1e7, center_i=2e15, center_ii=1.4e15)
-    s, c = gain_functions_cw(2e15 + np.linspace(-3e7, 3e7, 101), src, "I")
-    checks.append(("c^2 - s^2 = 1", float(np.max(np.abs(c * c - s * s - 1.0))) < 1e-12))
-    rate = photon_rate_cw(SqueezedCW(0.01, 1e7, 2e15, 1.4e15))
-    t_c = SqueezedCW(0.01, 1e7, 2e15, 1.4e15).t_c
-    checks.append(("low-gain photon rate = beta^2/T_c", abs(rate * t_c / 1e-4 - 1) < 0.01))
-    sep = SqueezedPulsed(1e7, 1e7, 2e15, 1.4e15)
-    dec = schmidt_decompose(sep)
-    checks.append(("separable JSA has one mode", dec.n_modes == 1 and abs(dec.p[0] - 1) < 1e-6))
-    corr = SqueezedPulsed(1e7, 1e8, 2e15, 1.4e15)
-    dec = schmidt_decompose(corr, trunc_tol=1e-8)
-    mu = geometric_mode_ratio(corr)
-    law = (1 - mu) * mu ** np.arange(10)
-    checks.append((
-        "Schmidt spectrum matches geometric law",
-        float(np.max(np.abs(dec.p[:10] - law))) < 1e-6,
-    ))
-    sys4 = FourLevelSystem(
-        2.0e15, 1.4e15, 1.3e15, 2.1e15,
-        {"ba": 2e7, "cb": 5e6, "cd": 9e6, "da": 3e7},
-        {"ba": 1e6, "cb": 0.0, "cd": 2e6, "da": 0.0},
-    )
-    # One Schmidt mode of N photons: coherent ~ N (N + 1), incoherent and classical ~ N^2.
-    sigma, beta, unit = sys4.gamma_b, 0.8, CrossSectionPrefactor(1.0)
-    n = math.sinh(beta) ** 2
-    sq = PulsedExcitationEngine(
-        SqueezedPulsed(sigma, sigma, sys4.omega_ba, sys4.omega_cb), sys4, unit, 1.0, r0_max=beta
-    ).outcome(beta)
-    amps = (GaussianAmplitude(sys4.omega_ba, sigma), GaussianAmplitude(sys4.omega_cb, sigma))
-    cl = p_classical_pulsed(ClassicalPulsed(*amps, n, n), sys4, unit, 1.0)
-    for name, ratio, law in (
-        ("coherent/incoherent = 1 + 1/N", sq.coherent / sq.incoherent, 1.0 + 1.0 / n),
-        ("squeezed/classical = 2 + 1/N", sq.total / cl.total, 2.0 + 1.0 / n),
-    ):
-        checks.append((f"separable pulse: {name}", abs(ratio / law - 1.0) < 1e-12))
-    # The CW row path: a column's engine, read below the beta_bar it was built at.
-    column = SqueezedCW(10.0, sys4.gamma_b, sys4.omega_ba, sys4.omega_cb)
-    row = SqueezedCW(1.0, sys4.gamma_b, sys4.omega_ba, sys4.omega_cb)
-    engine = CwExcitationEngine(column, sys4, unit, 1.0)
-    read = rate_squeezed_cw(row, sys4, unit, 1.0, engine=engine)
-    alone = rate_squeezed_cw(row, sys4, unit, 1.0)
-    gap = max(abs(read.coherent / alone.coherent - 1.0), abs(read.incoherent / alone.incoherent - 1.0))
-    checks.append(("CW column engine read at beta_bar 1 = one-row rate", gap < 1e-12))
-    ledger = energy_ledger(population_integrals_from_probability(1e-6, sys4, 1e-9), sys4)
-    conserved = ledger.extinction - (ledger.total_scattered + ledger.total_absorbed)
-    checks.append(("energy ledger conserves exactly", conserved == 0.0))
-
-    failures = 0
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} oracle checks passed")
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sqfluor",
@@ -614,11 +525,8 @@ def main(argv=None) -> int:
             p.add_argument("--out", default=None)
         if name in ("cw-sweep", "pulsed-sweep"):
             p.add_argument("--reproducible", action="store_true")
-    sub.add_parser("self-test")
     args = parser.parse_args(argv)
 
-    if args.command == "self-test":
-        return _self_test()
     try:
         cfg = load_config(args.config)
     except (ConfigError, FileNotFoundError) as exc:

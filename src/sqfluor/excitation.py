@@ -73,7 +73,7 @@ from .sources import (
     photon_number_pulsed,
     squeezing_from_roots,
 )
-from .special import erf, erfcx, wofz
+from .special import erfcx, wofz
 from .spectral import (
     GaussianAmplitude,
     ConvergenceError,
@@ -400,18 +400,6 @@ def _spans(count: int, cost: int) -> list[slice]:
     """Consecutive slices of `count` items of `cost` values each: as many items as TABLE_CHUNK_SIZE values hold, at least one."""
     step = max(1, TABLE_CHUNK_SIZE // cost)
     return [slice(start, start + step) for start in range(0, count, step)]
-
-
-def _tiles(n_rows: int, n_cols: int, size: int) -> list[tuple[slice, slice]]:
-    """(rows, cols) slices tiling an n_rows x n_cols table of `size` values per entry, as `_spans` cuts.
-
-    Tiles are whole rows where one row fits TABLE_CHUNK_SIZE, else pieces
-    of one row.
-    """
-    cols = _spans(n_cols, size)
-    if len(cols) > 1:
-        return [(slice(k, k + 1), piece) for k in range(n_rows) for piece in cols]
-    return [(rows, slice(0, n_cols)) for rows in _spans(n_rows, n_cols * size)]
 
 
 def _reach(quadratic, linear):
@@ -771,28 +759,30 @@ def _coherent_table(a, norm, g, gc, vc, delta, n_nodes):
     e^(-P s^2/8 - y s) ds (one erfcx, y may be negative) and F =
     `_lorentz_gauss` at kappa = P/2, lam = t/2.  S_kl's integrand falls at
     least as e^(-t^2/(4 A_k) - g t), so row k takes its own reach, on one
-    Gauss-Kronrod panel of n Gauss nodes, in tiles of whole rows or of
-    pieces of one row (`_tiles`).  Returns (pair, size) for `_doubled`,
-    size from |S_kl| + |S_lk|.
+    Gauss-Kronrod panel of n Gauss nodes.  The entries are taken in chunks
+    (`_spans`) of their flat index k K + l.  Returns (pair, size) for
+    `_doubled`, size from |S_kl| + |S_lk|.
     """
     a_k, a_l = a[:, None], a[None, :]
     p = 0.5 * (1.0 / a_k + 1.0 / a_l)
     x, weights = _gauss_kronrod(n_nodes)
     reach = _reach(1.0 / (4.0 * a_k), g)
-    # The factors of each entry, K x K x 1, are taken once for all tiles.
-    entry = p[..., None]
-    slope = (1.0 / a_k - 1.0 / a_l)[..., None]
+    # The factors of each entry, flat, are taken once for all chunks.
+    entry = p.reshape(-1, 1)
+    slope = (1.0 / a_k - 1.0 / a_l).reshape(-1, 1)
+    row_reach = np.repeat(reach, len(a))[:, None]
     z_t, z_rate, kappa = np.sqrt(entry / 8.0), np.sqrt(2.0 / entry), entry / 2.0
-    pair, size = np.empty((2,) + p.shape), np.empty(p.shape)
-    for rows, cols in _tiles(len(a), len(a), len(x)):
-        pk = entry[rows, cols]
-        t = reach[rows, :, None] * x
-        rate = g + slope[rows, cols] * t / 8.0
-        z = z_t[rows, cols] * t + rate * z_rate[rows, cols]
+    pair, size = np.empty((2, p.size)), np.empty(p.size)
+    for span in _spans(p.size, len(x)):
+        pk = entry[span]
+        t = row_reach[span] * x
+        rate = g + slope[span] * t / 8.0
+        z = z_t[span] * t + rate * z_rate[span]
         # z >= g sqrt(2/P) > 0 in exact arithmetic (its slope in t is 1/(A_k sqrt(8P))).
         h = _exp_erfcx(-pk * t * t / 4.0 - rate * t, z, lambda: 2.0 * rate * rate / pk - pk * t * t / 8.0)
-        f = _real_with_phase(_lorentz_gauss(kappa[rows, cols], t / 2.0, vc, gc), delta, t)
-        pair[:, rows, cols], size[rows, cols] = _rule_sums(h * f, weights)
+        f = _real_with_phase(_lorentz_gauss(kappa[span], t / 2.0, vc, gc), delta, t)
+        pair[:, span], size[span] = _rule_sums(h * f, weights)
+    pair, size = pair.reshape((2,) + p.shape), size.reshape(p.shape)
     to_s = reach / np.sqrt(p)
     pair, size = pair * to_s, size * to_s
     scale = norm / np.sqrt(a)
@@ -804,8 +794,10 @@ def _coherent_table(a, norm, g, gc, vc, delta, n_nodes):
 def _population_table(a, norm, g, delta, tau, n_nodes):
     """I_k(tau) = N_k Int_0^inf e^(-g s - A_k (s - 2 tau)^2/4) E_k(s) ds.
 
-    E_k(s) = Int_0^s e^(-x^2/(4 A_k)) cos(delta x) dx, sqrt(pi A_k) erf(s /
-    (2 sqrt(A_k))) on resonance and one Faddeeva value off it.  Past s0 =
+    E_k(s) = Int_0^s e^(-x^2/(4 A_k)) cos(delta x) dx = sqrt(pi A_k) Re[w(y)
+    - e^(2iuy - u^2) w(y + iu)], u = s/(2 sqrt(A_k)), y = sqrt(A_k) delta: on
+    resonance w(0) = 1 and w(iu) = erfcx(u), so that is sqrt(pi A_k) erf(u)
+    (Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)).  Past s0 =
     min(2 sqrt(A_k TAIL_EXPONENT), TAIL_EXPONENT/g), E_k is its limit
     sqrt(pi A_k) e^(-A_k delta^2) to e^-TAIL_EXPONENT (or the integrand has
     fallen by that much), and that piece is one erfcx; one Gauss-Kronrod
@@ -828,13 +820,10 @@ def _population_table(a, norm, g, delta, tau, n_nodes):
         ak, rk, ck = a_k[rows], root[rows], cut[rows]
         s = ck * x
         u = s / (2.0 * rk)
-        if delta == 0.0:
-            inner = np.sqrt(np.pi * ak) * erf(u)
-        else:
-            y = rk * delta
-            inner = np.sqrt(np.pi * ak) * np.real(
-                wofz(y + 0j) - np.exp(2j * u * y - u * u) * wofz(y + 1j * u)
-            )
+        y = rk * delta
+        inner = np.sqrt(np.pi * ak) * np.real(
+            wofz(y + 0j) - np.exp(2j * u * y - u * u) * wofz(y + 1j * u)
+        )
         # e^(-g s - A (s - 2 tau)^2/4) = e^(-g s - A s^2/4) e^(A s tau) e^(-A tau^2):
         # rows Kronrod, Gauss and Kronrod of |E_k| of one product per term.
         y = inner * ck * np.exp(-g * s - ak * s * s / 4.0)

@@ -1,6 +1,6 @@
-"""Error-function kernels on numpy alone: erfcx, erf and the Faddeeva function w.
+"""Error-function kernels on numpy alone: erfcx and the Faddeeva function w.
 
-All three rest on one rational series of Weideman (SIAM J. Numer. Anal.
+Both rest on one rational series of Weideman (SIAM J. Numer. Anal.
 31, 1497 (1994)) for w(z) = e^(-z^2) erfc(-iz) in the upper half-plane:
 
     w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),   Z = (L + iz) / (L - iz),
@@ -21,8 +21,6 @@ and the upper half-plane (DECISIONS.md, "A numpy-only runtime").
   pages.  1 + x rather than 4 + x: its rounding moves erfcx by at most
   about an ulp near x = 0, where 4 + x moved it by up to 4.  Negative x
   take erfcx(x) = 2 e^(x^2) - erfcx(-x).
-- `erf(x)` = 1 - e^(-x^2) erfcx(x) from x = 1 on, and its Maclaurin series
-  below, where that difference cancels.
 - `wofz(z)`: the series for |z| <= 1e3, Laplace's continued fraction past
   it (as Poppe & Wijers, ACM TOMS 16, 38 (1990), use it for large |z|),
   w(z) = 2 e^(-z^2) - w(-z) below the real axis, and `erfcx` on the
@@ -35,7 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = ["erfcx", "erf", "wofz"]
+__all__ = ["erfcx", "wofz"]
 
 SERIES_TERMS = 48  # N of Weideman's series
 SERIES_SCALE = 4.0  # its L
@@ -173,37 +171,6 @@ def erfcx(x) -> np.ndarray:
     out = _erfcx_nonnegative(np.abs(x))
     out[negative] = 2.0 * np.exp(x[negative] ** 2) - out[negative]
     return out.reshape(shape)
-
-
-# erf(x) = (2/sqrt(pi)) sum_k (-1)^k x^(2k+1) / (k! (2k+1)), to k = 18 (below
-# 1e-17 at x = 1), highest power first.
-_ERF_SERIES = np.array(
-    [(-1.0) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(18, -1, -1)]
-) * (2.0 / SQRT_PI)
-ERF_SERIES_BELOW = 1.0
-
-
-def erf(x) -> np.ndarray:
-    """The error function of real x, elementwise; odd, so erf(x) = sign(x) erf(|x|)."""
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = x.reshape(-1)
-    a = np.abs(x)
-    out = np.empty_like(a)
-    small = a < ERF_SERIES_BELOW
-    large = ~small  # NaN too
-    if large.any():
-        xl = a[large]
-        out[large] = 1.0 - np.exp(-xl * xl) * erfcx(xl)
-    if small.any():
-        xs = a[small]
-        u = xs * xs
-        p = np.full(xs.shape, _ERF_SERIES[0])
-        for c in _ERF_SERIES[1:]:
-            p *= u
-            p += c
-        out[small] = xs * p
-    return np.copysign(out, x).reshape(shape)
 
 
 def wofz(z) -> np.ndarray:

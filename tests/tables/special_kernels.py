@@ -6,7 +6,7 @@ Run from the repository root; takes a few seconds.  Not a test:
 pytest does not collect this file.  For each of sweepbench's workloads at
 seed 0 (`sweepbench/run.py`; cw-mot-j2 shares cw-mot's arguments) and the
 two shipped configs, it runs the sweep once with `sqfluor.special`'s
-erfcx, erf and wofz recorded where `excitation` and `geometry` call them,
+erfcx and wofz recorded where `excitation` and `geometry` call them,
 then prints per kernel:
 
 - the calls and arguments;
@@ -33,7 +33,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 import numpy as np  # noqa: E402
 import run as bench  # noqa: E402  (sweepbench/run.py: the workload configs)
 import scipy.special  # noqa: E402
-from test_special import mp_erf, mp_erfcx, mp_wofz, subsample  # noqa: E402
+from test_special import mp_erfcx, mp_wofz, subsample  # noqa: E402
 
 import sqfluor.cli as cli  # noqa: E402
 import sqfluor.excitation as excitation  # noqa: E402
@@ -41,7 +41,7 @@ import sqfluor.geometry as geometry  # noqa: E402
 from sqfluor import special  # noqa: E402
 from sqfluor.config import load_config  # noqa: E402
 
-KERNELS = {"erfcx": mp_erfcx, "erf": mp_erf, "wofz": mp_wofz}
+KERNELS = {"erfcx": mp_erfcx, "wofz": mp_wofz}
 
 
 def record(config_path: Path) -> dict:

@@ -2,6 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` (or let the summary lines
 surface through pytest's captured output on failure).
+
+Criteria 1, 2 and 6 bound their run time in CPU seconds of this process
+(`time.process_time`), so that other work on a shared host does not fail
+them.
 """
 
 import json
@@ -65,7 +69,7 @@ def test_criterion_1_effective_area(cs_system):
     quoted = 220e-12
     cloud = AtomCloud(fwhm_to_sigma(0.1e-3), 1e6)
     sigma = cloud.sigma
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     results = {}
     closed_forms = {}
     lower_bounds = {}
@@ -78,7 +82,7 @@ def test_criterion_1_effective_area(cs_system):
         for label, wavelength in (("895nm", 895e-9), ("1360nm", 1.36e-6)):
             beam = BeamProfile(w0, wavelength=wavelength)
             results[f"{convention}/{label}"] = effective_area(beam, beam, cloud).a_eff
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
 
     checks = []
     for convention, closed in closed_forms.items():
@@ -95,7 +99,7 @@ def test_criterion_1_effective_area(cs_system):
         + ", ".join(f"{k}: {v * 1e12:.1f} um^2" for k, v in closed_forms.items())
         + "; lower bound pi w0^2/2 "
         + ", ".join(f"{k}: {v * 1e12:.0f} um^2" for k, v in lower_bounds.items())
-        + f"; quoted reference 220 um^2 (below the bound); runtime {elapsed:.2f}s"
+        + f"; quoted reference 220 um^2 (below the bound); CPU time {elapsed:.2f}s"
     )
     report(1, passed, detail)
     # DECISIONS.md records the bound, the closed form and the computed values;
@@ -110,17 +114,17 @@ def test_criterion_2_cw_narrowband_factor_two(cs_system, cs_eta, mot_area):
     worst_time = 0.0
     for beta_bar in (10.0, 14.0):
         src = SqueezedCW(beta_bar, 0.01 * system.gamma_b, system.omega_ba, system.omega_cb)
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         out = rate_squeezed_cw(src, system, cs_eta, mot_area)
         classical = rate_classical_cw(
             matched_classical_cw(src, mot_area, photon_rate_cw(src)), system, cs_eta
         )
-        worst_time = max(worst_time, time.perf_counter() - t0)
+        worst_time = max(worst_time, time.process_time() - t0)
         ratios.append(out.total / classical.total)
     passed = all(abs(r - 2.0) <= 0.10 for r in ratios) and worst_time < 10.0
     detail = (
         f"total/classical = {ratios[0]:.4f}, {ratios[1]:.4f} (target 2 +/- 5%), "
-        f"worst point {worst_time:.2f}s"
+        f"worst point {worst_time:.2f}s CPU"
     )
     report(2, passed, detail)
     assert passed, detail
@@ -189,7 +193,7 @@ def test_criterion_5_low_gain_photon_rate(cs_system):
 def test_criterion_6_schmidt_spectrum_oracle(cs_system):
     system, _ = cs_system
     gb = system.gamma_b
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     sep = SqueezedPulsed(gb, gb, system.omega_ba, system.omega_cb)
     dec_sep = schmidt_decompose(sep)
     sep_ok = dec_sep.n_modes == 1 and abs(dec_sep.p[0] - 1.0) <= 1e-6
@@ -211,11 +215,11 @@ def test_criterion_6_schmidt_spectrum_oracle(cs_system):
         mu = geometric_mode_ratio(src)
         law = (1.0 - mu) * mu ** np.arange(20)
         worst = max(worst, float(np.max(np.abs(dec.p[:20] - law))))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     passed = sep_ok and worst <= 1e-4 and elapsed < 5.0
     detail = (
         f"separable p0 = {dec_sep.p[0]:.8f}; max |p_n - geometric| = {worst:.2e} "
-        f"over first 20 modes (<= 1e-4); runtime {elapsed:.2f}s"
+        f"over first 20 modes (<= 1e-4); CPU time {elapsed:.2f}s"
     )
     report(6, passed, detail)
     assert passed, detail

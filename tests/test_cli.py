@@ -1072,21 +1072,15 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         ["aeff", "--jobs", "2"],
         ["validate-config", "--out", "x"],
-        ["self-test", "--reproducible"],
+        ["schmidt", "--reproducible"],
         ["cw-sweep", "--jobs", "2"],
     ])
     def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, capsys, argv):
         command, *flags = argv
-        config = [] if command == "self-test" else ["--config", str(tiny_cw_config(tmp_path))]
         with pytest.raises(SystemExit) as info:
-            main([command, *config, *flags])
+            main([command, "--config", str(tiny_cw_config(tmp_path)), *flags])
         assert info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
-
-    def test_self_test(self, capsys):
-        assert main(["self-test"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
 
     def test_aeff(self, capsys):
         assert main(["aeff", "--config", str(CS_MOT)]) == 0
