@@ -5,7 +5,10 @@ surface through pytest's captured output on failure).
 
 Criteria 1, 2 and 6 bound their run time in CPU seconds of this process
 (`time.process_time`), so that other work on a shared host does not fail
-them.
+them.  That counts the CPU time of every thread of the process, BLAS
+workers included (criterion 6's SVDs), so on a many-core host with a
+multithreaded BLAS the count can run above the wall time; hold BLAS to
+one thread (OPENBLAS_NUM_THREADS=1 or OMP_NUM_THREADS=1) if it does.
 """
 
 import json

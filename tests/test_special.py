@@ -4,8 +4,9 @@ Each kernel is held to mpmath at a relative bound, with scipy's as a
 second reference, on
 
 - the arguments that every table of the shipped and benchmark panels
-  visits, captured through the engines: all of them against scipy, a
-  sorted subsample and the ones furthest from scipy against mpmath;
+  visits, captured through the engines: all of them against scipy; the
+  CW columns' Faddeeva arguments all against mpmath, and of the rest a
+  sorted subsample and the ones furthest from scipy;
 - log grids from 1e-10 to 1e8;
 - complex regions: |z| < 6, the strip 0 < Im z < 0.05, Re z and Im z up
   to 60 and up to 1e3, |z| > 1e3, and Im z < 0.
@@ -24,6 +25,7 @@ last digits) and expect these checks to fail.
 import ast
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -101,11 +103,18 @@ def table_arguments(tmp_path_factory):
     take the CW columns.
     """
     tmp = tmp_path_factory.mktemp("special")
-    captured = {"erfcx": [], "wofz": []}
+    captured = {"erfcx": [], "wofz": [], "population wofz": []}
 
     def recording(name, kernel):
         def recorded(x):
-            captured[name].append(np.array(x).ravel())
+            # w's calls are kept by caller: the CW columns' few apart from
+            # the population table's many.
+            if name == "wofz":
+                caller = sys._getframe(1).f_code.co_name
+                key = {"_cw_faddeeva": "wofz", "_population_table": "population wofz"}[caller]
+            else:
+                key = name
+            captured[key].append(np.array(x).ravel())
             return kernel(x)
         return recorded
 
@@ -121,7 +130,7 @@ def table_arguments(tmp_path_factory):
         path.write_text(json.dumps(raw))
         configs.append(path)
     with pytest.MonkeyPatch.context() as patch:
-        for name in captured:
+        for name in ("erfcx", "wofz"):
             patch.setattr(excitation, name, recording(name, getattr(special, name)))
         patch.setattr(geometry, "erfcx", recording("erfcx", special.erfcx))
         for path in configs:
@@ -144,14 +153,18 @@ class TestTableArguments:
     def test_wofz_on_the_imaginary_axis(self, table_arguments):
         # Every CW column, and every population table on resonance (w(0) and
         # w(iu)), evaluates w on the imaginary axis, where it is erfcx.
-        z = table_arguments["wofz"]
-        assert z.size > 100 and np.all(z.real == 0.0) and np.all(z.imag >= 0.0)
+        cw, population = table_arguments["wofz"], table_arguments["population wofz"]
+        assert cw.size > 100 and np.all(cw.real == 0.0) and np.all(cw.imag > 0.0)
+        assert population.size > 1e4 and np.all(population.real == 0.0) and np.all(population.imag >= 0.0)
+        z = np.concatenate([cw, population])
         ours = special.wofz(z)
         assert np.all(ours.imag == 0.0)
         assert np.array_equal(ours.real, special.erfcx(z.imag))
         theirs = scipy.special.wofz(z)
         assert worst(ours, theirs) <= ERFCX_BOUND + SCIPY_SLACK
-        picked = 1j * subsample(z.imag, np.abs(ours / theirs - 1.0))
+        # Every CW argument against mpmath; of the population table's, a subsample.
+        near = np.abs(ours / theirs - 1.0)[cw.size:]
+        picked = np.concatenate([cw, 1j * subsample(population.imag, near)])
         assert worst(special.wofz(picked), [mp_wofz(v) for v in picked]) <= ERFCX_BOUND
 
 

@@ -106,7 +106,7 @@ class TestGreen:
         grid = SpectralGrid(W0, 40 * GAMMA, 801)
         lhs = 2.0 * np.imag(green(grid.points, self.params))
         rhs = 2.0 * np.pi * lorentzian(grid.points, shape)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(rhs)
+        assert np.max(np.abs(lhs - rhs)) < 1e-15 * np.max(rhs)
 
     def test_conjugation(self):
         w = W0 + np.linspace(-5, 5, 11) * GAMMA
