@@ -1,8 +1,11 @@
 """Two-photon excitation and fluorescence of a four-level emitter.
 
-Computes excitation probabilities/rates, fluorescence counts, and energy
-ledgers for classical or non-degenerate squeezed light (CW and pulsed),
-including the Cs-MOT example system and its analytic limits.
+Computes excitation probabilities/rates, fluorescence counts and the
+peak intermediate-state population for classical or non-degenerate
+squeezed light (CW and pulsed), including the Cs-MOT example system and
+its analytic limits.  `energy_ledger` also books the scattered and
+absorbed energy of time-integrated populations the caller supplies; no
+command computes it, and its b-level term is whatever the caller passes.
 """
 
 from .excitation import (
@@ -26,11 +29,9 @@ from .sources import (
     SchmidtDecomposition,
     SqueezedCW,
     SqueezedPulsed,
-    gain_functions_cw,
     jsa_eval,
     photon_number_pulsed,
     photon_rate_cw,
-    schmidt_decompose,
     schmidt_decompose_analytic,
 )
 from .spectral import (
@@ -38,11 +39,8 @@ from .spectral import (
     GreenFunctionParams,
     LorentzianLineshape,
     SpectralGrid,
-    gaussian_amp,
     green,
     lorentzian,
-    quad_1d,
-    quad_converged,
 )
 from .system import (
     CrossSectionPrefactor,

@@ -6,7 +6,8 @@ rad/s directly or (k/M/G/T)Hz, which are ordinary frequencies and are
 multiplied by 2 pi.  Every default applied during loading is echoed in the
 provenance log carried by the RunConfig.  A `numerics` key that no command
 reads is accepted, left out of `RunConfig.numerics` and listed in
-`RunConfig.ignored`.
+`RunConfig.ignored`.  `RunConfig.numerics_options()` returns None; no
+command calls it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any, Mapping
 
 from .constants import TWO_PI
 from .geometry import AtomCloud, BeamProfile, fwhm_to_sigma, waist_fwhm_to_w0
-from .peaked import NumericsOptions
 from .system import CS_WAVELENGTH_BA, CS_WAVELENGTH_CB, CS_WAVELENGTH_CD, cs_preset
 from .system import DipoleCoupling, FourLevelSystem, TRANSITIONS
 
@@ -106,9 +106,9 @@ class RunConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    # Kept only because sweepbench's worker calls it; it returns the defaults.
-    def numerics_options(self) -> NumericsOptions:
-        return NumericsOptions()
+    # Kept only because sweepbench's worker passes it to effective_area, which ignores it.
+    def numerics_options(self) -> None:
+        return None
 
     def beam(self) -> BeamProfile:
         geo = self.geometry

@@ -45,7 +45,9 @@ ConvergenceError.  Outcomes report that difference as
 its integrand in chunks of at most TABLE_CHUNK_SIZE values, so that its
 memory does not grow with its size (DECISIONS.md, "Pulsed tables in
 bounded chunks").  The CW rates and the classical pulse pair are also
-checked against independent references under tests/.
+checked against independent references under tests/.  `quad_kernel_smooth`
+is None: the kernel-smooth quadrature is gone, and the name stays only for
+sweepbench's layer tracer, which wraps it and never calls it.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ from typing import Mapping
 import numpy as np
 
 from .constants import C_LIGHT, EPS0, HBAR, TWO_PI
-# Unused here: sweepbench's layer tracer wraps it on this module by name.
-from .peaked import quad_kernel_smooth
 from .sources import (
     ClassicalCW,
     ClassicalPulsed,
@@ -106,6 +106,9 @@ __all__ = [
 ]
 
 VALIDITY_THRESHOLD = 0.1
+
+# No rate reads it: sweepbench's layer tracer (sweepbench/trace_layers.py) wraps this name.
+quad_kernel_smooth = None
 
 
 @dataclass(frozen=True)

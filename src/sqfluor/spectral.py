@@ -1,12 +1,10 @@
-"""Frequency-domain primitives: grids, lineshapes, spectral amplitudes, quadrature.
+"""Frequency-domain primitives: grids, lineshapes, spectral amplitudes, root finding.
 
 Conventions
 -----------
 All frequencies are angular (rad/s).  Lineshape and amplitude functions accept
-scalars or numpy arrays and are pure.  Quadrature is composite Simpson on a
-uniform grid; convergence is certified separately by `quad_converged`, which
-doubles the resolution until successive estimates agree, evaluating the
-integrand only at each doubling's new points (`simpson_doublings`).
+scalars or numpy arrays and are pure.  The package's integrals are taken on
+Gauss-Kronrod tables in `excitation`, not here.
 
 Grids are built from exact uniform offsets about the grid center so that
 detuning spacing is not polluted by the ~1e15 rad/s optical carrier.
@@ -32,13 +30,8 @@ __all__ = [
     "lorentzian",
     "green",
     "gaussian_amp",
-    "quad_1d",
-    "quad_converged",
-    "simpson_doublings",
-    "simpson_weights",
     "brentq",
     "NumericalError",
-    "NonFiniteIntegrandError",
     "ConvergenceError",
     "DegenerateParametersError",
 ]
@@ -52,20 +45,11 @@ class NumericalError(Exception):
     """
 
 
-class NonFiniteIntegrandError(NumericalError, ValueError):
-    """Integrand returned NaN/inf; carries the first offending grid index."""
-
-    def __init__(self, index: int, omega: float):
-        self.index = index
-        self.omega = omega
-        super().__init__(f"non-finite integrand at grid index {index} (omega={omega!r})")
-
-
 class ConvergenceError(NumericalError, RuntimeError):
     """An iteration failed to reach tolerance; carries its last two estimates.
 
-    `what` names the iteration in the message: grid-doubling quadrature or
-    Brent's method.
+    `what` names the iteration in the message: a table's Gauss-Kronrod
+    doubling (`excitation._doubled`) or Brent's method.
     """
 
     def __init__(self, last: complex, previous: complex, rel_err: float, what: str = "quadrature"):
@@ -108,10 +92,6 @@ class SpectralGrid:
     @property
     def points(self) -> np.ndarray:
         return self.center + self.offsets
-
-    def doubled(self) -> "SpectralGrid":
-        """Same span with the step halved (point count 2n-1, still odd)."""
-        return SpectralGrid(self.center, self.half_span, 2 * self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -180,95 +160,6 @@ def gaussian_amp(omega, a: GaussianAmplitude):
     """(1/(pi sigma^2))^(1/4) exp(-(w - center)^2 / (2 sigma^2)); square-norm 1."""
     delta = np.asarray(omega, dtype=float) - a.center
     return (np.pi * a.width**2) ** (-0.25) * np.exp(-(delta * delta) / (2.0 * a.width**2))
-
-
-def simpson_weights(n_points: int, step: float = 1.0) -> np.ndarray:
-    """Composite Simpson weights for an odd point count and sample spacing `step`."""
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError(f"Simpson weights need an odd n >= 3, got {n_points}")
-    w = np.ones(n_points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (step / 3.0)
-
-
-def _evaluate(f: Callable, points: np.ndarray, first: int = 0, stride: int = 1) -> np.ndarray:
-    """f on `points`, which sit at indices first + stride*k of their grid.
-
-    A non-finite value raises NonFiniteIntegrandError with its grid index.
-    """
-    values = np.asarray(f(points))
-    if values.shape != points.shape:
-        values = np.broadcast_to(values, points.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NonFiniteIntegrandError(first + stride * idx, float(points[idx]))
-    return values
-
-
-def _simpson(values: np.ndarray, grid: SpectralGrid):
-    return grid.step * np.sum(simpson_weights(grid.n_points) * values)
-
-
-def quad_1d(f: Callable, grid: SpectralGrid):
-    """Composite Simpson estimate of the integral of f over the grid span."""
-    return _simpson(_evaluate(f, grid.points), grid)
-
-
-def simpson_doublings(f: Callable, grid: SpectralGrid):
-    """Composite Simpson estimates of Int f on `grid`, then on each doubling of it.
-
-    A generator, endless: each estimate after the first evaluates f only at
-    the new midpoints of `grid.doubled()`, the odd indices, and interleaves
-    them with the samples it keeps (Press et al., *Numerical Recipes*, 3rd
-    ed., 2007, sec. 4.2).  The even points of a doubled grid are the points
-    of its parent bit for bit, so for an elementwise f every estimate equals
-    `quad_1d` on its grid, in all bits, at about half the evaluations.  A
-    non-finite value raises NonFiniteIntegrandError with its index on the
-    grid being filled.
-    """
-    values = _evaluate(f, grid.points)
-    while True:
-        yield _simpson(values, grid)
-        grid = grid.doubled()
-        new = _evaluate(f, grid.center + grid.offsets[1::2], first=1, stride=2)
-        merged = np.empty(grid.n_points, dtype=np.result_type(values, new))
-        merged[::2] = values
-        merged[1::2] = new
-        values = merged
-
-
-def quad_converged(
-    f: Callable,
-    grid: SpectralGrid,
-    rel_tol: float = 1e-6,
-    max_doublings: int = 6,
-):
-    """quad_1d with grid doubling until two estimates agree to rel_tol.
-
-    Returns (value, achieved_rel_err).  The relative delta is measured against
-    the larger of the two estimates; an exactly-zero pair converges
-    immediately.  A ConvergenceError carrying both last estimates is raised
-    when the cap is hit, so a poor result is never silent.  Each doubling
-    evaluates f at the new points only (`simpson_doublings`), so f must be
-    elementwise.
-    """
-    estimates = simpson_doublings(f, grid)
-    previous = next(estimates)
-    estimate = previous
-    rel_err = np.inf
-    for level in range(max_doublings):
-        estimate = next(estimates)
-        scale = max(abs(estimate), abs(previous))
-        if scale == 0.0:
-            return estimate, 0.0
-        rel_err = abs(estimate - previous) / scale
-        if rel_err <= rel_tol:
-            return estimate, rel_err
-        if level < max_doublings - 1:
-            previous = estimate
-    raise ConvergenceError(estimate, previous, rel_err)
 
 
 _BRENT_RTOL_MIN = 4.0 * sys.float_info.epsilon

@@ -6,16 +6,14 @@ CW gain functions, the single-photon marginal width of the double-Gaussian
 JSA, the Gaussian cloud density, the beam-cloud overlap 1/A_eff^2 by
 `mpmath`, the excitation probability of a classical pulse pair in closed
 form and its validity population by adaptive quadrature, the broadband
-limit of the CW squeezed rates, the integral of a linear interpolant
-against |G_ba|^2 and the CW population integral by `mpmath`, the lattice
-correlation on `scipy.fft`, the Schmidt-mode helpers the lattice sweep
-used (`truncated`, `weighted_mode_count`, `modes_at`), a pulsed sweep row
-and a CSV cell as the library computes them with
+limit of the CW squeezed rates, the CW population integral by `mpmath`,
+the lattice correlation on `scipy.fft`, the Schmidt-mode helpers the
+lattice sweep used (`truncated`, `weighted_mode_count`, `modes_at`), a
+pulsed sweep row and a CSV cell as the library computes them with
 `fluorescence()` and as `cli._fmt` writes them, the CSV body as
-`csv.writer` wrote it before `cli.emit` formatted by column, the analytic
+`csv.writer` wrote it before `cli.emit` formatted by column, and the analytic
 Schmidt decomposition with its Hermite mode tables (which the library
-does not tabulate), and Simpson doublings that evaluate every point of
-each grid.
+does not tabulate).
 
 The pulsed squeezed references are here too.  `LatticePulsedEngine` is the
 Schmidt-mode lattice engine the library ran before its Gaussian-series
@@ -76,7 +74,7 @@ from sqfluor.sources import (
     mode_squeezing,
     squeezing_from_roots,
 )
-from sqfluor.spectral import SpectralGrid, quad_1d
+from sqfluor.spectral import SpectralGrid
 from sqfluor.system import CrossSectionPrefactor, DipoleCoupling, FourLevelSystem
 
 TWO_PI = 2.0 * np.pi
@@ -347,27 +345,6 @@ def rate_squeezed_cw_broadband(src: SqueezedCW, sys, eta, a_eff: float) -> Excit
     return ExcitationOutcome(coherent, incoherent)
 
 
-def linear_interpolant_line_integral(nodes, samples, a: float, g: float) -> float:
-    """Int f(x) / ((x - a)^2 + g^2) dx at 40 digits, f the linear interpolant of the samples.
-
-    f is zero outside the nodes; each interval's integral is taken in
-    closed form (atan and log), so the nodes may be any increasing sequence
-    of numbers `mpmath.mpf` takes exactly.
-    """
-
-    with mpmath.workdps(40):
-        a, g = mpmath.mpf(a), mpmath.mpf(g)
-        total = mpmath.mpf(0)
-        for k in range(len(nodes) - 1):
-            lo, hi = mpmath.mpf(nodes[k]) - a, mpmath.mpf(nodes[k + 1]) - a
-            f0, f1 = mpmath.mpf(samples[k]), mpmath.mpf(samples[k + 1])
-            slope = (f1 - f0) / (hi - lo)
-            area = (mpmath.atan(hi / g) - mpmath.atan(lo / g)) / g
-            moment = (mpmath.log(hi * hi + g * g) - mpmath.log(lo * lo + g * g)) / 2
-            total += (f0 - slope * lo) * area + slope * moment
-        return float(total)
-
-
 def cw_population_integral(beta_bar: float, sigma: float, delta: float) -> float:
     """Int sinh^2(beta_bar exp(-(u + delta)^2 / (2 sigma^2))) / (u^2 + 1) du by `mpmath.quad`.
 
@@ -509,13 +486,6 @@ def eager_schmidt_decompose_analytic(
     f_ii = hermite_function_table(n_keep, (grid_ii.points - src.center_ii) / sigma_s) / np.sqrt(sigma_s)
     f_ii *= np.where(n % 2 == 0, 1.0, -1.0)[:, None]
     return SchmidtDecomposition(p, f_i, f_ii, grid_i, grid_ii, tail)
-
-
-def reevaluating_doublings(f, grid):
-    """`spectral.simpson_doublings` as the quadrature ran before: every point of every grid."""
-    while True:
-        yield quad_1d(f, grid)
-        grid = grid.doubled()
 
 
 def mode_time_profiles(engine) -> np.ndarray:

@@ -22,7 +22,7 @@ from sqfluor.excitation import (
     PulsedExcitationEngine,
     max_intermediate_population,
 )
-from sqfluor.spectral import NumericalError, SpectralGrid, quad_1d
+from sqfluor.spectral import NumericalError, SpectralGrid
 from sqfluor.sources import (
     CW_SERIES_CUT,
     LOG_FACTORIALS,

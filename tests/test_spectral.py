@@ -4,32 +4,35 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.special import wofz
-from hypothesis import given
-from hypothesis import strategies as st
-from oracles import POLE_SERIES_RADIUS, pole_weights, reevaluating_doublings
+from oracles import POLE_SERIES_RADIUS, pole_weights
 
-import sqfluor.peaked as peaked
-import sqfluor.spectral as spectral
-from sqfluor.peaked import NumericsOptions, abs2_green_kernel, green_kernel, quad_kernel_smooth
 from sqfluor.spectral import (
     ConvergenceError,
     GaussianAmplitude,
     GreenFunctionParams,
     LorentzianLineshape,
-    NonFiniteIntegrandError,
     SpectralGrid,
     brentq,
     gaussian_amp,
     green,
     lorentzian,
-    quad_1d,
-    quad_converged,
-    simpson_doublings,
-    simpson_weights,
 )
 
 W0 = 2.0e15
 GAMMA = 3.0e7
+
+
+def simpson_weights(n_points, step):
+    """Composite Simpson weights on an odd number of points `step` apart."""
+    w = np.ones(n_points)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (step / 3.0)
+
+
+def simpson(f, grid):
+    """Composite Simpson estimate of the integral of f over the grid span."""
+    return simpson_weights(grid.n_points, grid.step) @ f(grid.points)
 
 
 class TestSpectralGrid:
@@ -47,11 +50,6 @@ class TestSpectralGrid:
         assert np.all(steps > 0)
         assert np.max(np.abs(steps - grid.step)) < 1e-9 * grid.step
         assert grid.points[0] == pytest.approx(W0 - 100 * GAMMA, rel=1e-15)
-
-    def test_doubled_keeps_span_and_parity(self):
-        grid = SpectralGrid(0.0, 1.0, 101).doubled()
-        assert grid.n_points == 201
-        assert grid.half_span == 1.0
 
 
 class TestLorentzian:
@@ -72,7 +70,7 @@ class TestLorentzian:
         # of the unit area; the numerical estimate must nail that analytic
         # value, and it is within 1% (not 1e-4) of one.
         grid = SpectralGrid(W0, 50 * GAMMA, 4001)
-        area = quad_1d(lambda w: lorentzian(w, self.shape), grid)
+        area = simpson(lambda w: lorentzian(w, self.shape), grid)
         assert area == pytest.approx(2.0 / np.pi * np.arctan(100.0), abs=1e-7)
         assert abs(area - 1.0) < 1e-2
 
@@ -133,54 +131,12 @@ class TestGaussianAmplitude:
 
     def test_square_norm(self):
         grid = SpectralGrid(W0, 12 * self.amp.width, 2001)
-        norm = quad_1d(lambda w: gaussian_amp(w, self.amp) ** 2, grid)
+        norm = simpson(lambda w: gaussian_amp(w, self.amp) ** 2, grid)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_one_sigma_ratio(self):
         ratio = gaussian_amp(W0 + self.amp.width, self.amp) / gaussian_amp(W0, self.amp)
         assert ratio == pytest.approx(np.exp(-0.5), rel=1e-12)
-
-
-class TestQuadrature:
-    def test_constant(self):
-        assert quad_1d(lambda w: np.ones_like(w), SpectralGrid(0.0, 1.0, 11)) == pytest.approx(2.0)
-
-    def test_unit_lorentzian(self):
-        shape = LorentzianLineshape(0.0, 1.0)
-        grid = SpectralGrid(0.0, 50.0, 4001)
-        area = quad_1d(lambda w: lorentzian(w, shape), grid)
-        assert area == pytest.approx(2.0 / np.pi * np.arctan(100.0), abs=1e-6)
-
-    def test_gaussian_oracle(self):
-        value = quad_1d(lambda x: np.exp(-x * x), SpectralGrid(0.0, 8.0, 2001))
-        assert value == pytest.approx(np.sqrt(np.pi), abs=1e-8)
-
-    def test_linearity(self):
-        grid = SpectralGrid(0.0, 5.0, 501)
-        f = lambda x: np.exp(-x * x)
-        g = lambda x: 1.0 / (1.0 + x * x)
-        combined = quad_1d(lambda x: 2.5 * f(x) + 0.3 * g(x), grid)
-        separate = 2.5 * quad_1d(f, grid) + 0.3 * quad_1d(g, grid)
-        assert combined == pytest.approx(separate, rel=1e-12)
-
-    def test_refinement_monotone(self):
-        # Monotone until the estimate hits the double-precision floor, so stay
-        # on truncation-dominated grids.
-        errors = []
-        for n in (11, 15, 19, 23, 27, 31, 41, 51):
-            value = quad_1d(lambda x: np.exp(-x * x), SpectralGrid(0.0, 8.0, n))
-            errors.append(abs(value - np.sqrt(np.pi)))
-        assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
-
-    def test_non_finite_reports_index(self):
-        def bad(w):
-            out = np.ones_like(w)
-            out[3] = np.nan
-            return out
-
-        with pytest.raises(NonFiniteIntegrandError) as info:
-            quad_1d(bad, SpectralGrid(0.0, 1.0, 11))
-        assert info.value.index == 3
 
 
 class TestPoleWeights:
@@ -256,8 +212,8 @@ class TestPoleWeights:
             f = np.exp(-x * x)
             got = pole_weights(-8.0, step, n_points, pole) @ f
             errors.append(abs(got - exact) / abs(exact))
-            simpson = simpson_weights(n_points, step) @ (f / (x - pole))
-            assert abs(simpson - exact) / abs(exact) > 1.0
+            plain = simpson_weights(n_points, step) @ (f / (x - pole))
+            assert abs(plain - exact) / abs(exact) > 1.0
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((ratios > 7.0) & (ratios < 9.0))
         assert errors[-1] < 1e-6
@@ -272,135 +228,15 @@ class TestPoleWeights:
             pole_weights(0.0, 1.0, 5, 2.0)
 
 
-class TestSimpsonDoublings:
-    """Nested doublings evaluate only the new points and change no bit."""
-
-    @given(
-        center=st.floats(-1e16, 1e16, allow_nan=False),
-        half_span=st.floats(1e-12, 1e16, allow_nan=False, exclude_min=True),
-        half_n=st.integers(1, 50_000),
-    )
-    def test_even_points_of_a_doubling_are_the_parent_points(self, center, half_span, half_n):
-        grid = SpectralGrid(center, half_span, 2 * half_n + 1)
-        fine = grid.doubled()
-        assert fine.offsets[::2].tobytes() == grid.offsets.tobytes()
-        assert fine.points[::2].tobytes() == grid.points.tobytes()
-        assert (fine.center + fine.offsets[1::2]).tobytes() == fine.points[1::2].tobytes()
-
-    INTEGRANDS = {
-        "real": lambda x: np.exp(-x * x) * np.cos(3.0 * x),
-        "complex": lambda x: np.exp(-x * x) / (x - 0.3 + 0.05j),
-        "lorentzian": lambda x: lorentzian(x, LorentzianLineshape(0.1, 0.02)),
-    }
-
-    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
-    @pytest.mark.parametrize("n_points", [11, 101, 4001])
-    def test_estimates_equal_reevaluated_grids_bit_for_bit(self, name, n_points):
-        f = self.INTEGRANDS[name]
-        grid = SpectralGrid(0.01, 6.0, n_points)
-        nested, full = simpson_doublings(f, grid), reevaluating_doublings(f, grid)
-        for _ in range(6):
-            a, b = next(nested), next(full)
-            assert type(a) is type(b)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-    def test_evaluations_total_the_final_grid(self):
-        sizes = []
-
-        def f(x):
-            sizes.append(x.size)
-            return np.exp(-x * x)
-
-        grid = SpectralGrid(0.0, 4.0, 11)
-        estimates = simpson_doublings(f, grid)
-        next(estimates)
-        assert sizes == [11]
-        for _ in range(4):
-            next(estimates)
-            grid = grid.doubled()
-            assert sum(sizes) == grid.n_points
-        assert sizes == [11, 10, 20, 40, 80]
-
-    def test_quad_converged_evaluates_the_final_grid_once(self):
-        sizes = []
-        step_fn = lambda x: sizes.append(x.size) or (x > 0.3333).astype(float)
-        with pytest.raises(ConvergenceError):
-            quad_converged(step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3)
-        assert sum(sizes) == SpectralGrid(0.0, 1.0, 11).doubled().doubled().doubled().n_points
-
-    def test_quad_converged_matches_reevaluating_doublings(self, monkeypatch):
-        f = self.INTEGRANDS["complex"]
-        grid = SpectralGrid(0.0, 6.0, 41)
-        nested = quad_converged(f, grid, rel_tol=1e-10, max_doublings=8)
-        monkeypatch.setattr(spectral, "simpson_doublings", reevaluating_doublings)
-        full = quad_converged(f, grid, rel_tol=1e-10, max_doublings=8)
-        assert np.asarray(nested).tobytes() == np.asarray(full).tobytes()
-
-    @pytest.mark.parametrize(
-        "kernel, smooth_scale",
-        [
-            (green_kernel(0.0, 1e-3), 1.0),  # complex, core extraction
-            (abs2_green_kernel(0.0, 1e-3), 1.0),  # real, core extraction
-            (green_kernel(0.0, 0.5), 1.0),  # complex, plain doubling
-            (abs2_green_kernel(0.2, 0.5), 0.7),  # real, plain doubling
-        ],
-    )
-    def test_quad_kernel_smooth_matches_reevaluating_doublings(
-        self, monkeypatch, kernel, smooth_scale
-    ):
-        def smooth(w):
-            return np.exp(-((w - 0.1) ** 2) / 2.0) * (1.0 + 0.2 * w)
-
-        opts = NumericsOptions(rel_tol=1e-9, max_doublings=6)
-        nested = quad_kernel_smooth(kernel, smooth, 0.0, 1.0, smooth_scale, opts)
-        monkeypatch.setattr(spectral, "simpson_doublings", reevaluating_doublings)
-        monkeypatch.setattr(peaked, "simpson_doublings", reevaluating_doublings)
-        full = quad_kernel_smooth(kernel, smooth, 0.0, 1.0, smooth_scale, opts)
-        assert np.asarray(nested).tobytes() == np.asarray(full).tobytes()
-
-    def test_non_finite_new_point_reports_its_index_on_the_fine_grid(self):
-        # 0.1 is a midpoint of the first doubling of an 11-point grid on [-1, 1].
-        grid = SpectralGrid(0.0, 1.0, 11)
-        target = grid.doubled().points[11]
-
-        def f(x):
-            return np.where(x == target, np.nan, 1.0)
-
-        estimates = simpson_doublings(f, grid)
-        next(estimates)
-        with pytest.raises(NonFiniteIntegrandError) as info:
-            next(estimates)
-        assert info.value.index == 11 and info.value.omega == target
-
-
-class TestQuadConverged:
-    def test_smooth_gaussian_converges_fast(self):
-        value, err = quad_converged(
-            lambda x: np.exp(-x * x), SpectralGrid(0.0, 8.0, 201), rel_tol=1e-9,
-            max_doublings=2,
-        )
-        assert value == pytest.approx(np.sqrt(np.pi), rel=1e-9)
-        assert err <= 1e-9
-
-    def test_zero_integrand_immediate(self):
-        value, err = quad_converged(lambda x: np.zeros_like(x), SpectralGrid(0.0, 1.0, 11))
-        assert value == 0.0 and err == 0.0
-
-    def test_discontinuous_never_silent(self):
-        step_fn = lambda x: (x > 0.3333).astype(float)
-        with pytest.raises(ConvergenceError) as info:
-            quad_converged(step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3)
-        assert info.value.last != info.value.previous
-
+class TestConvergenceError:
     @pytest.mark.parametrize("scale", [1.0, 1.0 - 0.5j])
-    def test_convergence_error_message_has_plain_numbers(self, scale):
-        step_fn = lambda x: scale * (x > 0.3333).astype(float)
-        with pytest.raises(ConvergenceError) as info:
-            quad_converged(step_fn, SpectralGrid(0.0, 1.0, 11), rel_tol=1e-12, max_doublings=3)
-        message = str(info.value)
+    def test_message_has_plain_numbers(self, scale):
+        # numpy scalars, as an iteration hands them over
+        error = ConvergenceError(np.float64(2.0 / 3.0) * scale, np.float64(0.5) * scale, 0.25)
+        message = str(error)
         assert "np." not in message
-        assert f"last={info.value.last:.17g}," in message
-        assert complex(message.split("last=")[1].split(",")[0]) == info.value.last
+        assert f"last={error.last:.17g}," in message
+        assert complex(message.split("last=")[1].split(",")[0]) == error.last
 
 
 def solve_counted(solver, f, a, b, **kwargs):
